@@ -26,12 +26,13 @@ from repro.apps.jacobi import JacobiCopyKernel, JacobiSolver, JacobiSweepKernel
 from repro.bench.figures import FigureResult
 from repro.dist.distribution import DimDistribution
 from repro.dist.policy import Align, Block
+from repro.ir.ops import HaloOp
 from repro.machine.presets import gpu4_node
 from repro.memory.space import MapDirection
 from repro.obs.span import SPAN_XFER_IN, SPAN_XFER_OUT
 from repro.obs.tracer import Tracer
 from repro.runtime.data_env import TargetDataRegion
-from repro.runtime.halo import plan_halo_exchange
+from repro.runtime.halo import plan_halo_op
 from repro.runtime.runtime import HompRuntime
 from repro.util.ranges import IterRange
 from repro.util.tables import render_table
@@ -75,20 +76,17 @@ def run_flat() -> dict:
     tracer = Tracer()
     ndev = len(rt.machine)
     row_dist = DimDistribution.from_policy(Block(), IterRange(0, N), ndev)
+    halo = HaloOp("uold", lower=1, upper=1, row_bytes=solver.m * 8)
     halo_bytes = 0
     for _ in range(ITERS):
         copy_k, sweep_k = _loops(solver)
         rt.parallel_for(copy_k, schedule=Align("u"), tracer=tracer)
-        exchange = plan_halo_exchange(
-            rt.machine, row_dist, width=1, row_bytes=solver.m * 8
-        )
+        exchange = plan_halo_op(rt.machine, row_dist, halo)
         halo_bytes += exchange.total_bytes
         rt.parallel_for(sweep_k, schedule="BLOCK", tracer=tracer)
         # Defensive post-sweep refresh: without a ledger the planner
         # cannot prove uold is unchanged, so it pays full price again.
-        refresh = plan_halo_exchange(
-            rt.machine, row_dist, width=1, row_bytes=solver.m * 8
-        )
+        refresh = plan_halo_op(rt.machine, row_dist, halo)
         halo_bytes += refresh.total_bytes
     return {
         "engine_bytes": _moved_counter(tracer),
@@ -115,6 +113,7 @@ def run_ledger() -> dict:
     )
     engine_moved = 0.0
     engine_elided = 0.0
+    halo = HaloOp("uold", lower=1, upper=1, row_bytes=solver.m * 8)
     halo_bytes = 0
     halo_elided = 0
     with region:
@@ -131,9 +130,8 @@ def run_ledger() -> dict:
         for _ in range(ITERS):
             copy_k, sweep_k = _loops(solver)
             r1 = region.parallel_for(copy_k, schedule=Align("u"), tracer=tracer)
-            exchange = plan_halo_exchange(
-                submachine, row_dist, width=1, row_bytes=solver.m * 8,
-                residency=region.residency, array="uold",
+            exchange = plan_halo_op(
+                submachine, row_dist, halo, residency=region.residency
             )
             halo_bytes += exchange.total_bytes
             halo_elided += exchange.elided_bytes
@@ -141,9 +139,8 @@ def run_ledger() -> dict:
             # The same defensive refresh: the sweep never writes uold, so
             # the ledger proves every boundary row still valid on its
             # receiver and the whole exchange is elided.
-            refresh = plan_halo_exchange(
-                submachine, row_dist, width=1, row_bytes=solver.m * 8,
-                residency=region.residency, array="uold",
+            refresh = plan_halo_op(
+                submachine, row_dist, halo, residency=region.residency
             )
             halo_bytes += refresh.total_bytes
             halo_elided += refresh.elided_bytes

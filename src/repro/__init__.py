@@ -95,7 +95,7 @@ from repro.dist import Align, Auto, Block, Cyclic, Full, parse_policy
 from repro.lang import parse_device_clause, parse_directive
 from repro.obs import MetricsRegistry, Span, Tracer, write_chrome_trace
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "__version__",

@@ -9,7 +9,7 @@ Demonstrates everything the figure's directives use together:
   (``dist_schedule(target:[ALIGN(loop1)])``) and the sweep with a
   ``reduction(+:error)`` (``dist_schedule(target:[AUTO])``),
 * a ``halo_exchange(uold)`` between them
-  (:func:`~repro.runtime.halo.plan_halo_exchange`).
+  (:func:`~repro.runtime.halo.plan_halo_op`).
 
 The solve iterates ``u`` toward the solution of the discrete Poisson-like
 system ``ax*(u[i-1,j]+u[i+1,j]) + ay*(u[i,j-1]+u[i,j+1]) + b*u[i,j] =
@@ -26,11 +26,12 @@ import numpy as np
 from repro.dist.policy import Align, Full
 from repro.dist.distribution import DimDistribution
 from repro.dist.policy import Block
+from repro.ir.ops import HaloOp
 from repro.kernels.base import LoopKernel, MapSpec
 from repro.memory.buffer import DeviceBuffer
 from repro.memory.space import MapDirection
 from repro.runtime.data_env import TargetDataRegion
-from repro.runtime.halo import plan_halo_exchange
+from repro.runtime.halo import plan_halo_op
 from repro.runtime.runtime import HompRuntime
 from repro.util.ranges import IterRange
 
@@ -207,6 +208,7 @@ class JacobiSolver:
             row_dist = DimDistribution.from_policy(
                 Block(), IterRange(0, self.n), len(ids)
             )
+            halo = HaloOp("uold", lower=1, upper=1, row_bytes=self.m * 8)
             while iters < max_iters and error > tol:
                 copy_k = JacobiCopyKernel(self.u, self.uold)
                 # v1-style alignment: BLOCK-partition the data, align the
@@ -218,9 +220,8 @@ class JacobiSolver:
                 # every other device's claim on the written rows, so the
                 # exchange below pays for boundary rows once, then elides
                 # them until the next write.
-                exchange = plan_halo_exchange(
-                    submachine, row_dist, width=1, row_bytes=self.m * 8,
-                    residency=region.residency, array="uold",
+                exchange = plan_halo_op(
+                    submachine, row_dist, halo, residency=region.residency
                 )
                 halo_total += exchange.time_s
                 sweep_k = JacobiSweepKernel(

@@ -33,10 +33,6 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro import __version__
-from repro.engine.batch import BATCH_VERSION
-from repro.engine.core import CORE_VERSION, STREAM_VERSION
-from repro.ir.ops import IR_VERSION
-from repro.memory.residency import DATA_VERSION
 from repro.engine.trace import OffloadResult
 from repro.faults.plan import FaultPlan, faults_enabled
 from repro.faults.policy import ResiliencePolicy
@@ -103,23 +99,6 @@ def result_key(
     """
     payload = {
         "version": __version__,
-        # Cached results are virtual-time artifacts; any change to the
-        # execution core that could perturb them must bump CORE_VERSION.
-        "core": CORE_VERSION,
-        # Residency-ledger semantics (elision rules, placement derivation)
-        # shape in-region timings the same way: DATA_VERSION keys them.
-        "data": DATA_VERSION,
-        # Batch-backend results are bit-identical to virtual ones and share
-        # their keys; any change that could perturb them bumps this.
-        "batch": BATCH_VERSION,
-        # Directives execute through the offload IR (lower + passes); any
-        # lowering or pass-semantics change that could perturb a lowered
-        # program's results bumps IR_VERSION.
-        "ir": IR_VERSION,
-        # Cross-batch carry seeding (DeviceCarry) touches the same clock
-        # paths one-shot runs use; stream-semantics changes that could
-        # perturb any cached timing bump STREAM_VERSION.
-        "stream": STREAM_VERSION,
         "machine": machine.to_dict(),
         "workload": dict(workload_fp),
         "policy": str(policy),

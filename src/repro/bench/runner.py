@@ -32,7 +32,7 @@ from repro.kernels.base import LoopKernel
 from repro.machine.spec import MachineSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, obs_enabled
-from repro.runtime.runtime import HompRuntime, OffloadSpec
+from repro.runtime.runtime import HompRuntime, _shared_kernel_specs
 
 __all__ = [
     "ALL_POLICIES",
@@ -502,48 +502,21 @@ def _run_batch_cells(
     backend advances every cell's timeline together as array ops.  Cells
     of the same factory share one kernel instance: the simulated timeline
     depends only on chunk sizes, so the (expensive) numeric execution and
-    reference verification run once per workload, not once per cell —
-    subsequent cells skip numerics and produce bit-identical results
-    (their arrays are untouched and their reduction is None either way).
-    Reduction kernels execute every cell (each result carries the
-    reduction value); a reduction kernel that also wrote output arrays
-    would double-apply them on a shared instance, so those get a fresh
-    kernel per cell.
+    reference verification run once per workload, not once per cell
+    (the sharing rule is ``_shared_kernel_specs``'s).
     """
     global _ENGINE_RUNS
     _METRICS.inc("run_grid_batch_cells", float(len(pending)))
     rt = HompRuntime(machine, seed=seed)
-    shared: dict[int, LoopKernel] = {}
     refs: dict[int, "dict[str, np.ndarray] | float"] = {}
-    specs: list[OffloadSpec] = []
-    executed: list[bool] = []
-    for kname, factory, policy, key in pending:
-        fid = id(factory)
-        kernel = shared.get(fid)
-        fresh = kernel is None
-        if fresh:
-            kernel = factory()
-            shared[fid] = kernel
-        if kernel.is_reduction:
-            if any(m.direction.copies_out for m in kernel.effective_maps()):
-                if not fresh:
-                    kernel = factory()
-            execute = True
-        else:
-            execute = fresh
-        specs.append(
-            OffloadSpec(
-                kernel=kernel, schedule=policy,
-                cutoff_ratio=cutoff_ratio, execute_numerically=execute,
-            )
-        )
-        executed.append(execute)
+    specs = _shared_kernel_specs(
+        (id(factory), factory, policy, cutoff_ratio)
+        for _, factory, policy, _ in pending
+    )
     batch = rt.parallel_for_many(specs, executor=executor)
-    for (kname, factory, policy, key), spec, execute, result in zip(
-        pending, specs, executed, batch
-    ):
+    for (kname, factory, policy, key), spec, result in zip(pending, specs, batch):
         _ENGINE_RUNS += 1
-        if verify and execute:
+        if verify and spec.execute_numerically:
             fid = id(factory)
             ref = refs.get(fid)
             if ref is None:

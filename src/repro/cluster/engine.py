@@ -26,10 +26,10 @@ new at cluster scale:
   to the head over the fabric after its shard finishes (serialised on
   the head downlink); under ``aligned`` outputs stay node-resident.
 * **Observability.**  Intra-node spans pass through a
-  :class:`~repro.obs.tracer.NodeTracer`, which offsets device ids to
-  cluster-global ids, shifts timestamps by the node's staging delay and
-  stamps ``node=<k>`` on every span; the cluster layer adds its own
-  ``fabric_in`` / ``fabric_out`` spans.
+  :meth:`Tracer.bind <repro.obs.tracer.Tracer.bind>` view, which offsets
+  device ids to cluster-global ids, shifts timestamps by the node's
+  staging delay and stamps ``node=<k>`` on every span; the cluster layer
+  adds its own ``fabric_in`` / ``fabric_out`` spans.
 
 A single-node cluster (or a bare ``MachineSpec``) skips all of the
 above and delegates wholesale to one intra-node engine, so its results
@@ -53,20 +53,11 @@ from repro.engine.core import EngineBase, register_backend
 from repro.engine.simulator import OffloadEngine
 from repro.engine.trace import DeviceTrace, OffloadResult
 from repro.errors import OffloadError
-from repro.faults.plan import FaultPlan
-from repro.faults.policy import ResiliencePolicy
 from repro.kernels.base import LoopKernel
 from repro.machine.interconnect import SHARED_LINK
-from repro.machine.spec import MachineSpec
-from repro.memory.residency import ClusterResidency, RegionResidency
+from repro.memory.residency import ClusterResidency
 from repro.memory.unified import UnifiedMemoryModel
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NodeTracer,
-    NullTracer,
-    Tracer,
-    resolve_tracer,
-)
+from repro.obs.tracer import NULL_TRACER, resolve_tracer
 from repro.sched.base import LoopScheduler
 from repro.util.ranges import IterRange
 from repro.dist.hierarchy import node_shards
@@ -119,15 +110,11 @@ class ClusterEngine(EngineBase):
     # single-node run (which exposes the inner context instead).
     _cluster_chunk_log = None
 
-    machine: MachineSpec
     #: The cluster this engine executes on.  None wraps ``machine`` as a
     #: degenerate single-node cluster; otherwise ``machine`` must equal
     #: ``cluster.flatten()`` (build via :meth:`for_cluster`).
     cluster: "ClusterSpec | None" = None
-    seed: int = 0
-    execute_numerically: bool = True
-    collect_chunks: bool = False
-    record_events: bool = False
+    # The intra-node engines' timing model (see OffloadEngine).
     serialize_offload: bool = False
     double_buffer: bool = True
     unified_model: UnifiedMemoryModel = field(default_factory=UnifiedMemoryModel)
@@ -141,11 +128,6 @@ class ClusterEngine(EngineBase):
     #: Whether fabric staging serialises on the head uplink (one shared
     #: pipe) or every node stages concurrently (private uplinks).
     fabric_shared: bool = True
-    fault_plan: FaultPlan | None = None
-    resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
-    tracer: Tracer | NullTracer = NULL_TRACER
-    #: Device-level residency region (single-node delegation only).
-    residency: "RegionResidency | None" = None
 
     def __post_init__(self) -> None:
         if self.placement not in _PLACEMENTS:
@@ -202,29 +184,6 @@ class ClusterEngine(EngineBase):
         finally:
             self._end_run()
 
-    def _inner_engine(
-        self,
-        node_machine: MachineSpec,
-        tracer: "Tracer | NullTracer | NodeTracer",
-        *,
-        fault_plan: "FaultPlan | None",
-        residency: "RegionResidency | None",
-    ) -> OffloadEngine:
-        return OffloadEngine(
-            machine=node_machine,
-            seed=self.seed,
-            execute_numerically=self.execute_numerically,
-            collect_chunks=self.collect_chunks,
-            record_events=self.record_events,
-            serialize_offload=self.serialize_offload,
-            double_buffer=self.double_buffer,
-            unified_model=self.unified_model,
-            fault_plan=fault_plan,
-            resilience=self.resilience,
-            tracer=tracer,
-            residency=residency,
-        )
-
     def _run_single(
         self,
         kernel: LoopKernel,
@@ -233,12 +192,7 @@ class ClusterEngine(EngineBase):
     ) -> OffloadResult:
         """One-node cluster: wholesale delegation to the intra-node
         engine — results are bit-identical to the ``virtual`` backend."""
-        inner = self._inner_engine(
-            self.machine,
-            self.tracer,
-            fault_plan=self.fault_plan,
-            residency=self.residency,
-        )
+        inner = self._delegate(OffloadEngine)
         result = inner.run(kernel, scheduler, cutoff_ratio=cutoff_ratio)
         self._cluster_chunk_log = None
         self._run_ctx = inner._run_ctx  # expose chunk_log/timeline/faults
@@ -337,14 +291,16 @@ class ClusterEngine(EngineBase):
                 )
 
             tracer = (
-                NodeTracer(
-                    base_tracer, node=k, devid_offset=base, t_offset=ready[k]
-                )
+                base_tracer.bind(node=k, devid_offset=base, t_offset=ready[k])
                 if traced
                 else NULL_TRACER
             )
-            inner = self._inner_engine(
-                cluster.nodes[k], tracer, fault_plan=None, residency=None
+            inner = self._delegate(
+                OffloadEngine,
+                machine=cluster.nodes[k],
+                tracer=tracer,
+                fault_plan=None,
+                residency=None,
             )
             res = inner.run(
                 _ShardKernel(kernel, shard),

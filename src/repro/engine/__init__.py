@@ -46,7 +46,7 @@ from repro.engine.core import (
 # Importing the backend modules registers them.
 from repro.engine.simulator import OffloadEngine
 from repro.engine.threaded import ThreadedEngine
-from repro.engine.batch import BATCH_VERSION, BatchEngine, BatchRequest
+from repro.engine.batch import BatchEngine, BatchRequest
 from repro.engine.events import ChunkEvent, Timeline, render_timeline
 # Last, as a plain module import: the cluster backend composes the
 # intra-node engine above, and binding its class here would fail when an
@@ -70,7 +70,6 @@ __all__ = [
     "ThreadedEngine",
     "BatchEngine",
     "BatchRequest",
-    "BATCH_VERSION",
     "ChunkEvent",
     "Timeline",
     "render_timeline",

@@ -47,23 +47,16 @@ from repro.engine.core import ChunkPhase, EngineBase, RunContext, register_backe
 from repro.engine.simulator import OffloadEngine
 from repro.engine.trace import OffloadResult
 from repro.errors import OffloadError
-from repro.faults.plan import FaultPlan, faults_enabled
-from repro.faults.policy import ResiliencePolicy
+from repro.faults.plan import faults_enabled
 from repro.kernels.base import ELEM, LoopKernel
 from repro.machine.spec import MachineSpec, MemoryKind
-from repro.memory.residency import RegionResidency
 from repro.memory.unified import UnifiedMemoryModel
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, resolve_tracer
+from repro.obs.tracer import resolve_tracer
 from repro.sched.base import BARRIER, LoopScheduler
 from repro.util.ranges import IterRange
 from repro.util.units import gbs_to_bytes_per_s, gflops_to_flops
 
-__all__ = ["BATCH_VERSION", "BatchRequest", "BatchEngine"]
-
-#: Version of the vectorized batch backend.  Part of the sweep-cache
-#: fingerprint (batch results are cacheable virtual-time artifacts): bump
-#: on any change that could perturb them.
-BATCH_VERSION = "1"
+__all__ = ["BatchRequest", "BatchEngine"]
 
 
 @dataclass
@@ -178,18 +171,10 @@ class BatchEngine(EngineBase):
 
     backend_name = "batch"
 
-    machine: MachineSpec
-    seed: int = 0
-    execute_numerically: bool = True
-    collect_chunks: bool = False
-    record_events: bool = False
+    # The virtual engine's timing model (see OffloadEngine for each knob).
     serialize_offload: bool = False
     double_buffer: bool = True
     unified_model: UnifiedMemoryModel = field(default_factory=UnifiedMemoryModel)
-    fault_plan: FaultPlan | None = None
-    resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
-    tracer: Tracer | NullTracer = NULL_TRACER
-    residency: "RegionResidency | None" = None
 
     # -- public entry points -------------------------------------------------
 
@@ -257,25 +242,16 @@ class BatchEngine(EngineBase):
             return False
         return True
 
+    def _executes(self, req: BatchRequest) -> bool:
+        """Whether ``req`` runs numerics (its override, else the engine's)."""
+        if req.execute_numerically is None:
+            return self.execute_numerically
+        return req.execute_numerically
+
     def _fallback(self, req: BatchRequest) -> OffloadResult:
         """Run one cell through the virtual-time simulator, transparently."""
-        execute = (
-            self.execute_numerically
-            if req.execute_numerically is None else req.execute_numerically
-        )
-        eng = OffloadEngine(
-            machine=self.machine,
-            seed=self.seed,
-            execute_numerically=execute,
-            collect_chunks=self.collect_chunks,
-            record_events=self.record_events,
-            serialize_offload=self.serialize_offload,
-            double_buffer=self.double_buffer,
-            unified_model=self.unified_model,
-            fault_plan=self.fault_plan,
-            resilience=self.resilience,
-            tracer=self.tracer,
-            residency=self.residency,
+        eng = self._delegate(
+            OffloadEngine, execute_numerically=self._executes(req)
         )
         result = eng.run(
             req.kernel, req.scheduler, cutoff_ratio=req.cutoff_ratio
@@ -286,24 +262,11 @@ class BatchEngine(EngineBase):
     # -- batch machinery ------------------------------------------------------
 
     def _make_cell(self, req: BatchRequest) -> _Cell:
-        execute = (
-            self.execute_numerically
-            if req.execute_numerically is None else req.execute_numerically
-        )
-        core = RunContext(
-            machine=self.machine,
-            kernel=req.kernel,
-            scheduler=req.scheduler,
-            cutoff_ratio=req.cutoff_ratio,
-            seed=self.seed,
-            execute_numerically=execute,
-            collect_chunks=self.collect_chunks,
-            record_events=self.record_events,
-            fault_plan=self.fault_plan,
-            resilience=self.resilience,
-            tracer=self.tracer,
-            residency=self.residency,
-            base_meta={"seed": self.seed, "machine": self.machine.name},
+        core = self._run_context(
+            req.kernel,
+            req.scheduler,
+            req.cutoff_ratio,
+            execute_numerically=self._executes(req),
         )
         return _Cell(req, core, len(core.states))
 

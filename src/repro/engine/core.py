@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
 from typing import Any, Callable, ClassVar, Protocol, runtime_checkable
 
@@ -53,6 +53,7 @@ from repro.faults.policy import HealthTracker, ResiliencePolicy
 from repro.kernels.base import LoopKernel
 from repro.machine.device import Device
 from repro.machine.spec import MachineSpec
+from repro.memory.residency import RegionResidency
 from repro.obs import span as _sp
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS as _CHUNK_SIZE_BUCKETS
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, resolve_tracer
@@ -60,8 +61,6 @@ from repro.sched.base import LoopScheduler, SchedContext
 from repro.util.ranges import IterRange, split_block
 
 __all__ = [
-    "CORE_VERSION",
-    "STREAM_VERSION",
     "ChunkPhase",
     "LIFECYCLE",
     "StageTiming",
@@ -78,16 +77,6 @@ __all__ = [
     "resolve_backend",
     "make_backend",
 ]
-
-#: Version of the execution core.  Part of the sweep-cache fingerprint:
-#: bump on any change that could perturb virtual-time results.
-CORE_VERSION = "1"
-
-#: Version of the streaming execution path (cross-batch carry, the
-#: stream-pipeline IR pass, STREAM_REBALANCE).  Part of the sweep-cache
-#: fingerprint: bump on any change that could perturb stream results.
-STREAM_VERSION = "1"
-
 
 # ---------------------------------------------------------------------------
 # Chunk lifecycle state machine
@@ -962,6 +951,10 @@ class RunContext:
                     states[d].device.name for d in self.health.quarantined
                 ),
             }
+        # The run is over: drop the backend hooks, whose closures point
+        # back at this context, so it (and the kernel's arrays) are freed
+        # with the engine instead of waiting for a cyclic collection.
+        self.wake = self.maybe_release_barrier = None
         return OffloadResult(
             kernel_name=kernel.name,
             algorithm=scheduler.describe(),
@@ -998,11 +991,19 @@ class RunContext:
 
 
 # ---------------------------------------------------------------------------
-# Engine base: run-slot guard and last-run introspection
+# Engine base: the option set, run-slot guard and last-run introspection
 # ---------------------------------------------------------------------------
 
+@dataclass
 class EngineBase:
-    """Re-entrancy guard plus last-run introspection for engine objects.
+    """What every execution backend shares: the engine options, the
+    re-entrancy guard and last-run introspection.
+
+    The fields below are *the* declaration of the engine option set:
+    backends inherit them (adding only what their notion of time needs),
+    :func:`make_backend` and :meth:`configured` discover them through
+    ``dataclasses.fields``, and :meth:`_run_context` hands them to the
+    shared :class:`RunContext`.
 
     Engine instances are reusable but not concurrently so: each ``run()``
     builds a fresh :class:`RunContext`, and a second ``run()`` entered
@@ -1010,9 +1011,66 @@ class EngineBase:
     instead of silently corrupting shared accounting.
     """
 
-    # Deliberately *not* annotated: subclasses are dataclasses, and an
-    # annotated class attribute here would become their first field.
+    machine: MachineSpec
+    seed: int = 0
+    execute_numerically: bool = True
+    collect_chunks: bool = False
+    record_events: bool = False
+    #: Faults to inject (None or an empty plan = fault-free run; the
+    #: REPRO_FAULTS env switch can disable any plan globally).  Times are
+    #: in the backend's clock: virtual seconds, or wall seconds since
+    #: offload start on the threaded backend.
+    fault_plan: FaultPlan | None = None
+    #: Retry/quarantine behaviour under the fault plan.
+    resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
+    #: Observability sink (:mod:`repro.obs`).  The default null tracer is
+    #: permanently disabled; the hot loop reads its ``enabled`` flag once
+    #: per run, so untraced offloads pay no per-chunk cost.  ``REPRO_OBS``
+    #: can kill even an attached tracer (see ``resolve_tracer``).
+    tracer: Tracer | NullTracer = NULL_TRACER
+    #: Residency view of an enclosing target-data region (None outside one).
+    #: When set, per-chunk transfer bytes are the *delta* between what the
+    #: chunk touches and what the placement already made resident.
+    residency: RegionResidency | None = None
+
+    # Deliberately *not* annotated: an annotated class attribute here
+    # would become a dataclass field of every backend.
     _run_ctx = None
+
+    def _run_context(
+        self,
+        kernel: LoopKernel,
+        scheduler: LoopScheduler,
+        cutoff_ratio: float,
+        **differs: Any,
+    ) -> "RunContext":
+        """The :class:`RunContext` of one run on this engine.
+
+        The shared options come from the fields above; a backend passes
+        only what differs (``base_meta``, ``obs_meta_extra``,
+        ``carry_in``, a per-request ``execute_numerically``).
+        """
+        options = {name: getattr(self, name) for name in _SHARED_OPTIONS}
+        options["base_meta"] = {"seed": self.seed, "machine": self.machine.name}
+        options.update(differs)
+        return RunContext(
+            kernel=kernel, scheduler=scheduler, cutoff_ratio=cutoff_ratio, **options
+        )
+
+    def _delegate(self, cls: type, **overrides: Any):
+        """A ``cls`` engine configured like this one, ``overrides`` applied.
+
+        Every field the two backends share is copied — how a batch cell
+        falls back to, and a cluster node runs on, the virtual engine.
+        """
+        mine = {f.name for f in dataclass_fields(self)}
+        options = {
+            f.name: getattr(self, f.name)
+            for f in dataclass_fields(cls)
+            if f.name in mine
+        }
+        options.update(overrides)
+        return cls(**options)
 
     @property
     def busy(self) -> bool:
@@ -1042,23 +1100,14 @@ class EngineBase:
                 f"{type(self).__name__} instance is mid-run; configure a "
                 "pooled engine only while holding its exclusive lease"
             )
-        names = {f.name for f in dataclass_fields(self)}
+        if "machine" in options:
+            raise OffloadError(
+                "configured() cannot rebind an engine's machine; "
+                "pool one engine per machine instead"
+            )
         saved: dict[str, Any] = {}
         try:
-            for key, value in options.items():
-                if key == "machine":
-                    raise OffloadError(
-                        "configured() cannot rebind an engine's machine; "
-                        "pool one engine per machine instead"
-                    )
-                if key not in names:
-                    if value:  # a meaningful option this backend lacks
-                        raise OffloadError(
-                            f"execution backend "
-                            f"{getattr(self, 'backend_name', type(self).__name__)!r}"
-                            f" does not support option {key}={value!r}"
-                        )
-                    continue
+            for key, value in _supported_options(type(self), options).items():
                 saved[key] = getattr(self, key)
                 setattr(self, key, value)
             yield self
@@ -1098,6 +1147,26 @@ class EngineBase:
     def faults(self) -> list[ChunkFault]:
         """Fault occurrences of the last run (empty for fault-free runs)."""
         return list(self._run_ctx.faults) if self._run_ctx else []
+
+
+def _supported_options(cls: type, options: dict[str, Any]) -> dict[str, Any]:
+    """The ``options`` backend ``cls`` has a field for; one it lacks is
+    dropped when falsy and rejected when set."""
+    names = {f.name for f in dataclass_fields(cls)}
+    kept = {}
+    for key, value in options.items():
+        if key in names:
+            kept[key] = value
+        elif value:  # a meaningful option the backend cannot honour
+            raise OffloadError(
+                f"execution backend {getattr(cls, 'backend_name', cls.__name__)!r}"
+                f" does not support option {key}={value!r}"
+            )
+    return kept
+
+
+#: The option set, read off its one declaration (machine included).
+_SHARED_OPTIONS = tuple(f.name for f in dataclass_fields(EngineBase))
 
 
 # ---------------------------------------------------------------------------
@@ -1189,14 +1258,4 @@ def make_backend(
     backend).
     """
     cls = resolve_backend(spec)
-    names = {f.name for f in dataclass_fields(cls)}
-    kwargs = {}
-    for key, value in options.items():
-        if key in names:
-            kwargs[key] = value
-        elif value:  # a meaningful option the backend cannot honour
-            raise OffloadError(
-                f"execution backend {getattr(cls, 'backend_name', cls.__name__)!r}"
-                f" does not support option {key}={value!r}"
-            )
-    return cls(machine=machine, **kwargs)
+    return cls(machine=machine, **_supported_options(cls, options))

@@ -51,13 +51,9 @@ from repro.engine.core import (
 )
 from repro.engine.trace import OffloadResult
 from repro.faults.events import FaultKind
-from repro.faults.plan import FaultPlan
-from repro.faults.policy import ResiliencePolicy
 from repro.kernels.base import LoopKernel
-from repro.machine.spec import MachineSpec, MemoryKind
-from repro.memory.residency import RegionResidency
+from repro.machine.spec import MemoryKind
 from repro.memory.unified import UnifiedMemoryModel
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.sched.base import BARRIER, LoopScheduler
 
 __all__ = ["OffloadEngine"]
@@ -70,11 +66,6 @@ class OffloadEngine(EngineBase):
     #: Registry name of this backend (virtual-time discrete-event).
     backend_name = "virtual"
 
-    machine: MachineSpec
-    seed: int = 0
-    execute_numerically: bool = True
-    collect_chunks: bool = False
-    record_events: bool = False
     #: Without the paper's `parallel target` composite (§III.4), offloading
     #: to the target devices is serialised: one host thread stages every
     #: device's input in turn.  True = one shared dispatch resource.
@@ -86,20 +77,6 @@ class OffloadEngine(EngineBase):
     #: Cost model for devices with UNIFIED memory (paper §V.C): shared
     #: semantics, but pages migrate over the bus at driver speed.
     unified_model: UnifiedMemoryModel = field(default_factory=UnifiedMemoryModel)
-    #: Faults to inject (None or an empty plan = fault-free run; the
-    #: REPRO_FAULTS env switch can disable any plan globally).
-    fault_plan: FaultPlan | None = None
-    #: Retry/quarantine behaviour under the fault plan.
-    resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
-    #: Observability sink (:mod:`repro.obs`).  The default null tracer is
-    #: permanently disabled; the hot loop reads its ``enabled`` flag once
-    #: per run, so untraced offloads pay no per-chunk cost.  ``REPRO_OBS``
-    #: can kill even an attached tracer (see ``resolve_tracer``).
-    tracer: Tracer | NullTracer = NULL_TRACER
-    #: Residency view of an enclosing target-data region (None outside one).
-    #: When set, per-chunk transfer bytes are the *delta* between what the
-    #: chunk touches and what the placement already made resident.
-    residency: "RegionResidency | None" = None
     #: Cross-batch pipeline carry for stream execution (devid ->
     #: :class:`~repro.engine.core.DeviceCarry`).  None = cold start; set
     #: by the stream runner between batches so batch k+1's copy-in can
@@ -113,21 +90,8 @@ class OffloadEngine(EngineBase):
         *,
         cutoff_ratio: float = 0.0,
     ) -> OffloadResult:
-        core = RunContext(
-            machine=self.machine,
-            kernel=kernel,
-            scheduler=scheduler,
-            cutoff_ratio=cutoff_ratio,
-            seed=self.seed,
-            execute_numerically=self.execute_numerically,
-            collect_chunks=self.collect_chunks,
-            record_events=self.record_events,
-            fault_plan=self.fault_plan,
-            resilience=self.resilience,
-            tracer=self.tracer,
-            residency=self.residency,
-            base_meta={"seed": self.seed, "machine": self.machine.name},
-            carry_in=self.carry_in,
+        core = self._run_context(
+            kernel, scheduler, cutoff_ratio, carry_in=self.carry_in
         )
         self._begin_run(core)
         try:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.core import (
     ChunkPhase,
@@ -51,12 +51,7 @@ from repro.engine.core import (
 from repro.engine.trace import OffloadResult
 from repro.errors import OffloadError
 from repro.faults.events import FaultKind
-from repro.faults.plan import FaultPlan
-from repro.faults.policy import ResiliencePolicy
 from repro.kernels.base import LoopKernel
-from repro.machine.spec import MachineSpec
-from repro.memory.residency import RegionResidency
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.sched.base import BARRIER, LoopScheduler
 
 __all__ = ["ThreadedEngine"]
@@ -73,23 +68,6 @@ class ThreadedEngine(EngineBase):
     #: Registry name of this backend (wall-clock, real threads).
     backend_name = "threaded"
 
-    machine: MachineSpec
-    seed: int = 0
-    execute_numerically: bool = True
-    collect_chunks: bool = False
-    record_events: bool = False
-    #: Faults to inject; times are wall seconds since offload start.
-    fault_plan: FaultPlan | None = None
-    #: Retry/quarantine behaviour under the fault plan.
-    resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
-    #: Observability sink; spans carry *wall* time (``perf_counter``
-    #: offsets from offload start), unlike the simulator's virtual time.
-    tracer: Tracer | NullTracer = NULL_TRACER
-    #: Residency view of an enclosing target-data region (None outside one).
-    #: Same elision semantics as the virtual backend: per-chunk bytes are
-    #: the delta against what the placement already made resident.
-    residency: "RegionResidency | None" = None
-
     def run(
         self,
         kernel: LoopKernel,
@@ -97,19 +75,10 @@ class ThreadedEngine(EngineBase):
         *,
         cutoff_ratio: float = 0.0,
     ) -> OffloadResult:
-        core = RunContext(
-            machine=self.machine,
-            kernel=kernel,
-            scheduler=scheduler,
-            cutoff_ratio=cutoff_ratio,
-            seed=self.seed,
-            execute_numerically=self.execute_numerically,
-            collect_chunks=self.collect_chunks,
-            record_events=self.record_events,
-            fault_plan=self.fault_plan,
-            resilience=self.resilience,
-            tracer=self.tracer,
-            residency=self.residency,
+        core = self._run_context(
+            kernel,
+            scheduler,
+            cutoff_ratio,
             base_meta={
                 "executor": "threaded", "machine": self.machine.name,
                 "seed": self.seed,

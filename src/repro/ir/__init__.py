@@ -13,7 +13,6 @@ fusion legality conditions.
 
 from repro.ir.lower import data_region, decl_for, from_directive, from_directives
 from repro.ir.ops import (
-    IR_VERSION,
     Bound,
     DataDecl,
     Dim,
@@ -39,7 +38,6 @@ from repro.ir.passes import (
 from repro.ir.verify import verify_program
 
 __all__ = [
-    "IR_VERSION",
     "Bound",
     "Dim",
     "Region",

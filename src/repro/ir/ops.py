@@ -35,10 +35,6 @@ Every node is a frozen dataclass: passes rewrite by building new nodes
 (``dataclasses.replace``), never by mutation.  The only deliberately
 non-value field is :attr:`OffloadOp.kernel` — the bound loop body, a live
 :class:`~repro.kernels.base.LoopKernel` the runtime executes.
-
-``IR_VERSION`` keys the sweep-cache fingerprint: any change to lowering,
-pass semantics or execution order that could perturb a cached
-:class:`~repro.engine.trace.OffloadResult` must bump it.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from repro.memory.space import MapDirection
 from repro.util.ranges import IterRange
 
 __all__ = [
-    "IR_VERSION",
     "Bound",
     "Dim",
     "Region",
@@ -65,10 +60,6 @@ __all__ = [
     "StreamOp",
     "Program",
 ]
-
-#: Joins the sweep-cache fingerprint (see ``repro.bench.cache``): bump on
-#: any IR change that could perturb lowered-program results.
-IR_VERSION = "1"
 
 _BASES = ("zero", "extent", "chunk_start", "chunk_stop")
 

@@ -81,8 +81,7 @@ class _CostConstants:
     ``chunk_cost`` is called once per chunk — thousands of times per
     dynamic/guided offload — and every field here is invariant across
     chunks: it only changes when the effective maps change (a
-    ``set_partition`` override or a ``resident`` reassignment), which
-    invalidates the cache.
+    ``set_partition`` override), which invalidates the cache.
     """
 
     flops_per_iter: float
@@ -119,11 +118,8 @@ class LoopKernel(ABC):
         self.n_iters = int(n_iters)
         self.arrays = dict(arrays)
         self.stats = _RunStats()
-        # Per-array dim-0 policy overrides (set_partition) and arrays held
-        # resident by an enclosing target-data region (no per-chunk bus
-        # traffic for them).
+        # Per-array dim-0 policy overrides (set_partition).
         self._policy_overrides: dict[str, Policy] = {}
-        self._resident: frozenset[str] = frozenset()
         self._cost_cache: _CostConstants | None = None
         # Per-(thread, array) discrete-memory staging storage, reused
         # across chunks (flat capacity buffers; execute_chunk carves
@@ -160,22 +156,6 @@ class LoopKernel(ABC):
     def iter_space(self) -> IterRange:
         return IterRange(0, self.n_iters)
 
-    @property
-    def resident(self) -> frozenset[str]:
-        """Arrays held on the devices by an enclosing target-data region."""
-        return self._resident
-
-    @resident.setter
-    def resident(self, names: frozenset[str]) -> None:
-        names = frozenset(names)
-        if names != self._resident:
-            self._resident = names
-            self._invalidate_cost_cache()
-
-    def _invalidate_cost_cache(self) -> None:
-        """Drop hoisted per-iteration constants (maps changed)."""
-        self._cost_cache = None
-
     @abstractmethod
     def maps(self) -> tuple[MapSpec, ...]:
         """The kernel's map clauses (as declared)."""
@@ -190,7 +170,7 @@ class LoopKernel(ABC):
         if name not in self.arrays:
             raise MappingError(f"{self.name}: no mapped array {name!r}")
         self._policy_overrides[name] = policy
-        self._invalidate_cost_cache()
+        self._cost_cache = None  # maps changed: drop the hoisted constants
 
     def effective_maps(self) -> tuple[MapSpec, ...]:
         """Maps with partition overrides applied."""
@@ -225,16 +205,8 @@ class LoopKernel(ABC):
 
     def xfer_elems_per_iter(self) -> float:
         """Bus elements per iteration, derived from the partitioned maps."""
-        total = 0.0
-        for m in self.effective_maps():
-            if not m.partitioned or m.name in self.resident:
-                continue
-            row = self._row_elems(m)
-            if m.direction.copies_in:
-                total += row
-            if m.direction.copies_out:
-                total += row
-        return total
+        cc = self._cost_constants()
+        return cc.xfer_in_elems + cc.xfer_out_elems
 
     def _row_elems(self, m: MapSpec) -> int:
         """Elements per dim-0 index of a mapped array."""
@@ -260,8 +232,6 @@ class LoopKernel(ABC):
     def _replicated_in_bytes_scan(self) -> float:
         total = 0.0
         for m in self.effective_maps():
-            if m.name in self.resident:
-                continue
             if m.replicated and m.direction.copies_in:
                 total += self.arrays[m.name].nbytes
         return total
@@ -317,7 +287,7 @@ class LoopKernel(ABC):
     def _xfer_dir_elems(self, inbound: bool) -> float:
         total = 0.0
         for m in self.effective_maps():
-            if not m.partitioned or m.name in self.resident:
+            if not m.partitioned:
                 continue
             if inbound and m.direction.copies_in:
                 total += self._row_elems(m)

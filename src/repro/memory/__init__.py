@@ -6,7 +6,6 @@ from repro.memory.space import MapDirection
 from repro.memory.buffer import DeviceBuffer
 from repro.memory.mapper import DataMapper, MapDecision
 from repro.memory.residency import (
-    DATA_VERSION,
     DataPlacementPlan,
     RegionResidency,
     ResidencyLedger,
@@ -19,7 +18,6 @@ __all__ = [
     "DataMapper",
     "MapDecision",
     "UnifiedMemoryModel",
-    "DATA_VERSION",
     "ResidencyLedger",
     "DataPlacementPlan",
     "RegionResidency",

@@ -46,16 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernels.base import LoopKernel
 
 __all__ = [
-    "DATA_VERSION",
     "ResidencyLedger",
     "DataPlacementPlan",
     "RegionResidency",
     "ClusterResidency",
 ]
-
-#: Version of the data-placement layer.  Part of the sweep-cache
-#: fingerprint: bump on any change that could perturb transfer charging.
-DATA_VERSION = "1"
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +580,6 @@ class RegionResidency:
         dev = self.ids[local_dev]
         bytes_in = bytes_out = 0.0
         elided_in = elided_out = 0.0
-        resident = kernel.resident
         for m in kernel.effective_maps():
             name = m.name
             known = led.known(name)
@@ -601,8 +595,6 @@ class RegionResidency:
                     if m.direction.copies_out:
                         elided_out += row_b * len(chunk)
                         led.note_write(dev, name, chunk)
-                elif name in resident:
-                    continue  # legacy boolean residency: free, untracked
                 else:
                     row_b = kernel.row_nbytes(name)
                     n = len(chunk)
@@ -618,7 +610,7 @@ class RegionResidency:
                         bytes_in += led.row_bytes(name) * miss
                         elided_in += led.row_bytes(name) * (len(whole) - miss)
                         led.mark_valid(dev, name, [whole])
-                    elif name not in resident:
+                    else:
                         bytes_in += kernel.arrays[name].nbytes
                 if known and m.direction.copies_out:
                     led.note_write(dev, name, chunk)
@@ -655,7 +647,6 @@ class RegionResidency:
         led = self.ledger
         dev = self.ids[local_dev]
         total = 0.0
-        resident = kernel.resident
         for m in kernel.effective_maps():
             if not m.partitioned:
                 continue
@@ -670,8 +661,6 @@ class RegionResidency:
                 else:
                     frac = led.missing_everywhere(self.ids, name, held) / n_held
                 total += led.row_bytes(name) * frac
-            elif name in resident:
-                continue
             else:
                 row_b = kernel.row_nbytes(name)
                 if m.direction.copies_in:
@@ -693,7 +682,7 @@ class RegionResidency:
                 total += led.row_bytes(name) * led.missing_everywhere(
                     self.ids, name, [whole]
                 )
-            elif name not in kernel.resident:
+            else:
                 total += kernel.arrays[name].nbytes
         return total
 

@@ -50,7 +50,6 @@ from repro.obs.span import Span
 from repro.obs.tracer import (
     NULL_TRACER,
     OBS_ENV,
-    NodeTracer,
     NullTracer,
     Tracer,
     obs_enabled,
@@ -61,7 +60,6 @@ __all__ = [
     # span / tracer
     "Span",
     "Tracer",
-    "NodeTracer",
     "NullTracer",
     "NULL_TRACER",
     "OBS_ENV",

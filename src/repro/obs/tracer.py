@@ -20,6 +20,7 @@ code.  The switch mirrors ``REPRO_FAULTS`` / ``REPRO_BENCH_CACHE``.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
@@ -31,8 +32,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "Tracer",
-    "NodeTracer",
-    "BatchTracer",
     "resolve_tracer",
 ]
 
@@ -148,53 +147,39 @@ class Tracer:
         self.spans.clear()
         self.meta.clear()
 
+    # -- scoped views ----------------------------------------------------------
 
-class NodeTracer:
-    """A node-scoped view of a tracer (the cluster backend's obs hook).
+    def bind(
+        self, *, devid_offset: int = 0, t_offset: float = 0.0, **labels: Any
+    ) -> "_BoundTracer":
+        """A view that stamps ``labels`` on every span emitted through it.
 
-    Every emission an intra-node engine makes through this view lands in
-    the *base* tracer's span stream with three rewrites: the device id is
-    offset to the cluster-global id, the timestamp is shifted to cluster
-    time (the node's shard starts only after its fabric staging), and a
-    ``node=<k>`` arg is stamped on the span — which is how exporters and
-    span-derived analyses tell apart same-named devices on different
-    nodes.  Queries and metrics go straight to the base tracer.
+        The cluster backend binds ``node=<k>`` with the node's global
+        device-id base and its staging delay (how exporters tell apart
+        same-named devices on different nodes, on one cluster timeline);
+        the stream runner binds ``batch=<k>`` with no offsets, since
+        batches already run in cumulative stream time.  Views nest.
+        """
+        return _BoundTracer(self, devid_offset, t_offset, labels)
+
+
+@dataclass(frozen=True, slots=True)
+class _BoundTracer:
+    """A label-stamping view of a tracer (what :meth:`Tracer.bind` returns).
+
+    Every emission made through the view lands in the *base* tracer's
+    span stream with the bound labels stamped on it, device ids offset
+    (run-level ``devid < 0`` spans excepted) and timestamps shifted.
+    Everything else (queries, metrics, meta) is the base tracer's.
     """
 
-    __slots__ = ("base", "node", "devid_offset", "t_offset")
+    base: "Tracer | _BoundTracer"
+    devid_offset: int
+    t_offset: float
+    labels: dict[str, Any]
 
-    def __init__(
-        self,
-        base: "Tracer | NullTracer",
-        *,
-        node: int,
-        devid_offset: int = 0,
-        t_offset: float = 0.0,
-    ) -> None:
-        self.base = base
-        self.node = node
-        self.devid_offset = devid_offset
-        self.t_offset = t_offset
-
-    @property
-    def enabled(self) -> bool:
-        return self.base.enabled
-
-    @property
-    def clock(self) -> str:
-        return self.base.clock
-
-    @property
-    def metrics(self) -> MetricsRegistry | None:
-        return self.base.metrics
-
-    @property
-    def meta(self) -> dict:
-        return getattr(self.base, "meta", {})
-
-    @property
-    def spans(self) -> list[Span]:
-        return self.base.spans
+    def __getattr__(self, name: str):
+        return getattr(self.base, name)
 
     def span(
         self,
@@ -213,82 +198,12 @@ class NodeTracer:
             device,
             t0 + self.t_offset,
             t1 + self.t_offset,
-            node=self.node,
+            **self.labels,
             **args,
         )
 
-    def instant(
-        self,
-        name: str,
-        cat: str,
-        devid: int,
-        device: str,
-        t: float,
-        **args: Any,
-    ) -> None:
-        self.span(name, cat, devid, device, t, t, **args)
-
-
-class BatchTracer:
-    """A stream-batch-scoped view of a tracer (the stream runner's hook).
-
-    Every emission a per-batch engine run makes through this view lands
-    in the *base* tracer's span stream with a ``batch=<k>`` arg stamped
-    on it — how exporters and span-derived analyses tell apart the same
-    device's work across the batches of one stream.  Timestamps pass
-    through unchanged: stream batches already run in cumulative stream
-    time (the cross-batch carry), so spans from different batches
-    interleave truthfully on one timeline.
-    """
-
-    __slots__ = ("base", "batch")
-
-    def __init__(self, base: "Tracer | NullTracer", *, batch: int) -> None:
-        self.base = base
-        self.batch = batch
-
-    @property
-    def enabled(self) -> bool:
-        return self.base.enabled
-
-    @property
-    def clock(self) -> str:
-        return self.base.clock
-
-    @property
-    def metrics(self) -> MetricsRegistry | None:
-        return self.base.metrics
-
-    @property
-    def meta(self) -> dict:
-        return getattr(self.base, "meta", {})
-
-    @property
-    def spans(self) -> list[Span]:
-        return self.base.spans
-
-    def span(
-        self,
-        name: str,
-        cat: str,
-        devid: int,
-        device: str,
-        t0: float,
-        t1: float,
-        **args: Any,
-    ) -> None:
-        self.base.span(name, cat, devid, device, t0, t1, batch=self.batch, **args)
-
-    def instant(
-        self,
-        name: str,
-        cat: str,
-        devid: int,
-        device: str,
-        t: float,
-        **args: Any,
-    ) -> None:
-        self.span(name, cat, devid, device, t, t, **args)
+    instant = Tracer.instant  # a zero-length span, through this view
+    bind = Tracer.bind  # views nest: offsets add up, labels accumulate
 
 
 def resolve_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:

@@ -3,7 +3,7 @@ exchange, and device selection."""
 
 from repro.runtime.runtime import HompRuntime
 from repro.runtime.data_env import TargetDataRegion
-from repro.runtime.halo import HaloExchange, plan_halo_exchange
+from repro.runtime.halo import HaloExchange
 from repro.runtime.offload_info import ArrayInfo, OffloadInfo
 from repro.runtime.stream import StreamResult, run_stream
 
@@ -13,7 +13,6 @@ __all__ = [
     "StreamResult",
     "run_stream",
     "HaloExchange",
-    "plan_halo_exchange",
     "ArrayInfo",
     "OffloadInfo",
 ]

@@ -201,8 +201,7 @@ class TargetDataRegion:
             raise OffloadError("target data region is not open")
         kwargs.setdefault("devices", self._ids)
         kwargs.setdefault("residency", self.runtime.ledger)
-        resident = frozenset(self.maps) & frozenset(kernel.arrays)
-        result = self.runtime.parallel_for(kernel, resident=resident, **kwargs)
+        result = self.runtime.parallel_for(kernel, **kwargs)
         self.offload_s += result.total_time_s
         return result
 

@@ -19,7 +19,8 @@ it prices the legs on a machine and routes them through the residency
 ledger.
 
 When the enclosing target-data region's residency view is passed in
-(``residency=`` + ``array=``), the plan consults the ledger: boundary
+(``residency=``, with the op naming its ``array``), the plan consults the
+ledger: boundary
 rows already valid on the receiving device are elided (reported in
 :attr:`HaloExchange.elided_bytes`), and the rows a transfer does deliver
 are marked resident so the *next* exchange is free until someone writes
@@ -37,7 +38,7 @@ from repro.machine.spec import MachineSpec, MemoryKind
 from repro.memory.residency import RegionResidency
 from repro.util.ranges import IterRange
 
-__all__ = ["HaloExchange", "plan_halo_exchange", "plan_halo_op"]
+__all__ = ["HaloExchange", "plan_halo_op"]
 
 
 @dataclass(frozen=True)
@@ -135,30 +136,3 @@ def plan_halo_op(
         elided_bytes=elided_bytes,
     )
 
-
-def plan_halo_exchange(
-    machine: MachineSpec,
-    dist: DimDistribution,
-    *,
-    width: int,
-    row_bytes: int,
-    residency: RegionResidency | None = None,
-    array: str | None = None,
-) -> HaloExchange:
-    """Plan a symmetric-width boundary exchange (the directive surface).
-
-    A thin wrapper: builds the equivalent :class:`~repro.ir.ops.HaloOp`
-    (``lower = upper = width``) and hands it to :func:`plan_halo_op`.
-    Kept as the public entry point for ``halo_exchange`` consumers
-    (Jacobi, the residency sweeps); new IR-driven callers price the
-    :class:`~repro.ir.ops.HaloOp` the derive-halo pass attached instead.
-    """
-    if width < 0:
-        raise DistributionError(f"halo width must be >= 0, got {width}")
-    op = HaloOp(
-        array=array or "",
-        lower=width,
-        upper=width,
-        row_bytes=row_bytes,
-    )
-    return plan_halo_op(machine, dist, op, residency=residency)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.kernels.base import LoopKernel
 from repro.machine.spec import MachineSpec
+from repro.memory.residency import ResidencyLedger
 from repro.memory.space import MapDirection
 from repro.sched.base import LoopScheduler
 from repro.util.ranges import IterRange
@@ -56,6 +57,49 @@ class OffloadInfo:
     fault_plan: str | None = None  # FaultPlan.describe(), when one is set
 
     @classmethod
+    def _assemble(
+        cls,
+        kernel: LoopKernel,
+        scheduler: LoopScheduler,
+        machine: MachineSpec,
+        device_ids: list[int],
+        loop_label: str,
+        iter_space: IterRange,
+        maps,
+        cutoff_ratio: float,
+        serialize_offload: bool,
+        fault_plan: str | None,
+        residency: ResidencyLedger | None,
+    ) -> "OffloadInfo":
+        """What :meth:`build` and :meth:`from_ir` share.
+
+        ``maps`` yields ``(name, shape, dtype, nbytes, map)`` per mapped
+        array, ``map`` carrying direction, policies and halo; an array is
+        ``resident`` when the enclosing region's ledger knows it.
+        """
+        arrays = tuple(
+            ArrayInfo(
+                name, shape, dtype, nbytes, m.direction,
+                tuple(str(p) for p in m.policies), m.halo,
+                residency is not None and residency.known(name),
+            )
+            for name, shape, dtype, nbytes, m in maps
+        )
+        return cls(
+            kernel_name=kernel.name,
+            loop_label=loop_label,
+            iter_space=iter_space,
+            algorithm=scheduler.notation,
+            cutoff_ratio=cutoff_ratio,
+            device_ids=tuple(device_ids),
+            device_names=tuple(machine[i].name for i in device_ids),
+            arrays=arrays,
+            is_reduction=kernel.is_reduction,
+            serialize_offload=serialize_offload,
+            fault_plan=fault_plan,
+        )
+
+    @classmethod
     def build(
         cls,
         kernel: LoopKernel,
@@ -66,32 +110,25 @@ class OffloadInfo:
         cutoff_ratio: float = 0.0,
         serialize_offload: bool = False,
         fault_plan: str | None = None,
+        residency: ResidencyLedger | None = None,
     ) -> "OffloadInfo":
-        arrays = tuple(
-            ArrayInfo(
-                name=m.name,
-                shape=tuple(kernel.arrays[m.name].shape),
-                dtype=str(kernel.arrays[m.name].dtype),
-                nbytes=int(kernel.arrays[m.name].nbytes),
-                direction=m.direction,
-                policies=tuple(str(p) for p in m.policies),
-                halo=m.halo,
-                resident=m.name in kernel.resident,
-            )
-            for m in kernel.effective_maps()
-        )
-        return cls(
-            kernel_name=kernel.name,
-            loop_label=kernel.label,
-            iter_space=kernel.iter_space,
-            algorithm=scheduler.notation,
-            cutoff_ratio=cutoff_ratio,
-            device_ids=tuple(device_ids),
-            device_names=tuple(machine[i].name for i in device_ids),
-            arrays=arrays,
-            is_reduction=kernel.is_reduction,
-            serialize_offload=serialize_offload,
-            fault_plan=fault_plan,
+        """Build from the live kernel's effective maps (``residency``: the
+        ledger of the enclosing target-data region, None outside one)."""
+        arrays = kernel.arrays
+        return cls._assemble(
+            kernel, scheduler, machine, device_ids,
+            kernel.label, kernel.iter_space,
+            (
+                (
+                    m.name,
+                    tuple(arrays[m.name].shape),
+                    str(arrays[m.name].dtype),
+                    int(arrays[m.name].nbytes),
+                    m,
+                )
+                for m in kernel.effective_maps()
+            ),
+            cutoff_ratio, serialize_offload, fault_plan, residency,
         )
 
     @classmethod
@@ -107,41 +144,26 @@ class OffloadInfo:
         cutoff_ratio: float = 0.0,
         serialize_offload: bool = False,
         fault_plan: str | None = None,
+        residency: ResidencyLedger | None = None,
     ) -> "OffloadInfo":
         """Build from a lowered :class:`~repro.ir.ops.OffloadOp`.
 
         Map identity (name, direction, policies, halo) comes from the IR
         op's :class:`~repro.ir.ops.MapOp` entries, array geometry from
-        ``decls`` (name -> :class:`~repro.ir.ops.DataDecl`); only the
-        residency flag is read from the live kernel, because an enclosing
-        target-data region sets it at execution time.  For a faithfully
-        lowered op the result is value-identical to :meth:`build`.
+        ``decls`` (name -> :class:`~repro.ir.ops.DataDecl`); the
+        residency flag is answered by the region's ledger, as in
+        :meth:`build`.  For a faithfully lowered op the result is
+        value-identical to :meth:`build`.
         """
-        arrays = tuple(
-            ArrayInfo(
-                name=m.array,
-                shape=decls[m.array].shape,
-                dtype=decls[m.array].dtype,
-                nbytes=decls[m.array].nbytes,
-                direction=m.direction,
-                policies=tuple(str(p) for p in m.policies),
-                halo=m.halo,
-                resident=m.array in kernel.resident,
-            )
-            for m in op.maps
-        )
-        return cls(
-            kernel_name=kernel.name,
-            loop_label=op.label,
-            iter_space=IterRange(0, op.n_iters),
-            algorithm=scheduler.notation,
-            cutoff_ratio=cutoff_ratio,
-            device_ids=tuple(device_ids),
-            device_names=tuple(machine[i].name for i in device_ids),
-            arrays=arrays,
-            is_reduction=kernel.is_reduction,
-            serialize_offload=serialize_offload,
-            fault_plan=fault_plan,
+        return cls._assemble(
+            kernel, scheduler, machine, device_ids,
+            op.label, IterRange(0, op.n_iters),
+            (
+                (m.array, d.shape, d.dtype, d.nbytes, m)
+                for m in op.maps
+                for d in [decls[m.array]]
+            ),
+            cutoff_ratio, serialize_offload, fault_plan, residency,
         )
 
     def to_dict(self) -> dict:

@@ -70,6 +70,35 @@ class OffloadSpec:
     execute_numerically: bool | None = None
 
 
+def _shared_kernel_specs(cells) -> "list[OffloadSpec]":
+    """Specs for batch ``cells`` — ``(share_key, factory, schedule,
+    cutoff_ratio)`` each — that share kernels between cells of one key.
+
+    The first cell of a key builds the kernel and executes numerics;
+    later cells reuse the instance with numerics skipped (the simulated
+    timeline depends only on chunk sizes, and their results are
+    byte-identical either way — arrays untouched, reduction None).
+    Reduction kernels execute every cell so each result carries its
+    reduction value; a reduction kernel that also copies arrays out would
+    double-apply them on a shared instance, so those get a fresh kernel
+    per cell.
+    """
+    shared: dict = {}
+    specs: list[OffloadSpec] = []
+    for key, factory, schedule, cutoff_ratio in cells:
+        kernel = shared.get(key)
+        fresh = kernel is None
+        if fresh:
+            kernel = shared[key] = factory()
+        execute = fresh or kernel.is_reduction
+        if kernel.is_reduction and not fresh and any(
+            m.direction.copies_out for m in kernel.effective_maps()
+        ):
+            kernel = factory()
+        specs.append(OffloadSpec(kernel, schedule, cutoff_ratio, execute))
+    return specs
+
+
 @dataclass
 class HompRuntime:
     """A running HOMP instance bound to one machine description."""
@@ -108,9 +137,13 @@ class HompRuntime:
         if isinstance(devices, str):
             return parse_device_clause(devices, self.machine)
         ids = list(devices)
+        seen: set[int] = set()
         for i in ids:
             if not 0 <= i < len(self.machine):
                 raise DeviceError(f"device id {i} out of range")
+            if i in seen:
+                raise DeviceError(f"device id {i} selected more than once")
+            seen.add(i)
         if not ids:
             raise DeviceError("empty device selection")
         return ids
@@ -166,6 +199,63 @@ class HompRuntime:
             return make_scheduler(name, **sched_kwargs)
         raise SchedulingError(f"cannot interpret schedule {schedule!r}")
 
+    def _prepare(self, devices, *, executor, engine, residency=None, **options):
+        """The preamble every offload entry point shares:
+        ``select_devices -> subset -> build-or-lease engine``.
+
+        Returns ``(ids, submachine, engine, lease)``.  ``lease`` is the
+        context manager to hold around the run(s): a no-op for an engine
+        built here from ``executor``, the ``configured`` lease applying
+        this call's ``options`` for a caller-provided ``engine``.  An
+        option left None is not passed on, so a pooled engine keeps its own.
+        """
+        ids = self.select_devices(devices)
+        submachine = self.machine.subset(ids)
+        run_options = {
+            "seed": self.seed,
+            "execute_numerically": self.execute_numerically,
+            "record_events": False,
+            "serialize_offload": False,
+        }
+        run_options.update((k, v) for k, v in options.items() if v is not None)
+        if residency is not None:
+            run_options["residency"] = RegionResidency(residency, tuple(ids))
+        if engine is None:
+            engine = make_backend(
+                executor if executor is not None else OffloadEngine,
+                submachine,
+                **run_options,
+            )
+            return ids, submachine, engine, nullcontext(engine)
+        lease = self._lease_engine(engine, executor, submachine, run_options)
+        return ids, submachine, engine, lease
+
+    def _resolve_cutoff(
+        self, cutoff_ratio, scheduler: LoopScheduler, ids: list[int], where: str = ""
+    ) -> float:
+        """The one CUTOFF rule: ``"auto"`` (the paper's 1/ndev default) or
+        a fraction in [0, 1), dropped for algorithms CUTOFF does not apply
+        to.  ``where`` prefixes the error (the batch form names the cell).
+        """
+        if cutoff_ratio == "auto":
+            ratio = default_cutoff_ratio(self.effective_device_count(ids))
+        else:
+            try:
+                ratio = float(cutoff_ratio)
+            except (TypeError, ValueError):
+                raise SchedulingError(
+                    f"{where}cutoff_ratio {cutoff_ratio!r} is not a fraction "
+                    "or 'auto'"
+                ) from None
+            if not 0.0 <= ratio < 1.0:
+                raise SchedulingError(
+                    f"{where}cutoff_ratio {ratio} is outside [0, 1)"
+                )
+        if ratio > 0.0 and not scheduler.supports_cutoff:
+            # Table II: CUTOFF applies only to the model/profile algorithms.
+            ratio = 0.0
+        return ratio
+
     def parallel_for(
         self,
         kernel: LoopKernel,
@@ -173,7 +263,6 @@ class HompRuntime:
         schedule="AUTO",
         devices=None,
         cutoff_ratio: float | str = 0.0,
-        resident: frozenset[str] | set[str] | None = None,
         residency: ResidencyLedger | None = None,
         record_events: bool = False,
         serialize_offload: bool = False,
@@ -190,10 +279,10 @@ class HompRuntime:
 
         ``schedule`` — paper Table II notation, ``"AUTO"`` (heuristic
         selection), a :class:`Policy` (``Align``/``Auto``), or a scheduler
-        instance.  ``cutoff_ratio`` — a fraction, or ``"auto"`` for the
-        paper's 1/ndev default.  ``resident`` — array names held on the
-        devices by an enclosing target-data region.  ``residency`` — the
-        region's :class:`~repro.memory.residency.ResidencyLedger`; when
+        instance.  ``cutoff_ratio`` — a fraction in [0, 1), or ``"auto"``
+        for the paper's 1/ndev default.  ``residency`` — the
+        :class:`~repro.memory.residency.ResidencyLedger` of an enclosing
+        target-data region; when
         given, the engine charges each chunk only the bytes not already
         resident on its device (the view onto the selected devices is
         built here, after device selection, so overriding ``devices``
@@ -220,77 +309,36 @@ class HompRuntime:
         the :class:`~repro.runtime.offload_info.OffloadInfo` is then
         constructed from the IR op (value-identical to the direct build).
         """
-        ids = self.select_devices(devices)
-        submachine = self.machine.subset(ids)
-        scheduler = self._resolve_scheduler(schedule, kernel, submachine, sched_kwargs)
-
-        if cutoff_ratio == "auto":
-            ratio = default_cutoff_ratio(self.effective_device_count(ids))
-        else:
-            ratio = float(cutoff_ratio)
-        if ratio > 0.0 and not scheduler.supports_cutoff:
-            # Table II: CUTOFF applies only to the model/profile algorithms.
-            ratio = 0.0
-
-        engine_kwargs: dict = {}
-        if fault_plan is not None:
-            engine_kwargs["fault_plan"] = fault_plan
-        if resilience is not None:
-            engine_kwargs["resilience"] = resilience
-        if tracer is not None:
-            engine_kwargs["tracer"] = tracer
-        if residency is not None:
-            engine_kwargs["residency"] = RegionResidency(residency, tuple(ids))
-        run_options = dict(
-            seed=self.seed,
-            execute_numerically=self.execute_numerically,
+        ids, submachine, engine, lease = self._prepare(
+            devices,
+            executor=executor,
+            engine=engine,
+            residency=residency,
             record_events=record_events,
             serialize_offload=serialize_offload,
-            **engine_kwargs,
+            fault_plan=fault_plan,
+            resilience=resilience,
+            tracer=tracer,
         )
-        if engine is None:
-            engine = make_backend(
-                executor if executor is not None else OffloadEngine,
-                submachine,
-                **run_options,
+        scheduler = self._resolve_scheduler(schedule, kernel, submachine, sched_kwargs)
+        ratio = self._resolve_cutoff(cutoff_ratio, scheduler, ids)
+        request = dict(
+            cutoff_ratio=ratio,
+            serialize_offload=serialize_offload,
+            fault_plan=fault_plan.describe() if fault_plan is not None else None,
+            residency=residency,
+        )
+        if ir_op is not None:
+            info = OffloadInfo.from_ir(
+                ir_op, ir_decls or {}, kernel, scheduler, self.machine, ids,
+                **request,
             )
-            lease = nullcontext(engine)
         else:
-            lease = self._lease_engine(engine, executor, submachine, run_options)
-        prev_resident = kernel.resident
-        if resident is not None:
-            kernel.resident = frozenset(resident)
-        try:
-            if ir_op is not None:
-                info = OffloadInfo.from_ir(
-                    ir_op,
-                    ir_decls or {},
-                    kernel,
-                    scheduler,
-                    self.machine,
-                    ids,
-                    cutoff_ratio=ratio,
-                    serialize_offload=serialize_offload,
-                    fault_plan=(
-                        fault_plan.describe() if fault_plan is not None else None
-                    ),
-                )
-            else:
-                info = OffloadInfo.build(
-                    kernel,
-                    scheduler,
-                    self.machine,
-                    ids,
-                    cutoff_ratio=ratio,
-                    serialize_offload=serialize_offload,
-                    fault_plan=(
-                        fault_plan.describe() if fault_plan is not None else None
-                    ),
-                )
-            with lease:
-                result = engine.run(kernel, scheduler, cutoff_ratio=ratio)
-        finally:
-            kernel.resident = prev_resident
+            info = OffloadInfo.build(
+                kernel, scheduler, self.machine, ids, **request
+            )
+        with lease:
+            result = engine.run(kernel, scheduler, cutoff_ratio=ratio)
         result.meta["device_ids"] = ids
         result.meta["offload_info"] = info
         if record_events:
@@ -329,19 +377,6 @@ class HompRuntime:
                     f"parallel_for_many: specs[{i}].kernel is "
                     f"{type(spec.kernel).__name__}, expected a LoopKernel"
                 )
-            if spec.cutoff_ratio != "auto":
-                try:
-                    ratio = float(spec.cutoff_ratio)
-                except (TypeError, ValueError):
-                    raise SchedulingError(
-                        f"parallel_for_many: specs[{i}].cutoff_ratio "
-                        f"{spec.cutoff_ratio!r} is not a fraction or 'auto'"
-                    ) from None
-                if not 0.0 <= ratio <= 1.0:
-                    raise SchedulingError(
-                        f"parallel_for_many: specs[{i}].cutoff_ratio "
-                        f"{ratio} is outside [0, 1]"
-                    )
             if spec.execute_numerically not in (None, True, False):
                 raise SchedulingError(
                     f"parallel_for_many: specs[{i}].execute_numerically is "
@@ -372,46 +407,32 @@ class HompRuntime:
         ``engine`` accepts an already-built backend instance (a pooled
         engine), exactly as in :meth:`parallel_for`; the batch's options
         are applied through its ``configured`` lease for the duration of
-        the call.  The spec list is validated up front: an empty list or a
-        malformed spec raises :class:`~repro.errors.SchedulingError`
-        naming the offending index instead of failing deep in the backend.
+        the call.  The spec list is validated before anything runs: an
+        empty list or a malformed spec raises
+        :class:`~repro.errors.SchedulingError` naming the offending index
+        instead of failing deep in the backend.
         """
         specs = self._validate_specs(specs)
-        ids = self.select_devices(devices)
-        submachine = self.machine.subset(ids)
-        run_options = dict(
-            seed=self.seed,
-            execute_numerically=self.execute_numerically,
-            record_events=False,
+        ids, submachine, engine, lease = self._prepare(
+            devices,
+            executor=executor,
+            engine=engine,
             serialize_offload=serialize_offload,
         )
-        if engine is None:
-            engine = make_backend(
-                executor if executor is not None else OffloadEngine,
-                submachine,
-                **run_options,
-            )
-            lease = nullcontext(engine)
-        else:
-            lease = self._lease_engine(engine, executor, submachine, run_options)
         requests: list[BatchRequest] = []
         infos: list[OffloadInfo] = []
         for i, spec in enumerate(specs):
+            where = f"parallel_for_many: specs[{i}]."
             try:
                 scheduler = self._resolve_scheduler(
                     spec.schedule, spec.kernel, submachine, {}
                 )
             except (SchedulingError, KeyError) as exc:
                 raise SchedulingError(
-                    f"parallel_for_many: specs[{i}].schedule "
-                    f"{spec.schedule!r} cannot be resolved: {exc}"
+                    f"{where}schedule {spec.schedule!r} cannot be resolved: "
+                    f"{exc}"
                 ) from exc
-            if spec.cutoff_ratio == "auto":
-                ratio = default_cutoff_ratio(self.effective_device_count(ids))
-            else:
-                ratio = float(spec.cutoff_ratio)
-            if ratio > 0.0 and not scheduler.supports_cutoff:
-                ratio = 0.0
+            ratio = self._resolve_cutoff(spec.cutoff_ratio, scheduler, ids, where)
             requests.append(
                 BatchRequest(
                     kernel=spec.kernel,
@@ -436,24 +457,12 @@ class HompRuntime:
             else:
                 results = []
                 for req in requests:
-                    if (
-                        req.execute_numerically is not None
-                        and req.execute_numerically
-                        != getattr(
-                            engine, "execute_numerically",
-                            self.execute_numerically,
-                        )
-                    ):
-                        with engine.configured(
-                            execute_numerically=req.execute_numerically
-                        ):
-                            results.append(
-                                engine.run(
-                                    req.kernel, req.scheduler,
-                                    cutoff_ratio=req.cutoff_ratio,
-                                )
-                            )
-                    else:
+                    override = (
+                        {}
+                        if req.execute_numerically is None
+                        else {"execute_numerically": req.execute_numerically}
+                    )
+                    with engine.configured(**override):
                         results.append(
                             engine.run(
                                 req.kernel, req.scheduler,

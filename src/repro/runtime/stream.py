@@ -17,7 +17,7 @@ The runner behind :class:`~repro.ir.ops.StreamOp` (the
   next run's ``carry_in``, so batch k+1's copy-ins queue behind (and
   overlap with) batch k's still-draining compute and copy-out stages.
   All times are cumulative stream time; spans are stamped ``batch=<k>``
-  through :class:`~repro.obs.tracer.BatchTracer`.
+  through :meth:`Tracer.bind <repro.obs.tracer.Tracer.bind>`.
 * **One scheduler instance.**  A stateful scheduler (STREAM_REBALANCE)
   keeps its observed-rate history and its lost-device set across
   ``start`` calls, re-deriving the split between batches; stateless
@@ -40,13 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dataclass_fields
 
-from repro.engine.core import make_backend
-from repro.engine.simulator import OffloadEngine
 from repro.engine.trace import OffloadResult
-from repro.errors import OffloadError
 from repro.ir.lower import decl_for
 from repro.ir.ops import DataDecl, StreamOp
-from repro.obs.tracer import BatchTracer
+from repro.obs.tracer import resolve_tracer
 from repro.util.ranges import IterRange
 
 __all__ = ["StreamResult", "run_stream"]
@@ -165,24 +162,18 @@ def run_stream(
             meta={"degenerate": True},
         )
 
-    base_tracer = kwargs.pop("tracer", None)
+    base_tracer = resolve_tracer(kwargs.pop("tracer", None))
     executor = kwargs.pop("executor", None)
     engine = kwargs.pop("engine", None)
 
-    ids = runtime.select_devices(op.devices)
-    submachine = runtime.machine.subset(ids)
+    # One engine for the whole stream; every batch leases it again with
+    # that batch's options, so the lease returned here is never entered.
+    ids, submachine, engine, _ = runtime._prepare(
+        op.devices, executor=executor, engine=engine
+    )
     scheduler = runtime._resolve_scheduler(
         op.template.schedule, kernel, submachine, {}
     )
-    if engine is None:
-        engine = make_backend(
-            executor if executor is not None else OffloadEngine, submachine
-        )
-    elif executor is not None:
-        raise OffloadError(
-            "pass either executor= (a backend to build) or engine= "
-            "(an already-built instance), not both"
-        )
     supports_carry = any(
         f.name == "carry_in" for f in dataclass_fields(engine)
     )
@@ -206,8 +197,8 @@ def run_stream(
                 if supports_carry:
                     engine.carry_in = carry
                 batch_kwargs = dict(kwargs)
-                if base_tracer is not None:
-                    batch_kwargs["tracer"] = BatchTracer(base_tracer, batch=k)
+                if base_tracer.enabled:
+                    batch_kwargs["tracer"] = base_tracer.bind(batch=k)
                 result = region.parallel_for(
                     kernel,
                     schedule=scheduler,

@@ -23,9 +23,9 @@ side channel it asked for:
 Jobs coalesce only within a :func:`group_key` — same machine selection,
 workload fingerprint, seed and verify flag — so a batch is exactly one
 ``run_grid`` row: one workload under several policies/cutoffs.
-:func:`plan_group` then mirrors ``repro.bench.runner._run_batch_cells``'s
-kernel-sharing rules, keeping coalesced results byte-identical to solo
-runs (pinned by ``tests/service/test_determinism.py``).
+:func:`plan_group` then applies the grid runner's kernel-sharing rule,
+keeping coalesced results byte-identical to solo runs (pinned by
+``tests/service/test_determinism.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any
 
-from repro.runtime.runtime import OffloadSpec
+from repro.runtime.runtime import OffloadSpec, _shared_kernel_specs
 from repro.sched.registry import make_scheduler
 
 if TYPE_CHECKING:
@@ -89,38 +89,11 @@ def group_key(job: "OffloadJob", ids: "tuple[int, ...]") -> "tuple | None":
 def plan_group(jobs: "list[OffloadJob]") -> tuple[list[OffloadSpec], list[bool]]:
     """Specs for one coalesced batch, with per-cell numeric-execution flags.
 
-    Mirrors the grid runner's sharing rules for a single-workload batch:
-    the first cell builds the kernel and executes numerics; later cells
-    reuse the instance with numerics skipped (the simulated timeline
-    depends only on chunk sizes, and their results are byte-identical
-    either way — arrays untouched, reduction None).  Reduction kernels
-    execute every cell so each result carries its reduction value; a
-    reduction kernel that also copies arrays out would double-apply them
-    on a shared instance, so those get a fresh kernel per cell.
+    A group is a single-workload batch (one :func:`group_key`), so every
+    job shares one kernel under the grid runner's sharing rule
+    (``_shared_kernel_specs``).
     """
-    specs: list[OffloadSpec] = []
-    executed: list[bool] = []
-    shared = None
-    for job in jobs:
-        kernel = shared
-        fresh = kernel is None
-        if fresh:
-            kernel = job.factory()
-            shared = kernel
-        if kernel.is_reduction:
-            if any(m.direction.copies_out for m in kernel.effective_maps()):
-                if not fresh:
-                    kernel = job.factory()
-            execute = True
-        else:
-            execute = fresh
-        specs.append(
-            OffloadSpec(
-                kernel=kernel,
-                schedule=job.policy,
-                cutoff_ratio=job.cutoff_ratio,
-                execute_numerically=execute,
-            )
-        )
-        executed.append(execute)
-    return specs, executed
+    specs = _shared_kernel_specs(
+        (None, job.factory, job.policy, job.cutoff_ratio) for job in jobs
+    )
+    return specs, [spec.execute_numerically for spec in specs]

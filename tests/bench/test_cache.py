@@ -47,16 +47,15 @@ def test_key_is_stable():
     assert k1 == k2
 
 
-def test_key_sensitive_to_ir_version(monkeypatch):
-    # Lowering/pass-semantics changes perturb lowered-program results:
-    # IR_VERSION joins the fingerprint, so a bump invalidates old cells.
+def test_key_sensitive_to_version(monkeypatch):
+    # The one result-schema version: a release invalidates old cells.
     import repro.bench.cache as cache_mod
 
     m = gpu4_node()
     fp = WorkloadFactory("axpy").fingerprint()
     kw = dict(cutoff_ratio=0.0, seed=0, verify=True)
     base = result_key(m, fp, "BLOCK", **kw)
-    monkeypatch.setattr(cache_mod, "IR_VERSION", "test-bump")
+    monkeypatch.setattr(cache_mod, "__version__", "test-bump")
     assert result_key(m, fp, "BLOCK", **kw) != base
 
 

@@ -340,3 +340,23 @@ def test_failed_run_leaves_engine_usable():
     # The run gate was released in the finally; the engine still works.
     r = eng.run(make_kernel("sum", 1_000, seed=0), make_scheduler("BLOCK"))
     assert sum(t.iters for t in r.traces) == 1_000
+
+
+@pytest.mark.parametrize("backend", [OffloadEngine, ThreadedEngine])
+def test_finished_run_is_freed_without_cyclic_gc(backend):
+    """The backend hooks close over the run context; finalize drops them,
+    so the context (and through it the kernel's arrays) dies with the
+    engine instead of piling up until a full collection — which is what
+    ``peak_rss_mb`` on the verified-grid benchmark workload measures."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        engine = backend(gpu4_node())
+        engine.run(make_kernel("axpy", 4000), make_scheduler("SCHED_DYNAMIC"))
+        ctx = weakref.ref(engine._run_ctx)
+        del engine
+        assert ctx() is None
+    finally:
+        gc.enable()

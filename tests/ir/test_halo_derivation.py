@@ -21,7 +21,7 @@ from repro.machine.presets import (
     k40_unified_spec,
 )
 from repro.machine.spec import MachineSpec
-from repro.runtime.halo import plan_halo_exchange, plan_halo_op
+from repro.runtime.halo import plan_halo_op
 from repro.util.ranges import IterRange
 
 ROW_BYTES = 800
@@ -153,11 +153,13 @@ def test_asymmetric_widths_pinned(radius):
     ids=["gpu4", "shared3", "unified2", "mixed3"],
 )
 def test_width_surface_equals_ir_op(machine, n, ndev, radius):
-    # plan_halo_exchange is declared a thin wrapper over plan_halo_op;
-    # the two must agree transfer for transfer.
+    # Width-only callers pass an unnamed symmetric op; without a ledger
+    # view the array name must not change the plan, transfer for transfer.
     d = dist(n, ndev)
-    via_width = plan_halo_exchange(
-        machine, d, width=radius, row_bytes=ROW_BYTES
+    via_width = plan_halo_op(
+        machine,
+        d,
+        HaloOp(array="", lower=radius, upper=radius, row_bytes=ROW_BYTES),
     )
     via_op = plan_halo_op(
         machine,
@@ -169,7 +171,7 @@ def test_width_surface_equals_ir_op(machine, n, ndev, radius):
 
 def test_derived_halo_op_prices_like_directive_path():
     # End to end: lower a stencil offload, run derive-halo, price the
-    # attached op — identical to the width-surface plan the runtime's
+    # attached op — identical to the symmetric-width op the runtime's
     # halo_exchange directive would produce (RADIUS = 3).
     from repro.ir.lower import from_directive
     from repro.ir.passes import derive_halo
@@ -183,6 +185,8 @@ def test_derived_halo_op_prices_like_directive_path():
     assert halo_op.row_bytes == kernel.row_nbytes("u_in")
     m = gpu4_node()
     d = dist(64, 4)
-    assert plan_halo_op(m, d, halo_op) == plan_halo_exchange(
-        m, d, width=RADIUS, row_bytes=halo_op.row_bytes
+    assert plan_halo_op(m, d, halo_op) == plan_halo_op(
+        m,
+        d,
+        HaloOp("u_in", lower=RADIUS, upper=RADIUS, row_bytes=halo_op.row_bytes),
     )

@@ -1,4 +1,4 @@
-"""LoopKernel base machinery: cost accounting, overrides, residency."""
+"""LoopKernel base machinery: cost accounting, overrides, ledger charging."""
 
 import numpy as np
 import pytest
@@ -69,27 +69,23 @@ def test_set_partition_unknown_array_rejected():
         AxpyKernel(100).set_partition("zz", Block())
 
 
-def test_resident_arrays_drop_transfer_costs():
-    k = MatVecKernel(64)
-    base = k.chunk_cost(IterRange(0, 8))
-    k.resident = frozenset({"A", "x", "y"})
-    resident = k.chunk_cost(IterRange(0, 8))
-    assert resident.xfer_in_bytes == 0.0
-    assert resident.xfer_out_bytes == 0.0
-    assert resident.replicated_in_bytes == 0.0
-    assert base.xfer_in_bytes > 0.0
-    # compute costs unaffected
-    assert resident.flops == base.flops
-
-
 def test_partial_residency():
+    # Only A is mapped by the region: the ledger view elides A's rows and
+    # charges y and x exactly like the kernel's flat chunk cost would.
+    from repro.memory.residency import RegionResidency, ResidencyLedger
+
     k = MatVecKernel(64)
-    k.resident = frozenset({"A"})
-    c = k.chunk_cost(IterRange(0, 8))
-    # y still moves both ways; A's row traffic gone
-    assert c.xfer_in_bytes == 8 * 8        # y in only
-    assert c.xfer_out_bytes == 8 * 8       # y out
-    assert c.replicated_in_bytes == 64 * 8  # x still broadcast
+    led = ResidencyLedger()
+    led.register("A", 64, k.row_nbytes("A"))
+    led.retain(0, "A", [IterRange(0, 64)])
+    led.mark_valid(0, "A", [IterRange(0, 64)])
+    bytes_in, bytes_out, elided_in, _ = RegionResidency(led, (0,)).charge_chunk(
+        0, k, IterRange(0, 8), first_chunk=True
+    )
+    # y still moves both ways and x is still broadcast; A's row traffic gone
+    assert bytes_in == 8 * 8 + 64 * 8
+    assert bytes_out == 8 * 8
+    assert elided_in == 8 * k.row_nbytes("A")
 
 
 def test_reference_uses_pristine_inputs():

@@ -58,17 +58,6 @@ def test_chunk_cost_scan_amortised_after_warmup():
     ) == 0
 
 
-def test_resident_change_invalidates_cost_cache():
-    k = MatVecKernel(64)
-    base = k.chunk_cost(IterRange(0, 8))
-    k.resident = frozenset({"A", "x", "y"})
-    assert k.chunk_cost(IterRange(0, 8)).xfer_in_bytes == 0.0
-    k.resident = frozenset()
-    again = k.chunk_cost(IterRange(0, 8))
-    assert again.xfer_in_bytes == base.xfer_in_bytes
-    assert again.replicated_in_bytes == base.replicated_in_bytes
-
-
 def test_set_partition_invalidates_cost_cache():
     k = AxpyKernel(500)
     k.chunk_cost(IterRange(0, 10))  # warm

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import OffloadError
+from repro.dist.policy import Full
+from repro.errors import DeviceError, OffloadError
+from repro.kernels.axpy import AxpyKernel
+from repro.kernels.base import MapSpec
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import cpu_mic_node, gpu4_node, homogeneous_node, cpu_spec
 from repro.memory.space import MapDirection
@@ -77,7 +80,7 @@ def test_residency_restored_after_region_offload():
     k = make_kernel("axpy", 1000)
     with region_for(rt, k) as region:
         region.parallel_for(k, schedule="BLOCK")
-    assert k.resident == frozenset()
+    assert rt.ledger.empty
 
 
 def test_total_time_accumulates_offloads():
@@ -191,7 +194,6 @@ def test_resident_restored_when_offload_raises(monkeypatch):
         monkeypatch.setattr(k, "execute_chunk", boom)
         with pytest.raises(RuntimeError):
             region.parallel_for(k, schedule="BLOCK")
-    assert k.resident == frozenset()
     assert rt.ledger.empty
 
 
@@ -211,3 +213,58 @@ def test_partitioned_region_follows_placement_policy():
             assert covered[0] == 0 and covered[-1] == k.n_iters
             # block placement: disjoint shares, one per device
             assert len(plan.ranges(name, 0)) == 1
+
+
+def test_duplicate_devices_rejected_before_anything_is_retained():
+    # [0, 0] used to open the region (retaining device 0's ranges twice)
+    # and only fail later, from MachineSpec.subset.
+    rt = HompRuntime(gpu4_node())
+    k = make_kernel("axpy", 1000)
+    region = region_for(rt, k)
+    region.devices = [0, 0]
+    with pytest.raises(DeviceError, match="device id 0 selected more than once"):
+        region.__enter__()
+    assert rt.ledger.empty
+
+
+@pytest.mark.parametrize("executor", ["virtual", "threaded"])
+def test_array_info_resident_follows_the_ledger(executor):
+    rt = HompRuntime(gpu4_node())
+    k = make_kernel("axpy", 1000)
+    region = TargetDataRegion(
+        runtime=rt,
+        maps={"x": (k.arrays["x"], MapDirection.TO)},
+        partitioned=frozenset({"x"}),
+    )
+    with region:
+        inside = region.parallel_for(k, schedule="BLOCK", executor=executor)
+    outside = rt.parallel_for(
+        make_kernel("axpy", 1000), schedule="BLOCK", executor=executor
+    )
+    flags = {a.name: a.resident for a in inside.meta["offload_info"].arrays}
+    assert flags == {"x": True, "y": False}
+    assert not any(a.resident for a in outside.meta["offload_info"].arrays)
+
+
+class _AxpyWithEmptyAux(AxpyKernel):
+    """axpy plus a zero-extent FULL-mapped input."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.arrays["aux"] = self._initial["aux"] = np.zeros(0)
+
+    def maps(self):
+        if "aux" not in self.arrays:  # base-class validation, pre-aux
+            return super().maps()
+        return super().maps() + (MapSpec("aux", MapDirection.TO, (Full(),)),)
+
+
+def test_zero_extent_mapped_array_is_free_inside_region():
+    rt = HompRuntime(gpu4_node())
+    k = _AxpyWithEmptyAux(1000)
+    with region_for(rt, k) as region:
+        result = region.parallel_for(k, schedule="BLOCK")
+    assert result.meta["residency"]["bytes_moved"] == 0.0
+    assert sum(t.iters for t in result.traces) == k.n_iters
+    assert np.allclose(k.arrays["y"], k.reference()["y"])
+    assert rt.ledger.empty

@@ -63,9 +63,20 @@ def test_non_numeric_cutoff_names_index(rt):
 def test_out_of_range_cutoff_names_index(rt):
     with pytest.raises(
         SchedulingError,
-        match=r"specs\[0\]\.cutoff_ratio 1\.5 is outside \[0, 1\]",
+        match=r"specs\[0\]\.cutoff_ratio 1\.5 is outside \[0, 1\)",
     ):
         rt.parallel_for_many([spec(cutoff_ratio=1.5)])
+
+
+@pytest.mark.parametrize("bad", [1.0, -0.2])
+def test_cutoff_range_is_half_open_like_parallel_for(rt, bad):
+    # One rule for both entry points: 1.0 used to pass this door and only
+    # fail inside the engine.
+    with pytest.raises(
+        SchedulingError,
+        match=rf"specs\[1\]\.cutoff_ratio {bad} is outside \[0, 1\)",
+    ):
+        rt.parallel_for_many([spec(), spec(cutoff_ratio=bad)])
 
 
 def test_cutoff_auto_passes_validation(rt):

@@ -7,6 +7,8 @@ import pytest
 from repro.dist.policy import Block
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import full_node, gpu4_node
+from repro.memory.space import MapDirection
+from repro.runtime.data_env import TargetDataRegion
 from repro.runtime.offload_info import OffloadInfo
 from repro.runtime.runtime import HompRuntime
 
@@ -37,7 +39,13 @@ def test_arrays_carry_dimension_and_policy_info(rt):
 
 def test_halo_and_residency_reflected(rt):
     k = make_kernel("stencil", 48)
-    r = rt.parallel_for(k, schedule="BLOCK", resident={"u_in"})
+    region = TargetDataRegion(
+        runtime=rt,
+        maps={"u_in": (k.arrays["u_in"], MapDirection.TO)},
+        partitioned=frozenset({"u_in"}),
+    )
+    with region:
+        r = region.parallel_for(k, schedule="BLOCK")
     info = r.meta["offload_info"]
     by_name = {a.name: a for a in info.arrays}
     assert by_name["u_in"].halo == (3, 3)

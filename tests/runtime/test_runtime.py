@@ -38,6 +38,10 @@ class TestDeviceSelection:
         with pytest.raises(DeviceError):
             rt.select_devices([])
 
+    def test_duplicate_id_rejected(self, rt):
+        with pytest.raises(DeviceError, match="device id 2 selected more than once"):
+            rt.select_devices([1, 2, 2])
+
     def test_effective_device_count_collapses_hosts(self, rt):
         # the paper's "considering 2 CPUs as one host device": 1 + 6 = 7
         assert rt.effective_device_count() == 7
@@ -109,6 +113,22 @@ class TestCutoff:
         assert not any(n.startswith("cpu") for n in names)
         assert {"k40-0", "k40-1", "k40-2", "k40-3"} <= names
 
+    @pytest.mark.parametrize(
+        "bad,why",
+        [
+            ("half", "'half' is not a fraction or 'auto'"),
+            (1.0, r"1\.0 is outside \[0, 1\)"),
+            (-0.2, r"-0\.2 is outside \[0, 1\)"),
+        ],
+    )
+    def test_bad_cutoff_is_a_typed_error(self, rt, bad, why):
+        # The same rule and message shape parallel_for_many reports
+        # (tests/runtime/test_many_validation.py), without the index.
+        with pytest.raises(SchedulingError, match=f"^cutoff_ratio {why}"):
+            rt.parallel_for(
+                make_kernel("axpy", 100), schedule="BLOCK", cutoff_ratio=bad
+            )
+
 
 class TestDeviceSubsets:
     def test_gpus_only(self, rt):
@@ -167,7 +187,3 @@ class TestRuntimeConstruction:
         rt = HompRuntime.from_file(path)
         assert rt.num_devices == 4
 
-    def test_resident_restored_after_run(self, rt):
-        k = make_kernel("axpy", 500)
-        rt.parallel_for(k, schedule="BLOCK", resident={"x"})
-        assert k.resident == frozenset()

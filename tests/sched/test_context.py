@@ -7,12 +7,16 @@ from repro.kernels.registry import make_kernel
 from repro.machine.device import Device
 from repro.machine.presets import cpu_spec, k40_spec, mic_spec
 from repro.machine.spec import MachineSpec
+from repro.memory.residency import RegionResidency, ResidencyLedger
 from repro.sched.base import LoopScheduler, SchedContext
+from repro.util.ranges import IterRange
 
 
-def ctx_for(kernel, *specs, cutoff=0.0):
+def ctx_for(kernel, *specs, cutoff=0.0, residency=None):
     devices = [Device(i, s) for i, s in enumerate(specs)]
-    return SchedContext(kernel=kernel, devices=devices, cutoff_ratio=cutoff)
+    return SchedContext(
+        kernel=kernel, devices=devices, cutoff_ratio=cutoff, residency=residency
+    )
 
 
 class TestValidation:
@@ -91,9 +95,13 @@ class TestFixedCost:
         assert c.fixed_cost_s(0) == pytest.approx(expected)
 
     def test_resident_arrays_drop_broadcast(self):
+        # x is valid on the device per the region's ledger: no broadcast.
         k = make_kernel("matvec", 64)
-        k.resident = frozenset({"x"})
-        c = ctx_for(k, k40_spec())
+        led = ResidencyLedger()
+        led.register("x", 64, k.row_nbytes("x"))
+        led.retain(0, "x", [IterRange(0, 64)])
+        led.mark_valid(0, "x", [IterRange(0, 64)])
+        c = ctx_for(k, k40_spec(), residency=RegionResidency(led, (0,)))
         spec = k40_spec()
         assert c.fixed_cost_s(0) == pytest.approx(
             spec.launch_overhead_s + 2 * spec.link.latency_s

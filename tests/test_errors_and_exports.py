@@ -66,7 +66,7 @@ class TestPublicSurface:
             assert getattr(repro, name) is not None, name
 
     def test_version(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"
 
     def test_key_workflow_symbols_present(self):
         for name in (

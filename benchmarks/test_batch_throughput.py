@@ -1,29 +1,22 @@
 """Cells/sec of the sweep paths: serial vs process pool vs batch backend.
 
-The perf-trajectory artifact for the vectorized batch backend
+The perf-trajectory artifact for the batch backend
 (``repro.engine.batch``): the full Fig. 5 grid (6 kernels x 7 policies on
 the 4-GPU node) is swept three ways — serial in-process, process pool,
 and the batch backend — and the measured cells/sec land in
 ``benchmarks/results/batch_throughput.json``.
 
-The batch path's advantage is structural, not numerical: one
-``run_many`` call advances every cell's timeline as shared array ops,
-numerics and reference verification run once per workload instead of
-once per cell, and there is no process-pool pickle/fork overhead.  The
-results are still bit-identical to the serial sweep (pinned by
+The batch path's advantage is structural, not numerical: it is the same
+event loop per cell (``BatchEngine`` *is* the virtual engine), but one
+``parallel_for_many`` call shares a kernel between the cells of a
+workload, so numerics and reference verification run once per workload
+instead of once per cell, and there is no process-pool pickle/fork
+overhead.  The results are bit-identical to the serial sweep (pinned by
 ``tests/engine/test_batch_differential.py``).  That amortization is
 also what bounds the end-to-end speedup: kernel construction and
 numeric execution dominate a bench-scale sweep, and the batch path
 pays them once per *workload* where the other paths pay once per
 *cell* — so the ceiling is roughly the number of policies per kernel.
-
-The artifact also records an engine-level ``sim_only`` section:
-prebuilt kernels, numerics off, a search-loop-style batch of static
-cells (the regime ROADMAP's service/search items care about).  Today
-the vectorized cost tensors and the per-cell event loop land within a
-few percent of each other there — the per-chunk commit replay that
-buys bit-identical accounting costs the same either way — so this is
-the baseline future vectorized-accounting work must beat.
 
 ``REPRO_BENCH_SCALE`` scales the workloads as usual (unset, this module
 measures at 0.05 so the serial baseline finishes quickly); the resolved
@@ -42,16 +35,9 @@ import pytest
 from repro.bench.cache import SweepCache
 from repro.bench.runner import ALL_POLICIES, run_grid
 from repro.bench.workloads import BENCH_SCALE_ENV, WorkloadFactory
-from repro.engine.batch import BatchEngine, BatchRequest
-from repro.engine.simulator import OffloadEngine
 from repro.machine.presets import gpu4_node
-from repro.sched.registry import make_scheduler
 
 FIG5_KERNELS = ("axpy", "matvec", "matmul", "stencil", "sum", "bm")
-VECTORIZABLE = (
-    "BLOCK", "MODEL_1_AUTO", "MODEL_2_AUTO",
-    "SCHED_PROFILE_AUTO", "MODEL_PROFILE_AUTO",
-)
 POOL_WORKERS = 2
 
 
@@ -81,46 +67,6 @@ def throughput_env(monkeypatch):
     yield
 
 
-def _sim_only_cells():
-    """Search-loop-style cell list: static policies x cutoff variants."""
-    cutoffs = tuple(i / 40 for i in range(20))
-    return [
-        (kname, policy, cut)
-        for kname in FIG5_KERNELS
-        for policy in VECTORIZABLE
-        for cut in cutoffs
-    ]
-
-
-def _sim_only_seconds(machine):
-    """Engine-level cells/sec: prebuilt kernels, numerics off."""
-    kernels = {name: WorkloadFactory(name, seed=0)() for name in FIG5_KERNELS}
-    cells = _sim_only_cells()
-
-    t0 = time.perf_counter()
-    for kname, policy, cut in cells:
-        eng = OffloadEngine(machine=machine, seed=0,
-                            execute_numerically=False)
-        sched = make_scheduler(policy)
-        eng.run(kernels[kname], sched,
-                cutoff_ratio=cut if sched.supports_cutoff else 0.0)
-    serial_s = time.perf_counter() - t0
-
-    requests = []
-    for kname, policy, cut in cells:
-        sched = make_scheduler(policy)
-        requests.append(BatchRequest(
-            kernels[kname], sched,
-            cutoff_ratio=cut if sched.supports_cutoff else 0.0,
-            execute_numerically=False,
-        ))
-    t0 = time.perf_counter()
-    BatchEngine(machine=machine, seed=0,
-                execute_numerically=False).run_many(requests)
-    batch_s = time.perf_counter() - t0
-    return serial_s, batch_s, len(cells)
-
-
 def test_batch_throughput(throughput_env, results_dir):
     machine = gpu4_node()
     # Warm the shared input pool so no mode pays generation costs.
@@ -140,8 +86,6 @@ def test_batch_throughput(throughput_env, results_dir):
                 serial_grid.results[kname][policy].total_time_s
                 == batch_grid.results[kname][policy].total_time_s
             ), (kname, policy)
-
-    sim_serial_s, sim_batch_s, sim_cells = _sim_only_seconds(machine)
 
     report = {
         "grid": "fig5 (gpu4_node, 6 kernels x 7 policies)",
@@ -163,24 +107,13 @@ def test_batch_throughput(throughput_env, results_dir):
             "batch_vs_serial": round(serial_s / batch_s, 1),
             "batch_vs_pool": round(pool_s / batch_s, 1),
         },
-        "sim_only": {
-            "note": (
-                "prebuilt kernels, numerics off, static policies x 20 "
-                "cutoffs; baseline for future vectorized accounting"
-            ),
-            "cells": sim_cells,
-            "cells_per_sec": {
-                "serial": round(sim_cells / sim_serial_s, 2),
-                "batch": round(sim_cells / sim_batch_s, 2),
-            },
-        },
     }
     (results_dir / "batch_throughput.json").write_text(
         json.dumps(report, indent=2) + "\n"
     )
     print("\n" + json.dumps(report, indent=2))
 
-    # CI floor: the vectorized path must never lose to the serial one.
+    # CI floor: the batch path must never lose to the serial one.
     assert batch_s < serial_s, report
 
 

@@ -129,15 +129,15 @@ def _cacheable_executor(executor: "str | type | None") -> bool:
 
     Only deterministic virtual-time results are cacheable: wall-clock
     timings differ run to run, so serving them from the sweep cache would
-    be a lie.  The batch backend's results are bit-identical to virtual
-    ones (pinned by the differential tests), so the two share cache keys —
+    be a lie.  The batch backend *is* the virtual engine (one call for
+    many cells), so the two share cache keys —
     a batch sweep warms the cache for a later virtual one and vice versa.
     """
     return _backend_name(executor) in ("virtual", "batch")
 
 
 def _is_batch_executor(executor: "str | type | None") -> bool:
-    """Whether ``executor`` is the vectorized batch backend."""
+    """Whether ``executor`` is the batch backend."""
     return _backend_name(executor) == "batch"
 
 
@@ -496,11 +496,11 @@ def _run_batch_cells(
     verify: bool,
     executor: "str | type | None",
 ) -> None:
-    """Run pending grid cells through the vectorized batch backend.
+    """Run pending grid cells through the batch backend.
 
-    The whole pending list becomes one ``parallel_for_many`` call, so the
-    backend advances every cell's timeline together as array ops.  Cells
-    of the same factory share one kernel instance: the simulated timeline
+    The whole pending list becomes one ``parallel_for_many`` call: one
+    engine, one run of the event loop per cell, back to back.  Cells of
+    the same factory share one kernel instance: the simulated timeline
     depends only on chunk sizes, so the (expensive) numeric execution and
     reference verification run once per workload, not once per cell
     (the sharing rule is ``_shared_kernel_specs``'s).

@@ -15,11 +15,11 @@ scheduling of events in time and register themselves by name:
 * ``"threaded"`` — :class:`~repro.engine.threaded.ThreadedEngine` runs
   one real host thread per device on a wall clock, with the same
   fault/resilience semantics.
-* ``"batch"`` — :class:`~repro.engine.batch.BatchEngine` advances whole
-  grids of cells at once as numpy array ops over a
-  ``(cells x devices x chunks)`` cost tensor, bit-identical to
-  ``"virtual"`` for the static scheduler families and falling back to it
-  per cell for everything timing-dependent.
+* ``"batch"`` — :class:`~repro.engine.batch.BatchEngine` is the virtual
+  engine plus ``run_many``: a list of cells runs through one engine in
+  one call (same ``RunContext``, same event loop, so byte-identical to
+  ``"virtual"`` by construction), with numerics switchable per cell so a
+  grid executes them once per shared kernel.
 * ``"cluster"`` — :class:`~repro.cluster.engine.ClusterEngine` splits
   the loop across the nodes of a :class:`~repro.cluster.spec.ClusterSpec`
   and runs each shard on an intra-node ``"virtual"`` engine, charging

@@ -1060,8 +1060,8 @@ class EngineBase:
     def _delegate(self, cls: type, **overrides: Any):
         """A ``cls`` engine configured like this one, ``overrides`` applied.
 
-        Every field the two backends share is copied — how a batch cell
-        falls back to, and a cluster node runs on, the virtual engine.
+        Every field the two backends share is copied — how a cluster
+        node runs on the virtual engine.
         """
         mine = {f.name for f in dataclass_fields(self)}
         options = {

@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.dist.policy import Align, Auto, Policy
-from repro.engine.batch import BatchRequest
+from repro.engine.batch import BatchEngine, BatchRequest
 from repro.engine.core import make_backend
 from repro.engine.simulator import OffloadEngine
 from repro.engine.threaded import ThreadedEngine  # noqa: F401 — registers "threaded"
@@ -167,7 +167,7 @@ class HompRuntime:
                 f"engine= expects an execution backend instance, got "
                 f"{type(engine).__name__}"
             )
-        if engine.machine.to_dict() != submachine.to_dict():
+        if engine.machine != submachine:
             raise OffloadError(
                 f"pooled engine is bound to machine {engine.machine.name!r} "
                 f"but this offload selects {submachine.name!r}; pool one "
@@ -351,7 +351,7 @@ class HompRuntime:
 
         ``parallel_for_many`` hands the whole batch to a backend; without
         this check a bad cell surfaces as an opaque attribute error deep
-        inside the scheduler or the tensor rounds.  Returns the
+        inside the scheduler or the event loop.  Returns the
         normalized list so generator inputs are consumed exactly once.
         """
         try:
@@ -397,12 +397,12 @@ class HompRuntime:
         """Offload a batch of independent loops through one backend.
 
         The batch form of :meth:`parallel_for`: every cell runs on the
-        same device selection with the same engine configuration.  When
-        the backend implements ``run_many`` (the ``"batch"`` backend), the
-        whole list is handed over in one call so cells advance together as
-        array ops; otherwise cells run through ``run`` one by one.  Either
-        way, results are positionally aligned with ``specs`` and carry the
-        same ``meta`` a :meth:`parallel_for` result would.
+        same device selection with the same engine configuration, and the
+        whole list is handed to the backend's ``run_many`` in one call —
+        so it runs on the ``"batch"`` backend (the default here; a backend
+        without ``run_many`` is refused).  Results are positionally
+        aligned with ``specs``, byte-identical to ``"virtual"``'s, and
+        carry the same ``meta`` a :meth:`parallel_for` result would.
 
         ``engine`` accepts an already-built backend instance (a pooled
         engine), exactly as in :meth:`parallel_for`; the batch's options
@@ -413,12 +413,20 @@ class HompRuntime:
         instead of failing deep in the backend.
         """
         specs = self._validate_specs(specs)
+        if executor is None and engine is None:
+            executor = BatchEngine
         ids, submachine, engine, lease = self._prepare(
             devices,
             executor=executor,
             engine=engine,
             serialize_offload=serialize_offload,
         )
+        if not isinstance(engine, BatchEngine):
+            raise OffloadError(
+                f"parallel_for_many runs on the 'batch' backend, not on a "
+                f"{type(engine).__name__}; leave executor= unset or lease "
+                "a batch engine"
+            )
         requests: list[BatchRequest] = []
         infos: list[OffloadInfo] = []
         for i, spec in enumerate(specs):
@@ -452,23 +460,7 @@ class HompRuntime:
                 )
             )
         with lease:
-            if hasattr(engine, "run_many"):
-                results = engine.run_many(requests)
-            else:
-                results = []
-                for req in requests:
-                    override = (
-                        {}
-                        if req.execute_numerically is None
-                        else {"execute_numerically": req.execute_numerically}
-                    )
-                    with engine.configured(**override):
-                        results.append(
-                            engine.run(
-                                req.kernel, req.scheduler,
-                                cutoff_ratio=req.cutoff_ratio,
-                            )
-                        )
+            results = engine.run_many(requests)
         for result, info in zip(results, infos):
             result.meta["device_ids"] = list(ids)
             result.meta["offload_info"] = info

@@ -23,7 +23,7 @@ class AlignedScheduler(LoopScheduler):
     notation = "ALIGN"
     stages = 1
     supports_cutoff = False
-    batch_vectorizable = True  # per-device range lists are fixed in start()
+    timing_oblivious = True  # per-device range lists are fixed in start()
 
     def __init__(self, target: str, ratio: float = 1.0):
         super().__init__()

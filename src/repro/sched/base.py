@@ -174,12 +174,11 @@ class LoopScheduler(ABC):
     supports_cutoff: bool = False
     #: whether ``next`` is timing-oblivious: decisions depend only on the
     #: asking device's own call history plus the barrier phase, never on
-    #: the virtual clock or the interleaving of the other devices.  Such
-    #: schedulers can be advanced by the vectorized batch backend
-    #: (:mod:`repro.engine.batch`); the dynamic/guided/work-stealing
-    #: families react to measured completion times and fall back to the
-    #: event-heap simulator instead.
-    batch_vectorizable: bool = False
+    #: the virtual clock or the interleaving of the other devices.  The
+    #: service coalesces only such jobs (:mod:`repro.service.coalesce`);
+    #: the dynamic/guided/work-stealing families react to measured
+    #: completion times.
+    timing_oblivious: bool = False
 
     def __init__(self) -> None:
         self._ctx: SchedContext | None = None

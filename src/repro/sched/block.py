@@ -17,7 +17,7 @@ class BlockScheduler(LoopScheduler):
     notation = "BLOCK"
     stages = 1
     supports_cutoff = False
-    batch_vectorizable = True  # split is fixed in start(); next() is static
+    timing_oblivious = True  # split is fixed in start(); next() is static
 
     def start(self, ctx: SchedContext) -> None:
         super().start(ctx)

@@ -121,9 +121,8 @@ class HistoryScheduler(LoopScheduler):
     notation = "HISTORY_AUTO"
     stages = 1
     supports_cutoff = True
-    #: The split is fixed in start(); observe() only feeds the database,
-    #: and the batch backend replays observes in exact commit order.
-    batch_vectorizable = True
+    #: The split is fixed in start(); observe() only feeds the database.
+    timing_oblivious = True
 
     def __init__(self, db: HistoryDB):
         super().__init__()

@@ -21,7 +21,7 @@ class Model1Scheduler(LoopScheduler):
     notation = "MODEL_1_AUTO"
     stages = 1
     supports_cutoff = True
-    batch_vectorizable = True  # split is fixed in start(); next() is static
+    timing_oblivious = True  # split is fixed in start(); next() is static
 
     def start(self, ctx: SchedContext) -> None:
         super().start(ctx)

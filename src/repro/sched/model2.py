@@ -28,7 +28,7 @@ class Model2Scheduler(LoopScheduler):
     notation = "MODEL_2_AUTO"
     stages = 1
     supports_cutoff = True
-    batch_vectorizable = True  # split is fixed in start(); next() is static
+    timing_oblivious = True  # split is fixed in start(); next() is static
 
     def start(self, ctx: SchedContext) -> None:
         super().start(ctx)

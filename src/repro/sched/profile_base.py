@@ -26,9 +26,9 @@ class TwoStageProfileScheduler(LoopScheduler):
     stages = 2
     supports_cutoff = True
     #: Stage-1 samples are laid out in start(); the stage-2 split depends
-    #: only on observed per-chunk elapsed times, which the batch backend
-    #: feeds through observe() in exact commit order before the barrier.
-    batch_vectorizable = True
+    #: only on each device's own observed per-chunk elapsed times, all
+    #: in before the barrier — not on how the devices interleave.
+    timing_oblivious = True
 
     def __init__(self, sample_pct: float = 0.10):
         super().__init__()

@@ -40,9 +40,8 @@ class StreamRebalanceScheduler(LoopScheduler):
     notation = "STREAM_REBALANCE"
     stages = 1
     supports_cutoff = True
-    #: The split is fixed in start(); observe() only feeds the EWMA, and
-    #: the batch backend replays observes in exact commit order.
-    batch_vectorizable = True
+    #: The split is fixed in start(); observe() only feeds the EWMA.
+    timing_oblivious = True
 
     def __init__(self, *, alpha: float = 0.3):
         super().__init__()

@@ -17,7 +17,7 @@ factory, a policy, a tenant identity) and ``await`` typed
   engines' exclusive-run contract (:class:`~repro.errors.EngineBusyError`
   can never fire through the pool),
 * coalesces compatible queued jobs — same workload fingerprint, a
-  vectorizable policy, no faults or tracing — into single
+  timing-oblivious policy, no faults or tracing — into single
   :meth:`~repro.engine.batch.BatchEngine.run_many` batches, and
 * serves repeat cells from / populates the sweep cache with exactly the
   keys :func:`repro.bench.runner.run_cell` uses.

@@ -1,10 +1,11 @@
 """Batch coalescing rules for the offload service.
 
-Queued jobs that would each pay a full engine round-trip can instead ride
-one :meth:`~repro.engine.batch.BatchEngine.run_many` call, which advances
-all their timelines together as numpy array ops and — because the group
-shares one workload — builds the (expensive) kernel inputs once and runs
-the numeric execution once instead of once per job.
+Queued jobs that would each pay a full service round-trip (pool lease,
+worker-thread hop, engine configuration) can instead ride one
+:meth:`~repro.engine.batch.BatchEngine.run_many` call, which runs them
+back to back on one leased engine and — because the group shares one
+workload — builds the (expensive) kernel inputs once and runs the numeric
+execution once instead of once per job.
 
 A job is *coalescible* when batching cannot change its bytes or lose a
 side channel it asked for:
@@ -13,9 +14,11 @@ side channel it asked for:
   one, and sharing a kernel instance across jobs is only sound when the
   jobs verifiably build the same kernel),
 * its policy is a concrete Table II notation whose scheduler is
-  ``batch_vectorizable`` (dynamic/guided/work-stealing schedules are
-  timing-dependent; ``"AUTO"`` resolves against the kernel, which does
-  not exist yet at queue time),
+  ``timing_oblivious`` — the static families, a handful of chunks per
+  job, where the fixed cost a batch amortizes is most of the job
+  (dynamic/guided/work-stealing jobs are chunk-loop-bound and would hold
+  the shared lease for long, so they run solo; ``"AUTO"`` resolves
+  against the kernel, which does not exist yet at queue time),
 * it carries no fault plan, no resilience override, no tracer, no event
   recording, and no serialized offload — each of those either perturbs
   per-cell state or expects per-run side channels.
@@ -41,19 +44,19 @@ if TYPE_CHECKING:
 
 __all__ = ["coalescible", "group_key", "plan_group"]
 
-#: notation -> batch_vectorizable, resolved once per notation (scheduler
+#: notation -> timing_oblivious, resolved once per notation (scheduler
 #: construction is cheap but the answer is a class attribute).
-_VECTORIZABLE: dict[str, bool] = {}
+_TIMING_OBLIVIOUS: dict[str, bool] = {}
 
 
-def _vectorizable_policy(name: str) -> bool:
-    known = _VECTORIZABLE.get(name)
+def _timing_oblivious_policy(name: str) -> bool:
+    known = _TIMING_OBLIVIOUS.get(name)
     if known is None:
         try:
-            known = bool(make_scheduler(name).batch_vectorizable)
+            known = bool(make_scheduler(name).timing_oblivious)
         except Exception:
             known = False
-        _VECTORIZABLE[name] = known
+        _TIMING_OBLIVIOUS[name] = known
     return known
 
 
@@ -70,7 +73,7 @@ def coalescible(job: "OffloadJob") -> bool:
         return False
     if job.fault_plan is not None or job.resilience is not None:
         return False
-    return _vectorizable_policy(name)
+    return _timing_oblivious_policy(name)
 
 
 def group_key(job: "OffloadJob", ids: "tuple[int, ...]") -> "tuple | None":

@@ -119,13 +119,16 @@ class TestRegistry:
             )
         assert resolve_backend("virtual") is OffloadEngine
 
-    def test_batch_backend_registered_with_aliases(self):
+    def test_batch_backend_registered_without_aliases(self):
         from repro.engine.batch import BatchEngine
 
         assert "batch" in backend_names()
         assert resolve_backend("batch") is BatchEngine
-        assert resolve_backend("vectorized") is BatchEngine
-        assert resolve_backend("vec") is BatchEngine
+        assert issubclass(BatchEngine, OffloadEngine)
+        # One backend, one name.
+        for gone in ("vectorized", "vec"):
+            with pytest.raises(OffloadError, match="unknown execution backend"):
+                resolve_backend(gone)
 
     def test_unknown_name_error_lists_names_and_aliases(self):
         with pytest.raises(OffloadError) as exc:
@@ -135,7 +138,6 @@ class TestRegistry:
             assert name in msg
         # Aliases are listed with the canonical name they resolve to.
         assert "sim->virtual" in msg
-        assert "vec->batch" in msg
 
     def test_alias_colliding_with_canonical_name_rejected(self):
         class Fake(OffloadEngine):

@@ -7,9 +7,12 @@ on when they surface batch failures to tenants.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.errors import SchedulingError
+from repro.engine.core import make_backend
+from repro.errors import OffloadError, SchedulingError
 from repro.kernels.registry import make_kernel
 from repro.runtime.runtime import HompRuntime, OffloadSpec
 
@@ -107,3 +110,21 @@ def test_generator_specs_are_accepted(rt):
     """Validation listifies: a generator input still works end to end."""
     results = rt.parallel_for_many(s for s in (spec(), spec()))
     assert len(results) == 2
+
+
+def test_parallel_for_many_needs_the_batch_backend(gpu4):
+    """The batch form has one run loop, `BatchEngine.run_many`: the
+    default executor is the batch backend, a leased batch engine works,
+    and a backend without `run_many` is refused before anything runs."""
+    rt = HompRuntime(gpu4)
+    selected = gpu4.subset(range(len(gpu4)))
+    (default,) = rt.parallel_for_many([spec()])
+    (leased,) = rt.parallel_for_many(
+        [spec()], engine=make_backend("batch", selected)
+    )
+    solo = rt.parallel_for(make_kernel("axpy", 256, seed=0), schedule="BLOCK")
+    assert pickle.dumps(default) == pickle.dumps(leased) == pickle.dumps(solo)
+    for refused in ({"executor": "threaded"},
+                    {"engine": make_backend("virtual", selected)}):
+        with pytest.raises(OffloadError, match="runs on the 'batch' backend"):
+            rt.parallel_for_many([spec()], **refused)

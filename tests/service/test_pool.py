@@ -9,6 +9,7 @@ stress load far wider than the pool.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from repro.engine.core import make_backend
 from repro.errors import EngineBusyError, OffloadError
 from repro.kernels.registry import make_kernel
+from repro.machine.spec import MachineSpec
 from repro.runtime.runtime import HompRuntime
 from repro.sched.registry import make_scheduler
 from repro.service import EnginePool, OffloadJob, OffloadService, TenantQuota
@@ -103,6 +105,28 @@ def test_lease_engine_rejects_mismatched_machine(gpu4, cpu_mic):
     with pytest.raises(OffloadError, match="bound to machine"):
         rt.parallel_for(make_kernel("axpy", 512, seed=0), schedule="BLOCK",
                         engine=foreign)
+
+
+def test_lease_engine_compares_machines_by_value(gpu4):
+    """The binding check is spec equality: an equal submachine built
+    independently is accepted, a different selection of the same machine
+    is refused."""
+    rt = HompRuntime(gpu4)
+    kernel = make_kernel("axpy", 512, seed=0)
+    rebuilt = MachineSpec.from_dict(gpu4.subset([0, 1]).to_dict())
+    assert rebuilt is not gpu4.subset([0, 1])
+    pooled = make_backend("virtual", rebuilt)
+    leased = rt.parallel_for(kernel, schedule="BLOCK", devices=[0, 1],
+                             engine=pooled)
+    direct = rt.parallel_for(make_kernel("axpy", 512, seed=0),
+                             schedule="BLOCK", devices=[0, 1])
+    assert pickle.dumps(leased) == pickle.dumps(direct)
+    with pytest.raises(OffloadError, match=(
+        r"bound to machine 'gpu4\[0,1\]' but this offload selects "
+        r"'gpu4\[1,2\]'; pool one engine per \(machine, device selection\)"
+    )):
+        rt.parallel_for(kernel, schedule="BLOCK", devices=[1, 2],
+                        engine=pooled)
 
 
 def test_engine_and_executor_are_mutually_exclusive(gpu4):

@@ -1,5 +1,7 @@
 """Stream runner semantics: metadata, elision, faults, and the IR path."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,20 @@ class TestNumerics:
             return k.arrays["u_out"].copy()
 
         assert np.array_equal(run("virtual"), run("batch"))
+
+    def test_multi_batch_stream_on_batch_pipelines_and_equals_virtual(self):
+        # `batch` is the virtual engine, carry_in included: a stream on it
+        # is pipelined across batches and equals virtual byte for byte.
+        def run(executor):
+            return stream(
+                SlidingStencilKernel(64, seed=5), batches=5, window=8,
+                schedule="STREAM_REBALANCE", executor=executor,
+            )
+
+        sr_v, sr_b = run("virtual"), run("batch")
+        assert sr_b.meta["pipelined"] is True
+        assert sr_b.batch_times_s == sr_v.batch_times_s
+        assert pickle.dumps(sr_b.results) == pickle.dumps(sr_v.results)
 
 
 class TestFaults:

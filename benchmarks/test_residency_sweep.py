@@ -117,11 +117,8 @@ def run_ledger() -> dict:
     halo_bytes = 0
     halo_elided = 0
     with region:
-        ids = region._ids
-        submachine = rt.machine.subset(ids)
-        row_dist = DimDistribution.from_policy(
-            Block(), IterRange(0, N), len(ids)
-        )
+        submachine = rt.machine.subset(region._ids)
+        row_dist = region.plan.placements["uold"]
         # Fairness: charge the region's one-time staging against the
         # ledger run. BLOCK placement stages each copies-in array exactly
         # once across the devices; the TOFROM array drains once at exit.

@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dist.policy import Align, Full
-from repro.dist.distribution import DimDistribution
-from repro.dist.policy import Block
+from repro.dist.policy import Align, Block, Full
 from repro.ir.ops import HaloOp
 from repro.kernels.base import LoopKernel, MapSpec
 from repro.memory.buffer import DeviceBuffer
@@ -203,11 +201,8 @@ class JacobiSolver:
         iters = 0
         loop_results = []
         with region:
-            ids = region._ids
-            submachine = runtime.machine.subset(ids)
-            row_dist = DimDistribution.from_policy(
-                Block(), IterRange(0, self.n), len(ids)
-            )
+            submachine = runtime.machine.subset(region._ids)
+            row_dist = region.plan.placements["uold"]
             halo = HaloOp("uold", lower=1, upper=1, row_bytes=self.m * 8)
             while iters < max_iters and error > tol:
                 copy_k = JacobiCopyKernel(self.u, self.uold)

@@ -119,11 +119,6 @@ def _backend_name(executor: "str | type | None") -> str | None:
     return getattr(resolve_backend(executor), "backend_name", None)
 
 
-def _virtual_executor(executor: "str | type | None") -> bool:
-    """Whether ``executor`` resolves to the deterministic virtual backend."""
-    return _backend_name(executor) == "virtual"
-
-
 def _cacheable_executor(executor: "str | type | None") -> bool:
     """Whether ``executor``'s results may touch the sweep cache.
 
@@ -551,8 +546,8 @@ def _run_traced_cells(
 
     registry = MetricsRegistry()
     trace_dir.mkdir(parents=True, exist_ok=True)
+    clock = resolve_backend(executor or "virtual").clock
     for kname, factory, policy, key in pending:
-        clock = "virtual" if _virtual_executor(executor) else "wall"
         tracer = Tracer(clock=clock, metrics=registry)
         result = run_one(
             machine, factory(), policy,

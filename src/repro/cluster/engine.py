@@ -104,6 +104,7 @@ class ClusterEngine(EngineBase):
 
     #: Registry name of this backend.
     backend_name = "cluster"
+    clock = "virtual"
 
     # Not annotated (stays a class attribute, not a field): aggregated
     # (devid, chunk) log of the last multi-node run, None after a

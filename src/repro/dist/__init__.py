@@ -11,11 +11,7 @@ from repro.dist.policy import (
 )
 from repro.dist.distribution import DimDistribution, ArrayDistribution
 from repro.dist.align import AlignmentGraph
-from repro.dist.hierarchy import (
-    HierarchicalPartition,
-    hierarchical_partition,
-    node_shards,
-)
+from repro.dist.hierarchy import node_shards
 from repro.dist.nested import TileDistribution, device_grid
 
 __all__ = [
@@ -29,8 +25,6 @@ __all__ = [
     "DimDistribution",
     "ArrayDistribution",
     "AlignmentGraph",
-    "HierarchicalPartition",
-    "hierarchical_partition",
     "node_shards",
     "TileDistribution",
     "device_grid",

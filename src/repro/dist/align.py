@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import AlignmentError
 from repro.dist.distribution import DimDistribution
-from repro.dist.policy import Align, Policy
+from repro.dist.policy import Align
+from repro.util.ranges import IterRange
 
 __all__ = ["AlignmentGraph"]
 
@@ -69,8 +70,12 @@ class AlignmentGraph:
             )
         return cur, ratio
 
-    def resolve(self, name: str, *, policy: Policy | None = None) -> DimDistribution:
-        """The concrete distribution for ``name`` after re-linking to root."""
+    def resolve(
+        self, name: str, *, extent: IterRange | None = None
+    ) -> DimDistribution:
+        """The concrete distribution for ``name`` after re-linking to root:
+        the root alignee's ranges scaled by the composed ratio, clamped
+        into ``extent`` (the aligner's own region) when given."""
         if name in self._concrete:
             return self._concrete[name]
         if name not in self._edges:
@@ -78,24 +83,4 @@ class AlignmentGraph:
         root, ratio = self.root_of(name)
         if root not in self._concrete:
             raise AlignmentError(f"root alignee {root!r} is not yet distributed")
-        base = self._concrete[root]
-        out_policy = policy or self._edges[name]
-        if ratio == 1.0:
-            return DimDistribution(
-                region=base.region,
-                parts=base.parts,
-                policy=out_policy,
-                replicated=base.replicated,
-            )
-        return base.scaled(ratio, out_policy)
-
-    def relink(self) -> None:
-        """Eagerly resolve every ALIGN node to its root (paper's re-link).
-
-        After this, :meth:`resolve` is O(1) for all names.  Raises if any
-        node is unresolvable, so errors surface at offload setup rather
-        than mid-execution.
-        """
-        for name in list(self._edges):
-            self._concrete[name] = self.resolve(name)
-        self._edges.clear()
+        return self._concrete[root].scaled(ratio, self._edges[name], extent)

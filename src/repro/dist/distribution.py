@@ -61,18 +61,23 @@ class DimDistribution:
                 return dev
         raise DistributionError(f"index {index} outside distributed region")
 
-    def scaled(self, ratio: float, policy: Policy) -> "DimDistribution":
+    def scaled(
+        self, ratio: float, policy: Policy, extent: IterRange | None = None
+    ) -> "DimDistribution":
         """ALIGN with a ratio: every range boundary scaled by ``ratio``.
 
         Boundaries are rounded to integers; with integral ratios (the common
         case: an array of ``r*N`` elements aligned to an ``N``-iteration
-        loop) the result covers the scaled region exactly.
+        loop) the result covers the scaled region exactly.  ``extent`` (the
+        aligner's own region) clamps every scaled boundary into it, so an
+        overshooting ratio never places rows the aligner does not have.
         """
         if ratio <= 0:
             raise DistributionError(f"ALIGN ratio must be positive, got {ratio}")
 
         def s(x: int) -> int:
-            return round(x * ratio)
+            x = round(x * ratio)
+            return x if extent is None else min(extent.stop, max(extent.start, x))
 
         region = IterRange(s(self.region.start), s(self.region.stop))
         parts = tuple(

@@ -1,31 +1,22 @@
-"""Hierarchical node -> device decomposition for the cluster backend.
+"""Node-level decomposition for the cluster backend.
 
 A cluster offload splits one iteration range twice: first across *nodes*
 (contiguous shards — BLOCK, or throughput-weighted BLOCK for
-heterogeneous clusters), then each shard across the node's *devices*
-with an ordinary Table I policy.  The invariant the property tests pin:
-the flattened two-level split covers the original region exactly once
-(no gaps, no overlaps), and a degenerate single-node cluster reduces to
-the flat :class:`~repro.dist.distribution.DimDistribution` of the same
-intra-node policy, range for range.
-
-This module only computes *static* decompositions — the cluster engine
-uses :func:`node_shards` for the node level and then hands each shard to
-a real intra-node scheduler (which may re-split it dynamically); the
-full :func:`hierarchical_partition` is what analyses, property tests and
-the ALIGN placement derivation consume.
+heterogeneous clusters), then each shard across the node's *devices*.
+Only the node level is static and lives here (:func:`node_shards`); the
+cluster engine hands each shard to a real intra-node scheduler, which may
+re-split it dynamically.  The invariant the property tests pin: the
+shards are contiguous, ordered and cover the region exactly once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.dist.policy import Block, Policy
 from repro.errors import DistributionError
 from repro.util.ranges import IterRange, split_block, split_by_weights
 
-__all__ = ["node_shards", "HierarchicalPartition", "hierarchical_partition"]
+__all__ = ["node_shards"]
 
 
 def node_shards(
@@ -49,84 +40,3 @@ def node_shards(
             f"got {len(weights)} node weights for {n_nodes} nodes"
         )
     return split_by_weights(region, weights)
-
-
-@dataclass(frozen=True)
-class HierarchicalPartition:
-    """A two-level split: node shards, then per-device ranges per node.
-
-    ``device_parts[k][d]`` is the tuple of ranges device ``d`` of node
-    ``k`` owns; shards are contiguous and in node order, so global device
-    order is (node-major) deterministic.
-    """
-
-    region: IterRange
-    node_shards: tuple[IterRange, ...]
-    device_parts: tuple[tuple[tuple[IterRange, ...], ...], ...]
-
-    def __post_init__(self) -> None:
-        covered = sum(
-            len(r)
-            for node in self.device_parts
-            for per_dev in node
-            for r in per_dev
-        )
-        if covered != len(self.region):
-            raise DistributionError(
-                f"hierarchical partition covers {covered} of "
-                f"{len(self.region)} iterations"
-            )
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_shards)
-
-    def flat_ranges(self) -> list[IterRange]:
-        """Every owned range in (node, device) order, empties dropped."""
-        return [
-            r
-            for node in self.device_parts
-            for per_dev in node
-            for r in per_dev
-            if not r.empty
-        ]
-
-
-def hierarchical_partition(
-    region: IterRange,
-    device_counts: Sequence[int],
-    *,
-    weights: "Sequence[float] | None" = None,
-    intra_policy: Policy | None = None,
-) -> HierarchicalPartition:
-    """Split ``region`` across nodes, then each shard across its devices.
-
-    ``device_counts[k]`` is how many devices node ``k`` has; ``weights``
-    (optional) biases the node-level shards; ``intra_policy`` is the
-    Table I policy applied *within* each shard (BLOCK by default; FULL
-    and the runtime-resolved policies are rejected — replication and
-    scheduler-decided splits are not exact covers).
-    """
-    if not device_counts:
-        raise DistributionError("hierarchical partition needs >= 1 node")
-    for k, n in enumerate(device_counts):
-        if n <= 0:
-            raise DistributionError(
-                f"node {k} has {n} devices; every node needs >= 1"
-            )
-    policy = intra_policy if intra_policy is not None else Block()
-    if policy.needs_runtime:
-        raise DistributionError(
-            f"intra-node policy {policy} is resolved at runtime and cannot "
-            "form a static hierarchical partition"
-        )
-    shards = node_shards(region, len(device_counts), weights=weights)
-    device_parts = tuple(
-        tuple(tuple(ranges) for ranges in policy.split(shard, ndev))
-        for shard, ndev in zip(shards, device_counts)
-    )
-    return HierarchicalPartition(
-        region=region,
-        node_shards=tuple(shards),
-        device_parts=device_parts,
-    )

@@ -1178,6 +1178,9 @@ class ExecutionBackend(Protocol):
     """What an executor must look like to be driven by the runtime."""
 
     backend_name: ClassVar[str]
+    #: Which clock the backend's timings are on: ``"virtual"`` (modelled
+    #: seconds, deterministic) or ``"wall"`` — what a tracer is stamped with.
+    clock: ClassVar[str]
     machine: MachineSpec
 
     def run(

@@ -65,6 +65,7 @@ class OffloadEngine(EngineBase):
 
     #: Registry name of this backend (virtual-time discrete-event).
     backend_name = "virtual"
+    clock = "virtual"
 
     #: Without the paper's `parallel target` composite (§III.4), offloading
     #: to the target devices is serialised: one host thread stages every

@@ -67,6 +67,7 @@ class ThreadedEngine(EngineBase):
 
     #: Registry name of this backend (wall-clock, real threads).
     backend_name = "threaded"
+    clock = "wall"
 
     def run(
         self,

@@ -416,7 +416,3 @@ class LoopKernel(ABC):
     @abstractmethod
     def reference(self) -> dict[str, np.ndarray] | float:
         """Serial reference result: output arrays, or the reduction value."""
-
-    def snapshot_inputs(self) -> dict[str, np.ndarray]:
-        """Copies of all arrays (call before running, for reference checks)."""
-        return {k: v.copy() for k, v in self.arrays.items()}

@@ -6,8 +6,8 @@ array.  For a device sharing the host address space the buffer is a *view*
 for discrete memory it is a *copy*, and ``copy_in`` / ``copy_out`` move
 bytes explicitly, exactly like the paper's runtime.  Index translation from
 global array coordinates to the buffer's local coordinates is what the
-paper's compiler book-keeping variables do; here :meth:`global_to_local`
-carries the subregion offsets.
+paper's compiler book-keeping variables do; here :meth:`local_view`
+carries the dim-0 subregion offset.
 """
 
 from __future__ import annotations
@@ -90,39 +90,6 @@ class DeviceBuffer:
         self.host_array[self._global_index()] = self.data
         return self.nbytes
 
-    def copy_out_rows(self, rows: IterRange) -> int:
-        """Device -> host for a global row range only (per-chunk results).
-
-        Used by chunked schedulers that return each chunk's output as soon
-        as it finishes (enabling transfer/compute overlap).  ``rows``
-        indexes the first dimension in *global* coordinates.
-        """
-        if self.shared:
-            return 0
-        r0 = self.region[0]
-        sub = rows.intersect(r0)
-        if sub.empty:
-            return 0
-        local = sub.shift(-r0.start)
-        rest = tuple(r.as_slice() for r in self.region[1:])
-        self.host_array[(sub.as_slice(), *rest)] = self.data[(local.as_slice(), *rest_local(self.region[1:]))]
-        row_bytes = self.data[0].nbytes if self.data.ndim > 0 and self.data.shape[0] else 0
-        return len(sub) * row_bytes
-
-    def global_to_local(self, index: tuple[int, ...]) -> tuple[int, ...]:
-        """Translate a global element coordinate into buffer coordinates."""
-        if len(index) != len(self.region):
-            raise MappingError(f"rank mismatch indexing buffer {self.name!r}")
-        local = []
-        for dim, (i, r) in enumerate(zip(index, self.region)):
-            if i not in r:
-                raise MappingError(
-                    f"buffer {self.name!r}: global index {i} outside dim-{dim} "
-                    f"range [{r.start},{r.stop})"
-                )
-            local.append(i - r.start)
-        return tuple(local)
-
     def local_view(self, rows: IterRange) -> np.ndarray:
         """View of the buffer covering a *global* first-dim range."""
         r0 = self.region[0]
@@ -134,7 +101,3 @@ class DeviceBuffer:
         local = rows.shift(-r0.start)
         return self.data[local.as_slice()]
 
-
-def rest_local(region_tail: tuple[IterRange, ...]) -> tuple[slice, ...]:
-    """Local slices for trailing dims (they always hold their full range)."""
-    return tuple(slice(0, len(r)) for r in region_tail)

@@ -11,10 +11,11 @@ explicit subsystem:
   plus the subset of rows whose device copy is currently *valid*.
   Nested regions retain the same ranges again; a range is unmapped (and
   eligible for copy-out) only when its refcount drops to zero.
-* :class:`DataPlacementPlan` — the per-device owner ranges a region
-  derives from its :mod:`repro.dist` policies: FULL replicates, BLOCK and
-  CYCLIC split, ALIGN copies another entry's placement (scaled by its
-  ratio), AUTO follows the loop distribution's shape (BLOCK at plan time).
+* :class:`DataPlacementPlan` — one :class:`~repro.dist.DimDistribution`
+  per array, which a region derives from its :mod:`repro.dist` policies
+  through the ALIGN resolver: FULL replicates, BLOCK and CYCLIC split,
+  ALIGN follows its root alignee (scaled by the composed ratio), AUTO
+  follows the loop distribution's shape (BLOCK at plan time).
 * :class:`RegionResidency` — a view binding the runtime's ledger to one
   offload's device selection; the execution core charges each chunk the
   *delta* between what it touches and what is resident, schedulers read
@@ -38,8 +39,10 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.dist.policy import Align, Block, Cyclic, Full, Policy
-from repro.errors import MappingError
+from repro.dist.align import AlignmentGraph
+from repro.dist.distribution import DimDistribution
+from repro.dist.policy import Align, Block, Policy
+from repro.errors import AlignmentError, MappingError
 from repro.util.ranges import IterRange
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -286,10 +289,6 @@ class ResidencyLedger:
                 _merge((s, e) for s, e, _ in self._refs.get((dev, name), []))
             )
 
-    def retained_count(self, dev: int, name: str) -> int:
-        with self._lock:
-            return sum(e - s for s, e, _ in self._refs.get((dev, name), []))
-
     # -- validity ------------------------------------------------------------
 
     def mark_valid(self, dev: int, name: str, ranges: Iterable[IterRange]) -> None:
@@ -346,40 +345,14 @@ class ResidencyLedger:
         with self._lock:
             return _ranges(list(self._valid.get((dev, name), [])))
 
-    def valid_count(
-        self, dev: int, name: str, ranges: Iterable[IterRange]
+    def _missing(
+        self, devs: Iterable[int], name: str, want: list[_Span]
     ) -> int:
-        with self._lock:
-            if name not in self._rows:
-                return 0
-            return _count(
-                _intersect(
-                    self._valid.get((dev, name), []), self._clamped(name, ranges)
-                )
-            )
-
-    def missing_rows(
-        self, dev: int, name: str, ranges: Iterable[IterRange]
-    ) -> list[IterRange]:
-        """Rows of ``ranges`` whose data is *not* valid on ``dev``."""
-        with self._lock:
-            return _ranges(
-                _subtract(
-                    self._clamped(name, ranges),
-                    self._valid.get((dev, name), []),
-                )
-            )
-
-    def missing_count(
-        self, dev: int, name: str, ranges: Iterable[IterRange]
-    ) -> int:
-        with self._lock:
-            return _count(
-                _subtract(
-                    self._clamped(name, ranges),
-                    self._valid.get((dev, name), []),
-                )
-            )
+        for d in devs:
+            if not want:
+                break
+            want = _subtract(want, self._valid.get((d, name), []))
+        return _count(want)
 
     def missing_everywhere(
         self, devs: Iterable[int], name: str, ranges: Iterable[IterRange]
@@ -391,12 +364,35 @@ class ResidencyLedger:
         with self._lock:
             if name not in self._rows:
                 return 0
+            return self._missing(devs, name, self._clamped(name, ranges))
+
+    def stage(
+        self,
+        dev: int,
+        name: str,
+        ranges: Iterable[IterRange],
+        holders: Iterable[int],
+    ) -> int:
+        """Stage ``ranges`` onto ``dev`` and return the rows to charge for.
+
+        The one stage-and-charge primitive: counts the rows valid on none
+        of ``holders`` (see :meth:`missing_everywhere`), then marks
+        ``ranges`` valid on ``dev`` — atomically, under one acquisition of
+        the ledger lock.  ``holders`` is the caller's notion of who can
+        supply the rows for free: ``(dev,)`` alone for region entry, halo
+        delivery and node shards, the whole region's devices for a chunk.
+        An unmapped ``name`` stages nothing and charges nothing.
+        """
+        with self._lock:
+            if name not in self._rows:
+                return 0
             want = self._clamped(name, ranges)
-            for d in devs:
-                if not want:
-                    return 0
-                want = _subtract(want, self._valid.get((d, name), []))
-            return _count(want)
+            if not want:
+                return 0
+            missing = self._missing(holders, name, want)
+            key = (dev, name)
+            self._valid[key] = _merge(self._valid.get(key, []) + want)
+            return missing
 
     def describe(self) -> dict:
         """Deterministic snapshot (debugging / tests)."""
@@ -423,35 +419,39 @@ class ResidencyLedger:
 
 @dataclass(frozen=True)
 class DataPlacementPlan:
-    """Per-device owner ranges for every array of one target-data region.
+    """The dim-0 distribution of every array of one target-data region.
 
     Derived once at region entry from the region's :mod:`repro.dist`
-    policies (paper Table I): FULL replicates the whole extent on every
-    device, BLOCK/CYCLIC split it, ALIGN copies the placement of its
-    target entry scaled by the ALIGN ratio, and AUTO — whose loop split
-    is only decided by the scheduler at offload time — takes the BLOCK
-    shape the runtime's schedulers converge to.  Unresolvable ALIGN
-    targets (loop labels, cycles) fall back to BLOCK the same way.
+    policies (paper Table I) through the one ALIGN resolver,
+    :class:`~repro.dist.align.AlignmentGraph`: FULL replicates the whole
+    extent on every device, BLOCK/CYCLIC split it, and ALIGN takes its
+    *root* alignee's placement scaled by the composed chain ratio and
+    clamped to the array's own extent.  Three cases have no static
+    answer and take the BLOCK shape the runtime's schedulers converge to:
+    AUTO (the loop split is only decided at offload time), an ALIGN whose
+    target is not an entry (a loop label), and an ALIGN chain that cycles.
     """
 
     ndev: int
-    placements: Mapping[str, tuple[tuple[IterRange, ...], ...]]
+    placements: Mapping[str, DimDistribution]
 
     def arrays(self) -> tuple[str, ...]:
         return tuple(sorted(self.placements))
 
     def ranges(self, name: str, dev: int) -> tuple[IterRange, ...]:
         """Owner ranges of ``name`` on local device index ``dev``."""
-        return self.placements[name][dev]
+        return tuple(
+            r for r in self.placements[name].device_ranges(dev) if not r.empty
+        )
 
     def placed_rows(self, name: str, dev: int) -> int:
-        return sum(len(r) for r in self.placements[name][dev])
+        return self.placements[name].device_size(dev)
 
     def describe(self) -> dict:
         return {
             name: [
-                [(r.start, r.stop) for r in per_dev]
-                for per_dev in self.placements[name]
+                [(r.start, r.stop) for r in self.ranges(name, dev)]
+                for dev in range(self.ndev)
             ]
             for name in self.arrays()
         }
@@ -463,62 +463,29 @@ class DataPlacementPlan:
         """Build the plan for ``entries`` (name -> (dim-0 rows, policy))."""
         if ndev <= 0:
             raise MappingError(f"placement plan needs ndev > 0, got {ndev}")
-        memo: dict[str, tuple[tuple[IterRange, ...], ...]] = {}
-        resolving: set[str] = set()
 
-        def split_static(
-            rows: int, policy: Policy
-        ) -> tuple[tuple[IterRange, ...], ...]:
-            parts = policy.split(IterRange(0, rows), ndev)
-            return tuple(
-                tuple(r for r in ranges if not r.empty) for ranges in parts
-            )
+        def static(rows: int, policy: Policy) -> DimDistribution:
+            return DimDistribution.from_policy(policy, IterRange(0, rows), ndev)
 
-        def resolve(name: str) -> tuple[tuple[IterRange, ...], ...]:
-            if name in memo:
-                return memo[name]
-            rows, policy = entries[name]
-            region = IterRange(0, rows)
-            if isinstance(policy, Full):
-                placed = tuple((region,) for _ in range(ndev))
-            elif isinstance(policy, (Block, Cyclic)):
-                placed = split_static(rows, policy)
-            elif isinstance(policy, Align):
-                target = policy.target
-                if (
-                    target in entries
-                    and target != name
-                    and target not in resolving
-                ):
-                    resolving.add(name)
-                    base = resolve(target)
-                    resolving.discard(name)
-                    ratio = policy.ratio
-
-                    def s(x: int) -> int:
-                        return min(rows, max(0, round(x * ratio)))
-
-                    placed = tuple(
-                        tuple(
-                            sr
-                            for r in per_dev
-                            for sr in [IterRange(s(r.start), s(r.stop))]
-                            if not sr.empty
-                        )
-                        for per_dev in base
-                    )
-                else:
-                    # Loop-label target (resolved only at offload time) or
-                    # a cycle: the schedulers' static shape is BLOCK.
-                    placed = split_static(rows, Block())
-            else:  # Auto and anything future: follow the loop shape
-                placed = split_static(rows, Block())
-            memo[name] = placed
-            return placed
-
-        for name in entries:
-            resolve(name)
-        return cls(ndev=ndev, placements=dict(memo))
+        graph = AlignmentGraph()
+        for name, (rows, policy) in entries.items():
+            if (
+                isinstance(policy, Align)
+                and policy.target in entries
+                and policy.target != name
+            ):
+                graph.add_align(name, policy)
+            else:  # AUTO and ALIGN(loop label) have no static split: BLOCK
+                graph.add_concrete(
+                    name, static(rows, Block() if policy.needs_runtime else policy)
+                )
+        placements: dict[str, DimDistribution] = {}
+        for name, (rows, _policy) in entries.items():
+            try:
+                placements[name] = graph.resolve(name, extent=IterRange(0, rows))
+            except AlignmentError:  # the chain cycles: BLOCK as well
+                placements[name] = static(rows, Block())
+        return cls(ndev=ndev, placements=placements)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +512,6 @@ class RegionResidency:
     def __init__(self, ledger: ResidencyLedger, device_ids: Iterable[int]):
         self.ledger = ledger
         self.ids = tuple(device_ids)
-
-    def global_id(self, local_dev: int) -> int:
-        return self.ids[local_dev]
 
     # -- engine-core charging ------------------------------------------------
 
@@ -588,10 +552,9 @@ class RegionResidency:
                     row_b = led.row_bytes(name)
                     region0 = kernel.input_region(m, chunk)[0]
                     if m.direction.copies_in:
-                        miss = led.missing_everywhere(self.ids, name, [region0])
+                        miss = led.stage(dev, name, [region0], self.ids)
                         bytes_in += row_b * miss
                         elided_in += row_b * (len(region0) - miss)
-                        led.mark_valid(dev, name, [region0])
                     if m.direction.copies_out:
                         elided_out += row_b * len(chunk)
                         led.note_write(dev, name, chunk)
@@ -606,10 +569,9 @@ class RegionResidency:
                 if m.direction.copies_in and first_chunk:
                     if known:
                         whole = IterRange(0, led.rows_of(name))
-                        miss = led.missing_everywhere(self.ids, name, [whole])
+                        miss = led.stage(dev, name, [whole], self.ids)
                         bytes_in += led.row_bytes(name) * miss
                         elided_in += led.row_bytes(name) * (len(whole) - miss)
-                        led.mark_valid(dev, name, [whole])
                     else:
                         bytes_in += kernel.arrays[name].nbytes
                 if known and m.direction.copies_out:
@@ -685,19 +647,6 @@ class RegionResidency:
             else:
                 total += kernel.arrays[name].nbytes
         return total
-
-    # -- halo routing ---------------------------------------------------------
-
-    def knows(self, name: str) -> bool:
-        return self.ledger.known(name)
-
-    def missing_in(self, local_dev: int, name: str, rows: IterRange) -> int:
-        """Rows of ``rows`` not valid on the device (bytes = rows x row_bytes)."""
-        return self.ledger.missing_count(self.ids[local_dev], name, [rows])
-
-    def mark_resident(self, local_dev: int, name: str, rows: IterRange) -> None:
-        """Rows arrived on the device (halo delivery)."""
-        self.ledger.mark_valid(self.ids[local_dev], name, [rows])
 
 
 # ---------------------------------------------------------------------------
@@ -824,13 +773,12 @@ class ClusterResidency:
             if m.partitioned:
                 region0 = kernel.input_region(m, shard)[0]
                 if m.direction.copies_in:
+                    miss = led.stage(node, name, [region0], (node,))
                     if is_head:
                         elided_in += row_b * len(region0)
                     else:
-                        miss = led.missing_count(node, name, [region0])
                         bytes_in += row_b * miss
                         elided_in += row_b * (len(region0) - miss)
-                    led.mark_valid(node, name, [region0])
                 if m.direction.copies_out:
                     if collect_outputs and not is_head:
                         bytes_out += row_b * len(shard)
@@ -840,13 +788,12 @@ class ClusterResidency:
             else:
                 if m.direction.copies_in:
                     whole = IterRange(0, led.rows_of(name))
+                    miss = led.stage(node, name, [whole], (node,))
                     if is_head:
                         elided_in += row_b * len(whole)
                     else:
-                        miss = led.missing_count(node, name, [whole])
                         bytes_in += row_b * miss
                         elided_in += row_b * (len(whole) - miss)
-                    led.mark_valid(node, name, [whole])
                 if m.direction.copies_out:
                     led.note_write(node, name, shard)
         return bytes_in, bytes_out, elided_in, elided_out

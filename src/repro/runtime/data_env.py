@@ -7,9 +7,10 @@ devices across several offloads — the Jacobi pattern: map ``f``, ``u``,
 
 Entry derives a :class:`~repro.memory.residency.DataPlacementPlan` from
 the region's dim-0 policies (FULL replicates, BLOCK/CYCLIC split, ALIGN
-follows its target scaled by the ratio, AUTO takes the BLOCK shape the
-schedulers converge to) and retains each device's owner ranges in the
-runtime's :class:`~repro.memory.residency.ResidencyLedger` — reference
+follows its root alignee scaled by the composed ratio, AUTO takes the
+BLOCK shape the schedulers converge to) and retains each device's owner
+ranges in the runtime's
+:class:`~repro.memory.residency.ResidencyLedger` — reference
 counted, like the real runtime's device buffers, so nested regions
 mapping the same array stage nothing and only the outermost exit drains
 the buffer.  Entry charges the copy-in of exactly the rows *not already
@@ -133,11 +134,10 @@ class TargetDataRegion:
                 ranges = plan.ranges(name, k)
                 if not ranges:
                     continue
-                placed = sum(len(r) for r in ranges)
                 if direction.copies_in:
                     # Only the rows not already valid on the device cross
                     # the link (an enclosing region may have staged them).
-                    missing = ledger.missing_count(gid, name, ranges)
+                    missing = ledger.stage(gid, name, ranges, (gid,))
                     per_device_in[k] += specs[k].link.transfer_time(
                         row_bytes * missing
                     )
@@ -145,11 +145,9 @@ class TargetDataRegion:
                     # Projected copy-back; exit replaces this with the
                     # rows actually drained (zero if the body raises).
                     per_device_out[k] += specs[k].link.transfer_time(
-                        row_bytes * placed
+                        row_bytes * plan.placed_rows(name, k)
                     )
                 ledger.retain(gid, name, ranges)
-                if direction.copies_in:
-                    ledger.mark_valid(gid, name, ranges)
                 retained.append((k, gid, name, ranges))
 
         self.map_in_s = max(per_device_in, default=0.0)

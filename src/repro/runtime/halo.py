@@ -105,7 +105,7 @@ def plan_halo_op(
     track = (
         residency is not None
         and bool(op.array)
-        and residency.knows(op.array)
+        and residency.ledger.known(op.array)
     )
     transfers: list[_Transfer] = []
     elided_bytes = 0
@@ -113,9 +113,9 @@ def plan_halo_op(
         for leg in op.legs(dist):
             src, dst, rows = leg.src, leg.dst, leg.rows
             if track:
-                missing = residency.missing_in(dst, op.array, rows)
+                gid = residency.ids[dst]
+                missing = residency.ledger.stage(gid, op.array, [rows], (gid,))
                 elided_bytes += op.row_bytes * (len(rows) - missing)
-                residency.mark_resident(dst, op.array, rows)
                 if missing == 0:
                     continue  # receiver already holds the rows
                 nbytes = op.row_bytes * missing

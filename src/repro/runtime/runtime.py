@@ -16,7 +16,7 @@ offload entry points are:
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.dist.policy import Align, Auto, Policy
 from repro.engine.batch import BatchEngine, BatchRequest
@@ -31,11 +31,8 @@ from repro.ir.lower import data_region, from_directive
 from repro.ir.ops import (
     DataDecl,
     FusedOffloadOp,
-    MapOp,
     OffloadOp as IROffloadOp,
     Program,
-    ReduceOp,
-    Region,
     StreamOp,
 )
 from repro.ir.passes import normalize_maps, run_passes
@@ -587,12 +584,13 @@ class HompRuntime:
         """Offload one kernel over ``batches`` data batches (Python-API
         form of the ``stream(batches=N, window=W)`` clause).
 
-        Builds the :class:`~repro.ir.ops.StreamOp` the directive path
-        would lower to (the kernel's effective maps become both the batch
-        template and the hoisted persistent data region) and runs it
-        through :mod:`repro.runtime.stream`: one target-data region held
-        across all batches, one engine with cross-batch carry, one
-        scheduler instance (``STREAM_REBALANCE`` re-derives the split
+        Lowers the kernel through :mod:`repro.ir.lower` exactly as a bare
+        ``parallel target`` directive would, wraps the op in the
+        :class:`~repro.ir.ops.StreamOp` the ``stream`` clause produces
+        (the template's maps are also the hoisted persistent data region)
+        and runs it through :mod:`repro.runtime.stream`: one target-data
+        region held across all batches, one engine with cross-batch carry,
+        one scheduler instance (``STREAM_REBALANCE`` re-derives the split
         between batches from observed rates).  ``window`` rows are
         refreshed by the host between batches — via the kernel's
         ``stream_advance(batch, window)`` hook when it has one, else the
@@ -604,29 +602,21 @@ class HompRuntime:
             raise SchedulingError(f"stream needs batches >= 1, got {batches}")
         if window < 0:
             raise SchedulingError(f"stream window must be >= 0, got {window}")
-        maps = tuple(
-            MapOp(
-                array=m.name,
-                direction=m.direction,
-                policies=m.policies,
-                halo=m.halo,
-                region=Region.for_map(m.policies, m.halo),
-            )
-            for m in kernel.effective_maps()
-        )
-        template = IROffloadOp(
-            kernel=kernel,
-            label=kernel.label,
-            n_iters=kernel.n_iters,
+        program = from_directive(
+            OffloadDirective(directives=("parallel", "target")),
+            kernel,
             schedule=schedule,
-            devices=devices,
-            maps=maps,
-            reduce=ReduceOp() if kernel.is_reduction else None,
         )
+        template = replace(program.ops[0], devices=devices)
         op = StreamOp(
-            template=template, batches=batches, window=window, region_maps=maps
+            template=template,
+            batches=batches,
+            window=window,
+            region_maps=template.maps,
         )
-        return self._run_stream_op(op, {}, **kwargs)
+        return self._run_stream_op(
+            op, {d.name: d for d in program.decls}, **kwargs
+        )
 
     def run_program(
         self, program: Program, *, passes=None, **kwargs

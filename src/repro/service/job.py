@@ -112,9 +112,11 @@ class OffloadJob:
                     f"job cutoff_ratio {self.cutoff_ratio!r} is not a "
                     "fraction or 'auto'"
                 ) from None
-            if not 0.0 <= ratio <= 1.0:
+            # The runtime's interval (HompRuntime._resolve_cutoff): a job
+            # admitted here must not fail on a worker thread for its ratio.
+            if not 0.0 <= ratio < 1.0:
                 raise JobSpecError(
-                    f"job cutoff_ratio {ratio} is outside [0, 1]"
+                    f"job cutoff_ratio {ratio} is outside [0, 1)"
                 )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise JobSpecError(f"job seed must be an int, got {self.seed!r}")

@@ -360,8 +360,10 @@ class OffloadService:
         bname = _backend_name(backend)
         tracer = None
         if len(group) == 1 and group[0].effective_trace:
-            clock = "virtual" if bname in _CACHEABLE_BACKENDS else "wall"
-            tracer = Tracer(clock=clock, metrics=group[0].registry)
+            tracer = Tracer(
+                clock=resolve_backend(backend).clock,
+                metrics=group[0].registry,
+            )
         loop = asyncio.get_running_loop()
         try:
             if len(group) == 1:

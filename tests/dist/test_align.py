@@ -86,25 +86,6 @@ def test_cannot_be_both_concrete_and_aligned():
         g2.add_concrete("x", block_dist())
 
 
-def test_relink_makes_all_nodes_concrete():
-    g = AlignmentGraph()
-    g.add_concrete("root", block_dist(12, 3))
-    g.add_align("a", Align("root"))
-    g.add_align("b", Align("a"))
-    g.relink()
-    # after re-linking, resolution no longer follows edges
-    assert g.resolve("a").sizes() == (4, 4, 4)
-    assert g.resolve("b").sizes() == (4, 4, 4)
-    assert g.known("a") and g.known("b")
-
-
-def test_relink_surfaces_unresolvable_nodes():
-    g = AlignmentGraph()
-    g.add_align("a", Align("ghost"))
-    with pytest.raises(AlignmentError):
-        g.relink()
-
-
 def test_resolved_policy_is_preserved():
     g = AlignmentGraph()
     g.add_concrete("x", block_dist())

@@ -1,14 +1,10 @@
-"""Property tests for the node -> device hierarchical decomposition."""
+"""Property tests for the node-level decomposition of the cluster backend."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dist import Block, Cyclic, DimDistribution, Full
-from repro.dist.hierarchy import (
-    HierarchicalPartition,
-    hierarchical_partition,
-    node_shards,
-)
+from repro.dist import Block, Cyclic
+from repro.dist.hierarchy import node_shards
 from repro.errors import DistributionError
 from repro.util.ranges import IterRange
 
@@ -50,73 +46,28 @@ class TestNodeShards:
             node_shards(IterRange(0, 10), 3, weights=[1.0, 2.0])
 
 
-class TestHierarchicalPartition:
     @given(
         region=regions,
         device_counts=st.lists(st.integers(1, 8), min_size=1, max_size=6),
         policy=st.sampled_from([Block(), Cyclic()]),
     )
     def test_property_two_level_exact_cover(self, region, device_counts, policy):
-        hp = hierarchical_partition(region, device_counts, intra_policy=policy)
-        assert hp.n_nodes == len(device_counts)
+        """Node shards, each split by a Table I policy (what the cluster
+        engine composes), cover the region exactly once."""
+        shards = node_shards(region, len(device_counts))
         covered = sorted(
-            i for r in hp.flat_ranges() for i in range(r.start, r.stop)
+            i
+            for shard, ndev in zip(shards, device_counts)
+            for ranges in policy.split(shard, ndev)
+            for r in ranges
+            for i in r
         )
         assert covered == list(range(region.start, region.stop))
 
-    @given(
-        region=regions,
-        ndev=st.integers(1, 12),
-        policy=st.sampled_from([Block(), Cyclic()]),
-    )
-    def test_property_single_node_degenerates_to_flat_split(
-        self, region, ndev, policy
-    ):
-        """One node with N devices == today's flat DimDistribution."""
-        hp = hierarchical_partition(region, [ndev], intra_policy=policy)
-        assert hp.node_shards == (region,)
-        flat = policy.split(region, ndev)
-        assert [list(per_dev) for per_dev in hp.device_parts[0]] == [
-            list(ranges) for ranges in flat
-        ]
-        # And DimDistribution accepts the same parts as an exact cover.
-        dist = DimDistribution(
-            region=region,
-            parts=tuple(tuple(r) for r in flat),
-            policy=policy,
-        )
-        assert dist.parts == hp.device_parts[0]
-
-    def test_full_policy_rejected(self):
-        with pytest.raises(DistributionError, match="replicat|runtime|cover"):
-            hierarchical_partition(IterRange(0, 100), [2, 2], intra_policy=Full())
-
-    def test_runtime_policies_rejected(self):
-        from repro.dist import Align, Auto
-
-        for policy in (Align("loop"), Auto()):
-            with pytest.raises(DistributionError, match="runtime"):
-                hierarchical_partition(
-                    IterRange(0, 100), [2, 2], intra_policy=policy
-                )
-
-    def test_empty_device_count_rejected(self):
-        with pytest.raises(DistributionError):
-            hierarchical_partition(IterRange(0, 100), [])
-        with pytest.raises(DistributionError):
-            hierarchical_partition(IterRange(0, 100), [2, 0])
-
-    def test_bad_cover_rejected_by_dataclass(self):
-        with pytest.raises(DistributionError, match="covers"):
-            HierarchicalPartition(
-                region=IterRange(0, 10),
-                node_shards=(IterRange(0, 10),),
-                device_parts=(((IterRange(0, 4),),),),
-            )
+    @given(region=regions)
+    def test_property_single_node_is_the_whole_region(self, region):
+        assert node_shards(region, 1) == [region]
 
     def test_weighted_nodes_bias_shards(self):
-        hp = hierarchical_partition(
-            IterRange(0, 900), [1, 1], weights=[2.0, 1.0]
-        )
-        assert len(hp.node_shards[0]) == 600
-        assert len(hp.node_shards[1]) == 300
+        shards = node_shards(IterRange(0, 900), 2, weights=[2.0, 1.0])
+        assert [len(s) for s in shards] == [600, 300]

@@ -1,4 +1,4 @@
-"""DeviceBuffer: views vs copies, index translation, partial copy-out."""
+"""DeviceBuffer: views vs copies and global-row views."""
 
 import numpy as np
 import pytest
@@ -52,28 +52,6 @@ def test_region_outside_array_rejected():
         DeviceBuffer("a", host_2d(), (IterRange(0, 99), IterRange(0, 5)), shared=True)
 
 
-def test_global_to_local_translation():
-    buf = DeviceBuffer(
-        "a", host_2d(), (IterRange(2, 6), IterRange(1, 5)), shared=False
-    )
-    assert buf.global_to_local((2, 1)) == (0, 0)
-    assert buf.global_to_local((5, 4)) == (3, 3)
-
-
-def test_global_to_local_out_of_region_rejected():
-    buf = DeviceBuffer(
-        "a", host_2d(), (IterRange(2, 6), IterRange(0, 5)), shared=False
-    )
-    with pytest.raises(MappingError):
-        buf.global_to_local((1, 0))
-
-
-def test_global_to_local_rank_mismatch_rejected():
-    buf = DeviceBuffer("a", host_2d(), (IterRange(2, 6), IterRange(0, 5)), shared=False)
-    with pytest.raises(MappingError):
-        buf.global_to_local((2,))
-
-
 def test_local_view_uses_global_rows():
     h = host_2d()
     buf = DeviceBuffer("a", h, (IterRange(2, 6), IterRange(0, 5)), shared=False)
@@ -86,26 +64,6 @@ def test_local_view_outside_region_rejected():
     buf = DeviceBuffer("a", host_2d(), (IterRange(2, 6), IterRange(0, 5)), shared=False)
     with pytest.raises(MappingError):
         buf.local_view(IterRange(0, 3))
-
-
-def test_copy_out_rows_partial():
-    h = host_2d()
-    orig = h.copy()
-    buf = DeviceBuffer("a", h, (IterRange(0, 8), IterRange(0, 5)), shared=False)
-    buf.copy_in()
-    buf.data[:] = -7.0
-    moved = buf.copy_out_rows(IterRange(2, 4))
-    assert moved == 2 * 5 * 8
-    assert np.all(h[2:4] == -7.0)
-    assert np.array_equal(h[:2], orig[:2])
-    assert np.array_equal(h[4:], orig[4:])
-
-
-def test_copy_out_rows_outside_region_is_noop():
-    h = host_2d()
-    buf = DeviceBuffer("a", h, (IterRange(0, 3), IterRange(0, 5)), shared=False)
-    buf.copy_in()
-    assert buf.copy_out_rows(IterRange(5, 7)) == 0
 
 
 def test_one_dimensional_buffer():

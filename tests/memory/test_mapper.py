@@ -1,20 +1,9 @@
-"""Copy-vs-share decisions and direction semantics."""
+"""Map direction semantics."""
 
 import pytest
 
 from repro.errors import MappingError
-from repro.machine.interconnect import Link
-from repro.machine.presets import cpu_spec, k40_spec
-from repro.machine.spec import DeviceSpec, DeviceType, MemoryKind
-from repro.memory.mapper import DataMapper, MapDecision
 from repro.memory.space import MapDirection
-
-
-def unified_spec():
-    return DeviceSpec(
-        "u", DeviceType.NVGPU, 100.0, 100.0,
-        link=Link(1e-6, 10.0), memory=MemoryKind.UNIFIED,
-    )
 
 
 class TestMapDirection:
@@ -31,40 +20,3 @@ class TestMapDirection:
         assert MapDirection.FROM.copies_out and not MapDirection.FROM.copies_in
         assert MapDirection.TOFROM.copies_in and MapDirection.TOFROM.copies_out
         assert not MapDirection.ALLOC.copies_in and not MapDirection.ALLOC.copies_out
-
-
-class TestDataMapper:
-    def test_host_shares(self):
-        m = DataMapper()
-        assert m.decide(cpu_spec(), MapDirection.TOFROM) is MapDecision.SHARE
-
-    def test_discrete_copies(self):
-        m = DataMapper()
-        assert m.decide(k40_spec(), MapDirection.TO) is MapDecision.COPY
-
-    def test_unified_defaults_to_copy(self):
-        # paper §V.C: unified memory is not used unless asked for
-        m = DataMapper()
-        assert m.decide(unified_spec(), MapDirection.TO) is MapDecision.COPY
-
-    def test_unified_migrates_when_preferred(self):
-        m = DataMapper(prefer_unified=True)
-        assert m.decide(unified_spec(), MapDirection.TO) is MapDecision.MIGRATE
-
-    def test_share_moves_no_bytes(self):
-        m = DataMapper()
-        assert m.bytes_in(MapDecision.SHARE, MapDirection.TOFROM, 100) == 0
-        assert m.bytes_out(MapDecision.SHARE, MapDirection.TOFROM, 100) == 0
-
-    def test_copy_moves_bytes_by_direction(self):
-        m = DataMapper()
-        assert m.bytes_in(MapDecision.COPY, MapDirection.TO, 100) == 100
-        assert m.bytes_out(MapDecision.COPY, MapDirection.TO, 100) == 0
-        assert m.bytes_out(MapDecision.COPY, MapDirection.FROM, 100) == 100
-        assert m.bytes_in(MapDecision.COPY, MapDirection.TOFROM, 100) == 100
-        assert m.bytes_out(MapDecision.COPY, MapDirection.TOFROM, 100) == 100
-
-    def test_alloc_moves_nothing(self):
-        m = DataMapper()
-        assert m.bytes_in(MapDecision.COPY, MapDirection.ALLOC, 100) == 0
-        assert m.bytes_out(MapDecision.COPY, MapDirection.ALLOC, 100) == 0

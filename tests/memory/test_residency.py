@@ -1,7 +1,11 @@
 """Residency ledger, placement plans, and the per-offload view."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.dist import AlignmentGraph, DimDistribution
 from repro.dist.policy import Align, Auto, Block, Cyclic, Full
 from repro.errors import MappingError
 from repro.memory.residency import DataPlacementPlan, ResidencyLedger
@@ -76,7 +80,7 @@ class TestValidity:
         led.note_write(0, "a", r(40, 60))
         assert led.valid_rows(0, "a") == [r(0, 100)]
         assert led.valid_rows(1, "a") == [r(0, 40), r(60, 100)]
-        assert led.missing_count(1, "a", [r(0, 100)]) == 20
+        assert led.missing_everywhere((1,), "a", [r(0, 100)]) == 20
         assert led.missing_everywhere([0, 1], "a", [r(0, 100)]) == 0
 
     def test_invalidate_device_drops_all_rows_keeps_refs(self):
@@ -100,11 +104,77 @@ class TestValidity:
         led.mark_valid(0, "a", [r(0, 50)])
         led.mark_valid(1, "a", [r(50, 100)])
         # each device is individually missing the other's half...
-        assert led.missing_count(0, "a", [r(0, 100)]) == 50
+        assert led.missing_everywhere((0,), "a", [r(0, 100)]) == 50
         # ...but no row is missing from the region as a whole
         assert led.missing_everywhere([0, 1], "a", [r(0, 100)]) == 0
         led.invalidate_device(1)
         assert led.missing_everywhere([0, 1], "a", [r(0, 100)]) == 50
+
+    def test_stage_charges_missing_rows_once(self):
+        """The one stage-and-charge primitive: count, then mark."""
+        led = ResidencyLedger()
+        led.register("a", 100, 8)
+        assert led.stage(0, "a", [r(10, 40)], (0,)) == 30
+        assert led.valid_rows(0, "a") == [r(10, 40)]
+        assert led.stage(0, "a", [r(10, 40)], (0,)) == 0  # idempotent
+        assert led.stage(0, "a", [r(0, 50)], (0,)) == 20  # only the delta
+        assert led.valid_rows(0, "a") == [r(0, 50)]
+
+    def test_stage_holders_decide_what_is_free(self):
+        led = ResidencyLedger()
+        led.register("a", 100, 8)
+        led.mark_valid(1, "a", [r(50, 100)])
+        # device 0 alone holds none of it; the whole region holds half
+        assert led.stage(0, "a", [r(0, 100)], (0, 1)) == 50
+        assert led.valid_rows(0, "a") == [r(0, 100)]  # marked either way
+        led.invalidate_device(0)
+        assert led.stage(0, "a", [r(0, 100)], (0,)) == 100
+        # holders are only read: the sibling's validity is untouched
+        assert led.valid_rows(1, "a") == [r(50, 100)]
+
+    def test_stage_clamps_rows_to_the_extent(self):
+        led = ResidencyLedger()
+        led.register("a", 10, 8)
+        assert led.stage(0, "a", [r(-3, 25)], (0,)) == 10
+        assert led.valid_rows(0, "a") == [r(0, 10)]
+        assert led.stage(0, "a", [r(10, 25)], (0,)) == 0
+        assert led.stage(1, "a", [r(4, 4)], (1,)) == 0
+        assert led.valid_rows(1, "a") == []
+
+    def test_stage_of_an_unmapped_array_is_a_noop(self):
+        led = ResidencyLedger()
+        assert led.stage(0, "ghost", [r(0, 10)], (0,)) == 0
+        assert led.describe()["valid"] == {}
+
+    def test_stage_charges_each_row_once_under_contention(self):
+        """Count-then-mark is one critical section: with the whole region
+        as holders, stagers racing over the same rows must charge every
+        row exactly once between them (as two separately locked calls,
+        two threads both count a row missing: 4010 rows charged, not 4000)."""
+        led = ResidencyLedger()
+        led.register("a", 4000, 8)
+        devs = tuple(range(16))
+        charged = [0] * len(devs)
+        start = threading.Barrier(len(devs))
+
+        def stager(dev):
+            start.wait(timeout=60)
+            for lo in range(0, 4000, 10):
+                charged[dev] += led.stage(dev, "a", [r(lo, lo + 10)], devs)
+
+        threads = [threading.Thread(target=stager, args=(d,)) for d in devs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sum(charged) == 4000
+        assert all(led.valid_rows(d, "a") == [r(0, 4000)] for d in devs)
 
     def test_release_counts_only_valid_unmapped_rows(self):
         led = ResidencyLedger()
@@ -143,6 +213,36 @@ class TestPlacementPlans:
         assert plan.ranges("a", 0) == (r(0, 50),)
         assert plan.ranges("b", 0) == (r(0, 25),)
         assert plan.ranges("b", 1) == (r(25, 50),)
+
+    def test_align_chain_resolves_like_the_alignment_graph(self):
+        """One resolver: a chain scales its root by the composed ratio
+        (1.5 here), not hop by hop — the region and an ALIGN loop schedule
+        used to disagree ([0,6) [6,12) vs [0,8) [8,14))."""
+        plan = DataPlacementPlan.derive(
+            {
+                "a": (9, Block()),
+                "b": (5, Align("a", ratio=0.5)),
+                "c": (15, Align("b", ratio=3)),
+            },
+            2,
+        )
+        graph = AlignmentGraph()
+        graph.add_concrete(
+            "a", DimDistribution.from_policy(Block(), r(0, 9), 2)
+        )
+        graph.add_align("b", Align("a", ratio=0.5))
+        graph.add_align("c", Align("b", ratio=3))
+        for d in range(2):
+            assert plan.ranges("c", d) == graph.resolve("c").device_ranges(d)
+        assert plan.describe()["c"] == [[(0, 8)], [(8, 14)]]
+
+    def test_align_overshoot_is_clamped_to_the_aligners_extent(self):
+        plan = DataPlacementPlan.derive(
+            {"a": (10, Block()), "b": (6, Align("a"))}, 2
+        )
+        assert plan.ranges("b", 0) == (r(0, 5),)
+        assert plan.ranges("b", 1) == (r(5, 6),)
+        assert plan.placements["b"].region == r(0, 6)
 
     def test_align_to_loop_label_falls_back_to_block(self):
         plan = DataPlacementPlan.derive({"a": (10, Align("loop1"))}, 2)

@@ -17,13 +17,14 @@ def mem_cache(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_CACHE", "mem")
 
 
-def small_grid(trace_dir=None, cache=None):
+def small_grid(trace_dir=None, cache=None, **kwargs):
     return run_grid(
         gpu4_node(),
         {"axpy": WorkloadFactory("axpy", seed=0)},
         policies=("BLOCK", "SCHED_DYNAMIC"),
         trace_dir=trace_dir,
         cache=cache if cache is not None else SweepCache(),
+        **kwargs,
     )
 
 
@@ -64,6 +65,19 @@ def test_traced_results_identical_and_cached(tmp_path):
     # Tracing bypassed the cache reads (a hit has no spans to give) but
     # still re-stored the bit-identical results.
     assert cache.stats.puts == 4
+
+
+@pytest.mark.parametrize(
+    "executor, clock",
+    [(None, "virtual"), ("batch", "virtual"), ("cluster", "virtual"),
+     ("threaded", "wall")],
+)
+def test_trace_is_stamped_with_the_backends_own_clock(tmp_path, executor, clock):
+    """batch and cluster are virtual-time backends; their traces used to
+    be labelled ``wall`` because the label compared the name to "virtual"."""
+    small_grid(trace_dir=tmp_path, executor=executor)
+    doc = json.loads((tmp_path / "axpy.BLOCK.trace.json").read_text())
+    assert doc["otherData"]["clock"] == clock
 
 
 def test_kill_switch_ignores_trace_dir(tmp_path, monkeypatch):

@@ -9,10 +9,12 @@ import pytest
 from repro.errors import (
     HompError,
     JobSpecError,
+    SchedulingError,
     ServiceClosedError,
     ServiceError,
 )
 from repro.kernels.registry import make_kernel
+from repro.runtime import HompRuntime
 from repro.service import OffloadJob, OffloadService, WorkloadTemplate
 
 TMPL = WorkloadTemplate("axpy", 512, seed=1)
@@ -44,6 +46,28 @@ def test_cutoff_ratio_validated(bad):
 
 def test_cutoff_auto_is_accepted():
     OffloadJob(factory=TMPL, cutoff_ratio="auto").validate()
+
+
+def test_cutoff_interval_is_the_runtimes_on_both_entry_points(gpu4):
+    """[0, 1): 1.0 used to be admitted by the service, hold a queue slot
+    and only fail on a worker thread with the runtime's SchedulingError."""
+    rt = HompRuntime(gpu4, execute_numerically=False)
+    assert rt.parallel_for(TMPL(), schedule="MODEL_1_AUTO", cutoff_ratio=0.999)
+    with pytest.raises(SchedulingError, match=r"\[0, 1\)"):
+        rt.parallel_for(TMPL(), schedule="MODEL_1_AUTO", cutoff_ratio=1.0)
+
+    async def main():
+        async with OffloadService(gpu4, use_cache=False) as svc:
+            with pytest.raises(JobSpecError, match=r"\[0, 1\)"):
+                await svc.submit(
+                    OffloadJob(TMPL, policy="MODEL_1_AUTO", cutoff_ratio=1.0)
+                )
+            handle = await svc.submit(
+                OffloadJob(TMPL, policy="MODEL_1_AUTO", cutoff_ratio=0.999)
+            )
+            assert (await handle).ok
+
+    asyncio.run(main())
 
 
 def test_seed_must_be_int():

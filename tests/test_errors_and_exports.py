@@ -68,6 +68,20 @@ class TestPublicSurface:
     def test_version(self):
         assert repro.__version__ == "1.9.0"
 
+    def test_project_version_is_repro_version(self):
+        """pyproject.toml must not carry a second, literal version."""
+        import tomllib
+        from pathlib import Path
+
+        doc = tomllib.loads(
+            (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        )
+        assert "version" not in doc["project"]
+        assert "version" in doc["project"]["dynamic"]
+        assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+
     def test_key_workflow_symbols_present(self):
         for name in (
             "HompRuntime",

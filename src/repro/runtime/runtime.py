@@ -44,7 +44,7 @@ from repro.machine.spec import MachineSpec
 from repro.memory.residency import RegionResidency, ResidencyLedger
 from repro.sched.align_sched import AlignedScheduler
 from repro.sched.base import LoopScheduler
-from repro.sched.cutoff import default_cutoff_ratio
+from repro.sched.cutoff import default_cutoff_ratio, parse_cutoff_ratio
 from repro.runtime.offload_info import OffloadInfo
 from repro.sched.registry import make_scheduler
 from repro.sched.selector import select_algorithm
@@ -237,17 +237,7 @@ class HompRuntime:
         if cutoff_ratio == "auto":
             ratio = default_cutoff_ratio(self.effective_device_count(ids))
         else:
-            try:
-                ratio = float(cutoff_ratio)
-            except (TypeError, ValueError):
-                raise SchedulingError(
-                    f"{where}cutoff_ratio {cutoff_ratio!r} is not a fraction "
-                    "or 'auto'"
-                ) from None
-            if not 0.0 <= ratio < 1.0:
-                raise SchedulingError(
-                    f"{where}cutoff_ratio {ratio} is outside [0, 1)"
-                )
+            ratio = parse_cutoff_ratio(cutoff_ratio, where)
         if ratio > 0.0 and not scheduler.supports_cutoff:
             # Table II: CUTOFF applies only to the model/profile algorithms.
             ratio = 0.0

@@ -2,6 +2,7 @@
 device-selection heuristic, and the roofline-based algorithm selector."""
 
 from repro.sched.base import LoopScheduler, SchedContext, BARRIER, Decision
+from repro.sched.base import PlannedScheduler
 from repro.sched.block import BlockScheduler
 from repro.sched.dynamic import DynamicScheduler
 from repro.sched.guided import GuidedScheduler
@@ -13,7 +14,7 @@ from repro.sched.align_sched import AlignedScheduler
 from repro.sched.history import HistoryDB, HistoryScheduler
 from repro.sched.stream_rebalance import StreamRebalanceScheduler
 from repro.sched.worksteal import WorkStealingScheduler
-from repro.sched.cutoff import apply_cutoff, default_cutoff_ratio
+from repro.sched.cutoff import apply_cutoff, default_cutoff_ratio, parse_cutoff_ratio
 from repro.sched.registry import (
     SCHEDULERS,
     make_scheduler,
@@ -25,6 +26,7 @@ from repro.sched.selector import select_algorithm
 
 __all__ = [
     "LoopScheduler",
+    "PlannedScheduler",
     "SchedContext",
     "BARRIER",
     "Decision",
@@ -42,6 +44,7 @@ __all__ = [
     "WorkStealingScheduler",
     "apply_cutoff",
     "default_cutoff_ratio",
+    "parse_cutoff_ratio",
     "SCHEDULERS",
     "make_scheduler",
     "ALGORITHM_TABLE",

@@ -13,17 +13,16 @@ from repro.dist.align import AlignmentGraph
 from repro.dist.distribution import DimDistribution
 from repro.dist.policy import Align
 from repro.errors import SchedulingError
-from repro.sched.base import Decision, LoopScheduler, SchedContext
+from repro.sched.base import PlannedScheduler, SchedContext
 from repro.util.ranges import IterRange
 
 __all__ = ["AlignedScheduler"]
 
 
-class AlignedScheduler(LoopScheduler):
+class AlignedScheduler(PlannedScheduler):
     notation = "ALIGN"
     stages = 1
     supports_cutoff = False
-    timing_oblivious = True  # per-device range lists are fixed in start()
 
     def __init__(self, target: str, ratio: float = 1.0):
         super().__init__()
@@ -32,8 +31,7 @@ class AlignedScheduler(LoopScheduler):
         self.target = target
         self.ratio = ratio
 
-    def start(self, ctx: SchedContext) -> None:
-        super().start(ctx)
+    def plan(self, ctx: SchedContext) -> tuple[tuple[IterRange, ...], ...]:
         kernel = ctx.kernel
         the_map = next(
             (m for m in kernel.effective_maps() if m.name == self.target), None
@@ -66,19 +64,7 @@ class AlignedScheduler(LoopScheduler):
                 f"ALIGN({self.target}): aligned extent {len(loop_dist.region)} "
                 f"!= iteration count {ctx.n_iters} (wrong ratio?)"
             )
-        self._chunks = [loop_dist.device_ranges(d) for d in range(ctx.ndev)]
-        self._cursor = [0] * ctx.ndev
-
-    def next(self, devid: int) -> Decision:
-        i = self._cursor[devid]
-        ranges = self._chunks[devid]
-        while i < len(ranges) and ranges[i].empty:
-            i += 1
-        if i >= len(ranges):
-            self._cursor[devid] = i
-            return None
-        self._cursor[devid] = i + 1
-        return ranges[i]
+        return loop_dist.parts
 
     def describe(self) -> str:
         return f"ALIGN({self.target})"

@@ -3,7 +3,8 @@
 A scheduler is driven by the offload engine through three calls:
 
 * :meth:`LoopScheduler.start` — the loop is encountered; upfront
-  partitioning (BLOCK, the MODEL algorithms) happens here.
+  partitioning happens here (for the schedulers that do not decide by the
+  clock: in :meth:`PlannedScheduler.plan`, the one method they implement).
 * :meth:`LoopScheduler.next` — a device proxy asks for its next chunk.
   Returns an :class:`~repro.util.ranges.IterRange`, the sentinel
   :data:`BARRIER` (two-stage algorithms: wait until every active device
@@ -33,18 +34,20 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import SchedulingError
 from repro.kernels.base import ELEM, LoopKernel
 from repro.machine.device import Device
-from repro.util.ranges import IterRange
+from repro.model.linear_system import solve_equal_time_partition
+from repro.sched.cutoff import apply_cutoff, parse_cutoff_ratio
+from repro.util.ranges import IterRange, split_by_weights
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.residency import RegionResidency
     from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["BARRIER", "Decision", "SchedContext", "LoopScheduler"]
+__all__ = ["BARRIER", "Decision", "SchedContext", "LoopScheduler", "PlannedScheduler"]
 
 
 class _Barrier:
@@ -78,10 +81,7 @@ class SchedContext:
     def __post_init__(self) -> None:
         if not self.devices:
             raise SchedulingError("offload needs at least one device")
-        if not 0.0 <= self.cutoff_ratio < 1.0:
-            raise SchedulingError(
-                f"cutoff_ratio must be in [0, 1), got {self.cutoff_ratio}"
-            )
+        self.cutoff_ratio = parse_cutoff_ratio(self.cutoff_ratio)
 
     @property
     def n_iters(self) -> int:
@@ -176,8 +176,8 @@ class LoopScheduler(ABC):
     #: asking device's own call history plus the barrier phase, never on
     #: the virtual clock or the interleaving of the other devices.  The
     #: service coalesces only such jobs (:mod:`repro.service.coalesce`);
-    #: the dynamic/guided/work-stealing families react to measured
-    #: completion times.
+    #: every :class:`PlannedScheduler` is, the dynamic/guided/work-stealing
+    #: families react to measured completion times.
     timing_oblivious: bool = False
 
     def __init__(self) -> None:
@@ -228,3 +228,81 @@ class LoopScheduler(ABC):
     def describe(self) -> str:
         """Paper-style notation with parameters, e.g. 'SCHED_DYNAMIC,2%'."""
         return self.notation
+
+
+class PlannedScheduler(LoopScheduler):
+    """A scheduler that plans, then serves: ``plan`` decides each device's
+    ranges and this class hands them out, once, in order.
+
+    Serving (``next``) and surrendering (``device_lost``) are written here
+    only, over one FIFO queue per device, so every ``plan`` conserves
+    iterations under dropout.  The profilers ``_hand`` a second plan over.
+    """
+
+    #: ``next`` pops the asking device's own queue and nothing else (an
+    #: ``observe`` override may feed the next offload's plan, never this one).
+    timing_oblivious = True
+
+    @abstractmethod
+    def plan(self, ctx: SchedContext) -> Sequence[IterRange | Sequence[IterRange]]:
+        """One range, or an ordered list of ranges, per device."""
+
+    def start(self, ctx: SchedContext) -> None:
+        super().start(ctx)
+        # Plain lists: a queue holds one range (ALIGN over CYCLIC: one per
+        # block), and a batch keeps thousands of schedulers alive at once.
+        self._queues: list[list[IterRange]] = [[] for _ in ctx.devices]
+        self._hand(self.plan(ctx))
+
+    def _hand(self, parts: Sequence[IterRange | Sequence[IterRange]]) -> None:
+        """Append ``parts[d]`` (empty ranges dropped) to device ``d``'s queue."""
+        for queue, part in zip(self._queues, parts, strict=True):
+            ranges = (part,) if isinstance(part, IterRange) else part
+            queue.extend(r for r in ranges if not r.empty)
+
+    def next(self, devid: int) -> Decision:
+        queue = self._queues[devid]
+        return queue.pop(0) if queue else None
+
+    def device_lost(self, devid: int) -> list[IterRange]:
+        # What is still queued would never be served: surrender it.
+        orphaned, self._queues[devid] = self._queues[devid], []
+        return orphaned
+
+    # -- what plans are made of ----------------------------------------------
+
+    def _split(
+        self,
+        solve: Callable[[list[int]], Sequence[float]],
+        space: IterRange | None = None,
+    ) -> list[IterRange]:
+        """Shares -> CUTOFF (§IV.E) -> contiguous ranges, one per device.
+
+        ``solve(device_indices)`` returns those devices' work shares (any
+        non-negative scale): asked once for all devices, then again for the
+        survivors of each CUTOFF round.  ``space`` defaults to the whole loop.
+        """
+        ctx = self.ctx
+        shares = apply_cutoff(solve(list(range(ctx.ndev))), ctx.cutoff_ratio, solve)
+        return split_by_weights(ctx.iter_space if space is None else space, shares)
+
+    def _split_equal_time(
+        self, per_iter_s: Callable[[int], float], fixed_s: Callable[[int], float]
+    ) -> list[IterRange]:
+        """``_split`` by the equal-completion-time system (Eq. 1-5) over each
+        device's per-iteration time and fixed cost (``devid -> seconds``)."""
+        ctx = self.ctx
+        per_iter = [per_iter_s(d) for d in range(ctx.ndev)]
+        fixed = [fixed_s(d) for d in range(ctx.ndev)]
+
+        def solve(devs: list[int]) -> Sequence[float]:
+            return solve_equal_time_partition(
+                [per_iter[i] for i in devs], [fixed[i] for i in devs], ctx.n_iters
+            ).shares
+
+        return self._split(solve)
+
+    def _cutoff_notation(self, param: str) -> str:
+        """Table II's ``NOTATION,param,cutoff%`` (``-1``: no parameter)."""
+        cutoff = self._ctx.cutoff_ratio if self._ctx is not None else 0.0
+        return f"{self.notation},{param},{cutoff:.0%}"

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from repro.errors import SchedulingError
 
-__all__ = ["default_cutoff_ratio", "apply_cutoff"]
+__all__ = ["default_cutoff_ratio", "parse_cutoff_ratio", "apply_cutoff"]
 
 
 def default_cutoff_ratio(ndev: int) -> float:
@@ -28,6 +28,22 @@ def default_cutoff_ratio(ndev: int) -> float:
     if ndev <= 0:
         raise SchedulingError(f"ndev must be positive, got {ndev}")
     return 1.0 / ndev
+
+
+def parse_cutoff_ratio(value, where: str = "") -> float:
+    """``value`` as a CUTOFF ratio, a fraction in ``[0, 1)`` — the one place
+    the interval is written (``"auto"`` is the caller's to resolve first).
+    ``where`` prefixes the error (``"specs[3]."``, ``"job "``).
+    """
+    try:
+        ratio = float(value)
+    except (TypeError, ValueError):
+        raise SchedulingError(
+            f"{where}cutoff_ratio {value!r} is not a fraction or 'auto'"
+        ) from None
+    if not 0.0 <= ratio < 1.0:
+        raise SchedulingError(f"{where}cutoff_ratio {ratio} is outside [0, 1)")
+    return ratio
 
 
 def apply_cutoff(
@@ -45,8 +61,7 @@ def apply_cutoff(
 
     Returns a full-length share list with cut devices at 0.0.
     """
-    if not 0.0 <= cutoff_ratio < 1.0:
-        raise SchedulingError(f"cutoff_ratio must be in [0, 1), got {cutoff_ratio}")
+    cutoff_ratio = parse_cutoff_ratio(cutoff_ratio)
     n = len(shares)
     if n == 0:
         raise SchedulingError("shares must be non-empty")

@@ -23,10 +23,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.model.linear_system import solve_equal_time_partition
-from repro.sched.base import Decision, LoopScheduler, SchedContext
-from repro.sched.cutoff import apply_cutoff
-from repro.util.ranges import IterRange, split_by_weights
+from repro.sched.base import PlannedScheduler, SchedContext
+from repro.util.ranges import IterRange
 
 __all__ = ["HistoryDB", "HistoryScheduler"]
 
@@ -115,21 +113,18 @@ class HistoryDB:
         return db
 
 
-class HistoryScheduler(LoopScheduler):
+class HistoryScheduler(PlannedScheduler):
     """Single-stage distribution by historically measured throughput."""
 
     notation = "HISTORY_AUTO"
     stages = 1
     supports_cutoff = True
-    #: The split is fixed in start(); observe() only feeds the database.
-    timing_oblivious = True
 
     def __init__(self, db: HistoryDB):
         super().__init__()
         self.db = db
 
-    def start(self, ctx: SchedContext) -> None:
-        super().start(ctx)
+    def plan(self, ctx: SchedContext) -> list[IterRange]:
         kernel_name = ctx.kernel.name
 
         def per_iter(devid: int) -> float:
@@ -139,29 +134,7 @@ class HistoryScheduler(LoopScheduler):
             # cold start: fall back to the MODEL_2 view
             return ctx.per_iter_total_s(devid)
 
-        per_iter_times = [per_iter(d) for d in range(ctx.ndev)]
-        fixed = [ctx.fixed_cost_s(d) for d in range(ctx.ndev)]
-        solution = solve_equal_time_partition(per_iter_times, fixed, ctx.n_iters)
-        shares = list(solution.shares)
-
-        def resolve(survivors: list[int]) -> list[float]:
-            sub = solve_equal_time_partition(
-                [per_iter_times[i] for i in survivors],
-                [fixed[i] for i in survivors],
-                ctx.n_iters,
-            )
-            return list(sub.shares)
-
-        shares = apply_cutoff(shares, ctx.cutoff_ratio, resolve)
-        self._chunks = split_by_weights(ctx.iter_space, shares)
-        self._served = [False] * ctx.ndev
-
-    def next(self, devid: int) -> Decision:
-        if self._served[devid]:
-            return None
-        self._served[devid] = True
-        chunk = self._chunks[devid]
-        return None if chunk.empty else chunk
+        return self._split_equal_time(per_iter, ctx.fixed_cost_s)
 
     def observe(self, devid: int, chunk: IterRange, elapsed_s: float) -> None:
         """Every executed chunk feeds the database (learning while running)."""

@@ -7,7 +7,9 @@ split proportionally to the measured throughputs (iterations/second,
 inclusive of each device's own data-movement time), with the CUTOFF ratio
 applied to the predicted contributions.
 
-Subclasses only decide the stage-1 sample sizes.
+Subclasses only decide the stage-1 sample sizes.  Both stages are plans on
+the :class:`~repro.sched.base.PlannedScheduler` queue: the samples are the
+first, ``at_barrier`` appends the second, ``requeue`` appends to it.
 """
 
 from __future__ import annotations
@@ -15,20 +17,18 @@ from __future__ import annotations
 from abc import abstractmethod
 
 from repro.errors import SchedulingError
-from repro.sched.base import BARRIER, Decision, LoopScheduler, SchedContext
-from repro.sched.cutoff import apply_cutoff
+from repro.sched.base import BARRIER, Decision, PlannedScheduler, SchedContext
 from repro.util.ranges import IterRange, split_by_weights
 
 __all__ = ["TwoStageProfileScheduler"]
 
 
-class TwoStageProfileScheduler(LoopScheduler):
+class TwoStageProfileScheduler(PlannedScheduler):
+    # Timing-oblivious like every planned scheduler: the stage-2 split
+    # depends only on each device's own observed per-chunk elapsed times,
+    # all in before the barrier — not on how the devices interleave.
     stages = 2
     supports_cutoff = True
-    #: Stage-1 samples are laid out in start(); the stage-2 split depends
-    #: only on each device's own observed per-chunk elapsed times, all
-    #: in before the barrier — not on how the devices interleave.
-    timing_oblivious = True
 
     def __init__(self, sample_pct: float = 0.10):
         super().__init__()
@@ -40,50 +40,28 @@ class TwoStageProfileScheduler(LoopScheduler):
     def _sample_sizes(self, ctx: SchedContext) -> list[int]:
         """Per-device stage-1 chunk sizes (sum must be <= n_iters)."""
 
-    def start(self, ctx: SchedContext) -> None:
-        super().start(ctx)
-        sizes = list(self._sample_sizes(ctx))
+    def plan(self, ctx: SchedContext) -> list[IterRange]:
+        sizes = self._sample_sizes(ctx)
         if len(sizes) != ctx.ndev:
             raise SchedulingError(f"{self.notation}: wrong sample-size count")
-        # Degenerate loops (fewer iterations than devices): shrink samples
-        # greedily so stage 1 never overruns the iteration space.
-        budget = ctx.n_iters
-        for i, s in enumerate(sizes):
-            sizes[i] = max(0, min(s, budget))
-            budget -= sizes[i]
         self._stage = 1
-        self._stage1: list[IterRange | None] = []
-        pos = ctx.iter_space.start
-        for s in sizes:
-            self._stage1.append(IterRange(pos, pos + s) if s > 0 else None)
-            pos += s
-        self._remaining = IterRange(pos, ctx.iter_space.stop)
-        self._handed1 = [False] * ctx.ndev
         self._throughput = [0.0] * ctx.ndev
-        self._stage2: list[IterRange] | None = None
-        self._handed2 = [False] * ctx.ndev
         self._lost: set[int] = set()
-        self._pending: list[list[IterRange]] = [[] for _ in range(ctx.ndev)]
+        # Degenerate loops (fewer iterations than devices): ``take`` clamps,
+        # shrinking samples greedily so stage 1 never overruns the loop.
+        samples: list[IterRange] = []
+        self._remaining = ctx.iter_space
+        for size in sizes:
+            sample, self._remaining = self._remaining.take(size)
+            samples.append(sample)
+        return samples
 
     def next(self, devid: int) -> Decision:
-        if self._stage == 1:
-            if not self._handed1[devid]:
-                self._handed1[devid] = True
-                chunk = self._stage1[devid]
-                if chunk is not None:
-                    return chunk
+        decision = super().next(devid)
+        if decision is None and self._stage == 1:
             # sample done (or no sample assigned): wait for everyone
             return BARRIER
-        if self._stage2 is None:
-            raise SchedulingError(f"{self.notation}: stage 2 not planned")
-        if not self._handed2[devid]:
-            self._handed2[devid] = True
-            chunk = self._stage2[devid]
-            if not chunk.empty:
-                return chunk
-        if self._pending[devid]:
-            return self._pending[devid].pop(0)
-        return None
+        return decision
 
     def observe(self, devid: int, chunk: IterRange, elapsed_s: float) -> None:
         if self._stage != 1 or len(chunk) == 0:
@@ -101,20 +79,7 @@ class TwoStageProfileScheduler(LoopScheduler):
         # block is surrendered for reassignment.
         self._lost.add(devid)
         self._throughput[devid] = 0.0
-        orphaned: list[IterRange] = []
-        if self._stage == 1 and not self._handed1[devid]:
-            self._handed1[devid] = True
-            sample = self._stage1[devid]
-            if sample is not None and not sample.empty:
-                orphaned.append(sample)
-        if self._stage2 is not None and not self._handed2[devid]:
-            self._handed2[devid] = True
-            block = self._stage2[devid]
-            if not block.empty:
-                orphaned.append(block)
-        orphaned.extend(self._pending[devid])
-        self._pending[devid].clear()
-        return orphaned
+        return super().device_lost(devid)
 
     def requeue(self, chunk: IterRange) -> bool:
         # Orphans are redistributed proportionally to the *measured*
@@ -124,22 +89,21 @@ class TwoStageProfileScheduler(LoopScheduler):
         # split.
         if self._stage != 2 or chunk.empty:
             return False
-        shares = [
-            0.0 if i in self._lost else x for i, x in enumerate(self._throughput)
-        ]
+        shares = self._alive_throughputs()
         if sum(shares) <= 0.0:
             return False
-        for i, piece in enumerate(split_by_weights(chunk, shares)):
-            if not piece.empty:
-                self._pending[i].append(piece)
+        self._hand(split_by_weights(chunk, shares))
         return True
+
+    def _alive_throughputs(self) -> list[float]:
+        return [
+            0.0 if i in self._lost else x for i, x in enumerate(self._throughput)
+        ]
 
     def at_barrier(self) -> None:
         ctx = self.ctx
         self._stage = 2
-        shares = [
-            0.0 if i in self._lost else x for i, x in enumerate(self._throughput)
-        ]
+        shares = self._alive_throughputs()
         if sum(shares) <= 0.0:
             # Nobody was profiled (all sample sizes 0): fall back to even
             # over the devices still alive.
@@ -148,13 +112,7 @@ class TwoStageProfileScheduler(LoopScheduler):
             ]
         if sum(shares) <= 0.0:  # every device lost: keep split_by_weights sane
             shares = [1.0] * ctx.ndev
-
-        def resolve(survivors: list[int]) -> list[float]:
-            return [shares[i] for i in survivors]
-
-        shares = apply_cutoff(shares, ctx.cutoff_ratio, resolve)
-        self._stage2 = split_by_weights(self._remaining, shares)
+        self._hand(self._split(lambda devs: [shares[i] for i in devs], self._remaining))
 
     def describe(self) -> str:
-        cutoff = self.ctx.cutoff_ratio if self._ctx is not None else 0.0
-        return f"{self.notation},{self.sample_pct:.0%},{cutoff:.0%}"
+        return self._cutoff_notation(f"{self.sample_pct:.0%}")

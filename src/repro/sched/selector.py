@@ -26,11 +26,6 @@ __all__ = ["select_algorithm"]
 
 
 def _homogeneous(machine: MachineSpec) -> bool:
-    if not machine.devices:
-        raise SchedulingError(
-            f"machine {machine.name!r} has no devices to select an "
-            "algorithm for"
-        )
     first = machine.devices[0]
     return all(
         d.dev_type is first.dev_type

@@ -27,21 +27,18 @@ device keeps feeding the EWMA if it later rejoins.
 from __future__ import annotations
 
 from repro.errors import SchedulingError
-from repro.sched.base import Decision, LoopScheduler, SchedContext
-from repro.sched.cutoff import apply_cutoff
-from repro.util.ranges import IterRange, split_by_weights
+from repro.sched.base import PlannedScheduler, SchedContext
+from repro.util.ranges import IterRange
 
 __all__ = ["StreamRebalanceScheduler"]
 
 
-class StreamRebalanceScheduler(LoopScheduler):
+class StreamRebalanceScheduler(PlannedScheduler):
     """BLOCK-shaped per batch; rebalanced between batches by EWMA rates."""
 
     notation = "STREAM_REBALANCE"
     stages = 1
     supports_cutoff = True
-    #: The split is fixed in start(); observe() only feeds the EWMA.
-    timing_oblivious = True
 
     def __init__(self, *, alpha: float = 0.3):
         super().__init__()
@@ -53,8 +50,7 @@ class StreamRebalanceScheduler(LoopScheduler):
         #: devids lost mid-stream; they never rejoin this stream.
         self._dead: set[int] = set()
 
-    def start(self, ctx: SchedContext) -> None:
-        super().start(ctx)
+    def plan(self, ctx: SchedContext) -> list[IterRange]:
         ndev = ctx.ndev
         alive = [d for d in range(ndev) if d not in self._dead]
         if not alive:
@@ -62,29 +58,14 @@ class StreamRebalanceScheduler(LoopScheduler):
                 "STREAM_REBALANCE: every device was lost mid-stream"
             )
         known = [self._rates[d] for d in alive if d in self._rates]
-        if not known:
-            # No history yet: degrade to the static BLOCK split.
-            weights = [0.0 if d in self._dead else 1.0 for d in range(ndev)]
-        else:
-            mean = sum(known) / len(known)
-            weights = [
-                0.0 if d in self._dead else self._rates.get(d, mean)
-                for d in range(ndev)
-            ]
-
-        def resolve(survivors: list[int]) -> list[float]:
-            return [weights[i] for i in survivors]
-
-        shares = apply_cutoff(weights, ctx.cutoff_ratio, resolve)
-        self._chunks: list[IterRange] = split_by_weights(ctx.iter_space, shares)
-        self._served = [False] * ndev
-
-    def next(self, devid: int) -> Decision:
-        if self._served[devid]:
-            return None
-        self._served[devid] = True
-        chunk = self._chunks[devid]
-        return None if chunk.empty else chunk
+        # A device without history gets the mean of the known rates; with
+        # no history at all that degrades to the static BLOCK split.
+        mean = sum(known) / len(known) if known else 1.0
+        weights = [
+            0.0 if d in self._dead else self._rates.get(d, mean)
+            for d in range(ndev)
+        ]
+        return self._split(lambda devs: [weights[i] for i in devs])
 
     def observe(self, devid: int, chunk: IterRange, elapsed_s: float) -> None:
         rate = len(chunk) / max(elapsed_s, 1e-12)
@@ -96,11 +77,7 @@ class StreamRebalanceScheduler(LoopScheduler):
     def device_lost(self, devid: int) -> list[IterRange]:
         self._dead.add(devid)
         self._rates.pop(devid, None)
-        if self._served[devid]:
-            return []
-        self._served[devid] = True
-        chunk = self._chunks[devid]
-        return [] if chunk.empty else [chunk]
+        return super().device_lost(devid)
 
     def describe(self) -> str:
         return f"{self.notation},a={self.alpha:g}"

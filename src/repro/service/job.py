@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.engine.trace import OffloadResult
-from repro.errors import JobSpecError
+from repro.errors import JobSpecError, SchedulingError
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ResiliencePolicy
 from repro.kernels.base import LoopKernel
 from repro.obs.metrics import MetricsRegistry
+from repro.sched.cutoff import parse_cutoff_ratio
 
 __all__ = ["JobState", "OffloadJob", "JobResult", "JobHandle"]
 
@@ -105,19 +106,12 @@ class OffloadJob:
                 f"job tenant must be a non-empty string, got {self.tenant!r}"
             )
         if self.cutoff_ratio != "auto":
-            try:
-                ratio = float(self.cutoff_ratio)
-            except (TypeError, ValueError):
-                raise JobSpecError(
-                    f"job cutoff_ratio {self.cutoff_ratio!r} is not a "
-                    "fraction or 'auto'"
-                ) from None
-            # The runtime's interval (HompRuntime._resolve_cutoff): a job
+            # The runtime's rule (HompRuntime._resolve_cutoff): a job
             # admitted here must not fail on a worker thread for its ratio.
-            if not 0.0 <= ratio < 1.0:
-                raise JobSpecError(
-                    f"job cutoff_ratio {ratio} is outside [0, 1)"
-                )
+            try:
+                parse_cutoff_ratio(self.cutoff_ratio, "job ")
+            except SchedulingError as exc:
+                raise JobSpecError(str(exc)) from None
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise JobSpecError(f"job seed must be an int, got {self.seed!r}")
         try:

@@ -7,6 +7,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from repro.sched.registry import SCHEDULERS
+
 TRACE_PY = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "trace.py"
 
 
@@ -18,7 +20,18 @@ def test_every_traced_target_resolves_and_is_restored():
     tracer = trace.Tracer()
     tracer.install()  # LookupError names the first TARGETS row that is gone
     patched = list(tracer.installed)
+    # The sched.* rows patch each class that *defines* the method, so a
+    # ``next`` hoisted into a shared base is only timed if that base is
+    # patched too: whatever the MRO resolves must be a patched definition.
+    wrapped = {(owner, name) for owner, name, _ in patched}
+    unwrapped = [
+        f"{cls.__name__}.{name}"
+        for cls in SCHEDULERS.values()
+        for name in ("start", "next", "observe")
+        if (next(c for c in cls.__mro__ if name in vars(c)), name) not in wrapped
+    ]
     tracer.remove()
+    assert not unwrapped, f"schedulers missing from the sched.* rows: {unwrapped}"
 
     assert len(patched) >= len(trace.TARGETS)
     assert not tracer.installed

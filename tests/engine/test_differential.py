@@ -11,12 +11,14 @@ tolerance where it does not.
 import numpy as np
 import pytest
 
+from repro.dist.policy import Block, Cyclic
 from repro.engine.core import make_backend
 from repro.faults.plan import DeviceDropout, FaultPlan, Slowdown, TransferError
 from repro.faults.policy import ResiliencePolicy, RetryPolicy
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import cpu_spec, full_node, gpu4_node, homogeneous_node
-from repro.sched.registry import make_scheduler
+from repro.sched.history import HistoryDB
+from repro.sched.registry import SCHEDULERS, make_scheduler
 
 BACKENDS = ("virtual", "threaded")
 GRID = [
@@ -32,14 +34,19 @@ N = 60_000
 SIZES = {"matvec": 2_000}
 
 
-def run(backend, policy, kname, *, machine=None, n=None, seed=7, **opts):
+def run(
+    backend, policy, kname, *, machine=None, n=None, seed=7,
+    sched_kw=None, partition=None, **opts,
+):
     machine = gpu4_node() if machine is None else machine
     n = SIZES.get(kname, N) if n is None else n
     eng = make_backend(
         backend, machine, seed=0, collect_chunks=True, **opts
     )
     kernel = make_kernel(kname, n, seed=seed)
-    result = eng.run(kernel, make_scheduler(policy))
+    for name, dim0_policy in (partition or {}).items():
+        kernel.set_partition(name, dim0_policy)
+    result = eng.run(kernel, make_scheduler(policy, **(sched_kw or {})))
     return kernel, result, eng
 
 
@@ -117,6 +124,54 @@ def test_executor_meta_distinguishes_backends(backend):
 
 def fault_machine():
     return homogeneous_node(4, cpu_spec())
+
+
+def every_scheduler():
+    """One case per registered scheduler — ``(notation, constructor
+    kwargs as a factory, dim-0 partitions it needs)`` — ALIGN twice, since
+    a CYCLIC-partitioned target gives each device many ranges, not one."""
+    for name in SCHEDULERS:
+        if name == "ALIGN":
+            for policy in (Block(), Cyclic(1_000)):
+                yield pytest.param(
+                    name, lambda: {"target": "x"}, {"x": policy},
+                    id=f"ALIGN-{type(policy).__name__}",
+                )
+        elif name == "HISTORY_AUTO":
+            yield pytest.param(name, lambda: {"db": HistoryDB()}, None, id=name)
+        else:
+            yield pytest.param(name, dict, None, id=name)
+
+
+@pytest.mark.parametrize("when", ["claimed-nothing", "mid-run"])
+@pytest.mark.parametrize("policy,sched_kw,partition", list(every_scheduler()))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dropout_conserves_iterations_under_every_scheduler(
+    backend, policy, sched_kw, partition, when
+):
+    """A dropped device's share — unclaimed (t=0) or partly served — ends
+    up on the survivors whatever the scheduler: the planned ones inherit
+    the surrender from ``PlannedScheduler``, the clock-driven ones never
+    reserve.  HISTORY_AUTO and ALIGN used to lose the unclaimed share."""
+
+    def go(**opts):
+        return run(
+            backend, policy, "axpy",
+            sched_kw=sched_kw(), partition=partition, **opts,
+        )
+
+    k_base, base, _ = go()
+    if when == "claimed-nothing":
+        t_drop = 0.0
+    else:
+        # Virtual time: half the fault-free makespan.  Wall clock: 0.1 ms,
+        # which may land before, inside or after the victim's share.
+        t_drop = base.total_time_s / 2 if backend == "virtual" else 1e-4
+    kernel, result, eng = go(fault_plan=FaultPlan.of(DeviceDropout(1, t_drop)))
+    check_invariants(kernel, result, eng)
+    np.testing.assert_array_equal(kernel.arrays["y"], k_base.arrays["y"])
+    if when == "claimed-nothing":
+        assert result.traces[1].lost and result.traces[1].iters == 0
 
 
 class TestThreadedFaultParity:

@@ -1,6 +1,6 @@
 """Property suite for stream batch sequencing (hypothesis).
 
-Three families of invariants over arbitrary stream shapes:
+Four families of invariants over arbitrary stream shapes:
 
 * **Item conservation** — every batch of every stream distributes the
   kernel's full iteration space: per-batch trace iters sum to
@@ -12,17 +12,26 @@ Three families of invariants over arbitrary stream shapes:
 * **Rebalance exact cover** — whatever rate history STREAM_REBALANCE
   has accumulated, its per-batch split is a contiguous, gap-free,
   overlap-free partition of the iteration space.
+* **Protocol exact cover** — the same, for every registered scheduler
+  driven through its whole protocol by a random script instead of an
+  engine.
 """
 
 import pickle
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import OnlineSumKernel, SlidingStencilKernel
+from repro.dist.policy import Block, Cyclic
 from repro.kernels.registry import make_kernel
+from repro.machine.device import Device
 from repro.machine.presets import full_node, gpu4_node
 from repro.runtime import HompRuntime
-from repro.sched.base import SchedContext
+from repro.sched.base import BARRIER, SchedContext
+from repro.sched.history import HistoryDB
+from repro.sched.registry import SCHEDULERS, make_scheduler
 from repro.sched.stream_rebalance import StreamRebalanceScheduler
 from repro.util.ranges import IterRange
 
@@ -177,5 +186,86 @@ def test_rebalance_split_exactly_covers_iter_space(n, rates, data):
                 covered.append(chunk)
     covered.sort(key=lambda c: c.start)
     assert sum(len(c) for c in covered) == n
+    for prev, nxt in zip(covered, covered[1:]):
+        assert prev.stop == nxt.start
+
+
+# -- protocol exact cover, every scheduler ------------------------------------
+
+@pytest.mark.parametrize("notation", sorted(SCHEDULERS))
+@settings(max_examples=25, deadline=None)
+@given(
+    ndev=st.integers(min_value=1, max_value=7),
+    n=st.integers(min_value=1, max_value=5_000),
+    cutoff=st.floats(min_value=0.0, max_value=0.95),
+    cyclic=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_any_protocol_interleaving_tiles_the_iter_space(
+    notation, ndev, n, cutoff, cyclic, seed
+):
+    """No engine: a random script plays the proxies.  Devices ask in any
+    order, may die idle or holding a chunk, and whatever is orphaned is
+    either kept by the script or offered back through ``requeue``.  Chunks
+    served, ranges surrendered and requeues declined must tile ``[0, n)``
+    exactly once."""
+    rng = random.Random(seed)
+    kernel = make_kernel("axpy", n)
+    kwargs = {}
+    if notation == "ALIGN":
+        kernel.set_partition("x", Cyclic(max(1, n // 13)) if cyclic else Block())
+        kwargs = {"target": "x"}
+    elif notation == "HISTORY_AUTO":
+        kwargs = {"db": HistoryDB()}
+    s = make_scheduler(notation, **kwargs)
+    devices = [Device(i, spec) for i, spec in enumerate(full_node().devices[:ndev])]
+    s.start(SchedContext(kernel=kernel, devices=devices, cutoff_ratio=cutoff))
+
+    covered = []
+    alive = set(range(ndev))
+    waiting: set[int] = set()
+    idle: set[int] = set()  # got None since the last accepted requeue
+
+    def orphan(chunk):
+        # The engine's choice: hand it back, or adopt it itself.
+        if rng.random() < 0.7 and s.requeue(chunk):
+            idle.clear()
+        else:
+            covered.append(chunk)
+
+    def lose(devid):
+        for group in (alive, waiting, idle):
+            group.discard(devid)
+        for reserved in s.device_lost(devid):
+            orphan(reserved)
+
+    def release_barrier_if_ready():
+        if waiting and waiting == alive:
+            s.at_barrier()
+            waiting.clear()
+
+    while idle != alive:
+        devid = rng.choice(sorted(alive - waiting))
+        may_die = len(alive) > 1 and rng.random() < 0.15
+        if may_die and rng.random() < 0.5:
+            lose(devid)  # dies idle
+        else:
+            decision = s.next(devid)
+            if decision is BARRIER:
+                waiting.add(devid)
+            elif decision is None:
+                idle.add(devid)
+            elif may_die:
+                lose(devid)  # dies holding the chunk
+                orphan(decision)
+            else:
+                assert not decision.empty
+                covered.append(decision)
+                s.observe(devid, decision, rng.choice([0.0, rng.random() + 1e-6]))
+        release_barrier_if_ready()
+
+    covered.sort(key=lambda c: c.start)
+    assert sum(len(c) for c in covered) == n
+    assert covered[0].start == 0 and covered[-1].stop == n
     for prev, nxt in zip(covered, covered[1:]):
         assert prev.stop == nxt.start

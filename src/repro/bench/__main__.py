@@ -95,17 +95,12 @@ def main(argv: list[str] | None = None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
     exec_kwargs = {} if args.executor is None else {"executor": args.executor}
     for name in targets:
-        fn = GENERATORS[name]
-        if name == "table4":
-            result = fn()
-        elif args.trace is not None and name in TRACEABLE:
-            result = fn(
-                seed=args.seed, trace_dir=args.trace / name, **exec_kwargs
-            )
-        elif name in TRACEABLE:
-            result = fn(seed=args.seed, **exec_kwargs)
-        else:
-            result = fn(seed=args.seed)
+        kwargs = {} if name == "table4" else {"seed": args.seed}
+        if name in TRACEABLE:
+            kwargs.update(exec_kwargs)
+            if args.trace is not None:
+                kwargs["trace_dir"] = args.trace / name
+        result = GENERATORS[name](**kwargs)
         print(result.text)
         print()
         if args.out:

@@ -8,8 +8,9 @@ everything the result depends on:
 * the machine description (``MachineSpec.to_dict()``, every device field),
 * the workload identity — name, bench scale, RNG seed,
 * the scheduling policy and CUTOFF ratio,
-* the engine flags (numeric execution, offload serialisation, double
-  buffering, event recording) and the runtime seed,
+* the engine flags every keyed cell runs under (numeric execution, no
+  offload serialisation, double buffering, no event recording) and the
+  runtime seed,
 * the repro version (a code release invalidates old entries).
 
 Two layers: an in-process dictionary (hit => deep copy, so callers may
@@ -30,9 +31,10 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro import __version__
+from repro.engine.core import resolve_backend
 from repro.engine.trace import OffloadResult
 from repro.faults.plan import FaultPlan, faults_enabled
 from repro.faults.policy import ResiliencePolicy
@@ -42,11 +44,11 @@ __all__ = [
     "CACHE_ENV",
     "CACHE_DIR_ENV",
     "DEFAULT_CACHE_DIR",
-    "DEFAULT_ENGINE_FLAGS",
     "CacheStats",
     "SweepCache",
     "cache_mode",
     "result_key",
+    "cell_key",
     "get_cache",
     "reset_cache",
 ]
@@ -54,15 +56,6 @@ __all__ = [
 CACHE_ENV = "REPRO_BENCH_CACHE"
 CACHE_DIR_ENV = "REPRO_BENCH_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".bench_cache"
-
-#: Engine configuration the standard ``run_one`` path implies; callers that
-#: deviate must pass their actual flags so the fingerprint separates them.
-DEFAULT_ENGINE_FLAGS: dict[str, Any] = {
-    "execute_numerically": True,
-    "serialize_offload": False,
-    "double_buffer": True,
-    "record_events": False,
-}
 
 
 def cache_mode() -> str:
@@ -83,7 +76,6 @@ def result_key(
     cutoff_ratio: float = 0.0,
     seed: int = 0,
     verify: bool = True,
-    engine_flags: Mapping[str, Any] | None = None,
     fault_plan: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
 ) -> str:
@@ -92,7 +84,7 @@ def result_key(
     ``workload_fp`` is the workload's identity mapping (name, scale, seed —
     see ``WorkloadFactory.fingerprint``).  Any change to any field of the
     machine spec, the workload identity, the policy, the cutoff, the seed,
-    the engine flags, or the fault configuration yields a different key.
+    or the fault configuration yields a different key.
     A cell run under a fault plan is a different experiment from the
     fault-free cell, so the plan's canonical dict (and the resilience
     policy's, when set) joins the payload.
@@ -105,7 +97,13 @@ def result_key(
         "cutoff_ratio": float(cutoff_ratio),
         "seed": int(seed),
         "verify": bool(verify),
-        "engine": dict(engine_flags if engine_flags is not None else DEFAULT_ENGINE_FLAGS),
+        # What every keyed cell runs under; one that deviates stays unkeyed.
+        "engine": {
+            "execute_numerically": True,
+            "serialize_offload": False,
+            "double_buffer": True,
+            "record_events": False,
+        },
     }
     # A plan only shapes the result while injection is live: an empty plan,
     # or any plan under REPRO_FAULTS=off, keys identically to fault-free.
@@ -118,6 +116,57 @@ def result_key(
         }
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _backend_name(backend: "str | type | None") -> str:
+    """Registry name of an ``executor=`` / ``backend=`` value (None = the
+    virtual-time simulator); an unknown name raises ``OffloadError``."""
+    if backend is None:
+        return "virtual"
+    cls = resolve_backend(backend)
+    return getattr(cls, "backend_name", cls.__name__)
+
+
+def _virtual_equivalent(backend: "str | type | None") -> bool:
+    """Whether ``backend`` yields the virtual-time simulator's results: the
+    only reproducible ones (a cached wall-clock timing would be a lie), and
+    ``batch`` *is* the virtual engine driven many cells per call — so the
+    two share cache keys and the service may move jobs onto ``batch``."""
+    return _backend_name(backend) in ("virtual", "batch")
+
+
+def cell_key(
+    cache: "SweepCache",
+    machine: MachineSpec,
+    factory: Callable[[], Any],
+    policy: Any,
+    *,
+    cutoff_ratio: "float | str" = 0.0,
+    seed: int = 0,
+    verify: bool = True,
+    fault_plan: FaultPlan | None = None,
+    resilience: ResiliencePolicy | None = None,
+    executor: "str | type | None" = None,
+) -> str | None:
+    """The one cell rule: a cell's ``result_key``, or None if it always runs.
+
+    Keyed when, in this order: the cache is enabled (otherwise nothing is
+    fingerprinted or hashed), ``executor`` is virtual-equivalent, the
+    factory exposes a ``fingerprint()`` identity (a lambda could close over
+    anything), the policy is a notation string, and the cutoff is a
+    fraction (``"auto"`` resolves against the devices at run time).
+    ``run_cell``, ``run_grid`` and the offload service all ask here.
+    """
+    if not cache.enabled or not _virtual_equivalent(executor):
+        return None
+    fingerprint = getattr(factory, "fingerprint", None)
+    if fingerprint is None or not isinstance(policy, str) or cutoff_ratio == "auto":
+        return None
+    return result_key(
+        machine, fingerprint(), policy,
+        cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
+        fault_plan=fault_plan, resilience=resilience,
+    )
 
 
 @dataclass

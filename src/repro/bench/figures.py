@@ -85,10 +85,9 @@ def fig5_gpu4(*, seed: int = 0, trace_dir=None, executor=None) -> FigureResult:
 
 
 def fig6_breakdown(*, seed: int = 0, trace_dir=None, executor=None) -> FigureResult:
-    """Fig. 6: accumulated breakdown (%) of offloading time + imbalance."""
-    grid = run_grid(
-        gpu4_node(), _factories(seed), trace_dir=trace_dir, executor=executor
-    )
+    """Fig. 6: accumulated breakdown (%) of offloading time + imbalance,
+    of Fig. 5's sweep."""
+    grid = fig5_gpu4(seed=seed, trace_dir=trace_dir, executor=executor).grid
     rows = []
     imbalances: dict[str, float] = {}
     for kname, row in grid.results.items():

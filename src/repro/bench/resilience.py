@@ -10,7 +10,7 @@ the plan, and reports:
   run's (resilience must never buy speed with wrong answers);
 * the engine's fault accounting (events, retries, lost devices).
 
-The qualitative target mirrors the paper's load-balancing story inverted:
+The qualitative target is the paper's load-balancing story inverted:
 static BLOCK has no mechanism to route around a straggler or a lost
 device, so its degradation is the worst, while the adaptive algorithms
 (SCHED_DYNAMIC, SCHED_PROFILE_AUTO) degrade gracefully.

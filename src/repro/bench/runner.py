@@ -16,13 +16,14 @@ import os
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from repro.bench.cache import SweepCache, get_cache, result_key
+from repro.bench.cache import SweepCache, _backend_name, cell_key, get_cache
 from repro.engine.core import resolve_backend
 from repro.engine.trace import OffloadResult
 from repro.errors import OffloadError
@@ -30,6 +31,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.policy import ResiliencePolicy
 from repro.kernels.base import LoopKernel
 from repro.machine.spec import MachineSpec
+from repro.obs.export import write_chrome_trace, write_jsonl, write_prom
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, obs_enabled
 from repro.runtime.runtime import HompRuntime, _shared_kernel_specs
@@ -44,6 +46,7 @@ __all__ = [
     "run_grid",
     "runner_metrics",
     "verify_result",
+    "verify_batch",
     "engine_run_count",
 ]
 
@@ -104,6 +107,24 @@ def verify_result(
             )
 
 
+def verify_batch(cells) -> None:
+    """Verify the numerically-executed cells of one ``parallel_for_many`` batch.
+
+    ``cells`` yields ``(share_key, spec, result)``.  Cells of one share key
+    run on one kernel (``_shared_kernel_specs``), so its serial reference
+    is computed once per key; a cell whose numerics were skipped left the
+    arrays untouched and has nothing to check.
+    """
+    refs: dict = {}
+    for share_key, spec, result in cells:
+        if not spec.execute_numerically:
+            continue
+        ref = refs.get(share_key)
+        if ref is None:
+            ref = refs[share_key] = spec.kernel.reference()
+        verify_result(spec.kernel, result, ref=ref)
+
+
 #: Offloads actually executed by this process (cache hits don't count).
 _ENGINE_RUNS = 0
 
@@ -111,29 +132,6 @@ _ENGINE_RUNS = 0
 def engine_run_count() -> int:
     """How many offloads this process has really executed (not cache hits)."""
     return _ENGINE_RUNS
-
-
-def _backend_name(executor: "str | type | None") -> str | None:
-    if executor is None:
-        return "virtual"
-    return getattr(resolve_backend(executor), "backend_name", None)
-
-
-def _cacheable_executor(executor: "str | type | None") -> bool:
-    """Whether ``executor``'s results may touch the sweep cache.
-
-    Only deterministic virtual-time results are cacheable: wall-clock
-    timings differ run to run, so serving them from the sweep cache would
-    be a lie.  The batch backend *is* the virtual engine (one call for
-    many cells), so the two share cache keys —
-    a batch sweep warms the cache for a later virtual one and vice versa.
-    """
-    return _backend_name(executor) in ("virtual", "batch")
-
-
-def _is_batch_executor(executor: "str | type | None") -> bool:
-    """Whether ``executor`` is the batch backend."""
-    return _backend_name(executor) == "batch"
 
 
 class SerialFallbackWarning(RuntimeWarning):
@@ -199,36 +197,15 @@ def run_one(
     return result
 
 
-def _cell_key(
+def _run_miss(
     machine: MachineSpec,
     factory: Callable[[], LoopKernel],
     policy: str,
-    *,
-    cutoff_ratio: float,
-    seed: int,
-    verify: bool,
-    fault_plan: FaultPlan | None = None,
-    resilience: ResiliencePolicy | None = None,
-) -> str | None:
-    """Cache key for one cell, or None when the factory is anonymous.
-
-    Only factories that expose a ``fingerprint()`` identity (e.g.
-    :class:`~repro.bench.workloads.WorkloadFactory`) are cacheable; an
-    arbitrary lambda could close over anything, so its cells always run.
-    """
-    fingerprint = getattr(factory, "fingerprint", None)
-    if fingerprint is None:
-        return None
-    return result_key(
-        machine,
-        fingerprint(),
-        policy,
-        cutoff_ratio=cutoff_ratio,
-        seed=seed,
-        verify=verify,
-        fault_plan=fault_plan,
-        resilience=resilience,
-    )
+    **options,
+) -> OffloadResult:
+    """A cache miss: build the cell's kernel and ``run_one`` it (a
+    module-level function, so the process pool can ship it)."""
+    return run_one(machine, factory(), policy, **options)
 
 
 def run_cell(
@@ -246,31 +223,22 @@ def run_cell(
 ) -> OffloadResult:
     """One grid cell through the sweep cache.
 
-    Consults the cache (keyed by the factory's fingerprint) before
-    building the kernel at all — a hit skips input generation, execution
-    and verification entirely.  Misses run exactly like ``run_one`` and
-    populate the cache.  Non-virtual executors bypass the cache both ways
-    (wall-clock results are not reproducible artifacts).
+    Consults the cache before building the kernel at all — a hit skips
+    input generation, execution and verification entirely.  Misses run
+    exactly like ``run_one`` and populate the cache; a cell
+    :func:`~repro.bench.cache.cell_key` leaves unkeyed always runs.
     """
     cache = get_cache() if cache is None else cache
-    key = (
-        _cell_key(
-            machine, factory, policy,
-            cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-            fault_plan=fault_plan, resilience=resilience,
-        )
-        if cache.enabled and _cacheable_executor(executor)
-        else None
+    options = dict(
+        cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
+        fault_plan=fault_plan, resilience=resilience, executor=executor,
     )
+    key = cell_key(cache, machine, factory, policy, **options)
     if key is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-    result = run_one(
-        machine, factory(), policy,
-        cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-        fault_plan=fault_plan, resilience=resilience, executor=executor,
-    )
+    result = _run_miss(machine, factory, policy, **options)
     if key is not None:
         cache.put(key, result)
     return result
@@ -324,25 +292,6 @@ def _pin_worker_threads() -> None:
         os.environ.setdefault(var, "1")
 
 
-def _pool_cell(
-    machine: MachineSpec,
-    factory: Callable[[], LoopKernel],
-    policy: str,
-    cutoff_ratio: float,
-    seed: int,
-    verify: bool,
-    fault_plan: FaultPlan | None = None,
-    resilience: ResiliencePolicy | None = None,
-    executor: str | None = None,
-) -> OffloadResult:
-    """One cell in a pool worker (kernel built, run and verified there)."""
-    return run_one(
-        machine, factory(), policy,
-        cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-        fault_plan=fault_plan, resilience=resilience, executor=executor,
-    )
-
-
 def run_grid(
     machine: MachineSpec,
     kernels: Mapping[str, Callable[[], LoopKernel]],
@@ -368,13 +317,12 @@ def run_grid(
     Results are assembled in the declared kernel/policy order regardless
     of completion order, and each cell is bit-identical to what the serial
     path produces (cells share nothing; every worker builds its own kernel
-    from the same seed).  Cells whose factories carry a cache fingerprint
-    are served from / stored into the sweep cache; anonymous lambdas (and
-    unpicklable factories, in pool mode) simply run in-process.
+    from the same seed).  Cells :func:`~repro.bench.cache.cell_key` keys
+    are served from / stored into the sweep cache; unpicklable factories
+    (lambdas), in pool mode, simply run in-process.
 
     ``executor`` selects the execution backend for every cell (registry
-    name or class; None = the virtual-time simulator).  Only virtual
-    results touch the sweep cache — other backends' cells always run.
+    name or class; None = the virtual-time simulator).
 
     ``trace_dir`` enables observability (:mod:`repro.obs`): every cell
     runs freshly traced (cache reads are bypassed — a cache hit has no
@@ -393,104 +341,79 @@ def run_grid(
     cache = get_cache() if cache is None else cache
     grid = PolicyGrid(machine_name=machine.name, policies=tuple(policies))
     tracing = trace_dir is not None and obs_enabled()
+    options = dict(
+        cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
+        fault_plan=fault_plan, resilience=resilience, executor=executor,
+    )
 
     # Resolve cache hits up front; only misses are (possibly) parallelised.
     pending: list[tuple[str, Callable[[], LoopKernel], str, str | None]] = []
-    results: dict[tuple[str, str], OffloadResult] = {}
     for kname, factory in kernels.items():
-        for policy in grid.policies:
-            key = (
-                _cell_key(
-                    machine, factory, policy,
-                    cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-                    fault_plan=fault_plan, resilience=resilience,
-                )
-                if cache.enabled and _cacheable_executor(executor)
-                else None
-            )
-            hit = (
-                cache.get(key) if key is not None and not tracing else None
-            )
-            if hit is not None:
-                results[(kname, policy)] = hit
-            else:
+        row = grid.results[kname] = dict.fromkeys(grid.policies)
+        for policy in row:
+            key = cell_key(cache, machine, factory, policy, **options)
+            if key is not None and not tracing:
+                row[policy] = cache.get(key)
+            if row[policy] is None:
                 pending.append((kname, factory, policy, key))
 
-    if tracing:
-        _run_traced_cells(
-            machine, pending, results, cache, Path(trace_dir),
-            cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-            fault_plan=fault_plan, resilience=resilience, executor=executor,
-        )
-    elif (
-        _is_batch_executor(executor) and pending
-        and fault_plan is None and resilience is None
-    ):
-        _run_batch_cells(
-            machine, pending, results, cache,
-            cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-            executor=executor,
-        )
-    elif workers > 0 and pending and not _cells_picklable(machine, pending):
-        _note_serial_fallback("unpicklable cells", len(pending))
-        for kname, factory, policy, key in pending:
-            result = run_one(
-                machine, factory(), policy,
-                cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-                fault_plan=fault_plan, resilience=resilience,
-                executor=executor,
+    # Pick how the misses run — each way yields results in ``pending``
+    # order — then store them in one loop, as they arrive.
+    with ExitStack() as stack:
+        if tracing:
+            registry = MetricsRegistry()
+            fresh = _traced_cells(
+                machine, pending, Path(trace_dir), registry, **options
             )
-            if key is not None:
-                cache.put(key, result)
-            results[(kname, policy)] = result
-    elif workers > 0 and pending:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pin_worker_threads
-        ) as pool:
+        elif (
+            _backend_name(executor) == "batch" and pending
+            and fault_plan is None and resilience is None
+        ):
+            fresh = _batch_cells(
+                machine, pending, cutoff_ratio=cutoff_ratio, seed=seed,
+                verify=verify, executor=executor,
+            )
+        elif workers > 0 and pending and _cells_picklable(machine, pending):
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_pin_worker_threads
+            ))
             futures = [
-                pool.submit(
-                    _pool_cell, machine, factory, policy, cutoff_ratio,
-                    seed, verify, fault_plan, resilience, executor,
-                )
+                pool.submit(_run_miss, machine, factory, policy, **options)
                 for _, factory, policy, _ in pending
             ]
-            for (kname, _, policy, key), future in zip(pending, futures):
-                result = future.result()
-                if key is not None:
-                    cache.put(key, result)
-                results[(kname, policy)] = result
-    else:
-        if not workers_explicit and len(pending) > 1:
-            # Serial because nobody asked for workers: an accidental
-            # serial sweep looks exactly like a perf regression later.
-            _note_serial_fallback("workers=0", len(pending))
-        for kname, factory, policy, key in pending:
-            result = run_one(
-                machine, factory(), policy,
-                cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-                fault_plan=fault_plan, resilience=resilience,
-                executor=executor,
+            fresh = (future.result() for future in futures)
+        else:
+            if workers > 0 and pending:
+                _note_serial_fallback("unpicklable cells", len(pending))
+            elif not workers_explicit and len(pending) > 1:
+                # Serial because nobody asked for workers: an accidental
+                # serial sweep looks exactly like a perf regression later.
+                _note_serial_fallback("workers=0", len(pending))
+            fresh = (
+                _run_miss(machine, factory, policy, **options)
+                for _, factory, policy, _ in pending
             )
+        for (kname, _, policy, key), result in zip(pending, fresh):
             if key is not None:
                 cache.put(key, result)
-            results[(kname, policy)] = result
-
-    for kname in kernels:
-        grid.results[kname] = {p: results[(kname, p)] for p in grid.policies}
+            grid.results[kname][policy] = result
+    if tracing:
+        # Last, so the grid-wide metrics carry the sweep's final cache stats.
+        for stat_name, value in cache.stats.to_dict().items():
+            registry.set_gauge(f"bench_cache_{stat_name}", value)
+        write_prom(registry, Path(trace_dir) / "metrics.prom")
     return grid
 
 
-def _run_batch_cells(
+def _batch_cells(
     machine: MachineSpec,
     pending: list,
-    results: dict,
-    cache: SweepCache,
     *,
     cutoff_ratio: float,
     seed: int,
     verify: bool,
     executor: "str | type | None",
-) -> None:
+) -> list[OffloadResult]:
     """Run pending grid cells through the batch backend.
 
     The whole pending list becomes one ``parallel_for_many`` call: one
@@ -502,68 +425,41 @@ def _run_batch_cells(
     """
     global _ENGINE_RUNS
     _METRICS.inc("run_grid_batch_cells", float(len(pending)))
-    rt = HompRuntime(machine, seed=seed)
-    refs: dict[int, "dict[str, np.ndarray] | float"] = {}
+    shares = [id(factory) for _, factory, _, _ in pending]
     specs = _shared_kernel_specs(
-        (id(factory), factory, policy, cutoff_ratio)
-        for _, factory, policy, _ in pending
+        (share, factory, policy, cutoff_ratio)
+        for share, (_, factory, policy, _) in zip(shares, pending)
     )
-    batch = rt.parallel_for_many(specs, executor=executor)
-    for (kname, factory, policy, key), spec, result in zip(pending, specs, batch):
-        _ENGINE_RUNS += 1
-        if verify and spec.execute_numerically:
-            fid = id(factory)
-            ref = refs.get(fid)
-            if ref is None:
-                ref = refs[fid] = spec.kernel.reference()
-            verify_result(spec.kernel, result, ref=ref)
-        if key is not None:
-            cache.put(key, result)
-        results[(kname, policy)] = result
+    batch = HompRuntime(machine, seed=seed).parallel_for_many(
+        specs, executor=executor
+    )
+    _ENGINE_RUNS += len(batch)
+    if verify:
+        verify_batch(zip(shares, specs, batch))
+    return batch
 
 
-def _run_traced_cells(
+def _traced_cells(
     machine: MachineSpec,
     pending: list,
-    results: dict,
-    cache: SweepCache,
     trace_dir: Path,
-    *,
-    cutoff_ratio: float,
-    seed: int,
-    verify: bool,
-    fault_plan: FaultPlan | None,
-    resilience: ResiliencePolicy | None,
-    executor: "str | type | None" = None,
-) -> None:
+    registry: MetricsRegistry,
+    **options,
+) -> "Iterator[OffloadResult]":
     """Run grid cells with tracing, exporting artifacts per cell.
 
     Serial by construction (the tracer is an in-process object).  One
     metrics registry spans the whole grid; each cell gets its own span
-    stream.  Cache statistics are folded into the registry at the end.
+    stream.
     """
-    from repro.obs.export import write_chrome_trace, write_jsonl, write_prom
-
-    registry = MetricsRegistry()
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    clock = resolve_backend(executor or "virtual").clock
-    for kname, factory, policy, key in pending:
+    clock = resolve_backend(options["executor"] or "virtual").clock
+    for kname, factory, policy, _ in pending:
         tracer = Tracer(clock=clock, metrics=registry)
-        result = run_one(
-            machine, factory(), policy,
-            cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-            fault_plan=fault_plan, resilience=resilience, tracer=tracer,
-            executor=executor,
-        )
+        result = _run_miss(machine, factory, policy, tracer=tracer, **options)
         stem = f"{kname}.{policy}".replace("/", "_").replace(" ", "_")
         write_chrome_trace(tracer, trace_dir / f"{stem}.trace.json")
         write_jsonl(tracer, trace_dir / f"{stem}.jsonl")
-        if key is not None:
-            cache.put(key, result)
-        results[(kname, policy)] = result
-    for stat_name, value in cache.stats.to_dict().items():
-        registry.set_gauge(f"bench_cache_{stat_name}", value)
-    write_prom(registry, trace_dir / "metrics.prom")
+        yield result
 
 
 def _cells_picklable(machine: MachineSpec, pending: list) -> bool:

@@ -7,6 +7,10 @@ back to back on one leased engine and — because the group shares one
 workload — builds the (expensive) kernel inputs once and runs the numeric
 execution once instead of once per job.
 
+Only a service on a virtual-equivalent backend coalesces (the predicate
+that gates the sweep cache, :func:`repro.bench.cache.cell_key`):
+``batch`` is byte-identical to ``virtual`` and to nothing else.
+
 A job is *coalescible* when batching cannot change its bytes or lose a
 side channel it asked for:
 
@@ -25,10 +29,11 @@ side channel it asked for:
 
 Jobs coalesce only within a :func:`group_key` — same machine selection,
 workload fingerprint, seed and verify flag — so a batch is exactly one
-``run_grid`` row: one workload under several policies/cutoffs.
-:func:`plan_group` then applies the grid runner's kernel-sharing rule,
-keeping coalesced results byte-identical to solo runs (pinned by
-``tests/service/test_determinism.py``).
+``run_grid`` row: one workload under several policies/cutoffs, sharing
+kernels (``_shared_kernel_specs``) and verified
+(:func:`repro.bench.runner.verify_batch`) exactly as the grid's batch path
+does, which keeps coalesced results byte-identical to solo runs (pinned
+by ``tests/service/test_determinism.py``).
 """
 
 from __future__ import annotations
@@ -93,8 +98,7 @@ def plan_group(jobs: "list[OffloadJob]") -> tuple[list[OffloadSpec], list[bool]]
     """Specs for one coalesced batch, with per-cell numeric-execution flags.
 
     A group is a single-workload batch (one :func:`group_key`), so every
-    job shares one kernel under the grid runner's sharing rule
-    (``_shared_kernel_specs``).
+    job shares one kernel (``_shared_kernel_specs``).
     """
     specs = _shared_kernel_specs(
         (None, job.factory, job.policy, job.cutoff_ratio) for job in jobs

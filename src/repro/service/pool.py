@@ -7,8 +7,8 @@ The pool turns that contract into throughput: up to ``size`` offloads run
 at once, each on an engine it holds *exclusively* for the duration of the
 lease, and engines are returned to a free list instead of being rebuilt
 per job (engine construction is cheap, but reuse keeps the pool's
-concurrency accounting honest and mirrors how a real device queue would
-be held open).
+concurrency accounting honest, the way a real device queue would be
+held open).
 
 Free engines are keyed by ``(backend, device-selection)`` because an
 engine is bound to one submachine: the pool builds each engine over
@@ -44,7 +44,7 @@ class EnginePool:
         self.machine = machine
         self.size = size
         self._sem = asyncio.Semaphore(size)
-        self._free: dict[tuple[str, tuple[int, ...]], list[Any]] = {}
+        self._free: dict[tuple[type, tuple[int, ...]], list[Any]] = {}
         #: Engines ever constructed / leases ever granted / current and
         #: high-water concurrent leases (for tests and pool metrics).
         self.created = 0
@@ -53,26 +53,29 @@ class EnginePool:
         self.max_active = 0
 
     @staticmethod
-    def _key(backend: "str | type", ids: "tuple[int, ...]") -> tuple[str, tuple[int, ...]]:
-        name = getattr(resolve_backend(backend), "backend_name", None)
-        return (name or str(backend), tuple(ids))
+    def _key(backend: "str | type", ids: "tuple[int, ...]") -> tuple[type, tuple[int, ...]]:
+        return (resolve_backend(backend), tuple(ids))
 
     async def acquire(self, backend: "str | type", ids: "tuple[int, ...]") -> Any:
         """Lease an engine for ``(backend, ids)``; blocks on pool pressure.
 
         The returned engine is exclusively the caller's until it is
         handed back through :meth:`release` — the pool itself is what
-        makes :class:`~repro.errors.EngineBusyError` unreachable.
+        makes :class:`~repro.errors.EngineBusyError` unreachable.  A
+        backend that cannot be constructed raises here and holds no slot.
         """
         await self._sem.acquire()
-        key = self._key(backend, ids)
-        free = self._free.get(key)
+        free = self._free.get(self._key(backend, ids))
         if free:
             engine = free.pop()
         else:
-            engine = make_backend(
-                backend, self.machine.subset(list(ids))
-            )
+            try:
+                engine = make_backend(
+                    backend, self.machine.subset(list(ids))
+                )
+            except BaseException:
+                self._sem.release()
+                raise
             self.created += 1
         self.leases += 1
         self.active += 1

@@ -25,12 +25,12 @@ whether the job ran solo on a pooled engine, coalesced into a
 *latency* stamps on the :class:`~repro.service.job.JobResult` envelope
 are the only nondeterministic fields, and they live outside the result.
 
-Cache interop: jobs on the default device selection with a
-fingerprintable factory use *the same* :func:`repro.bench.cache.
-result_key` fingerprints as :func:`repro.bench.runner.run_cell` — a grid
+Cache interop: a job's sweep-cache key is :func:`repro.bench.cache.
+cell_key`'s — the rule ``run_cell`` and ``run_grid`` ask — so a grid
 sweep warms the cache for the service and vice versa.  Traced jobs
-bypass cache reads (a hit has no spans to give) but still populate,
-mirroring ``run_grid``.
+bypass cache reads (a hit has no spans to give) but still populate.  On
+a backend that is not virtual-equivalent (``threaded``, ``cluster``) the
+service neither caches nor coalesces: every job runs where it was asked.
 """
 
 from __future__ import annotations
@@ -40,8 +40,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
-from repro.bench.cache import SweepCache, get_cache, result_key
-from repro.bench.runner import verify_result
+from repro.bench.cache import (
+    SweepCache,
+    _backend_name,
+    _virtual_equivalent,
+    cell_key,
+    get_cache,
+)
+from repro.bench.runner import verify_batch, verify_result
 from repro.engine.core import resolve_backend
 from repro.engine.trace import OffloadResult
 from repro.errors import (
@@ -61,36 +67,30 @@ from repro.service.pool import EnginePool
 
 __all__ = ["OffloadService"]
 
-#: Backends whose results may touch the sweep cache (mirrors
-#: ``repro.bench.runner._cacheable_executor``: deterministic virtual-time
-#: artifacts only).
-_CACHEABLE_BACKENDS = ("virtual", "batch")
-
-
-def _backend_name(backend: "str | type") -> str:
-    return getattr(resolve_backend(backend), "backend_name", None) or str(backend)
-
 
 class _Pending:
     """Internal per-job record threaded from submit to completion."""
 
     __slots__ = (
-        "job", "handle", "ids", "cache_key", "group_key", "submitted_at",
-        "started_at", "registry", "effective_trace",
+        "job", "handle", "ids", "cache_key", "group_key", "backend",
+        "submitted_at", "started_at", "registry", "effective_trace",
+        "tracer",
     )
 
     def __init__(self, job: OffloadJob, handle: JobHandle,
                  ids: tuple[int, ...], cache_key: "str | None",
-                 gkey: "tuple | None", submitted_at: float):
+                 gkey: "tuple | None", backend: str, submitted_at: float):
         self.job = job
         self.handle = handle
         self.ids = ids
         self.cache_key = cache_key
         self.group_key = gkey
+        self.backend = backend  # name; ``batch`` once dispatched coalescible
         self.submitted_at = submitted_at
         self.started_at = submitted_at
         self.registry = MetricsRegistry()
         self.effective_trace = job.trace and obs_enabled()
+        self.tracer: "Tracer | None" = None
 
 
 class OffloadService:
@@ -102,11 +102,13 @@ class OffloadService:
             handle = await svc.submit(OffloadJob(factory, policy="BLOCK"))
             result = (await handle).unwrap()
 
-    ``backend`` names the execution backend for solo jobs (``"virtual"``
-    by default); coalesced batches always run on ``"batch"`` (whose
-    results are byte-identical to virtual's).  ``coalesce=False``
-    disables batching entirely; ``max_batch`` caps how many queued mates
-    one batch may absorb.  ``cache`` is a
+    ``backend`` names the execution backend (``"virtual"`` by default; an
+    unknown name raises :class:`~repro.errors.OffloadError`).  On a
+    virtual-equivalent backend coalescible jobs run on ``"batch"`` (whose
+    results are byte-identical to virtual's); any other backend runs
+    every job itself, uncached.  ``coalesce=False`` disables batching
+    entirely; ``max_batch`` caps how many queued mates one batch may
+    absorb.  ``cache`` is a
     :class:`~repro.bench.cache.SweepCache` (None = the process-wide one;
     ``use_cache=False`` bypasses caching regardless).  ``clock`` is the
     monotonic time source for admission token buckets and latency stamps
@@ -132,8 +134,11 @@ class OffloadService:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.machine = machine
         self.backend = backend
+        self._backend_name = _backend_name(backend)
         self.pool_size = pool_size
-        self.coalesce = coalesce
+        # Moving a job onto ``batch`` is only byte-neutral from a backend
+        # that produces the virtual engine's results in the first place.
+        self.coalesce = coalesce and _virtual_equivalent(backend)
         self.max_batch = max_batch
         self._clock = clock
         self._cache = cache if cache is not None else get_cache()
@@ -201,11 +206,9 @@ class OffloadService:
         except asyncio.CancelledError:
             pass
         while len(self._wfq):
-            _, rec = self._wfq.pop()
-            self._finish_error(
-                rec,
+            self._fail(
+                [self._wfq.pop()[1]],
                 ServiceClosedError("service closed before the job ran"),
-                backend=_backend_name(self.backend),
             )
         if self._inflight_tasks:
             await asyncio.gather(*self._inflight_tasks, return_exceptions=True)
@@ -249,6 +252,7 @@ class OffloadService:
             job, handle, ids,
             cache_key=self._cache_key(job),
             gkey=group_key(job, ids) if self.coalesce else None,
+            backend=self._backend_name,
             submitted_at=now,
         )
         handle._cancel = lambda: self._cancel_queued(rec)
@@ -262,38 +266,24 @@ class OffloadService:
         return handle
 
     def _cache_key(self, job: OffloadJob) -> "str | None":
-        """The job's sweep-cache key, or None when it must always run.
-
-        Exactly the conditions under which the job is equivalent to a
-        ``run_cell`` cell: fingerprintable factory, concrete policy
-        string, the default all-devices selection, default engine flags,
-        and a concrete cutoff.  The key itself is the same
-        :func:`~repro.bench.cache.result_key` call ``run_cell`` makes.
-        """
-        if not self._use_cache or not self._cache.enabled:
+        """The job's sweep-cache key: ``run_cell``'s for the same cell,
+        unless the job sets an option a cell cannot express (a device
+        subset, event recording, a serialized offload)."""
+        if not self._use_cache:
             return None
         if job.devices is not None or job.record_events or job.serialize_offload:
             return None
-        if not isinstance(job.policy, str) or job.cutoff_ratio == "auto":
-            return None
-        fingerprint = getattr(job.factory, "fingerprint", None)
-        if fingerprint is None:
-            return None
-        return result_key(
-            self.machine,
-            fingerprint(),
-            job.policy,
-            cutoff_ratio=float(job.cutoff_ratio),
-            seed=job.seed,
-            verify=job.verify,
-            fault_plan=job.fault_plan,
-            resilience=job.resilience,
+        return cell_key(
+            self._cache, self.machine, job.factory, job.policy,
+            cutoff_ratio=job.cutoff_ratio, seed=job.seed, verify=job.verify,
+            fault_plan=job.fault_plan, resilience=job.resilience,
+            executor=self.backend,
         )
 
     # -- dispatch --------------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        assert self._wake is not None and self._pool is not None
+        assert self._wake is not None
         while True:
             if not len(self._wfq):
                 self._wake.clear()
@@ -301,117 +291,101 @@ class OffloadService:
                 continue
             _, rec = self._wfq.pop()
             self.metrics.set_gauge("service_queue_depth", float(len(self._wfq)))
-            if self._deadline_elapsed(rec):
-                self._expire(rec)
-                continue
-            backend = self.backend
-            if rec.group_key is not None:
-                backend = "batch"
-            bname = _backend_name(backend)
-            if (
-                rec.cache_key is not None
-                and not rec.effective_trace
-                and bname in _CACHEABLE_BACKENDS
-            ):
-                hit = self._cache.get(rec.cache_key)
-                if hit is not None:
-                    self._finish_cached(rec, hit, backend=bname)
-                    continue
+            group = [rec]
             try:
-                engine = await self._pool.acquire(backend, rec.ids)
+                await self._dispatch(group)
             except asyncio.CancelledError:
                 # The dispatcher was torn down while this job waited for a
                 # slot: fail it visibly instead of losing it.
-                self._finish_error(
-                    rec,
+                self._fail(
+                    group,
                     ServiceClosedError("service closed before the job ran"),
-                    backend=bname,
                 )
                 raise
-            group = [rec]
-            if rec.group_key is not None and self.max_batch > 1:
-                # Mates are collected *after* the (possibly long) wait for
-                # a pool slot, so a saturated service naturally forms
-                # larger batches from the queue that built up meanwhile.
-                key = rec.group_key
-                mates = self._wfq.pop_matching(
-                    lambda r: r.group_key == key, self.max_batch - 1
-                )
-                for _, mate in mates:
-                    if self._deadline_elapsed(mate):
-                        self._expire(mate)
-                    else:
-                        group.append(mate)
-                self.metrics.set_gauge(
-                    "service_queue_depth", float(len(self._wfq))
-                )
-            task = asyncio.create_task(
-                self._run_group(group, backend, rec.ids, engine)
+            except Exception as exc:
+                # A raise before the hand-off (say, a backend that cannot be
+                # built) fails that job; the queue behind it is still served.
+                self._fail(group, exc)
+
+    async def _dispatch(self, group: "list[_Pending]") -> None:
+        """Serve the popped ``group[0]``: expire it, answer it from the
+        cache, or lease an engine, gather its mates into ``group`` and
+        hand the group to a worker."""
+        assert self._pool is not None
+        rec = group[0]
+        if self._expired(rec):
+            return
+        backend = self.backend
+        if rec.group_key is not None:
+            backend = rec.backend = "batch"
+        if rec.cache_key is not None and not rec.effective_trace:
+            hit = self._cache.get(rec.cache_key)
+            if hit is not None:
+                self._complete(rec, JobState.DONE, hit, cache_hit=True)
+                return
+        engine = await self._pool.acquire(backend, rec.ids)
+        if rec.group_key is not None and self.max_batch > 1:
+            # Mates are collected *after* the (possibly long) wait for
+            # a pool slot, so a saturated service naturally forms
+            # larger batches from the queue that built up meanwhile.
+            key = rec.group_key
+            mates = self._wfq.pop_matching(
+                lambda r: r.group_key == key, self.max_batch - 1
             )
-            self._inflight_tasks.add(task)
-            task.add_done_callback(self._inflight_tasks.discard)
+            for _, mate in mates:
+                if not self._expired(mate):
+                    mate.backend = rec.backend
+                    group.append(mate)
+            self.metrics.set_gauge(
+                "service_queue_depth", float(len(self._wfq))
+            )
+        task = asyncio.create_task(self._run_group(group, backend, engine))
+        self._inflight_tasks.add(task)
+        task.add_done_callback(self._inflight_tasks.discard)
 
     async def _run_group(self, group: list[_Pending], backend: "str | type",
-                         ids: tuple[int, ...], engine: Any) -> None:
+                         engine: Any) -> None:
         assert self._pool is not None and self._executor is not None
         started = self._clock()
         for rec in group:
             rec.started_at = started
-        bname = _backend_name(backend)
-        tracer = None
         if len(group) == 1 and group[0].effective_trace:
-            tracer = Tracer(
+            group[0].tracer = Tracer(
                 clock=resolve_backend(backend).clock,
                 metrics=group[0].registry,
             )
-        loop = asyncio.get_running_loop()
+        run = self._execute_solo if len(group) == 1 else self._execute_group
         try:
-            if len(group) == 1:
-                results = await loop.run_in_executor(
-                    self._executor, self._execute_solo, group[0], engine,
-                    tracer,
-                )
-            else:
-                results = await loop.run_in_executor(
-                    self._executor, self._execute_group, group, engine,
-                )
-        except asyncio.CancelledError:
-            for rec in group:
-                self._finish_error(
-                    rec, ServiceClosedError("service shut down mid-run"),
-                    backend=bname,
-                )
-            raise
-        except BaseException as exc:
-            for rec in group:
-                self._finish_error(rec, exc, backend=bname)
-        else:
-            coalesced = len(group) > 1
+            results = await asyncio.get_running_loop().run_in_executor(
+                self._executor, run, group, engine
+            )
             self.metrics.inc("service_engine_runs")
-            if coalesced:
+            if len(group) > 1:
                 self.metrics.inc("service_batches")
                 self.metrics.observe(
                     "service_batch_size", float(len(group)),
                     buckets=(1, 2, 4, 8, 16, 32, 64),
                 )
             for rec, result in zip(group, results):
-                if (
-                    rec.cache_key is not None
-                    and bname in _CACHEABLE_BACKENDS
-                ):
+                if rec.cache_key is not None:
                     self._cache.put(rec.cache_key, result)
-                self._finish_ok(
-                    rec, result, backend=bname, coalesced=coalesced,
-                    batch_size=len(group), tracer=tracer,
+                self._complete(
+                    rec, JobState.DONE, result, batch_size=len(group)
                 )
+        except asyncio.CancelledError:
+            self._fail(group, ServiceClosedError("service shut down mid-run"))
+            raise
+        except BaseException as exc:
+            self._fail(group, exc)
         finally:
-            self._pool.release(backend, ids, engine)
+            self._pool.release(backend, group[0].ids, engine)
 
     # -- worker-thread execution ----------------------------------------------
 
-    def _execute_solo(self, rec: _Pending, engine: Any,
-                      tracer) -> list[OffloadResult]:
+    def _execute_solo(self, group: list[_Pending],
+                      engine: Any) -> list[OffloadResult]:
         """Run one job on its leased engine (worker thread)."""
+        (rec,) = group
         job = rec.job
         rt = HompRuntime(self.machine, seed=job.seed)
         kernel = job.factory()
@@ -424,7 +398,7 @@ class OffloadService:
             serialize_offload=job.serialize_offload,
             fault_plan=job.fault_plan,
             resilience=job.resilience,
-            tracer=tracer,
+            tracer=rec.tracer,
             engine=engine,
         )
         if job.verify:
@@ -435,109 +409,89 @@ class OffloadService:
                        engine: Any) -> list[OffloadResult]:
         """Run one coalesced batch on a leased batch engine (worker thread)."""
         jobs = [rec.job for rec in group]
-        specs, executed = plan_group(jobs)
+        specs, _ = plan_group(jobs)
         rt = HompRuntime(self.machine, seed=jobs[0].seed)
         results = rt.parallel_for_many(
             specs, devices=list(group[0].ids), engine=engine
         )
-        ref = None
-        for job, spec, execute, result in zip(jobs, specs, executed, results):
-            if job.verify and execute:
-                if ref is None:
-                    ref = spec.kernel.reference()
-                verify_result(spec.kernel, result, ref=ref)
+        # One group is one workload (``group_key``): one share key.
+        verify_batch(
+            (None, spec, result)
+            for job, spec, result in zip(jobs, specs, results) if job.verify
+        )
         return results
 
     # -- completion (event-loop thread) ---------------------------------------
 
-    def _finish_cached(self, rec: _Pending, result: OffloadResult,
-                       *, backend: str) -> None:
-        self.metrics.inc("service_cache_hits")
-        rec.registry.inc("job_cache_hit")
-        self._finish_ok(
-            rec, result, backend=backend, coalesced=False, batch_size=1,
-            tracer=None, cache_hit=True,
-        )
+    def _complete(self, rec: _Pending, state: JobState,
+                  outcome: "OffloadResult | BaseException", *,
+                  batch_size: int = 1, cache_hit: bool = False) -> None:
+        """The one completion path: resolve ``rec`` in terminal ``state``
+        with its ``outcome`` (the result for ``DONE``, else the error).
 
-    def _finish_ok(self, rec: _Pending, result: OffloadResult, *,
-                   backend: str, coalesced: bool, batch_size: int,
-                   tracer, cache_hit: bool = False) -> None:
-        rec.registry.set_gauge("job_batch_size", float(batch_size))
-        if coalesced:
-            rec.registry.inc("job_coalesced")
-            self.metrics.inc("service_coalesced_jobs")
-        self.metrics.inc("service_jobs_completed", tenant=rec.job.tenant)
-        self._resolve(
-            rec,
-            JobResult(
-                job=rec.job,
-                state=JobState.DONE,
-                result=result,
-                backend=backend,
-                coalesced=coalesced,
-                batch_size=batch_size,
-                cache_hit=cache_hit,
-                submitted_at=rec.submitted_at,
-                started_at=rec.started_at,
-                finished_at=self._clock(),
-                metrics=rec.registry,
-                tracer=tracer,
-            ),
-        )
-
-    def _finish_error(self, rec: _Pending, error: BaseException, *,
-                      backend: str) -> None:
-        self.metrics.inc("service_jobs_failed", tenant=rec.job.tenant)
-        self._resolve(
-            rec,
-            JobResult(
-                job=rec.job,
-                state=JobState.FAILED,
-                result=None,
-                error=error,
-                backend=backend,
-                submitted_at=rec.submitted_at,
-                started_at=rec.started_at,
-                finished_at=self._clock(),
-                metrics=rec.registry,
-            ),
-        )
-
-    def _deadline_elapsed(self, rec: _Pending) -> bool:
-        deadline = rec.job.deadline_s
-        return (
-            deadline is not None
-            and self._clock() - rec.submitted_at >= float(deadline)
-        )
-
-    def _expire(self, rec: _Pending) -> None:
-        """Resolve a queue-deadline overrun with a typed EXPIRED result.
-
-        Only undispatched jobs reach here: the deadline is checked as the
-        dispatcher pops the record (and as coalescing gathers mates), so
-        work already handed to an engine always runs to completion.  Like
-        cancellation, expiry resolves the handle — it never raises — and
-        releases the tenant's admission slot.
+        Builds the envelope, counts the outcome, releases the tenant's
+        admission slot and resolves the handle — at most once per job, so
+        a failure handler may sweep a whole group without double-releasing
+        the members that already completed.
         """
-        self.metrics.inc("service_jobs_expired", tenant=rec.job.tenant)
-        self._resolve(
-            rec,
-            JobResult(
-                job=rec.job,
-                state=JobState.EXPIRED,
-                result=None,
-                error=JobExpired(
-                    f"job (tenant {rec.job.tenant!r}, tag {rec.job.tag!r}) "
-                    f"spent longer than its deadline of "
-                    f"{float(rec.job.deadline_s)}s in the queue"
-                ),
-                backend=_backend_name(self.backend),
-                submitted_at=rec.submitted_at,
-                started_at=rec.submitted_at,
-                finished_at=self._clock(),
-                metrics=rec.registry,
-            ),
+        if rec.handle._future.done():
+            return
+        ok = state is JobState.DONE
+        coalesced = batch_size > 1
+        if ok:
+            rec.registry.set_gauge("job_batch_size", float(batch_size))
+            if cache_hit:
+                rec.registry.inc("job_cache_hit")
+                self.metrics.inc("service_cache_hits")
+            if coalesced:
+                rec.registry.inc("job_coalesced")
+                self.metrics.inc("service_coalesced_jobs")
+        self.metrics.inc(
+            "service_jobs_" + ("completed" if ok else state.value),
+            tenant=rec.job.tenant,
         )
+        self._admission.release(rec.job.tenant)
+        self._unfinished -= 1
+        if self._unfinished == 0:
+            assert self._idle is not None
+            self._idle.set()
+        rec.handle._future.set_result(JobResult(
+            job=rec.job,
+            state=state,
+            result=outcome if ok else None,
+            error=None if ok else outcome,
+            backend=rec.backend,
+            coalesced=coalesced,
+            batch_size=batch_size,
+            cache_hit=cache_hit,
+            submitted_at=rec.submitted_at,
+            started_at=rec.started_at,
+            finished_at=self._clock(),
+            metrics=rec.registry,
+            tracer=rec.tracer,
+        ))
+
+    def _fail(self, group: "list[_Pending]", error: BaseException) -> None:
+        for rec in group:
+            self._complete(rec, JobState.FAILED, error)
+
+    def _expired(self, rec: _Pending) -> bool:
+        """Whether ``rec`` overran its queue deadline — if so it resolves
+        with a typed EXPIRED result (never raising, like cancellation).
+
+        Only undispatched jobs are asked: the deadline is checked as the
+        dispatcher pops the record (and as coalescing gathers mates), so
+        work already handed to an engine always runs to completion.
+        """
+        deadline = rec.job.deadline_s
+        if deadline is None or self._clock() - rec.submitted_at < float(deadline):
+            return False
+        self._complete(rec, JobState.EXPIRED, JobExpired(
+            f"job (tenant {rec.job.tenant!r}, tag {rec.job.tag!r}) "
+            f"spent longer than its deadline of {float(deadline)}s "
+            "in the queue"
+        ))
+        return True
 
     def _cancel_queued(self, rec: _Pending) -> bool:
         """Withdraw a not-yet-dispatched job (the handle's cancel hook).
@@ -547,40 +501,16 @@ class OffloadService:
         returns False and the job runs to completion.  A successful
         cancellation resolves the handle with a ``CANCELLED``
         :class:`~repro.service.job.JobResult` (carrying
-        :class:`~repro.errors.JobCancelled`, never raising it) and
-        releases the tenant's admission slot like any other completion.
+        :class:`~repro.errors.JobCancelled`, never raising it).
         """
         if not self._wfq.remove(rec.job.tenant, rec):
             return False
-        self.metrics.inc("service_jobs_cancelled", tenant=rec.job.tenant)
         self.metrics.set_gauge("service_queue_depth", float(len(self._wfq)))
-        self._resolve(
-            rec,
-            JobResult(
-                job=rec.job,
-                state=JobState.CANCELLED,
-                result=None,
-                error=JobCancelled(
-                    f"job (tenant {rec.job.tenant!r}, tag {rec.job.tag!r}) "
-                    "was cancelled while queued"
-                ),
-                backend=_backend_name(self.backend),
-                submitted_at=rec.submitted_at,
-                started_at=rec.submitted_at,
-                finished_at=self._clock(),
-                metrics=rec.registry,
-            ),
-        )
+        self._complete(rec, JobState.CANCELLED, JobCancelled(
+            f"job (tenant {rec.job.tenant!r}, tag {rec.job.tag!r}) "
+            "was cancelled while queued"
+        ))
         return True
-
-    def _resolve(self, rec: _Pending, outcome: JobResult) -> None:
-        self._admission.release(rec.job.tenant)
-        self._unfinished -= 1
-        if self._unfinished == 0:
-            assert self._idle is not None
-            self._idle.set()
-        if not rec.handle._future.done():
-            rec.handle._future.set_result(outcome)
 
     # -- introspection ---------------------------------------------------------
 

@@ -3,6 +3,8 @@ and the cross-figure reuse the derived figures rely on."""
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -92,10 +94,6 @@ def test_key_sensitive_to_policy_cutoff_and_engine_flags():
     )
     assert base != result_key(
         m, fp, "BLOCK", cutoff_ratio=0.15, seed=0, verify=True
-    )
-    assert base != result_key(
-        m, fp, "BLOCK", cutoff_ratio=0.0, seed=0, verify=True,
-        engine_flags={"double_buffer": False},
     )
 
 
@@ -268,3 +266,75 @@ def test_table5_derives_from_fig9_cells():
     fig9_runs = _runs_for(fig9_full_node)
     assert fig9_runs == 6 * 7 + 6 * 4  # grid + cutoff column
     assert _runs_for(table5_cutoff) == 0  # both r0 and r1 hit fig9's keys
+
+
+# ------------------------------------------------ the one cell rule
+
+
+def test_cell_key_is_result_key_for_a_keyed_cell():
+    from repro.bench.cache import cell_key
+
+    m, f = gpu4_node(), WorkloadFactory("axpy", seed=3)
+    assert cell_key(
+        get_cache(), m, f, "BLOCK", cutoff_ratio=0.15, seed=2, verify=False,
+        executor="batch",
+    ) == result_key(
+        m, f.fingerprint(), "BLOCK", cutoff_ratio=0.15, seed=2, verify=False
+    )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"executor": "threaded"},
+        {"executor": "cluster"},
+        {"cutoff_ratio": "auto"},
+        {"policy": object()},
+        {"factory": lambda: None},
+    ],
+    ids=["threaded", "cluster", "auto-cutoff", "policy-object", "lambda"],
+)
+def test_cell_key_leaves_a_cell_unkeyed(change):
+    from repro.bench.cache import cell_key
+
+    args = {"factory": WorkloadFactory("axpy"), "policy": "BLOCK", **change}
+    factory, policy = args.pop("factory"), args.pop("policy")
+    assert cell_key(get_cache(), gpu4_node(), factory, policy, **args) is None
+
+
+@pytest.mark.parametrize("entry", ["run_cell", "run_grid"])
+def test_auto_cutoff_cell_is_unkeyed_and_runs(entry):
+    """cutoff_ratio="auto" resolves against the devices at run time, so
+    the cell has no key: it runs (the key used to be float("auto"))."""
+    m, spy = gpu4_node(), SweepCache()
+    kw = dict(cutoff_ratio="auto", seed=1, cache=spy)
+    if entry == "run_cell":
+        named = run_cell(m, WorkloadFactory("axpy", seed=1), "MODEL_1_AUTO", **kw)
+        anon = run_cell(m, lambda: WorkloadFactory("axpy", seed=1)(), "MODEL_1_AUTO", **kw)
+    else:
+        named, anon = (
+            run_grid(m, {"axpy": f}, policies=("MODEL_1_AUTO",), workers=0, **kw)
+            .results["axpy"]["MODEL_1_AUTO"]
+            for f in (
+                WorkloadFactory("axpy", seed=1),
+                lambda: WorkloadFactory("axpy", seed=1)(),
+            )
+        )
+    assert pickle.dumps(named) == pickle.dumps(anon)
+    assert spy.stats.puts == 0 and spy.stats.hits == 0
+
+
+def test_cache_off_never_fingerprints(monkeypatch):
+    """With the cache off the rule answers before any identity work."""
+
+    class Loud(WorkloadFactory):
+        def fingerprint(self):
+            raise AssertionError("fingerprint() called with the cache off")
+
+    monkeypatch.setenv(CACHE_ENV, "off")
+    m = gpu4_node()
+    monkeypatch.setattr(
+        type(m), "to_dict",
+        lambda self: (_ for _ in ()).throw(AssertionError("to_dict called")),
+    )
+    assert run_cell(m, Loud("axpy"), "BLOCK").total_time_s > 0

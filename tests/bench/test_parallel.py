@@ -126,3 +126,59 @@ def test_worker_thread_pins_are_exported():
                 os.environ.pop(k, None)
             else:
                 os.environ[k] = v
+
+
+# ---------------------------------------- one miss path, one store loop
+
+MISS_PATHS = {
+    "serial": dict(workers=0),
+    "pool": dict(workers=2),
+    "batch": dict(executor="batch"),
+    "traced": dict(workers=0, trace_dir="traces"),
+}
+
+
+@pytest.mark.parametrize("how", MISS_PATHS)
+def test_every_miss_path_fills_the_same_grid_and_cache(how, monkeypatch, tmp_path):
+    """Serial, process pool, batch backend and traced sweeps run their
+    misses differently and store them through one loop: every cell
+    pickles identically, cold and warm, and the cache sees the same puts."""
+    import pickle
+
+    from repro.bench.cache import SweepCache
+
+    monkeypatch.setenv(CACHE_ENV, "mem")
+    monkeypatch.chdir(tmp_path)
+    machine = gpu4_node()
+    # one anonymous factory: its cells run but are never stored
+    ks = {"axpy": WorkloadFactory("axpy"), "sum": WorkloadFactory("sum")}
+    if how != "pool":
+        ks["anon"] = lambda: make_kernel("axpy", 2048, seed=3)
+
+    def sweep(cache, **kw):
+        grid = run_grid(machine, ks, policies=POLICIES, cache=cache, **kw)
+        assert list(grid.results) == list(ks)
+        # one round trip first: a pool worker's result arrives unpickled,
+        # which re-memoizes equal strings the in-process result shares
+        return [
+            (kname, policy, pickle.dumps(pickle.loads(pickle.dumps(result))))
+            for kname, row in grid.results.items()
+            for policy, result in row.items()
+        ]
+
+    ref_cache = SweepCache()
+    ref = sweep(ref_cache, workers=0)
+    cache = SweepCache()
+    assert sweep(cache, **MISS_PATHS[how]) == ref                  # cold
+    assert cache.stats.puts == ref_cache.stats.puts == 2 * len(POLICIES)
+    puts, hits = cache.stats.puts, cache.stats.hits
+    assert sweep(cache, **MISS_PATHS[how]) == ref                  # warm
+    if how == "traced":
+        # traced sweeps bypass reads (a hit has no spans) but still store,
+        # and the grid-wide metrics are written after the last store
+        assert (cache.stats.puts, cache.stats.hits) == (2 * puts, hits)
+        prom = (tmp_path / "traces" / "metrics.prom").read_text()
+        assert f"bench_cache_puts {2 * puts}" in prom.replace(".0", "")
+    else:
+        assert cache.stats.puts == puts
+        assert cache.stats.hits == hits + puts

@@ -4,8 +4,9 @@ One front-end path: ``parse_directive -> lower -> verify -> passes ->
 execute``.  Directives lower (:mod:`repro.ir.lower`) into an immutable
 :class:`Program` of typed ops (:mod:`repro.ir.ops`), the verifier
 (:mod:`repro.ir.verify`) checks it, the rewrite passes
-(:mod:`repro.ir.passes`) normalise maps, derive halo exchanges
-symbolically and fuse adjacent offloads, and
+(:mod:`repro.ir.passes`) normalise maps, derive halo exchanges,
+fuse adjacent offloads and hoist stream regions — reaching every op
+kind's members through ``op.offloads`` / ``op.with_offloads`` — and
 :meth:`repro.runtime.runtime.HompRuntime.run_program` executes the
 result.  See ``docs/IR.md`` for the op vocabulary, verifier rules and
 fusion legality conditions.
@@ -13,9 +14,7 @@ fusion legality conditions.
 
 from repro.ir.lower import data_region, decl_for, from_directive, from_directives
 from repro.ir.ops import (
-    Bound,
     DataDecl,
-    Dim,
     FusedOffloadOp,
     HaloLeg,
     HaloOp,
@@ -23,7 +22,6 @@ from repro.ir.ops import (
     OffloadOp,
     Program,
     ReduceOp,
-    Region,
     StreamOp,
 )
 from repro.ir.passes import (
@@ -38,9 +36,6 @@ from repro.ir.passes import (
 from repro.ir.verify import verify_program
 
 __all__ = [
-    "Bound",
-    "Dim",
-    "Region",
     "DataDecl",
     "MapOp",
     "HaloLeg",

@@ -14,7 +14,13 @@ Lowering preserves the directive path's semantics exactly:
   them via ``set_partition`` before execution, and they persist on the
   kernel afterwards, as they always have);
 * the schedule comes from an explicit override, else the directive's
-  ``dist_schedule(target:[...])`` head policy, else ``"AUTO"``;
+  ``dist_schedule(target:[...])`` head policy, else ``"AUTO"`` — a
+  ``teams:`` modifier is within-device OpenMP and says nothing about the
+  cross-device split;
+* a ``stream(batches=N, window=W)`` clause wraps the op in a
+  :class:`~repro.ir.ops.StreamOp` (the op becomes the batch template; the
+  ``stream-pipeline`` pass hoists its maps into ``region_maps``) — from
+  either entry point;
 * without the ``parallel target`` composite the offload serialises
   (paper §III.4).
 """
@@ -25,15 +31,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.dist.policy import Full, Policy
-from repro.errors import DeviceError, SchedulingError
+from repro.errors import DeviceError, IRVerifyError, SchedulingError
 from repro.ir.ops import (
     DataDecl,
     MapOp,
     OffloadOp,
     Program,
     ReduceOp,
-    Region,
     StreamOp,
 )
 from repro.kernels.base import LoopKernel
@@ -58,70 +62,9 @@ def _parse(directive: "str | OffloadDirective") -> tuple[OffloadDirective, str]:
     return directive, ""
 
 
-def _lower_one(
-    d: OffloadDirective,
-    kernel: LoopKernel,
-    *,
-    schedule=None,
-) -> tuple[tuple[DataDecl, ...], OffloadOp]:
-    overrides = tuple(
-        (m.name, m.policies[0])
-        for m in d.maps
-        if m.name in kernel.arrays and m.policies
-    )
-    override_by_name = dict(overrides)
-
-    maps = []
-    decls = []
-    for m in kernel.effective_maps():
-        policies = m.policies
-        override = override_by_name.get(m.name)
-        if override is not None:
-            policies = (override, *policies[1:])
-        maps.append(
-            MapOp(
-                array=m.name,
-                direction=m.direction,
-                policies=policies,
-                halo=m.halo,
-                region=Region.for_map(policies, m.halo),
-            )
-        )
-        decls.append(decl_for(m.name, kernel.arrays[m.name]))
-
-    if schedule is None:
-        if d.dist_schedule is not None:
-            schedule = d.dist_schedule.policies[0]
-        else:
-            schedule = "AUTO"
-
-    reduce_op = None
-    if kernel.is_reduction:
-        reduce_op = ReduceOp(
-            op=d.reduction[0] if d.reduction else "+",
-            var=d.reduction[1] if d.reduction else None,
-        )
-
-    op = OffloadOp(
-        kernel=kernel,
-        label=kernel.label,
-        n_iters=kernel.n_iters,
-        schedule=schedule,
-        devices=d.device_clause if d.device_clause else None,
-        maps=tuple(maps),
-        reduce=reduce_op,
-        collapse=d.collapse,
-        serialize_offload=not d.is_parallel_target,
-        partition_overrides=overrides,
-    )
-    return tuple(decls), op
-
-
 def _merge_decls(
     into: dict[str, DataDecl], decls: Iterable[DataDecl]
 ) -> None:
-    from repro.errors import IRVerifyError
-
     for decl in decls:
         prior = into.get(decl.name)
         if prior is None:
@@ -131,6 +74,73 @@ def _merge_decls(
                 f"array {decl.name!r} declared with conflicting geometry: "
                 f"{prior.shape}/{prior.dtype} vs {decl.shape}/{decl.dtype}"
             )
+
+
+def _lower(pairs, schedule=None) -> Program:
+    """The one lowering body: each (directive, kernel) pair becomes one op
+    — wrapped in a :class:`~repro.ir.ops.StreamOp` under a ``stream``
+    clause — over the merged declarations.  ``schedule`` overrides the
+    directives' ``dist_schedule``."""
+    merged: dict[str, DataDecl] = {}
+    ops = []
+    sources = []
+    for directive, kernel in pairs:
+        d, source = _parse(directive)
+        overrides = tuple(
+            (m.name, m.policies[0])
+            for m in d.maps
+            if m.name in kernel.arrays and m.policies
+        )
+        override_by_name = dict(overrides)
+        kernel_maps = kernel.effective_maps()
+        maps = tuple(
+            MapOp(
+                array=m.name,
+                direction=m.direction,
+                policies=(override_by_name[m.name], *m.policies[1:])
+                if m.name in override_by_name
+                else m.policies,
+                halo=m.halo,
+            )
+            for m in kernel_maps
+        )
+        _merge_decls(
+            merged, (decl_for(m.name, kernel.arrays[m.name]) for m in kernel_maps)
+        )
+        if schedule is not None:
+            op_schedule = schedule
+        elif d.dist_schedule is not None and d.dist_schedule.modifier == "target":
+            op_schedule = d.dist_schedule.policies[0]
+        else:
+            op_schedule = "AUTO"
+        reduce_op = None
+        if kernel.is_reduction:
+            reduce_op = ReduceOp(
+                op=d.reduction[0] if d.reduction else "+",
+                var=d.reduction[1] if d.reduction else None,
+            )
+        op = OffloadOp(
+            kernel=kernel,
+            label=kernel.label,
+            n_iters=kernel.n_iters,
+            schedule=op_schedule,
+            devices=d.device_clause if d.device_clause else None,
+            maps=maps,
+            reduce=reduce_op,
+            collapse=d.collapse,
+            serialize_offload=not d.is_parallel_target,
+            partition_overrides=overrides,
+        )
+        if d.stream is not None:
+            op = StreamOp(
+                template=op, batches=d.stream.batches, window=d.stream.window
+            )
+        ops.append(op)
+        if source:
+            sources.append(source)
+    return Program(
+        decls=tuple(merged.values()), ops=tuple(ops), source=tuple(sources)
+    )
 
 
 def from_directive(
@@ -144,22 +154,7 @@ def from_directive(
     ``schedule`` overrides the directive's ``dist_schedule`` (the
     ``offload(..., schedule=...)`` escape hatch).
     """
-    d, source = _parse(directive)
-    decls, op = _lower_one(d, kernel, schedule=schedule)
-    merged: dict[str, DataDecl] = {}
-    _merge_decls(merged, decls)
-    lowered: "OffloadOp | StreamOp" = op
-    if d.stream is not None:
-        # stream(batches=N, window=W): the op becomes the batch template;
-        # the stream-pipeline pass hoists its maps into region_maps.
-        lowered = StreamOp(
-            template=op, batches=d.stream.batches, window=d.stream.window
-        )
-    return Program(
-        decls=tuple(merged.values()),
-        ops=(lowered,),
-        source=(source,) if source else (),
-    )
+    return _lower([(directive, kernel)], schedule)
 
 
 def from_directives(
@@ -170,21 +165,7 @@ def from_directives(
     The resulting ops run back to back; the fusion pass may group
     adjacent compatible ones under a shared data environment.
     """
-    merged: dict[str, DataDecl] = {}
-    ops = []
-    sources = []
-    for directive, kernel in pairs:
-        d, source = _parse(directive)
-        decls, op = _lower_one(d, kernel)
-        _merge_decls(merged, decls)
-        ops.append(op)
-        if source:
-            sources.append(source)
-    return Program(
-        decls=tuple(merged.values()),
-        ops=tuple(ops),
-        source=tuple(sources),
-    )
+    return _lower(pairs)
 
 
 def data_region(
@@ -215,7 +196,6 @@ def data_region(
                 direction=m.direction,
                 policies=m.policies,
                 halo=m.halo,
-                region=Region.for_map(m.policies, m.halo),
             )
         )
     return Program(

@@ -11,11 +11,9 @@ Vocabulary:
 
 ========== ==============================================================
 DataDecl   one named host array: shape, dtype, bytes (geometry only)
-MapOp      one ``map(dir: name partition(...) halo(lo,hi))`` with its
-           symbolic :class:`Region` footprint
-Region     per-dimension symbolic bounds over the loop chunk — what a
-           chunk ``[start, stop)`` touches of an array, before any chunk
-           is known (``concretize`` plugs real rows in)
+MapOp      one ``map(dir: name partition(...) halo(lo,hi))``; what a
+           chunk touches of the array is the kernel's
+           :meth:`~repro.kernels.base.LoopKernel.input_region`
 HaloOp     a boundary exchange derived from a partitioned map's halo;
            :meth:`HaloOp.legs` computes who sends which rows to whom
 ReduceOp   the loop's reduction clause (op, variable)
@@ -31,6 +29,12 @@ Program    an ordered sequence of offloads over a set of declarations,
            plus optional program-scope ``region_maps`` (target data)
 ========== ==============================================================
 
+Every op kind a :class:`Program` holds answers the same two questions:
+``offloads`` — its member :class:`OffloadOp` nodes in execution order — and
+``with_offloads(members)`` — itself rebuilt around rewritten members (the
+*same object* when none changed).  Passes, the verifier and the listing
+traverse programs through that protocol only.
+
 Every node is a frozen dataclass: passes rewrite by building new nodes
 (``dataclasses.replace``), never by mutation.  The only deliberately
 non-value field is :attr:`OffloadOp.kernel` — the bound loop body, a live
@@ -39,7 +43,7 @@ non-value field is :attr:`OffloadOp.kernel` — the bound loop body, a live
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.dist.policy import Full, Policy
 from repro.errors import IRVerifyError
@@ -47,9 +51,6 @@ from repro.memory.space import MapDirection
 from repro.util.ranges import IterRange
 
 __all__ = [
-    "Bound",
-    "Dim",
-    "Region",
     "DataDecl",
     "MapOp",
     "HaloLeg",
@@ -60,109 +61,6 @@ __all__ = [
     "StreamOp",
     "Program",
 ]
-
-_BASES = ("zero", "extent", "chunk_start", "chunk_stop")
-
-
-@dataclass(frozen=True)
-class Bound:
-    """One symbolic bound: an anchor plus an integer offset.
-
-    Anchors: ``zero``/``extent`` are the array dimension's edges;
-    ``chunk_start``/``chunk_stop`` are the loop chunk's edges (unknown
-    until the scheduler hands a device its rows).
-    """
-
-    base: str
-    offset: int = 0
-
-    def __post_init__(self) -> None:
-        if self.base not in _BASES:
-            raise IRVerifyError(
-                f"bound base must be one of {_BASES}, got {self.base!r}"
-            )
-
-    def resolve(self, rows: IterRange, extent: int) -> int:
-        if self.base == "zero":
-            anchor = 0
-        elif self.base == "extent":
-            anchor = extent
-        elif self.base == "chunk_start":
-            anchor = rows.start
-        else:
-            anchor = rows.stop
-        return anchor + self.offset
-
-    def __str__(self) -> str:
-        if self.offset == 0:
-            return self.base
-        return f"{self.base}{self.offset:+d}"
-
-
-@dataclass(frozen=True)
-class Dim:
-    """One dimension of a :class:`Region`: ``[lower, upper)``, clamped to
-    the array's ``[0, extent)`` on concretization."""
-
-    lower: Bound
-    upper: Bound
-
-    def __str__(self) -> str:
-        return f"[{self.lower}:{self.upper}]"
-
-
-@dataclass(frozen=True)
-class Region:
-    """Symbolic footprint of one mapped array under a loop chunk."""
-
-    dims: tuple[Dim, ...]
-
-    @classmethod
-    def for_map(
-        cls,
-        policies: tuple[Policy, ...],
-        halo: tuple[int, int],
-    ) -> "Region":
-        """The footprint a map clause implies.
-
-        Dim 0 of a partitioned map follows the chunk, grown by the halo;
-        every other (and every FULL) dimension covers its whole extent —
-        exactly :meth:`repro.kernels.base.LoopKernel.input_region`, but
-        stated symbolically before any chunk exists.
-        """
-        partitioned = bool(policies) and not isinstance(policies[0], Full)
-        dims = []
-        for d in range(len(policies)):
-            if d == 0 and partitioned:
-                dims.append(
-                    Dim(
-                        Bound("chunk_start", -halo[0]),
-                        Bound("chunk_stop", halo[1]),
-                    )
-                )
-            else:
-                dims.append(Dim(Bound("zero"), Bound("extent")))
-        return cls(dims=tuple(dims))
-
-    def concretize(
-        self, rows: IterRange, shape: tuple[int, ...]
-    ) -> tuple[IterRange, ...]:
-        """Plug a real chunk in: per-dim ranges clamped to ``[0, extent)``."""
-        if len(shape) != len(self.dims):
-            raise IRVerifyError(
-                f"region has {len(self.dims)} dims for a rank-{len(shape)} "
-                "array"
-            )
-        out = []
-        for dim, extent in zip(self.dims, shape):
-            lo = max(0, dim.lower.resolve(rows, extent))
-            hi = min(extent, dim.upper.resolve(rows, extent))
-            out.append(IterRange(lo, max(lo, hi)))
-        return tuple(out)
-
-    def __str__(self) -> str:
-        return "".join(str(d) for d in self.dims)
-
 
 @dataclass(frozen=True)
 class DataDecl:
@@ -187,13 +85,12 @@ class DataDecl:
 
 @dataclass(frozen=True)
 class MapOp:
-    """One mapped array: direction, per-dim policies, halo, footprint."""
+    """One mapped array: direction, per-dim policies, halo."""
 
     array: str
     direction: MapDirection
     policies: tuple[Policy, ...] = ()
     halo: tuple[int, int] = (0, 0)
-    region: Region = field(default_factory=lambda: Region(dims=()))
 
     @property
     def partitioned(self) -> bool:
@@ -244,7 +141,7 @@ class HaloOp:
         )
 
     def legs(self, dist) -> tuple[HaloLeg, ...]:
-        """Derive the exchange legs from the Region footprints.
+        """Derive the exchange legs from the halo widths and owner spans.
 
         A device owning span ``s`` needs the footprint
         ``[s.start - lower, s.stop + upper)``; whatever falls outside its
@@ -269,6 +166,10 @@ class HaloOp:
         return tuple(legs)
 
 
+def _names(maps: "tuple[MapOp, ...]") -> str:
+    return ", ".join(sorted({m.array for m in maps}))
+
+
 @dataclass(frozen=True)
 class ReduceOp:
     """The loop's reduction: combining operator and directive variable."""
@@ -283,10 +184,9 @@ class OffloadOp:
 
     ``kernel`` is the live loop body; everything else is the directive's
     contribution, normalised: the schedule (a policy or Table II
-    notation), the device clause, the map set with symbolic regions, and
-    the ``partition(...)`` overrides the runtime must apply to the kernel
-    before execution (they outlive the call, as the directive path always
-    has).
+    notation), the device clause, the map set, and the ``partition(...)``
+    overrides the runtime must apply to the kernel before execution (they
+    outlive the call, as the directive path always has).
     """
 
     kernel: object
@@ -305,9 +205,37 @@ class OffloadOp:
     def map_names(self) -> tuple[str, ...]:
         return tuple(m.array for m in self.maps)
 
+    @property
+    def offloads(self) -> "tuple[OffloadOp, ...]":
+        return (self,)
+
+    def with_offloads(self, offloads: "tuple[OffloadOp, ...]") -> "OffloadOp":
+        (only,) = offloads
+        return only
+
+    def _heading(self) -> str | None:
+        return None
+
+
+class _OffloadGroup:
+    """What the op kinds wrapping member offloads share: the verifier
+    makes the members agree on these, so the first one answers."""
+
+    @property
+    def devices(self) -> str | None:
+        return self.offloads[0].devices
+
+    @property
+    def n_iters(self) -> int:
+        return self.offloads[0].n_iters
+
+    @property
+    def serialize_offload(self) -> bool:
+        return self.offloads[0].serialize_offload
+
 
 @dataclass(frozen=True)
-class FusedOffloadOp:
+class FusedOffloadOp(_OffloadGroup):
     """Compatible back-to-back offloads sharing one data environment.
 
     Built by the ``fuse-adjacent-offloads`` pass; ``region_maps`` is the
@@ -320,20 +248,21 @@ class FusedOffloadOp:
     region_maps: tuple[MapOp, ...]
 
     @property
-    def devices(self) -> str | None:
-        return self.members[0].devices
+    def offloads(self) -> tuple[OffloadOp, ...]:
+        return self.members
 
-    @property
-    def n_iters(self) -> int:
-        return self.members[0].n_iters
+    def with_offloads(self, offloads: tuple[OffloadOp, ...]) -> "FusedOffloadOp":
+        offloads = tuple(offloads)
+        if [id(m) for m in offloads] == [id(m) for m in self.members]:
+            return self
+        return replace(self, members=offloads)
 
-    @property
-    def serialize_offload(self) -> bool:
-        return self.members[0].serialize_offload
+    def _heading(self) -> str:
+        return f"fused group over {{{_names(self.region_maps)}}}"
 
 
 @dataclass(frozen=True)
-class StreamOp:
+class StreamOp(_OffloadGroup):
     """One template offload executed ``batches`` times over evolving data.
 
     Lowered from the ``stream(batches=N, window=W)`` clause (HSTREAM
@@ -350,16 +279,18 @@ class StreamOp:
     region_maps: tuple[MapOp, ...] = ()
 
     @property
-    def devices(self) -> str | None:
-        return self.template.devices
+    def offloads(self) -> tuple[OffloadOp, ...]:
+        return (self.template,)
 
-    @property
-    def n_iters(self) -> int:
-        return self.template.n_iters
+    def with_offloads(self, offloads: tuple[OffloadOp, ...]) -> "StreamOp":
+        (template,) = offloads
+        return self if template is self.template else replace(self, template=template)
 
-    @property
-    def serialize_offload(self) -> bool:
-        return self.template.serialize_offload
+    def _heading(self) -> str:
+        return (
+            f"stream batches={self.batches} window={self.window} "
+            f"region={{{_names(self.region_maps)}}}"
+        )
 
     @property
     def map_names(self) -> tuple[str, ...]:
@@ -393,15 +324,7 @@ class Program:
     @property
     def offloads(self) -> tuple[OffloadOp, ...]:
         """All member offloads in execution order (fused groups flattened)."""
-        out: list[OffloadOp] = []
-        for op in self.ops:
-            if isinstance(op, FusedOffloadOp):
-                out.extend(op.members)
-            elif isinstance(op, StreamOp):
-                out.append(op.template)
-            else:
-                out.append(op)
-        return tuple(out)
+        return tuple(m for op in self.ops for m in op.offloads)
 
     def describe(self) -> str:
         """Human-readable program listing (examples print this)."""
@@ -414,25 +337,12 @@ class Program:
                 f"partition[{', '.join(str(p) for p in m.policies)}])"
             )
         for op in self.ops:
-            if isinstance(op, FusedOffloadOp):
-                members = op.members
-            elif isinstance(op, StreamOp):
-                members = (op.template,)
-            else:
-                members = (op,)
+            heading = op._heading()
             indent = "  "
-            if isinstance(op, FusedOffloadOp):
-                lines.append(
-                    f"  fused group over {{{', '.join(sorted({m.array for m in op.region_maps}))}}}"
-                )
+            if heading:
+                lines.append(f"  {heading}")
                 indent = "    "
-            elif isinstance(op, StreamOp):
-                lines.append(
-                    f"  stream batches={op.batches} window={op.window} "
-                    f"region={{{', '.join(sorted({m.array for m in op.region_maps}))}}}"
-                )
-                indent = "    "
-            for m in members:
+            for m in op.offloads:
                 halos = "".join(
                     f" halo({h.lower},{h.upper}):{h.array}" for h in m.halos
                 )

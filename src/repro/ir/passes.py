@@ -48,7 +48,6 @@ from repro.ir.ops import (
     MapOp,
     OffloadOp,
     Program,
-    Region,
     StreamOp,
 )
 from repro.memory.space import MapDirection
@@ -131,86 +130,56 @@ def _merge_maps(maps: Iterable[MapOp]) -> tuple[MapOp, ...]:
                 direction=_direction_union(m.direction for m in group),
                 policies=policies,
                 halo=halo,
-                region=Region.for_map(policies, halo),
             )
         )
     return tuple(out)
 
 
+def _rewrite_offloads(
+    program: Program, rewrite: Callable[[OffloadOp], OffloadOp]
+) -> Program:
+    """Apply ``rewrite`` to every member offload through the op-member
+    protocol; ``program`` itself comes back when no member changed."""
+    ops = tuple(
+        op.with_offloads(tuple(rewrite(m) for m in op.offloads))
+        for op in program.ops
+    )
+    if all(new is old for new, old in zip(ops, program.ops)):
+        return program
+    return replace(program, ops=ops)
+
+
 def normalize_maps(program: Program) -> Program:
     """Dedupe/widen overlapping map clauses in every op and the region."""
-    changed = False
+
+    def rewrite(op: OffloadOp) -> OffloadOp:
+        merged = _merge_maps(op.maps)
+        return op if merged == op.maps else replace(op, maps=merged)
+
     region_maps = _merge_maps(program.region_maps)
+    out = _rewrite_offloads(program, rewrite)
     if region_maps != program.region_maps:
-        changed = True
-    ops = []
-    for op in program.ops:
-        if isinstance(op, FusedOffloadOp):
-            members = tuple(
-                replace(m, maps=_merge_maps(m.maps)) for m in op.members
-            )
-            new = replace(op, members=members)
-        elif isinstance(op, StreamOp):
-            merged = _merge_maps(op.template.maps)
-            new = (
-                op
-                if merged == op.template.maps
-                else replace(op, template=replace(op.template, maps=merged))
-            )
-        else:
-            merged = _merge_maps(op.maps)
-            new = op if merged == op.maps else replace(op, maps=merged)
-        if new is not op:
-            changed = True
-        ops.append(new)
-    if not changed:
-        return program
-    return replace(program, region_maps=region_maps, ops=tuple(ops))
-
-
-def _halos_for(op: OffloadOp, program: Program) -> tuple[HaloOp, ...]:
-    halos = []
-    for m in op.maps:
-        if m.partitioned and m.halo != (0, 0):
-            halos.append(
-                HaloOp(
-                    array=m.array,
-                    lower=m.halo[0],
-                    upper=m.halo[1],
-                    row_bytes=program.decl(m.array).row_bytes,
-                )
-            )
-    return tuple(halos)
+        out = replace(out, region_maps=region_maps)
+    return out
 
 
 def derive_halo(program: Program) -> Program:
     """Attach symbolic HaloOps to every stencil-shaped offload map."""
-    changed = False
-    ops = []
-    for op in program.ops:
-        if isinstance(op, FusedOffloadOp):
-            members = tuple(
-                replace(m, halos=_halos_for(m, program)) for m in op.members
+
+    def rewrite(op: OffloadOp) -> OffloadOp:
+        halos = tuple(
+            HaloOp(
+                array=m.array,
+                lower=m.halo[0],
+                upper=m.halo[1],
+                row_bytes=program.decl(m.array).row_bytes,
             )
-            new = replace(op, members=members)
-            if members != op.members:
-                changed = True
-        elif isinstance(op, StreamOp):
-            halos = _halos_for(op.template, program)
-            new = (
-                op
-                if halos == op.template.halos
-                else replace(op, template=replace(op.template, halos=halos))
-            )
-            if new is not op:
-                changed = True
-        else:
-            halos = _halos_for(op, program)
-            new = op if halos == op.halos else replace(op, halos=halos)
-            if new is not op:
-                changed = True
-        ops.append(new)
-    return replace(program, ops=tuple(ops)) if changed else program
+            for m in op.maps
+            if m.partitioned and m.halo != (0, 0)
+        )
+        return op if halos == op.halos else replace(op, halos=halos)
+
+    return _rewrite_offloads(program, rewrite)
 
 
 def _written_by(members: Iterable[OffloadOp]) -> set[str]:

@@ -7,16 +7,19 @@ that passes is safe to execute.  Rules:
 * the program is non-empty (at least one op or a program-scope map set);
 * declarations are unique by name, with sane geometry;
 * every map references a declared array, carries one policy per array
-  dimension (scalars carry none), a region of matching rank, and a
-  non-negative halo; a halo is only meaningful on a dim-0-partitioned
-  map (a FULL map replicates the whole array — there is no boundary);
+  dimension (scalars carry none) and a non-negative halo; a halo is only
+  meaningful on a dim-0-partitioned map (a FULL map replicates the whole
+  array — there is no boundary);
 * offloads have a positive iteration space, a schedule that is a policy
   or a notation string, and a ``reduce`` op exactly when the kernel is a
   reduction; two kernels mapping the same name must bind the same host
   array (the data environment is keyed by name);
 * fused groups have >= 2 members agreeing on iteration count, device
-  clause and serialization, sharing at least one array, and their
-  ``region_maps`` cover every member map.
+  clause and serialization, sharing at least one array; streams have
+  ``batches >= 1`` and ``window >= 0``;
+* whatever the op kind, every member offload (``op.offloads``) passes the
+  offload rules, and an op's ``region_maps`` (always for a fused group,
+  once hoisted for a stream) cover every member map.
 
 Violations raise :class:`~repro.errors.IRVerifyError` naming the op.
 """
@@ -52,11 +55,6 @@ def _check_map(m: MapOp, decls: dict[str, DataDecl], where: str) -> None:
         raise IRVerifyError(
             f"{where}: map {m.array!r} declares a halo but is not "
             "dim-0 partitioned (FULL maps have no boundary)"
-        )
-    if m.region.dims and len(m.region.dims) != len(decl.shape):
-        raise IRVerifyError(
-            f"{where}: map {m.array!r} region rank {len(m.region.dims)} != "
-            f"array rank {len(decl.shape)}"
         )
 
 
@@ -99,16 +97,37 @@ def _check_offload(
             )
 
 
+def _check_members(
+    op,
+    decls: dict[str, DataDecl],
+    arrays_seen: dict[str, object],
+    region: str | None = None,
+    noun: str = "member",
+) -> None:
+    """The rules every op kind shares, through the op-member protocol:
+    each member is a valid offload, and ``region`` — how errors name the
+    op's ``region_maps``, None when it has none to check — covers every
+    member map."""
+    for member in op.offloads:
+        _check_offload(member, decls, arrays_seen)
+    if region is None:
+        return
+    mapped = {name for member in op.offloads for name in member.map_names}
+    missing = sorted(mapped - {m.array for m in op.region_maps})
+    if missing:
+        raise IRVerifyError(f"{region} maps miss {noun} arrays {missing}")
+    for m in op.region_maps:
+        _check_map(m, decls, region)
+
+
 def _check_fused(
     op: FusedOffloadOp, decls: dict[str, DataDecl], arrays_seen: dict[str, object]
 ) -> None:
     if len(op.members) < 2:
         raise IRVerifyError("fused group needs >= 2 member offloads")
     head = op.members[0]
-    names = set(head.map_names)
-    shared = set(names)
+    shared = set(head.map_names)
     for member in op.members:
-        _check_offload(member, decls, arrays_seen)
         if member.n_iters != head.n_iters:
             raise IRVerifyError("fused members disagree on iteration count")
         if member.devices != head.devices:
@@ -118,13 +137,7 @@ def _check_fused(
         shared &= set(member.map_names)
     if not shared:
         raise IRVerifyError("fused members share no array")
-    region_names = {m.array for m in op.region_maps}
-    member_names = {m.array for mem in op.members for m in mem.maps}
-    if not member_names <= region_names:
-        missing = sorted(member_names - region_names)
-        raise IRVerifyError(f"fused region maps miss member arrays {missing}")
-    for m in op.region_maps:
-        _check_map(m, decls, "fused region")
+    _check_members(op, decls, arrays_seen, "fused region")
 
 
 def _check_stream(
@@ -135,17 +148,9 @@ def _check_stream(
         raise IRVerifyError(f"{where}: batches must be >= 1, got {op.batches}")
     if op.window < 0:
         raise IRVerifyError(f"{where}: window must be >= 0, got {op.window}")
-    _check_offload(op.template, decls, arrays_seen)
-    if op.region_maps:
-        region_names = {m.array for m in op.region_maps}
-        member_names = set(op.template.map_names)
-        if not member_names <= region_names:
-            missing = sorted(member_names - region_names)
-            raise IRVerifyError(
-                f"{where}: region maps miss template arrays {missing}"
-            )
-        for m in op.region_maps:
-            _check_map(m, decls, f"{where} region")
+    # Until stream-pipeline hoists a region there is nothing to cover.
+    region = f"{where} region" if op.region_maps else None
+    _check_members(op, decls, arrays_seen, region, "template")
 
 
 def verify_program(program: Program) -> Program:
@@ -168,5 +173,5 @@ def verify_program(program: Program) -> Program:
         elif isinstance(op, StreamOp):
             _check_stream(op, decls, arrays_seen)
         else:
-            _check_offload(op, decls, arrays_seen)
+            _check_members(op, decls, arrays_seen)
     return program

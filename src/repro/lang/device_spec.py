@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import DirectiveSyntaxError
+from repro.lang.map_clause import _clause_body
 from repro.machine.spec import DeviceType, MachineSpec
 
 __all__ = ["DeviceSelector", "parse_device_clause"]
@@ -90,12 +91,9 @@ def _parse_specifier(token: str) -> DeviceSelector:
 
 
 def parse_device_clause(text: str, machine: MachineSpec) -> list[int]:
-    """Expand a full ``device(...)`` argument into sorted unique device ids."""
-    body = text.strip()
-    if body.startswith("device"):
-        body = body[len("device"):].strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
+    """Expand a full ``device(...)`` argument into unique device ids, in
+    first-mention order."""
+    body = _clause_body(text, "device")
     if not body.strip():
         raise DirectiveSyntaxError("empty device clause", text=text)
     ids: list[int] = []

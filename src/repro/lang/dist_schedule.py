@@ -3,18 +3,21 @@
 Grammar: ``dist_schedule(modifier: [policy][, policy]...)`` where the
 modifier is ``target`` (distribution across devices — the HOMP extension)
 or ``teams`` (within-device, standard OpenMP semantics).  One policy per
-collapsed loop dimension.  Valid target policies: the Table I set plus the
-algorithm notations (``AUTO`` is resolved by the runtime's configured or
-heuristically selected algorithm).
+collapsed loop dimension.  The policies are the Table I set
+(:func:`repro.dist.policy.parse_policy`: ``BLOCK``, ``AUTO``,
+``ALIGN(x[, ratio])``, ...) — ``AUTO`` is resolved by the runtime's
+heuristically selected algorithm.  Table II algorithm notations
+(``SCHED_DYNAMIC``, ``MODEL_1_AUTO``, ...) are *not* directive syntax;
+they go through the ``schedule=`` keyword of the Python API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dist.policy import Policy, parse_policy
+from repro.dist.policy import Policy
 from repro.errors import DirectiveSyntaxError
-from repro.lang.map_clause import _split_top_level
+from repro.lang.map_clause import _clause_body, _policy_list
 
 __all__ = ["ParsedDistSchedule", "parse_dist_schedule"]
 
@@ -28,11 +31,7 @@ class ParsedDistSchedule:
 
 
 def parse_dist_schedule(text: str) -> ParsedDistSchedule:
-    body = text.strip()
-    if body.startswith("dist_schedule"):
-        body = body[len("dist_schedule"):].strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
+    body = _clause_body(text, "dist_schedule")
     if ":" not in body:
         raise DirectiveSyntaxError(
             "dist_schedule needs a 'target:' or 'teams:' modifier", text=text
@@ -43,15 +42,7 @@ def parse_dist_schedule(text: str) -> ParsedDistSchedule:
         raise DirectiveSyntaxError(
             f"unknown dist_schedule modifier {modifier!r}", text=text
         )
-    tokens = []
-    for raw in _split_top_level(rest.strip(), ","):
-        t = raw.strip()
-        if t.startswith("[") and t.endswith("]"):
-            t = t[1:-1].strip()
-        if t:
-            tokens.append(t)
-    if not tokens:
+    policies = _policy_list(rest)
+    if not policies:
         raise DirectiveSyntaxError("dist_schedule lists no policies", text=text)
-    return ParsedDistSchedule(
-        modifier=modifier, policies=tuple(parse_policy(t) for t in tokens)
-    )
+    return ParsedDistSchedule(modifier=modifier, policies=policies)

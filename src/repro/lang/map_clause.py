@@ -76,11 +76,52 @@ def _split_top_level(text: str, sep: str) -> list[str]:
     return out
 
 
-def _parse_halo(text: str) -> tuple[int, int]:
+def _clause_body(text: str, head: str) -> str:
+    """``text`` without its optional ``head`` word and optional enclosing
+    pair of parentheses — every clause parser accepts ``head(body)``,
+    ``(body)`` and ``body``."""
     body = text.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise DirectiveSyntaxError("halo expects (lo[,hi])", text=text)
-    parts = [p.strip() for p in body[1:-1].split(",")]
+    if body.startswith(head):
+        body = body[len(head):].strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    return body
+
+
+def _take_group(text: str, full: str) -> tuple[str, str]:
+    """Split ``text``, which must open with ``(``, into that balanced
+    group (brackets included) and the stripped remainder."""
+    if not text.startswith("("):
+        raise DirectiveSyntaxError("expected '('", text=full)
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+            if depth == 0:
+                if ch == ")":
+                    return text[: i + 1], text[i + 1:].strip()
+                break  # "(...]": closed by the wrong bracket
+    raise DirectiveSyntaxError("unbalanced clause parentheses", text=full)
+
+
+def _policy_list(body: str) -> tuple[Policy, ...]:
+    """Policies of a comma list, each optionally bracketed: the paper
+    writes both ``partition([BLOCK])`` and ``partition([ALIGN(loop1)],
+    FULL)``.  Empty entries are skipped (the caller names an empty list)."""
+    tokens = []
+    for raw in _split_top_level(body.strip(), ","):
+        t = raw.strip()
+        if t.startswith("[") and t.endswith("]"):
+            t = t[1:-1].strip()
+        if t:
+            tokens.append(t)
+    return tuple(parse_policy(t) for t in tokens)
+
+
+def _parse_halo(text: str) -> tuple[int, int]:
+    parts = [p.strip() for p in _clause_body(text, "halo").split(",")]
     if len(parts) == 1:
         parts.append(parts[0])
     if len(parts) != 2:
@@ -102,8 +143,8 @@ def _parse_halo(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_item(text: str) -> ParsedMap | None:
-    """Parse one mapped item; direction is filled in by the caller."""
+def _parse_item(text: str, direction: MapDirection) -> ParsedMap | None:
+    """Parse one mapped item of a ``direction`` clause (None if blank)."""
     item = text.strip()
     if not item:
         return None
@@ -128,24 +169,14 @@ def _parse_item(text: str) -> ParsedMap | None:
             tail = rest[len("partition"):].strip()
             if not tail.startswith("("):
                 raise DirectiveSyntaxError("partition expects (...)", text=text)
-            body, rest = _take_parens(tail, text)
-            # One policy per dimension, each optionally bracketed: the
-            # paper writes both partition([BLOCK]) and
-            # partition([ALIGN(loop1)], FULL).
-            tokens = []
-            for raw in _split_top_level(body.strip(), ","):
-                t = raw.strip()
-                if t.startswith("[") and t.endswith("]"):
-                    t = t[1:-1].strip()
-                if t:
-                    tokens.append(t)
-            if not tokens:
+            group, rest = _take_group(tail, text)
+            policies = _policy_list(group[1:-1])  # one per dimension
+            if not policies:
                 raise DirectiveSyntaxError("empty partition", text=text)
-            policies = tuple(parse_policy(t) for t in tokens)
         elif rest.startswith("halo"):
             tail = rest[len("halo"):].strip()
-            body, rest = _take_parens(tail, text)
-            halo = _parse_halo(f"({body})")
+            group, rest = _take_group(tail, text)
+            halo = _parse_halo(group)
         else:
             raise DirectiveSyntaxError("unexpected token in map item", text=rest)
         rest = rest.strip()
@@ -160,53 +191,25 @@ def _parse_item(text: str) -> ParsedMap | None:
         )
     return ParsedMap(
         name=name,
-        direction=MapDirection.TO,  # placeholder; caller overwrites
+        direction=direction,
         sections=tuple(sections),
         policies=policies,
         halo=halo,
     )
 
 
-def _take_parens(text: str, full: str) -> tuple[str, str]:
-    """Return (contents, rest) for a leading parenthesised group."""
-    if not text.startswith("("):
-        raise DirectiveSyntaxError("expected '('", text=full)
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth == 0:
-                return text[1:i], text[i + 1:].strip()
-    raise DirectiveSyntaxError("unbalanced parentheses", text=full)
-
-
 def parse_map_clause(text: str) -> list[ParsedMap]:
     """Parse ``map(direction: item, item, ...)`` into :class:`ParsedMap`s."""
-    body = text.strip()
-    if body.startswith("map"):
-        body = body[len("map"):].strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
+    body = _clause_body(text, "map")
     if ":" not in body:
         raise DirectiveSyntaxError("map clause needs 'direction:'", text=text)
     dir_s, items_s = body.split(":", 1)
     direction = MapDirection.parse(dir_s)
     out: list[ParsedMap] = []
     for token in _split_top_level(items_s, ","):
-        parsed = _parse_item(token)
-        if parsed is None:
-            continue
-        out.append(
-            ParsedMap(
-                name=parsed.name,
-                direction=direction,
-                sections=parsed.sections,
-                policies=parsed.policies,
-                halo=parsed.halo,
-            )
-        )
+        parsed = _parse_item(token, direction)
+        if parsed is not None:
+            out.append(parsed)
     if not out:
         raise DirectiveSyntaxError("map clause maps nothing", text=text)
     return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import DirectiveSyntaxError
 from repro.lang.dist_schedule import ParsedDistSchedule, parse_dist_schedule
-from repro.lang.map_clause import ParsedMap, parse_map_clause
+from repro.lang.map_clause import ParsedMap, _take_group, parse_map_clause
 from repro.lang.stream_clause import ParsedStream, parse_stream_clause
 
 __all__ = ["OffloadDirective", "parse_directive"]
@@ -77,31 +77,18 @@ def _strip_pragma(text: str) -> str:
     t = text.strip()
     t = re.sub(r"\\\s*\n", " ", t)  # line continuations
     t = re.sub(r"\s+", " ", t)
-    if t.startswith("#"):
-        t = t[1:].strip()
-    if t.startswith("pragma"):
-        t = t[len("pragma"):].strip()
-    if t.startswith("omp"):
-        t = t[len("omp"):].strip()
+    for prefix in ("#", "pragma", "omp"):  # each optional, in this order
+        if t.startswith(prefix):
+            t = t[len(prefix):].strip()
     return t
 
 
 def _take_clause(text: str) -> tuple[str, str, str]:
-    """Pop one ``head(...)`` clause; returns (head, body, rest)."""
+    """Pop one ``head(...)`` clause; returns (head, "(...)" group, rest)."""
     m = re.match(r"^([a-z_]+)\s*\(", text)
     if not m:
         raise DirectiveSyntaxError("expected a clause", text=text)
-    head = m.group(1)
-    depth = 0
-    for i in range(m.end() - 1, len(text)):
-        ch = text[i]
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth == 0:
-                return head, text[m.end(): i], text[i + 1:].strip()
-    raise DirectiveSyntaxError("unbalanced clause parentheses", text=text)
+    return (m.group(1), *_take_group(text[m.end() - 1:], text))
 
 
 def parse_directive(text: str) -> OffloadDirective:
@@ -143,7 +130,8 @@ def parse_directive(text: str) -> OffloadDirective:
                 out.directives = tuple(directives)
                 rest = after
                 continue
-        head, clause_body, rest = _take_clause(rest)
+        head, group, rest = _take_clause(rest)
+        clause_body = group[1:-1]
         # Every clause but map() may appear at most once — a second
         # occurrence would silently overwrite the first, so name it.
         if head != "map" and head in seen_clauses:
@@ -152,11 +140,11 @@ def parse_directive(text: str) -> OffloadDirective:
             )
         seen_clauses.add(head)
         if head == "device":
-            out.device_clause = f"({clause_body})"
+            out.device_clause = group
         elif head == "map":
-            out.maps.extend(parse_map_clause(f"({clause_body})"))
+            out.maps.extend(parse_map_clause(group))
         elif head == "dist_schedule":
-            out.dist_schedule = parse_dist_schedule(f"({clause_body})")
+            out.dist_schedule = parse_dist_schedule(group)
         elif head == "reduction":
             if ":" not in clause_body:
                 raise DirectiveSyntaxError("reduction needs 'op:var'", text=text)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import DirectiveSyntaxError
+from repro.lang.map_clause import _clause_body
 
 __all__ = ["ParsedStream", "parse_stream_clause"]
 
@@ -44,10 +45,8 @@ class ParsedStream:
 
 
 def parse_stream_clause(text: str) -> ParsedStream:
-    """Parse the *body* of a ``stream(...)`` clause (no parens)."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1].strip()
+    """Parse a ``stream(...)`` clause (head and parentheses optional)."""
+    body = _clause_body(text, "stream").strip()
     if not body:
         raise DirectiveSyntaxError("empty stream clause", text=text)
     fields: dict[str, int] = {}

@@ -11,8 +11,8 @@ for free.  The numeric ground truth lives in host arrays, so only the
 the virtual time the exchange adds.
 
 *Which* rows move is no longer decided here: the boundary legs are
-derived symbolically by :meth:`repro.ir.ops.HaloOp.legs` from the Region
-footprints (a device owning span ``s`` with halo ``(lo, hi)`` needs
+derived by :meth:`repro.ir.ops.HaloOp.legs` from the halo widths and
+owner spans (a device owning span ``s`` with halo ``(lo, hi)`` needs
 ``[s.start - lo, s.stop + hi)``; whatever falls outside its span arrives
 from the adjacent owner).  This module is the IR op's runtime consumer:
 it prices the legs on a machine and routes them through the residency

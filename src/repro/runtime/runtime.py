@@ -18,7 +18,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
-from repro.dist.policy import Align, Auto, Policy
+from repro.dist.policy import Align, Policy
 from repro.engine.batch import BatchEngine, BatchRequest
 from repro.engine.core import make_backend
 from repro.engine.simulator import OffloadEngine
@@ -46,7 +46,7 @@ from repro.sched.align_sched import AlignedScheduler
 from repro.sched.base import LoopScheduler
 from repro.sched.cutoff import default_cutoff_ratio, parse_cutoff_ratio
 from repro.runtime.offload_info import OffloadInfo
-from repro.sched.registry import make_scheduler
+from repro.sched.registry import SCHEDULERS, make_scheduler
 from repro.sched.selector import select_algorithm
 
 __all__ = ["HompRuntime", "OffloadSpec"]
@@ -181,14 +181,14 @@ class HompRuntime:
     ) -> LoopScheduler:
         if isinstance(schedule, LoopScheduler):
             return schedule
+        if isinstance(schedule, Align):
+            return AlignedScheduler(schedule.target, schedule.ratio)
         if isinstance(schedule, Policy):
-            if isinstance(schedule, Align):
-                return AlignedScheduler(schedule.target, schedule.ratio)
-            if isinstance(schedule, Auto):
-                return make_scheduler(
-                    select_algorithm(kernel, submachine), **sched_kwargs
-                )
-            raise SchedulingError(f"policy {schedule} is not a loop schedule")
+            # Any other Table I policy is a loop schedule when its notation
+            # names an algorithm (AUTO, BLOCK); FULL and CYCLIC name none.
+            if str(schedule) not in ("AUTO", *SCHEDULERS):
+                raise SchedulingError(f"policy {schedule} is not a loop schedule")
+            schedule = str(schedule)
         if isinstance(schedule, str):
             name = schedule.strip()
             if name.upper() == "AUTO":
@@ -265,7 +265,8 @@ class HompRuntime:
         """Offload one parallel loop across the selected devices.
 
         ``schedule`` — paper Table II notation, ``"AUTO"`` (heuristic
-        selection), a :class:`Policy` (``Align``/``Auto``), or a scheduler
+        selection), a :class:`Policy` (``Align``, or one whose notation
+        names an algorithm: ``Auto``, ``Block``), or a scheduler
         instance.  ``cutoff_ratio`` — a fraction in [0, 1), or ``"auto"``
         for the paper's 1/ndev default.  ``residency`` — the
         :class:`~repro.memory.residency.ResidencyLedger` of an enclosing
@@ -482,25 +483,38 @@ class HompRuntime:
             devices=program.region_devices,
         )
 
-    def _run_offload_op(
-        self, op: IROffloadOp, decls: "dict[str, DataDecl]", **kwargs
-    ) -> OffloadResult:
-        """Execute one lowered offload, exactly as the directive path did:
-        partition overrides are applied to the kernel (and persist), the
-        schedule/devices/serialization come from the op."""
-        kernel = op.kernel
+    @staticmethod
+    def _bind_op(op: IROffloadOp, kwargs: dict) -> dict:
+        """Bind one lowered offload for execution, exactly as the
+        directive path did: its partition overrides are applied to the
+        kernel (and persist), serialization defaults from the op, and the
+        keywords its clauses own are refused.  Returns the per-run kwargs.
+        """
+        for key, clause in (("devices", "device"), ("schedule", "dist_schedule")):
+            if key in kwargs:
+                raise OffloadError(
+                    f"run_program: {key}= comes from the op's {clause}(...) "
+                    "clause; lower the program with the clause you want"
+                )
         for name, pol in op.partition_overrides:
-            kernel.set_partition(name, pol)
+            op.kernel.set_partition(name, pol)
+        kwargs = dict(kwargs)
         # Without the `parallel target` composite, data distribution and
         # offloading are performed by a single host thread (paper §III.4).
         kwargs.setdefault("serialize_offload", op.serialize_offload)
+        return kwargs
+
+    def _run_offload_op(
+        self, op: IROffloadOp, decls: "dict[str, DataDecl]", **kwargs
+    ) -> OffloadResult:
+        """Execute one lowered offload on the op's schedule and devices."""
         return self.parallel_for(
-            kernel,
+            op.kernel,
             schedule=op.schedule,
             devices=op.devices,
             ir_op=op,
             ir_decls=decls,
-            **kwargs,
+            **self._bind_op(op, kwargs),
         )
 
     def _run_fused_op(
@@ -530,18 +544,12 @@ class HompRuntime:
         results: list[OffloadResult] = []
         with region:
             for i, member in enumerate(op.members):
-                member_kwargs = dict(kwargs)
-                for name, pol in member.partition_overrides:
-                    member.kernel.set_partition(name, pol)
-                member_kwargs.setdefault(
-                    "serialize_offload", member.serialize_offload
-                )
                 result = region.parallel_for(
                     member.kernel,
                     schedule=member.schedule,
                     ir_op=member,
                     ir_decls=decls,
-                    **member_kwargs,
+                    **self._bind_op(member, kwargs),
                 )
                 result.meta["fusion"] = {
                     "group": group,
@@ -624,7 +632,10 @@ class HompRuntime:
         :class:`~repro.ir.ops.StreamOp` contributes one
         :class:`~repro.runtime.stream.StreamResult` covering all its
         batches).  ``kwargs`` are forwarded to every
-        :meth:`parallel_for` call (tracer, executor, cutoff_ratio, ...).
+        :meth:`parallel_for` call (tracer, executor, cutoff_ratio, ...),
+        except ``devices=`` and ``schedule=``: those belong to each op's
+        ``device(...)`` / ``dist_schedule(...)`` clause and are refused
+        with an :class:`~repro.errors.OffloadError`.
 
         A single-offload program produces a result byte-identical to the
         historical direct directive interpretation — pinned by the
@@ -636,17 +647,11 @@ class HompRuntime:
         results: list[OffloadResult] = []
         for group, op in enumerate(program.ops):
             if isinstance(op, FusedOffloadOp):
-                results.extend(
-                    self._run_fused_op(op, decls, group, **dict(kwargs))
-                )
+                results.extend(self._run_fused_op(op, decls, group, **kwargs))
             elif isinstance(op, StreamOp):
-                results.append(
-                    self._run_stream_op(op, decls, **dict(kwargs))
-                )
+                results.append(self._run_stream_op(op, decls, **kwargs))
             else:
-                results.append(
-                    self._run_offload_op(op, decls, **dict(kwargs))
-                )
+                results.append(self._run_offload_op(op, decls, **kwargs))
         return results
 
     def offload(self, directive: str | OffloadDirective, kernel: LoopKernel,

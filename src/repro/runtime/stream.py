@@ -90,7 +90,7 @@ class StreamResult:
         return [r.reduction for r in self.results]
 
 
-def _advance_stream(runtime, region, op: StreamOp, kernel, batch: int) -> None:
+def _advance_stream(runtime, region, region_maps, op: StreamOp, batch: int) -> None:
     """Host-side refresh between batch ``batch - 1`` and ``batch``.
 
     The kernel's ``stream_advance`` hook (when present) mutates the host
@@ -99,14 +99,13 @@ def _advance_stream(runtime, region, op: StreamOp, kernel, batch: int) -> None:
     rows are invalidated on every region device so the next batch's
     chunks re-pay exactly the delta through the residency ledger.
     """
-    advance = getattr(kernel, "stream_advance", None)
+    advance = getattr(op.template.kernel, "stream_advance", None)
     if advance is not None:
         dirty = advance(batch, op.window) or {}
     elif op.window > 0:
-        maps = op.region_maps if op.region_maps else op.template.maps
         dirty = {
             m.array: IterRange(0, op.window)
-            for m in maps
+            for m in region_maps
             if m.direction.copies_in
         }
     else:
@@ -138,11 +137,8 @@ def run_stream(
     """
     from repro.runtime.data_env import TargetDataRegion
 
-    decls = decls or {}
     kernel = op.template.kernel
-    for name, pol in op.template.partition_overrides:
-        kernel.set_partition(name, pol)
-    kwargs.setdefault("serialize_offload", op.serialize_offload)
+    kwargs = runtime._bind_op(op.template, kwargs)
 
     if op.batches == 1:
         # Degenerate stream: literally the one-shot path (no region, no
@@ -178,9 +174,10 @@ def run_stream(
         f.name == "carry_in" for f in dataclass_fields(engine)
     )
 
-    region_maps = op.region_maps if op.region_maps else op.template.maps
+    # Un-hoisted (passes off): the template's maps are the region.
+    region_maps = op.region_maps or op.template.maps
     arrays = {m.array: kernel.arrays[m.array] for m in region_maps}
-    decls = dict(decls)
+    decls = dict(decls or {})
     for name in op.template.map_names:
         if name not in decls:
             decls[name] = decl_for(name, kernel.arrays[name])
@@ -193,7 +190,7 @@ def run_stream(
             carry = None
             for k in range(op.batches):
                 if k > 0:
-                    _advance_stream(runtime, region, op, kernel, k)
+                    _advance_stream(runtime, region, region_maps, op, k)
                 if supports_carry:
                     engine.carry_in = carry
                 batch_kwargs = dict(kwargs)

@@ -1,6 +1,6 @@
 """Exact-match pins for symbolic halo derivation (HaloOp -> legs -> cost).
 
-The IR derives boundary legs from Region footprints; these tests pin the
+The IR derives boundary legs from halo widths and owner spans; these tests pin the
 derived transfers and priced times *exactly* for radii 1-3 on every
 memory-kind combination the machine presets exercise: all-shared,
 all-discrete, UNIFIED pairs, and a mixed two-shared+one-discrete node.

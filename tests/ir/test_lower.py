@@ -42,6 +42,19 @@ def test_from_directive_schedule_from_dist_schedule():
     assert program.ops[0].devices is None
 
 
+def test_teams_modifier_is_not_the_cross_device_schedule():
+    # dist_schedule(teams:...) is within-device OpenMP: the cross-device
+    # split stays AUTO, exactly as without the clause.
+    kernel = make_kernel("axpy", 100, seed=0)
+    for lowered in (
+        from_directive("omp parallel target dist_schedule(teams:[BLOCK])", kernel),
+        from_directives(
+            [("omp parallel target dist_schedule(teams:[BLOCK])", kernel)]
+        ),
+    ):
+        assert lowered.ops[0].schedule == "AUTO"
+
+
 def test_from_directive_explicit_schedule_wins():
     kernel = make_kernel("axpy", 100, seed=0)
     program = from_directive(

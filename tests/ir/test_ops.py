@@ -1,4 +1,4 @@
-"""IR op vocabulary: symbolic regions, halo legs, immutability, verifier."""
+"""IR op vocabulary: halo legs, immutability, verifier."""
 
 import dataclasses
 
@@ -9,76 +9,11 @@ from repro.dist.distribution import DimDistribution
 from repro.dist.policy import Align, Block, Full
 from repro.errors import IRVerifyError
 from repro.ir.lower import from_directive
-from repro.ir.ops import (
-    Bound,
-    DataDecl,
-    Dim,
-    HaloOp,
-    MapOp,
-    OffloadOp,
-    Program,
-    Region,
-)
+from repro.ir.ops import DataDecl, HaloOp, MapOp, Program
 from repro.ir.verify import verify_program
 from repro.kernels.registry import make_kernel
 from repro.memory.space import MapDirection
 from repro.util.ranges import IterRange
-
-
-# -- Bound / Region ----------------------------------------------------------
-
-
-def test_bound_resolves_each_anchor():
-    rows = IterRange(10, 20)
-    assert Bound("zero").resolve(rows, 100) == 0
-    assert Bound("extent").resolve(rows, 100) == 100
-    assert Bound("chunk_start", -2).resolve(rows, 100) == 8
-    assert Bound("chunk_stop", 3).resolve(rows, 100) == 23
-
-def test_bound_rejects_unknown_anchor():
-    with pytest.raises(IRVerifyError):
-        Bound("middle")
-
-
-def test_region_for_partitioned_map_follows_chunk_with_halo():
-    r = Region.for_map((Block(), Full()), (1, 2))
-    assert str(r) == "[chunk_start-1:chunk_stop+2][zero:extent]"
-    got = r.concretize(IterRange(10, 20), (100, 8))
-    assert got == (IterRange(9, 22), IterRange(0, 8))
-
-
-def test_region_concretize_clamps_to_array_edges():
-    r = Region.for_map((Block(),), (3, 3))
-    assert r.concretize(IterRange(0, 5), (50,)) == (IterRange(0, 8),)
-    assert r.concretize(IterRange(45, 50), (50,)) == (IterRange(42, 50),)
-
-
-def test_region_full_map_covers_extent():
-    r = Region.for_map((Full(), Full()), (0, 0))
-    assert r.concretize(IterRange(3, 4), (10, 20)) == (
-        IterRange(0, 10),
-        IterRange(0, 20),
-    )
-
-
-def test_region_rank_mismatch_rejected():
-    r = Region.for_map((Block(),), (0, 0))
-    with pytest.raises(IRVerifyError):
-        r.concretize(IterRange(0, 1), (10, 10))
-
-
-@pytest.mark.parametrize("kname,n", [("axpy", 200), ("matvec", 64)])
-def test_region_matches_kernel_input_region(kname, n):
-    # The symbolic Region must reproduce LoopKernel.input_region exactly
-    # for every map, chunk and halo the kernel path computes.
-    kernel = make_kernel(kname, n, seed=1)
-    for m in kernel.effective_maps():
-        region = Region.for_map(m.policies, m.halo)
-        arr = kernel.arrays[m.name]
-        for rows in (IterRange(0, 7), IterRange(5, n // 2), IterRange(n - 3, n)):
-            assert region.concretize(rows, arr.shape) == kernel.input_region(
-                m, rows
-            )
 
 
 # -- DataDecl ----------------------------------------------------------------
@@ -142,9 +77,6 @@ def test_halo_negative_width_rejected():
 
 def test_ir_nodes_are_frozen():
     nodes = [
-        Bound("zero"),
-        Dim(Bound("zero"), Bound("extent")),
-        Region(dims=()),
         DataDecl(name="x", shape=(4,), dtype="float64", nbytes=32),
         MapOp(array="x", direction=MapDirection.TO),
         HaloOp(array="x", lower=1, upper=1),

@@ -8,7 +8,7 @@ import pytest
 from repro.dist.policy import Align, Block, Cyclic, Full
 from repro.errors import IRVerifyError
 from repro.ir.lower import from_directive, from_directives
-from repro.ir.ops import FusedOffloadOp, MapOp, Program, Region
+from repro.ir.ops import FusedOffloadOp, MapOp, Program
 from repro.ir.passes import (
     DEFAULT_PIPELINE,
     derive_halo,
@@ -31,14 +31,7 @@ def region_program(*maps):
 
 
 def mk(array, direction, policy, halo=(0, 0)):
-    policies = (policy,)
-    return MapOp(
-        array=array,
-        direction=direction,
-        policies=policies,
-        halo=halo,
-        region=Region.for_map(policies, halo),
-    )
+    return MapOp(array=array, direction=direction, policies=(policy,), halo=halo)
 
 
 # -- normalize-maps ----------------------------------------------------------

@@ -1,15 +1,18 @@
 """StreamOp lowering, the stream-pipeline pass, and stream verification."""
 
+import pickle
 from dataclasses import replace
 
 import pytest
 
 from repro.errors import IRVerifyError
-from repro.ir.lower import from_directive
+from repro.ir.lower import from_directive, from_directives
 from repro.ir.ops import StreamOp
 from repro.ir.passes import DEFAULT_PIPELINE, run_passes, stream_pipeline
 from repro.ir.verify import verify_program
 from repro.kernels.registry import make_kernel
+from repro.machine.presets import gpu4_node
+from repro.runtime import HompRuntime, StreamResult
 
 STREAMED = (
     "#pragma omp parallel for target device(*) "
@@ -47,6 +50,31 @@ class TestLowering:
         prog = streamed_program()
         (op,) = prog.ops
         assert prog.offloads == (op.template,)
+
+
+    def test_from_directives_honours_the_stream_clause(self):
+        # One lowering body: the sequence entry point used to drop the
+        # clause and run the loop once.
+        text = STREAMED.replace("batches=100, window=16", "batches=3, window=4")
+        single = from_directive(text, make_kernel("axpy", 256))
+        listed = from_directives([(text, make_kernel("axpy", 256))])
+        assert isinstance(listed.ops[0], StreamOp)
+        assert listed.describe() == single.describe()
+        assert run_passes(listed).describe() == run_passes(single).describe()
+        (by_list,) = HompRuntime(gpu4_node()).run_program(listed)
+        (by_single,) = HompRuntime(gpu4_node()).run_program(single)
+        assert isinstance(by_list, StreamResult) and len(by_list.results) == 3
+        assert pickle.dumps(by_list) == pickle.dumps(by_single)
+
+    def test_fusion_leaves_stream_ops_ungrouped(self):
+        k = make_kernel("axpy", 256)
+        plain = STREAMED.replace(" stream(batches=100, window=16)", "")
+        prog = run_passes(
+            from_directives([(plain, k), (STREAMED, k), (plain, k), (plain, k)])
+        )
+        assert [type(op).__name__ for op in prog.ops] == [
+            "OffloadOp", "StreamOp", "FusedOffloadOp",
+        ]
 
 
 class TestStreamPipelinePass:

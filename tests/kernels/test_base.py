@@ -119,3 +119,36 @@ def test_map_policies_match_array_rank(name):
     k = make_kernel(name, 64)
     for m in k.maps():
         assert len(m.policies) == k.arrays[m.name].ndim
+
+
+# -- input_region: the one statement of what a chunk touches of an array -----
+
+
+def _map(kernel, name):
+    return next(m for m in kernel.effective_maps() if m.name == name)
+
+
+def test_input_region_partitioned_dim0_follows_chunk_grown_by_halo():
+    k = make_kernel("stencil", 64)
+    u_in = _map(k, "u_in")  # partition([BLOCK],[FULL]) halo(3,3)
+    assert u_in.partitioned and u_in.halo == (3, 3)
+    assert k.input_region(u_in, IterRange(10, 20)) == (
+        IterRange(7, 23),
+        IterRange(0, 64),
+    )
+
+
+def test_input_region_clamps_to_array_edges():
+    k = make_kernel("stencil", 64)
+    u_in = _map(k, "u_in")
+    assert k.input_region(u_in, IterRange(0, 5))[0] == IterRange(0, 8)
+    assert k.input_region(u_in, IterRange(60, 64))[0] == IterRange(57, 64)
+
+
+def test_input_region_replicated_map_covers_every_extent():
+    k = make_kernel("matvec", 48)
+    x = _map(k, "x")  # FULL: every chunk reads the whole vector
+    assert not x.partitioned
+    assert k.input_region(x, IterRange(3, 4)) == (IterRange(0, 48),)
+    a = _map(k, "A")  # BLOCK rows, FULL columns, no halo
+    assert k.input_region(a, IterRange(3, 9)) == (IterRange(3, 9), IterRange(0, 48))

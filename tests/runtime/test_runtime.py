@@ -1,11 +1,15 @@
 """HompRuntime: device selection, schedule resolution, cutoff handling,
 and the directive front-end."""
 
+import pickle
+import re
+
 import numpy as np
 import pytest
 
-from repro.dist.policy import Align, Auto, Block
-from repro.errors import DeviceError, SchedulingError
+from repro.dist.policy import Align, Auto, Block, Cyclic, Full
+from repro.errors import DeviceError, OffloadError, SchedulingError
+from repro.ir.lower import from_directives
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import full_node, gpu4_node
 from repro.runtime.runtime import HompRuntime
@@ -85,9 +89,35 @@ class TestScheduleResolution:
         with pytest.raises(SchedulingError):
             rt.parallel_for(make_kernel("axpy", 100), schedule=3.14)
 
-    def test_block_policy_object_rejected_as_schedule(self, rt):
-        with pytest.raises(SchedulingError):
-            rt.parallel_for(make_kernel("axpy", 100), schedule=Block())
+    def test_block_policy_object_is_the_block_schedule(self, rt):
+        # Table I's BLOCK names a Table II algorithm: the policy object
+        # resolves through the same string path as its notation.
+        by_policy = rt.parallel_for(make_kernel("axpy", 100), schedule=Block())
+        by_name = rt.parallel_for(make_kernel("axpy", 100), schedule="BLOCK")
+        assert pickle.dumps(by_policy) == pickle.dumps(by_name)
+
+    def test_dist_schedule_block_directive_runs(self, rt):
+        # dist_schedule(target:[BLOCK]) is the myhomp dist_iteration(BLOCK).
+        text = "omp parallel target device(*)"
+        by_clause = rt.offload(
+            text + " distribute dist_schedule(target:[BLOCK])",
+            make_kernel("axpy", 100),
+        )
+        by_keyword = rt.offload(text, make_kernel("axpy", 100), schedule="BLOCK")
+        assert by_clause.algorithm == "BLOCK"
+        assert pickle.dumps(by_clause) == pickle.dumps(by_keyword)
+
+    def test_auto_policy_object_is_the_auto_schedule(self, rt):
+        by_policy = rt.parallel_for(make_kernel("matvec", 200), schedule=Auto())
+        by_name = rt.parallel_for(make_kernel("matvec", 200), schedule="AUTO")
+        assert pickle.dumps(by_policy) == pickle.dumps(by_name)
+
+    @pytest.mark.parametrize("policy", [Full(), Cyclic(), Cyclic(4)])
+    def test_policy_naming_no_algorithm_rejected(self, rt, policy):
+        with pytest.raises(
+            SchedulingError, match=f"policy {re.escape(str(policy))} is not a loop schedule"
+        ):
+            rt.parallel_for(make_kernel("axpy", 100), schedule=policy)
 
 
 class TestCutoff:
@@ -178,6 +208,27 @@ class TestDirectiveFrontEnd:
         k = make_kernel("matmul", 64)
         r = rt.offload("omp parallel target device(2:4)", k)
         assert r.algorithm == "BLOCK"  # identical GPUs + compute-intensive
+
+    @pytest.mark.parametrize(
+        "keyword,clause",
+        [("devices", "device(...)"), ("schedule", "dist_schedule(...)")],
+    )
+    @pytest.mark.parametrize("shape", ["plain", "fused", "stream"])
+    def test_run_program_refuses_keywords_the_op_owns(
+        self, rt, shape, keyword, clause
+    ):
+        # devices/schedule come from the op's clauses: a plain op, a fused
+        # group (which used to run members outside its region's devices)
+        # and a stream all refuse them the same typed way.
+        k = make_kernel("axpy", 400)
+        text = "omp parallel target device(0:2)"
+        if shape == "stream":
+            text += " stream(batches=2)"
+        program = from_directives([(text, k)] * (2 if shape == "fused" else 1))
+        value = [0] if keyword == "devices" else "BLOCK"
+        with pytest.raises(OffloadError) as err:
+            rt.run_program(program, **{keyword: value})
+        assert f"{keyword}=" in str(err.value) and clause in str(err.value)
 
 
 class TestRuntimeConstruction:

@@ -147,7 +147,7 @@ class ClusterEngine(EngineBase):
                 nodes=(self.machine,),
                 fabric=SHARED_LINK,
             )
-        elif self.cluster.flatten().to_dict() != self.machine.to_dict():
+        elif self.cluster.flatten() != self.machine:
             raise OffloadError(
                 f"cluster {self.cluster.name!r} does not flatten to machine "
                 f"{self.machine.name!r}; build the engine via "
@@ -177,13 +177,10 @@ class ClusterEngine(EngineBase):
         *,
         cutoff_ratio: float = 0.0,
     ) -> OffloadResult:
-        self._begin_run(None)
-        try:
+        with self._run_slot():
             if self.cluster.n_nodes == 1:
                 return self._run_single(kernel, scheduler, cutoff_ratio)
             return self._run_multi(kernel, scheduler, cutoff_ratio)
-        finally:
-            self._end_run()
 
     def _run_single(
         self,

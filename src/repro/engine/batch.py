@@ -60,14 +60,13 @@ class BatchEngine(OffloadEngine):
         finished.  Afterwards ``chunk_log``/``timeline``/``faults``
         describe the last request.
         """
-        self._begin_run(None)
-        try:
+        with self._run_slot():
             results = []
             for req in requests:
                 execute = req.execute_numerically
                 if execute is None:
                     execute = self.execute_numerically
-                core = self._run_ctx = self._run_context(
+                core = self._run_context(
                     req.kernel,
                     req.scheduler,
                     req.cutoff_ratio,
@@ -76,8 +75,6 @@ class BatchEngine(OffloadEngine):
                 )
                 results.append(self._event_loop(core))
             return results
-        finally:
-            self._end_run()
 
 
 register_backend("batch", BatchEngine)

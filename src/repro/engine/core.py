@@ -19,10 +19,10 @@ scheduler's ``requeue``/``device_lost`` hooks, quarantine via
 :class:`~repro.engine.trace.DeviceTrace` bucket accounting, observability
 span/metric emission at each transition, coverage and reduction tracking,
 and the final :class:`~repro.engine.trace.OffloadResult` assembly.  A
-backend contributes only the *scheduling of events in time*: the simulator
-resolves the pipeline analytically on a virtual event heap
-(:class:`VirtualClock`); the threaded executor lets real threads race and
-reads a :class:`WallClock`.
+backend contributes only the *scheduling of events in time* and the one
+``wake`` hook that tells it a device has work again: the simulator resolves
+the pipeline analytically and keeps ``(request_time, devid)`` on a ``heapq``;
+the threaded executor lets real threads race and reads ``time.perf_counter``.
 
 Backends register themselves in a process-wide registry
 (:func:`register_backend`) and are selected by name through
@@ -68,9 +68,6 @@ __all__ = [
     "DeviceCarry",
     "RunContext",
     "EngineBase",
-    "Clock",
-    "VirtualClock",
-    "WallClock",
     "ExecutionBackend",
     "register_backend",
     "backend_names",
@@ -225,75 +222,6 @@ class DeviceCarry:
 
 
 # ---------------------------------------------------------------------------
-# Clocks
-# ---------------------------------------------------------------------------
-
-@runtime_checkable
-class Clock(Protocol):
-    """Minimal time source a backend exposes to shared code."""
-
-    def now(self) -> float:
-        """Current offload time in seconds (virtual or wall)."""
-        ...  # pragma: no cover - protocol
-
-
-class VirtualClock:
-    """Event-heap clock for the discrete-event backend.
-
-    Time is whatever the most recently popped event says it is; devices
-    are linearised by a priority queue on ``(request_time, devid)``,
-    reproducing the ordering a CAS-based shared cursor produces, but
-    deterministically.
-    """
-
-    __slots__ = ("_heap", "_now")
-
-    def __init__(self, devids: list[int] | None = None):
-        import heapq
-
-        self._heap: list[tuple[float, int]] = [
-            (0.0, devid) for devid in (devids or [])
-        ]
-        heapq.heapify(self._heap)
-        self._now = 0.0
-
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def pending(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, t: float, devid: int) -> None:
-        import heapq
-
-        heapq.heappush(self._heap, (t, devid))
-
-    def pop(self) -> tuple[float, int]:
-        import heapq
-
-        t, devid = heapq.heappop(self._heap)
-        self._now = t
-        return t, devid
-
-
-class WallClock:
-    """Wall-clock time source, as seconds since the offload started."""
-
-    __slots__ = ("_t0",)
-
-    def __init__(self):
-        import time
-
-        self._t0 = time.perf_counter()
-
-    def now(self) -> float:
-        import time
-
-        return time.perf_counter() - self._t0
-
-
-# ---------------------------------------------------------------------------
 # The shared run context
 # ---------------------------------------------------------------------------
 
@@ -321,8 +249,7 @@ class RunContext:
         resilience: ResiliencePolicy | None = None,
         tracer: Tracer | NullTracer | None = NULL_TRACER,
         residency=None,
-        base_meta: dict | None = None,
-        obs_meta_extra: dict | None = None,
+        meta_extra: dict | None = None,
         carry_in: "dict[int, DeviceCarry] | None" = None,
     ):
         self.machine = machine
@@ -333,9 +260,9 @@ class RunContext:
         self.collect_chunks = collect_chunks
         self.record_events = record_events
 
-        self.devices = [Device(i, spec) for i, spec in enumerate(machine.devices)]
-        for dev in self.devices:
-            dev.reseed(seed)
+        self.devices = [
+            Device(i, spec, seed) for i, spec in enumerate(machine.devices)
+        ]
         self.obs = resolve_tracer(tracer)
         #: one attribute check; hot paths branch on this local-able flag
         self.traced = self.obs.enabled
@@ -376,14 +303,13 @@ class RunContext:
         self.events: list[ChunkEvent] = []
         self.faults: list[ChunkFault] = []
 
-        self.base_meta = dict(base_meta or {})
-        self.obs_meta_extra = dict(obs_meta_extra or {})
+        #: What a backend adds to both the result meta and the tracer meta.
+        self.meta_extra = meta_extra or {}
 
-        # Backend hooks, installed before the event loop starts:
-        #: revive an idle (drained) device because new work appeared.
+        #: The one backend hook, installed before the event loop starts:
+        #: device ``st`` has work again at time ``t`` (it was drained and
+        #: an orphan appeared, or it was parked at a barrier that released).
         self.wake: Callable[[DeviceState, float], None] = lambda st, t: None
-        #: re-check the barrier (a device just drained or died).
-        self.maybe_release_barrier: Callable[[], None] = lambda: None
 
         if carry_in:
             for devid, carry in carry_in.items():
@@ -570,20 +496,18 @@ class RunContext:
 
     # -- barriers ------------------------------------------------------------
 
-    def barrier_ready(self) -> bool:
-        """All devices that can still work are parked at the barrier."""
-        pending = [s for s in self.states if not s.done and s.at_barrier is None]
-        waiting = [s for s in self.states if s.at_barrier is not None]
-        return not pending and bool(waiting)
+    def maybe_release_barrier(self) -> None:
+        """Re-check the barrier (a device just parked, drained or died).
 
-    def release_barrier(
-        self, wake: Callable[[DeviceState, float], None]
-    ) -> float:
-        """Charge barrier waits, release every parked device via ``wake``.
-
-        Returns the release time (the slowest arrival).
+        Once every device that can still work is parked, charge the
+        barrier waits and ``wake`` each parked device at the release time
+        (the slowest arrival).
         """
         waiting = [s for s in self.states if s.at_barrier is not None]
+        if not waiting or any(
+            not s.done and s.at_barrier is None for s in self.states
+        ):
+            return
         t_rel = max(s.at_barrier for s in waiting)  # type: ignore[type-var]
         for s in waiting:
             if self.traced and t_rel > s.at_barrier:  # type: ignore[operator]
@@ -593,48 +517,60 @@ class RunContext:
                 )
             s.trace.barrier_s += t_rel - s.at_barrier  # type: ignore[operator]
             s.at_barrier = None
-            wake(s, t_rel)
+            self.wake(s, t_rel)
         self.scheduler.at_barrier()
-        return t_rel
 
     # -- per-chunk transition accounting --------------------------------------
+
+    def _emit_decision(
+        self, st: DeviceState, t0: float, t1: float, took: float, **args: Any
+    ) -> None:
+        """The scheduler-decision span and its two metrics (traced runs)."""
+        dn = st.device.name
+        self.obs.span(
+            _sp.SPAN_SCHED, _sp.CAT_SCHED, st.device.devid, dn, t0, t1, **args
+        )
+        self.met.observe(
+            "sched_decision_s", took,
+            device=dn, algorithm=self.scheduler.notation,
+        )
+        self.met.inc("sched_decisions", 1.0, device=dn)
 
     def note_decision(self, st: DeviceState, t0: float, t1: float) -> None:
         """Record a scheduling decision that yielded no chunk (barrier or
         drain); chunk-bearing decisions are charged in :meth:`account_chunk`.
         """
         if self.traced:
-            dn = st.device.name
-            self.obs.span(
-                _sp.SPAN_SCHED, _sp.CAT_SCHED, st.device.devid, dn, t0, t1,
+            self._emit_decision(st, t0, t1, t1 - t0)
+
+    def _record_event(
+        self, st: DeviceState, tm: StageTiming, clip_t: float | None = None
+    ) -> None:
+        """Append this chunk's :class:`ChunkEvent`; a dropped chunk's spans
+        are clipped to ``clip_t``, the time its device died."""
+        stamps = (
+            tm.in_start, tm.in_end, tm.comp_start, tm.comp_end,
+            tm.out_start, tm.out_end,
+        )
+        if clip_t is not None:
+            stamps = tuple(min(t, clip_t) for t in stamps)
+        self.events.append(
+            ChunkEvent(
+                st.device.devid, st.device.name, tm.chunk, tm.acquire_t,
+                *stamps,
+                status=(
+                    "dropped" if tm.dropped else "ok" if tm.ok else "failed"
+                ),
+                retries=tm.retried,
             )
-            self.met.observe(
-                "sched_decision_s", t1 - t0,
-                device=dn, algorithm=self.scheduler.notation,
-            )
-            self.met.inc("sched_decisions", 1.0, device=dn)
+        )
 
     def drop_chunk(self, st: DeviceState, tm: StageTiming, drop_t: float) -> None:
         """``-> lost``: the device died before this chunk's outputs returned."""
         tm.advance(ChunkPhase.LOST)
         st.trace.faults += 1
         if self.record_events:
-            self.events.append(
-                ChunkEvent(
-                    devid=st.device.devid,
-                    device_name=st.device.name,
-                    chunk=tm.chunk,
-                    acquire_t=tm.acquire_t,
-                    in_start=min(tm.in_start, drop_t),
-                    in_end=min(tm.in_end, drop_t),
-                    comp_start=min(tm.comp_start, drop_t),
-                    comp_end=min(tm.comp_end, drop_t),
-                    out_start=min(tm.out_start, drop_t),
-                    out_end=min(tm.out_end, drop_t),
-                    status="dropped",
-                    retries=tm.retried,
-                )
-            )
+            self._record_event(st, tm, drop_t)
         self.mark_lost(
             st,
             drop_t,
@@ -671,15 +607,10 @@ class RunContext:
             dn = st.device.name
             chunk = tm.chunk
             ck = (chunk.start, chunk.stop)
-            obs.span(
-                _sp.SPAN_SCHED, _sp.CAT_SCHED, devid, dn,
-                tm.acquire_t, tm.acquire_t + tm.t_sched, chunk=ck,
+            self._emit_decision(
+                st, tm.acquire_t, tm.acquire_t + tm.t_sched, tm.t_sched,
+                chunk=ck,
             )
-            met.observe(
-                "sched_decision_s", tm.t_sched,
-                device=dn, algorithm=self.scheduler.notation,
-            )
-            met.inc("sched_decisions", 1.0, device=dn)
             if tm.t_setup > 0.0:
                 obs.span(
                     _sp.SPAN_SETUP, _sp.CAT_SCHED, devid, dn,
@@ -702,18 +633,13 @@ class RunContext:
                 met.inc("transfer_retries", tm.retried, device=dn)
             if tm.in_ok:
                 if tm.t_in > 0.0:
+                    args = {"bytes": tm.bytes_in, "chunk": ck}
                     if tm.elided_in > 0.0:
-                        obs.span(
-                            _sp.SPAN_XFER_IN, _sp.CAT_STAGE, devid, dn,
-                            tm.in_end - tm.t_in, tm.in_end,
-                            bytes=tm.bytes_in, elided=tm.elided_in, chunk=ck,
-                        )
-                    else:
-                        obs.span(
-                            _sp.SPAN_XFER_IN, _sp.CAT_STAGE, devid, dn,
-                            tm.in_end - tm.t_in, tm.in_end,
-                            bytes=tm.bytes_in, chunk=ck,
-                        )
+                        args["elided"] = tm.elided_in
+                    obs.span(
+                        _sp.SPAN_XFER_IN, _sp.CAT_STAGE, devid, dn,
+                        tm.in_end - tm.t_in, tm.in_end, **args,
+                    )
                 if tm.t_comp > 0.0:
                     obs.span(
                         _sp.SPAN_COMPUTE, _sp.CAT_STAGE, devid, dn,
@@ -721,39 +647,19 @@ class RunContext:
                         iters=len(chunk), chunk=ck,
                     )
             if tm.ok and tm.t_out > 0.0:
+                args = {"bytes": tm.bytes_out, "chunk": ck}
                 if tm.elided_out > 0.0:
-                    obs.span(
-                        _sp.SPAN_XFER_OUT, _sp.CAT_STAGE, devid, dn,
-                        tm.out_end - tm.t_out, tm.out_end,
-                        bytes=tm.bytes_out, elided=tm.elided_out, chunk=ck,
-                    )
-                else:
-                    obs.span(
-                        _sp.SPAN_XFER_OUT, _sp.CAT_STAGE, devid, dn,
-                        tm.out_end - tm.t_out, tm.out_end,
-                        bytes=tm.bytes_out, chunk=ck,
-                    )
+                    args["elided"] = tm.elided_out
+                obs.span(
+                    _sp.SPAN_XFER_OUT, _sp.CAT_STAGE, devid, dn,
+                    tm.out_end - tm.t_out, tm.out_end, **args,
+                )
             met.inc("bytes_moved", moved, device=dn)
             if elided > 0.0:
                 met.inc("bytes_elided", elided, device=dn)
 
         if self.record_events:
-            self.events.append(
-                ChunkEvent(
-                    devid=st.device.devid,
-                    device_name=st.device.name,
-                    chunk=tm.chunk,
-                    acquire_t=tm.acquire_t,
-                    in_start=tm.in_start,
-                    in_end=tm.in_end,
-                    comp_start=tm.comp_start,
-                    comp_end=tm.comp_end,
-                    out_start=tm.out_start,
-                    out_end=tm.out_end,
-                    status="ok" if tm.ok else "failed",
-                    retries=tm.retried,
-                )
-            )
+            self._record_event(st, tm)
 
     def fail_chunk(self, st: DeviceState, tm: StageTiming) -> bool:
         """``-> requeue`` (and maybe ``-> quarantine``) after exhausted
@@ -928,10 +834,11 @@ class RunContext:
                 machine=self.machine.name,
                 seed=self.seed,
             )
-            if self.obs_meta_extra:
-                obs.meta.update(**self.obs_meta_extra)
+            obs.meta.update(self.meta_extra)
 
-        meta: dict = dict(self.base_meta)
+        meta: dict = {
+            "seed": self.seed, "machine": self.machine.name, **self.meta_extra,
+        }
         if self.residency is not None:
             # Only region-scoped runs carry this key: no-region results
             # stay pickle-identical to the pre-ledger engine.
@@ -951,10 +858,6 @@ class RunContext:
                     states[d].device.name for d in self.health.quarantined
                 ),
             }
-        # The run is over: drop the backend hooks, whose closures point
-        # back at this context, so it (and the kernel's arrays) are freed
-        # with the engine instead of waiting for a cyclic collection.
-        self.wake = self.maybe_release_barrier = None
         return OffloadResult(
             kernel_name=kernel.name,
             algorithm=scheduler.describe(),
@@ -1006,9 +909,11 @@ class EngineBase:
     shared :class:`RunContext`.
 
     Engine instances are reusable but not concurrently so: each ``run()``
-    builds a fresh :class:`RunContext`, and a second ``run()`` entered
-    while one is still in flight raises :class:`~repro.errors.EngineBusyError`
-    instead of silently corrupting shared accounting.
+    takes the run gate (:meth:`_run_slot`) and only then builds a fresh
+    :class:`RunContext`, and a second ``run()`` entered while one is still
+    in flight raises :class:`~repro.errors.EngineBusyError` before it has
+    touched anything — the scheduler it was handed included — instead of
+    silently corrupting shared accounting.
     """
 
     machine: MachineSpec
@@ -1044,18 +949,19 @@ class EngineBase:
         cutoff_ratio: float,
         **differs: Any,
     ) -> "RunContext":
-        """The :class:`RunContext` of one run on this engine.
+        """Build the :class:`RunContext` of one run on this engine (inside
+        :meth:`_run_slot`) and expose it to last-run introspection.
 
         The shared options come from the fields above; a backend passes
-        only what differs (``base_meta``, ``obs_meta_extra``,
-        ``carry_in``, a per-request ``execute_numerically``).
+        only what differs (``meta_extra``, ``carry_in``, a per-request
+        ``execute_numerically``).
         """
         options = {name: getattr(self, name) for name in _SHARED_OPTIONS}
-        options["base_meta"] = {"seed": self.seed, "machine": self.machine.name}
         options.update(differs)
-        return RunContext(
+        core = self._run_ctx = RunContext(
             kernel=kernel, scheduler=scheduler, cutoff_ratio=cutoff_ratio, **options
         )
+        return core
 
     def _delegate(self, cls: type, **overrides: Any):
         """A ``cls`` engine configured like this one, ``overrides`` applied.
@@ -1115,7 +1021,15 @@ class EngineBase:
             for key, value in saved.items():
                 setattr(self, key, value)
 
-    def _begin_run(self, core: RunContext) -> None:
+    @contextmanager
+    def _run_slot(self):
+        """The run gate, held for the whole of one ``run``/``run_many``.
+
+        Every entry point enters it *before* it builds a
+        :class:`RunContext` (whose constructor restarts the scheduler), so
+        a refused run has touched nothing.  The last run's context is
+        forgotten on entry; :meth:`_run_context` installs the new one.
+        """
         lock = self.__dict__.get("_run_gate")
         if lock is None:
             # setdefault is atomic under the GIL: exactly one lock survives.
@@ -1126,10 +1040,11 @@ class EngineBase:
                 "offload; engines are reusable sequentially, not "
                 "concurrently — create one engine per in-flight run"
             )
-        self._run_ctx = core
-
-    def _end_run(self) -> None:
-        self.__dict__["_run_gate"].release()
+        try:
+            self._run_ctx = None
+            yield
+        finally:
+            lock.release()
 
     @property
     def chunk_log(self) -> list[tuple[int, IterRange]]:

@@ -16,12 +16,13 @@ chunking overlaps data movement with computation (the effect the paper
 credits for SCHED_DYNAMIC's wins on data-intensive kernels).  Host devices
 run their chunks serially (the proxy *is* the compute resource).
 
-Chunk acquisition across devices is linearised by a priority queue on
-virtual request time (:class:`~repro.engine.core.VirtualClock`),
-reproducing the ordering a real CAS-based shared cursor produces, but
-deterministically.  The kernel is executed numerically for every chunk
-(through the DeviceBuffer path), so the simulated timeline and the real
-numeric result come from the same chunk stream.
+Chunk acquisition across devices is linearised by a priority queue
+(``heapq``) on ``(virtual request time, devid)``: time is whatever the most
+recently popped request says it is, reproducing the ordering a real
+CAS-based shared cursor produces, but deterministically.  The kernel is
+executed numerically for every chunk (through the DeviceBuffer path), so
+the simulated timeline and the real numeric result come from the same
+chunk stream.
 
 This module is the **virtual-time backend** of the shared execution core
 (:mod:`repro.engine.core`): the chunk lifecycle — fault draws, bounded
@@ -41,12 +42,12 @@ matches the fault-free one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from repro.engine.core import (
     ChunkPhase,
     EngineBase,
     RunContext,
-    VirtualClock,
     register_backend,
 )
 from repro.engine.trace import OffloadResult
@@ -91,14 +92,12 @@ class OffloadEngine(EngineBase):
         *,
         cutoff_ratio: float = 0.0,
     ) -> OffloadResult:
-        core = self._run_context(
-            kernel, scheduler, cutoff_ratio, carry_in=self.carry_in
-        )
-        self._begin_run(core)
-        try:
-            return self._event_loop(core)
-        finally:
-            self._end_run()
+        with self._run_slot():
+            return self._event_loop(
+                self._run_context(
+                    kernel, scheduler, cutoff_ratio, carry_in=self.carry_in
+                )
+            )
 
     def _event_loop(self, core: RunContext) -> OffloadResult:
         """Virtual-time event scheduling: the backend-specific part."""
@@ -115,38 +114,27 @@ class OffloadEngine(EngineBase):
         # Devices sharing a PCIe slot contend for one bus resource.
         group_free: dict[str, float] = {}
 
-        carry = core.carry_in
-        if carry:
-            # Stream batch with a warm pipeline: each surviving device
-            # wakes at its carried next-request time instead of 0.0, so
-            # this batch's copy-ins queue behind (and overlap with) the
-            # previous batch's still-draining stages.
-            clock = VirtualClock()
-            for s in states:
-                if s.done:
-                    continue
-                c = carry.get(s.device.devid)
-                clock.push(c.ready if c is not None else 0.0, s.device.devid)
-        else:
-            clock = VirtualClock([s.device.devid for s in states])
+        # Pending chunk requests, ``(request_time, devid)``.  A cold start
+        # has every device ask at 0.0; in a stream batch with a warm
+        # pipeline each surviving device asks at its carried next-request
+        # time instead, so this batch's copy-ins queue behind (and overlap
+        # with) the previous batch's still-draining stages.
+        carry = core.carry_in or {}
+        requests = [
+            (carry[s.device.devid].ready if s.device.devid in carry else 0.0,
+             s.device.devid)
+            for s in states if not s.done
+        ]
+        heapify(requests)
 
-        def wake(st, t: float) -> None:
-            clock.push(max(t, st.finish), st.device.devid)
+        # A woken device asks again no earlier than it finished; one parked
+        # at a barrier has finish <= at_barrier <= t, so there t stands.
+        core.wake = lambda st, t: heappush(
+            requests, (max(t, st.finish), st.device.devid)
+        )
 
-        def release_barrier() -> None:
-            core.release_barrier(
-                lambda st, t_rel: clock.push(t_rel, st.device.devid)
-            )
-
-        def maybe_release_barrier() -> None:
-            if core.barrier_ready():
-                release_barrier()
-
-        core.wake = wake
-        core.maybe_release_barrier = maybe_release_barrier
-
-        while clock.pending:
-            t, devid = clock.pop()
+        while requests:
+            t, devid = heappop(requests)
             st = states[devid]
             if st.done:
                 continue
@@ -166,12 +154,12 @@ class OffloadEngine(EngineBase):
                 st.done = True
                 st.drain_t = t  # when the next batch may first request
                 # If everyone else is parked at the barrier, release them.
-                maybe_release_barrier()
+                core.maybe_release_barrier()
                 continue
 
             if decision is BARRIER:
                 st.at_barrier = max(t, st.finish)
-                maybe_release_barrier()
+                core.maybe_release_barrier()
                 continue
 
             tm = core.begin_chunk(devid, decision, t)
@@ -269,7 +257,7 @@ class OffloadEngine(EngineBase):
                 # streak quarantines it; pipeline state is torn down, so a
                 # surviving device resumes serially.
                 if not core.fail_chunk(st, tm):
-                    clock.push(out_end, devid)
+                    heappush(requests, (out_end, devid))
                 continue
 
             core.commit_chunk(st, tm, t_in + t_comp + t_out)
@@ -286,7 +274,7 @@ class OffloadEngine(EngineBase):
                 # Ablation: single-buffered proxy drains the whole pipeline
                 # before asking for more work.
                 next_req = out_end
-            clock.push(next_req, devid)
+            heappush(requests, (next_req, devid))
 
         return core.finalize()
 

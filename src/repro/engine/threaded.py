@@ -16,8 +16,9 @@ The chunk lifecycle — scheduling decisions, fault draws and bounded
 retries, orphan reassignment, quarantine, trace buckets, span/metric
 emission, coverage and the final result — is the shared core's
 (:class:`~repro.engine.core.RunContext`); this module only decides *when*
-things happen, on a :class:`~repro.engine.core.WallClock`.  That buys the
-threaded executor full fault/resilience parity with the simulator:
+things happen, in ``time.perf_counter`` seconds since the offload started.
+That buys the threaded executor full fault/resilience parity with the
+simulator:
 
 * ``Slowdown`` stretches a chunk's compute by sleeping the extra time,
 * ``TransferError`` draws from the same counter-based hash against a
@@ -45,7 +46,6 @@ from repro.engine.core import (
     ChunkPhase,
     EngineBase,
     RunContext,
-    WallClock,
     register_backend,
 )
 from repro.engine.trace import OffloadResult
@@ -76,21 +76,13 @@ class ThreadedEngine(EngineBase):
         *,
         cutoff_ratio: float = 0.0,
     ) -> OffloadResult:
-        core = self._run_context(
-            kernel,
-            scheduler,
-            cutoff_ratio,
-            base_meta={
-                "executor": "threaded", "machine": self.machine.name,
-                "seed": self.seed,
-            },
-            obs_meta_extra={"executor": "threaded"},
-        )
-        self._begin_run(core)
-        try:
-            return self._thread_loop(core)
-        finally:
-            self._end_run()
+        with self._run_slot():
+            return self._thread_loop(
+                self._run_context(
+                    kernel, scheduler, cutoff_ratio,
+                    meta_extra={"executor": "threaded"},
+                )
+            )
 
     def _thread_loop(self, core: RunContext) -> OffloadResult:
         """Wall-clock event scheduling: the backend-specific part."""
@@ -103,16 +95,14 @@ class ThreadedEngine(EngineBase):
         lock = threading.Lock()
         cond = threading.Condition(lock)
         errors: list[BaseException] = []
-        clock = WallClock()
+        t0 = time.perf_counter()
 
+        def wall() -> float:  # seconds since the offload started
+            return time.perf_counter() - t0
+
+        # Parked and drained proxies wait on the condition and re-check
+        # their own state, so waking any device is waking them all.
         core.wake = lambda st, t: cond.notify_all()
-
-        def maybe_release_barrier() -> None:
-            if core.barrier_ready():
-                core.release_barrier(lambda st, t_rel: None)
-                cond.notify_all()
-
-        core.maybe_release_barrier = maybe_release_barrier
 
         def proxy(devid: int) -> None:
             st = states[devid]
@@ -124,7 +114,7 @@ class ThreadedEngine(EngineBase):
                             return
                         if (
                             drop_t is not None
-                            and clock.now() >= drop_t
+                            and wall() >= drop_t
                             and not st.lost
                         ):
                             core.mark_lost(
@@ -133,23 +123,23 @@ class ThreadedEngine(EngineBase):
                             )
                             cond.notify_all()
                             return
-                        dec_t0 = clock.now()
+                        dec_t0 = wall()
                         decision = scheduler.next(devid)
-                        dec_t1 = clock.now()
+                        dec_t1 = wall()
                         if decision is None and core.orphans:
                             # Scheduler drained but lost work remains.
                             decision = core.orphans.popleft()
                         if decision is BARRIER:
                             core.note_decision(st, dec_t0, dec_t1)
                             st.at_barrier = dec_t1
-                            maybe_release_barrier()
+                            core.maybe_release_barrier()
                             while st.at_barrier is not None and not errors:
                                 cond.wait(timeout=5.0)
                             continue
                         if decision is None:
                             core.note_decision(st, dec_t0, dec_t1)
                             st.done = True
-                            maybe_release_barrier()
+                            core.maybe_release_barrier()
                             cond.notify_all()
                             # Park: a dying device may orphan work that
                             # only this proxy can drain.  ``add_orphan``
@@ -173,7 +163,7 @@ class ThreadedEngine(EngineBase):
                         # fault events and backoff sleeps happen now, so a
                         # doomed chunk is never executed numerically.
                         tm.advance(ChunkPhase.XFER_IN)
-                        tm.in_start = clock.now()
+                        tm.in_start = wall()
                         if plan_active:
                             t_nom_in = max(
                                 st.device.transfer_time(tm.bytes_in),
@@ -193,17 +183,17 @@ class ThreadedEngine(EngineBase):
                                 tm.pad_out, tm.retries_out, tm.out_ok = (
                                     core.transfer_attempts(
                                         st, chunk, "out", t_nom_out,
-                                        clock.now(), sleep=time.sleep,
+                                        wall(), sleep=time.sleep,
                                     )
                                 )
-                        tm.in_end = clock.now()
+                        tm.in_end = wall()
                         dropped = (
                             drop_t is not None
                             and tm.ok
-                            and clock.now() >= drop_t
+                            and wall() >= drop_t
                         )
                         if dropped or not tm.ok:
-                            now = clock.now()
+                            now = wall()
                             tm.comp_start = tm.comp_end = now
                             tm.out_start = tm.out_end = now
                             if dropped:
@@ -221,7 +211,7 @@ class ThreadedEngine(EngineBase):
                         tm.advance(ChunkPhase.COMPUTE)
                     # Compute outside the lock: NumPy releases the GIL, so
                     # proxy threads genuinely overlap here.
-                    comp_start = clock.now()
+                    comp_start = wall()
                     partial = (
                         kernel.execute_chunk(
                             chunk, shared=st.device.shares_host_memory
@@ -233,8 +223,8 @@ class ThreadedEngine(EngineBase):
                         if factor > 1.0:
                             # A straggler: stretch the chunk by the extra
                             # time the slowdown would have cost.
-                            time.sleep((factor - 1.0) * (clock.now() - comp_start))
-                    comp_end = clock.now()
+                            time.sleep((factor - 1.0) * (wall() - comp_start))
+                    comp_end = wall()
                     elapsed = comp_end - comp_start
                     with lock:
                         tm.advance(ChunkPhase.XFER_OUT)
@@ -264,7 +254,7 @@ class ThreadedEngine(EngineBase):
             th.join()
         if errors:
             raise OffloadError(f"proxy thread failed: {errors[0]!r}") from errors[0]
-        return core.finalize(clock.now())
+        return core.finalize(wall())
 
 
 register_backend("threaded", ThreadedEngine, aliases=("wall", "threads"))

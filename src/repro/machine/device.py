@@ -4,8 +4,9 @@ Compute cost follows the roofline shape the paper's heuristics assume:
 a chunk doing ``flops`` of arithmetic over ``mem_bytes`` of device-memory
 traffic takes ``max(flops/Perf_dev, mem_bytes/BW_dev)`` plus a per-launch
 overhead.  Transfer cost is the Hockney model on the device's link.
-Optional multiplicative lognormal noise (seeded per device) makes dynamic
-scheduling face realistic run-to-run variation without losing determinism.
+Optional multiplicative lognormal noise (one stream per device and run
+seed, created on the first noisy draw) makes dynamic scheduling face
+realistic run-to-run variation without losing determinism.
 """
 
 from __future__ import annotations
@@ -26,12 +27,9 @@ class Device:
 
     devid: int
     spec: DeviceSpec
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        # Per-device stream: noise draws are reproducible and independent of
-        # how other devices interleave.
-        self._rng = np.random.default_rng(0x60D5EED + self.devid)
+    #: Run seed of the noise stream (the same seed replays the same draws).
+    seed: int = 0
+    _rng: np.random.Generator | None = field(default=None, init=False, repr=False)
 
     # -- identity ----------------------------------------------------------
 
@@ -47,10 +45,6 @@ class Device:
     def shares_host_memory(self) -> bool:
         return self.spec.memory is not MemoryKind.DISCRETE
 
-    def reseed(self, seed: int) -> None:
-        """Reset the noise stream (used to replay a simulation exactly)."""
-        self._rng = np.random.default_rng((0x60D5EED + self.devid) ^ seed)
-
     # -- cost model ---------------------------------------------------------
 
     def compute_time(self, flops: float, mem_bytes: float, *, noisy: bool = True) -> float:
@@ -61,7 +55,15 @@ class Device:
         t_memory = mem_bytes / gbs_to_bytes_per_s(self.spec.mem_bandwidth_gbs)
         t = max(t_compute, t_memory) + self.spec.launch_overhead_s
         if noisy and self.spec.noise > 0:
-            t *= float(self._rng.lognormal(mean=0.0, sigma=self.spec.noise))
+            rng = self._rng
+            if rng is None:
+                # Per-device stream: noise draws are reproducible and
+                # independent of how other devices interleave.  A noiseless
+                # device never gets here, so it never pays for a generator.
+                rng = self._rng = np.random.default_rng(
+                    (0x60D5EED + self.devid) ^ self.seed
+                )
+            t *= float(rng.lognormal(mean=0.0, sigma=self.spec.noise))
         return t
 
     def transfer_time(self, nbytes: float) -> float:

@@ -13,11 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.batch import BatchEngine, BatchRequest
 from repro.engine.simulator import OffloadEngine
 from repro.faults.plan import DeviceDropout, FaultPlan, Slowdown, TransferError
 from repro.faults.policy import ResiliencePolicy, RetryPolicy
-from repro.kernels.registry import paper_workload
+from repro.kernels.registry import make_kernel, paper_workload
 from repro.machine.presets import full_node, gpu4_node
+from repro.obs.export import to_jsonl
 from repro.obs.tracer import Tracer
 from repro.runtime.runtime import HompRuntime
 from repro.sched.registry import make_scheduler
@@ -111,3 +113,59 @@ def test_region_lifecycle_leaves_no_region_runs_untouched(monkeypatch):
     kernel = paper_workload("axpy", scale=0.05, seed=0)
     result = rt.parallel_for(kernel, schedule="SCHED_DYNAMIC", cutoff_ratio=0.0)
     assert checksum(result) == FIXTURE.read_text().strip()
+
+
+# One run that visits every record the core emits: SCHED_PROFILE_AUTO
+# parks devices at its barrier, device 1 is slowed, device 2's link fails
+# half its attempts (retries, and with max_retries=1 failed chunks),
+# device 3 dies with a chunk in flight, and only ``x`` is held resident by
+# the enclosing region, so transfer spans carry ``elided=``.  The digests
+# were generated before the core's emitters were folded into one per record.
+PINNED_SPANS_MD5 = "8779f251f4f034272c858a111bdc2ea4"
+PINNED_TIMELINE_MD5 = "6cbd663c5e4e4dae696696cc70245d72"
+
+
+class _ViaRunMany(BatchEngine):
+    """The batch engine's other entry point, behind ``run``'s signature."""
+
+    def run(self, kernel, scheduler, *, cutoff_ratio=0.0):
+        return self.run_many([BatchRequest(kernel, scheduler, cutoff_ratio)])[0]
+
+
+@pytest.mark.parametrize("executor", ["virtual", "batch", _ViaRunMany])
+def test_span_stream_and_timeline_match_pinned_digests(executor):
+    from repro.memory.space import MapDirection
+    from repro.runtime.data_env import TargetDataRegion
+
+    rt = HompRuntime(gpu4_node())
+    kernel = make_kernel("axpy", 40_000)
+    region = TargetDataRegion(
+        runtime=rt,
+        maps={"x": (kernel.arrays["x"], MapDirection.TO)},
+        partitioned=frozenset({"x"}),
+    )
+    tracer = Tracer()
+    with region:
+        result = region.parallel_for(
+            kernel,
+            schedule="SCHED_PROFILE_AUTO",
+            executor=executor,
+            fault_plan=FaultPlan.of(
+                Slowdown(1, 3.0),
+                TransferError(2, 0.5, seed=3),
+                DeviceDropout(3, 0.0003),
+            ),
+            resilience=ResiliencePolicy(retry=RetryPolicy(max_retries=1)),
+            tracer=tracer,
+            record_events=True,
+        )
+    timeline = result.meta["timeline"]
+    assert {e.status for e in timeline.events} == {"ok", "failed", "dropped"}
+    names = {s.name for s in tracer.spans}
+    assert {"barrier", "retry", "xfer_in", "xfer_out", "sched"} <= names
+    assert any("elided" in dict(s.args) for s in tracer.spans)
+    assert hashlib.md5(to_jsonl(tracer).encode()).hexdigest() == PINNED_SPANS_MD5
+    assert (
+        hashlib.md5(pickle.dumps(timeline, protocol=4)).hexdigest()
+        == PINNED_TIMELINE_MD5
+    )

@@ -252,6 +252,46 @@ def test_reentrant_run_raises_engine_busy():
     eng.run(make_kernel("sum", 1_000, seed=0), Reenter())
 
 
+@pytest.mark.parametrize("backend", ["virtual", "threaded"])
+def test_refused_run_does_not_touch_its_scheduler(backend):
+    """The gate is taken before the run context (whose constructor calls
+    ``scheduler.start``) is built: re-entering ``run`` with the *same*
+    scheduler instance is refused without restarting the scheduler the
+    in-flight run is being served from."""
+    eng = make_backend(backend, gpu4_node(), seed=0)
+    kernel = make_kernel("sum", 10_000, seed=0)
+
+    class Wrap:
+        supports_cutoff = False
+
+        def __init__(self):
+            self.inner = make_scheduler("SCHED_DYNAMIC")
+            self.starts = 0
+            self.asked = 0
+            self.refused = 0
+
+        def start(self, ctx):
+            self.starts += 1
+            self.inner.start(ctx)
+
+        def next(self, devid):
+            self.asked += 1
+            if self.asked == 3:  # mid-run: two chunks are already out
+                with pytest.raises(EngineBusyError):
+                    eng.run(kernel, self)
+                self.refused += 1
+            return self.inner.next(devid)
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    wrap = Wrap()
+    result = eng.run(kernel, wrap)
+    assert wrap.refused == 1
+    assert wrap.starts == 1
+    assert sum(t.iters for t in result.traces) == 10_000
+
+
 def test_concurrent_runs_on_one_engine_rejected():
     eng = OffloadEngine(machine=gpu4_node(), seed=0)
     release = threading.Event()
@@ -362,3 +402,53 @@ def test_finished_run_is_freed_without_cyclic_gc(backend):
         assert ctx() is None
     finally:
         gc.enable()
+
+
+# ------------------------------------------- a run builds each thing once
+
+
+def _count_generators(monkeypatch) -> list:
+    import numpy as np
+
+    made = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return made
+
+
+def test_noiseless_offload_constructs_no_generator(monkeypatch):
+    from repro.machine.presets import full_node
+    from repro.runtime.runtime import HompRuntime
+
+    rt = HompRuntime(full_node(), seed=3)
+    kernel = make_kernel("axpy", 40_000)
+    made = _count_generators(monkeypatch)
+    rt.parallel_for(kernel, schedule="SCHED_DYNAMIC")
+    assert made == []
+
+
+def test_noisy_offload_constructs_one_generator_per_computing_device(
+    monkeypatch,
+):
+    from dataclasses import replace
+
+    from repro.runtime.runtime import HompRuntime
+
+    quiet = gpu4_node()
+    noisy = replace(
+        quiet, devices=tuple(replace(d, noise=0.05) for d in quiet.devices)
+    )
+    rt = HompRuntime(noisy, seed=3)
+    kernel = make_kernel("axpy", 40_000)
+    made = _count_generators(monkeypatch)
+    result = rt.parallel_for(kernel, schedule="SCHED_DYNAMIC", devices=[0, 1])
+    computing = [t for t in result.traces if t.chunks]
+    assert 1 <= len(made) <= len(computing) <= 2
+    # one stream per device, from the device id and the run seed
+    assert len(set(made)) == len(made)
+    assert set(made) <= {((0x60D5EED + d) ^ 3,) for d in (0, 1)}

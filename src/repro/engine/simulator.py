@@ -59,6 +59,11 @@ from repro.sched.base import BARRIER, LoopScheduler
 
 __all__ = ["OffloadEngine"]
 
+# Module globals: an Enum attribute read goes through the metaclass (~90 ns).
+_XFER_IN, _COMPUTE, _XFER_OUT = (
+    ChunkPhase.XFER_IN, ChunkPhase.COMPUTE, ChunkPhase.XFER_OUT
+)
+
 
 @dataclass
 class OffloadEngine(EngineBase):
@@ -133,9 +138,18 @@ class OffloadEngine(EngineBase):
             requests, (max(t, st.finish), st.device.devid)
         )
 
+        # What the loop asks of each device, read once: specs are frozen and
+        # the cost-model methods stay bound for the whole run.
+        lanes = [
+            (st, spec.sched_overhead_s, spec.pcie_group,
+             spec.link if spec.memory is MemoryKind.UNIFIED else None,
+             st.device.transfer_time, st.device.compute_time)
+            for st in states for spec in (st.device.spec,)
+        ]
+
         while requests:
             t, devid = heappop(requests)
-            st = states[devid]
+            st, sched_s, group, managed_link, transfer_time, compute_time = lanes[devid]
             if st.done:
                 continue
             drop_t = plan.dropout_t(devid) if plan_active else None
@@ -165,37 +179,35 @@ class OffloadEngine(EngineBase):
             tm = core.begin_chunk(devid, decision, t)
             chunk = tm.chunk
 
-            spec = st.device.spec
             cost = kernel.chunk_cost(chunk)
             core.chunk_bytes(st, tm, cost)
-            tm.t_setup = spec.setup_overhead_s if st.first_chunk else 0.0
+            tm.t_setup = st.device.spec.setup_overhead_s if st.first_chunk else 0.0
             st.first_chunk = False
 
-            tm.t_sched = spec.sched_overhead_s
-            acquire_end = t + tm.t_sched + tm.t_setup
-            if spec.memory is MemoryKind.UNIFIED:
+            tm.t_sched = sched_s
+            acquire_end = t + sched_s + tm.t_setup
+            if managed_link is not None:
                 # Unified memory: no explicit copies in the program, but
                 # the pages still cross the bus — at driver-migration
                 # speed (the 10-18x of paper section V.C).
-                t_in = unified_model.migration_time(spec.link, tm.bytes_in)
-                t_out = unified_model.migration_time(spec.link, tm.bytes_out)
+                t_in = unified_model.migration_time(managed_link, tm.bytes_in)
+                t_out = unified_model.migration_time(managed_link, tm.bytes_out)
             else:
-                t_in = st.device.transfer_time(tm.bytes_in)
-                t_out = st.device.transfer_time(tm.bytes_out)
-            t_comp = st.device.compute_time(cost.flops, cost.mem_bytes)
+                t_in = transfer_time(tm.bytes_in)
+                t_out = transfer_time(tm.bytes_out)
+            t_comp = compute_time(cost.flops, cost.mem_bytes)
 
-            group = spec.pcie_group
             in_start = max(acquire_end, st.copy_in_free)
             if serialize_offload:
                 in_start = max(in_start, dispatch_free)
             if group is not None:
                 in_start = max(in_start, group_free.get(group, 0.0))
-            if plan_active:
+            tm.advance(_XFER_IN)
+            if plan_active:  # else the timing keeps its fault-free defaults
                 t_in *= plan.slowdown_factor(devid, in_start)
-            tm.advance(ChunkPhase.XFER_IN)
-            tm.pad_in, tm.retries_in, tm.in_ok = core.transfer_attempts(
-                st, chunk, "in", t_in, in_start
-            )
+                tm.pad_in, tm.retries_in, tm.in_ok = core.transfer_attempts(
+                    st, chunk, "in", t_in, in_start
+                )
             in_end = (
                 in_start + tm.pad_in + t_in if tm.in_ok
                 else in_start + tm.pad_in
@@ -206,20 +218,20 @@ class OffloadEngine(EngineBase):
                 group_free[group] = in_end
             comp_prev_end = st.comp_free
             if tm.in_ok:
-                tm.advance(ChunkPhase.COMPUTE)
-                comp_start = max(in_end, st.comp_free)
+                tm.advance(_COMPUTE)
+                comp_start = max(in_end, comp_prev_end)
                 if plan_active:
                     t_comp *= plan.slowdown_factor(devid, comp_start)
                 comp_end = comp_start + t_comp
-                tm.advance(ChunkPhase.XFER_OUT)
+                tm.advance(_XFER_OUT)
                 out_start = max(comp_end, st.copy_out_free)
                 if group is not None:
                     out_start = max(out_start, group_free.get(group, 0.0))
                 if plan_active:
                     t_out *= plan.slowdown_factor(devid, out_start)
-                tm.pad_out, tm.retries_out, tm.out_ok = core.transfer_attempts(
-                    st, chunk, "out", t_out, out_start
-                )
+                    tm.pad_out, tm.retries_out, tm.out_ok = (
+                        core.transfer_attempts(st, chunk, "out", t_out, out_start)
+                    )
                 out_end = (
                     out_start + tm.pad_out + t_out if tm.out_ok
                     else out_start + tm.pad_out
@@ -230,7 +242,6 @@ class OffloadEngine(EngineBase):
                 # Copy-in never succeeded: compute and copy-out don't run.
                 comp_start = comp_end = in_end
                 out_start = out_end = in_end
-                tm.pad_out, tm.retries_out, tm.out_ok = 0.0, 0, True
 
             tm.t_in, tm.t_comp, tm.t_out = t_in, t_comp, t_out
             tm.in_start, tm.in_end = in_start, in_end
@@ -251,7 +262,7 @@ class OffloadEngine(EngineBase):
 
             core.account_chunk(st, tm)
 
-            if not tm.ok:
+            if not (tm.in_ok and tm.out_ok):
                 # Transfer retries exhausted: the chunk is lost (its outputs
                 # never returned), the device stays alive unless its fault
                 # streak quarantines it; pipeline state is torn down, so a

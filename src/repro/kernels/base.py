@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,7 +81,8 @@ class _CostConstants:
     ``chunk_cost`` is called once per chunk — thousands of times per
     dynamic/guided offload — and every field here is invariant across
     chunks: it only changes when the effective maps change (a
-    ``set_partition`` override), which invalidates the cache.
+    ``set_partition`` override), which invalidates the cache — and with it
+    ``priced``, the :class:`ChunkCost` of every chunk length priced so far.
     """
 
     flops_per_iter: float
@@ -89,6 +90,7 @@ class _CostConstants:
     xfer_in_elems: float
     xfer_out_elems: float
     replicated_in_bytes: float
+    priced: dict[int, ChunkCost] = field(default_factory=dict, compare=False)
 
 
 @dataclass
@@ -269,20 +271,24 @@ class LoopKernel(ABC):
 
         Hot path: called once per chunk (thousands of times under dynamic
         or guided scheduling), so it works from :meth:`_cost_constants`
-        instead of rescanning ``effective_maps()`` per call.
+        instead of rescanning ``effective_maps()`` per call, and returns
+        the same frozen :class:`ChunkCost` for a length it already priced.
         """
-        n = len(rows)
-        eff = self.chunk_efficiency(n)
-        if not 0.0 < eff <= 1.0:
-            raise ValueError(f"{self.name}: chunk_efficiency must be in (0, 1]")
+        n = rows.stop - rows.start
         cc = self._cost_constants()
-        return ChunkCost(
-            flops=cc.flops_per_iter * n / eff,
-            mem_bytes=cc.mem_bytes_per_iter * n,
-            xfer_in_bytes=cc.xfer_in_elems * ELEM * n,
-            xfer_out_bytes=cc.xfer_out_elems * ELEM * n,
-            replicated_in_bytes=cc.replicated_in_bytes,
-        )
+        cost = cc.priced.get(n)
+        if cost is None:
+            eff = self.chunk_efficiency(n)
+            if not 0.0 < eff <= 1.0:
+                raise ValueError(f"{self.name}: chunk_efficiency must be in (0, 1]")
+            cost = cc.priced[n] = ChunkCost(
+                flops=cc.flops_per_iter * n / eff,
+                mem_bytes=cc.mem_bytes_per_iter * n,
+                xfer_in_bytes=cc.xfer_in_elems * ELEM * n,
+                xfer_out_bytes=cc.xfer_out_elems * ELEM * n,
+                replicated_in_bytes=cc.replicated_in_bytes,
+            )
+        return cost
 
     def _xfer_dir_elems(self, inbound: bool) -> float:
         total = 0.0

@@ -31,6 +31,15 @@ class Device:
     seed: int = 0
     _rng: np.random.Generator | None = field(default=None, init=False, repr=False)
 
+    def __post_init__(self) -> None:
+        # What the per-chunk cost model asks of the (frozen) spec, answered
+        # once: ``compute_time`` and ``transfer_time`` run once per chunk.
+        spec = self.spec
+        self.shares_host_memory = spec.memory is not MemoryKind.DISCRETE
+        self._flops_per_s = gflops_to_flops(spec.sustained_gflops)
+        self._mem_bytes_per_s = gbs_to_bytes_per_s(spec.mem_bandwidth_gbs)
+        self._link = None if spec.memory is MemoryKind.SHARED else spec.link
+
     # -- identity ----------------------------------------------------------
 
     @property
@@ -41,18 +50,14 @@ class Device:
     def is_host(self) -> bool:
         return self.spec.is_host
 
-    @property
-    def shares_host_memory(self) -> bool:
-        return self.spec.memory is not MemoryKind.DISCRETE
-
     # -- cost model ---------------------------------------------------------
 
     def compute_time(self, flops: float, mem_bytes: float, *, noisy: bool = True) -> float:
         """Roofline time for one kernel launch over a chunk, in seconds."""
         if flops < 0 or mem_bytes < 0:
             raise ValueError("flops and mem_bytes must be >= 0")
-        t_compute = flops / gflops_to_flops(self.spec.sustained_gflops)
-        t_memory = mem_bytes / gbs_to_bytes_per_s(self.spec.mem_bandwidth_gbs)
+        t_compute = flops / self._flops_per_s
+        t_memory = mem_bytes / self._mem_bytes_per_s
         t = max(t_compute, t_memory) + self.spec.launch_overhead_s
         if noisy and self.spec.noise > 0:
             rng = self._rng
@@ -68,9 +73,9 @@ class Device:
 
     def transfer_time(self, nbytes: float) -> float:
         """Hockney cost of moving ``nbytes`` between host and this device."""
-        if self.shares_host_memory and self.spec.memory is MemoryKind.SHARED:
+        if self._link is None:  # the host's own memory: nothing moves
             return 0.0
-        return self.spec.link.transfer_time(nbytes)
+        return self._link.transfer_time(nbytes)
 
     def throughput_iters_per_s(
         self, flops_per_iter: float, mem_bytes_per_iter: float
@@ -81,8 +86,8 @@ class Device:
         per-iteration cost is constant, so throughput is its reciprocal.
         """
         per_iter = max(
-            flops_per_iter / gflops_to_flops(self.spec.sustained_gflops),
-            mem_bytes_per_iter / gbs_to_bytes_per_s(self.spec.mem_bandwidth_gbs),
+            flops_per_iter / self._flops_per_s,
+            mem_bytes_per_iter / self._mem_bytes_per_s,
         )
         if per_iter <= 0.0:
             return float("inf")

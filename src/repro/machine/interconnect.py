@@ -16,7 +16,8 @@ DeviceSpec`, inter-node Ethernet/InfiniBand on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import inf
 
 from repro.util.units import gbs_to_bytes_per_s
 
@@ -51,8 +52,13 @@ class Link:
 
     latency_s: float
     bandwidth_gbs: float
+    #: ``bandwidth_gbs`` in bytes/s, derived once (``transfer_time`` is per chunk).
+    _bytes_per_s: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_bytes_per_s", gbs_to_bytes_per_s(self.bandwidth_gbs)
+        )
         if self.latency_s < 0:
             raise ValueError(f"link latency must be >= 0, got {self.latency_s}")
         if self.bandwidth_gbs <= 0 and not self.is_shared:
@@ -67,7 +73,7 @@ class Link:
 
     @property
     def is_shared(self) -> bool:
-        return self.bandwidth_gbs == float("inf")
+        return self.bandwidth_gbs == inf
 
     def transfer_time(self, nbytes: float) -> float:
         """Hockney cost of moving ``nbytes`` across this link, in seconds.
@@ -77,9 +83,9 @@ class Link:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if nbytes == 0 or self.is_shared:
+        if nbytes == 0 or self.bandwidth_gbs == inf:
             return 0.0
-        return self.latency_s + nbytes / gbs_to_bytes_per_s(self.bandwidth_gbs)
+        return self.latency_s + nbytes / self._bytes_per_s
 
     def effective_bandwidth(self, nbytes: float) -> float:
         """Achieved bytes/s for an ``nbytes`` message (latency included).
@@ -94,7 +100,7 @@ class Link:
 
 
 #: Link for devices sharing the host memory space (zero-cost "transfers").
-SHARED_LINK = Link(latency_s=0.0, bandwidth_gbs=float("inf"))
+SHARED_LINK = Link(latency_s=0.0, bandwidth_gbs=inf)
 
 # -- inter-node fabric tiers (repro.cluster) ---------------------------------
 #

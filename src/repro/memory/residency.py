@@ -36,6 +36,7 @@ decisions are identical across the virtual and threaded backends.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -65,52 +66,80 @@ _Span = tuple[int, int]
 
 def _merge(spans: Iterable[_Span]) -> list[_Span]:
     """Sorted union of spans, empty ones dropped, adjacents coalesced."""
-    out: list[list[int]] = []
+    out: list[_Span] = []
     for s, e in sorted(spans):
         if s >= e:
             continue
         if out and s <= out[-1][1]:
             if e > out[-1][1]:
-                out[-1][1] = e
+                out[-1] = (out[-1][0], e)
         else:
-            out.append([s, e])
-    return [(s, e) for s, e in out]
-
-
-def _subtract(a: list[_Span], b: list[_Span]) -> list[_Span]:
-    """Rows of ``a`` not covered by ``b`` (both merged)."""
-    out: list[_Span] = []
-    for s, e in a:
-        cur = s
-        for bs, be in b:
-            if be <= cur:
-                continue
-            if bs >= e:
-                break
-            if bs > cur:
-                out.append((cur, bs))
-            cur = max(cur, be)
-            if cur >= e:
-                break
-        if cur < e:
-            out.append((cur, e))
-    return out
-
-
-def _intersect(a: list[_Span], b: list[_Span]) -> list[_Span]:
-    """Rows covered by both ``a`` and ``b`` (both merged)."""
-    out: list[_Span] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        s = max(a[i][0], b[j][0])
-        e = min(a[i][1], b[j][1])
-        if s < e:
             out.append((s, e))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
     return out
+
+
+# The three primitives on one array's validity index (device -> sorted,
+# disjoint, coalesced, never-empty span list), each over merged spans.  Every
+# span finds its window by bisection, so it costs O(log n) plus the spans it
+# touches — never a pass over, or a rebuild of, a whole list.
+_Index = dict[int, list[_Span]]
+
+
+def _first(valid: list[_Span], s: int) -> int:
+    """Index of the first span of ``valid`` that ends after ``s``."""
+    i = bisect_left(valid, (s,))
+    return i - 1 if i and valid[i - 1][1] > s else i
+
+
+def _add(by_dev: _Index, dev: int, spans: list[_Span]) -> None:
+    """Union ``spans`` into ``dev``'s list in place; what a span overlaps or
+    touches is coalesced with it, exactly as :func:`_merge` would."""
+    valid = by_dev.setdefault(dev, [])
+    for s, e in spans:
+        i = j = _first(valid, s - 1)
+        while j < len(valid) and valid[j][0] <= e:
+            j += 1
+        if i < j:
+            s, e = min(s, valid[i][0]), max(e, valid[j - 1][1])
+        valid[i:j] = [(s, e)]
+
+
+def _remove(by_dev: _Index, devs: Iterable[int], spans: list[_Span]) -> None:
+    """Cut ``spans`` out of the lists of ``devs`` in place; a list that
+    empties drops its key."""
+    for dev in devs:
+        valid = by_dev.get(dev)
+        if valid:
+            for s, e in spans:
+                i = j = _first(valid, s)
+                while j < len(valid) and valid[j][0] < e:
+                    j += 1
+                if i < j:
+                    ends = ((valid[i][0], s), (e, valid[j - 1][1]))
+                    valid[i:j] = [(a, b) for a, b in ends if a < b]
+            if not valid:
+                del by_dev[dev]
+
+
+def _gaps(by_dev: _Index, devs: Iterable[int], want: list[_Span]) -> list[_Span]:
+    """The parts of ``want`` that are valid on none of ``devs``."""
+    for dev in devs:
+        if not want:
+            break
+        valid = by_dev.get(dev)
+        if valid:
+            rest: list[_Span] = []
+            for s, e in want:
+                i = _first(valid, s)
+                while i < len(valid) and valid[i][0] < e:
+                    if valid[i][0] > s:
+                        rest.append((s, valid[i][0]))
+                    s = valid[i][1]
+                    i += 1
+                if s < e:
+                    rest.append((s, e))
+            want = rest
+    return want
 
 
 def _count(spans: list[_Span]) -> int:
@@ -158,10 +187,6 @@ def _overlay(
     return [(s, e, r) for s, e, r in new], _merge(dropped)
 
 
-def _spans(ranges: Iterable[IterRange]) -> list[_Span]:
-    return _merge((r.start, r.stop) for r in ranges)
-
-
 def _ranges(spans: list[_Span]) -> list[IterRange]:
     return [IterRange(s, e) for s, e in spans]
 
@@ -186,8 +211,11 @@ class ResidencyLedger:
         self._lock = threading.RLock()
         self._rows: dict[str, int] = {}
         self._row_bytes: dict[str, int] = {}
-        self._refs: dict[tuple[int, str], list[_Seg]] = {}
-        self._valid: dict[tuple[int, str], list[_Span]] = {}
+        # Both keyed array -> device, created by ``register`` and dropped
+        # with the array's geometry: the inner dict *is* the per-array holder
+        # index, so finding who holds an array scans no other array's keys.
+        self._refs: dict[str, dict[int, list[_Seg]]] = {}
+        self._valid: dict[str, _Index] = {}
 
     # -- geometry ------------------------------------------------------------
 
@@ -226,12 +254,12 @@ class ResidencyLedger:
                 return
             self._rows[name] = int(rows)
             self._row_bytes[name] = int(row_bytes)
+            self._refs[name] = {}
+            self._valid[name] = {}
 
     def _clamped(self, name: str, ranges: Iterable[IterRange]) -> list[_Span]:
         rows = self._rows[name]
-        return _merge(
-            (max(0, r.start), min(rows, r.stop)) for r in ranges
-        )
+        return _merge([(max(0, r.start), min(rows, r.stop)) for r in ranges])
 
     # -- reference counting --------------------------------------------------
 
@@ -241,9 +269,8 @@ class ResidencyLedger:
             spans = self._clamped(name, ranges)
             if not spans:
                 return
-            key = (dev, name)
-            new, _ = _overlay(self._refs.get(key, []), spans, +1)
-            self._refs[key] = new
+            refs = self._refs[name]
+            refs[dev], _ = _overlay(refs.get(dev, []), spans, +1)
 
     def release(
         self, dev: int, name: str, ranges: Iterable[IterRange]
@@ -260,34 +287,26 @@ class ResidencyLedger:
         with self._lock:
             if name not in self._rows:
                 return [], 0
-            key = (dev, name)
+            refs, by_dev = self._refs[name], self._valid[name]
             spans = self._clamped(name, ranges)
-            new, unmapped = _overlay(self._refs.get(key, []), spans, -1)
-            valid = self._valid.get(key, [])
-            n_valid = _count(_intersect(valid, unmapped))
+            new, unmapped = _overlay(refs.get(dev, []), spans, -1)
+            n_valid = _count(unmapped) - _count(_gaps(by_dev, (dev,), unmapped))
             if new:
-                self._refs[key] = new
-                remaining = _subtract(valid, unmapped)
-                if remaining:
-                    self._valid[key] = remaining
-                else:
-                    self._valid.pop(key, None)
+                refs[dev] = new
+                _remove(by_dev, (dev,), unmapped)
             else:
-                self._refs.pop(key, None)
-                self._valid.pop(key, None)
-            if not any(k[1] == name for k in self._refs):
-                del self._rows[name]
-                del self._row_bytes[name]
-                for k in [k for k in self._valid if k[1] == name]:
-                    del self._valid[k]
+                refs.pop(dev, None)
+                by_dev.pop(dev, None)
+            if not refs:
+                for table in (self._rows, self._row_bytes, self._refs, self._valid):
+                    del table[name]
             return _ranges(unmapped), n_valid
 
     def retained(self, dev: int, name: str) -> list[IterRange]:
         """Ranges currently mapped (refcount > 0) on ``dev``."""
         with self._lock:
-            return _ranges(
-                _merge((s, e) for s, e, _ in self._refs.get((dev, name), []))
-            )
+            segs = self._refs.get(name, {}).get(dev, [])
+            return _ranges(_merge((s, e) for s, e, _ in segs))
 
     # -- validity ------------------------------------------------------------
 
@@ -295,64 +314,35 @@ class ResidencyLedger:
         """The device's copy of ``ranges`` now holds the data."""
         with self._lock:
             spans = self._clamped(name, ranges)
-            if not spans:
-                return
-            key = (dev, name)
-            self._valid[key] = _merge(self._valid.get(key, []) + spans)
+            if spans:
+                _add(self._valid[name], dev, spans)
 
     def invalidate(self, dev: int, name: str, ranges: Iterable[IterRange]) -> None:
         """The device's copy of ``ranges`` is stale (or never arrived)."""
         with self._lock:
-            if name not in self._rows:
-                return
-            key = (dev, name)
-            valid = self._valid.get(key)
-            if not valid:
-                return
-            remaining = _subtract(valid, self._clamped(name, ranges))
-            if remaining:
-                self._valid[key] = remaining
-            else:
-                del self._valid[key]
+            if name in self._rows:
+                _remove(self._valid[name], (dev,), self._clamped(name, ranges))
 
     def note_write(self, dev: int, name: str, rows: IterRange) -> None:
         """``dev`` wrote ``rows``: its copy becomes the valid one and every
         other device's copy of those rows goes stale."""
         with self._lock:
-            self.mark_valid(dev, name, [rows])
-            others = {
-                k[0]
-                for src in (self._valid, self._refs)
-                for k in src
-                if k[1] == name and k[0] != dev
-            }
-            for other in others:
-                self.invalidate(other, name, [rows])
+            spans = self._clamped(name, (rows,))
+            if spans:
+                by_dev = self._valid[name]
+                _add(by_dev, dev, spans)
+                _remove(by_dev, by_dev.keys() - {dev}, spans)
 
     def invalidate_device(self, dev: int) -> int:
         """Drop all validity on ``dev`` (dropout: contents are lost; the
         mappings themselves survive until their regions release them).
         Returns the number of rows invalidated."""
         with self._lock:
-            keys = [k for k in self._valid if k[0] == dev]
-            lost = 0
-            for k in keys:
-                lost += _count(self._valid[k])
-                del self._valid[k]
-            return lost
+            return sum(_count(by_dev.pop(dev, ())) for by_dev in self._valid.values())
 
     def valid_rows(self, dev: int, name: str) -> list[IterRange]:
         with self._lock:
-            return _ranges(list(self._valid.get((dev, name), [])))
-
-    def _missing(
-        self, devs: Iterable[int], name: str, want: list[_Span]
-    ) -> int:
-        for d in devs:
-            if not want:
-                break
-            want = _subtract(want, self._valid.get((d, name), []))
-        return _count(want)
+            return _ranges(self._valid.get(name, {}).get(dev, []))
 
     def missing_everywhere(
         self, devs: Iterable[int], name: str, ranges: Iterable[IterRange]
@@ -364,7 +354,8 @@ class ResidencyLedger:
         with self._lock:
             if name not in self._rows:
                 return 0
-            return self._missing(devs, name, self._clamped(name, ranges))
+            want = self._clamped(name, ranges)
+            return _count(_gaps(self._valid[name], devs, want))
 
     def stage(
         self,
@@ -389,27 +380,31 @@ class ResidencyLedger:
             want = self._clamped(name, ranges)
             if not want:
                 return 0
-            missing = self._missing(holders, name, want)
-            key = (dev, name)
-            self._valid[key] = _merge(self._valid.get(key, []) + want)
+            by_dev = self._valid[name]
+            missing = _count(_gaps(by_dev, holders, want))
+            _add(by_dev, dev, want)
             return missing
 
     def describe(self) -> dict:
         """Deterministic snapshot (debugging / tests)."""
         with self._lock:
+            def flat(table: dict) -> dict:
+                return {
+                    f"{d}:{n}": list(entries)
+                    for d, n, entries in sorted(
+                        (d, n, entries)
+                        for n, by_dev in table.items()
+                        for d, entries in by_dev.items()
+                    )
+                }
+
             return {
                 "arrays": {
                     n: {"rows": self._rows[n], "row_bytes": self._row_bytes[n]}
                     for n in sorted(self._rows)
                 },
-                "refs": {
-                    f"{d}:{n}": [(s, e, r) for s, e, r in segs]
-                    for (d, n), segs in sorted(self._refs.items())
-                },
-                "valid": {
-                    f"{d}:{n}": list(spans)
-                    for (d, n), spans in sorted(self._valid.items())
-                },
+                "refs": flat(self._refs),
+                "valid": flat(self._valid),
             }
 
 
@@ -507,13 +502,37 @@ class RegionResidency:
     * a device died — forget everything it held (:meth:`device_lost`).
     """
 
-    __slots__ = ("ledger", "ids")
+    __slots__ = ("ledger", "ids", "_resolved")
 
     def __init__(self, ledger: ResidencyLedger, device_ids: Iterable[int]):
         self.ledger = ledger
         self.ids = tuple(device_ids)
+        self._resolved: tuple | None = None  # (kernel, its footprint rows)
 
     # -- engine-core charging ------------------------------------------------
+
+    def _footprint(self, kernel: "LoopKernel") -> tuple:
+        """``kernel``'s maps as :meth:`charge_chunk` reads them, resolved once
+        per view (it serves one offload; neither the maps nor what is mapped
+        change under it).  ``extent`` is the dim-0 range a partitioned map's
+        halo is clamped to, or a FULL map's whole range."""
+        if self._resolved is None or self._resolved[0] is not kernel:
+            led = self.ledger
+            self._resolved = (kernel, tuple(
+                (
+                    m.name, known, m.partitioned,
+                    m.direction.copies_in, m.direction.copies_out,
+                    led.row_bytes(m.name) if known else kernel.row_nbytes(m.name),
+                    m.halo,
+                    IterRange(0, (
+                        led.rows_of(m.name) if known and not m.partitioned
+                        else len(kernel.arrays[m.name])
+                    )),
+                )
+                for m in kernel.effective_maps()
+                for known in (led.known(m.name),)
+            ))
+        return self._resolved[1]
 
     def charge_chunk(
         self,
@@ -538,44 +557,45 @@ class RegionResidency:
         writer's exclusive copy (``note_write`` stales the siblings, which
         is what halo planning measures).  Arrays the ledger does not know
         follow the flat per-chunk model (full rows in, full rows out),
-        matching the pre-ledger engine bit for bit.
+        matching the pre-ledger engine bit for bit.  The whole charge holds
+        the ledger lock once: proxies never interleave inside one chunk.
         """
         led = self.ledger
-        dev = self.ids[local_dev]
+        ids = self.ids
+        dev = ids[local_dev]
+        n = len(chunk)
         bytes_in = bytes_out = 0.0
         elided_in = elided_out = 0.0
-        for m in kernel.effective_maps():
-            name = m.name
-            known = led.known(name)
-            if m.partitioned:
-                if known:
-                    row_b = led.row_bytes(name)
-                    region0 = kernel.input_region(m, chunk)[0]
-                    if m.direction.copies_in:
-                        miss = led.stage(dev, name, [region0], self.ids)
+        with led._lock:
+            for (
+                name, known, partitioned, copies_in, copies_out,
+                row_b, halo, extent,
+            ) in self._footprint(kernel):
+                if partitioned:
+                    if not known:
+                        if copies_in:
+                            bytes_in += row_b * n
+                        if copies_out:
+                            bytes_out += row_b * n
+                        continue
+                    if copies_in:
+                        region0 = chunk.expand(*halo, clamp=extent)
+                        miss = led.stage(dev, name, (region0,), ids)
                         bytes_in += row_b * miss
                         elided_in += row_b * (len(region0) - miss)
-                    if m.direction.copies_out:
-                        elided_out += row_b * len(chunk)
+                    if copies_out:
+                        elided_out += row_b * n
                         led.note_write(dev, name, chunk)
-                else:
-                    row_b = kernel.row_nbytes(name)
-                    n = len(chunk)
-                    if m.direction.copies_in:
-                        bytes_in += row_b * n
-                    if m.direction.copies_out:
-                        bytes_out += row_b * n
-            else:  # FULL map: inbound replica on first chunk only
-                if m.direction.copies_in and first_chunk:
-                    if known:
-                        whole = IterRange(0, led.rows_of(name))
-                        miss = led.stage(dev, name, [whole], self.ids)
-                        bytes_in += led.row_bytes(name) * miss
-                        elided_in += led.row_bytes(name) * (len(whole) - miss)
-                    else:
-                        bytes_in += kernel.arrays[name].nbytes
-                if known and m.direction.copies_out:
-                    led.note_write(dev, name, chunk)
+                else:  # FULL map: inbound replica on first chunk only
+                    if copies_in and first_chunk:
+                        miss = (
+                            led.stage(dev, name, (extent,), ids) if known
+                            else len(extent)  # unmapped: the whole replica
+                        )
+                        bytes_in += row_b * miss
+                        elided_in += row_b * (len(extent) - miss)
+                    if known and copies_out:
+                        led.note_write(dev, name, chunk)
         return bytes_in, bytes_out, elided_in, elided_out
 
     def forget_chunk(

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 import numpy as np
 
@@ -58,7 +57,6 @@ def _batches() -> int:
 def _run(make_kernel, schedule, batches, plan=None):
     rt = HompRuntime(machine=full_node())
     kernel = make_kernel()
-    t0 = time.perf_counter()
     sr = rt.stream(
         kernel,
         batches=batches,
@@ -66,8 +64,7 @@ def _run(make_kernel, schedule, batches, plan=None):
         schedule=schedule,
         fault_plan=plan,
     )
-    wall = time.perf_counter() - t0
-    return sr, kernel, wall
+    return sr, kernel
 
 
 def _slowdown_plan(make_kernel, batches) -> FaultPlan:
@@ -78,7 +75,7 @@ def _slowdown_plan(make_kernel, batches) -> FaultPlan:
     paying it batch after batch, bounded so both schedulers see healthy
     steady state on either side.
     """
-    baseline, _, _ = _run(make_kernel, "BLOCK", batches)
+    baseline, _ = _run(make_kernel, "BLOCK", batches)
     total = baseline.total_time_s
     return FaultPlan.of(
         Slowdown(
@@ -105,11 +102,9 @@ def _compare(block_sr, block_state, rebal_sr, rebal_state) -> bool:
 
 def _measure(name, make_kernel, batches) -> dict:
     plan = _slowdown_plan(make_kernel, batches)
-    block_sr, block_k, block_wall = _run(make_kernel, "BLOCK", batches, plan)
+    block_sr, block_k = _run(make_kernel, "BLOCK", batches, plan)
     block_state = _checksum_state(block_k)
-    rebal_sr, rebal_k, rebal_wall = _run(
-        make_kernel, "STREAM_REBALANCE", batches, plan
-    )
+    rebal_sr, rebal_k = _run(make_kernel, "STREAM_REBALANCE", batches, plan)
     rebal_state = _checksum_state(rebal_k)
 
     checksums_equal = _compare(block_sr, block_state, rebal_sr, rebal_state)
@@ -121,11 +116,10 @@ def _measure(name, make_kernel, batches) -> dict:
     assert rebal_sr.bytes_elided > 0, f"{name}: steady state elided nothing"
     assert block_sr.bytes_elided > 0, f"{name}: BLOCK stream elided nothing"
 
-    def section(sr, wall):
+    def section(sr):
         return {
             "virtual_s": sr.total_time_s,
             "throughput_batches_per_s": sr.throughput_batches_per_s,
-            "wall_s": round(wall, 3),
             "bytes_moved": sr.bytes_moved,
             "bytes_elided": sr.bytes_elided,
         }
@@ -134,8 +128,8 @@ def _measure(name, make_kernel, batches) -> dict:
         "batches": batches,
         "window": WINDOW,
         "slowdown": {"devid": 0, "factor": SLOW_FACTOR},
-        "block": section(block_sr, block_wall),
-        "rebalance": section(rebal_sr, rebal_wall),
+        "block": section(block_sr),
+        "rebalance": section(rebal_sr),
         "speedup": block_sr.total_time_s / rebal_sr.total_time_s,
         "checksums_equal": checksums_equal,
     }

@@ -105,6 +105,7 @@ class ClusterEngine(EngineBase):
     #: Registry name of this backend.
     backend_name = "cluster"
     clock = "virtual"
+    pipelined = False  # every stream batch starts from a drained pipeline
 
     # Not annotated (stays a class attribute, not a field): aggregated
     # (devid, chunk) log of the last multi-node run, None after a

@@ -70,7 +70,6 @@ class BatchEngine(OffloadEngine):
                     req.kernel,
                     req.scheduler,
                     req.cutoff_ratio,
-                    carry_in=self.carry_in,
                     execute_numerically=execute,
                 )
                 results.append(self._event_loop(core))

@@ -1108,6 +1108,10 @@ class ExecutionBackend(Protocol):
     #: Which clock the backend's timings are on: ``"virtual"`` (modelled
     #: seconds, deterministic) or ``"wall"`` — what a tracer is stamped with.
     clock: ClassVar[str]
+    #: Whether a stream's batches pipeline on this backend: ``run`` takes
+    #: ``carry_in=`` and ``carry_out()`` reads what the run left behind
+    #: (what ``StreamResult.meta["pipelined"]`` reports).
+    pipelined: ClassVar[bool]
     machine: MachineSpec
 
     def run(

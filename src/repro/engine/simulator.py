@@ -72,6 +72,9 @@ class OffloadEngine(EngineBase):
     #: Registry name of this backend (virtual-time discrete-event).
     backend_name = "virtual"
     clock = "virtual"
+    #: A stream's batches pipeline: each run takes the previous run's
+    #: :meth:`carry_out` as ``carry_in``.
+    pipelined = True
 
     #: Without the paper's `parallel target` composite (§III.4), offloading
     #: to the target devices is serialised: one host thread stages every
@@ -84,11 +87,6 @@ class OffloadEngine(EngineBase):
     #: Cost model for devices with UNIFIED memory (paper §V.C): shared
     #: semantics, but pages migrate over the bus at driver speed.
     unified_model: UnifiedMemoryModel = field(default_factory=UnifiedMemoryModel)
-    #: Cross-batch pipeline carry for stream execution (devid ->
-    #: :class:`~repro.engine.core.DeviceCarry`).  None = cold start; set
-    #: by the stream runner between batches so batch k+1's copy-in can
-    #: overlap batch k's still-running compute.
-    carry_in: "dict | None" = None
 
     def run(
         self,
@@ -96,13 +94,21 @@ class OffloadEngine(EngineBase):
         scheduler: LoopScheduler,
         *,
         cutoff_ratio: float = 0.0,
+        carry_in: "dict | None" = None,
     ) -> OffloadResult:
+        """``carry_in`` — cross-batch pipeline carry of a stream (devid ->
+        :class:`~repro.engine.core.DeviceCarry`, the previous batch's
+        :meth:`carry_out`), so this batch's copy-in can overlap that
+        batch's still-running compute.  None = cold start."""
         with self._run_slot():
             return self._event_loop(
-                self._run_context(
-                    kernel, scheduler, cutoff_ratio, carry_in=self.carry_in
-                )
+                self._run_context(kernel, scheduler, cutoff_ratio, carry_in=carry_in)
             )
+
+    def carry_out(self) -> dict:
+        """Where the last run left each device's pipeline — the next
+        stream batch's ``carry_in`` (empty before the first run)."""
+        return self._run_ctx.carry_out() if self._run_ctx else {}
 
     def _event_loop(self, core: RunContext) -> OffloadResult:
         """Virtual-time event scheduling: the backend-specific part."""

@@ -68,6 +68,7 @@ class ThreadedEngine(EngineBase):
     #: Registry name of this backend (wall-clock, real threads).
     backend_name = "threaded"
     clock = "wall"
+    pipelined = False  # every stream batch starts from a drained pipeline
 
     def run(
         self,

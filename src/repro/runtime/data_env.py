@@ -29,6 +29,7 @@ the lost device held so surviving devices re-pay honestly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,8 +38,10 @@ from repro.engine.trace import OffloadResult
 from repro.errors import OffloadError
 from repro.memory.residency import DataPlacementPlan, RegionResidency
 from repro.memory.space import MapDirection
-from repro.runtime.runtime import HompRuntime
 from repro.util.ranges import IterRange
+
+if TYPE_CHECKING:
+    from repro.runtime.runtime import HompRuntime
 
 __all__ = ["TargetDataRegion"]
 
@@ -195,11 +198,22 @@ class TargetDataRegion:
 
     def parallel_for(self, kernel, **kwargs) -> OffloadResult:
         """Offload with this region's arrays held resident."""
+        return self.runtime._offload(kernel, region=self, **kwargs)
+
+    # What any offload inside the region — plain, fused member, stream
+    # batch — adds to the runtime's two halves.
+
+    def _prepare(self, **bind):
+        """:meth:`HompRuntime._prepare` on this region's devices and ledger."""
         if not self._open:
             raise OffloadError("target data region is not open")
-        kwargs.setdefault("devices", self._ids)
-        kwargs.setdefault("residency", self.runtime.ledger)
-        result = self.runtime.parallel_for(kernel, **kwargs)
+        bind.setdefault("devices", self._ids)
+        bind.setdefault("residency", self.runtime.ledger)
+        return self.runtime._prepare(**bind)
+
+    def _run_bound(self, bound, *cell, **run_args) -> OffloadResult:
+        """:meth:`HompRuntime._run_bound`, its time added to the region's."""
+        result = self.runtime._run_bound(bound, *cell, **run_args)
         self.offload_s += result.total_time_s
         return result
 

@@ -1,16 +1,22 @@
 """HompRuntime — the entry point a HOMP program talks to.
 
 Construction reads a machine description (a :class:`MachineSpec`, built
-from presets or loaded from the JSON machine file, paper §V).  The two
-offload entry points are:
+from presets or loaded from the JSON machine file, paper §V).  The offload
+entry points are:
 
 * :meth:`HompRuntime.parallel_for` — Python-API form: a kernel, an
   algorithm (paper notation or instance), a device selection, an optional
-  CUTOFF ratio;
-* :meth:`HompRuntime.offload` — directive form: a HOMP pragma string is
-  parsed and mapped onto the same machinery (device clause -> device ids,
-  ``dist_schedule(target:...)`` -> scheduler, map ``partition`` entries ->
-  kernel policy overrides).
+  CUTOFF ratio; :meth:`HompRuntime.parallel_for_many` is its batch form;
+* :meth:`HompRuntime.offload` / :meth:`HompRuntime.run_program` —
+  directive form: a HOMP pragma string is parsed and lowered onto the same
+  machinery (device clause -> device ids, ``dist_schedule(target:...)`` ->
+  scheduler, map ``partition`` entries -> kernel policy overrides);
+  :meth:`HompRuntime.stream` runs one offload over many batches.
+
+Behind all of them an offload is *bound* once (``_prepare``: devices,
+engine or lease), its scheduler resolved, and each run is one pass through
+the one back half (``_run_bound``: CUTOFF -> ``OffloadInfo`` ->
+``engine.run`` -> ``meta`` stamp) under the lease.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ from repro.memory.residency import RegionResidency, ResidencyLedger
 from repro.sched.align_sched import AlignedScheduler
 from repro.sched.base import LoopScheduler
 from repro.sched.cutoff import default_cutoff_ratio, parse_cutoff_ratio
+from repro.runtime.data_env import TargetDataRegion
 from repro.runtime.offload_info import OffloadInfo
+from repro.runtime.stream import run_stream
 from repro.sched.registry import SCHEDULERS, make_scheduler
 from repro.sched.selector import select_algorithm
 
@@ -94,6 +102,23 @@ def _shared_kernel_specs(cells) -> "list[OffloadSpec]":
             kernel = factory()
         specs.append(OffloadSpec(kernel, schedule, cutoff_ratio, execute))
     return specs
+
+
+@dataclass
+class _Bound:
+    """An offload bound to its devices and engine (``HompRuntime._prepare``)
+    — bound once, run N times: ``parallel_for`` once, ``parallel_for_many``
+    once per cell, a stream once per batch."""
+
+    ids: list[int]
+    engine: object  # bound to exactly the selected submachine
+    lease: object  # context manager to hold around the run(s)
+    # What each pass's OffloadInfo records beside its CUTOFF ratio.
+    serialize_offload: bool
+    fault_plan: FaultPlan | None
+    residency: ResidencyLedger | None
+    record_events: bool
+    sched_kwargs: dict
 
 
 @dataclass
@@ -179,6 +204,16 @@ class HompRuntime:
         submachine: MachineSpec,
         sched_kwargs: dict,
     ) -> LoopScheduler:
+        """The scheduler ``schedule`` names, built with ``sched_kwargs`` —
+        which somebody must consume: they are refused beside an already
+        built scheduler or an ``Align`` policy, and when the named
+        algorithm's constructor does not take them."""
+        if sched_kwargs and isinstance(schedule, (LoopScheduler, Align)):
+            raise SchedulingError(
+                f"keyword(s) {', '.join(sorted(sched_kwargs))} have no consumer: "
+                f"they are not offload options and schedule={schedule!r} is "
+                "already built"
+            )
         if isinstance(schedule, LoopScheduler):
             return schedule
         if isinstance(schedule, Align):
@@ -193,28 +228,52 @@ class HompRuntime:
             name = schedule.strip()
             if name.upper() == "AUTO":
                 name = select_algorithm(kernel, submachine)
-            return make_scheduler(name, **sched_kwargs)
+            try:
+                return make_scheduler(name, **sched_kwargs)
+            except TypeError as exc:
+                raise SchedulingError(
+                    f"cannot build {name} from keyword(s) "
+                    f"{', '.join(sorted(sched_kwargs)) or '(none)'}: {exc}"
+                ) from exc
         raise SchedulingError(f"cannot interpret schedule {schedule!r}")
 
-    def _prepare(self, devices, *, executor, engine, residency=None, **options):
-        """The preamble every offload entry point shares:
+    def _prepare(
+        self,
+        devices=None,
+        *,
+        executor=None,
+        engine=None,
+        residency=None,
+        record_events=False,
+        serialize_offload=False,
+        fault_plan=None,
+        resilience=None,
+        tracer=None,
+        **sched_kwargs,
+    ) -> _Bound:
+        """Bind an offload — the preamble every entry point shares:
         ``select_devices -> subset -> build-or-lease engine``.
 
-        Returns ``(ids, submachine, engine, lease)``.  ``lease`` is the
-        context manager to hold around the run(s): a no-op for an engine
-        built here from ``executor``, the ``configured`` lease applying
-        this call's ``options`` for a caller-provided ``engine``.  An
-        option left None is not passed on, so a pooled engine keeps its own.
+        The binding's ``lease`` is the context manager to hold around the
+        run(s): a no-op for an engine built here from ``executor``, the
+        ``configured`` lease applying this call's options for a
+        caller-provided ``engine``.  An option left None is not passed on,
+        so a pooled engine keeps its own; a keyword that is not an option
+        comes back in the binding's ``sched_kwargs``.
         """
         ids = self.select_devices(devices)
         submachine = self.machine.subset(ids)
         run_options = {
             "seed": self.seed,
             "execute_numerically": self.execute_numerically,
-            "record_events": False,
-            "serialize_offload": False,
+            "record_events": record_events,
+            "serialize_offload": serialize_offload,
         }
-        run_options.update((k, v) for k, v in options.items() if v is not None)
+        for name, value in (
+            ("fault_plan", fault_plan), ("resilience", resilience), ("tracer", tracer)
+        ):
+            if value is not None:
+                run_options[name] = value
         if residency is not None:
             run_options["residency"] = RegionResidency(residency, tuple(ids))
         if engine is None:
@@ -223,9 +282,13 @@ class HompRuntime:
                 submachine,
                 **run_options,
             )
-            return ids, submachine, engine, nullcontext(engine)
-        lease = self._lease_engine(engine, executor, submachine, run_options)
-        return ids, submachine, engine, lease
+            lease = nullcontext(engine)
+        else:
+            lease = self._lease_engine(engine, executor, submachine, run_options)
+        return _Bound(
+            ids, engine, lease,
+            serialize_offload, fault_plan, residency, record_events, sched_kwargs,
+        )
 
     def _resolve_cutoff(
         self, cutoff_ratio, scheduler: LoopScheduler, ids: list[int], where: str = ""
@@ -243,6 +306,62 @@ class HompRuntime:
             ratio = 0.0
         return ratio
 
+    # -- the back half: CUTOFF, OffloadInfo and the meta stamp, for every door
+
+    def _request(
+        self, bound: _Bound, kernel, scheduler, cutoff_ratio, ir=None, where: str = ""
+    ) -> OffloadInfo:
+        """One pass's ``homp_offloading_info`` (its ``cutoff_ratio`` is the
+        resolved one), built from ``ir`` — the lowered ``(OffloadOp,
+        decls)`` — when the offload comes from a program, else from the
+        live kernel; value-identical for a faithful lowering."""
+        plan = bound.fault_plan
+        ratio = self._resolve_cutoff(cutoff_ratio, scheduler, bound.ids, where)
+        request = dict(
+            cutoff_ratio=ratio,
+            serialize_offload=bound.serialize_offload,
+            fault_plan=plan.describe() if plan is not None else None,
+            residency=bound.residency,
+        )
+        if ir is not None:
+            return OffloadInfo.from_ir(
+                *ir, kernel, scheduler, self.machine, bound.ids, **request
+            )
+        return OffloadInfo.build(kernel, scheduler, self.machine, bound.ids, **request)
+
+    @staticmethod
+    def _stamp(bound: _Bound, result: OffloadResult, info: OffloadInfo):
+        result.meta["device_ids"] = list(bound.ids)
+        result.meta["offload_info"] = info
+        if bound.record_events:
+            result.meta["timeline"] = bound.engine.timeline
+        return result
+
+    def _run_bound(
+        self, bound: _Bound, kernel, scheduler, cutoff_ratio, ir=None, **run_args
+    ) -> OffloadResult:
+        """One pass through a binding whose lease the caller holds;
+        ``run_args`` are the engine's (a stream batch's ``carry_in``)."""
+        info = self._request(bound, kernel, scheduler, cutoff_ratio, ir)
+        result = bound.engine.run(
+            kernel, scheduler, cutoff_ratio=info.cutoff_ratio, **run_args
+        )
+        return self._stamp(bound, result, info)
+
+    def _offload(
+        self, kernel, ir=None, *, region=None, schedule="AUTO", cutoff_ratio=0.0, **bind
+    ) -> OffloadResult:
+        """One offload: bind -> resolve the scheduler -> one pass under the
+        lease.  Inside a target-data ``region`` both halves go through it,
+        so it can add its devices, its ledger and its ``offload_s``."""
+        front = self if region is None else region
+        bound = front._prepare(**bind)
+        scheduler = self._resolve_scheduler(
+            schedule, kernel, bound.engine.machine, bound.sched_kwargs
+        )
+        with bound.lease:
+            return front._run_bound(bound, kernel, scheduler, cutoff_ratio, ir)
+
     def parallel_for(
         self,
         kernel: LoopKernel,
@@ -258,8 +377,6 @@ class HompRuntime:
         tracer=None,
         executor: "str | type | None" = None,
         engine=None,
-        ir_op: "IROffloadOp | None" = None,
-        ir_decls: "dict[str, DataDecl] | None" = None,
         **sched_kwargs,
     ) -> OffloadResult:
         """Offload one parallel loop across the selected devices.
@@ -291,47 +408,25 @@ class HompRuntime:
         submachine, per-run options are applied through its ``configured``
         lease hook, and results are byte-identical to the engine this call
         would otherwise construct.  ``engine`` and ``executor`` are
-        mutually exclusive.  ``ir_op``/``ir_decls`` — when the call comes
-        from :meth:`run_program`, the lowered
-        :class:`~repro.ir.ops.OffloadOp` and the program's declarations;
-        the :class:`~repro.runtime.offload_info.OffloadInfo` is then
-        constructed from the IR op (value-identical to the direct build).
+        mutually exclusive.  ``sched_kwargs`` — constructor keywords of
+        the algorithm ``schedule`` names (``chunk_pct=`` ...); one nobody
+        consumes raises :class:`~repro.errors.SchedulingError`.
         """
-        ids, submachine, engine, lease = self._prepare(
-            devices,
-            executor=executor,
-            engine=engine,
+        return self._offload(
+            kernel,
+            schedule=schedule,
+            devices=devices,
+            cutoff_ratio=cutoff_ratio,
             residency=residency,
             record_events=record_events,
             serialize_offload=serialize_offload,
             fault_plan=fault_plan,
             resilience=resilience,
             tracer=tracer,
+            executor=executor,
+            engine=engine,
+            **sched_kwargs,
         )
-        scheduler = self._resolve_scheduler(schedule, kernel, submachine, sched_kwargs)
-        ratio = self._resolve_cutoff(cutoff_ratio, scheduler, ids)
-        request = dict(
-            cutoff_ratio=ratio,
-            serialize_offload=serialize_offload,
-            fault_plan=fault_plan.describe() if fault_plan is not None else None,
-            residency=residency,
-        )
-        if ir_op is not None:
-            info = OffloadInfo.from_ir(
-                ir_op, ir_decls or {}, kernel, scheduler, self.machine, ids,
-                **request,
-            )
-        else:
-            info = OffloadInfo.build(
-                kernel, scheduler, self.machine, ids, **request
-            )
-        with lease:
-            result = engine.run(kernel, scheduler, cutoff_ratio=ratio)
-        result.meta["device_ids"] = ids
-        result.meta["offload_info"] = info
-        if record_events:
-            result.meta["timeline"] = engine.timeline
-        return result
 
     @staticmethod
     def _validate_specs(specs) -> "list[OffloadSpec]":
@@ -403,12 +498,13 @@ class HompRuntime:
         specs = self._validate_specs(specs)
         if executor is None and engine is None:
             executor = BatchEngine
-        ids, submachine, engine, lease = self._prepare(
+        bound = self._prepare(
             devices,
             executor=executor,
             engine=engine,
             serialize_offload=serialize_offload,
         )
+        engine = bound.engine
         if not isinstance(engine, BatchEngine):
             raise OffloadError(
                 f"parallel_for_many runs on the 'batch' backend, not on a "
@@ -421,38 +517,31 @@ class HompRuntime:
             where = f"parallel_for_many: specs[{i}]."
             try:
                 scheduler = self._resolve_scheduler(
-                    spec.schedule, spec.kernel, submachine, {}
+                    spec.schedule, spec.kernel, engine.machine, {}
                 )
             except (SchedulingError, KeyError) as exc:
                 raise SchedulingError(
                     f"{where}schedule {spec.schedule!r} cannot be resolved: "
                     f"{exc}"
                 ) from exc
-            ratio = self._resolve_cutoff(spec.cutoff_ratio, scheduler, ids, where)
+            info = self._request(
+                bound, spec.kernel, scheduler, spec.cutoff_ratio, where=where
+            )
+            infos.append(info)
             requests.append(
                 BatchRequest(
                     kernel=spec.kernel,
                     scheduler=scheduler,
-                    cutoff_ratio=ratio,
+                    cutoff_ratio=info.cutoff_ratio,
                     execute_numerically=spec.execute_numerically,
                 )
             )
-            infos.append(
-                OffloadInfo.build(
-                    spec.kernel,
-                    scheduler,
-                    self.machine,
-                    ids,
-                    cutoff_ratio=ratio,
-                    serialize_offload=serialize_offload,
-                )
-            )
-        with lease:
+        with bound.lease:
             results = engine.run_many(requests)
-        for result, info in zip(results, infos):
-            result.meta["device_ids"] = list(ids)
-            result.meta["offload_info"] = info
-        return results
+        return [
+            self._stamp(bound, result, info)
+            for result, info in zip(results, infos)
+        ]
 
     def target_data(
         self,
@@ -473,8 +562,6 @@ class HompRuntime:
         merge into a single direction-unioned entry, and the region is
         constructed from the resulting :class:`~repro.ir.ops.MapOp` set.
         """
-        from repro.runtime.data_env import TargetDataRegion
-
         program = verify_program(normalize_maps(data_region(directive, arrays)))
         return TargetDataRegion.from_ir(
             self,
@@ -504,17 +591,14 @@ class HompRuntime:
         kwargs.setdefault("serialize_offload", op.serialize_offload)
         return kwargs
 
-    def _run_offload_op(
-        self, op: IROffloadOp, decls: "dict[str, DataDecl]", **kwargs
-    ) -> OffloadResult:
-        """Execute one lowered offload on the op's schedule and devices."""
-        return self.parallel_for(
-            op.kernel,
-            schedule=op.schedule,
-            devices=op.devices,
-            ir_op=op,
-            ir_decls=decls,
-            **self._bind_op(op, kwargs),
+    def _run_op(self, op: IROffloadOp, decls, kwargs: dict, region=None):
+        """Execute one lowered offload on its own schedule, and on its own
+        devices unless it is a member of a fused group's ``region``."""
+        kwargs = self._bind_op(op, kwargs)
+        if region is None:
+            kwargs["devices"] = op.devices
+        return self._offload(
+            op.kernel, (op, decls), region=region, schedule=op.schedule, **kwargs
         )
 
     def _run_fused_op(
@@ -532,8 +616,6 @@ class HompRuntime:
         elides the intermediate transfers — each member's
         ``meta["residency"]["bytes_elided"]`` reports what fusion saved.
         """
-        from repro.runtime.data_env import TargetDataRegion
-
         arrays = {}
         for member in op.members:
             for name in member.map_names:
@@ -544,13 +626,7 @@ class HompRuntime:
         results: list[OffloadResult] = []
         with region:
             for i, member in enumerate(op.members):
-                result = region.parallel_for(
-                    member.kernel,
-                    schedule=member.schedule,
-                    ir_op=member,
-                    ir_decls=decls,
-                    **self._bind_op(member, kwargs),
-                )
+                result = self._run_op(member, decls, kwargs, region)
                 result.meta["fusion"] = {
                     "group": group,
                     "member": i,
@@ -560,14 +636,6 @@ class HompRuntime:
         for result in results:
             result.meta["fusion"]["region_time_s"] = region.total_time_s
         return results
-
-    def _run_stream_op(
-        self, op: StreamOp, decls: "dict[str, DataDecl]", **kwargs
-    ):
-        """Execute a streamed offload (see :mod:`repro.runtime.stream`)."""
-        from repro.runtime.stream import run_stream
-
-        return run_stream(self, op, decls, **kwargs)
 
     def stream(
         self,
@@ -612,9 +680,7 @@ class HompRuntime:
             window=window,
             region_maps=template.maps,
         )
-        return self._run_stream_op(
-            op, {d.name: d for d in program.decls}, **kwargs
-        )
+        return run_stream(self, op, {d.name: d for d in program.decls}, **kwargs)
 
     def run_program(
         self, program: Program, *, passes=None, **kwargs
@@ -649,9 +715,9 @@ class HompRuntime:
             if isinstance(op, FusedOffloadOp):
                 results.extend(self._run_fused_op(op, decls, group, **kwargs))
             elif isinstance(op, StreamOp):
-                results.append(self._run_stream_op(op, decls, **kwargs))
+                results.append(run_stream(self, op, decls, **kwargs))
             else:
-                results.append(self._run_offload_op(op, decls, **kwargs))
+                results.append(self._run_op(op, decls, kwargs))
         return results
 
     def offload(self, directive: str | OffloadDirective, kernel: LoopKernel,
@@ -665,5 +731,9 @@ class HompRuntime:
         directive.
         """
         schedule = kwargs.pop("schedule", None)
+        if "devices" in kwargs:
+            raise OffloadError(
+                "offload: devices= comes from the directive's device(...) clause"
+            )
         program = from_directive(directive, kernel, schedule=schedule)
         return self.run_program(program, **kwargs)[0]

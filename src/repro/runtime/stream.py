@@ -11,13 +11,15 @@ The runner behind :class:`~repro.ir.ops.StreamOp` (the
   batches and a steady-state batch pays only the sliding-window delta
   the host refreshed since the last one (``bytes_elided`` in each batch
   result's residency meta records the savings).
-* **One engine, cross-batch double buffering.**  Every batch runs on
-  the same backend instance; between batches the runner threads the
-  engine's :meth:`~repro.engine.core.RunContext.carry_out` into the
-  next run's ``carry_in``, so batch k+1's copy-ins queue behind (and
-  overlap with) batch k's still-draining compute and copy-out stages.
-  All times are cumulative stream time; spans are stamped ``batch=<k>``
-  through :meth:`Tracer.bind <repro.obs.tracer.Tracer.bind>`.
+* **One binding, one lease, cross-batch double buffering.**  Devices,
+  engine and scheduler are bound once and the engine's lease is entered
+  once around all batches; each batch is one pass through the runtime's
+  back half.  On a backend that declares ``pipelined`` the runner hands
+  each run the previous one's ``carry_out()`` as ``carry_in=``, so batch
+  k+1's copy-ins queue behind (and overlap with) batch k's
+  still-draining compute and copy-out stages.  All times are cumulative
+  stream time; spans are stamped ``batch=<k>`` through
+  :meth:`Tracer.bind <repro.obs.tracer.Tracer.bind>`.
 * **One scheduler instance.**  A stateful scheduler (STREAM_REBALANCE)
   keeps its observed-rate history and its lost-device set across
   ``start`` calls, re-deriving the split between batches; stateless
@@ -38,12 +40,14 @@ one-shot path on every backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 
 from repro.engine.trace import OffloadResult
 from repro.ir.lower import decl_for
 from repro.ir.ops import DataDecl, StreamOp
 from repro.obs.tracer import resolve_tracer
+from repro.runtime.data_env import TargetDataRegion
 from repro.util.ranges import IterRange
 
 __all__ = ["StreamResult", "run_stream"]
@@ -129,14 +133,13 @@ def run_stream(
 ) -> StreamResult:
     """Execute a :class:`~repro.ir.ops.StreamOp` on ``runtime``.
 
-    ``kwargs`` are forwarded to every per-batch offload (cutoff_ratio,
-    fault_plan, resilience, tracer, executor, record_events, ...); the
+    ``kwargs`` are :meth:`HompRuntime.parallel_for`'s (cutoff_ratio,
+    fault_plan, resilience, tracer, executor, engine, record_events,
+    scheduler keywords, ...), bound once for the whole stream; the
     fault plan's virtual-time windows apply over the *cumulative* stream
     timeline, so a slowdown window hits whichever batches run inside it
     and a mid-stream dropout kills the device for every later batch.
     """
-    from repro.runtime.data_env import TargetDataRegion
-
     kernel = op.template.kernel
     kwargs = runtime._bind_op(op.template, kwargs)
 
@@ -158,21 +161,8 @@ def run_stream(
             meta={"degenerate": True},
         )
 
-    base_tracer = resolve_tracer(kwargs.pop("tracer", None))
-    executor = kwargs.pop("executor", None)
-    engine = kwargs.pop("engine", None)
-
-    # One engine for the whole stream; every batch leases it again with
-    # that batch's options, so the lease returned here is never entered.
-    ids, submachine, engine, _ = runtime._prepare(
-        op.devices, executor=executor, engine=engine
-    )
-    scheduler = runtime._resolve_scheduler(
-        op.template.schedule, kernel, submachine, {}
-    )
-    supports_carry = any(
-        f.name == "carry_in" for f in dataclass_fields(engine)
-    )
+    cutoff_ratio = kwargs.pop("cutoff_ratio", 0.0)
+    tracer = resolve_tracer(kwargs.pop("tracer", None))
 
     # Un-hoisted (passes off): the template's maps are the region.
     region_maps = op.region_maps or op.template.maps
@@ -181,29 +171,30 @@ def run_stream(
     for name in op.template.map_names:
         if name not in decls:
             decls[name] = decl_for(name, kernel.arrays[name])
-    region = TargetDataRegion.from_ir(runtime, region_maps, arrays, devices=ids)
+    region = TargetDataRegion.from_ir(runtime, region_maps, arrays, devices=op.devices)
 
     results: list[OffloadResult] = []
     bytes_moved = bytes_elided = 0.0
-    try:
-        with region:
-            carry = None
+    ir = (op.template, decls)
+    untraced = nullcontext()
+    run_args = {}  # a pipelined backend is handed the previous batch's carry
+    with region:
+        bound = region._prepare(**kwargs)
+        engine, pipelined = bound.engine, bound.engine.pipelined
+        scheduler = runtime._resolve_scheduler(
+            op.template.schedule, kernel, engine.machine, bound.sched_kwargs
+        )
+        with bound.lease:
             for k in range(op.batches):
                 if k > 0:
                     _advance_stream(runtime, region, region_maps, op, k)
-                if supports_carry:
-                    engine.carry_in = carry
-                batch_kwargs = dict(kwargs)
-                if base_tracer.enabled:
-                    batch_kwargs["tracer"] = base_tracer.bind(batch=k)
-                result = region.parallel_for(
-                    kernel,
-                    schedule=scheduler,
-                    engine=engine,
-                    ir_op=op.template,
-                    ir_decls=decls,
-                    **batch_kwargs,
-                )
+                with (
+                    engine.configured(tracer=tracer.bind(batch=k))
+                    if tracer.enabled else untraced
+                ):
+                    result = region._run_bound(
+                        bound, kernel, scheduler, cutoff_ratio, ir, **run_args
+                    )
                 result.meta["stream"] = {
                     "batch": k,
                     "batches": op.batches,
@@ -214,11 +205,8 @@ def run_stream(
                     bytes_moved += res["bytes_moved"]
                     bytes_elided += res["bytes_elided"]
                 results.append(result)
-                if supports_carry:
-                    carry = engine._run_ctx.carry_out()
-    finally:
-        if supports_carry:
-            engine.carry_in = None
+                if pipelined:
+                    run_args["carry_in"] = engine.carry_out()
 
     return StreamResult(
         kernel_name=kernel.name,
@@ -229,8 +217,8 @@ def run_stream(
         bytes_moved=bytes_moved,
         bytes_elided=bytes_elided,
         meta={
-            "device_ids": list(ids),
+            "device_ids": list(bound.ids),
             "region_time_s": region.total_time_s,
-            "pipelined": supports_carry,
+            "pipelined": pipelined,
         },
     )

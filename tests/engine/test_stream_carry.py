@@ -1,7 +1,7 @@
 """Cross-batch double buffering: DeviceCarry threading between runs.
 
 A stream batch hands its successor a per-device :class:`DeviceCarry`
-(via :meth:`RunContext.carry_out`): where each pipeline engine frees,
+(via the engine's ``carry_out()``): where each pipeline engine frees,
 when the device may request its first chunk (``ready``), whether its
 one-time setup is already paid (``first_chunk``), and whether it is
 permanently gone (``lost``).  The next run seeds its clocks from the
@@ -23,12 +23,8 @@ def fresh_engine():
 
 
 def run(eng, carry=None):
-    eng.carry_in = carry
-    try:
-        result = eng.run(make_kernel("axpy", 4096), BlockScheduler())
-    finally:
-        eng.carry_in = None
-    return result, eng._run_ctx.carry_out()
+    result = eng.run(make_kernel("axpy", 4096), BlockScheduler(), carry_in=carry)
+    return result, eng.carry_out()
 
 
 class TestCarryOut:
@@ -54,7 +50,7 @@ class TestCarryOut:
         # the carry *after* collecting the batch result.
         eng = fresh_engine()
         eng.run(make_kernel("axpy", 1024), BlockScheduler())
-        assert eng._run_ctx.carry_out()
+        assert eng.carry_out()
 
 
 class TestCarrySeeding:
@@ -120,14 +116,10 @@ class TestCarriedLoss:
         k_warm = make_kernel("axpy", 4096, seed=3)
         eng = fresh_engine()
         eng.run(k_cold, BlockScheduler())
-        carry = eng._run_ctx.carry_out()
+        carry = eng.carry_out()
         eng2 = fresh_engine()
         r_cold = eng2.run(make_kernel("axpy", 4096, seed=3), BlockScheduler())
-        eng.carry_in = carry
-        try:
-            r_warm = eng.run(k_warm, BlockScheduler())
-        finally:
-            eng.carry_in = None
+        r_warm = eng.run(k_warm, BlockScheduler(), carry_in=carry)
         assert [t.iters for t in r_warm.traces] == [
             t.iters for t in r_cold.traces
         ]

@@ -1,0 +1,176 @@
+"""A stream is bound once and run N times — counted and pinned, not timed.
+
+Host-independent budget for the stream's front door (one ``_prepare``,
+one ``subset``, one ``configured`` lease for the whole stream, and a cap
+on Python-level calls per batch), the contract a pooled ``engine=`` keeps
+across a stream, and byte-identity pins generated at the commit before
+the stream stopped re-entering ``parallel_for`` per batch.
+"""
+
+import hashlib
+import pickle
+import sys
+
+import pytest
+
+from repro.apps import OnlineSumKernel
+from repro.cluster import ClusterEngine
+from repro.engine.batch import BatchEngine
+from repro.engine.core import EngineBase, make_backend
+from repro.engine.simulator import OffloadEngine
+from repro.faults.plan import DeviceDropout, FaultPlan
+from repro.faults.policy import ResiliencePolicy
+from repro.kernels.registry import make_kernel
+from repro.machine.presets import gpu4_node
+from repro.machine.spec import MachineSpec
+from repro.obs.export import to_jsonl
+from repro.obs.tracer import Tracer
+from repro.runtime import HompRuntime
+
+# ------------------------------------------------- front-door budget
+
+
+def _counting(monkeypatch, owner, name) -> list:
+    entered, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        entered.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return entered
+
+
+def test_a_stream_enters_its_front_door_once(monkeypatch):
+    rt = HompRuntime(gpu4_node(), execute_numerically=False)
+    pooled = make_backend("virtual", gpu4_node().subset([0, 1, 2, 3]))
+    counts = [
+        _counting(monkeypatch, HompRuntime, "_prepare"),
+        _counting(monkeypatch, MachineSpec, "subset"),
+        _counting(monkeypatch, EngineBase, "configured"),
+    ]
+    sr = rt.stream(
+        make_kernel("axpy", 20_000), batches=20, window=16, schedule="BLOCK",
+        engine=pooled,
+    )
+    assert len(sr.results) == 20
+    assert [len(c) for c in counts] == [1, 1, 1]  # 21 / 21 / 20 before
+
+
+def test_stream_batch_python_call_budget():
+    rt = HompRuntime(gpu4_node(), execute_numerically=False)
+    kernel = make_kernel("axpy", 20_000)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        sr = rt.stream(kernel, batches=20, window=16, schedule="BLOCK")
+    finally:
+        sys.setprofile(None)
+    assert calls / len(sr.results) <= 530  # 587.6 before
+
+
+# ------------------------------------------------- a pooled engine's lease
+
+LEASED = ("seed", "execute_numerically", "tracer", "fault_plan", "resilience",
+          "residency", "record_events", "serialize_offload")
+
+
+class _FailingAdvance(OnlineSumKernel):
+    def stream_advance(self, batch, window):
+        if batch == 2:
+            raise RuntimeError("host refresh failed")
+        return super().stream_advance(batch, window)
+
+
+@pytest.mark.parametrize("kernel_cls", [OnlineSumKernel, _FailingAdvance])
+def test_pooled_engine_is_restored_and_reusable_after_a_stream(kernel_cls):
+    rt = HompRuntime(gpu4_node(), seed=3)
+    pooled = OffloadEngine(  # bound as the service pool binds: rt's own subset
+        machine=rt.machine.subset([0, 1, 2, 3]), seed=7, execute_numerically=False,
+        resilience=ResiliencePolicy(quarantine_after=5),
+    )
+    before = {name: getattr(pooled, name) for name in LEASED}
+    options = dict(
+        batches=4, window=16, schedule="STREAM_REBALANCE", engine=pooled,
+        tracer=Tracer(clock="virtual"), record_events=True,
+        fault_plan=FaultPlan.of(DeviceDropout(devid=1, t=1.0)),
+    )
+    if kernel_cls is _FailingAdvance:
+        with pytest.raises(RuntimeError, match="host refresh failed"):
+            rt.stream(kernel_cls(2000, seed=1), **options)
+    else:
+        assert rt.stream(kernel_cls(2000, seed=1), **options).meta["pipelined"]
+    assert {name: getattr(pooled, name) for name in LEASED} == before
+    assert not pooled.busy and not hasattr(pooled, "carry_in")
+    assert rt.ledger.empty
+
+    # No carry outlives the stream: the next plain offload starts cold.
+    leased = rt.parallel_for(make_kernel("axpy", 4096, seed=2), engine=pooled)
+    fresh = rt.parallel_for(make_kernel("axpy", 4096, seed=2))
+    assert pickle.dumps(leased) == pickle.dumps(fresh)
+
+
+# ------------------------------------------------- which backends pipeline
+
+
+def test_backends_declare_whether_their_batches_pipeline():
+    rt = HompRuntime(gpu4_node())
+
+    def pipelined(executor):
+        return rt.stream(
+            make_kernel("axpy", 1024), batches=2, schedule="BLOCK",
+            executor=executor,
+        ).meta["pipelined"]
+
+    assert OffloadEngine.pipelined and BatchEngine.pipelined
+    assert pipelined("virtual") is True and pipelined("batch") is True
+    assert pipelined("threaded") is False and pipelined(ClusterEngine) is False
+
+
+# ------------------------------------------------- identity pins
+
+#: blake2b-128 of each batch's pickled result, of the whole pickled
+#: ``StreamResult`` and of the traced span stream, generated at de27821
+#: (the per-batch ``parallel_for`` re-entry).
+PINNED_BATCHES = [
+    "a31adc061d17b03ad4b68f3fa622a458",
+    "a9d2883d456b621217c763eebb5dac63",
+    "577f3dd63c517f5205cdc607d062e024",
+]
+PINNED_STREAM = "f18f59b7420f8a13f453fc767a1d055a"
+PINNED_SPANS = "708863c359329a509142e9a5124e60dd"
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("executor", ["virtual", "batch"])
+def test_faulted_traced_stream_is_byte_identical_to_the_pinned_one(executor):
+    def stream(**kw):
+        return HompRuntime(gpu4_node()).stream(
+            OnlineSumKernel(2000, seed=1), batches=3, window=16,
+            schedule="STREAM_REBALANCE", executor=executor, **kw,
+        )
+
+    t0, t1 = (r.total_time_s for r in stream().results[:2])
+    tracer = Tracer(clock="virtual")
+    sr = stream(
+        fault_plan=FaultPlan.of(DeviceDropout(devid=0, t=(t0 + t1) / 2)),
+        tracer=tracer, record_events=True,
+    )
+    # The dropout lands mid-stream: device 0 dies in batch 1.
+    assert [any(t.lost for t in r.traces) for r in sr.results] == [False, True, False]
+    assert all("timeline" in r.meta for r in sr.results)
+    assert [
+        _digest(pickle.dumps(r, protocol=4)) for r in sr.results
+    ] == PINNED_BATCHES
+    assert _digest(pickle.dumps(sr, protocol=4)) == PINNED_STREAM
+    spans = to_jsonl(tracer)
+    assert all(f'"batch": {k}' in spans for k in range(3))
+    assert _digest(spans.encode()) == PINNED_SPANS

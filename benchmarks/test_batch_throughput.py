@@ -9,14 +9,15 @@ and the batch backend — and the measured cells/sec land in
 The batch path's advantage is structural, not numerical: it is the same
 event loop per cell (``BatchEngine`` *is* the virtual engine), but one
 ``parallel_for_many`` call shares a kernel between the cells of a
-workload, so numerics and reference verification run once per workload
-instead of once per cell, and there is no process-pool pickle/fork
-overhead.  The results are bit-identical to the serial sweep (pinned by
-``tests/engine/test_batch_differential.py``).  That amortization is
-also what bounds the end-to-end speedup: kernel construction and
-numeric execution dominate a bench-scale sweep, and the batch path
-pays them once per *workload* where the other paths pay once per
-*cell* — so the ceiling is roughly the number of policies per kernel.
+workload, so the numerics run once per workload instead of once per
+cell, and there is no process-pool pickle/fork overhead.  The results
+are bit-identical to the serial sweep (pinned by
+``tests/engine/test_batch_differential.py``).  That is also all it
+amortizes: the serial and pool paths no longer pay per-cell input copies
+or references either (``repro.kernels.pool`` hands every cell the same
+read-only inputs and one reference per input set), so what is left
+between them and the batch path is numeric execution — and the one copy
+of each written array — once per *workload* instead of once per *cell*.
 
 ``REPRO_BENCH_SCALE`` scales the workloads as usual (unset, this module
 measures at 0.05 so the serial baseline finishes quickly); the resolved

@@ -46,6 +46,13 @@ def _batch_rng(seed: int, batch: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(((seed + 1) * salt + batch) % (2**63))
 
 
+def _own(kernel, name: str) -> None:
+    """A private writable copy of the pooled input the advance hook rewrites
+    in place; the pristine snapshot stays that same object, so ``reference()``
+    reads the live data and is never served from the pool's memo."""
+    kernel.arrays[name] = kernel._initial[name] = kernel.arrays[name].copy()
+
+
 class SlidingStencilKernel(Stencil2DKernel):
     """Stencil over a grid whose leading rows are refreshed every batch."""
 
@@ -53,6 +60,7 @@ class SlidingStencilKernel(Stencil2DKernel):
 
     def __init__(self, n: int, *, seed: int = 0):
         super().__init__(n, seed=seed)
+        _own(self, "u_in")
         self._stream_seed = seed
 
     def stream_advance(self, batch: int, window: int) -> dict:
@@ -80,6 +88,7 @@ class OnlineSumKernel(SumKernel):
 
     def __init__(self, n: int, *, seed: int = 0):
         super().__init__(n, seed=seed)
+        _own(self, "x")
         self._stream_seed = seed
         rng = _batch_rng(seed, 0, 611_953)
         self.arrays["x"][:] = rng.integers(-1000, 1000, n).astype(np.float64)
@@ -92,11 +101,6 @@ class OnlineSumKernel(SumKernel):
         self.arrays["x"][:w] = rng.integers(-1000, 1000, w).astype(np.float64)
         return {"x": IterRange(0, w)}
 
-    def reference(self) -> float:
-        # The live buffer, not the construction-time snapshot: the stream
-        # advance rewrites samples in place between batches.
-        return float(self.arrays["x"].sum())
-
 
 class StreamingBlockMatchingKernel(BlockMatchingKernel):
     """Block matching of a fixed reference frame against a live feed."""
@@ -105,6 +109,7 @@ class StreamingBlockMatchingKernel(BlockMatchingKernel):
 
     def __init__(self, n: int, *, window: int = 4, search: int = 0, seed: int = 0):
         super().__init__(n, window=window, search=search, seed=seed)
+        _own(self, "frame2")
         self._stream_seed = seed
 
     def stream_advance(self, batch: int, window: int) -> dict:

@@ -76,34 +76,33 @@ def verify_result(
 
     ``ref`` short-circuits the (possibly expensive) serial recomputation
     when the caller already holds ``kernel.reference()`` — the batch path
-    verifies many cells of one workload against one reference.  The
-    mapping is never mutated, so it is safe to share.
+    verifies many cells of one workload against one reference, and a kernel
+    on pooled inputs shares one per input set (``LoopKernel._reference``).
+    The mapping is never mutated, so it is safe to share.
     """
     if ref is None:
-        ref = kernel.reference()
-    if isinstance(ref, dict):
-        reduction_ref = ref.get("__reduction__")
-        for name, expected in ref.items():
-            if name == "__reduction__":
-                continue
-            got = kernel.arrays[name]
-            if not np.allclose(got, expected, rtol=rtol, atol=1e-12):
+        ref = kernel._reference()
+    if not isinstance(ref, dict):
+        ref = {"__reduction__": float(ref)}
+    for name, expected in ref.items():
+        if name == "__reduction__":
+            if result.reduction is None or not np.isclose(
+                result.reduction, expected, rtol=1e-6
+            ):
                 raise OffloadError(
-                    f"{kernel.name}/{result.algorithm}: array {name!r} does not "
-                    "match the serial reference"
+                    f"{kernel.name}/{result.algorithm}: reduction "
+                    f"{result.reduction} != reference {expected}"
                 )
-        if reduction_ref is not None and result.reduction is not None:
-            if not np.isclose(result.reduction, reduction_ref, rtol=1e-6):
-                raise OffloadError(
-                    f"{kernel.name}/{result.algorithm}: reduction mismatch"
-                )
-    else:
-        if result.reduction is None or not np.isclose(
-            result.reduction, float(ref), rtol=1e-6
+            continue
+        got = kernel.arrays[name]
+        # Equal implies close (and NaNs fail both), so the cheap exact
+        # comparison first never changes the verdict.
+        if not np.array_equal(got, expected) and not np.allclose(
+            got, expected, rtol=rtol, atol=1e-12
         ):
             raise OffloadError(
-                f"{kernel.name}/{result.algorithm}: reduction "
-                f"{result.reduction} != reference {ref}"
+                f"{kernel.name}/{result.algorithm}: array {name!r} does not "
+                "match the serial reference"
             )
 
 
@@ -121,7 +120,7 @@ def verify_batch(cells) -> None:
             continue
         ref = refs.get(share_key)
         if ref is None:
-            ref = refs[share_key] = spec.kernel.reference()
+            ref = refs[share_key] = spec.kernel._reference()
         verify_result(spec.kernel, result, ref=ref)
 
 

@@ -32,7 +32,9 @@ class AxpyKernel(LoopKernel):
             return {"x": rng.standard_normal(n), "y": rng.standard_normal(n)}
 
         self.a = float(a)
-        super().__init__(n_iters=n, arrays=pooled_inputs(("axpy", n, seed), _generate))
+        key = ("axpy", n, seed)
+        self._ref_key = (*key, self.a)
+        super().__init__(n_iters=n, arrays=pooled_inputs(key, _generate))
 
     def maps(self) -> tuple[MapSpec, ...]:
         return (

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.dist.policy import Full, Policy
 from repro.errors import MappingError
+from repro.kernels.pool import _pooled_reference
 from repro.memory.buffer import DeviceBuffer
 from repro.memory.space import MapDirection
 from repro.model.kernel_model import KernelCosts
@@ -113,6 +114,8 @@ class LoopKernel(ABC):
     #: streaming bandwidth (e.g. atomics-based reductions on Kepler-era
     #: GPUs) set this > 1.
     device_mem_factor: float = 1.0
+    #: The inputs' pool key + every parameter ``reference()`` reads, if pooled.
+    _ref_key: tuple | None = None
 
     def __init__(self, n_iters: int, arrays: dict[str, np.ndarray]):
         if n_iters <= 0:
@@ -143,14 +146,18 @@ class LoopKernel(ABC):
                 written.add(m.name)
         mapped = {m.name for m in self.maps()}
         # Pristine inputs: reference() must see pre-run values even for
-        # arrays the kernel updates in place (tofrom maps).  Arrays mapped
-        # only inbound are aliased instead of copied — compute() must not
-        # write through a pure-input (to) map, which is already the
-        # contract the discrete-memory path enforces.
-        self._initial = {
-            k: (v if k in mapped and k not in written else v.copy())
-            for k, v in self.arrays.items()
-        }
+        # arrays the kernel updates in place (tofrom maps).  An array that
+        # arrives non-writeable (a pooled base) is pristine by construction:
+        # it *is* the snapshot, and the run gets a private writable copy only
+        # if a map writes it.  Writable arrays mapped only inbound are aliased
+        # too — compute() must not write through a pure-input (to) map, which
+        # is the contract the discrete-memory path enforces.
+        self._initial = {}
+        for k, v in self.arrays.items():
+            shared = not v.flags.writeable or (k in mapped and k not in written)
+            self._initial[k] = v if shared else v.copy()
+            if k in written and not v.flags.writeable:
+                self.arrays[k] = v.copy()
 
     # -- declarative surface -------------------------------------------------
 
@@ -422,3 +429,12 @@ class LoopKernel(ABC):
     @abstractmethod
     def reference(self) -> dict[str, np.ndarray] | float:
         """Serial reference result: output arrays, or the reduction value."""
+
+    def _reference(self) -> dict[str, np.ndarray] | float:
+        """``reference()``, computed once per pooled input set — never for
+        a kernel that owns (so may have rewritten) any array it reads."""
+        if self._ref_key is None or any(
+            v.flags.writeable for v in self._initial.values()
+        ):
+            return self.reference()
+        return _pooled_reference((type(self), *self._ref_key), self.reference)

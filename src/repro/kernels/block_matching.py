@@ -47,15 +47,16 @@ class BlockMatchingKernel(LoopKernel):
             rng = np.random.default_rng(seed)
             frame1 = rng.random((n, n))
             frame2 = frame1 + 0.05 * rng.standard_normal((n, n))
-            return {"frame1": frame1, "frame2": frame2}
+            sad = np.zeros((self.anchors, self.anchors))
+            return {"frame1": frame1, "frame2": frame2, "sad": sad}
 
         # Anchors where every candidate block stays in-frame.
         self.n = n
         self.window = window
         self.search = search
         self.anchors = n - window - 2 * search + 1
-        arrays = pooled_inputs(("bm", n, seed), _generate)
-        arrays["sad"] = np.zeros((self.anchors, self.anchors))
+        self._ref_key = ("bm", n, seed, window, search)
+        arrays = pooled_inputs(self._ref_key, _generate)
         super().__init__(n_iters=self.anchors, arrays=arrays)
 
     def maps(self) -> tuple[MapSpec, ...]:

@@ -30,12 +30,12 @@ class MatMulKernel(LoopKernel):
     def __init__(self, n: int, *, seed: int = 0):
         def _generate() -> dict[str, np.ndarray]:
             rng = np.random.default_rng(seed)
-            return {"A": rng.standard_normal((n, n)), "B": rng.standard_normal((n, n))}
+            a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+            return {"A": a, "B": b, "C": np.zeros((n, n))}
 
         self.n = n
-        arrays = pooled_inputs(("matmul", n, seed), _generate)
-        arrays["C"] = np.zeros((n, n))
-        super().__init__(n_iters=n, arrays=arrays)
+        self._ref_key = ("matmul", n, seed)
+        super().__init__(n_iters=n, arrays=pooled_inputs(self._ref_key, _generate))
 
     def maps(self) -> tuple[MapSpec, ...]:
         return (

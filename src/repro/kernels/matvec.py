@@ -30,12 +30,12 @@ class MatVecKernel(LoopKernel):
     def __init__(self, n: int, *, seed: int = 0):
         def _generate() -> dict[str, np.ndarray]:
             rng = np.random.default_rng(seed)
-            return {"A": rng.standard_normal((n, n)), "x": rng.standard_normal(n)}
+            a, x = rng.standard_normal((n, n)), rng.standard_normal(n)
+            return {"A": a, "x": x, "y": np.zeros(n)}
 
         self.n = n
-        arrays = pooled_inputs(("matvec", n, seed), _generate)
-        arrays["y"] = np.zeros(n)
-        super().__init__(n_iters=n, arrays=arrays)
+        self._ref_key = ("matvec", n, seed)
+        super().__init__(n_iters=n, arrays=pooled_inputs(self._ref_key, _generate))
 
     def maps(self) -> tuple[MapSpec, ...]:
         return (

@@ -1,16 +1,19 @@
 """Shared input-array pool for benchmark kernels.
 
 Grid sweeps build a *fresh* kernel per (kernel, policy) cell because runs
-mutate output arrays — but the expensive part of construction is
-regenerating multi-MB random inputs with ``default_rng(seed)`` for every
-cell.  The pool generates each distinct input set **once** per
-``(kernel, n, seed, params)`` key and hands every subsequent instance a
-private copy of the cached base (a memcpy instead of an RNG sweep), so
-values are bit-identical to direct generation.
+mutate output arrays — but what a cell starts from is a pure function of
+``(kernel, n, seed, params)``.  The pool generates each distinct input set
+**once** per key and hands every instance the **read-only base arrays
+themselves**: ``LoopKernel.__init__`` aliases them as its pristine snapshot
+and copies only the arrays a map writes, so a pure ``map(to:)`` input costs
+zero bytes per cell and a buggy writer raises ``ValueError`` instead of
+corrupting later instances.
 
-The base arrays are kept read-only so a buggy aliasing consumer fails
-loudly instead of corrupting later instances.  Set ``REPRO_INPUT_POOL=off``
-to bypass the pool entirely (every call then runs its generator directly).
+The serial reference of a pooled input set rides the same pool
+(``_pooled_reference``: the inputs' key plus the parameters the reference
+reads, same LRU bound), computed once by the kernel's own ``reference()``
+from arrays nothing can write.  ``REPRO_INPUT_POOL=off`` bypasses both:
+every call then runs its generator and gets private writable arrays.
 """
 
 from __future__ import annotations
@@ -32,14 +35,16 @@ __all__ = [
 
 INPUT_POOL_ENV = "REPRO_INPUT_POOL"
 
-#: Base arrays per key, LRU-evicted beyond this many generator results.
+#: Each cache is LRU-evicted beyond this many entries.
 _MAX_ENTRIES = 32
 
 _BASE: "OrderedDict[Hashable, dict[str, np.ndarray]]" = OrderedDict()
+#: Serial references: the inputs' key + the parameters the reference reads.
+_REFS: "OrderedDict[Hashable, dict | float]" = OrderedDict()
 _HITS = 0
 _MISSES = 0
 #: Service worker threads build kernels concurrently; the lock keeps the
-#: LRU bookkeeping coherent and each base generated exactly once per key.
+#: LRU bookkeeping coherent and each entry made exactly once per key.
 _LOCK = threading.Lock()
 
 
@@ -53,33 +58,48 @@ def pool_enabled() -> bool:
     )
 
 
+def _shared(cache: OrderedDict, key: Hashable, make: Callable):
+    """``cache[key]`` and whether it was already there; on a miss it is
+    made, its arrays frozen, and the LRU bound applied (``_LOCK`` held)."""
+    hit = key in cache
+    if hit:
+        cache.move_to_end(key)
+    else:
+        value = cache[key] = make()
+        for arr in value.values() if isinstance(value, dict) else ():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        while len(cache) > _MAX_ENTRIES:
+            cache.popitem(last=False)
+    return cache[key], hit
+
+
 def pooled_inputs(
     key: Hashable, make: Callable[[], dict[str, np.ndarray]]
 ) -> dict[str, np.ndarray]:
-    """Copies of the cached base arrays for ``key``, generating on miss.
+    """The cached read-only base arrays for ``key``, generating on miss.
 
     ``make`` must be deterministic in ``key`` (same key => bit-identical
     arrays); kernel constructors guarantee that by keying on every
-    parameter their RNG consumes.  Returned arrays are fresh writable
-    copies — mutating them never affects the pool.
+    parameter their RNG consumes.  Every caller gets the same arrays:
+    whoever needs to write one copies it first (``LoopKernel.__init__``).
     """
     global _HITS, _MISSES
     if not pool_enabled():
         return make()
     with _LOCK:
-        base = _BASE.get(key)
-        if base is None:
-            _MISSES += 1
-            base = make()
-            for arr in base.values():
-                arr.setflags(write=False)
-            _BASE[key] = base
-            while len(_BASE) > _MAX_ENTRIES:
-                _BASE.popitem(last=False)
-        else:
-            _HITS += 1
-            _BASE.move_to_end(key)
-        return {name: arr.copy() for name, arr in base.items()}
+        base, hit = _shared(_BASE, key, make)
+        _HITS += hit
+        _MISSES += not hit
+        return dict(base)
+
+
+def _pooled_reference(key: Hashable, compute: Callable[[], "dict | float"]):
+    """``compute()`` once per ``key`` (see ``LoopKernel._reference``)."""
+    if not pool_enabled():
+        return compute()
+    with _LOCK:
+        return _shared(_REFS, key, compute)[0]
 
 
 def pool_stats() -> dict[str, int]:
@@ -88,9 +108,10 @@ def pool_stats() -> dict[str, int]:
 
 
 def clear_pool() -> None:
-    """Drop all cached bases and reset counters."""
+    """Drop all cached bases and references and reset counters."""
     global _HITS, _MISSES
     with _LOCK:
         _BASE.clear()
+        _REFS.clear()
         _HITS = 0
         _MISSES = 0

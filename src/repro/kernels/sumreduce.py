@@ -34,7 +34,8 @@ class SumKernel(LoopKernel):
             rng = np.random.default_rng(seed)
             return {"x": rng.standard_normal(n)}
 
-        super().__init__(n_iters=n, arrays=pooled_inputs(("sum", n, seed), _generate))
+        self._ref_key = ("sum", n, seed)
+        super().__init__(n_iters=n, arrays=pooled_inputs(self._ref_key, _generate))
 
     def maps(self) -> tuple[MapSpec, ...]:
         return (MapSpec("x", MapDirection.TO, (Align(self.label),)),)

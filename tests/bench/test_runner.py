@@ -62,3 +62,26 @@ def test_grid_rows_shape():
     )
     rows = grid.rows()
     assert rows == [["axpy", grid.time_ms("axpy", "BLOCK")]]
+
+
+def test_verify_refuses_a_reduction_kernel_without_a_reduction():
+    """A reference naming ``__reduction__`` is checked like a scalar one: a
+    result that carries no reduction fails, it does not silently pass."""
+    import dataclasses
+
+    import numpy as np
+
+    from repro.apps.jacobi import JacobiSweepKernel
+
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal((20, 20))
+    k = JacobiSweepKernel(
+        u, u.copy(), rng.standard_normal((20, 20)),
+        ax=1.0, ay=1.0, b=-5.0, omega=0.8,
+    )
+    r = run_one(gpu4_node(), k, "BLOCK")  # verifies arrays and reduction
+    assert r.reduction is not None
+    with pytest.raises(OffloadError, match="reduction None != reference"):
+        verify_result(k, dataclasses.replace(r, reduction=None))
+    with pytest.raises(OffloadError, match="reduction"):
+        verify_result(k, dataclasses.replace(r, reduction=r.reduction + 1.0))

@@ -155,27 +155,45 @@ def test_pooled_kernels_share_one_generation():
 
 
 def test_pooled_copies_are_independent():
+    """Written arrays are private per kernel; pure inputs are one shared,
+    read-only array, so a buggy writer fails loudly instead of corrupting
+    a later cell."""
     k1 = make_kernel("axpy", 200, seed=5)
     k2 = make_kernel("axpy", 200, seed=5)
-    assert k1.arrays["x"] is not k2.arrays["x"]
-    np.testing.assert_array_equal(k1.arrays["x"], k2.arrays["x"])
+    base = pooled_inputs(("axpy", 200, 5), dict)  # a hit: the bases themselves
+    pristine = base["y"].copy()
     k1.arrays["y"][:] = -1.0
-    assert not np.array_equal(k1.arrays["y"], k2.arrays["y"])
+    for untouched in (k2.arrays["y"], k2._initial["y"], base["y"]):
+        np.testing.assert_array_equal(untouched, pristine)
+    assert np.shares_memory(k1.arrays["x"], k2.arrays["x"])
+    assert not np.shares_memory(k1.arrays["y"], k2.arrays["y"])
+    assert k1._initial["y"] is base["y"]  # the snapshot is the base: no 2nd copy
+    with pytest.raises(ValueError):
+        k1.arrays["x"][0] = 0.0
+    with pytest.raises(ValueError):
+        k1._initial["y"][0] = 0.0
 
 
-def test_pooled_inputs_match_direct_generation():
-    """Pool on/off must produce the same RNG streams."""
+def test_pooled_inputs_match_direct_generation(monkeypatch):
+    """Pool on/off must produce the same RNG streams, bit for bit; the pool
+    hands out its read-only bases, the bypass private writable arrays."""
     pooled = make_kernel("bm", 48, seed=9)
-    clear_pool()
     base = pooled_inputs(
         ("probe", 1), lambda: {"z": np.random.default_rng(0).random(4)}
     )
-    assert base["z"].flags.writeable  # caller gets a writable copy
-    direct = np.random.default_rng(0).random(4)
-    np.testing.assert_array_equal(base["z"], direct)
-    fresh = make_kernel("bm", 48, seed=9)
-    for name in ("frame1", "frame2"):
-        np.testing.assert_array_equal(pooled.arrays[name], fresh.arrays[name])
+    again = pooled_inputs(("probe", 1), dict)
+    assert again["z"] is base["z"] and not base["z"].flags.writeable
+    np.testing.assert_array_equal(base["z"], np.random.default_rng(0).random(4))
+
+    monkeypatch.setenv(INPUT_POOL_ENV, "off")
+    direct = make_kernel("bm", 48, seed=9)
+    other = make_kernel("bm", 48, seed=9)
+    for name, arr in direct.arrays.items():
+        assert arr.tobytes() == pooled.arrays[name].tobytes()
+        assert arr.flags.writeable  # every array private and writable
+        assert not np.shares_memory(arr, other.arrays[name])
+        assert not np.shares_memory(arr, pooled.arrays[name])
+    assert pooled_inputs(("probe", 1), lambda: {"z": np.zeros(1)})["z"].flags.writeable
 
 
 def test_pool_disabled_still_correct(monkeypatch):

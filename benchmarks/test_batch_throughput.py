@@ -119,17 +119,25 @@ def test_batch_throughput(throughput_env, results_dir):
 
 
 def test_batch_floor_smoke(throughput_env):
-    """Cheap floor for CI: batch beats serial on a two-kernel subgrid."""
+    """Cheap floor for CI: batch beats serial on a two-kernel subgrid.
+
+    Each side is the best of 3 alternating repetitions: a single-shot
+    wall-clock comparison read between 0.93 and 1.29 serial/batch on an
+    unchanged tree, so one host stall could decide it.
+    """
     machine = gpu4_node()
     ks = {name: WorkloadFactory(name, seed=0) for name in ("axpy", "sum")}
     for factory in ks.values():
         factory()
-    t0 = time.perf_counter()
-    run_grid(machine, ks, policies=ALL_POLICIES, workers=0,
-             cache=SweepCache())
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    run_grid(machine, ks, policies=ALL_POLICIES, workers=0,
-             cache=SweepCache(), executor="batch")
-    batch_s = time.perf_counter() - t0
+
+    def timed(**kw) -> float:
+        t0 = time.perf_counter()
+        run_grid(machine, ks, policies=ALL_POLICIES, workers=0,
+                 cache=SweepCache(), **kw)
+        return time.perf_counter() - t0
+
+    serial_s = batch_s = float("inf")
+    for _ in range(3):
+        serial_s = min(serial_s, timed())
+        batch_s = min(batch_s, timed(executor="batch"))
     assert batch_s < serial_s, (serial_s, batch_s)

@@ -15,14 +15,19 @@ HOMP ``parallel target`` region does:
 
 ``execute_chunk(rows, shared=...)`` is what a device proxy calls for each
 chunk it acquires; outputs land back in the kernel's host arrays, and
-:meth:`check` compares them against a serial reference run.
+:meth:`check` compares them against a serial reference run.  Everything a
+chunk needs from the maps except its dim-0 bounds — names, directions,
+halos — is bound once into a per-kernel chunk plan (dropped with the
+memoised :meth:`~LoopKernel.effective_maps` on ``set_partition``), so a
+chunk pays for its halo clamp, its buffers and its arithmetic only.
 """
 
 from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,6 +99,12 @@ class _CostConstants:
     priced: dict[int, ChunkCost] = field(default_factory=dict, compare=False)
 
 
+@lru_cache(maxsize=256)
+def _full_extents(shape: tuple[int, ...]) -> tuple[IterRange, ...]:
+    """``IterRange(0, extent)`` per dim of an array of ``shape``."""
+    return tuple(IterRange(0, extent) for extent in shape)
+
+
 @dataclass
 class _RunStats:
     chunks: int = 0
@@ -126,6 +137,10 @@ class LoopKernel(ABC):
         # Per-array dim-0 policy overrides (set_partition).
         self._policy_overrides: dict[str, Policy] = {}
         self._cost_cache: _CostConstants | None = None
+        # effective_maps() and the chunk plan bound from it: filled lazily (a
+        # subclass may finish its maps after this constructor returns).
+        self._maps: tuple[MapSpec, ...] | None = None
+        self._chunk_plan: tuple[tuple, tuple[str, ...]] | None = None
         # Per-(thread, array) discrete-memory staging storage, reused
         # across chunks (flat capacity buffers; execute_chunk carves
         # shaped views out).  Keyed by thread so the wall-clock backend's
@@ -179,24 +194,21 @@ class LoopKernel(ABC):
         if name not in self.arrays:
             raise MappingError(f"{self.name}: no mapped array {name!r}")
         self._policy_overrides[name] = policy
-        self._cost_cache = None  # maps changed: drop the hoisted constants
+        # maps changed: drop them and everything hoisted from them
+        self._cost_cache = self._maps = self._chunk_plan = None
 
     def effective_maps(self) -> tuple[MapSpec, ...]:
-        """Maps with partition overrides applied."""
-        if not self._policy_overrides:
-            return self.maps()
-        out = []
-        for m in self.maps():
-            override = self._policy_overrides.get(m.name)
-            if override is not None:
-                m = MapSpec(
-                    name=m.name,
-                    direction=m.direction,
-                    policies=(override, *m.policies[1:]),
-                    halo=m.halo,
-                )
-            out.append(m)
-        return tuple(out)
+        """Maps with partition overrides applied (memoised until the next
+        ``set_partition``)."""
+        if self._maps is None:
+            overrides = self._policy_overrides
+            self._maps = tuple(
+                replace(m, policies=(overrides[m.name], *m.policies[1:]))
+                if m.name in overrides
+                else m
+                for m in self.maps()
+            )
+        return self._maps
 
     # -- analytic per-iteration costs ----------------------------------------
 
@@ -351,38 +363,60 @@ class LoopKernel(ABC):
         ``shared=False`` models discrete memory (buffers are copies moved by
         explicit copy-in/copy-out).  Returns a partial reduction value for
         reduction kernels, else None.
+
+        Each buffer's region is :meth:`input_region`'s, derived from the
+        bound chunk plan: only the dim-0 halo clamp is computed per chunk.
+        Host arrays are looked up per chunk, since callers may rebind them.
         """
-        if rows.empty:
+        start, stop = rows.start, rows.stop
+        if start == stop:
             return self.identity()
-        if not self.iter_space.contains_range(rows):
+        if start < 0 or stop > self.n_iters:
             raise MappingError(
-                f"{self.name}: chunk [{rows.start},{rows.stop}) outside "
+                f"{self.name}: chunk [{start},{stop}) outside "
                 f"iteration space [0,{self.n_iters})"
             )
+        entries, outbound = self._chunk_plan or self._bind_chunk_plan()
+        arrays = self.arrays
         buffers: dict[str, DeviceBuffer] = {}
-        maps = self.effective_maps()
-        for m in maps:
-            region = self.input_region(m, rows)
-            buf = DeviceBuffer(
-                name=m.name,
-                host_array=self.arrays[m.name],
-                region=region,
-                shared=shared,
-                storage=None if shared else self._staging_view(m.name, region),
-            )
-            if m.direction.copies_in:
+        for name, partitioned, lo, hi, copies_in, rank in entries:
+            host = arrays[name]
+            full = _full_extents(host.shape)
+            if len(full) != rank:
+                raise MappingError(
+                    f"{self.name}: map {name!r} has {rank} policies "
+                    f"for a rank-{len(full)} array"
+                )
+            region = full
+            if partitioned:
+                extent = full[0]
+                a, b = max(start - lo, 0), min(stop + hi, extent.stop)
+                r0 = IterRange(a, b) if a <= b else rows.expand(lo, hi, clamp=extent)
+                region = (r0, *full[1:])
+            staging = None if shared else self._staging_view(name, host, region)
+            buf = buffers[name] = DeviceBuffer(name, host, region, shared, staging)
+            if copies_in:
                 buf.copy_in()
-            buffers[m.name] = buf
         partial = self.compute(buffers, rows)
-        for m in maps:
-            if m.direction.copies_out:
-                buffers[m.name].copy_out()
+        for name in outbound:
+            buffers[name].copy_out()
         with self._stats_lock:
             self.stats.chunks += 1
-            self.stats.iterations += len(rows)
+            self.stats.iterations += stop - start
         return partial
 
-    def _staging_view(self, name: str, region: tuple[IterRange, ...]) -> np.ndarray:
+    def _bind_chunk_plan(self) -> tuple[tuple, tuple[str, ...]]:
+        """Per map ``(name, partitioned, halo_lo, halo_hi, copies_in, rank)``,
+        and the names of the maps that copy out."""
+        maps = self.effective_maps()
+        self._chunk_plan = plan = (
+            tuple((m.name, m.partitioned, *m.halo, m.direction.copies_in,
+                   len(m.policies)) for m in maps),
+            tuple(m.name for m in maps if m.direction.copies_out),
+        )
+        return plan
+
+    def _staging_view(self, name: str, host: np.ndarray, region: tuple) -> np.ndarray:
         """A reusable discrete-memory staging array shaped for ``region``.
 
         Each array keeps one flat capacity buffer, grown when a chunk needs
@@ -392,17 +426,17 @@ class LoopKernel(ABC):
         allocation: copy-in overwrites inbound regions and outbound-only
         maps must be fully written by ``compute`` either way.
         """
-        host = self.arrays[name]
-        shape = tuple(len(r) for r in region)
         size = 1
-        for extent in shape:
-            size *= extent
+        for r in region:
+            size *= r.stop - r.start
         key = (threading.get_ident(), name)
         flat = self._staging.get(key)
         if flat is None or flat.size < size or flat.dtype != host.dtype:
             flat = np.empty(size, dtype=host.dtype)
             self._staging[key] = flat
-        return flat[:size].reshape(shape)
+        if len(region) == 1:
+            return flat[:size]
+        return flat[:size].reshape(tuple(r.stop - r.start for r in region))
 
     @abstractmethod
     def compute(self, buffers: dict[str, DeviceBuffer], rows: IterRange) -> float | None:

@@ -22,7 +22,7 @@ from repro.util.ranges import IterRange
 __all__ = ["DeviceBuffer"]
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceBuffer:
     """Storage for one mapped (sub)array on one device.
 
@@ -30,6 +30,10 @@ class DeviceBuffer:
     (a staging buffer reused across chunks); it must match the region's
     shape and the host array's dtype.  Ignored for shared buffers, which
     are always views of host memory.
+
+    A buffer is built once per chunk per map, so construction does its
+    bounds checks and builds the global index tuple in one pass; the tuple
+    is reused by :meth:`copy_in`, :meth:`copy_out` and the shared view.
     """
 
     name: str
@@ -38,35 +42,38 @@ class DeviceBuffer:
     shared: bool  # view of host memory vs discrete copy
     storage: np.ndarray | None = None
     data: np.ndarray = field(init=False)
+    _index: tuple[slice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.region) != self.host_array.ndim:
+        host = self.host_array
+        extents = host.shape
+        if len(self.region) != host.ndim:
             raise MappingError(
                 f"buffer {self.name!r}: region rank {len(self.region)} != "
-                f"array rank {self.host_array.ndim}"
+                f"array rank {host.ndim}"
             )
+        index = ()
         for dim, r in enumerate(self.region):
-            if r.start < 0 or r.stop > self.host_array.shape[dim]:
+            if r.start < 0 or r.stop > extents[dim]:
                 raise MappingError(
                     f"buffer {self.name!r}: dim {dim} range [{r.start},{r.stop}) "
-                    f"outside array extent {self.host_array.shape[dim]}"
+                    f"outside array extent {extents[dim]}"
                 )
+            index += (slice(r.start, r.stop),)
+        self._index = index
+        view = host[index]  # in bounds, so its shape is the region's
         if self.shared:
-            self.data = self.host_array[self._global_index()]  # a view: writes are shared
+            self.data = view  # a view: writes are shared
         elif self.storage is not None:
-            shape = tuple(len(r) for r in self.region)
-            if self.storage.shape != shape or self.storage.dtype != self.host_array.dtype:
+            if self.storage.shape != view.shape or self.storage.dtype != host.dtype:
                 raise MappingError(
                     f"buffer {self.name!r}: storage shape/dtype "
                     f"{self.storage.shape}/{self.storage.dtype} does not match "
-                    f"region {shape}/{self.host_array.dtype}"
+                    f"region {view.shape}/{host.dtype}"
                 )
             self.data = self.storage
         else:
-            self.data = np.empty_like(self.host_array[self._global_index()])
-
-    def _global_index(self) -> tuple[slice, ...]:
-        return tuple(r.as_slice() for r in self.region)
+            self.data = np.empty_like(view)
 
     @property
     def nbytes(self) -> int:
@@ -80,24 +87,23 @@ class DeviceBuffer:
         """Host -> device. Returns bytes moved (0 when shared)."""
         if self.shared:
             return 0
-        np.copyto(self.data, self.host_array[self._global_index()])
-        return self.nbytes
+        self.data[...] = self.host_array[self._index]
+        return self.data.nbytes
 
     def copy_out(self) -> int:
         """Device -> host. Returns bytes moved (0 when shared)."""
         if self.shared:
             return 0
-        self.host_array[self._global_index()] = self.data
-        return self.nbytes
+        self.host_array[self._index] = self.data
+        return self.data.nbytes
 
     def local_view(self, rows: IterRange) -> np.ndarray:
         """View of the buffer covering a *global* first-dim range."""
         r0 = self.region[0]
-        if not r0.contains_range(rows):
+        lo = r0.start
+        if rows.start < lo or rows.stop > r0.stop:
             raise MappingError(
                 f"buffer {self.name!r}: rows [{rows.start},{rows.stop}) outside "
-                f"held range [{r0.start},{r0.stop})"
+                f"held range [{lo},{r0.stop})"
             )
-        local = rows.shift(-r0.start)
-        return self.data[local.as_slice()]
-
+        return self.data[rows.start - lo : rows.stop - lo]

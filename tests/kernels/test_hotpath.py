@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dist.policy import Block
+from repro.dist.policy import Block, Full
 from repro.kernels.axpy import AxpyKernel
 from repro.kernels.matvec import MatVecKernel
 from repro.kernels.pool import (
@@ -64,6 +64,26 @@ def test_set_partition_invalidates_cost_cache():
     k.set_partition("x", Block())
     # a fresh scan must happen to pick up the override
     assert _count_map_scans(k, lambda: k.chunk_cost(IterRange(0, 10))) >= 1
+
+
+def test_set_partition_invalidates_memoised_maps_and_chunk_plan():
+    staged = {}
+
+    class Recording(MatVecKernel):
+        def compute(self, buffers, rows):  # stages only: a BLOCK x no longer fits A @ x
+            staged.update({n: b.region for n, b in buffers.items()})
+
+    k = Recording(64)
+    maps = k.effective_maps()
+    assert k.effective_maps() is maps  # memoised
+    k.execute_chunk(IterRange(8, 16), shared=False)
+    assert staged["x"] == (IterRange(0, 64),)  # FULL: the whole vector
+    k.set_partition("x", Block())
+    after = k.effective_maps()
+    assert after is not maps and k.effective_maps() is after
+    assert not isinstance(after[1].policies[0], Full)
+    k.execute_chunk(IterRange(8, 16), shared=False)
+    assert staged["x"] == (IterRange(8, 16),)  # the new, partitioned region
 
 
 def test_replicated_in_bytes_served_from_cache():

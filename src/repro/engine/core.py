@@ -96,7 +96,7 @@ class ChunkPhase(Enum):
 
     # Members are singletons (pickle resolves them by value), so identity
     # is their hash — and, unlike Enum's Python-level ``hash(self._name_)``,
-    # free: ``advance`` hashes two of these six times per chunk.
+    # free: ``advance`` hashes two of these per step, six steps per chunk.
     __hash__ = object.__hash__
 
 
@@ -131,15 +131,19 @@ LIFECYCLE: dict[ChunkPhase, frozenset[ChunkPhase]] = {
 # attribute read goes through the metaclass (~90 ns each on CPython 3.11).
 _SCHED, _OBSERVE, _DONE = ChunkPhase.SCHED, ChunkPhase.OBSERVE, ChunkPhase.DONE
 
+#: Staged footprint cap of one merged span: runs stay cache-sized, which
+#: beats one call over every row (the sweep is in docs/PERFORMANCE.md).
+_SPAN_CAP_BYTES = 256 * 1024
 
-@dataclass
+
 class StageTiming:
     """Resolved timeline of one chunk's trip through the pipeline.
 
     A backend fills the timestamps in its own notion of time (virtual or
     wall seconds since offload start); the core charges trace buckets and
     emits spans from them.  ``phase`` tracks the lifecycle position and is
-    validated against :data:`LIFECYCLE` on every transition.
+    validated against :data:`LIFECYCLE` on every transition.  Unset fields
+    read the class-level defaults, so opening a chunk costs three stores.
     """
 
     chunk: IterRange
@@ -169,6 +173,11 @@ class StageTiming:
     dropped: bool = False
     phase: ChunkPhase = ChunkPhase.REQUEST
 
+    def __init__(self, chunk, acquire_t=0.0, phase=ChunkPhase.REQUEST):
+        self.chunk = chunk
+        self.acquire_t = acquire_t
+        self.phase = phase
+
     @property
     def retried(self) -> int:
         return self.retries_in + self.retries_out
@@ -177,14 +186,16 @@ class StageTiming:
     def ok(self) -> bool:
         return self.in_ok and self.out_ok and not self.dropped
 
-    def advance(self, to: ChunkPhase) -> None:
-        """Move to ``to``, enforcing the lifecycle transition table."""
-        if to not in LIFECYCLE[self.phase]:
-            raise OffloadError(
-                f"illegal chunk lifecycle transition "
-                f"{self.phase.value} -> {to.value} for chunk {self.chunk}"
-            )
-        self.phase = to
+    def advance(self, *path: ChunkPhase) -> None:
+        """Take each step of ``path`` that :data:`LIFECYCLE` allows; an
+        illegal one raises, leaving the chunk at the last legal phase."""
+        for to in path:
+            if to not in LIFECYCLE[self.phase]:
+                raise OffloadError(
+                    f"illegal chunk lifecycle transition "
+                    f"{self.phase.value} -> {to.value} for chunk {self.chunk}"
+                )
+            self.phase = to
 
 
 @dataclass
@@ -303,11 +314,16 @@ class RunContext:
             DeviceState(device=d, trace=DeviceTrace(devid=d.devid, name=d.name))
             for d in self.devices
         ]
+        self.parked = 0  # states parked at a barrier (see park)
         #: Cross-batch pipeline carry (streams only; None = cold start,
         #: which leaves every code path bit-identical to the one-shot run).
         self.carry_in = carry_in
         self.reduction = kernel.identity()
         self.reduces = kernel.is_reduction  # read once, asked per chunk
+        #: A span-exact kernel's committed ``(start, stop, shared)`` rows, run
+        #: by :meth:`finalize` (None: numerics run per chunk, at commit).
+        exact = execute_numerically and kernel.span_exact and not self.reduces
+        self.spans: list[tuple[int, int, bool]] | None = [] if exact else None
         self.covered = 0
         self.chunk_log: list[tuple[int, IterRange]] = []
         self.events: list[ChunkEvent] = []
@@ -349,7 +365,7 @@ class RunContext:
                 f"{self.scheduler.notation} handed an empty chunk to "
                 f"device {devid}"
             )
-        tm = StageTiming(chunk=chunk, acquire_t=t)
+        tm = StageTiming(chunk, t)
         tm.advance(_SCHED)
         return tm
 
@@ -506,6 +522,13 @@ class RunContext:
 
     # -- barriers ------------------------------------------------------------
 
+    def park(self, st: DeviceState, t: float) -> None:
+        """The one way a backend parks ``st`` at a barrier (at ``t``): the
+        count lets :meth:`maybe_release_barrier` skip the scan."""
+        st.at_barrier = t
+        self.parked += 1
+        self.maybe_release_barrier()
+
     def maybe_release_barrier(self) -> None:
         """Re-check the barrier (a device just parked, drained or died).
 
@@ -513,11 +536,12 @@ class RunContext:
         barrier waits and ``wake`` each parked device at the release time
         (the slowest arrival).
         """
-        waiting = [s for s in self.states if s.at_barrier is not None]
-        if not waiting or any(
+        if not self.parked or any(
             not s.done and s.at_barrier is None for s in self.states
         ):
             return
+        self.parked = 0
+        waiting = [s for s in self.states if s.at_barrier is not None]
         t_rel = max(s.at_barrier for s in waiting)  # type: ignore[type-var]
         for s in waiting:
             if self.traced and t_rel > s.at_barrier:  # type: ignore[operator]
@@ -722,14 +746,15 @@ class RunContext:
         """``xfer_out -> observe -> done``: the chunk completed.
 
         Charges the stage buckets, counts coverage, executes the kernel
-        numerically (exactly once per covered chunk) and feeds the
+        numerically (exactly once per covered chunk; a span-exact kernel's
+        rows are only recorded, for :meth:`finalize`) and feeds the
         scheduler's ``observe`` hook with ``observe_elapsed``.  A backend
         that must execute outside the core's call (the threaded backend
         computes without holding its lock) passes the already-computed
         ``partial`` instead; the reduction combine still happens here, in
         commit order.
         """
-        tm.advance(_OBSERVE)
+        tm.advance(_OBSERVE, _DONE)
         chunk = tm.chunk
         iters = chunk.stop - chunk.start
         devid = st.device.devid
@@ -759,17 +784,16 @@ class RunContext:
             self.health.record_success(devid)
 
         if partial is RunContext._EXECUTE:
-            partial = (
-                self.kernel.execute_chunk(
-                    chunk, shared=st.device.shares_host_memory
-                )
-                if self.execute_numerically else None
-            )
+            partial = None
+            shared = st.device.shares_host_memory
+            if self.spans is not None:
+                self.spans.append((chunk.start, chunk.stop, shared))
+            elif self.execute_numerically:
+                partial = self.kernel.execute_chunk(chunk, shared=shared)
         if self.reduces and partial is not None:
             self.reduction = self.kernel.combine(self.reduction, partial)
 
         self.scheduler.observe(devid, chunk, observe_elapsed)
-        tm.advance(_DONE)
 
     # -- finalisation ---------------------------------------------------------
 
@@ -795,6 +819,8 @@ class RunContext:
                 f"{scheduler.notation} covered {self.covered} of "
                 f"{kernel.n_iters} iterations"
             )
+        if self.spans:
+            self._execute_spans()
 
         participating = [s for s in states if s.trace.participated]
         if total is None:
@@ -878,6 +904,22 @@ class RunContext:
             reduction=self.reduction if self.reduces else None,
             meta=meta,
         )
+
+    def _execute_spans(self) -> None:
+        """One ``execute_chunk`` per run of sorted, contiguous rows with
+        one ``shared`` flag, while rows x every map's row bytes stays within
+        ``_SPAN_CAP_BYTES`` (a chunk is never split)."""
+        kernel = self.kernel
+        maps = kernel.effective_maps()
+        cap = _SPAN_CAP_BYTES // (sum(kernel.row_nbytes(m.name) for m in maps) or 1)
+        (a, b, shared), *rest = sorted(self.spans)
+        for start, stop, sh in rest:
+            if start == b and sh == shared and stop - a <= cap:
+                b = stop
+                continue
+            kernel.execute_chunk(IterRange(a, b), shared=shared)
+            a, b, shared = start, stop, sh
+        kernel.execute_chunk(IterRange(a, b), shared=shared)
 
     def carry_out(self) -> "dict[int, DeviceCarry]":
         """Per-device pipeline state to seed the next stream batch with.

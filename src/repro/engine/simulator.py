@@ -20,9 +20,9 @@ Chunk acquisition across devices is linearised by a priority queue
 (``heapq``) on ``(virtual request time, devid)``: time is whatever the most
 recently popped request says it is, reproducing the ordering a real
 CAS-based shared cursor produces, but deterministically.  The kernel is
-executed numerically for every chunk (through the DeviceBuffer path), so
-the simulated timeline and the real numeric result come from the same
-chunk stream.
+executed numerically over exactly the committed chunks (DeviceBuffer path;
+a span-exact kernel's as merged runs at finalize), so the simulated
+timeline and the real numeric result come from the same chunk stream.
 
 This module is the **virtual-time backend** of the shared execution core
 (:mod:`repro.engine.core`): the chunk lifecycle — fault draws, bounded
@@ -42,6 +42,7 @@ matches the fault-free one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heapify, heappop, heappush
 
 from repro.engine.core import (
@@ -145,17 +146,22 @@ class OffloadEngine(EngineBase):
         )
 
         # What the loop asks of each device, read once: specs are frozen and
-        # the cost-model methods stay bound for the whole run.
+        # the cost-model methods stay bound for the whole run.  Transfers
+        # cost a DISCRETE link's Hockney time; UNIFIED memory has no explicit
+        # copies, but its pages still cross the bus at driver-migration
+        # speed (the 10-18x of paper section V.C); host memory moves nothing.
         lanes = [
-            (st, spec.sched_overhead_s, spec.pcie_group,
-             spec.link if spec.memory is MemoryKind.UNIFIED else None,
-             st.device.transfer_time, st.device.compute_time)
+            (st, spec.sched_overhead_s, spec.setup_overhead_s, spec.pcie_group,
+             spec.link.transfer_time if spec.memory is MemoryKind.DISCRETE
+             else partial(unified_model.migration_time, spec.link)
+             if spec.memory is MemoryKind.UNIFIED else None,
+             st.device.compute_time)
             for st in states for spec in (st.device.spec,)
         ]
 
         while requests:
             t, devid = heappop(requests)
-            st, sched_s, group, managed_link, transfer_time, compute_time = lanes[devid]
+            st, sched_s, setup_s, group, transfer_time, compute_time = lanes[devid]
             if st.done:
                 continue
             drop_t = plan.dropout_t(devid) if plan_active else None
@@ -178,8 +184,7 @@ class OffloadEngine(EngineBase):
                 continue
 
             if decision is BARRIER:
-                st.at_barrier = max(t, st.finish)
-                core.maybe_release_barrier()
+                core.park(st, st.finish if st.finish > t else t)
                 continue
 
             tm = core.begin_chunk(devid, decision, t)
@@ -187,28 +192,26 @@ class OffloadEngine(EngineBase):
 
             cost = kernel.chunk_cost(chunk)
             core.chunk_bytes(st, tm, cost)
-            tm.t_setup = st.device.spec.setup_overhead_s if st.first_chunk else 0.0
+            tm.t_setup = setup_s if st.first_chunk else 0.0
             st.first_chunk = False
 
             tm.t_sched = sched_s
             acquire_end = t + sched_s + tm.t_setup
-            if managed_link is not None:
-                # Unified memory: no explicit copies in the program, but
-                # the pages still cross the bus — at driver-migration
-                # speed (the 10-18x of paper section V.C).
-                t_in = unified_model.migration_time(managed_link, tm.bytes_in)
-                t_out = unified_model.migration_time(managed_link, tm.bytes_out)
-            else:
+            if transfer_time is not None:
                 t_in = transfer_time(tm.bytes_in)
                 t_out = transfer_time(tm.bytes_out)
+            else:
+                t_in = t_out = 0.0
             t_comp = compute_time(cost.flops, cost.mem_bytes)
 
-            in_start = max(acquire_end, st.copy_in_free)
-            if serialize_offload:
-                in_start = max(in_start, dispatch_free)
+            # ``max`` spelled out below: the same tie and NaN rule, no call.
+            free = st.copy_in_free
+            in_start = free if free > acquire_end else acquire_end
+            if serialize_offload and dispatch_free > in_start:
+                in_start = dispatch_free
             if group is not None:
-                in_start = max(in_start, group_free.get(group, 0.0))
-            tm.advance(_XFER_IN)
+                free = group_free.get(group, 0.0)
+                in_start = free if free > in_start else in_start
             if plan_active:  # else the timing keeps its fault-free defaults
                 t_in *= plan.slowdown_factor(devid, in_start)
                 tm.pad_in, tm.retries_in, tm.in_ok = core.transfer_attempts(
@@ -224,15 +227,16 @@ class OffloadEngine(EngineBase):
                 group_free[group] = in_end
             comp_prev_end = st.comp_free
             if tm.in_ok:
-                tm.advance(_COMPUTE)
-                comp_start = max(in_end, comp_prev_end)
+                tm.advance(_XFER_IN, _COMPUTE, _XFER_OUT)
+                comp_start = comp_prev_end if comp_prev_end > in_end else in_end
                 if plan_active:
                     t_comp *= plan.slowdown_factor(devid, comp_start)
                 comp_end = comp_start + t_comp
-                tm.advance(_XFER_OUT)
-                out_start = max(comp_end, st.copy_out_free)
+                free = st.copy_out_free
+                out_start = free if free > comp_end else comp_end
                 if group is not None:
-                    out_start = max(out_start, group_free.get(group, 0.0))
+                    free = group_free.get(group, 0.0)
+                    out_start = free if free > out_start else out_start
                 if plan_active:
                     t_out *= plan.slowdown_factor(devid, out_start)
                     tm.pad_out, tm.retries_out, tm.out_ok = (
@@ -246,6 +250,7 @@ class OffloadEngine(EngineBase):
                     group_free[group] = out_end
             else:
                 # Copy-in never succeeded: compute and copy-out don't run.
+                tm.advance(_XFER_IN)
                 comp_start = comp_end = in_end
                 out_start = out_end = in_end
 
@@ -264,7 +269,8 @@ class OffloadEngine(EngineBase):
             st.copy_in_free = in_end
             st.comp_free = comp_end
             st.copy_out_free = out_end
-            st.finish = max(st.finish, out_end)
+            if out_end > st.finish:
+                st.finish = out_end
 
             core.account_chunk(st, tm)
 
@@ -286,7 +292,7 @@ class OffloadEngine(EngineBase):
                 # Double buffering: next request once this chunk's input is
                 # staged and at most one chunk is queued behind the running
                 # one.
-                next_req = max(in_end, comp_prev_end)
+                next_req = comp_prev_end if comp_prev_end > in_end else in_end
             else:
                 # Ablation: single-buffered proxy drains the whole pipeline
                 # before asking for more work.

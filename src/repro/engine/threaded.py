@@ -132,8 +132,7 @@ class ThreadedEngine(EngineBase):
                             decision = core.orphans.popleft()
                         if decision is BARRIER:
                             core.note_decision(st, dec_t0, dec_t1)
-                            st.at_barrier = dec_t1
-                            core.maybe_release_barrier()
+                            core.park(st, dec_t1)
                             while st.at_barrier is not None and not errors:
                                 cond.wait(timeout=5.0)
                             continue

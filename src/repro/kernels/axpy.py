@@ -25,6 +25,7 @@ class AxpyKernel(LoopKernel):
     name = "axpy"
     label = "loop"
     table_class = IntensityClass.DATA_INTENSIVE
+    span_exact = True  # every output row is computed independently
 
     def __init__(self, n: int, *, a: float = 2.5, seed: int = 0):
         def _generate() -> dict[str, np.ndarray]:

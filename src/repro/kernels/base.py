@@ -13,9 +13,10 @@ HOMP ``parallel target`` region does:
   :class:`~repro.memory.buffer.DeviceBuffer` objects so the whole
   index-translation / copy-in / copy-out path is exercised numerically.
 
-``execute_chunk(rows, shared=...)`` is what a device proxy calls for each
-chunk it acquires; outputs land back in the kernel's host arrays, and
-:meth:`check` compares them against a serial reference run.  Everything a
+``execute_chunk(rows, shared=...)`` runs ``rows`` — one chunk, or merged
+chunks of a :attr:`~LoopKernel.span_exact` kernel at a virtual-time run's
+finalize (``stats`` counts calls) — and its outputs land back in the host
+arrays; :meth:`check` compares them against a serial reference.  Everything a
 chunk needs from the maps except its dim-0 bounds — names, directions,
 halos — is bound once into a per-kernel chunk plan (dropped with the
 memoised :meth:`~LoopKernel.effective_maps` on ``set_partition``), so a
@@ -125,6 +126,11 @@ class LoopKernel(ABC):
     #: streaming bandwidth (e.g. atomics-based reductions on Kepler-era
     #: GPUs) set this > 1.
     device_mem_factor: float = 1.0
+    #: Rows ``[a, c)`` in one ``execute_chunk`` call are byte-equal to
+    #: ``[a, b)`` and ``[b, c)`` in either order, so a virtual-time backend
+    #: may merge contiguous chunks.  BLAS kernels (blocking changes bytes)
+    #: and reductions (partials combine per chunk) leave it False.
+    span_exact: bool = False
     #: The inputs' pool key + every parameter ``reference()`` reads, if pooled.
     _ref_key: tuple | None = None
 
@@ -294,7 +300,7 @@ class LoopKernel(ABC):
         the same frozen :class:`ChunkCost` for a length it already priced.
         """
         n = rows.stop - rows.start
-        cc = self._cost_constants()
+        cc = self._cost_cache or self._cost_constants()
         cost = cc.priced.get(n)
         if cost is None:
             eff = self.chunk_efficiency(n)

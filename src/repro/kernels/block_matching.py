@@ -35,6 +35,7 @@ class BlockMatchingKernel(LoopKernel):
     name = "bm"
     label = "loop"
     table_class = IntensityClass.COMPUTE_INTENSIVE
+    span_exact = True  # every output row is computed independently
 
     def __init__(self, n: int, *, window: int = 4, search: int = 0, seed: int = 0):
         if window < 1:

@@ -32,6 +32,7 @@ class Stencil2DKernel(LoopKernel):
     name = "stencil"
     label = "loop"
     table_class = IntensityClass.COMPUTE_INTENSIVE
+    span_exact = True  # every output row is computed independently
 
     def __init__(self, n: int, *, seed: int = 0):
         if n <= 2 * RADIUS:

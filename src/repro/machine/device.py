@@ -58,7 +58,8 @@ class Device:
             raise ValueError("flops and mem_bytes must be >= 0")
         t_compute = flops / self._flops_per_s
         t_memory = mem_bytes / self._mem_bytes_per_s
-        t = max(t_compute, t_memory) + self.spec.launch_overhead_s
+        t = t_memory if t_memory > t_compute else t_compute  # max, no call
+        t += self.spec.launch_overhead_s
         if noisy and self.spec.noise > 0:
             rng = self._rng
             if rng is None:

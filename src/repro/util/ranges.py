@@ -23,9 +23,12 @@ class IterRange:
     start: int
     stop: int
 
-    def __post_init__(self) -> None:
-        if self.stop < self.start:
-            raise ValueError(f"range stop {self.stop} < start {self.start}")
+    # Hand-written (dataclass keeps it): no __post_init__ call per range.
+    def __init__(self, start: int, stop: int) -> None:
+        if stop < start:
+            raise ValueError(f"range stop {stop} < start {start}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
 
     def __len__(self) -> int:
         return self.stop - self.start

@@ -100,7 +100,61 @@ def test_plain_chunk_python_call_budget(axpy, chunk_pct):
         result = _offload(*axpy, chunk_pct, in_region=False)
     finally:
         sys.setprofile(None)
-    assert calls / _chunks(result) <= 38  # 51.9 before
+    assert calls / _chunks(result) <= 17  # 51.9, then 21.3 before
+
+
+@pytest.mark.parametrize("chunk_pct", [0.002, 0.00025])
+def test_plain_chunk_c_call_budget(axpy, chunk_pct):
+    """Builtin calls per chunk: heap pop/push, the ``chunk_cost`` memo
+    lookup and the scheduler's ``min`` — ``max`` is spelled out."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "c_call"
+
+    sys.setprofile(count)
+    try:
+        result = _offload(*axpy, chunk_pct, in_region=False)
+    finally:
+        sys.setprofile(None)
+    assert calls / _chunks(result) <= 5  # 9.5 before
+
+
+def test_a_fault_free_chunk_advances_three_times(axpy, monkeypatch):
+    steps = []
+    advance = StageTiming.advance
+
+    def counted(self, *path):
+        steps.append(path)
+        advance(self, *path)
+
+    monkeypatch.setattr(StageTiming, "advance", counted)
+    result = _offload(*axpy, 0.002, in_region=False)
+    assert len(steps) == 3 * _chunks(result)  # 6 per chunk before
+    assert sum(len(path) for path in steps) == 6 * _chunks(result)
+
+
+def test_a_drain_with_nobody_parked_scans_no_states(axpy):
+    """Every device drain re-checks the barrier; with no device parked
+    (``RunContext.park`` counts them) the check makes no call at all."""
+    checks = inner = 0
+
+    def count(frame, event, arg):
+        nonlocal checks, inner
+        if event != "call":
+            return
+        if frame.f_code.co_name == "maybe_release_barrier":
+            checks += 1
+        elif frame.f_back.f_code.co_name == "maybe_release_barrier":
+            inner += 1
+
+    sys.setprofile(count)
+    try:
+        _offload(*axpy, 0.002, in_region=False)
+    finally:
+        sys.setprofile(None)
+    assert checks >= len(full_node().devices) and inner == 0
 
 
 # ------------------------------------------------- (iii) chunk_cost memo

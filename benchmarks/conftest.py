@@ -15,10 +15,9 @@ import sys
 # Pin BLAS/OpenMP pools to one thread BEFORE numpy loads: the kernels here
 # issue thousands of small-array operations, and multi-threaded BLAS burns
 # minutes of sys time in thread churn on them (the seed suite spent 3m29s
-# of sys time this way).  Process-pool workers inherit the pins (fork), and
-# the runner's worker initializer re-applies them for spawn platforms.
-# Must happen at conftest import, which pytest guarantees precedes the test
-# modules (and therefore the first `import numpy`).
+# of sys time this way).  Must happen at conftest import, which pytest
+# guarantees precedes the test modules (and therefore the first `import
+# numpy`).
 _THREAD_PINS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",

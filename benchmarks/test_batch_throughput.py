@@ -1,28 +1,22 @@
-"""Cells/sec of the sweep paths: serial vs process pool vs batch backend.
+"""Cells/sec of the two ways a grid's cells can run: per cell vs one batch.
 
-The perf-trajectory artifact for the batch backend
-(``repro.engine.batch``): the full Fig. 5 grid (6 kernels x 7 policies on
-the 4-GPU node) is swept three ways — serial in-process, process pool,
-and the batch backend — and the measured cells/sec land in
-``benchmarks/results/batch_throughput.json``.
+The full Fig. 5 grid (6 kernels x 7 policies on the 4-GPU node) is swept
+twice — once as a per-cell ``run_cell`` loop, once through ``run_grid``,
+which runs a fault-free virtual grid's misses as one ``parallel_for_many``
+batch — and the measured cells/sec are printed.  Nothing is written: a
+wall-clock figure is a property of the host, not of the code.
 
 The batch path's advantage is structural, not numerical: it is the same
-event loop per cell (``BatchEngine`` *is* the virtual engine), but one
-``parallel_for_many`` call shares a kernel between the cells of a
-workload, so the numerics run once per workload instead of once per
-cell, and there is no process-pool pickle/fork overhead.  The results
-are bit-identical to the serial sweep (pinned by
-``tests/engine/test_batch_differential.py``).  That is also all it
-amortizes: the serial and pool paths no longer pay per-cell input copies
-or references either (``repro.kernels.pool`` hands every cell the same
-read-only inputs and one reference per input set), so what is left
-between them and the batch path is numeric execution — and the one copy
-of each written array — once per *workload* instead of once per *cell*.
+event loop per cell (``run_many`` is the virtual engine's second entry
+point), but one ``parallel_for_many`` call shares a kernel between the
+cells of a workload, so the numerics — and the one copy of each written
+array — run once per workload instead of once per cell.  Inputs and the
+reference are already shared per input set on both paths
+(``repro.kernels.pool``).  The results are bit-identical to the per-cell
+loop (pinned by ``tests/engine/test_batch_differential.py``).
 
 ``REPRO_BENCH_SCALE`` scales the workloads as usual (unset, this module
-measures at 0.05 so the serial baseline finishes quickly); the resolved
-scale is recorded in the artifact, so numbers are only comparable at
-equal scale (and on comparable hardware — ``cpus`` is recorded too).
+measures at 0.05 so the per-cell baseline finishes quickly).
 """
 
 from __future__ import annotations
@@ -34,29 +28,37 @@ import time
 import pytest
 
 from repro.bench.cache import SweepCache
-from repro.bench.runner import ALL_POLICIES, run_grid
+from repro.bench.runner import ALL_POLICIES, run_cell, run_grid
 from repro.bench.workloads import BENCH_SCALE_ENV, WorkloadFactory
 from repro.machine.presets import gpu4_node
 
 FIG5_KERNELS = ("axpy", "matvec", "matmul", "stencil", "sum", "bm")
-POOL_WORKERS = 2
 
 
 def _factories():
     return {name: WorkloadFactory(name, seed=0) for name in FIG5_KERNELS}
 
 
-def _sweep_seconds(machine, *, workers, executor):
-    """Wall seconds for one full uncached fig5 sweep."""
+def _per_cell(machine, ks):
+    """Every cell through ``run_cell`` on a fresh cache, in grid order."""
     cache = SweepCache()  # fresh and memory-only under REPRO_BENCH_CACHE=off
+    return {
+        kname: {
+            policy: run_cell(machine, factory, policy, cache=cache)
+            for policy in ALL_POLICIES
+        }
+        for kname, factory in ks.items()
+    }
+
+
+def _batch(machine, ks):
+    return run_grid(machine, ks, policies=ALL_POLICIES, cache=SweepCache()).results
+
+
+def _seconds(sweep, machine, ks):
     t0 = time.perf_counter()
-    grid = run_grid(
-        machine, _factories(), policies=ALL_POLICIES,
-        workers=workers, cache=cache, executor=executor,
-    )
-    elapsed = time.perf_counter() - t0
-    ncells = len(grid.results) * len(grid.policies)
-    return elapsed, ncells, grid
+    results = sweep(machine, ks)
+    return time.perf_counter() - t0, results
 
 
 @pytest.fixture()
@@ -68,24 +70,23 @@ def throughput_env(monkeypatch):
     yield
 
 
-def test_batch_throughput(throughput_env, results_dir):
+def test_batch_throughput(throughput_env):
     machine = gpu4_node()
-    # Warm the shared input pool so no mode pays generation costs.
-    for factory in _factories().values():
+    ks = _factories()
+    # Warm the shared input pool so neither side pays generation costs.
+    for factory in ks.values():
         factory()
 
-    serial_s, ncells, serial_grid = _sweep_seconds(
-        machine, workers=0, executor=None
-    )
-    pool_s, _, _ = _sweep_seconds(machine, workers=POOL_WORKERS, executor=None)
-    batch_s, _, batch_grid = _sweep_seconds(machine, workers=0, executor="batch")
+    serial_s, serial = _seconds(_per_cell, machine, ks)
+    batch_s, batch = _seconds(_batch, machine, ks)
+    ncells = len(FIG5_KERNELS) * len(ALL_POLICIES)
 
-    # The batch backend must agree with the serial sweep cell by cell.
-    for kname in serial_grid.results:
-        for policy in serial_grid.policies:
+    # The batch must agree with the per-cell loop cell by cell.
+    for kname in serial:
+        for policy in ALL_POLICIES:
             assert (
-                serial_grid.results[kname][policy].total_time_s
-                == batch_grid.results[kname][policy].total_time_s
+                serial[kname][policy].total_time_s
+                == batch[kname][policy].total_time_s
             ), (kname, policy)
 
     report = {
@@ -93,33 +94,21 @@ def test_batch_throughput(throughput_env, results_dir):
         "scale": os.environ[BENCH_SCALE_ENV],
         "cells": ncells,
         "cpus": os.cpu_count(),
-        "pool_workers": POOL_WORKERS,
-        "seconds": {
-            "serial": round(serial_s, 4),
-            "pool": round(pool_s, 4),
-            "batch": round(batch_s, 4),
-        },
+        "seconds": {"per_cell": round(serial_s, 4), "batch": round(batch_s, 4)},
         "cells_per_sec": {
-            "serial": round(ncells / serial_s, 2),
-            "pool": round(ncells / pool_s, 2),
+            "per_cell": round(ncells / serial_s, 2),
             "batch": round(ncells / batch_s, 2),
         },
-        "speedup": {
-            "batch_vs_serial": round(serial_s / batch_s, 1),
-            "batch_vs_pool": round(pool_s / batch_s, 1),
-        },
+        "speedup": {"batch_vs_per_cell": round(serial_s / batch_s, 1)},
     }
-    (results_dir / "batch_throughput.json").write_text(
-        json.dumps(report, indent=2) + "\n"
-    )
     print("\n" + json.dumps(report, indent=2))
 
-    # CI floor: the batch path must never lose to the serial one.
+    # CI floor: the batch path must never lose to the per-cell one.
     assert batch_s < serial_s, report
 
 
 def test_batch_floor_smoke(throughput_env):
-    """Cheap floor for CI: batch beats serial on a two-kernel subgrid.
+    """Cheap floor for CI: batch beats per-cell on a two-kernel subgrid.
 
     Each side is the best of 3 alternating repetitions: a single-shot
     wall-clock comparison read between 0.93 and 1.29 serial/batch on an
@@ -130,14 +119,8 @@ def test_batch_floor_smoke(throughput_env):
     for factory in ks.values():
         factory()
 
-    def timed(**kw) -> float:
-        t0 = time.perf_counter()
-        run_grid(machine, ks, policies=ALL_POLICIES, workers=0,
-                 cache=SweepCache(), **kw)
-        return time.perf_counter() - t0
-
     serial_s = batch_s = float("inf")
     for _ in range(3):
-        serial_s = min(serial_s, timed())
-        batch_s = min(batch_s, timed(executor="batch"))
+        serial_s = min(serial_s, _seconds(_per_cell, machine, ks)[0])
+        batch_s = min(batch_s, _seconds(_batch, machine, ks)[0])
     assert batch_s < serial_s, (serial_s, batch_s)

@@ -10,7 +10,7 @@ is served three ways and the measured jobs/sec land in
 * ``pooled``  — the service with coalescing off: admission, weighted-fair
   queueing, and reusable pooled engines, one job per engine lease.
 * ``coalesced`` — the full service: compatible queued jobs grouped into
-  single ``BatchEngine.run_many`` calls.
+  single ``OffloadEngine.run_many`` calls.
 
 Coalescing's win is structural: a batch pays kernel construction and
 numeric execution once per (workload, seed) group where the pooled path

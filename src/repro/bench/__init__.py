@@ -20,7 +20,6 @@ from repro.bench.cache import (
 )
 from repro.bench.runner import (
     ALL_POLICIES,
-    WORKERS_ENV,
     PolicyGrid,
     engine_run_count,
     run_cell,
@@ -42,7 +41,6 @@ __all__ = [
     "BENCH_SCALE_ENV",
     "CACHE_DIR_ENV",
     "CACHE_ENV",
-    "WORKERS_ENV",
     "CacheStats",
     "SweepCache",
     "WorkloadFactory",

@@ -128,11 +128,10 @@ def _backend_name(backend: "str | type | None") -> str:
 
 
 def _virtual_equivalent(backend: "str | type | None") -> bool:
-    """Whether ``backend`` yields the virtual-time simulator's results: the
-    only reproducible ones (a cached wall-clock timing would be a lie), and
-    ``batch`` *is* the virtual engine driven many cells per call — so the
-    two share cache keys and the service may move jobs onto ``batch``."""
-    return _backend_name(backend) in ("virtual", "batch")
+    """Whether ``backend`` is the virtual-time simulator (``"batch"`` is
+    its alias): the only reproducible results (a cached wall-clock timing
+    would be a lie), and the only engine with ``run_many``."""
+    return _backend_name(backend) == "virtual"
 
 
 def cell_key(

@@ -4,26 +4,22 @@ Every run verifies the numeric output against the kernel's serial
 reference — a benchmark that silently computes the wrong answer is worse
 than a failing one.
 
-Independent (kernel, policy) cells can fan out over a process pool
-(``run_grid(..., workers=N)``) and/or be served from the sweep cache
-(:mod:`repro.bench.cache`); both paths return results bit-identical to
-the serial uncached sweep, in the same deterministic order.
+A grid's cells are served from the sweep cache (:mod:`repro.bench.cache`)
+where they can be; the misses of a fault-free, untraced grid on the
+virtual engine run as one ``parallel_for_many`` batch, every other miss
+runs per cell.  Either way each result is bit-identical to the uncached
+per-cell sweep's, in the same deterministic order.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from repro.bench.cache import SweepCache, _backend_name, cell_key, get_cache
+from repro.bench.cache import SweepCache, _virtual_equivalent, cell_key, get_cache
 from repro.engine.core import resolve_backend
 from repro.engine.trace import OffloadResult
 from repro.errors import OffloadError
@@ -38,9 +34,7 @@ from repro.runtime.runtime import HompRuntime, _shared_kernel_specs
 
 __all__ = [
     "ALL_POLICIES",
-    "WORKERS_ENV",
     "PolicyGrid",
-    "SerialFallbackWarning",
     "run_one",
     "run_cell",
     "run_grid",
@@ -49,9 +43,6 @@ __all__ = [
     "verify_batch",
     "engine_run_count",
 ]
-
-#: Default process-pool width for ``run_grid`` (0 = serial in-process).
-WORKERS_ENV = "REPRO_BENCH_WORKERS"
 
 #: The seven Table II algorithms in the order the figures list them.
 ALL_POLICIES = (
@@ -133,31 +124,14 @@ def engine_run_count() -> int:
     return _ENGINE_RUNS
 
 
-class SerialFallbackWarning(RuntimeWarning):
-    """``run_grid`` was asked to parallelise but ran its cells serially."""
-
-
-#: Process-wide counters for the grid runner (serial fallbacks, batch
-#: routing); exported so sweeps can assert they took the path they meant.
+#: Process-wide counters for the grid runner (batch routing); exported so
+#: sweeps can assert they took the path they meant.
 _METRICS = MetricsRegistry()
 
 
 def runner_metrics() -> MetricsRegistry:
     """The grid runner's process-wide metrics registry."""
     return _METRICS
-
-
-def _note_serial_fallback(reason: str, ncells: int) -> None:
-    """A parallel sweep quietly became serial: make it visible."""
-    _METRICS.inc("run_grid_serial_fallbacks", 1.0, reason=reason)
-    warnings.warn(
-        f"run_grid: falling back to the serial in-process path for "
-        f"{ncells} cell(s) ({reason}); pass picklable factories (e.g. "
-        "WorkloadFactory) and workers>0, or executor='batch', for a "
-        "parallel sweep",
-        SerialFallbackWarning,
-        stacklevel=3,
-    )
 
 
 def run_one(
@@ -196,17 +170,6 @@ def run_one(
     return result
 
 
-def _run_miss(
-    machine: MachineSpec,
-    factory: Callable[[], LoopKernel],
-    policy: str,
-    **options,
-) -> OffloadResult:
-    """A cache miss: build the cell's kernel and ``run_one`` it (a
-    module-level function, so the process pool can ship it)."""
-    return run_one(machine, factory(), policy, **options)
-
-
 def run_cell(
     machine: MachineSpec,
     factory: Callable[[], LoopKernel],
@@ -237,7 +200,7 @@ def run_cell(
         hit = cache.get(key)
         if hit is not None:
             return hit
-    result = _run_miss(machine, factory, policy, **options)
+    result = run_one(machine, factory(), policy, **options)
     if key is not None:
         cache.put(key, result)
     return result
@@ -266,31 +229,6 @@ class PolicyGrid:
         return out
 
 
-def _default_workers() -> int:
-    """Pool width from ``REPRO_BENCH_WORKERS`` (0 = serial)."""
-    try:
-        return max(0, int(os.environ.get(WORKERS_ENV, "0")))
-    except ValueError:
-        return 0
-
-
-def _pin_worker_threads() -> None:
-    """Keep pool workers single-threaded in their BLAS/OpenMP layers.
-
-    Under the default fork start method workers inherit the parent's pins
-    (set in ``benchmarks/conftest.py`` before numpy loads); this makes the
-    pin explicit for spawn-based platforms too.
-    """
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ.setdefault(var, "1")
-
-
 def run_grid(
     machine: MachineSpec,
     kernels: Mapping[str, Callable[[], LoopKernel]],
@@ -299,7 +237,6 @@ def run_grid(
     cutoff_ratio: float = 0.0,
     seed: int = 0,
     verify: bool = True,
-    workers: int | None = None,
     cache: SweepCache | None = None,
     fault_plan: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
@@ -311,14 +248,13 @@ def run_grid(
     ``kernels`` maps display name -> zero-arg factory returning a *fresh*
     kernel (runs mutate output arrays, so each cell needs its own).
 
-    ``workers`` > 0 fans independent cells out over a process pool of that
-    width; ``None`` reads ``REPRO_BENCH_WORKERS`` (default 0 = serial).
-    Results are assembled in the declared kernel/policy order regardless
-    of completion order, and each cell is bit-identical to what the serial
-    path produces (cells share nothing; every worker builds its own kernel
-    from the same seed).  Cells :func:`~repro.bench.cache.cell_key` keys
-    are served from / stored into the sweep cache; unpicklable factories
-    (lambdas), in pool mode, simply run in-process.
+    Cells :func:`~repro.bench.cache.cell_key` keys are served from /
+    stored into the sweep cache.  The grid picks how its misses run from
+    its own inputs: on the virtual engine, untraced and without a fault
+    plan or resilience policy, they run as one ``parallel_for_many``
+    batch; otherwise each runs through ``run_one``.  Results are
+    assembled in the declared kernel/policy order and every cell is
+    bit-identical to what ``run_cell`` produces for it.
 
     ``executor`` selects the execution backend for every cell (registry
     name or class; None = the virtual-time simulator).
@@ -332,11 +268,8 @@ def run_grid(
     grid-wide ``metrics.prom``.  Under ``REPRO_OBS=off`` the flag is
     ignored entirely: nothing is written and caching behaves as if
     ``trace_dir`` had not been passed, so cache keys and results are
-    unchanged.  Tracing forces the serial in-process path (``workers`` is
-    ignored).
+    unchanged.
     """
-    workers_explicit = workers is not None
-    workers = _default_workers() if workers is None else max(0, int(workers))
     cache = get_cache() if cache is None else cache
     grid = PolicyGrid(machine_name=machine.name, policies=tuple(policies))
     tracing = trace_dir is not None and obs_enabled()
@@ -345,7 +278,7 @@ def run_grid(
         fault_plan=fault_plan, resilience=resilience, executor=executor,
     )
 
-    # Resolve cache hits up front; only misses are (possibly) parallelised.
+    # Resolve cache hits up front; only misses run.
     pending: list[tuple[str, Callable[[], LoopKernel], str, str | None]] = []
     for kname, factory in kernels.items():
         row = grid.results[kname] = dict.fromkeys(grid.policies)
@@ -358,44 +291,28 @@ def run_grid(
 
     # Pick how the misses run — each way yields results in ``pending``
     # order — then store them in one loop, as they arrive.
-    with ExitStack() as stack:
-        if tracing:
-            registry = MetricsRegistry()
-            fresh = _traced_cells(
-                machine, pending, Path(trace_dir), registry, **options
-            )
-        elif (
-            _backend_name(executor) == "batch" and pending
-            and fault_plan is None and resilience is None
-        ):
-            fresh = _batch_cells(
-                machine, pending, cutoff_ratio=cutoff_ratio, seed=seed,
-                verify=verify, executor=executor,
-            )
-        elif workers > 0 and pending and _cells_picklable(machine, pending):
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_pin_worker_threads
-            ))
-            futures = [
-                pool.submit(_run_miss, machine, factory, policy, **options)
-                for _, factory, policy, _ in pending
-            ]
-            fresh = (future.result() for future in futures)
-        else:
-            if workers > 0 and pending:
-                _note_serial_fallback("unpicklable cells", len(pending))
-            elif not workers_explicit and len(pending) > 1:
-                # Serial because nobody asked for workers: an accidental
-                # serial sweep looks exactly like a perf regression later.
-                _note_serial_fallback("workers=0", len(pending))
-            fresh = (
-                _run_miss(machine, factory, policy, **options)
-                for _, factory, policy, _ in pending
-            )
-        for (kname, _, policy, key), result in zip(pending, fresh):
-            if key is not None:
-                cache.put(key, result)
-            grid.results[kname][policy] = result
+    if tracing:
+        registry = MetricsRegistry()
+        fresh = _traced_cells(
+            machine, pending, Path(trace_dir), registry, **options
+        )
+    elif (
+        pending and _virtual_equivalent(executor)
+        and fault_plan is None and resilience is None
+    ):
+        fresh = _batch_cells(
+            machine, pending, cutoff_ratio=cutoff_ratio, seed=seed,
+            verify=verify, executor=executor,
+        )
+    else:
+        fresh = (
+            run_one(machine, factory(), policy, **options)
+            for _, factory, policy, _ in pending
+        )
+    for (kname, _, policy, key), result in zip(pending, fresh):
+        if key is not None:
+            cache.put(key, result)
+        grid.results[kname][policy] = result
     if tracing:
         # Last, so the grid-wide metrics carry the sweep's final cache stats.
         for stat_name, value in cache.stats.to_dict().items():
@@ -413,7 +330,7 @@ def _batch_cells(
     verify: bool,
     executor: "str | type | None",
 ) -> list[OffloadResult]:
-    """Run pending grid cells through the batch backend.
+    """Run pending grid cells as one batch on the virtual engine.
 
     The whole pending list becomes one ``parallel_for_many`` call: one
     engine, one run of the event loop per cell, back to back.  Cells of
@@ -447,24 +364,15 @@ def _traced_cells(
 ) -> "Iterator[OffloadResult]":
     """Run grid cells with tracing, exporting artifacts per cell.
 
-    Serial by construction (the tracer is an in-process object).  One
-    metrics registry spans the whole grid; each cell gets its own span
-    stream.
+    One metrics registry spans the whole grid; each cell gets its own
+    span stream.
     """
     clock = resolve_backend(options["executor"] or "virtual").clock
     for kname, factory, policy, _ in pending:
         tracer = Tracer(clock=clock, metrics=registry)
-        result = _run_miss(machine, factory, policy, tracer=tracer, **options)
+        result = run_one(machine, factory(), policy, tracer=tracer, **options)
         stem = f"{kname}.{policy}".replace("/", "_").replace(" ", "_")
         write_chrome_trace(tracer, trace_dir / f"{stem}.trace.json")
         write_jsonl(tracer, trace_dir / f"{stem}.jsonl")
         yield result
 
-
-def _cells_picklable(machine: MachineSpec, pending: list) -> bool:
-    """Whether the pool can ship these cells (lambdas can't be pickled)."""
-    try:
-        pickle.dumps((machine, [factory for _, factory, _, _ in pending]))
-        return True
-    except Exception:
-        return False

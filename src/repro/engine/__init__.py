@@ -11,15 +11,14 @@ scheduling of events in time and register themselves by name:
   the paper's Fig. 4 proxy thread per device in deterministic virtual
   time, with a three-stage pipeline (copy-in / compute / copy-out
   engines) so multi-chunk schedulers overlap data movement with
-  computation like a real double-buffered runtime.
+  computation like a real double-buffered runtime.  Besides ``run`` it
+  has ``run_many``: a list of :class:`~repro.engine.batch.BatchRequest`
+  cells through one engine in one call (same event loop, so
+  byte-identical per cell), with numerics switchable per cell so a grid
+  executes them once per shared kernel.  ``"batch"`` is an alias.
 * ``"threaded"`` — :class:`~repro.engine.threaded.ThreadedEngine` runs
   one real host thread per device on a wall clock, with the same
   fault/resilience semantics.
-* ``"batch"`` — :class:`~repro.engine.batch.BatchEngine` is the virtual
-  engine plus ``run_many``: a list of cells runs through one engine in
-  one call (same ``RunContext``, same event loop, so byte-identical to
-  ``"virtual"`` by construction), with numerics switchable per cell so a
-  grid executes them once per shared kernel.
 * ``"cluster"`` — :class:`~repro.cluster.engine.ClusterEngine` splits
   the loop across the nodes of a :class:`~repro.cluster.spec.ClusterSpec`
   and runs each shard on an intra-node ``"virtual"`` engine, charging
@@ -46,7 +45,7 @@ from repro.engine.core import (
 # Importing the backend modules registers them.
 from repro.engine.simulator import OffloadEngine
 from repro.engine.threaded import ThreadedEngine
-from repro.engine.batch import BatchEngine, BatchRequest
+from repro.engine.batch import BatchRequest
 from repro.engine.events import ChunkEvent, Timeline, render_timeline
 # Last, as a plain module import: the cluster backend composes the
 # intra-node engine above, and binding its class here would fail when an
@@ -68,7 +67,6 @@ __all__ = [
     "make_backend",
     "OffloadEngine",
     "ThreadedEngine",
-    "BatchEngine",
     "BatchRequest",
     "ChunkEvent",
     "Timeline",

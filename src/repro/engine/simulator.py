@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
+from typing import TYPE_CHECKING
 
 from repro.engine.core import (
     ChunkPhase,
@@ -57,6 +58,9 @@ from repro.kernels.base import LoopKernel
 from repro.machine.spec import MemoryKind
 from repro.memory.unified import UnifiedMemoryModel
 from repro.sched.base import BARRIER, LoopScheduler
+
+if TYPE_CHECKING:
+    from repro.engine.batch import BatchRequest
 
 __all__ = ["OffloadEngine"]
 
@@ -105,6 +109,30 @@ class OffloadEngine(EngineBase):
             return self._event_loop(
                 self._run_context(kernel, scheduler, cutoff_ratio, carry_in=carry_in)
             )
+
+    def run_many(self, requests: "list[BatchRequest]") -> list[OffloadResult]:
+        """Execute a batch of cells; results are positionally aligned.
+
+        Each cell goes through the event loop ``run`` uses, so its result
+        is byte-identical to ``run``'s.  The run gate is held for the whole
+        batch, so a concurrent ``run``/``run_many``/``configured`` is
+        refused until the last cell finished.  Afterwards
+        ``chunk_log``/``timeline``/``faults`` describe the last request.
+        """
+        with self._run_slot():
+            results = []
+            for req in requests:
+                execute = req.execute_numerically
+                if execute is None:
+                    execute = self.execute_numerically
+                core = self._run_context(
+                    req.kernel,
+                    req.scheduler,
+                    req.cutoff_ratio,
+                    execute_numerically=execute,
+                )
+                results.append(self._event_loop(core))
+            return results
 
     def carry_out(self) -> dict:
         """Where the last run left each device's pipeline — the next
@@ -303,5 +331,6 @@ class OffloadEngine(EngineBase):
 
 
 register_backend(
-    "virtual", OffloadEngine, aliases=("simulated", "simulator", "sim")
+    "virtual", OffloadEngine,
+    aliases=("simulated", "simulator", "sim", "batch"),
 )

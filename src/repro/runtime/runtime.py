@@ -25,7 +25,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from repro.dist.policy import Align, Policy
-from repro.engine.batch import BatchEngine, BatchRequest
+from repro.engine.batch import BatchRequest
 from repro.engine.core import make_backend
 from repro.engine.simulator import OffloadEngine
 from repro.engine.threaded import ThreadedEngine  # noqa: F401 — registers "threaded"
@@ -481,11 +481,10 @@ class HompRuntime:
 
         The batch form of :meth:`parallel_for`: every cell runs on the
         same device selection with the same engine configuration, and the
-        whole list is handed to the backend's ``run_many`` in one call —
-        so it runs on the ``"batch"`` backend (the default here; a backend
-        without ``run_many`` is refused).  Results are positionally
-        aligned with ``specs``, byte-identical to ``"virtual"``'s, and
-        carry the same ``meta`` a :meth:`parallel_for` result would.
+        whole list is handed to the virtual engine's ``run_many`` in one
+        call (a backend without ``run_many`` is refused).  Results are
+        positionally aligned with ``specs``, byte-identical to
+        :meth:`parallel_for`'s, and carry the same ``meta``.
 
         ``engine`` accepts an already-built backend instance (a pooled
         engine), exactly as in :meth:`parallel_for`; the batch's options
@@ -496,8 +495,6 @@ class HompRuntime:
         instead of failing deep in the backend.
         """
         specs = self._validate_specs(specs)
-        if executor is None and engine is None:
-            executor = BatchEngine
         bound = self._prepare(
             devices,
             executor=executor,
@@ -505,11 +502,11 @@ class HompRuntime:
             serialize_offload=serialize_offload,
         )
         engine = bound.engine
-        if not isinstance(engine, BatchEngine):
+        if not isinstance(engine, OffloadEngine):
             raise OffloadError(
-                f"parallel_for_many runs on the 'batch' backend, not on a "
+                f"parallel_for_many runs on the virtual engine, not on a "
                 f"{type(engine).__name__}; leave executor= unset or lease "
-                "a batch engine"
+                "a virtual engine"
             )
         requests: list[BatchRequest] = []
         infos: list[OffloadInfo] = []

@@ -18,7 +18,7 @@ factory, a policy, a tenant identity) and ``await`` typed
   can never fire through the pool),
 * coalesces compatible queued jobs — same workload fingerprint, a
   timing-oblivious policy, no faults or tracing — into single
-  :meth:`~repro.engine.batch.BatchEngine.run_many` batches, and
+  :meth:`~repro.engine.simulator.OffloadEngine.run_many` batches, and
 * serves repeat cells from / populates the sweep cache with exactly the
   keys :func:`repro.bench.runner.run_cell` uses.
 

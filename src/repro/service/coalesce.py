@@ -2,14 +2,14 @@
 
 Queued jobs that would each pay a full service round-trip (pool lease,
 worker-thread hop, engine configuration) can instead ride one
-:meth:`~repro.engine.batch.BatchEngine.run_many` call, which runs them
-back to back on one leased engine and — because the group shares one
+:meth:`~repro.engine.simulator.OffloadEngine.run_many` call, which runs
+them back to back on one leased engine and — because the group shares one
 workload — builds the (expensive) kernel inputs once and runs the numeric
 execution once instead of once per job.
 
-Only a service on a virtual-equivalent backend coalesces (the predicate
-that gates the sweep cache, :func:`repro.bench.cache.cell_key`):
-``batch`` is byte-identical to ``virtual`` and to nothing else.
+Only a service on the virtual backend coalesces (the predicate that gates
+the sweep cache, :func:`repro.bench.cache.cell_key`): only the virtual
+engine has ``run_many``.
 
 A job is *coalescible* when batching cannot change its bytes or lose a
 side channel it asked for:
@@ -94,13 +94,13 @@ def group_key(job: "OffloadJob", ids: "tuple[int, ...]") -> "tuple | None":
     return (tuple(ids), fp, job.seed, bool(job.verify))
 
 
-def plan_group(jobs: "list[OffloadJob]") -> tuple[list[OffloadSpec], list[bool]]:
-    """Specs for one coalesced batch, with per-cell numeric-execution flags.
+def plan_group(jobs: "list[OffloadJob]") -> list[OffloadSpec]:
+    """Specs for one coalesced batch; each says whether its cell runs
+    numerics (``execute_numerically``).
 
     A group is a single-workload batch (one :func:`group_key`), so every
     job shares one kernel (``_shared_kernel_specs``).
     """
-    specs = _shared_kernel_specs(
+    return _shared_kernel_specs(
         (None, job.factory, job.policy, job.cutoff_ratio) for job in jobs
     )
-    return specs, [spec.execute_numerically for spec in specs]

@@ -153,7 +153,7 @@ class JobResult:
     ``result`` is None exactly when ``error`` is set.  ``batch_size`` is
     the number of jobs the serving batch carried (1 for a solo run);
     ``coalesced`` is True when the job shared a
-    :meth:`~repro.engine.batch.BatchEngine.run_many` call with others.
+    :meth:`~repro.engine.simulator.OffloadEngine.run_many` call with others.
     ``metrics`` is the job's own isolated registry (cache/coalesce
     markers, plus the full engine span-derived metrics when the job was
     traced); ``tracer`` carries the span stream for traced jobs.

@@ -72,20 +72,18 @@ class _Pending:
     """Internal per-job record threaded from submit to completion."""
 
     __slots__ = (
-        "job", "handle", "ids", "cache_key", "group_key", "backend",
-        "submitted_at", "started_at", "registry", "effective_trace",
-        "tracer",
+        "job", "handle", "ids", "cache_key", "group_key", "submitted_at",
+        "started_at", "registry", "effective_trace", "tracer",
     )
 
     def __init__(self, job: OffloadJob, handle: JobHandle,
                  ids: tuple[int, ...], cache_key: "str | None",
-                 gkey: "tuple | None", backend: str, submitted_at: float):
+                 gkey: "tuple | None", submitted_at: float):
         self.job = job
         self.handle = handle
         self.ids = ids
         self.cache_key = cache_key
         self.group_key = gkey
-        self.backend = backend  # name; ``batch`` once dispatched coalescible
         self.submitted_at = submitted_at
         self.started_at = submitted_at
         self.registry = MetricsRegistry()
@@ -103,12 +101,11 @@ class OffloadService:
             result = (await handle).unwrap()
 
     ``backend`` names the execution backend (``"virtual"`` by default; an
-    unknown name raises :class:`~repro.errors.OffloadError`).  On a
-    virtual-equivalent backend coalescible jobs run on ``"batch"`` (whose
-    results are byte-identical to virtual's); any other backend runs
-    every job itself, uncached.  ``coalesce=False`` disables batching
-    entirely; ``max_batch`` caps how many queued mates one batch may
-    absorb.  ``cache`` is a
+    unknown name raises :class:`~repro.errors.OffloadError`).  On the
+    virtual backend coalescible jobs share one ``run_many`` call on a
+    pooled engine; any other backend runs every job itself, uncached.
+    ``coalesce=False`` disables batching entirely; ``max_batch`` caps how
+    many queued mates one batch may absorb.  ``cache`` is a
     :class:`~repro.bench.cache.SweepCache` (None = the process-wide one;
     ``use_cache=False`` bypasses caching regardless).  ``clock`` is the
     monotonic time source for admission token buckets and latency stamps
@@ -136,8 +133,7 @@ class OffloadService:
         self.backend = backend
         self._backend_name = _backend_name(backend)
         self.pool_size = pool_size
-        # Moving a job onto ``batch`` is only byte-neutral from a backend
-        # that produces the virtual engine's results in the first place.
+        # Only the virtual engine has ``run_many``.
         self.coalesce = coalesce and _virtual_equivalent(backend)
         self.max_batch = max_batch
         self._clock = clock
@@ -252,7 +248,6 @@ class OffloadService:
             job, handle, ids,
             cache_key=self._cache_key(job),
             gkey=group_key(job, ids) if self.coalesce else None,
-            backend=self._backend_name,
             submitted_at=now,
         )
         handle._cancel = lambda: self._cancel_queued(rec)
@@ -315,15 +310,12 @@ class OffloadService:
         rec = group[0]
         if self._expired(rec):
             return
-        backend = self.backend
-        if rec.group_key is not None:
-            backend = rec.backend = "batch"
         if rec.cache_key is not None and not rec.effective_trace:
             hit = self._cache.get(rec.cache_key)
             if hit is not None:
                 self._complete(rec, JobState.DONE, hit, cache_hit=True)
                 return
-        engine = await self._pool.acquire(backend, rec.ids)
+        engine = await self._pool.acquire(self.backend, rec.ids)
         if rec.group_key is not None and self.max_batch > 1:
             # Mates are collected *after* the (possibly long) wait for
             # a pool slot, so a saturated service naturally forms
@@ -334,24 +326,22 @@ class OffloadService:
             )
             for _, mate in mates:
                 if not self._expired(mate):
-                    mate.backend = rec.backend
                     group.append(mate)
             self.metrics.set_gauge(
                 "service_queue_depth", float(len(self._wfq))
             )
-        task = asyncio.create_task(self._run_group(group, backend, engine))
+        task = asyncio.create_task(self._run_group(group, engine))
         self._inflight_tasks.add(task)
         task.add_done_callback(self._inflight_tasks.discard)
 
-    async def _run_group(self, group: list[_Pending], backend: "str | type",
-                         engine: Any) -> None:
+    async def _run_group(self, group: list[_Pending], engine: Any) -> None:
         assert self._pool is not None and self._executor is not None
         started = self._clock()
         for rec in group:
             rec.started_at = started
         if len(group) == 1 and group[0].effective_trace:
             group[0].tracer = Tracer(
-                clock=resolve_backend(backend).clock,
+                clock=resolve_backend(self.backend).clock,
                 metrics=group[0].registry,
             )
         run = self._execute_solo if len(group) == 1 else self._execute_group
@@ -378,7 +368,7 @@ class OffloadService:
         except BaseException as exc:
             self._fail(group, exc)
         finally:
-            self._pool.release(backend, group[0].ids, engine)
+            self._pool.release(self.backend, group[0].ids, engine)
 
     # -- worker-thread execution ----------------------------------------------
 
@@ -407,9 +397,9 @@ class OffloadService:
 
     def _execute_group(self, group: list[_Pending],
                        engine: Any) -> list[OffloadResult]:
-        """Run one coalesced batch on a leased batch engine (worker thread)."""
+        """Run one coalesced batch on a leased engine (worker thread)."""
         jobs = [rec.job for rec in group]
-        specs, _ = plan_group(jobs)
+        specs = plan_group(jobs)
         rt = HompRuntime(self.machine, seed=jobs[0].seed)
         results = rt.parallel_for_many(
             specs, devices=list(group[0].ids), engine=engine
@@ -460,7 +450,7 @@ class OffloadService:
             state=state,
             result=outcome if ok else None,
             error=None if ok else outcome,
-            backend=rec.backend,
+            backend=self._backend_name,
             coalesced=coalesced,
             batch_size=batch_size,
             cache_hit=cache_hit,

@@ -313,7 +313,7 @@ def test_auto_cutoff_cell_is_unkeyed_and_runs(entry):
         anon = run_cell(m, lambda: WorkloadFactory("axpy", seed=1)(), "MODEL_1_AUTO", **kw)
     else:
         named, anon = (
-            run_grid(m, {"axpy": f}, policies=("MODEL_1_AUTO",), workers=0, **kw)
+            run_grid(m, {"axpy": f}, policies=("MODEL_1_AUTO",), **kw)
             .results["axpy"]["MODEL_1_AUTO"]
             for f in (
                 WorkloadFactory("axpy", seed=1),

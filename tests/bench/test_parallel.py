@@ -1,15 +1,19 @@
-"""Parallel grid runner: bit-identical to serial, deterministic ordering,
-graceful fallback for unpicklable factories."""
+"""One way to run a grid: a fault-free, untraced virtual grid runs its
+misses as one ``run_many`` batch, every other grid per cell — and both
+are bit-identical to a per-cell ``run_cell`` loop, in the same order."""
 
 from __future__ import annotations
 
-import os
+import pickle
+import warnings
 
 import pytest
 
-from repro.bench.cache import CACHE_ENV, reset_cache
-from repro.bench.runner import WORKERS_ENV, _default_workers, run_grid
+from repro.bench.cache import CACHE_ENV, SweepCache, reset_cache
+from repro.bench.runner import run_cell, run_grid
 from repro.bench.workloads import BENCH_SCALE_ENV, WorkloadFactory
+from repro.engine.simulator import OffloadEngine
+from repro.engine.threaded import ThreadedEngine
 from repro.engine.trace import OffloadResult
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import gpu4_node
@@ -26,6 +30,18 @@ def tiny_uncached(monkeypatch):
     reset_cache()
 
 
+def _per_cell(machine, ks, policies=POLICIES, **options):
+    """The reference: every cell through ``run_cell`` on a fresh cache."""
+    cache = SweepCache()
+    return {
+        kname: {
+            policy: run_cell(machine, factory, policy, cache=cache, **options)
+            for policy in policies
+        }
+        for kname, factory in ks.items()
+    }
+
+
 def _assert_results_identical(a: OffloadResult, b: OffloadResult) -> None:
     assert a.total_time_s == b.total_time_s
     assert a.reduction == b.reduction
@@ -38,20 +54,19 @@ def _assert_results_identical(a: OffloadResult, b: OffloadResult) -> None:
         assert ta.xfer_out_s == tb.xfer_out_s
         assert ta.chunks == tb.chunks
         assert ta.iters == tb.iters
+    assert pickle.dumps(a) == pickle.dumps(b)
 
 
 def test_parallel_grid_matches_serial_cell_for_cell():
     machine = gpu4_node()
     ks = {n: WorkloadFactory(n) for n in ("axpy", "sum", "stencil")}
-    serial = run_grid(machine, ks, policies=POLICIES, workers=0)
-    parallel = run_grid(machine, ks, policies=POLICIES, workers=4)
-    assert list(serial.results) == list(parallel.results)
+    ref = _per_cell(machine, ks)
+    grid = run_grid(machine, ks, policies=POLICIES)
+    assert list(grid.results) == list(ref)
     for kname in ks:
-        assert list(serial.results[kname]) == list(parallel.results[kname])
+        assert list(grid.results[kname]) == list(POLICIES)
         for policy in POLICIES:
-            _assert_results_identical(
-                serial.results[kname][policy], parallel.results[kname][policy]
-            )
+            _assert_results_identical(ref[kname][policy], grid.results[kname][policy])
 
 
 def test_faulted_grid_matches_serial_cell_for_cell():
@@ -64,12 +79,12 @@ def test_faulted_grid_matches_serial_cell_for_cell():
         DeviceDropout(devid=2, t=0.0005),
         name="mixed",
     )
-    serial = run_grid(machine, ks, policies=POLICIES, workers=0, fault_plan=plan)
-    parallel = run_grid(machine, ks, policies=POLICIES, workers=4, fault_plan=plan)
+    ref = _per_cell(machine, ks, fault_plan=plan)
+    grid = run_grid(machine, ks, policies=POLICIES, fault_plan=plan)
     for kname in ks:
         for policy in POLICIES:
-            a = serial.results[kname][policy]
-            b = parallel.results[kname][policy]
+            a = ref[kname][policy]
+            b = grid.results[kname][policy]
             _assert_results_identical(a, b)
             assert a.meta["faults"] == b.meta["faults"]
 
@@ -82,92 +97,115 @@ def test_parallel_grid_populates_cache(monkeypatch):
     machine = gpu4_node()
     ks = {"axpy": WorkloadFactory("axpy")}
     before = engine_run_count()
-    run_grid(machine, ks, policies=POLICIES, workers=2)
-    # cells ran in pool workers, not this process...
-    assert engine_run_count() == before
-    # ...but the parent stored their results, so the repeat is free
-    run_grid(machine, ks, policies=POLICIES, workers=0)
-    assert engine_run_count() == before
+    grid = run_grid(machine, ks, policies=POLICIES)
+    # one batch ran every cell...
+    assert engine_run_count() == before + len(POLICIES)
+    # ...and stored each one, so the per-cell loop is free and equal
+    for policy in POLICIES:
+        hit = run_cell(machine, ks["axpy"], policy)
+        assert pickle.dumps(hit) == pickle.dumps(grid.results["axpy"][policy])
+    assert engine_run_count() == before + len(POLICIES)
 
 
 def test_lambda_factories_fall_back_to_serial():
+    """An anonymous factory is never cached, but still batches: its cells
+    share one kernel and equal the per-cell loop's."""
     machine = gpu4_node()
-    grid = run_grid(
-        machine,
-        {"axpy": lambda: make_kernel("axpy", 400)},
-        policies=("BLOCK",),
-        workers=4,
-    )
-    assert grid.time_ms("axpy", "BLOCK") > 0
+    ks = {"axpy": lambda: make_kernel("axpy", 400)}
+    ref = _per_cell(machine, ks, ("BLOCK", "MODEL_1_AUTO"))
+    grid = run_grid(machine, ks, policies=("BLOCK", "MODEL_1_AUTO"))
+    for policy in ("BLOCK", "MODEL_1_AUTO"):
+        _assert_results_identical(ref["axpy"][policy], grid.results["axpy"][policy])
 
 
-def test_workers_env_default(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert _default_workers() == 0
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert _default_workers() == 3
-    monkeypatch.setenv(WORKERS_ENV, "junk")
-    assert _default_workers() == 0
-    monkeypatch.setenv(WORKERS_ENV, "-2")
-    assert _default_workers() == 0
+# ---------------------------------------- how a grid runs its misses
 
 
-def test_worker_thread_pins_are_exported():
-    from repro.bench.runner import _pin_worker_threads
+@pytest.fixture()
+def engine_calls(monkeypatch):
+    """Count ``run`` on both engines and ``run_many`` on the virtual one."""
+    calls = {"run": 0, "run_many": 0, "threaded_run": 0}
 
-    saved = {k: os.environ.get(k) for k in ("OMP_NUM_THREADS",)}
-    try:
-        os.environ.pop("OMP_NUM_THREADS", None)
-        _pin_worker_threads()
-        assert os.environ["OMP_NUM_THREADS"] == "1"
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    def counting(cls, name, key):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[key] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(OffloadEngine, "run", "run")
+    counting(OffloadEngine, "run_many", "run_many")
+    counting(ThreadedEngine, "run", "threaded_run")
+    return calls
+
+
+def _grid(**kw):
+    machine = gpu4_node()
+    ks = {n: WorkloadFactory(n) for n in ("axpy", "sum")}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_grid(machine, ks, policies=POLICIES, **kw)
+    return 2 * len(POLICIES), caught
+
+
+@pytest.mark.parametrize("executor", [None, "virtual", "batch"])
+def test_fault_free_virtual_grid_is_one_run_many(engine_calls, executor):
+    _, caught = _grid(executor=executor)
+    assert engine_calls == {"run": 0, "run_many": 1, "threaded_run": 0}
+    assert caught == []
+
+
+def test_faulted_and_threaded_grids_run_per_cell(engine_calls):
+    from repro.faults.plan import FaultPlan, Slowdown
+
+    ncells, _ = _grid(fault_plan=FaultPlan.of(Slowdown(devid=1, factor=2.0)))
+    assert engine_calls == {"run": ncells, "run_many": 0, "threaded_run": 0}
+    _grid(executor="threaded")
+    assert engine_calls == {"run": ncells, "run_many": 0, "threaded_run": ncells}
 
 
 # ---------------------------------------- one miss path, one store loop
 
 MISS_PATHS = {
-    "serial": dict(workers=0),
-    "pool": dict(workers=2),
     "batch": dict(executor="batch"),
-    "traced": dict(workers=0, trace_dir="traces"),
+    "traced": dict(trace_dir="traces"),
 }
 
 
 @pytest.mark.parametrize("how", MISS_PATHS)
 def test_every_miss_path_fills_the_same_grid_and_cache(how, monkeypatch, tmp_path):
-    """Serial, process pool, batch backend and traced sweeps run their
-    misses differently and store them through one loop: every cell
-    pickles identically, cold and warm, and the cache sees the same puts."""
-    import pickle
-
-    from repro.bench.cache import SweepCache
-
+    """Batched and traced sweeps run their misses differently and store
+    them through one loop: every cell pickles identically to the per-cell
+    loop's, cold and warm, and the cache sees the same puts."""
     monkeypatch.setenv(CACHE_ENV, "mem")
     monkeypatch.chdir(tmp_path)
     machine = gpu4_node()
     # one anonymous factory: its cells run but are never stored
-    ks = {"axpy": WorkloadFactory("axpy"), "sum": WorkloadFactory("sum")}
-    if how != "pool":
-        ks["anon"] = lambda: make_kernel("axpy", 2048, seed=3)
+    ks = {
+        "axpy": WorkloadFactory("axpy"),
+        "sum": WorkloadFactory("sum"),
+        "anon": lambda: make_kernel("axpy", 2048, seed=3),
+    }
 
     def sweep(cache, **kw):
         grid = run_grid(machine, ks, policies=POLICIES, cache=cache, **kw)
         assert list(grid.results) == list(ks)
-        # one round trip first: a pool worker's result arrives unpickled,
-        # which re-memoizes equal strings the in-process result shares
         return [
-            (kname, policy, pickle.dumps(pickle.loads(pickle.dumps(result))))
+            (kname, policy, pickle.dumps(result))
             for kname, row in grid.results.items()
             for policy, result in row.items()
         ]
 
     ref_cache = SweepCache()
-    ref = sweep(ref_cache, workers=0)
+    ref = [
+        (kname, policy, pickle.dumps(
+            run_cell(machine, factory, policy, cache=ref_cache)
+        ))
+        for kname, factory in ks.items()
+        for policy in POLICIES
+    ]
     cache = SweepCache()
     assert sweep(cache, **MISS_PATHS[how]) == ref                  # cold
     assert cache.stats.puts == ref_cache.stats.puts == 2 * len(POLICIES)

@@ -1,11 +1,11 @@
-"""Differential tests: the batch backend vs the virtual-time simulator.
+"""Differential tests: the virtual engine's two entry points.
 
-The batch backend's contract is *bit-identity*: every ``OffloadResult`` it
-returns — vectorized or fallen back — must pickle to exactly the bytes the
-``virtual`` backend produces for the same cell.  That is pinned here three
-ways: the backend x (scheduler, kernel) invariant grid from
-``test_differential.py``, whole fig5/fig9 grids through ``run_grid``, and
-the faulted/traced cells that exercise the transparent fallback path.
+``run_many`` (the batch entry point; ``"batch"`` is an alias of
+``"virtual"``) must return, per cell, exactly the bytes ``run`` produces
+for it.  That is pinned here three ways: the entry point x (scheduler,
+kernel) invariant grid from ``test_differential.py``, whole fig5/fig9
+grids through ``run_grid`` (one batch) against a per-cell ``run_cell``
+loop, and the faulted/traced cells, which run per cell under either name.
 """
 
 import pickle
@@ -13,8 +13,10 @@ import pickle
 import pytest
 
 from repro.bench.cache import reset_cache
-from repro.bench.runner import ALL_POLICIES, run_grid, run_one
+from repro.bench.cache import SweepCache
+from repro.bench.runner import ALL_POLICIES, run_cell, run_grid, run_one
 from repro.bench.workloads import WorkloadFactory
+from repro.engine.batch import BatchRequest
 from repro.engine.core import make_backend
 from repro.faults.plan import FaultPlan, Slowdown, TransferError
 from repro.faults.policy import ResiliencePolicy, RetryPolicy
@@ -41,11 +43,16 @@ SIZES = {"matvec": 2_000}
 
 
 def run(backend, policy, kname, *, machine=None, **opts):
+    """One cell: through ``run`` for ``"virtual"``, through a one-request
+    ``run_many`` for ``"batch"``."""
     machine = gpu4_node() if machine is None else machine
     n = SIZES.get(kname, N)
     eng = make_backend(backend, machine, seed=0, collect_chunks=True, **opts)
     kernel = make_kernel(kname, n, seed=7)
-    result = eng.run(kernel, make_scheduler(policy))
+    if backend == "batch":
+        (result,) = eng.run_many([BatchRequest(kernel, make_scheduler(policy))])
+    else:
+        result = eng.run(kernel, make_scheduler(policy))
     return kernel, result, eng
 
 
@@ -69,7 +76,7 @@ def test_batch_bit_identical_to_virtual(policy, kname):
 
 @pytest.fixture()
 def tiny_grid_env(monkeypatch):
-    """Small workloads, no cache: every cell really runs on both backends."""
+    """Small workloads, no cache: every cell really runs on both paths."""
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
     monkeypatch.setenv("REPRO_BENCH_CACHE", "off")
     reset_cache()
@@ -87,19 +94,23 @@ FIG_KERNELS = ("axpy", "matvec", "matmul", "stencil", "sum", "bm")
 def test_full_figure_grid_bit_identical(machine_factory, tiny_grid_env):
     machine = machine_factory()
     ks = {name: WorkloadFactory(name, seed=0) for name in FIG_KERNELS}
-    g_v = run_grid(machine, ks, policies=ALL_POLICIES)
-    g_b = run_grid(machine, ks, policies=ALL_POLICIES, executor="batch")
+    cache = SweepCache()
+    per_cell = {
+        (kname, policy): run_cell(machine, factory, policy, cache=cache)
+        for kname, factory in ks.items() for policy in ALL_POLICIES
+    }
+    g_b = run_grid(machine, ks, policies=ALL_POLICIES)
     for kname in ks:
         for policy in ALL_POLICIES:
-            assert pickle.dumps(g_v.results[kname][policy]) == pickle.dumps(
+            assert pickle.dumps(per_cell[kname, policy]) == pickle.dumps(
                 g_b.results[kname][policy]
             ), f"{machine.name}/{kname}/{policy} diverged"
 
 
 def test_batch_grid_warms_the_shared_cache(monkeypatch):
-    # Batch results are bit-identical to virtual ones, so the two
-    # executors share sweep-cache keys: a batch sweep serves a later
-    # virtual sweep entirely from memory.
+    # "batch" names the virtual engine, so the two names share
+    # sweep-cache keys: a batch sweep serves a later virtual sweep
+    # entirely from memory.
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
     monkeypatch.setenv("REPRO_BENCH_CACHE", "mem")
     reset_cache()
@@ -119,12 +130,12 @@ def test_batch_grid_warms_the_shared_cache(monkeypatch):
         reset_cache()
 
 
-# ------------------------------------------------- fallback pins
+# ------------------------------------------------- per-cell pins
 
 
 def test_faulted_cell_matches_virtual():
-    # A live fault plan disables vectorization; the cell must still come
-    # back byte-for-byte equal to the virtual backend's faulted run.
+    # A faulted cell runs through ``run`` under either name and comes
+    # back byte-for-byte equal.
     plan = FaultPlan.of(
         Slowdown(0, 2.0), TransferError(1, 0.3, seed=11),
     )
@@ -141,8 +152,8 @@ def test_faulted_cell_matches_virtual():
 
 
 def test_traced_cell_matches_virtual_and_emits_spans():
-    # A tracer expects spans at event-loop call sites, so traced cells
-    # fall back — results identical, spans present on both backends.
+    # A traced cell runs through ``run`` under either name — results
+    # identical, spans present on both.
     spans = {}
     results = {}
     for backend in BACKENDS:

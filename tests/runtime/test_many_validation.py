@@ -113,18 +113,21 @@ def test_generator_specs_are_accepted(rt):
 
 
 def test_parallel_for_many_needs_the_batch_backend(gpu4):
-    """The batch form has one run loop, `BatchEngine.run_many`: the
-    default executor is the batch backend, a leased batch engine works,
-    and a backend without `run_many` is refused before anything runs."""
+    """The batch form has one run loop, `OffloadEngine.run_many`: the
+    default executor is the virtual engine, a leased virtual engine and
+    the "batch" alias work, and a backend without `run_many` is refused
+    before anything runs."""
     rt = HompRuntime(gpu4)
     selected = gpu4.subset(range(len(gpu4)))
     (default,) = rt.parallel_for_many([spec()])
     (leased,) = rt.parallel_for_many(
-        [spec()], engine=make_backend("batch", selected)
+        [spec()], engine=make_backend("virtual", selected)
     )
+    (alias,) = rt.parallel_for_many([spec()], executor="batch")
     solo = rt.parallel_for(make_kernel("axpy", 256, seed=0), schedule="BLOCK")
-    assert pickle.dumps(default) == pickle.dumps(leased) == pickle.dumps(solo)
-    for refused in ({"executor": "threaded"},
-                    {"engine": make_backend("virtual", selected)}):
-        with pytest.raises(OffloadError, match="runs on the 'batch' backend"):
+    assert (pickle.dumps(default) == pickle.dumps(leased)
+            == pickle.dumps(alias) == pickle.dumps(solo))
+    for refused in ({"executor": "threaded"}, {"executor": "cluster"},
+                    {"engine": make_backend("threaded", selected)}):
+        with pytest.raises(OffloadError, match="runs on the virtual engine"):
             rt.parallel_for_many([spec()], **refused)

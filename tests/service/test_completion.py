@@ -56,7 +56,7 @@ OUTCOMES = {
     ),
     "done-coalesced": (
         OffloadJob(TMPL, policy="BLOCK", seed=1),
-        JobState.DONE, None, "service_jobs_completed", "batch", True, 2, False,
+        JobState.DONE, None, "service_jobs_completed", "virtual", True, 2, False,
     ),
     "done-from-cache": (
         OffloadJob(TMPL, policy="SCHED_DYNAMIC", seed=2),

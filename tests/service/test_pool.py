@@ -167,19 +167,23 @@ def test_pool_keys_engines_by_backend_and_devices(gpu4):
         pool = EnginePool(gpu4, size=4)
         all_ids = tuple(range(len(gpu4)))
         v = await pool.acquire("virtual", all_ids)
-        b = await pool.acquire("batch", all_ids)
+        t = await pool.acquire("threaded", all_ids)
         sub = await pool.acquire("virtual", (0, 1))
         assert type(v).backend_name == "virtual"
-        assert type(b).backend_name == "batch"
+        assert type(t).backend_name == "threaded"
         assert len(sub.machine) == 2
         # the submachine is built through MachineSpec.subset — the exact
         # path parallel_for takes, so pooled results match direct ones
         assert sub.machine.to_dict() == gpu4.subset([0, 1]).to_dict()
         for backend, ids, eng in (
-            ("virtual", all_ids, v), ("batch", all_ids, b),
+            ("virtual", all_ids, v), ("threaded", all_ids, t),
             ("virtual", (0, 1), sub),
         ):
             pool.release(backend, ids, eng)
+        assert pool.created == 3
+        # a key is the resolved class: "batch" names the virtual engine,
+        # so it leases the freed virtual engine instead of building one
+        assert await pool.acquire("batch", all_ids) is v
         assert pool.created == 3
 
     asyncio.run(main())

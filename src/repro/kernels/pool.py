@@ -43,8 +43,8 @@ _BASE: "OrderedDict[Hashable, dict[str, np.ndarray]]" = OrderedDict()
 _REFS: "OrderedDict[Hashable, dict | float]" = OrderedDict()
 _HITS = 0
 _MISSES = 0
-#: Service worker threads build kernels concurrently; the lock keeps the
-#: LRU bookkeeping coherent and each entry made exactly once per key.
+#: Callers on several threads may build kernels concurrently; the lock
+#: keeps the LRU bookkeeping coherent and each entry made once per key.
 _LOCK = threading.Lock()
 
 

@@ -1,7 +1,7 @@
 """Batch coalescing rules for the offload service.
 
 Queued jobs that would each pay a full service round-trip (pool lease,
-worker-thread hop, engine configuration) can instead ride one
+loop turn, engine configuration) can instead ride one
 :meth:`~repro.engine.simulator.OffloadEngine.run_many` call, which runs
 them back to back on one leased engine and — because the group shares one
 workload — builds the (expensive) kernel inputs once and runs the numeric

@@ -107,7 +107,7 @@ class OffloadJob:
             )
         if self.cutoff_ratio != "auto":
             # The runtime's rule (HompRuntime._resolve_cutoff): a job
-            # admitted here must not fail on a worker thread for its ratio.
+            # admitted here must not fail mid-run for its ratio.
             try:
                 parse_cutoff_ratio(self.cutoff_ratio, "job ")
             except SchedulingError as exc:

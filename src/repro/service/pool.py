@@ -3,8 +3,8 @@
 Execution backends are sequentially reusable but never concurrently
 shareable: :class:`~repro.engine.core.EngineBase` guards ``run()`` with a
 run gate that raises :class:`~repro.errors.EngineBusyError` on overlap.
-The pool turns that contract into throughput: up to ``size`` offloads run
-at once, each on an engine it holds *exclusively* for the duration of the
+The pool turns that contract into reuse: up to ``size`` leases are held
+at once, each on an engine held *exclusively* for the duration of the
 lease, and engines are returned to a free list instead of being rebuilt
 per job (engine construction is cheap, but reuse keeps the pool's
 concurrency accounting honest, the way a real device queue would be
@@ -18,9 +18,8 @@ direct run's.  Per-run options (seed, numeric execution, fault plans,
 tracers) are applied through the engine's ``configured()`` lease by
 ``parallel_for(engine=...)``, never baked into the pooled instance.
 
-The pool is an asyncio object: ``acquire`` awaits a semaphore slot on the
-event loop; the engine then runs on a worker thread while the loop keeps
-dispatching.  All bookkeeping happens on the loop thread.
+The pool is an asyncio object: ``acquire`` awaits a semaphore slot, and
+the engine then runs on the event loop like everything else.
 """
 
 from __future__ import annotations

@@ -5,14 +5,14 @@ one dispatcher coroutine.  Submissions flow::
 
     submit(job) --admission--> weighted-fair queue --dispatcher-->
         sweep-cache fast path
-        | engine-pool lease --worker thread--> parallel_for(engine=...)
-        | batch coalescing  --worker thread--> parallel_for_many(engine=...)
+        | engine-pool lease --group task--> parallel_for(engine=...)
+        | batch coalescing  --group task--> parallel_for_many(engine=...)
 
-Threading model: *all* service state — queue, admission counters,
-aggregate metrics, sweep cache — is touched only on the event-loop
-thread.  Worker threads (one small :class:`~concurrent.futures.
-ThreadPoolExecutor`) run exactly the CPU-bound engine call on an engine
-they hold exclusively through the pool lease, so the engines' run gate
+Threading model: one thread, the event loop's, runs everything — queue,
+admission, metrics, sweep cache and the engine call.  The engines are
+pure Python under the GIL, so a worker thread would add a hand-off but
+no parallelism.  A group's task yields once, then runs to completion on
+an engine it holds exclusively through the pool lease, so the run gate
 (:class:`~repro.errors.EngineBusyError`) can never fire through the
 service.
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.bench.cache import (
@@ -155,7 +154,6 @@ class OffloadService:
         self._accepting = False
         self._unfinished = 0
         self._pool: EnginePool | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._dispatcher: asyncio.Task | None = None
         self._wake: asyncio.Event | None = None
         self._idle: asyncio.Event | None = None
@@ -167,9 +165,6 @@ class OffloadService:
         if self._running:
             raise ServiceError("service is already running")
         self._pool = EnginePool(self.machine, size=self.pool_size)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.pool_size, thread_name_prefix="repro-service"
-        )
         self._wake = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -195,7 +190,7 @@ class OffloadService:
         self._accepting = False
         if drain:
             await self.drain()
-        assert self._dispatcher is not None and self._executor is not None
+        assert self._dispatcher is not None
         self._dispatcher.cancel()
         try:
             await self._dispatcher
@@ -208,7 +203,6 @@ class OffloadService:
             )
         if self._inflight_tasks:
             await asyncio.gather(*self._inflight_tasks, return_exceptions=True)
-        self._executor.shutdown(wait=True)
         self._running = False
 
     async def __aenter__(self) -> "OffloadService":
@@ -298,14 +292,14 @@ class OffloadService:
                 )
                 raise
             except Exception as exc:
-                # A raise before the hand-off (say, a backend that cannot be
-                # built) fails that job; the queue behind it is still served.
+                # A raise before the group task (say, a backend that cannot
+                # be built) fails that job; the queue behind it is served.
                 self._fail(group, exc)
 
     async def _dispatch(self, group: "list[_Pending]") -> None:
         """Serve the popped ``group[0]``: expire it, answer it from the
         cache, or lease an engine, gather its mates into ``group`` and
-        hand the group to a worker."""
+        start the group's task."""
         assert self._pool is not None
         rec = group[0]
         if self._expired(rec):
@@ -335,7 +329,7 @@ class OffloadService:
         task.add_done_callback(self._inflight_tasks.discard)
 
     async def _run_group(self, group: list[_Pending], engine: Any) -> None:
-        assert self._pool is not None and self._executor is not None
+        assert self._pool is not None
         started = self._clock()
         for rec in group:
             rec.started_at = started
@@ -346,9 +340,8 @@ class OffloadService:
             )
         run = self._execute_solo if len(group) == 1 else self._execute_group
         try:
-            results = await asyncio.get_running_loop().run_in_executor(
-                self._executor, run, group, engine
-            )
+            await asyncio.sleep(0)  # one turn for clients between groups
+            results = run(group, engine)
             self.metrics.inc("service_engine_runs")
             if len(group) > 1:
                 self.metrics.inc("service_batches")
@@ -370,11 +363,11 @@ class OffloadService:
         finally:
             self._pool.release(self.backend, group[0].ids, engine)
 
-    # -- worker-thread execution ----------------------------------------------
+    # -- engine execution (one group per loop turn) ---------------------------
 
     def _execute_solo(self, group: list[_Pending],
                       engine: Any) -> list[OffloadResult]:
-        """Run one job on its leased engine (worker thread)."""
+        """Run one job on its leased engine."""
         (rec,) = group
         job = rec.job
         rt = HompRuntime(self.machine, seed=job.seed)
@@ -397,7 +390,7 @@ class OffloadService:
 
     def _execute_group(self, group: list[_Pending],
                        engine: Any) -> list[OffloadResult]:
-        """Run one coalesced batch on a leased engine (worker thread)."""
+        """Run one coalesced batch on a leased engine."""
         jobs = [rec.job for rec in group]
         specs = plan_group(jobs)
         rt = HompRuntime(self.machine, seed=jobs[0].seed)
@@ -411,7 +404,7 @@ class OffloadService:
         )
         return results
 
-    # -- completion (event-loop thread) ---------------------------------------
+    # -- completion ------------------------------------------------------------
 
     def _complete(self, rec: _Pending, state: JobState,
                   outcome: "OffloadResult | BaseException", *,

@@ -75,16 +75,10 @@ def test_queue_depth_gauge_returns_to_zero(gpu4):
 def test_admission_rejections_are_counted_per_tenant(gpu4):
     """Exactly 4 of 6 submits bounce off a max_in_flight=2 quota.
 
-    A factory blocked on an Event keeps the first job in flight for the
-    whole submit loop, making the rejection count deterministic.
+    ``submit`` never yields, so the submit loop runs to its end before the
+    dispatcher gets a turn: admission alone holds the first two slots for
+    the whole loop, making the rejection count deterministic.
     """
-    import threading
-
-    gate = threading.Event()
-
-    def blocked_factory():
-        gate.wait(timeout=30)
-        return TMPL()
 
     async def main():
         async with OffloadService(
@@ -93,17 +87,14 @@ def test_admission_rejections_are_counted_per_tenant(gpu4):
             default_quota=TenantQuota(max_in_flight=64),
         ) as svc:
             rejected = 0
-            handles = [await svc.submit(OffloadJob(
-                blocked_factory, policy="BLOCK", tenant="greedy", tag="g0",
-            ))]
-            for i in range(1, 6):
+            handles = []
+            for i in range(6):
                 try:
                     handles.append(await svc.submit(job(tenant="greedy",
                                                         tag=f"g{i}")))
                 except AdmissionError as exc:
                     assert exc.reason == "in_flight"
                     rejected += 1
-            gate.set()
             await asyncio.gather(*(h.wait() for h in handles))
             return rejected, svc.metrics.snapshot()
 

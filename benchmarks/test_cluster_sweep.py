@@ -1,7 +1,7 @@
 """512-device cluster sweep: flat restaging vs ALIGN'd hierarchical BLOCK.
 
-Runs a 64-node x 8-GPU cluster (512 devices) through the ``cluster``
-backend under three fabric tiers (10GbE, 100GbE, InfiniBand EDR) and two
+Runs a 64-node x 8-GPU cluster (512 devices) through ``run_cluster``
+under three fabric tiers (10GbE, 100GbE, InfiniBand EDR) and two
 kernels, comparing the two placement modes:
 
 * **head** (the flat-BLOCK baseline) — the host image lives on the head
@@ -31,7 +31,7 @@ import pickle
 
 import pytest
 
-from repro.cluster import ClusterEngine, gpu_cluster
+from repro.cluster import ClusterSpec, gpu_cluster, run_cluster
 from repro.engine import make_backend
 from repro.kernels import make_kernel
 from repro.machine.interconnect import (
@@ -56,8 +56,10 @@ WORKLOADS = (
 
 
 def _run(cluster, placement, kernel_name, n):
-    eng = ClusterEngine.for_cluster(cluster, placement=placement)
-    res = eng.run(make_kernel(kernel_name, n), make_scheduler("BLOCK"))
+    res = run_cluster(
+        cluster, make_kernel(kernel_name, n), make_scheduler("BLOCK"),
+        placement=placement,
+    )
     cl = res.meta["cluster"]
     return {
         "total_s": res.total_time_s,
@@ -158,13 +160,14 @@ def test_cluster_sweep(results_dir):
 
 @pytest.mark.parametrize("policy", ["BLOCK", "SCHED_DYNAMIC"])
 def test_cluster_identity_smoke_64dev(policy):
-    """64 devices, one node: the cluster backend is bit-identical to
+    """64 devices, one node: ``run_cluster`` is bit-identical to
     ``virtual`` — the CI smoke for the scale-down pin."""
     machine = gpu_cluster(8, 8).flatten()
     assert len(machine) == 64
+    cluster = ClusterSpec(name=machine.name, nodes=(machine,))
 
     kv = make_kernel("axpy", 256_000)
     kc = make_kernel("axpy", 256_000)
     rv = make_backend("virtual", machine).run(kv, make_scheduler(policy))
-    rc = make_backend("cluster", machine).run(kc, make_scheduler(policy))
+    rc = run_cluster(cluster, kc, make_scheduler(policy))
     assert pickle.dumps(rv) == pickle.dumps(rc)

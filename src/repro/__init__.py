@@ -19,10 +19,10 @@ Quickstart::
 """
 
 from repro.cluster import (
-    ClusterEngine,
     ClusterSpec,
     gpu_cluster,
     homogeneous_cluster,
+    run_cluster,
 )
 from repro.engine import (
     DeviceTrace,
@@ -103,7 +103,6 @@ __all__ = [
     "DeviceTrace",
     "OffloadEngine",
     "ThreadedEngine",
-    "ClusterEngine",
     "OffloadResult",
     "register_backend",
     "backend_names",
@@ -158,6 +157,7 @@ __all__ = [
     "ClusterSpec",
     "gpu_cluster",
     "homogeneous_cluster",
+    "run_cluster",
     # runtime
     "HompRuntime",
     "TargetDataRegion",

@@ -5,18 +5,19 @@
   fabric :class:`~repro.machine.interconnect.Link`, with JSON round-trip
   and presets (:func:`~repro.cluster.spec.gpu_cluster`,
   :func:`~repro.cluster.spec.homogeneous_cluster`).
-* :class:`~repro.cluster.engine.ClusterEngine` — the ``"cluster"``
-  execution backend: node-level BLOCK/weighted split, intra-node engines
-  per shard, fabric staging charged through the node-level residency
-  ledger.  A single-node cluster is bit-identical to ``"virtual"``.
+* :func:`~repro.cluster.engine.run_cluster` — a function, not a
+  registered backend: node-level BLOCK split, one ``"virtual"`` engine
+  per node shard, fabric staging charged through the node-level
+  residency ledger.  A single-node cluster is bit-identical to
+  ``"virtual"``.
 """
 
 from repro.cluster.spec import ClusterSpec, gpu_cluster, homogeneous_cluster
-from repro.cluster.engine import ClusterEngine
+from repro.cluster.engine import run_cluster
 
 __all__ = [
     "ClusterSpec",
-    "ClusterEngine",
+    "run_cluster",
     "gpu_cluster",
     "homogeneous_cluster",
 ]

@@ -23,13 +23,13 @@ matching :meth:`ClusterSpec.flatten` — the single flat
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.errors import MachineSpecError
 from repro.machine.interconnect import INFINIBAND_EDR, Link
 from repro.machine.presets import k40_spec
-from repro.machine.spec import DeviceSpec, MachineSpec, _check_keys
+from repro.machine.spec import MachineSpec, _check_keys
 
 __all__ = ["ClusterSpec", "gpu_cluster", "homogeneous_cluster"]
 
@@ -66,9 +66,6 @@ class ClusterSpec:
     def n_devices(self) -> int:
         return sum(len(node) for node in self.nodes)
 
-    def device_counts(self) -> tuple[int, ...]:
-        return tuple(len(node) for node in self.nodes)
-
     def node_base(self, node: int) -> int:
         """Global device id of node ``node``'s first device."""
         if not 0 <= node < len(self.nodes):
@@ -76,23 +73,6 @@ class ClusterSpec:
                 f"node id {node} out of range for cluster {self.name!r}"
             )
         return sum(len(n) for n in self.nodes[:node])
-
-    def node_of(self, global_devid: int) -> int:
-        """Which node a global device id belongs to."""
-        base = 0
-        for k, node in enumerate(self.nodes):
-            if global_devid < base + len(node):
-                if global_devid < base:
-                    break
-                return k
-            base += len(node)
-        raise MachineSpecError(
-            f"device id {global_devid} out of range for cluster {self.name!r}"
-        )
-
-    def local_id(self, global_devid: int) -> int:
-        """A global device id's index within its own node."""
-        return global_devid - self.node_base(self.node_of(global_devid))
 
     def flatten(self) -> MachineSpec:
         """The single flat machine the runtime sees (node-major device
@@ -180,23 +160,6 @@ class ClusterSpec:
 # Presets
 # ---------------------------------------------------------------------------
 
-def _renamed(spec: DeviceSpec, name: str) -> DeviceSpec:
-    return DeviceSpec(
-        name=name,
-        dev_type=spec.dev_type,
-        sustained_gflops=spec.sustained_gflops,
-        mem_bandwidth_gbs=spec.mem_bandwidth_gbs,
-        model_gflops=spec.model_gflops,
-        link=spec.link,
-        memory=spec.memory,
-        launch_overhead_s=spec.launch_overhead_s,
-        sched_overhead_s=spec.sched_overhead_s,
-        setup_overhead_s=spec.setup_overhead_s,
-        pcie_group=spec.pcie_group,
-        noise=spec.noise,
-    )
-
-
 def homogeneous_cluster(
     n_nodes: int,
     node: MachineSpec,
@@ -212,7 +175,7 @@ def homogeneous_cluster(
         MachineSpec(
             name=f"n{k}/{node.name}",
             devices=tuple(
-                _renamed(d, f"n{k}/{d.name}") for d in node.devices
+                replace(d, name=f"n{k}/{d.name}") for d in node.devices
             ),
         )
         for k in range(n_nodes)

@@ -11,7 +11,6 @@ from repro.dist.policy import (
 )
 from repro.dist.distribution import DimDistribution, ArrayDistribution
 from repro.dist.align import AlignmentGraph
-from repro.dist.hierarchy import node_shards
 from repro.dist.nested import TileDistribution, device_grid
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "DimDistribution",
     "ArrayDistribution",
     "AlignmentGraph",
-    "node_shards",
     "TileDistribution",
     "device_grid",
 ]

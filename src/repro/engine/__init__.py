@@ -19,11 +19,9 @@ scheduling of events in time and register themselves by name:
 * ``"threaded"`` — :class:`~repro.engine.threaded.ThreadedEngine` runs
   one real host thread per device on a wall clock, with the same
   fault/resilience semantics.
-* ``"cluster"`` — :class:`~repro.cluster.engine.ClusterEngine` splits
-  the loop across the nodes of a :class:`~repro.cluster.spec.ClusterSpec`
-  and runs each shard on an intra-node ``"virtual"`` engine, charging
-  cross-node staging to the inter-node fabric; a single-node cluster is
-  bit-identical to ``"virtual"``.
+
+A multi-node cluster is not a backend: :func:`~repro.cluster.engine.
+run_cluster` composes one ``"virtual"`` engine per node.
 
 Select a backend with ``HompRuntime.parallel_for(executor=...)`` or
 build one directly via :func:`~repro.engine.core.make_backend`.
@@ -47,10 +45,6 @@ from repro.engine.simulator import OffloadEngine
 from repro.engine.threaded import ThreadedEngine
 from repro.engine.batch import BatchRequest
 from repro.engine.events import ChunkEvent, Timeline, render_timeline
-# Last, as a plain module import: the cluster backend composes the
-# intra-node engine above, and binding its class here would fail when an
-# import chain *starts* from repro.cluster (the module is mid-init then).
-import repro.cluster.engine  # noqa: F401  (registers the "cluster" backend)
 
 __all__ = [
     "DeviceTrace",

@@ -1017,21 +1017,6 @@ class EngineBase:
         )
         return core
 
-    def _delegate(self, cls: type, **overrides: Any):
-        """A ``cls`` engine configured like this one, ``overrides`` applied.
-
-        Every field the two backends share is copied — how a cluster
-        node runs on the virtual engine.
-        """
-        mine = {f.name for f in dataclass_fields(self)}
-        options = {
-            f.name: getattr(self, f.name)
-            for f in dataclass_fields(cls)
-            if f.name in mine
-        }
-        options.update(overrides)
-        return cls(**options)
-
     @property
     def busy(self) -> bool:
         """Whether a ``run()`` is currently in flight on this engine."""

@@ -154,7 +154,7 @@ class Tracer:
     ) -> "_BoundTracer":
         """A view that stamps ``labels`` on every span emitted through it.
 
-        The cluster backend binds ``node=<k>`` with the node's global
+        The cluster runner binds ``node=<k>`` with the node's global
         device-id base and its staging delay (how exporters tell apart
         same-named devices on different nodes, on one cluster timeline);
         the stream runner binds ``batch=<k>`` with no offsets, since

@@ -21,6 +21,7 @@ the one back half (``_run_bound``: CUTOFF -> ``OffloadInfo`` ->
 
 from __future__ import annotations
 
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -158,7 +159,11 @@ class HompRuntime:
             return list(range(len(self.machine)))
         if isinstance(devices, str):
             return parse_device_clause(devices, self.machine)
-        ids = list(devices)
+        ids = []
+        for raw in devices:
+            if isinstance(raw, bool) or not hasattr(type(raw), "__index__"):
+                raise DeviceError(f"device id {raw!r} is not an integer")
+            ids.append(operator.index(raw))
         seen: set[int] = set()
         for i in ids:
             if not 0 <= i < len(self.machine):

@@ -1,8 +1,8 @@
 """Job and result types for the offload service.
 
 An :class:`OffloadJob` is everything one offload needs, deferred: a
-zero-arg kernel *factory* (the kernel itself is built on the worker that
-runs the job — kernels are mutable and must not be shared between jobs),
+zero-arg kernel *factory* (the kernel itself is built when the job
+runs — kernels are mutable and must not be shared between jobs),
 a scheduling policy, a tenant identity for admission and fairness, and
 the optional knobs :meth:`~repro.runtime.runtime.HompRuntime.parallel_for`
 accepts (CUTOFF, device selection, fault plan, tracing).

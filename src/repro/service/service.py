@@ -29,8 +29,8 @@ Cache interop: a job's sweep-cache key is :func:`repro.bench.cache.
 cell_key`'s — the rule ``run_cell`` and ``run_grid`` ask — so a grid
 sweep warms the cache for the service and vice versa.  Traced jobs
 bypass cache reads (a hit has no spans to give) but still populate.  On
-a backend that is not virtual-equivalent (``threaded``, ``cluster``) the
-service neither caches nor coalesces: every job runs where it was asked.
+a backend that is not virtual-equivalent (``threaded``) the service
+neither caches nor coalesces: every job runs where it was asked.
 """
 
 from __future__ import annotations

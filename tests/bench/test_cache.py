@@ -287,12 +287,11 @@ def test_cell_key_is_result_key_for_a_keyed_cell():
     "change",
     [
         {"executor": "threaded"},
-        {"executor": "cluster"},
         {"cutoff_ratio": "auto"},
         {"policy": object()},
         {"factory": lambda: None},
     ],
-    ids=["threaded", "cluster", "auto-cutoff", "policy-object", "lambda"],
+    ids=["threaded", "auto-cutoff", "policy-object", "lambda"],
 )
 def test_cell_key_leaves_a_cell_unkeyed(change):
     from repro.bench.cache import cell_key

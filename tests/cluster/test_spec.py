@@ -13,23 +13,15 @@ class TestGeometry:
         c = gpu_cluster(4, 2)
         assert c.n_nodes == 4
         assert c.n_devices == 8
-        assert c.device_counts() == (2, 2, 2, 2)
 
     def test_node_base_is_node_major(self):
         c = gpu_cluster(3, 4)
         assert [c.node_base(k) for k in range(3)] == [0, 4, 8]
 
-    def test_node_of_and_local_id(self):
-        c = gpu_cluster(3, 4)
-        assert c.node_of(0) == 0
-        assert c.node_of(5) == 1
-        assert c.local_id(5) == 1
-        assert c.node_of(11) == 2
-
     def test_out_of_range_ids_rejected(self):
         c = gpu_cluster(2, 2)
         with pytest.raises(MachineSpecError):
-            c.node_of(4)
+            c.node_base(-1)
         with pytest.raises(MachineSpecError):
             c.node_base(2)
 
@@ -78,7 +70,7 @@ class TestPresets:
                 homogeneous_cluster(2, full_node()).nodes[1],
             ),
         )
-        assert c.device_counts() == (4, len(full_node()))
+        assert [len(node) for node in c.nodes] == [4, len(full_node())]
 
     def test_gpu_cluster_default_fabric(self):
         assert gpu_cluster(2, 2).fabric == INFINIBAND_EDR

@@ -122,7 +122,7 @@ class TestRegistry:
     def test_batch_backend_registered_without_aliases(self):
         # "batch" is an alias of the virtual engine, not a backend of its
         # own: run_many is one of OffloadEngine's two entry points.
-        assert backend_names() == ("cluster", "threaded", "virtual")
+        assert backend_names() == ("threaded", "virtual")
         assert resolve_backend("batch") is OffloadEngine
         assert callable(OffloadEngine.run_many)
         # The batch entry point has no further names.

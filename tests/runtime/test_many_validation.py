@@ -127,7 +127,7 @@ def test_parallel_for_many_needs_the_batch_backend(gpu4):
     solo = rt.parallel_for(make_kernel("axpy", 256, seed=0), schedule="BLOCK")
     assert (pickle.dumps(default) == pickle.dumps(leased)
             == pickle.dumps(alias) == pickle.dumps(solo))
-    for refused in ({"executor": "threaded"}, {"executor": "cluster"},
+    for refused in ({"executor": "threaded"},
                     {"engine": make_backend("threaded", selected)}):
         with pytest.raises(OffloadError, match="runs on the virtual engine"):
             rt.parallel_for_many([spec()], **refused)

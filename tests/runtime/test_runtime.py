@@ -42,6 +42,20 @@ class TestDeviceSelection:
         with pytest.raises(DeviceError):
             rt.select_devices([])
 
+    def test_integer_like_ids_accepted(self, rt):
+        assert rt.select_devices([np.int64(1), np.int32(3)]) == [1, 3]
+        assert all(type(i) is int for i in rt.select_devices([np.int64(1)]))
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, 1.0, 1.5, "1", None])
+    def test_non_integer_id_rejected(self, bad):
+        """``True`` used to select device 1 (a submachine named
+        ``gpu4[True]``); floats failed with a raw ``TypeError``."""
+        rt = HompRuntime(gpu4_node())
+        with pytest.raises(DeviceError, match=re.escape(f"device id {bad!r}")):
+            rt.select_devices([0, bad])
+        with pytest.raises(DeviceError, match="not an integer"):
+            rt.parallel_for(make_kernel("axpy", 1000), devices=[bad])
+
     def test_duplicate_id_rejected(self, rt):
         with pytest.raises(DeviceError, match="device id 2 selected more than once"):
             rt.select_devices([1, 2, 2])

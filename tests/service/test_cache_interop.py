@@ -130,7 +130,7 @@ def test_traced_jobs_bypass_reads_but_populate(gpu4, memcache):
 
 @pytest.mark.parametrize(
     "backend, clock, cached",
-    [("virtual", "virtual", 1), ("cluster", "virtual", 0), ("threaded", "wall", 0)],
+    [("virtual", "virtual", 1), ("threaded", "wall", 0)],
 )
 def test_traced_job_clock_is_the_backends_cacheability_is_not(
     gpu4, memcache, backend, clock, cached

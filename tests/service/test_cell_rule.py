@@ -3,7 +3,7 @@
 
 :func:`repro.bench.cache.cell_key` decides which job has a sweep-cache key;
 its virtual-equivalent predicate also decides whether the service may
-coalesce.  A ``threaded``/``cluster`` service therefore runs every job on
+coalesce.  A ``threaded`` service therefore runs every job on
 the backend its operator asked for: never cached, never rerouted.
 """
 
@@ -36,7 +36,7 @@ def serve(machine, jobs, **svc_kwargs):
     return asyncio.run(main())
 
 
-@pytest.mark.parametrize("backend", ["threaded", "cluster"])
+@pytest.mark.parametrize("backend", ["threaded"])
 def test_non_virtual_service_never_reroutes_to_batch(gpu4, monkeypatch, backend):
     """Fingerprinted static-policy jobs used to run on ``batch`` whatever
     the service's backend: a virtual-time answer to a wall-clock question."""

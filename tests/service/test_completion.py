@@ -3,7 +3,7 @@
 Every admitted job ends in exactly one of five terminal outcomes; each
 must fill the same :class:`~repro.service.job.JobResult` envelope, count
 itself once and release the tenant's admission slot once — whichever way
-the job ended.  A failure *before* the worker hand-off (a backend that
+the job ended.  A failure *before* the engine runs (a backend that
 cannot be constructed) is that job's failure, not the dispatcher's.
 """
 

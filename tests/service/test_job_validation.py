@@ -50,7 +50,7 @@ def test_cutoff_auto_is_accepted():
 
 def test_cutoff_interval_is_the_runtimes_on_both_entry_points(gpu4):
     """[0, 1): 1.0 used to be admitted by the service, hold a queue slot
-    and only fail on a worker thread with the runtime's SchedulingError."""
+    and only fail when its group ran, with the runtime's SchedulingError."""
     rt = HompRuntime(gpu4, execute_numerically=False)
     assert rt.parallel_for(TMPL(), schedule="MODEL_1_AUTO", cutoff_ratio=0.999)
     with pytest.raises(SchedulingError, match=r"\[0, 1\)"):

@@ -53,7 +53,6 @@ def serve(machine, backend, policies):
     ("virtual", ["SCHED_DYNAMIC"], 1),
     ("virtual", ["BLOCK", "MODEL_1_AUTO"], 2),
     ("threaded", ["BLOCK"], 1),
-    ("cluster", ["BLOCK"], 1),
 ])
 def test_jobs_run_on_the_loop_thread(gpu4, backend, policies, batch_size):
     loop_ident, idents, results, names = serve(gpu4, backend, policies)

@@ -14,7 +14,6 @@ import sys
 import pytest
 
 from repro.apps import OnlineSumKernel
-from repro.cluster import ClusterEngine
 from repro.engine.batch import BatchEngine
 from repro.engine.core import EngineBase, make_backend
 from repro.engine.simulator import OffloadEngine
@@ -129,7 +128,7 @@ def test_backends_declare_whether_their_batches_pipeline():
 
     assert OffloadEngine.pipelined and BatchEngine.pipelined
     assert pipelined("virtual") is True and pipelined("batch") is True
-    assert pipelined("threaded") is False and pipelined(ClusterEngine) is False
+    assert pipelined("threaded") is False
 
 
 # ------------------------------------------------- identity pins

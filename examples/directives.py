@@ -11,13 +11,20 @@ loop (``partition([ALIGN(loop)])``).
 
 Both directive strings below are, modulo whitespace, the ones printed in
 the paper; ``repro.lang`` parses them into the runtime's offload objects.
+Each is then rendered back to pragma text and re-parsed, the
+source-to-source round trip OMP2HMPP builds on.
+
+The last directive carries HSTREAM's ``stream(batches=N, window=W)``
+clause: the loop runs as N batches over a sliding window of rows, with
+the mapped data kept resident on the devices between batches.
 
 Run:  python examples/directives.py
 """
 
 import numpy as np
 
-from repro import HompRuntime, full_node, make_kernel, parse_directive
+from repro import HompRuntime, full_node, gpu4_node, make_kernel, parse_directive
+from repro.lang.render import render_directive
 
 V1 = """
 #pragma omp parallel target device (*) \\
@@ -33,6 +40,12 @@ V2 = """
 """
 V2_LOOP = "#pragma omp parallel for distribute dist_schedule(target:[AUTO])"
 
+STREAM = (
+    "#pragma omp parallel target device(0:2) "
+    "map(to: u_in[0:n][0:m] partition([BLOCK],[FULL]) halo(3,3)) "
+    "stream(batches=4, window=8)"
+)
+
 
 def show(directive) -> None:
     print(f"  directives: {' '.join(directive.directives)}")
@@ -40,6 +53,13 @@ def show(directive) -> None:
     for m in directive.maps:
         pol = ", ".join(str(p) for p in m.policies) or "(scalar)"
         print(f"  map {m.direction.value:6s} {m.name:3s} partition [{pol}]")
+
+
+def round_trip(directive) -> None:
+    """Render a parsed directive back to text; the text parses to it."""
+    text = render_directive(directive)
+    print(f"  rendered:   {text}")
+    print(f"  round trip: {parse_directive(text) == directive}")
 
 
 def run(name: str, data_directive: str, loop_directive: str) -> None:
@@ -56,6 +76,7 @@ def run(name: str, data_directive: str, loop_directive: str) -> None:
     # data clauses from the target directive, schedule from the loop one.
     merged = d_data
     merged.dist_schedule = d_loop.dist_schedule
+    round_trip(merged)
     result = runtime.offload(merged, kernel)
     ok = np.allclose(kernel.arrays["y"], kernel.reference()["y"])
     print(
@@ -65,9 +86,25 @@ def run(name: str, data_directive: str, loop_directive: str) -> None:
     print()
 
 
+def stream() -> None:
+    print("== stencil under a stream clause (HSTREAM) ==")
+    directive = parse_directive(STREAM)
+    print(f"  stream:     batches={directive.stream.batches}, "
+          f"window={directive.stream.window}")
+    round_trip(directive)
+    kernel = make_kernel("stencil", 64, seed=2)
+    result = HompRuntime(gpu4_node()).offload(STREAM, kernel)
+    print(
+        f"  -> {result.algorithm}: {len(result.results)} batches streamed in "
+        f"{result.total_time_s * 1e3:.3f} ms"
+    )
+    print()
+
+
 def main() -> None:
     run("axpy_homp_v1 (align computation with data)", V1, V1_LOOP)
     run("axpy_homp_v2 (align data with computation)", V2, V2_LOOP)
+    stream()
 
 
 if __name__ == "__main__":

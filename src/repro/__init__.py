@@ -29,9 +29,7 @@ from repro.engine import (
     OffloadEngine,
     OffloadResult,
     ThreadedEngine,
-    backend_names,
     make_backend,
-    register_backend,
 )
 from repro.errors import (
     AlignmentError,
@@ -104,8 +102,6 @@ __all__ = [
     "OffloadEngine",
     "ThreadedEngine",
     "OffloadResult",
-    "register_backend",
-    "backend_names",
     "make_backend",
     # errors
     "HompError",

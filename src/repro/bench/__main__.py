@@ -73,17 +73,16 @@ def main(argv: list[str] | None = None) -> int:
         "--executor",
         metavar="NAME",
         help=(
-            "execution backend for grid cells (see repro.engine.core "
-            "backend_names(); default: the virtual-time simulator — the "
-            "only backend whose timings reproduce the paper's figures; "
-            "wall-clock backends bypass the sweep cache)"
+            "execution backend for grid cells: virtual (default; the "
+            "virtual-time simulator, the only backend whose timings "
+            "reproduce the paper's figures), batch (the same engine) or "
+            "threaded (wall clock; bypasses the sweep cache)"
         ),
     )
     args = parser.parse_args(argv)
 
     if args.executor is not None:
-        # Fail fast against the live backend registry: a typo'd name dies
-        # here with the registered names and alias->target pairs instead
+        # Fail fast: a typo'd name dies here with the valid names instead
         # of deep inside the first grid cell.
         try:
             resolve_backend(args.executor)

@@ -118,22 +118,6 @@ def result_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _backend_name(backend: "str | type | None") -> str:
-    """Registry name of an ``executor=`` / ``backend=`` value (None = the
-    virtual-time simulator); an unknown name raises ``OffloadError``."""
-    if backend is None:
-        return "virtual"
-    cls = resolve_backend(backend)
-    return getattr(cls, "backend_name", cls.__name__)
-
-
-def _virtual_equivalent(backend: "str | type | None") -> bool:
-    """Whether ``backend`` is the virtual-time simulator (``"batch"`` is
-    its alias): the only reproducible results (a cached wall-clock timing
-    would be a lie), and the only engine with ``run_many``."""
-    return _backend_name(backend) == "virtual"
-
-
 def cell_key(
     cache: "SweepCache",
     machine: MachineSpec,
@@ -150,13 +134,17 @@ def cell_key(
     """The one cell rule: a cell's ``result_key``, or None if it always runs.
 
     Keyed when, in this order: the cache is enabled (otherwise nothing is
-    fingerprinted or hashed), ``executor`` is virtual-equivalent, the
+    fingerprinted or hashed), ``executor`` is the virtual engine, the
     factory exposes a ``fingerprint()`` identity (a lambda could close over
     anything), the policy is a notation string, and the cutoff is a
     fraction (``"auto"`` resolves against the devices at run time).
     ``run_cell``, ``run_grid`` and the offload service all ask here.
     """
-    if not cache.enabled or not _virtual_equivalent(executor):
+    if not cache.enabled:
+        return None
+    # Only virtual-time results reproduce: a cached wall-clock timing
+    # would be a lie.
+    if resolve_backend(executor or "virtual").backend_name != "virtual":
         return None
     fingerprint = getattr(factory, "fingerprint", None)
     if fingerprint is None or not isinstance(policy, str) or cutoff_ratio == "auto":

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from repro.bench.cache import SweepCache, _virtual_equivalent, cell_key, get_cache
+from repro.bench.cache import SweepCache, cell_key, get_cache
 from repro.engine.core import resolve_backend
 from repro.engine.trace import OffloadResult
 from repro.errors import OffloadError
@@ -154,8 +154,9 @@ def run_one(
     run must produce the same answer as the fault-free one.  ``tracer``
     receives the run's span stream (:mod:`repro.obs`); tracing is a pure
     side channel — the returned result is identical with or without it.
-    ``executor`` selects the execution backend (registry name or class;
-    None = the virtual-time simulator).
+    ``executor`` selects the execution backend (``"virtual"``,
+    ``"threaded"``, ``"batch"`` or a class; None = the virtual-time
+    simulator).
     """
     global _ENGINE_RUNS
     _ENGINE_RUNS += 1
@@ -297,7 +298,7 @@ def run_grid(
             machine, pending, Path(trace_dir), registry, **options
         )
     elif (
-        pending and _virtual_equivalent(executor)
+        pending and resolve_backend(executor or "virtual").backend_name == "virtual"
         and fault_plan is None and resilience is None
     ):
         fresh = _batch_cells(

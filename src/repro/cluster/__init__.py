@@ -6,7 +6,7 @@
   and presets (:func:`~repro.cluster.spec.gpu_cluster`,
   :func:`~repro.cluster.spec.homogeneous_cluster`).
 * :func:`~repro.cluster.engine.run_cluster` — a function, not a
-  registered backend: node-level BLOCK split, one ``"virtual"`` engine
+  backend: node-level BLOCK split, one ``"virtual"`` engine
   per node shard, fabric staging charged through the node-level
   residency ledger.  A single-node cluster is bit-identical to
   ``"virtual"``.

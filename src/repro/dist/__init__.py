@@ -1,4 +1,4 @@
-"""Data/loop distribution: Table I policies, per-dim distributions, ALIGN graph."""
+"""Data/loop distribution: Table I policies, the dim-0 distribution, ALIGN graph."""
 
 from repro.dist.policy import (
     Policy,
@@ -9,9 +9,8 @@ from repro.dist.policy import (
     Auto,
     parse_policy,
 )
-from repro.dist.distribution import DimDistribution, ArrayDistribution
+from repro.dist.distribution import DimDistribution
 from repro.dist.align import AlignmentGraph
-from repro.dist.nested import TileDistribution, device_grid
 
 __all__ = [
     "Policy",
@@ -22,8 +21,5 @@ __all__ = [
     "Auto",
     "parse_policy",
     "DimDistribution",
-    "ArrayDistribution",
     "AlignmentGraph",
-    "TileDistribution",
-    "device_grid",
 ]

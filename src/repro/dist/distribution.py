@@ -1,9 +1,9 @@
-"""Concrete distributions: per-device ranges for loop dims and array dims.
+"""Concrete distributions: per-device ranges of one loop or array dim.
 
 A :class:`DimDistribution` is the *result* of applying a policy to one
 region: for each device, the (possibly several, for CYCLIC) half-open
-ranges it owns.  An :class:`ArrayDistribution` stacks one per array
-dimension and can produce the numpy index tuple for a device's subregion.
+ranges it owns.  The runtime places every mapped array by its dim-0
+distribution.
 
 Invariants (pinned by property tests): per-device ranges of a partitioning
 policy are disjoint and cover the region exactly; FULL replicates the whole
@@ -19,7 +19,7 @@ from repro.errors import DistributionError
 from repro.dist.policy import Full, Policy
 from repro.util.ranges import IterRange
 
-__all__ = ["DimDistribution", "ArrayDistribution"]
+__all__ = ["DimDistribution"]
 
 
 @dataclass(frozen=True)
@@ -115,52 +115,3 @@ class DimDistribution:
             parts=tuple((c,) if len(c) else () for c in chunks),
             policy=policy,
         )
-
-
-@dataclass(frozen=True)
-class ArrayDistribution:
-    """A distribution per array dimension.
-
-    The paper partitions at most one dimension per array in its kernels
-    (the others are FULL); this type supports any mix.
-    """
-
-    dims: tuple[DimDistribution, ...]
-
-    def __post_init__(self) -> None:
-        if not self.dims:
-            raise DistributionError("array distribution needs at least one dim")
-        ndev = self.dims[0].ndev
-        if any(d.ndev != ndev for d in self.dims):
-            raise DistributionError("all dims must distribute over the same devices")
-
-    @property
-    def ndev(self) -> int:
-        return self.dims[0].ndev
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(d.region) for d in self.dims)
-
-    def device_index(self, devid: int) -> tuple[slice, ...] | None:
-        """numpy index tuple for a device's subregion, or None if it owns
-        nothing.  Requires each dim's ownership to be a single contiguous
-        range (CYCLIC subregions must be iterated per-range instead)."""
-        idx: list[slice] = []
-        for dim in self.dims:
-            ranges = dim.device_ranges(devid)
-            if len(ranges) == 0 or all(r.empty for r in ranges):
-                return None
-            if len(ranges) != 1:
-                raise DistributionError(
-                    "device owns a non-contiguous subregion; index per-range"
-                )
-            idx.append(ranges[0].as_slice())
-        return tuple(idx)
-
-    def device_elems(self, devid: int) -> int:
-        """Number of array elements owned by (or replicated onto) a device."""
-        n = 1
-        for dim in self.dims:
-            n *= dim.device_size(devid)
-        return n

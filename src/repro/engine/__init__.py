@@ -5,7 +5,8 @@ executor: scheduling decisions, fault draws and bounded retries, orphan
 reassignment, quarantine, trace buckets, observability spans, coverage
 and reduction accounting all live in the shared
 :class:`~repro.engine.core.RunContext`.  Backends supply only the
-scheduling of events in time and register themselves by name:
+scheduling of events in time; a closed table names them
+(:func:`~repro.engine.core.resolve_backend`):
 
 * ``"virtual"`` — :class:`~repro.engine.simulator.OffloadEngine` replays
   the paper's Fig. 4 proxy thread per device in deterministic virtual
@@ -15,7 +16,8 @@ scheduling of events in time and register themselves by name:
   has ``run_many``: a list of :class:`~repro.engine.batch.BatchRequest`
   cells through one engine in one call (same event loop, so
   byte-identical per cell), with numerics switchable per cell so a grid
-  executes them once per shared kernel.  ``"batch"`` is an alias.
+  executes them once per shared kernel.  ``"batch"`` names the same
+  class.
 * ``"threaded"`` — :class:`~repro.engine.threaded.ThreadedEngine` runs
   one real host thread per device on a wall clock, with the same
   fault/resilience semantics.
@@ -35,12 +37,9 @@ from repro.engine.core import (
     LIFECYCLE,
     RunContext,
     StageTiming,
-    backend_names,
     make_backend,
-    register_backend,
     resolve_backend,
 )
-# Importing the backend modules registers them.
 from repro.engine.simulator import OffloadEngine
 from repro.engine.threaded import ThreadedEngine
 from repro.engine.batch import BatchRequest
@@ -55,8 +54,6 @@ __all__ = [
     "RunContext",
     "EngineBase",
     "ExecutionBackend",
-    "register_backend",
-    "backend_names",
     "resolve_backend",
     "make_backend",
     "OffloadEngine",

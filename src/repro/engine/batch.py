@@ -8,7 +8,7 @@ result is byte-identical to ``run``'s by construction.  What a batch buys
 is amortization: one call, one run-gate acquisition, and a per-cell
 ``execute_numerically`` override so the caller can run numerics once per
 shared kernel instead of once per cell (``HompRuntime._shared_kernel_specs``
-is that rule).  ``"batch"`` is a registry alias of ``"virtual"``.
+is that rule).  ``"batch"`` names the same class as ``"virtual"``.
 """
 
 from __future__ import annotations

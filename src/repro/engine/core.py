@@ -24,9 +24,8 @@ backend contributes only the *scheduling of events in time* and the one
 the pipeline analytically and keeps ``(request_time, devid)`` on a ``heapq``;
 the threaded executor lets real threads race and reads ``time.perf_counter``.
 
-Backends register themselves in a process-wide registry
-(:func:`register_backend`) and are selected by name through
-``HompRuntime.parallel_for(executor=...)`` or ``repro.bench``.
+Backends are selected by name from a closed table (:func:`resolve_backend`)
+through ``HompRuntime.parallel_for(executor=...)`` or ``repro.bench``.
 
 Determinism contract: for the virtual-time backend, routing the lifecycle
 through this module is **bit-identical** to the pre-core engine — the
@@ -69,8 +68,6 @@ __all__ = [
     "RunContext",
     "EngineBase",
     "ExecutionBackend",
-    "register_backend",
-    "backend_names",
     "resolve_backend",
     "make_backend",
 ]
@@ -1124,7 +1121,7 @@ _SHARED_OPTIONS = tuple(f.name for f in dataclass_fields(EngineBase))
 
 
 # ---------------------------------------------------------------------------
-# Backend protocol and registry
+# Backend protocol and the closed name table
 # ---------------------------------------------------------------------------
 
 @runtime_checkable
@@ -1152,60 +1149,29 @@ class ExecutionBackend(Protocol):
         ...  # pragma: no cover - protocol
 
 
+#: The closed backend table, filled on first use (both backend modules
+#: import this one).  ``"batch"`` names the virtual engine, whose
+#: ``run_many`` is the batch entry point.
 _BACKENDS: dict[str, type] = {}
-_ALIASES: dict[str, str] = {}
 
 
-def register_backend(name: str, cls: type, *, aliases: tuple[str, ...] = ()) -> type:
-    """Register an :class:`ExecutionBackend` class under ``name``.
-
-    Canonical names are what :func:`backend_names` lists; aliases resolve
-    to them.  Re-registering a name replaces it (latest wins), so test
-    doubles can shadow the real backends — and any alias previously
-    pointing elsewhere under that name is dropped, so the canonical
-    registration wins.  An alias that would shadow a *different* canonical
-    name is rejected: silently rerouting ``"virtual"`` to another backend
-    is never what a caller wants.
-    """
-    key = name.strip().lower()
-    alias_keys = [alias.strip().lower() for alias in aliases]
-    for akey in alias_keys:
-        if akey in _BACKENDS and akey != key:
-            raise OffloadError(
-                f"backend alias {akey!r} (for {name!r}) collides with the "
-                f"registered backend name {akey!r}"
-            )
-    _BACKENDS[key] = cls
-    _ALIASES.pop(key, None)
-    for akey in alias_keys:
-        _ALIASES[akey] = key
-    return cls
-
-
-def backend_names() -> tuple[str, ...]:
-    """Canonical names of all registered execution backends."""
-    return tuple(sorted(_BACKENDS))
-
-
-def resolve_backend(spec: "str | type | ExecutionBackend") -> type:
-    """Backend class for a registry name, alias, class, or instance."""
-    if isinstance(spec, str):
-        key = spec.strip().lower()
-        key = _ALIASES.get(key, key)
-        try:
-            return _BACKENDS[key]
-        except KeyError:
-            aliases = ", ".join(
-                f"{a}->{c}" for a, c in sorted(_ALIASES.items())
-            )
-            raise OffloadError(
-                f"unknown execution backend {spec!r}; registered: "
-                f"{', '.join(backend_names())}"
-                + (f"; aliases: {aliases}" if aliases else "")
-            ) from None
+def resolve_backend(spec: "str | type") -> type:
+    """Backend class for a name of the closed table, or a class as is."""
     if isinstance(spec, type):
         return spec
-    return type(spec)
+    if not _BACKENDS:
+        from repro.engine.simulator import OffloadEngine
+        from repro.engine.threaded import ThreadedEngine
+
+        _BACKENDS.update(
+            virtual=OffloadEngine, threaded=ThreadedEngine, batch=OffloadEngine
+        )
+    cls = _BACKENDS.get(spec) if isinstance(spec, str) else None
+    if cls is None:
+        raise OffloadError(
+            f"unknown execution backend {spec!r}; valid: {', '.join(_BACKENDS)}"
+        )
+    return cls
 
 
 def make_backend(

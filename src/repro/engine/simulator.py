@@ -50,7 +50,6 @@ from repro.engine.core import (
     ChunkPhase,
     EngineBase,
     RunContext,
-    register_backend,
 )
 from repro.engine.trace import OffloadResult
 from repro.faults.events import FaultKind
@@ -74,7 +73,7 @@ _XFER_IN, _COMPUTE, _XFER_OUT = (
 class OffloadEngine(EngineBase):
     """Runs one kernel offload under one scheduling algorithm."""
 
-    #: Registry name of this backend (virtual-time discrete-event).
+    #: Table name of this backend (virtual-time discrete-event).
     backend_name = "virtual"
     clock = "virtual"
     #: A stream's batches pipeline: each run takes the previous run's
@@ -328,9 +327,3 @@ class OffloadEngine(EngineBase):
             heappush(requests, (next_req, devid))
 
         return core.finalize()
-
-
-register_backend(
-    "virtual", OffloadEngine,
-    aliases=("simulated", "simulator", "sim", "batch"),
-)

@@ -46,7 +46,6 @@ from repro.engine.core import (
     ChunkPhase,
     EngineBase,
     RunContext,
-    register_backend,
 )
 from repro.engine.trace import OffloadResult
 from repro.errors import OffloadError
@@ -65,7 +64,7 @@ _EPS_XFER_S = 1e-9
 class ThreadedEngine(EngineBase):
     """Executes an offload with one real host thread per device."""
 
-    #: Registry name of this backend (wall-clock, real threads).
+    #: Table name of this backend (wall-clock, real threads).
     backend_name = "threaded"
     clock = "wall"
     pipelined = False  # every stream batch starts from a drained pipeline
@@ -255,6 +254,3 @@ class ThreadedEngine(EngineBase):
         if errors:
             raise OffloadError(f"proxy thread failed: {errors[0]!r}") from errors[0]
         return core.finalize(wall())
-
-
-register_backend("threaded", ThreadedEngine, aliases=("wall", "threads"))

@@ -12,7 +12,9 @@ Lowering preserves the directive path's semantics exactly:
 * map ``partition(...)`` entries naming a kernel array become
   :attr:`~repro.ir.ops.OffloadOp.partition_overrides` (the runtime applies
   them via ``set_partition`` before execution, and they persist on the
-  kernel afterwards, as they always have);
+  kernel afterwards, as they always have); a sectioned map of an array
+  the kernel lacks, or a dim >= 1 policy other than the kernel's own,
+  raises :class:`~repro.errors.MappingError` instead of being dropped;
 * the schedule comes from an explicit override, else the directive's
   ``dist_schedule(target:[...])`` head policy, else ``"AUTO"`` — a
   ``teams:`` modifier is within-device OpenMP and says nothing about the
@@ -31,7 +33,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.errors import DeviceError, IRVerifyError, SchedulingError
+from repro.errors import DeviceError, IRVerifyError, MappingError, SchedulingError
 from repro.ir.ops import (
     DataDecl,
     MapOp,
@@ -76,6 +78,31 @@ def _merge_decls(
             )
 
 
+def _refuse_unapplied_maps(d: OffloadDirective, kernel: LoopKernel, kernel_maps) -> None:
+    """Raise :class:`~repro.errors.MappingError` for a map the runtime would
+    drop: a sectioned map of an array the kernel does not have, or a dim
+    >= 1 policy other than the kernel's own (arrays are placed by their
+    dim-0 partition alone).  Unsectioned scalars (Fig. 2's ``a, n``) pass."""
+    own = {m.name: m.policies for m in kernel_maps}
+    for m in d.maps:
+        if m.name not in kernel.arrays:
+            if m.is_scalar:
+                continue
+            raise MappingError(
+                f"{kernel.name}: map names array {m.name!r}, which the "
+                f"kernel does not have (arrays: {', '.join(kernel.arrays)})"
+            )
+        kept = own.get(m.name, ())
+        for dim, policy in enumerate(m.policies[1:], 1):
+            if dim >= len(kept) or policy != kept[dim]:
+                raise MappingError(
+                    f"{kernel.name}: map of {m.name!r} sets dim {dim} to "
+                    f"{policy}, but a directive places dim 0 alone; the "
+                    f"kernel's dim {dim} is "
+                    f"{kept[dim] if dim < len(kept) else 'absent'}"
+                )
+
+
 def _lower(pairs, schedule=None) -> Program:
     """The one lowering body: each (directive, kernel) pair becomes one op
     — wrapped in a :class:`~repro.ir.ops.StreamOp` under a ``stream``
@@ -86,13 +113,14 @@ def _lower(pairs, schedule=None) -> Program:
     sources = []
     for directive, kernel in pairs:
         d, source = _parse(directive)
+        kernel_maps = kernel.effective_maps()
+        _refuse_unapplied_maps(d, kernel, kernel_maps)
         overrides = tuple(
             (m.name, m.policies[0])
             for m in d.maps
             if m.name in kernel.arrays and m.policies
         )
         override_by_name = dict(overrides)
-        kernel_maps = kernel.effective_maps()
         maps = tuple(
             MapOp(
                 array=m.name,

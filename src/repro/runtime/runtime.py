@@ -29,7 +29,6 @@ from repro.dist.policy import Align, Policy
 from repro.engine.batch import BatchRequest
 from repro.engine.core import make_backend
 from repro.engine.simulator import OffloadEngine
-from repro.engine.threaded import ThreadedEngine  # noqa: F401 — registers "threaded"
 from repro.engine.trace import OffloadResult
 from repro.errors import DeviceError, OffloadError, SchedulingError
 from repro.faults.plan import FaultPlan
@@ -374,7 +373,6 @@ class HompRuntime:
         schedule="AUTO",
         devices=None,
         cutoff_ratio: float | str = 0.0,
-        residency: ResidencyLedger | None = None,
         record_events: bool = False,
         serialize_offload: bool = False,
         fault_plan: FaultPlan | None = None,
@@ -390,20 +388,19 @@ class HompRuntime:
         selection), a :class:`Policy` (``Align``, or one whose notation
         names an algorithm: ``Auto``, ``Block``), or a scheduler
         instance.  ``cutoff_ratio`` — a fraction in [0, 1), or ``"auto"``
-        for the paper's 1/ndev default.  ``residency`` — the
-        :class:`~repro.memory.residency.ResidencyLedger` of an enclosing
-        target-data region; when
-        given, the engine charges each chunk only the bytes not already
-        resident on its device (the view onto the selected devices is
-        built here, after device selection, so overriding ``devices``
-        stays consistent).  ``fault_plan`` —
+        for the paper's 1/ndev default.  Inside a target-data region
+        (:meth:`TargetDataRegion.parallel_for
+        <repro.runtime.data_env.TargetDataRegion.parallel_for>`) the
+        region binds its residency ledger, so the engine charges each
+        chunk only the bytes not already resident on its device.
+        ``fault_plan`` —
         faults to inject (device ids in the plan index the *selected*
         devices, in selection order); ``resilience`` — retry/quarantine
         policy for those faults (defaults apply when None).  ``tracer`` —
         a :class:`repro.obs.Tracer` receiving the offload's span stream
         (None = no tracing; ``REPRO_OBS=off`` force-disables any tracer).
-        ``executor`` — which execution backend runs the offload: a registry
-        name (``"virtual"`` — deterministic discrete-event simulation, the
+        ``executor`` — which execution backend runs the offload: a name
+        (``"virtual"`` — deterministic discrete-event simulation, the
         default; ``"threaded"`` — one real host thread per device on a
         wall clock) or a backend class.  Options a backend cannot honour
         (e.g. ``serialize_offload`` on the threaded backend) raise
@@ -422,7 +419,6 @@ class HompRuntime:
             schedule=schedule,
             devices=devices,
             cutoff_ratio=cutoff_ratio,
-            residency=residency,
             record_events=record_events,
             serialize_offload=serialize_offload,
             fault_plan=fault_plan,

@@ -10,11 +10,12 @@ factory, a policy, a tenant identity) and ``await`` typed
 * admits or rejects each submission against per-tenant quotas (max
   in-flight jobs, a token-bucket submission rate, queue capacity) with a
   typed :class:`~repro.errors.AdmissionError` carrying a Retry-After
-  hint,
+  hint (the load generator is open-loop and counts rejections; when to
+  resubmit is the caller's policy),
 * dequeues fairly across tenants (stride-based weighted fair queueing),
 * multiplexes admitted jobs over a small pool of *reusable* execution
-  backends (:class:`EnginePool`) driven from a thread pool, honouring the
-  engines' exclusive-run contract (:class:`~repro.errors.EngineBusyError`
+  backends (:class:`EnginePool`), every group run on the event loop,
+  honouring the engines' exclusive-run contract (:class:`~repro.errors.EngineBusyError`
   can never fire through the pool),
 * coalesces compatible queued jobs — same workload fingerprint, a
   timing-oblivious policy, no faults or tracing — into single
@@ -34,7 +35,6 @@ from repro.service.admission import (
     TenantQuota,
     WeightedFairQueue,
 )
-from repro.service.client import retry_submit
 from repro.service.coalesce import coalescible, group_key, plan_group
 from repro.service.job import JobHandle, JobResult, JobState, OffloadJob
 from repro.service.loadgen import (
@@ -58,7 +58,6 @@ __all__ = [
     "WeightedFairQueue",
     "EnginePool",
     "OffloadService",
-    "retry_submit",
     "coalescible",
     "group_key",
     "plan_group",

@@ -29,7 +29,7 @@ Cache interop: a job's sweep-cache key is :func:`repro.bench.cache.
 cell_key`'s — the rule ``run_cell`` and ``run_grid`` ask — so a grid
 sweep warms the cache for the service and vice versa.  Traced jobs
 bypass cache reads (a hit has no spans to give) but still populate.  On
-a backend that is not virtual-equivalent (``threaded``) the service
+a backend other than the virtual engine (``threaded``) the service
 neither caches nor coalesces: every job runs where it was asked.
 """
 
@@ -39,13 +39,7 @@ import asyncio
 import time
 from typing import Any, Callable
 
-from repro.bench.cache import (
-    SweepCache,
-    _backend_name,
-    _virtual_equivalent,
-    cell_key,
-    get_cache,
-)
+from repro.bench.cache import SweepCache, cell_key, get_cache
 from repro.bench.runner import verify_batch, verify_result
 from repro.engine.core import resolve_backend
 from repro.engine.trace import OffloadResult
@@ -130,10 +124,10 @@ class OffloadService:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.machine = machine
         self.backend = backend
-        self._backend_name = _backend_name(backend)
+        self._backend_name = resolve_backend(backend).backend_name
         self.pool_size = pool_size
         # Only the virtual engine has ``run_many``.
-        self.coalesce = coalesce and _virtual_equivalent(backend)
+        self.coalesce = coalesce and self._backend_name == "virtual"
         self.max_batch = max_batch
         self._clock = clock
         self._cache = cache if cache is not None else get_cache()

@@ -1,9 +1,9 @@
-"""DimDistribution / ArrayDistribution invariants."""
+"""DimDistribution invariants."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dist.distribution import ArrayDistribution, DimDistribution
+from repro.dist.distribution import DimDistribution
 from repro.dist.policy import Auto, Block, Cyclic, Full
 from repro.errors import DistributionError
 from repro.util.ranges import IterRange
@@ -79,45 +79,3 @@ class TestDimDistribution:
         d = DimDistribution.from_policy(Cyclic(chunk), IterRange(0, n), ndev)
         for i in range(n):
             assert d.owner_of(i) == (i // chunk) % ndev
-
-
-class TestArrayDistribution:
-    def make(self, n=12, m=5, ndev=3):
-        rows = DimDistribution.from_policy(Block(), IterRange(0, n), ndev)
-        cols = DimDistribution.from_policy(Full(), IterRange(0, m), ndev)
-        return ArrayDistribution(dims=(rows, cols))
-
-    def test_shape(self):
-        assert self.make().shape == (12, 5)
-
-    def test_device_index_block_by_full(self):
-        a = self.make(12, 5, 3)
-        assert a.device_index(0) == (slice(0, 4), slice(0, 5))
-        assert a.device_index(2) == (slice(8, 12), slice(0, 5))
-
-    def test_device_index_none_for_empty_owner(self):
-        rows = DimDistribution.from_policy(Block(), IterRange(0, 2), 3)
-        cols = DimDistribution.from_policy(Full(), IterRange(0, 4), 3)
-        a = ArrayDistribution(dims=(rows, cols))
-        assert a.device_index(2) is None
-
-    def test_device_index_rejects_non_contiguous(self):
-        rows = DimDistribution.from_policy(Cyclic(1), IterRange(0, 6), 2)
-        cols = DimDistribution.from_policy(Full(), IterRange(0, 4), 2)
-        a = ArrayDistribution(dims=(rows, cols))
-        with pytest.raises(DistributionError):
-            a.device_index(0)
-
-    def test_device_elems(self):
-        a = self.make(12, 5, 3)
-        assert a.device_elems(0) == 4 * 5
-
-    def test_mismatched_ndev_rejected(self):
-        rows = DimDistribution.from_policy(Block(), IterRange(0, 6), 2)
-        cols = DimDistribution.from_policy(Full(), IterRange(0, 4), 3)
-        with pytest.raises(DistributionError):
-            ArrayDistribution(dims=(rows, cols))
-
-    def test_empty_dims_rejected(self):
-        with pytest.raises(DistributionError):
-            ArrayDistribution(dims=())

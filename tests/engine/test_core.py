@@ -1,5 +1,5 @@
 """Tests for the shared execution core: lifecycle state machine, backend
-registry, engine reuse and the re-entrancy guard."""
+name table, engine reuse and the re-entrancy guard."""
 
 import threading
 
@@ -9,9 +9,7 @@ from repro.engine.core import (
     ChunkPhase,
     LIFECYCLE,
     StageTiming,
-    backend_names,
     make_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.engine.simulator import OffloadEngine
@@ -82,92 +80,41 @@ class TestLifecycle:
 
 
 class TestRegistry:
+    """The closed name -> class table: no aliases, no registration."""
+
     def test_both_backends_registered(self):
-        assert "virtual" in backend_names()
-        assert "threaded" in backend_names()
-
-    def test_aliases_resolve(self):
-        assert resolve_backend("sim") is OffloadEngine
-        assert resolve_backend("simulated") is OffloadEngine
-        assert resolve_backend("wall") is ThreadedEngine
-        assert resolve_backend("threads") is ThreadedEngine
-
-    def test_resolution_is_case_insensitive(self):
-        assert resolve_backend("VIRTUAL") is OffloadEngine
-        assert resolve_backend(" Threaded ") is ThreadedEngine
-
-    def test_class_and_instance_pass_through(self):
-        assert resolve_backend(OffloadEngine) is OffloadEngine
-        eng = ThreadedEngine(machine=gpu4_node())
-        assert resolve_backend(eng) is ThreadedEngine
-
-    def test_unknown_name_lists_registered(self):
-        with pytest.raises(OffloadError, match="virtual"):
-            resolve_backend("gpu-direct")
-
-    def test_reregistration_latest_wins(self):
-        class Fake(OffloadEngine):
-            pass
-
-        try:
-            register_backend("virtual", Fake)
-            assert resolve_backend("virtual") is Fake
-        finally:
-            register_backend(
-                "virtual", OffloadEngine,
-                aliases=("simulated", "simulator", "sim"),
-            )
         assert resolve_backend("virtual") is OffloadEngine
+        assert resolve_backend("threaded") is ThreadedEngine
 
     def test_batch_backend_registered_without_aliases(self):
-        # "batch" is an alias of the virtual engine, not a backend of its
-        # own: run_many is one of OffloadEngine's two entry points.
-        assert backend_names() == ("threaded", "virtual")
+        # "batch" names the virtual engine, not a backend of its own:
+        # run_many is one of OffloadEngine's two entry points.
         assert resolve_backend("batch") is OffloadEngine
         assert callable(OffloadEngine.run_many)
-        # The batch entry point has no further names.
         for gone in ("vectorized", "vec"):
             with pytest.raises(OffloadError, match="unknown execution backend"):
                 resolve_backend(gone)
 
-    def test_unknown_name_error_lists_names_and_aliases(self):
+    @pytest.mark.parametrize("name", [
+        "sim", "simulated", "simulator", "wall", "threads", "cluster",
+        "VIRTUAL", " threaded ",
+    ])
+    def test_removed_names_rejected(self, name):
         with pytest.raises(OffloadError) as exc:
+            resolve_backend(name)
+        assert "valid: virtual, threaded, batch" in str(exc.value)
+
+    def test_class_resolves_to_itself(self):
+        assert resolve_backend(OffloadEngine) is OffloadEngine
+        assert resolve_backend(ThreadedEngine) is ThreadedEngine
+
+    def test_engine_instance_is_not_a_name(self):
+        with pytest.raises(OffloadError, match="unknown execution backend"):
+            resolve_backend(ThreadedEngine(machine=gpu4_node()))
+
+    def test_unknown_name_lists_registered(self):
+        with pytest.raises(OffloadError, match="virtual"):
             resolve_backend("gpu-direct")
-        msg = str(exc.value)
-        for name in backend_names():
-            assert name in msg
-        # Aliases are listed with the canonical name they resolve to.
-        assert "sim->virtual" in msg
-
-    def test_alias_colliding_with_canonical_name_rejected(self):
-        class Fake(OffloadEngine):
-            pass
-
-        with pytest.raises(OffloadError, match="collides"):
-            register_backend("fake-backend", Fake, aliases=("virtual",))
-        # The rejected registration must not have rerouted anything.
-        assert resolve_backend("virtual") is OffloadEngine
-
-    def test_canonical_registration_drops_stale_alias(self):
-        class A(OffloadEngine):
-            pass
-
-        class B(OffloadEngine):
-            pass
-
-        try:
-            register_backend("primary-x", A, aliases=("shadow-x",))
-            assert resolve_backend("shadow-x") is A
-            # Promoting the alias to a canonical name wins over the alias.
-            register_backend("shadow-x", B)
-            assert resolve_backend("shadow-x") is B
-            assert resolve_backend("primary-x") is A
-        finally:
-            from repro.engine.core import _ALIASES, _BACKENDS
-
-            _BACKENDS.pop("primary-x", None)
-            _BACKENDS.pop("shadow-x", None)
-            _ALIASES.pop("shadow-x", None)
 
 
 class TestMakeBackend:
@@ -189,7 +136,7 @@ class TestMakeBackend:
 
     def test_truthy_unsupported_names_the_backend(self):
         with pytest.raises(OffloadError, match="threaded"):
-            make_backend("wall", gpu4_node(), double_buffer=True)
+            make_backend("threaded", gpu4_node(), double_buffer=True)
 
 
 # ------------------------------------------------- reuse & re-entrancy

@@ -32,6 +32,16 @@ def test_directives():
     assert "axpy_homp_v1" in out and "axpy_homp_v2" in out
     assert "verified=True" in out
     assert "ALIGN(x)" in out
+    # Each directive renders back to pragma text that parses to itself.
+    assert out.count("round trip: True") == 3
+    assert "round trip: False" not in out
+    assert ("rendered:   #pragma omp parallel target device(*) "
+            "map(tofrom: y[0:n] partition([BLOCK])) "
+            "map(to: x[0:n] partition([BLOCK]), a, n) "
+            "dist_schedule(target:[ALIGN(x)])") in out
+    # The stream clause runs its batches.
+    assert "stream:     batches=4, window=8" in out
+    assert "4 batches streamed" in out
 
 
 def test_jacobi_solver():

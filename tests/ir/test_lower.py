@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.dist.policy import Align, Auto, Block, Full
-from repro.errors import DeviceError, IRVerifyError, SchedulingError
+from repro.errors import DeviceError, IRVerifyError, MappingError, SchedulingError
 from repro.ir.lower import data_region, decl_for, from_directive, from_directives
 from repro.ir.ops import ReduceOp
 from repro.kernels.registry import make_kernel
+from repro.machine.presets import gpu4_node
 from repro.memory.space import MapDirection
+from repro.runtime.runtime import HompRuntime
 
 
 def test_decl_for_captures_geometry():
@@ -78,6 +80,61 @@ def test_from_directive_partition_overrides_applied_to_maps():
     # The kernel itself is untouched at lower time: the override is
     # recorded on the op and applied by the runtime at execution.
     assert kernel.effective_maps() == kernel.maps()
+
+
+MATVEC_V2 = (
+    "#pragma omp parallel target device(*) map(to: {name}[0:n][0:n] "
+    "partition([BLOCK],[{dim1}])) distribute dist_schedule(target:[BLOCK])"
+)
+
+
+def test_sectioned_map_of_an_unknown_array_is_refused():
+    """matvec calls its matrix ``A``: a map of ``a`` used to be dropped and
+    the offload ran with the kernel's default maps."""
+    kernel = make_kernel("matvec", 512, seed=0)
+    directive = MATVEC_V2.format(name="a", dim1="FULL")
+    with pytest.raises(MappingError, match="'a'"):
+        from_directive(directive, kernel)
+    with pytest.raises(MappingError, match="'a'"):
+        HompRuntime(gpu4_node()).offload(directive, kernel)
+
+
+def test_unsectioned_scalars_still_pass():
+    kernel = make_kernel("axpy", 100, seed=0)
+    program = from_directive(
+        "omp parallel target map(to: x[0:n] partition([BLOCK]), a, n)", kernel
+    )
+    assert program.ops[0].partition_overrides == (("x", Block()),)
+
+
+@pytest.mark.parametrize("dim1", ["BLOCK", "CYCLIC"])
+def test_dim1_policy_other_than_the_kernels_is_refused(dim1):
+    """Only dim 0 of a directive's partition is placed: ``[BLOCK],[X]``
+    used to run identically for every X."""
+    kernel = make_kernel("matvec", 512, seed=0)
+    directive = MATVEC_V2.format(name="A", dim1=dim1)
+    with pytest.raises(MappingError, match="'A' sets dim 1"):
+        from_directive(directive, kernel)
+    with pytest.raises(MappingError, match="'A' sets dim 1"):
+        HompRuntime(gpu4_node()).offload(directive, kernel)
+
+
+def test_dim1_policy_equal_to_the_kernels_runs():
+    kernel = make_kernel("matvec", 512, seed=0)
+    result = HompRuntime(gpu4_node()).offload(
+        MATVEC_V2.format(name="A", dim1="FULL"), kernel
+    )
+    assert np.allclose(kernel.arrays["y"], kernel.reference()["y"])
+    assert result.devices_used == 4
+
+
+def test_policy_on_a_dim_the_array_lacks_is_refused():
+    kernel = make_kernel("axpy", 100, seed=0)
+    with pytest.raises(MappingError, match="'x' sets dim 1"):
+        from_directive(
+            "omp parallel target map(to: x[0:n][0:n] partition([BLOCK],[FULL]))",
+            kernel,
+        )
 
 
 def test_from_directive_without_parallel_target_serialises():

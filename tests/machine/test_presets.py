@@ -1,5 +1,9 @@
-"""Paper-node presets: composition and calibration sanity."""
+"""Paper-node presets: composition, calibration sanity and the shipped
+machine description files."""
 
+from pathlib import Path
+
+from repro.kernels.registry import make_kernel
 from repro.machine.presets import (
     cpu_mic_node,
     cpu_spec,
@@ -9,7 +13,8 @@ from repro.machine.presets import (
     k40_spec,
     mic_spec,
 )
-from repro.machine.spec import DeviceType, MemoryKind
+from repro.machine.spec import DeviceType, MachineSpec, MemoryKind
+from repro.runtime.runtime import HompRuntime
 
 
 def test_gpu4_has_four_identical_gpus():
@@ -76,3 +81,18 @@ def test_homogeneous_node_copies_base_spec():
 def test_noise_parameter_propagates():
     m = gpu4_node(noise=0.05)
     assert all(d.noise == 0.05 for d in m.devices)
+
+
+MACHINES_DIR = Path(__file__).resolve().parents[2] / "machines"
+
+
+def test_shipped_machine_files_match_presets():
+    assert MachineSpec.from_file(MACHINES_DIR / "paper_node.json") == full_node()
+    assert MachineSpec.from_file(MACHINES_DIR / "gpu4.json") == gpu4_node()
+    assert MachineSpec.from_file(MACHINES_DIR / "cpu2_mic2.json") == cpu_mic_node()
+
+
+def test_runtime_boots_from_shipped_file():
+    rt = HompRuntime.from_file(MACHINES_DIR / "paper_node.json")
+    r = rt.parallel_for(make_kernel("axpy", 500), schedule="BLOCK")
+    assert r.devices_used == 8

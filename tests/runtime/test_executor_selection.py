@@ -19,7 +19,7 @@ def test_default_executor_is_virtual():
     assert result.reduction == pytest.approx(k.reference())
 
 
-@pytest.mark.parametrize("name", ["threaded", "wall", "threads"])
+@pytest.mark.parametrize("name", ["threaded"])
 def test_threaded_executor_by_name(name):
     rt = HompRuntime(gpu4_node(), seed=0)
     k = make_kernel("sum", 50_000, seed=1)

@@ -1,4 +1,4 @@
-"""Queued-job cancellation and client-side admission retry/backoff.
+"""Queued-job cancellation.
 
 ``submit`` runs synchronously to its return (no awaits after the queue
 push), so a ``handle.cancel()`` issued before the caller yields control
@@ -19,19 +19,7 @@ from repro.service import (
     TenantQuota,
     WeightedFairQueue,
     WorkloadTemplate,
-    retry_submit,
 )
-
-
-class FakeClock:
-    def __init__(self, t: float = 0.0):
-        self.t = t
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
 
 
 TMPL = WorkloadTemplate("axpy", 512, seed=1)
@@ -181,133 +169,3 @@ class TestWeightedFairQueueRemove:
         # serves a first.
         assert q.pop() == ("a", items[2])
         assert q.pop() == ("b", "b0")
-
-
-# -- retry_submit -------------------------------------------------------------
-
-class StubService:
-    """submit() rejects with the scripted retry hints, then admits."""
-
-    def __init__(self, hints):
-        self.hints = list(hints)
-        self.calls = 0
-
-    async def submit(self, job):
-        self.calls += 1
-        if self.hints:
-            raise AdmissionError(
-                "over quota", reason="rate",
-                retry_after_s=self.hints.pop(0),
-            )
-        return "handle"
-
-
-def recording_sleep(record):
-    async def sleep(dt):
-        record.append(dt)
-    return sleep
-
-
-def test_retry_submit_honours_retry_after_hint():
-    svc, waits = StubService([0.25]), []
-
-    async def main():
-        return await retry_submit(
-            svc, job(), min_backoff_s=0.001, sleep=recording_sleep(waits)
-        )
-
-    assert asyncio.run(main()) == "handle"
-    assert svc.calls == 2
-    assert waits == [0.25]  # the hint dominates the tiny backoff floor
-
-
-def test_retry_submit_exponential_floor_when_hints_are_useless():
-    svc, waits = StubService([0.0, 0.0, 0.0]), []
-
-    async def main():
-        return await retry_submit(
-            svc, job(), min_backoff_s=0.01, sleep=recording_sleep(waits)
-        )
-
-    asyncio.run(main())
-    assert waits == [0.01, 0.02, 0.04]
-
-
-def test_retry_submit_caps_waits():
-    svc, waits = StubService([5.0]), []
-
-    async def main():
-        return await retry_submit(
-            svc, job(), max_backoff_s=0.5, sleep=recording_sleep(waits)
-        )
-
-    asyncio.run(main())
-    assert waits == [0.5]
-
-
-def test_retry_submit_raises_after_exhausting_attempts():
-    svc, waits = StubService([0.1] * 10), []
-
-    async def main():
-        await retry_submit(svc, job(), attempts=3, sleep=recording_sleep(waits))
-
-    with pytest.raises(AdmissionError):
-        asyncio.run(main())
-    assert svc.calls == 3
-    assert len(waits) == 2  # no sleep after the final rejection
-
-
-def test_retry_submit_propagates_other_errors_immediately():
-    class Broken:
-        async def submit(self, job):
-            raise RuntimeError("boom")
-
-    waits = []
-
-    async def main():
-        await retry_submit(Broken(), job(), sleep=recording_sleep(waits))
-
-    with pytest.raises(RuntimeError, match="boom"):
-        asyncio.run(main())
-    assert waits == []
-
-
-def test_retry_submit_validates_arguments():
-    with pytest.raises(ValueError):
-        asyncio.run(retry_submit(StubService([]), job(), attempts=0))
-    with pytest.raises(ValueError):
-        asyncio.run(retry_submit(
-            StubService([]), job(), min_backoff_s=0.5, max_backoff_s=0.1
-        ))
-
-
-def test_retry_submit_end_to_end_against_rate_quota(gpu4):
-    """The real token bucket's exact hint drives one successful retry."""
-    clock = FakeClock()
-    waits = []
-
-    async def main():
-        async with OffloadService(
-            gpu4,
-            use_cache=False,
-            clock=clock,
-            default_quota=TenantQuota(rate=1.0, burst=1, max_in_flight=8),
-        ) as svc:
-            async def sleep(dt):
-                waits.append(dt)
-                clock.advance(dt)
-                await asyncio.sleep(0)
-
-            h1 = await svc.submit(job(tag="a"))
-            h2 = await retry_submit(
-                svc, job(tag="b"), max_backoff_s=2.0, sleep=sleep
-            )
-            r1 = await h1
-            r2 = await h2
-        return r1, r2
-
-    r1, r2 = asyncio.run(main())
-    assert r1.ok and r2.ok
-    # One rejection, slept exactly until the next token (1 job/s bucket).
-    assert len(waits) == 1
-    assert waits[0] == pytest.approx(1.0)

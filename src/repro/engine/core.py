@@ -317,10 +317,10 @@ class RunContext:
         self.carry_in = carry_in
         self.reduction = kernel.identity()
         self.reduces = kernel.is_reduction  # read once, asked per chunk
-        #: A span-exact kernel's committed ``(start, stop, shared)`` rows, run
-        #: by :meth:`finalize` (None: numerics run per chunk, at commit).
+        #: A span-exact kernel's committed ``(start, stop)`` rows, run by
+        #: :meth:`finalize` (None: numerics run per chunk, at commit).
         exact = execute_numerically and kernel.span_exact and not self.reduces
-        self.spans: list[tuple[int, int, bool]] | None = [] if exact else None
+        self.spans: list[tuple[int, int]] | None = [] if exact else None
         self.covered = 0
         self.chunk_log: list[tuple[int, IterRange]] = []
         self.events: list[ChunkEvent] = []
@@ -782,11 +782,10 @@ class RunContext:
 
         if partial is RunContext._EXECUTE:
             partial = None
-            shared = st.device.shares_host_memory
             if self.spans is not None:
-                self.spans.append((chunk.start, chunk.stop, shared))
+                self.spans.append((chunk.start, chunk.stop))
             elif self.execute_numerically:
-                partial = self.kernel.execute_chunk(chunk, shared=shared)
+                partial = self.kernel.execute_chunk(chunk)
         if self.reduces and partial is not None:
             self.reduction = self.kernel.combine(self.reduction, partial)
 
@@ -903,20 +902,20 @@ class RunContext:
         )
 
     def _execute_spans(self) -> None:
-        """One ``execute_chunk`` per run of sorted, contiguous rows with
-        one ``shared`` flag, while rows x every map's row bytes stays within
-        ``_SPAN_CAP_BYTES`` (a chunk is never split)."""
+        """One ``execute_chunk`` per run of sorted, contiguous rows —
+        whichever devices committed them — while rows x every map's row
+        bytes stays within ``_SPAN_CAP_BYTES`` (a chunk is never split)."""
         kernel = self.kernel
         maps = kernel.effective_maps()
         cap = _SPAN_CAP_BYTES // (sum(kernel.row_nbytes(m.name) for m in maps) or 1)
-        (a, b, shared), *rest = sorted(self.spans)
-        for start, stop, sh in rest:
-            if start == b and sh == shared and stop - a <= cap:
+        (a, b), *rest = sorted(self.spans)
+        for start, stop in rest:
+            if start == b and stop - a <= cap:
                 b = stop
                 continue
-            kernel.execute_chunk(IterRange(a, b), shared=shared)
-            a, b, shared = start, stop, sh
-        kernel.execute_chunk(IterRange(a, b), shared=shared)
+            kernel.execute_chunk(IterRange(a, b))
+            a, b = start, stop
+        kernel.execute_chunk(IterRange(a, b))
 
     def carry_out(self) -> "dict[int, DeviceCarry]":
         """Per-device pipeline state to seed the next stream batch with.

@@ -20,9 +20,12 @@ Chunk acquisition across devices is linearised by a priority queue
 (``heapq``) on ``(virtual request time, devid)``: time is whatever the most
 recently popped request says it is, reproducing the ordering a real
 CAS-based shared cursor produces, but deterministically.  The kernel is
-executed numerically over exactly the committed chunks (DeviceBuffer path;
-a span-exact kernel's as merged runs at finalize), so the simulated
-timeline and the real numeric result come from the same chunk stream.
+executed numerically over exactly the committed chunks, on
+:class:`~repro.memory.buffer.DeviceBuffer` views of the host arrays on
+every device kind (a span-exact kernel's as merged runs of contiguous rows
+at finalize, whichever devices committed them), so the simulated timeline
+and the real numeric result come from the same chunk stream; what a
+discrete device's copies would cost is priced by the link model alone.
 
 This module is the **virtual-time backend** of the shared execution core
 (:mod:`repro.engine.core`): the chunk lifecycle — fault draws, bounded

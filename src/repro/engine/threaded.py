@@ -34,6 +34,12 @@ was never applied to the output arrays and can be re-served safely (the
 simulator gets the same guarantee by only executing committed chunks).
 Wall-clock consequence: fault timestamps for the copy-out leg are stamped
 when the outcome is drawn, not where a real DMA would sit.
+
+Every device kind computes on views of the host arrays, so a measured
+``t_comp`` is the chunk's arithmetic alone, with no host-to-host copy
+standing in for a discrete device's DMA.  Concurrent chunks cannot clobber
+each other: inbound maps are read-only views, and no written map has a
+halo, so proxies write disjoint rows.
 """
 
 from __future__ import annotations
@@ -212,9 +218,7 @@ class ThreadedEngine(EngineBase):
                     # proxy threads genuinely overlap here.
                     comp_start = wall()
                     partial = (
-                        kernel.execute_chunk(
-                            chunk, shared=st.device.shares_host_memory
-                        )
+                        kernel.execute_chunk(chunk)
                         if core.execute_numerically else None
                     )
                     if plan_active:

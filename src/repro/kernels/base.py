@@ -10,17 +10,18 @@ HOMP ``parallel target`` region does:
 * analytic per-iteration costs (FLOPs, device-memory bytes, bus bytes)
   that feed both the simulator's clock and the Table IV ratios,
 * the *real* NumPy computation, executed per chunk through
-  :class:`~repro.memory.buffer.DeviceBuffer` objects so the whole
-  index-translation / copy-in / copy-out path is exercised numerically.
+  :class:`~repro.memory.buffer.DeviceBuffer` views so the region /
+  index-translation path is exercised numerically (the bytes a discrete
+  device would move are priced by the link model, not copied).
 
-``execute_chunk(rows, shared=...)`` runs ``rows`` — one chunk, or merged
-chunks of a :attr:`~LoopKernel.span_exact` kernel at a virtual-time run's
-finalize (``stats`` counts calls) — and its outputs land back in the host
-arrays; :meth:`check` compares them against a serial reference.  Everything a
-chunk needs from the maps except its dim-0 bounds — names, directions,
-halos — is bound once into a per-kernel chunk plan (dropped with the
-memoised :meth:`~LoopKernel.effective_maps` on ``set_partition``), so a
-chunk pays for its halo clamp, its buffers and its arithmetic only.
+``execute_chunk(rows)`` runs ``rows`` — one chunk, or merged chunks of a
+:attr:`~LoopKernel.span_exact` kernel at a virtual-time run's finalize
+(``stats`` counts calls) — on views of the host arrays, so its outputs land
+in them directly; :meth:`check` compares them against a serial reference.
+Everything a chunk needs from the maps except its dim-0 bounds — names,
+directions, halos — is bound once into a per-kernel chunk plan (dropped
+with the memoised :meth:`~LoopKernel.effective_maps` on ``set_partition``),
+so a chunk pays for its halo clamp, its buffers and its arithmetic only.
 """
 
 from __future__ import annotations
@@ -146,12 +147,7 @@ class LoopKernel(ABC):
         # effective_maps() and the chunk plan bound from it: filled lazily (a
         # subclass may finish its maps after this constructor returns).
         self._maps: tuple[MapSpec, ...] | None = None
-        self._chunk_plan: tuple[tuple, tuple[str, ...]] | None = None
-        # Per-(thread, array) discrete-memory staging storage, reused
-        # across chunks (flat capacity buffers; execute_chunk carves
-        # shaped views out).  Keyed by thread so the wall-clock backend's
-        # concurrent execute_chunk calls never share staging storage.
-        self._staging: dict[tuple[int, str], np.ndarray] = {}
+        self._chunk_plan: tuple[tuple, ...] | None = None
         self._stats_lock = threading.Lock()
         written: set[str] = set()
         for m in self.maps():
@@ -171,8 +167,8 @@ class LoopKernel(ABC):
         # arrives non-writeable (a pooled base) is pristine by construction:
         # it *is* the snapshot, and the run gets a private writable copy only
         # if a map writes it.  Writable arrays mapped only inbound are aliased
-        # too — compute() must not write through a pure-input (to) map, which
-        # is the contract the discrete-memory path enforces.
+        # too — compute() cannot write through a pure-input (to) map: its
+        # buffer is a read-only view on every device kind.
         self._initial = {}
         for k, v in self.arrays.items():
             shared = not v.flags.writeable or (k in mapped and k not in written)
@@ -362,17 +358,14 @@ class LoopKernel(ABC):
                 dims.append(extent)
         return tuple(dims)
 
-    def execute_chunk(self, rows: IterRange, *, shared: bool = True) -> float | None:
-        """Run ``rows`` through the full buffer path.
+    def execute_chunk(self, rows: IterRange) -> float | None:
+        """Run ``rows`` through the buffer path, on views of the host arrays.
 
-        ``shared=True`` models a host device (buffers are views);
-        ``shared=False`` models discrete memory (buffers are copies moved by
-        explicit copy-in/copy-out).  Returns a partial reduction value for
-        reduction kernels, else None.
-
+        Returns a partial reduction value for reduction kernels, else None.
         Each buffer's region is :meth:`input_region`'s, derived from the
         bound chunk plan: only the dim-0 halo clamp is computed per chunk.
-        Host arrays are looked up per chunk, since callers may rebind them.
+        A map that does not copy out gets a read-only view.  Host arrays are
+        looked up per chunk, since callers may rebind them.
         """
         start, stop = rows.start, rows.stop
         if start == stop:
@@ -382,10 +375,11 @@ class LoopKernel(ABC):
                 f"{self.name}: chunk [{start},{stop}) outside "
                 f"iteration space [0,{self.n_iters})"
             )
-        entries, outbound = self._chunk_plan or self._bind_chunk_plan()
         arrays = self.arrays
         buffers: dict[str, DeviceBuffer] = {}
-        for name, partitioned, lo, hi, copies_in, rank in entries:
+        for name, partitioned, lo, hi, writes, rank in (
+            self._chunk_plan or self._bind_chunk_plan()
+        ):
             host = arrays[name]
             full = _full_extents(host.shape)
             if len(full) != rank:
@@ -399,50 +393,20 @@ class LoopKernel(ABC):
                 a, b = max(start - lo, 0), min(stop + hi, extent.stop)
                 r0 = IterRange(a, b) if a <= b else rows.expand(lo, hi, clamp=extent)
                 region = (r0, *full[1:])
-            staging = None if shared else self._staging_view(name, host, region)
-            buf = buffers[name] = DeviceBuffer(name, host, region, shared, staging)
-            if copies_in:
-                buf.copy_in()
+            buffers[name] = DeviceBuffer(name, host, region, writes)
         partial = self.compute(buffers, rows)
-        for name in outbound:
-            buffers[name].copy_out()
         with self._stats_lock:
             self.stats.chunks += 1
             self.stats.iterations += stop - start
         return partial
 
-    def _bind_chunk_plan(self) -> tuple[tuple, tuple[str, ...]]:
-        """Per map ``(name, partitioned, halo_lo, halo_hi, copies_in, rank)``,
-        and the names of the maps that copy out."""
-        maps = self.effective_maps()
-        self._chunk_plan = plan = (
-            tuple((m.name, m.partitioned, *m.halo, m.direction.copies_in,
-                   len(m.policies)) for m in maps),
-            tuple(m.name for m in maps if m.direction.copies_out),
+    def _bind_chunk_plan(self) -> tuple[tuple, ...]:
+        """Per map ``(name, partitioned, halo_lo, halo_hi, copies_out, rank)``."""
+        self._chunk_plan = plan = tuple(
+            (m.name, m.partitioned, *m.halo, m.direction.copies_out, len(m.policies))
+            for m in self.effective_maps()
         )
         return plan
-
-    def _staging_view(self, name: str, host: np.ndarray, region: tuple) -> np.ndarray:
-        """A reusable discrete-memory staging array shaped for ``region``.
-
-        Each array keeps one flat capacity buffer, grown when a chunk needs
-        more; per-chunk views are carved out of it, so dynamic/guided runs
-        stop paying an allocation per chunk.  Contents carry over between
-        chunks, which is equivalent to the former ``np.empty_like``
-        allocation: copy-in overwrites inbound regions and outbound-only
-        maps must be fully written by ``compute`` either way.
-        """
-        size = 1
-        for r in region:
-            size *= r.stop - r.start
-        key = (threading.get_ident(), name)
-        flat = self._staging.get(key)
-        if flat is None or flat.size < size or flat.dtype != host.dtype:
-            flat = np.empty(size, dtype=host.dtype)
-            self._staging[key] = flat
-        if len(region) == 1:
-            return flat[:size]
-        return flat[:size].reshape(tuple(r.stop - r.start for r in region))
 
     @abstractmethod
     def compute(self, buffers: dict[str, DeviceBuffer], rows: IterRange) -> float | None:

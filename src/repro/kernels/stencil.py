@@ -67,7 +67,7 @@ class Stencil2DKernel(LoopKernel):
     def compute(self, buffers: dict[str, DeviceBuffer], rows: IterRange) -> None:
         src = buffers["u_in"]
         dst = buffers["u_out"]
-        # The FROM-mapped output buffer starts uninitialised on a discrete
+        # A FROM-mapped output starts uninitialised on a real discrete
         # device; the kernel must define every point of its chunk, so
         # boundary rows/columns are copied through from the input first.
         whole = dst.local_view(rows)

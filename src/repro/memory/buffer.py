@@ -1,11 +1,14 @@
 """Device buffers: the numerically real half of the simulation.
 
-A :class:`DeviceBuffer` is a device's storage for its subregion of a host
-array.  For a device sharing the host address space the buffer is a *view*
-(writes land in the host array directly — the runtime "shares" the data);
-for discrete memory it is a *copy*, and ``copy_in`` / ``copy_out`` move
-bytes explicitly, exactly like the paper's runtime.  Index translation from
-global array coordinates to the buffer's local coordinates is what the
+A :class:`DeviceBuffer` is a device's window on its subregion of a host
+array: a *view*, on every device kind.  What a discrete device pays to move
+those bytes is priced by the link model (``chunk_bytes`` ->
+``transfer_time``), not re-enacted here, because copy-in -> compute ->
+copy-out on a private buffer computes exactly what compute on a view
+computes.  A buffer for a map that does not copy out is a read-only view,
+so a kernel that writes through a pure-input (``to``) map raises numpy's
+read-only ``ValueError`` on whichever device runs it.  Index translation
+from global array coordinates to the buffer's local coordinates is what the
 paper's compiler book-keeping variables do; here :meth:`local_view`
 carries the dim-0 subregion offset.
 """
@@ -24,25 +27,17 @@ __all__ = ["DeviceBuffer"]
 
 @dataclass(slots=True)
 class DeviceBuffer:
-    """Storage for one mapped (sub)array on one device.
-
-    ``storage`` optionally supplies pre-allocated discrete-memory backing
-    (a staging buffer reused across chunks); it must match the region's
-    shape and the host array's dtype.  Ignored for shared buffers, which
-    are always views of host memory.
+    """One mapped (sub)array on one device: a view of the host array.
 
     A buffer is built once per chunk per map, so construction does its
-    bounds checks and builds the global index tuple in one pass; the tuple
-    is reused by :meth:`copy_in`, :meth:`copy_out` and the shared view.
+    bounds checks and slices the host array in one pass.
     """
 
     name: str
     host_array: np.ndarray
     region: tuple[IterRange, ...]  # per-dim global ranges held by this buffer
-    shared: bool  # view of host memory vs discrete copy
-    storage: np.ndarray | None = None
+    writable: bool  # False: a read-only view (the map does not copy out)
     data: np.ndarray = field(init=False)
-    _index: tuple[slice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         host = self.host_array
@@ -60,42 +55,10 @@ class DeviceBuffer:
                     f"outside array extent {extents[dim]}"
                 )
             index += (slice(r.start, r.stop),)
-        self._index = index
-        view = host[index]  # in bounds, so its shape is the region's
-        if self.shared:
-            self.data = view  # a view: writes are shared
-        elif self.storage is not None:
-            if self.storage.shape != view.shape or self.storage.dtype != host.dtype:
-                raise MappingError(
-                    f"buffer {self.name!r}: storage shape/dtype "
-                    f"{self.storage.shape}/{self.storage.dtype} does not match "
-                    f"region {view.shape}/{host.dtype}"
-                )
-            self.data = self.storage
-        else:
-            self.data = np.empty_like(view)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.data.nbytes)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def copy_in(self) -> int:
-        """Host -> device. Returns bytes moved (0 when shared)."""
-        if self.shared:
-            return 0
-        self.data[...] = self.host_array[self._index]
-        return self.data.nbytes
-
-    def copy_out(self) -> int:
-        """Device -> host. Returns bytes moved (0 when shared)."""
-        if self.shared:
-            return 0
-        self.host_array[self._index] = self.data
-        return self.data.nbytes
+        view = host[index]
+        if not self.writable:
+            view.flags.writeable = False
+        self.data = view
 
     def local_view(self, rows: IterRange) -> np.ndarray:
         """View of the buffer covering a *global* first-dim range."""

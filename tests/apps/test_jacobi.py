@@ -16,8 +16,8 @@ class TestKernels:
         k = JacobiCopyKernel(u, uold)
         from repro.util.ranges import IterRange
 
-        k.execute_chunk(IterRange(0, 8), shared=False)
-        k.execute_chunk(IterRange(8, 16), shared=False)
+        k.execute_chunk(IterRange(0, 8))
+        k.execute_chunk(IterRange(8, 16))
         assert np.array_equal(uold, u)
 
     def test_copy_kernel_shape_validation(self):
@@ -35,7 +35,7 @@ class TestKernels:
 
         err = 0.0
         for chunk in (IterRange(0, 7), IterRange(7, 13), IterRange(13, 20)):
-            err += k.execute_chunk(chunk, shared=False)
+            err += k.execute_chunk(chunk)
         ref = k.reference()
         assert np.allclose(u, ref["u"])
         assert err == pytest.approx(ref["__reduction__"])

@@ -2,12 +2,13 @@
 and when.
 
 Such a run records each committed chunk and calls ``execute_chunk`` at
-``finalize``, once per merged run of contiguous rows with one ``shared``
-flag and a bounded staged footprint.  These tests pin the counts that make
-it cheap and the contracts that keep it exact: merged runs never cross a
-memory kind or the cap, a faulted run still executes every row exactly
-once, the wall-clock backend still computes chunk by chunk, reductions are
-untouched, and every ``MappingError`` still fires.
+``finalize``, once per merged run of contiguous rows with a bounded
+footprint, whichever devices committed them.  These tests pin the counts
+that make it cheap and the contracts that keep it exact: merged runs cross
+memory kinds but never the cap and equal per-chunk execution, a faulted run
+still executes every row exactly once, the wall-clock backend still
+computes chunk by chunk, reductions are untouched, and every
+``MappingError`` still fires.
 """
 
 from __future__ import annotations
@@ -46,14 +47,14 @@ def _python_calls(fn) -> int:
     return calls
 
 
-def _recording(kernel) -> list[tuple[int, int, bool]]:
+def _recording(kernel) -> list[tuple[int, int]]:
     """Record every ``execute_chunk`` call the engine makes on ``kernel``."""
     calls = []
     execute = kernel.execute_chunk
 
-    def record(rows, *, shared=True):
-        calls.append((rows.start, rows.stop, shared))
-        return execute(rows, shared=shared)
+    def record(rows):
+        calls.append((rows.start, rows.stop))
+        return execute(rows)
 
     kernel.execute_chunk = record
     return calls
@@ -82,7 +83,7 @@ def test_a_dynamic_axpy_job_calls_the_kernel_once_within_its_call_budget():
 # ------------------------------------------------------- merged-run shape
 
 
-def test_runs_never_cross_a_memory_kind_or_the_cap_on_a_mixed_node():
+def test_runs_cross_memory_kinds_but_never_the_cap_on_a_mixed_node():
     machine = full_node()
     shared_of = [d.memory is not MemoryKind.DISCRETE for d in machine.devices]
     assert len(set(shared_of)) == 2  # host memory and discrete devices
@@ -96,14 +97,41 @@ def test_runs_never_cross_a_memory_kind_or_the_cap_on_a_mixed_node():
     assert len(calls) < len(chunks) / 4
     _assert_calls_tile_on_chunk_bounds(chunks, calls)
     widest = 0
-    for start, stop, shared in calls:
+    mixed = 0
+    for start, stop in calls:
         inside = [c for c in chunks if start <= c[0] and c[1] <= stop]
-        assert {c[2] for c in inside} == {shared}
+        mixed += len({c[2] for c in inside}) == 2
         if len(inside) > 1:
             assert (stop - start) * row_bytes <= _SPAN_CAP_BYTES
             widest = max(widest, (stop - start) * row_bytes)
+    assert mixed  # a run merged host and discrete rows
     assert widest > _SPAN_CAP_BYTES // 2  # the cap, not the chunks, cut runs
     np.testing.assert_array_equal(kernel.arrays["y"], kernel.reference()["y"])
+
+
+#: ``execute_chunk`` calls per ``full_node`` run below at the commit before
+#: merged runs could cross memory kinds (482a77e), when they could not.
+_CALLS_BEFORE_CROSS_KIND = {
+    ("axpy", "BLOCK"): 2, ("axpy", "SCHED_DYNAMIC"): 3,
+    ("stencil", "BLOCK"): 2, ("stencil", "SCHED_DYNAMIC"): 3,
+}
+
+
+@pytest.mark.parametrize("name, n", [("axpy", 16_000), ("stencil", 128)])
+@pytest.mark.parametrize("policy", ["BLOCK", "SCHED_DYNAMIC"])
+def test_cross_kind_runs_equal_per_chunk_execution(name, n, policy):
+    eng = make_backend("virtual", full_node(), collect_chunks=True)
+    kernel = make_kernel(name, n, seed=6)
+    calls = _recording(kernel)
+    eng.run(kernel, make_scheduler(policy))
+    assert len(calls) <= _CALLS_BEFORE_CROSS_KIND[name, policy]
+
+    per_chunk = make_kernel(name, n, seed=6)
+    for _, chunk in eng.chunk_log:  # commit order, one call each
+        per_chunk.execute_chunk(chunk)
+    assert per_chunk.stats.chunks == len(eng.chunk_log) > len(calls)
+    for array, value in kernel.arrays.items():
+        assert value.tobytes() == per_chunk.arrays[array].tobytes(), array
 
 
 def _assert_calls_tile_on_chunk_bounds(chunks, calls) -> None:

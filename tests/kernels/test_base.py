@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.dist.policy import Block, Full
-from repro.errors import MappingError
+from repro.errors import MappingError, OffloadError
 from repro.kernels.axpy import AxpyKernel
 from repro.kernels.matvec import MatVecKernel
+from repro.kernels.pool import INPUT_POOL_ENV
 from repro.kernels.registry import make_kernel
+from repro.machine.presets import full_node, gpu4_node
+from repro.runtime.runtime import HompRuntime
 from repro.util.ranges import IterRange
 
 
@@ -93,6 +96,37 @@ def test_reference_uses_pristine_inputs():
     expected = k.reference()["y"].copy()
     k.execute_chunk(IterRange(0, 100))   # mutates y in place
     assert np.array_equal(k.reference()["y"], expected)
+
+
+class _WritesItsInput(AxpyKernel):
+    """Breaks the contract: ``compute`` writes through its ``to`` map."""
+
+    def compute(self, buffers, rows):
+        buffers["x"].local_view(rows)[:] = 0.0
+        return super().compute(buffers, rows)
+
+
+@pytest.mark.parametrize("executor", ["virtual", "threaded"])
+@pytest.mark.parametrize("pool", ["on", "off"])
+@pytest.mark.parametrize("machine", [gpu4_node, full_node])
+def test_writing_a_to_map_raises_on_every_device_kind(
+    machine, pool, executor, monkeypatch
+):
+    """Discrete devices, host devices, pooled read-only inputs and private
+    writable ones all refuse the write with numpy's read-only error."""
+    monkeypatch.setenv(INPUT_POOL_ENV, pool)
+    k = _WritesItsInput(4_000, seed=3)
+    x = k.arrays["x"].copy()
+    with pytest.raises((ValueError, OffloadError)) as err:
+        HompRuntime(machine()).parallel_for(
+            k, schedule="SCHED_DYNAMIC", executor=executor
+        )
+    exc = err.value
+    if isinstance(exc, OffloadError):  # a proxy thread's failure, wrapped
+        exc = exc.__cause__
+    assert isinstance(exc, ValueError)
+    assert "read-only" in str(exc)
+    np.testing.assert_array_equal(k.arrays["x"], x)
 
 
 def test_non_reduction_identity_is_none():

@@ -1,11 +1,13 @@
-"""The bound chunk plan changes how a chunk is staged, never what it computes.
+"""How a chunk reaches its data never changes what it computes.
 
 Every registry kernel under every Table II policy on the 4-GPU node (the
-Fig. 5 grid at 1/8 of the ``grid_fig5`` benchmark sizes), once through
-discrete buffers and once with the GPUs sharing host memory, plus the three
+Fig. 5 grid at 1/8 of the ``grid_fig5`` benchmark sizes), once with
+discrete GPUs and once with the GPUs sharing host memory, plus the three
 streaming kernels over 5 batches: the output arrays' bytes and the pickled
-results must equal pins generated before the plan was bound, when every
-chunk re-derived its regions from the maps.
+results must equal pins generated before the chunk plan was bound, when
+every chunk re-derived its regions from the maps and a discrete device's
+chunk still computed on staged copies rather than on views of the host
+arrays.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Hot-path caching in LoopKernel: per-kernel cost constants (no map scan
-per chunk_cost call), staging-buffer reuse, and the shared input pool."""
+per chunk_cost call), the memoised chunk plan, and the shared input pool."""
 
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ from repro.kernels.pool import (
     pooled_inputs,
 )
 from repro.kernels.registry import make_kernel
+from repro.machine.presets import cpu_spec, gpu4_node, homogeneous_node
+from repro.runtime.runtime import HompRuntime
 from repro.util.ranges import IterRange
 
 
@@ -76,13 +78,13 @@ def test_set_partition_invalidates_memoised_maps_and_chunk_plan():
     k = Recording(64)
     maps = k.effective_maps()
     assert k.effective_maps() is maps  # memoised
-    k.execute_chunk(IterRange(8, 16), shared=False)
+    k.execute_chunk(IterRange(8, 16))
     assert staged["x"] == (IterRange(0, 64),)  # FULL: the whole vector
     k.set_partition("x", Block())
     after = k.effective_maps()
     assert after is not maps and k.effective_maps() is after
     assert not isinstance(after[1].policies[0], Full)
-    k.execute_chunk(IterRange(8, 16), shared=False)
+    k.execute_chunk(IterRange(8, 16))
     assert staged["x"] == (IterRange(8, 16),)  # the new, partitioned region
 
 
@@ -92,60 +94,31 @@ def test_replicated_in_bytes_served_from_cache():
     assert _count_map_scans(k, k.replicated_in_bytes) == 0
 
 
-# ---------------------------------------------------- staging reuse
+# ------------------------------------------------- chunked numerics
 
 
 def test_discrete_staging_output_identical_to_fresh_buffers():
-    """Running chunks through reused (dirty) staging equals a fresh run."""
+    """A pass over outputs that a preceding pass already wrote equals a
+    fresh run: no chunk reads stale output bytes."""
     a = make_kernel("matmul", 24, seed=3)
     b = make_kernel("matmul", 24, seed=3)
-    # a: one pass; b: a preceding pass dirties the staging buffers first
-    b.execute_chunk(IterRange(0, 24), shared=False)
+    b.execute_chunk(IterRange(0, 24))
     b.arrays["C"][:] = 0.0
     for lo in range(0, 24, 6):
-        a.execute_chunk(IterRange(lo, lo + 6), shared=False)
-        b.execute_chunk(IterRange(lo, lo + 6), shared=False)
+        a.execute_chunk(IterRange(lo, lo + 6))
+        b.execute_chunk(IterRange(lo, lo + 6))
     np.testing.assert_array_equal(a.arrays["C"], b.arrays["C"])
 
 
 def test_shared_and_discrete_paths_agree():
-    a = make_kernel("stencil", 48, seed=1)
-    b = make_kernel("stencil", 48, seed=1)
-    for lo in range(0, 48, 12):
-        a.execute_chunk(IterRange(lo, lo + 12), shared=True)
-        b.execute_chunk(IterRange(lo, lo + 12), shared=False)
-    np.testing.assert_array_equal(a.arrays["u_out"], b.arrays["u_out"])
-
-
-def test_staging_buffer_is_reused_not_reallocated():
-    k = make_kernel("stencil", 48, seed=1)
-    k.execute_chunk(IterRange(0, 24), shared=False)
-    first = dict(k._staging)
-    assert first  # the discrete path actually staged something
-    k.execute_chunk(IterRange(24, 48), shared=False)
-    for name, buf in k._staging.items():
-        assert buf is first[name], f"staging for {name!r} was reallocated"
-
-
-def test_staging_grows_for_larger_chunks():
-    k = make_kernel("axpy", 1000, seed=1)
-    k.execute_chunk(IterRange(0, 10), shared=False)
-
-    def staged(name):
-        # staging is keyed by (thread, array) so concurrent backends
-        # never share storage; this test is single-threaded.
-        [buf] = [b for (_, n), b in k._staging.items() if n == name]
-        return buf
-
-    small = staged("x").size
-    k.execute_chunk(IterRange(0, 800), shared=False)
-    assert staged("x").size >= 800 > small
-
-
-def test_shared_path_allocates_no_staging():
-    k = make_kernel("axpy", 200, seed=1)
-    k.execute_chunk(IterRange(0, 200), shared=True)
-    assert k._staging == {}
+    """A node whose devices share host memory and one with discrete GPUs
+    compute the same bytes."""
+    out = []
+    for machine in (homogeneous_node(2, cpu_spec()), gpu4_node()):
+        k = make_kernel("stencil", 48, seed=1)
+        HompRuntime(machine).parallel_for(k, schedule="SCHED_DYNAMIC")
+        out.append(k.arrays["u_out"].tobytes())
+    assert out[0] == out[1]
 
 
 # -------------------------------------------------------- input pool

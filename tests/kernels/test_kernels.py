@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.kernels.pool import INPUT_POOL_ENV
 from repro.kernels.registry import KERNELS, PAPER_SIZES, make_kernel, paper_workload
 from repro.model.roofline import IntensityClass
 from repro.util.ranges import IterRange, chunk_starts, split_block
@@ -12,10 +13,10 @@ from repro.util.ranges import IterRange, chunk_starts, split_block
 SIZES = {"axpy": 500, "sum": 700, "matvec": 48, "matmul": 40, "stencil": 40, "bm": 40}
 
 
-def run_chunked(kernel, chunks, *, shared):
+def run_chunked(kernel, chunks):
     partial = kernel.identity()
     for c in chunks:
-        p = kernel.execute_chunk(c, shared=shared)
+        p = kernel.execute_chunk(c)
         if kernel.is_reduction:
             partial = kernel.combine(partial, p)
     return partial
@@ -34,10 +35,13 @@ def check(kernel, reduction):
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
-@pytest.mark.parametrize("shared", [True, False])
-def test_single_chunk_matches_reference(name, shared):
+@pytest.mark.parametrize("pooled", [True, False])
+def test_single_chunk_matches_reference(name, pooled, monkeypatch):
+    """Read-only pooled inputs and private writable ones compute alike."""
+    monkeypatch.setenv(INPUT_POOL_ENV, "on" if pooled else "off")
     k = make_kernel(name, SIZES[name], seed=11)
-    red = run_chunked(k, [k.iter_space], shared=shared)
+    assert all(v.flags.writeable for v in k.arrays.values()) is not pooled
+    red = run_chunked(k, [k.iter_space])
     check(k, red)
 
 
@@ -45,14 +49,14 @@ def test_single_chunk_matches_reference(name, shared):
 @pytest.mark.parametrize("nparts", [2, 3, 7])
 def test_block_partitioned_execution_matches_reference(name, nparts):
     k = make_kernel(name, SIZES[name], seed=12)
-    red = run_chunked(k, split_block(k.iter_space, nparts), shared=False)
+    red = run_chunked(k, split_block(k.iter_space, nparts))
     check(k, red)
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_small_chunk_streaming_matches_reference(name):
     k = make_kernel(name, SIZES[name], seed=13)
-    red = run_chunked(k, chunk_starts(k.iter_space, 7), shared=False)
+    red = run_chunked(k, chunk_starts(k.iter_space, 7))
     check(k, red)
 
 
@@ -60,7 +64,7 @@ def test_small_chunk_streaming_matches_reference(name):
 def test_out_of_order_chunks_match_reference(name):
     k = make_kernel(name, SIZES[name], seed=14)
     chunks = chunk_starts(k.iter_space, 9)
-    red = run_chunked(k, list(reversed(chunks)), shared=False)
+    red = run_chunked(k, list(reversed(chunks)))
     check(k, red)
 
 
@@ -83,7 +87,7 @@ def test_property_any_tiling_matches_reference(name, data):
     bounds = [0] + cuts + [n]
     chunks = [IterRange(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
     order = data.draw(st.permutations(chunks))
-    red = run_chunked(k, order, shared=data.draw(st.booleans()))
+    red = run_chunked(k, order)
     check(k, red)
 
 
@@ -166,7 +170,7 @@ class TestRegistry:
 class TestKernelSpecifics:
     def test_stencil_boundary_rows_copied_through(self):
         k = make_kernel("stencil", 40, seed=3)
-        k.execute_chunk(k.iter_space, shared=False)
+        k.execute_chunk(k.iter_space)
         u_in = k._initial["u_in"]
         out = k.arrays["u_out"]
         assert np.array_equal(out[:3], u_in[:3])
@@ -181,12 +185,12 @@ class TestKernelSpecifics:
         from repro.kernels.block_matching import BlockMatchingKernel
 
         k = BlockMatchingKernel(40, window=4, search=1, seed=3)
-        k.execute_chunk(k.iter_space, shared=False)
+        k.execute_chunk(k.iter_space)
         ref = k.reference()["sad"]
         assert np.allclose(k.arrays["sad"], ref)
         # a search never produces a worse SAD than the zero-displacement one
         k0 = BlockMatchingKernel(40, window=4, search=0, seed=3)
-        k0.execute_chunk(k0.iter_space, shared=True)
+        k0.execute_chunk(k0.iter_space)
         # cannot compare directly (different anchor grids); just check scale
         assert np.all(k.arrays["sad"] >= 0)
 

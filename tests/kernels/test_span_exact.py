@@ -6,8 +6,8 @@ leaves the host arrays byte-equal to computing ``[a, b)`` and ``[b, c)``,
 in either order.  A virtual-time backend relies on it to run a kernel's
 committed chunks as a few merged spans.  Here every declaring kernel runs
 a hypothesis-drawn partition of its iteration space chunk by chunk, in
-shuffled order and with any mix of ``shared`` flags, and its arrays must
-equal one call per merged run of those chunks.
+shuffled order, and its arrays must equal one call per merged run of those
+chunks.
 """
 
 from __future__ import annotations
@@ -51,15 +51,14 @@ def _bytes(kernel) -> dict[str, bytes]:
 
 @st.composite
 def _plan(draw, n: int):
-    """A partition of ``[0, n)``, an execution order, a shared flag per
-    chunk, and which chunk boundaries the merged side keeps."""
+    """A partition of ``[0, n)``, an execution order, and which chunk
+    boundaries the merged side keeps."""
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=min(n - 1, 12))))
     bounds = [0, *cuts, n]
     chunks = [IterRange(a, b) for a, b in zip(bounds, bounds[1:])]
     order = draw(st.permutations(range(len(chunks))))
-    shared = draw(st.lists(st.booleans(), min_size=len(chunks), max_size=len(chunks)))
     keep = [c for c in cuts if draw(st.booleans())]
-    return chunks, order, shared, keep
+    return chunks, order, keep
 
 
 @pytest.mark.parametrize("name", sorted(SPAN_EXACT))
@@ -68,14 +67,13 @@ def _plan(draw, n: int):
 def test_chunks_in_any_order_equal_one_call_per_merged_run(name, data):
     per_chunk, merged = SPAN_EXACT[name](), SPAN_EXACT[name]()
     assert per_chunk.span_exact and _bytes(per_chunk) == _bytes(merged)
-    chunks, order, shared, keep = data.draw(_plan(per_chunk.n_iters))
+    chunks, order, keep = data.draw(_plan(per_chunk.n_iters))
     for i in order:
-        per_chunk.execute_chunk(chunks[i], shared=shared[i])
+        per_chunk.execute_chunk(chunks[i])
     bounds = [0, *keep, merged.n_iters]
     runs = [IterRange(a, b) for a, b in zip(bounds, bounds[1:])]
-    run_shared = data.draw(st.booleans())
     for run in reversed(runs):
-        merged.execute_chunk(run, shared=run_shared)
+        merged.execute_chunk(run)
     assert _bytes(per_chunk) == _bytes(merged)
     assert per_chunk.stats.iterations == merged.stats.iterations
 

@@ -76,10 +76,10 @@ def test_configured_lease_on_busy_engine_raises(gpu4):
         sched = make_scheduler("BLOCK")
         orig = kernel.execute_chunk
 
-        def slow_execute(rows, *, shared=True):
+        def slow_execute(rows):
             entered.set()
             release.wait(timeout=10)
-            return orig(rows, shared=shared)
+            return orig(rows)
 
         kernel.execute_chunk = slow_execute
         engine.run(kernel, sched)

@@ -28,7 +28,6 @@ from repro.engine import (
     DeviceTrace,
     OffloadEngine,
     OffloadResult,
-    ThreadedEngine,
     make_backend,
 )
 from repro.errors import (
@@ -100,7 +99,6 @@ __all__ = [
     # engine
     "DeviceTrace",
     "OffloadEngine",
-    "ThreadedEngine",
     "OffloadResult",
     "make_backend",
     # errors

@@ -20,9 +20,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.engine.core import resolve_backend
-from repro.errors import OffloadError
-
 from repro.bench.figures import (
     fig5_gpu4,
     fig6_breakdown,
@@ -69,36 +66,15 @@ def main(argv: list[str] | None = None) -> int:
             f"Prometheus metrics) for {sorted(TRACEABLE)} into DIR"
         ),
     )
-    parser.add_argument(
-        "--executor",
-        metavar="NAME",
-        help=(
-            "execution backend for grid cells: virtual (default; the "
-            "virtual-time simulator, the only backend whose timings "
-            "reproduce the paper's figures), batch (the same engine) or "
-            "threaded (wall clock; bypasses the sweep cache)"
-        ),
-    )
     args = parser.parse_args(argv)
-
-    if args.executor is not None:
-        # Fail fast: a typo'd name dies here with the valid names instead
-        # of deep inside the first grid cell.
-        try:
-            resolve_backend(args.executor)
-        except OffloadError as exc:
-            parser.error(str(exc))
 
     targets = args.targets or list(GENERATORS)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-    exec_kwargs = {} if args.executor is None else {"executor": args.executor}
     for name in targets:
         kwargs = {} if name == "table4" else {"seed": args.seed}
-        if name in TRACEABLE:
-            kwargs.update(exec_kwargs)
-            if args.trace is not None:
-                kwargs["trace_dir"] = args.trace / name
+        if name in TRACEABLE and args.trace is not None:
+            kwargs["trace_dir"] = args.trace / name
         result = GENERATORS[name](**kwargs)
         print(result.text)
         print()

@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro import __version__
-from repro.engine.core import resolve_backend
 from repro.engine.trace import OffloadResult
 from repro.faults.plan import FaultPlan, faults_enabled
 from repro.faults.policy import ResiliencePolicy
@@ -129,22 +128,17 @@ def cell_key(
     verify: bool = True,
     fault_plan: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
-    executor: "str | type | None" = None,
 ) -> str | None:
     """The one cell rule: a cell's ``result_key``, or None if it always runs.
 
     Keyed when, in this order: the cache is enabled (otherwise nothing is
-    fingerprinted or hashed), ``executor`` is the virtual engine, the
-    factory exposes a ``fingerprint()`` identity (a lambda could close over
-    anything), the policy is a notation string, and the cutoff is a
-    fraction (``"auto"`` resolves against the devices at run time).
+    fingerprinted or hashed), the factory exposes a ``fingerprint()``
+    identity (a lambda could close over anything), the policy is a
+    notation string, and the cutoff is a fraction (``"auto"`` resolves
+    against the devices at run time).
     ``run_cell``, ``run_grid`` and the offload service all ask here.
     """
     if not cache.enabled:
-        return None
-    # Only virtual-time results reproduce: a cached wall-clock timing
-    # would be a lie.
-    if resolve_backend(executor or "virtual").backend_name != "virtual":
         return None
     fingerprint = getattr(factory, "fingerprint", None)
     if fingerprint is None or not isinstance(policy, str) or cutoff_ratio == "auto":

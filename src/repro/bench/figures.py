@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.runner import PolicyGrid, run_cell, run_grid, run_one
+from repro.bench.runner import PolicyGrid, run_cell, run_grid
 from repro.bench.workloads import (
     WORKLOAD_NAMES,
     WorkloadFactory,
     workload,
     workload_label,
 )
-from repro.kernels.registry import KERNELS
 from repro.machine.presets import cpu_mic_node, full_node, gpu4_node
 from repro.machine.spec import MachineSpec
 from repro.util.tables import render_table
@@ -60,34 +59,26 @@ def _grid_figure(
     *,
     seed: int = 0,
     trace_dir=None,
-    executor=None,
 ) -> FigureResult:
-    grid = run_grid(
-        machine, _factories(seed), trace_dir=trace_dir, executor=executor
-    )
+    grid = run_grid(machine, _factories(seed), trace_dir=trace_dir)
     headers = ["kernel"] + list(grid.policies)
     text = render_table(headers, grid.rows(), title=f"{name} — offload time (ms) on {machine.name}")
     return FigureResult(name=name, grid=grid, text=text)
 
 
-def fig5_gpu4(*, seed: int = 0, trace_dir=None, executor=None) -> FigureResult:
+def fig5_gpu4(*, seed: int = 0, trace_dir=None) -> FigureResult:
     """Fig. 5: offload time, 6 kernels x 7 policies, 4 identical K40s.
 
     ``trace_dir`` exports per-cell Chrome traces and grid metrics (see
     ``run_grid``); it changes nothing about the returned figure.
-    ``executor`` selects the execution backend for every cell (None = the
-    virtual-time simulator; wall-clock backends bypass the sweep cache).
     """
-    return _grid_figure(
-        "Fig. 5", gpu4_node(), seed=seed, trace_dir=trace_dir,
-        executor=executor,
-    )
+    return _grid_figure("Fig. 5", gpu4_node(), seed=seed, trace_dir=trace_dir)
 
 
-def fig6_breakdown(*, seed: int = 0, trace_dir=None, executor=None) -> FigureResult:
+def fig6_breakdown(*, seed: int = 0, trace_dir=None) -> FigureResult:
     """Fig. 6: accumulated breakdown (%) of offloading time + imbalance,
     of Fig. 5's sweep."""
-    grid = fig5_gpu4(seed=seed, trace_dir=trace_dir, executor=executor).grid
+    grid = fig5_gpu4(seed=seed, trace_dir=trace_dir).grid
     rows = []
     imbalances: dict[str, float] = {}
     for kname, row in grid.results.items():
@@ -135,23 +126,19 @@ def fig7_speedup(*, seed: int = 0, max_gpus: int = 4) -> FigureResult:
     )
 
 
-def fig8_cpu_mic(*, seed: int = 0, trace_dir=None, executor=None) -> FigureResult:
+def fig8_cpu_mic(*, seed: int = 0, trace_dir=None) -> FigureResult:
     """Fig. 8: offload time, 6 kernels x 7 policies, 2 CPUs + 2 MICs."""
     return _grid_figure(
-        "Fig. 8", cpu_mic_node(), seed=seed, trace_dir=trace_dir,
-        executor=executor,
+        "Fig. 8", cpu_mic_node(), seed=seed, trace_dir=trace_dir
     )
 
 
 def fig9_full_node(
-    *, seed: int = 0, cutoff_ratio: float = 0.15, trace_dir=None,
-    executor=None,
+    *, seed: int = 0, cutoff_ratio: float = 0.15, trace_dir=None
 ) -> FigureResult:
     """Fig. 9: full node (2 CPUs + 4 GPUs + 2 MICs), plus min-with-CUTOFF."""
     machine = full_node()
-    grid = run_grid(
-        machine, _factories(seed), trace_dir=trace_dir, executor=executor
-    )
+    grid = run_grid(machine, _factories(seed), trace_dir=trace_dir)
     cutoff_best: dict[str, float] = {}
     cutoff_algo: dict[str, str] = {}
     for kname in _FIG_KERNELS:
@@ -161,7 +148,7 @@ def fig9_full_node(
                        "MODEL_PROFILE_AUTO"):
             result = run_cell(
                 machine, WorkloadFactory(kname, seed=seed), policy,
-                cutoff_ratio=cutoff_ratio, seed=seed, executor=executor,
+                cutoff_ratio=cutoff_ratio, seed=seed,
             )
             if result.total_time_ms < best_ms:
                 best_ms = result.total_time_ms

@@ -5,10 +5,10 @@ reference — a benchmark that silently computes the wrong answer is worse
 than a failing one.
 
 A grid's cells are served from the sweep cache (:mod:`repro.bench.cache`)
-where they can be; the misses of a fault-free, untraced grid on the
-virtual engine run as one ``parallel_for_many`` batch, every other miss
-runs per cell.  Either way each result is bit-identical to the uncached
-per-cell sweep's, in the same deterministic order.
+where they can be; the misses of a fault-free, untraced grid run as
+one ``parallel_for_many`` batch, every other miss runs per cell.  Either
+way each result is bit-identical to the uncached per-cell sweep's, in
+the same deterministic order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from repro.bench.cache import SweepCache, cell_key, get_cache
-from repro.engine.core import resolve_backend
 from repro.engine.trace import OffloadResult
 from repro.errors import OffloadError
 from repro.faults.plan import FaultPlan
@@ -145,7 +144,6 @@ def run_one(
     fault_plan: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
     tracer: Tracer | None = None,
-    executor: "str | type | None" = None,
 ) -> OffloadResult:
     """One kernel under one policy, verified.
 
@@ -154,9 +152,6 @@ def run_one(
     run must produce the same answer as the fault-free one.  ``tracer``
     receives the run's span stream (:mod:`repro.obs`); tracing is a pure
     side channel — the returned result is identical with or without it.
-    ``executor`` selects the execution backend (``"virtual"``,
-    ``"threaded"``, ``"batch"`` or a class; None = the virtual-time
-    simulator).
     """
     global _ENGINE_RUNS
     _ENGINE_RUNS += 1
@@ -164,7 +159,6 @@ def run_one(
     result = rt.parallel_for(
         kernel, schedule=policy, cutoff_ratio=cutoff_ratio,
         fault_plan=fault_plan, resilience=resilience, tracer=tracer,
-        executor=executor,
     )
     if verify:
         verify_result(kernel, result)
@@ -182,7 +176,6 @@ def run_cell(
     cache: SweepCache | None = None,
     fault_plan: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
-    executor: "str | type | None" = None,
 ) -> OffloadResult:
     """One grid cell through the sweep cache.
 
@@ -194,7 +187,7 @@ def run_cell(
     cache = get_cache() if cache is None else cache
     options = dict(
         cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-        fault_plan=fault_plan, resilience=resilience, executor=executor,
+        fault_plan=fault_plan, resilience=resilience,
     )
     key = cell_key(cache, machine, factory, policy, **options)
     if key is not None:
@@ -242,7 +235,6 @@ def run_grid(
     fault_plan: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
     trace_dir: str | Path | None = None,
-    executor: "str | type | None" = None,
 ) -> PolicyGrid:
     """Sweep kernel factories over policies.
 
@@ -251,14 +243,11 @@ def run_grid(
 
     Cells :func:`~repro.bench.cache.cell_key` keys are served from /
     stored into the sweep cache.  The grid picks how its misses run from
-    its own inputs: on the virtual engine, untraced and without a fault
-    plan or resilience policy, they run as one ``parallel_for_many``
+    its own inputs: untraced and without a fault plan or resilience
+    policy, they run as one ``parallel_for_many``
     batch; otherwise each runs through ``run_one``.  Results are
     assembled in the declared kernel/policy order and every cell is
     bit-identical to what ``run_cell`` produces for it.
-
-    ``executor`` selects the execution backend for every cell (registry
-    name or class; None = the virtual-time simulator).
 
     ``trace_dir`` enables observability (:mod:`repro.obs`): every cell
     runs freshly traced (cache reads are bypassed — a cache hit has no
@@ -276,7 +265,7 @@ def run_grid(
     tracing = trace_dir is not None and obs_enabled()
     options = dict(
         cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-        fault_plan=fault_plan, resilience=resilience, executor=executor,
+        fault_plan=fault_plan, resilience=resilience,
     )
 
     # Resolve cache hits up front; only misses run.
@@ -297,13 +286,10 @@ def run_grid(
         fresh = _traced_cells(
             machine, pending, Path(trace_dir), registry, **options
         )
-    elif (
-        pending and resolve_backend(executor or "virtual").backend_name == "virtual"
-        and fault_plan is None and resilience is None
-    ):
+    elif pending and fault_plan is None and resilience is None:
         fresh = _batch_cells(
             machine, pending, cutoff_ratio=cutoff_ratio, seed=seed,
-            verify=verify, executor=executor,
+            verify=verify,
         )
     else:
         fresh = (
@@ -329,9 +315,8 @@ def _batch_cells(
     cutoff_ratio: float,
     seed: int,
     verify: bool,
-    executor: "str | type | None",
 ) -> list[OffloadResult]:
-    """Run pending grid cells as one batch on the virtual engine.
+    """Run pending grid cells as one batch on one engine.
 
     The whole pending list becomes one ``parallel_for_many`` call: one
     engine, one run of the event loop per cell, back to back.  Cells of
@@ -347,9 +332,7 @@ def _batch_cells(
         (share, factory, policy, cutoff_ratio)
         for share, (_, factory, policy, _) in zip(shares, pending)
     )
-    batch = HompRuntime(machine, seed=seed).parallel_for_many(
-        specs, executor=executor
-    )
+    batch = HompRuntime(machine, seed=seed).parallel_for_many(specs)
     _ENGINE_RUNS += len(batch)
     if verify:
         verify_batch(zip(shares, specs, batch))
@@ -368,9 +351,8 @@ def _traced_cells(
     One metrics registry spans the whole grid; each cell gets its own
     span stream.
     """
-    clock = resolve_backend(options["executor"] or "virtual").clock
     for kname, factory, policy, _ in pending:
-        tracer = Tracer(clock=clock, metrics=registry)
+        tracer = Tracer(metrics=registry)
         result = run_one(machine, factory(), policy, tracer=tracer, **options)
         stem = f"{kname}.{policy}".replace("/", "_").replace(" ", "_")
         write_chrome_trace(tracer, trace_dir / f"{stem}.trace.json")

@@ -5,11 +5,10 @@
   fabric :class:`~repro.machine.interconnect.Link`, with JSON round-trip
   and presets (:func:`~repro.cluster.spec.gpu_cluster`,
   :func:`~repro.cluster.spec.homogeneous_cluster`).
-* :func:`~repro.cluster.engine.run_cluster` — a function, not a
-  backend: node-level BLOCK split, one ``"virtual"`` engine
-  per node shard, fabric staging charged through the node-level
-  residency ledger.  A single-node cluster is bit-identical to
-  ``"virtual"``.
+* :func:`~repro.cluster.engine.run_cluster` — a function, not an
+  engine: node-level BLOCK split, one engine per node shard, fabric
+  staging charged through the node-level residency ledger.  A
+  single-node cluster is bit-identical to its node's engine.
 """
 
 from repro.cluster.spec import ClusterSpec, gpu_cluster, homogeneous_cluster

@@ -1,7 +1,7 @@
 """The cluster runner: hierarchical node -> device offload.
 
-A cluster is not an execution backend: :func:`run_cluster` composes one
-``virtual`` :class:`~repro.engine.simulator.OffloadEngine` per node.  One
+A cluster is not an engine: :func:`run_cluster` composes one
+:class:`~repro.engine.simulator.OffloadEngine` per node.  One
 cluster offload decomposes the loop twice.  The *node* level is a static
 contiguous BLOCK split (:func:`~repro.util.ranges.split_block`); each
 shard is then executed by a fresh intra-node engine on that node's own
@@ -34,8 +34,8 @@ adds only what is new at cluster scale:
   adds its own ``fabric_in`` / ``fabric_out`` spans.
 
 A single-node cluster skips all of the above and runs its node's engine
-directly, so its results are **bit-identical** to the ``virtual``
-backend — the pin that keeps the hierarchy honest.
+directly, so its results are **bit-identical** to that engine's — the
+pin that keeps the hierarchy honest.
 
 ALIGN intra-node loop schedulers derive their ranges from the full array
 extent, not the shard, and raise :class:`~repro.errors.OffloadError`

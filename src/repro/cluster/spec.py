@@ -78,7 +78,7 @@ class ClusterSpec:
         """The single flat machine the runtime sees (node-major device
         order).  A one-node cluster flattens to its node unchanged, so
         intra-node-only cluster runs are directly comparable — and pinned
-        bit-identical — to the ``virtual`` backend on that node."""
+        bit-identical — to the engine on that node."""
         if len(self.nodes) == 1:
             return self.nodes[0]
         return MachineSpec(

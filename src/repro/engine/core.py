@@ -1,8 +1,7 @@
 """Shared offload execution core: one chunk-lifecycle state machine.
 
-Every executor — the virtual-time simulator (:mod:`repro.engine.simulator`)
-and the wall-clock thread pool (:mod:`repro.engine.threaded`) — drives the
-same per-chunk lifecycle::
+The virtual-time engine (:mod:`repro.engine.simulator`) drives every chunk
+through the same lifecycle::
 
     request -> sched-decision -> xfer_in -> compute -> xfer_out -> observe
                      |               |                     |
@@ -18,20 +17,19 @@ scheduler's ``requeue``/``device_lost`` hooks, quarantine via
 :class:`~repro.faults.policy.HealthTracker`, the
 :class:`~repro.engine.trace.DeviceTrace` bucket accounting, observability
 span/metric emission at each transition, coverage and reduction tracking,
-and the final :class:`~repro.engine.trace.OffloadResult` assembly.  A
-backend contributes only the *scheduling of events in time* and the one
-``wake`` hook that tells it a device has work again: the simulator resolves
-the pipeline analytically and keeps ``(request_time, devid)`` on a ``heapq``;
-the threaded executor lets real threads race and reads ``time.perf_counter``.
+and the final :class:`~repro.engine.trace.OffloadResult` assembly.  The
+engine contributes only the *scheduling of events in time* and the one
+``wake`` hook that tells it a device has work again: it resolves the
+pipeline analytically and keeps ``(request_time, devid)`` on a ``heapq``.
 
-Backends are selected by name from a closed table (:func:`resolve_backend`)
-through ``HompRuntime.parallel_for(executor=...)`` or ``repro.bench``.
+:func:`make_backend` builds an engine; ``"virtual"`` and ``"batch"`` both
+name :class:`~repro.engine.simulator.OffloadEngine`.
 
-Determinism contract: for the virtual-time backend, routing the lifecycle
-through this module is **bit-identical** to the pre-core engine — the
-transition helpers replay the exact arithmetic, accumulation order and
-event-emission order of the original monolithic loop (pinned by
-``tests/engine/test_bit_identity.py`` and the CI smoke fixture).
+Determinism contract: routing the lifecycle through this module is
+**bit-identical** to the pre-core engine — the transition helpers replay
+the exact arithmetic, accumulation order and event-emission order of the
+original monolithic loop (pinned by ``tests/engine/test_bit_identity.py``
+and the CI smoke fixture).
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
-from typing import Any, Callable, ClassVar, Protocol, runtime_checkable
+from typing import Any, Callable
 
 from repro.engine.events import ChunkEvent, Timeline
 from repro.engine.trace import DeviceTrace, OffloadResult
@@ -67,8 +65,6 @@ __all__ = [
     "DeviceCarry",
     "RunContext",
     "EngineBase",
-    "ExecutionBackend",
-    "resolve_backend",
     "make_backend",
 ]
 
@@ -136,10 +132,10 @@ _SPAN_CAP_BYTES = 256 * 1024
 class StageTiming:
     """Resolved timeline of one chunk's trip through the pipeline.
 
-    A backend fills the timestamps in its own notion of time (virtual or
-    wall seconds since offload start); the core charges trace buckets and
-    emits spans from them.  ``phase`` tracks the lifecycle position and is
-    validated against :data:`LIFECYCLE` on every transition.  Unset fields
+    The engine fills the timestamps in virtual seconds since offload
+    start; the core charges trace buckets and emits spans from them.
+    ``phase`` tracks the lifecycle position and is validated against
+    :data:`LIFECYCLE` on every transition.  Unset fields
     read the class-level defaults, so opening a chunk costs three stores.
     """
 
@@ -197,7 +193,7 @@ class StageTiming:
 
 @dataclass
 class DeviceState:
-    """Mutable per-device execution state shared by all backends."""
+    """Mutable per-device execution state of one run."""
 
     device: Device
     trace: DeviceTrace
@@ -266,7 +262,6 @@ class RunContext:
         resilience: ResiliencePolicy | None = None,
         tracer: Tracer | NullTracer | None = NULL_TRACER,
         residency=None,
-        meta_extra: dict | None = None,
         carry_in: "dict[int, DeviceCarry] | None" = None,
     ):
         self.machine = machine
@@ -326,10 +321,7 @@ class RunContext:
         self.events: list[ChunkEvent] = []
         self.faults: list[ChunkFault] = []
 
-        #: What a backend adds to both the result meta and the tracer meta.
-        self.meta_extra = meta_extra or {}
-
-        #: The one backend hook, installed before the event loop starts:
+        #: The one engine hook, installed before the event loop starts:
         #: device ``st`` has work again at time ``t`` (it was drained and
         #: an orphan appeared, or it was parked at a barrier that released).
         self.wake: Callable[[DeviceState, float], None] = lambda st, t: None
@@ -375,7 +367,7 @@ class RunContext:
         view, the bytes are the delta between what the chunk touches and
         what the ledger says is already on the device; elided bytes are
         recorded on the timing for span/metric emission.  Does not clear
-        ``st.first_chunk`` — backends do, after charging setup overhead.
+        ``st.first_chunk`` — the engine does, after charging setup overhead.
         """
         res = self.residency
         if res is None:
@@ -465,8 +457,6 @@ class RunContext:
         direction: str,
         t_x: float,
         start_t: float,
-        *,
-        sleep: Callable[[float], None] | None = None,
     ) -> tuple[float, int, bool]:
         """Outcome of one (possibly retried) transfer.
 
@@ -474,9 +464,8 @@ class RunContext:
         and backoffs, the number of retried attempts, and whether a
         transfer eventually went through.  Draws come from the plan's
         counter-based hash keyed on a per-device monotonic attempt
-        counter, so a re-served chunk faces fresh draws.  In virtual time
-        the pad is pure arithmetic; a wall-clock backend passes ``sleep``
-        to realise each failed attempt and backoff as real waiting.
+        counter, so a re-served chunk faces fresh draws.  The pad is pure
+        virtual-time arithmetic.
         """
         if not self.plan_active or t_x <= 0.0:
             return 0.0, 0, True
@@ -491,8 +480,6 @@ class RunContext:
             if not plan.transfer_fails(devid, n, direction):
                 return pad, fails, True
             pad += t_x  # the failed attempt still occupied the link
-            if sleep is not None:
-                sleep(t_x)
             fails += 1
             if fails > retry.max_retries:
                 self.emit_fault(
@@ -512,15 +499,12 @@ class RunContext:
                 stage=direction,
                 detail=f"attempt {fails} failed",
             )
-            backoff = retry.backoff(fails - 1)
-            pad += backoff
-            if sleep is not None:
-                sleep(backoff)
+            pad += retry.backoff(fails - 1)
 
     # -- barriers ------------------------------------------------------------
 
     def park(self, st: DeviceState, t: float) -> None:
-        """The one way a backend parks ``st`` at a barrier (at ``t``): the
+        """The one way the engine parks ``st`` at a barrier (at ``t``): the
         count lets :meth:`maybe_release_barrier` skip the scan."""
         st.at_barrier = t
         self.parked += 1
@@ -729,27 +713,18 @@ class RunContext:
         tm.advance(ChunkPhase.REQUEST)  # pipeline torn down; resume serially
         return False
 
-    #: Sentinel: commit_chunk should execute the kernel itself.
-    _EXECUTE: ClassVar[object] = object()
-
     def commit_chunk(
         self,
         st: DeviceState,
         tm: StageTiming,
         observe_elapsed: float,
-        *,
-        partial: Any = _EXECUTE,
     ) -> None:
         """``xfer_out -> observe -> done``: the chunk completed.
 
         Charges the stage buckets, counts coverage, executes the kernel
         numerically (exactly once per covered chunk; a span-exact kernel's
         rows are only recorded, for :meth:`finalize`) and feeds the
-        scheduler's ``observe`` hook with ``observe_elapsed``.  A backend
-        that must execute outside the core's call (the threaded backend
-        computes without holding its lock) passes the already-computed
-        ``partial`` instead; the reduction combine still happens here, in
-        commit order.
+        scheduler's ``observe`` hook with ``observe_elapsed``.
         """
         tm.advance(_OBSERVE, _DONE)
         chunk = tm.chunk
@@ -780,12 +755,11 @@ class RunContext:
         if self.plan_active:
             self.health.record_success(devid)
 
-        if partial is RunContext._EXECUTE:
-            partial = None
-            if self.spans is not None:
-                self.spans.append((chunk.start, chunk.stop))
-            elif self.execute_numerically:
-                partial = self.kernel.execute_chunk(chunk)
+        partial = None
+        if self.spans is not None:
+            self.spans.append((chunk.start, chunk.stop))
+        elif self.execute_numerically:
+            partial = self.kernel.execute_chunk(chunk)
         if self.reduces and partial is not None:
             self.reduction = self.kernel.combine(self.reduction, partial)
 
@@ -793,11 +767,10 @@ class RunContext:
 
     # -- finalisation ---------------------------------------------------------
 
-    def finalize(self, total: float | None = None) -> OffloadResult:
+    def finalize(self) -> OffloadResult:
         """Coverage check, closing barrier, obs flush, result assembly.
 
-        ``total`` is the offload's end time; None (the virtual backend)
-        derives it from the slowest participating device.
+        The offload ends when its slowest participating device finishes.
         """
         kernel = self.kernel
         scheduler = self.scheduler
@@ -819,8 +792,7 @@ class RunContext:
             self._execute_spans()
 
         participating = [s for s in states if s.trace.participated]
-        if total is None:
-            total = max((s.finish for s in participating), default=0.0)
+        total = max((s.finish for s in participating), default=0.0)
         for s in participating:
             # Closing barrier: everyone alive waits for the slowest device
             # (lost devices never rejoin).
@@ -868,11 +840,8 @@ class RunContext:
                 machine=self.machine.name,
                 seed=self.seed,
             )
-            obs.meta.update(self.meta_extra)
 
-        meta: dict = {
-            "seed": self.seed, "machine": self.machine.name, **self.meta_extra,
-        }
+        meta: dict = {"seed": self.seed, "machine": self.machine.name}
         if self.residency is not None:
             # Only region-scoped runs carry this key: no-region results
             # stay pickle-identical to the pre-ledger engine.
@@ -922,7 +891,7 @@ class RunContext:
 
         Meaningful after :meth:`finalize`: each device's engine-free
         times, its natural next-request time (``drain_t``, recorded by
-        the backend when the device drained) and its lost flag, all in
+        the engine when the device drained) and its lost flag, all in
         cumulative stream time.
         """
         return {
@@ -949,14 +918,13 @@ class RunContext:
 
 @dataclass
 class EngineBase:
-    """What every execution backend shares: the engine options, the
-    re-entrancy guard and last-run introspection.
+    """The engine options, the re-entrancy guard and last-run introspection.
 
-    The fields below are *the* declaration of the engine option set:
-    backends inherit them (adding only what their notion of time needs),
-    :func:`make_backend` and :meth:`configured` discover them through
-    ``dataclasses.fields``, and :meth:`_run_context` hands them to the
-    shared :class:`RunContext`.
+    The fields below are *the* declaration of the shared engine option
+    set: :class:`~repro.engine.simulator.OffloadEngine` inherits them
+    (adding its pipeline knobs), :func:`make_backend` and
+    :meth:`configured` check options against ``dataclasses.fields``, and
+    :meth:`_run_context` hands them to the shared :class:`RunContext`.
 
     Engine instances are reusable but not concurrently so: each ``run()``
     takes the run gate (:meth:`_run_slot`) and only then builds a fresh
@@ -973,8 +941,7 @@ class EngineBase:
     record_events: bool = False
     #: Faults to inject (None or an empty plan = fault-free run; the
     #: REPRO_FAULTS env switch can disable any plan globally).  Times are
-    #: in the backend's clock: virtual seconds, or wall seconds since
-    #: offload start on the threaded backend.
+    #: virtual seconds.
     fault_plan: FaultPlan | None = None
     #: Retry/quarantine behaviour under the fault plan.
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
@@ -989,7 +956,7 @@ class EngineBase:
     residency: RegionResidency | None = None
 
     # Deliberately *not* annotated: an annotated class attribute here
-    # would become a dataclass field of every backend.
+    # would become a dataclass field.
     _run_ctx = None
 
     def _run_context(
@@ -1002,9 +969,8 @@ class EngineBase:
         """Build the :class:`RunContext` of one run on this engine (inside
         :meth:`_run_slot`) and expose it to last-run introspection.
 
-        The shared options come from the fields above; a backend passes
-        only what differs (``meta_extra``, ``carry_in``, a per-request
-        ``execute_numerically``).
+        The shared options come from the fields above; a run passes only
+        what differs (``carry_in``, a per-request ``execute_numerically``).
         """
         options = {name: getattr(self, name) for name in _SHARED_OPTIONS}
         options.update(differs)
@@ -1028,9 +994,9 @@ class EngineBase:
         exclusive lease holder overrides per-job knobs (seed, fault plan,
         tracer, ...) for the duration of the ``with`` block; every
         override is restored on exit, success or raise.  Option semantics
-        mirror :func:`make_backend`: an option the backend has no field
-        for is dropped when falsy and rejected when set, and ``machine``
-        can never be overridden (engines are bound to one machine).
+        mirror :func:`make_backend`: an option the engine has no field for
+        is rejected, and ``machine`` can never be overridden (engines are
+        bound to one machine).
 
         Requires exclusive ownership — entering while a run is in flight
         raises :class:`~repro.errors.EngineBusyError` (best effort; the
@@ -1048,7 +1014,7 @@ class EngineBase:
             )
         saved: dict[str, Any] = {}
         try:
-            for key, value in _supported_options(type(self), options).items():
+            for key, value in _checked_options(type(self), options).items():
                 saved[key] = getattr(self, key)
                 setattr(self, key, value)
             yield self
@@ -1099,89 +1065,36 @@ class EngineBase:
         return list(self._run_ctx.faults) if self._run_ctx else []
 
 
-def _supported_options(cls: type, options: dict[str, Any]) -> dict[str, Any]:
-    """The ``options`` backend ``cls`` has a field for; one it lacks is
-    dropped when falsy and rejected when set."""
+def _checked_options(cls: type, options: dict[str, Any]) -> dict[str, Any]:
+    """``options``, once every key is a field of engine class ``cls``."""
     names = {f.name for f in dataclass_fields(cls)}
-    kept = {}
-    for key, value in options.items():
-        if key in names:
-            kept[key] = value
-        elif value:  # a meaningful option the backend cannot honour
-            raise OffloadError(
-                f"execution backend {getattr(cls, 'backend_name', cls.__name__)!r}"
-                f" does not support option {key}={value!r}"
-            )
-    return kept
+    unknown = sorted(set(options) - names)
+    if unknown:
+        raise OffloadError(
+            f"{cls.__name__} has no option {', '.join(unknown)}; "
+            f"valid: {', '.join(sorted(names - {'machine'}))}"
+        )
+    return options
 
 
 #: The option set, read off its one declaration (machine included).
 _SHARED_OPTIONS = tuple(f.name for f in dataclass_fields(EngineBase))
 
 
-# ---------------------------------------------------------------------------
-# Backend protocol and the closed name table
-# ---------------------------------------------------------------------------
+def make_backend(spec: "str | type", machine: MachineSpec, **options: Any):
+    """Build an engine over ``machine`` with ``options``.
 
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """What an executor must look like to be driven by the runtime."""
-
-    backend_name: ClassVar[str]
-    #: Which clock the backend's timings are on: ``"virtual"`` (modelled
-    #: seconds, deterministic) or ``"wall"`` — what a tracer is stamped with.
-    clock: ClassVar[str]
-    #: Whether a stream's batches pipeline on this backend: ``run`` takes
-    #: ``carry_in=`` and ``carry_out()`` reads what the run left behind
-    #: (what ``StreamResult.meta["pipelined"]`` reports).
-    pipelined: ClassVar[bool]
-    machine: MachineSpec
-
-    def run(
-        self,
-        kernel: LoopKernel,
-        scheduler: LoopScheduler,
-        *,
-        cutoff_ratio: float = 0.0,
-    ) -> OffloadResult:
-        """Execute one offloaded loop and return its result."""
-        ...  # pragma: no cover - protocol
-
-
-#: The closed backend table, filled on first use (both backend modules
-#: import this one).  ``"batch"`` names the virtual engine, whose
-#: ``run_many`` is the batch entry point.
-_BACKENDS: dict[str, type] = {}
-
-
-def resolve_backend(spec: "str | type") -> type:
-    """Backend class for a name of the closed table, or a class as is."""
-    if isinstance(spec, type):
-        return spec
-    if not _BACKENDS:
-        from repro.engine.simulator import OffloadEngine
-        from repro.engine.threaded import ThreadedEngine
-
-        _BACKENDS.update(
-            virtual=OffloadEngine, threaded=ThreadedEngine, batch=OffloadEngine
-        )
-    cls = _BACKENDS.get(spec) if isinstance(spec, str) else None
-    if cls is None:
-        raise OffloadError(
-            f"unknown execution backend {spec!r}; valid: {', '.join(_BACKENDS)}"
-        )
-    return cls
-
-
-def make_backend(
-    spec: "str | type", machine: MachineSpec, **options: Any
-) -> "ExecutionBackend":
-    """Instantiate a backend, passing only the options it understands.
-
-    Backends are dataclasses; ``options`` the target has no field for are
-    dropped when falsy and rejected when set, so a caller cannot silently
-    lose a meaningful knob (e.g. ``serialize_offload`` on the threaded
-    backend).
+    ``spec`` is ``"virtual"`` or ``"batch"`` (both name
+    :class:`~repro.engine.simulator.OffloadEngine`) or an ``OffloadEngine``
+    subclass.  Anything else, and any option the engine has no field for,
+    raises :class:`~repro.errors.OffloadError`.
     """
-    cls = resolve_backend(spec)
-    return cls(machine=machine, **_supported_options(cls, options))
+    from repro.engine.simulator import OffloadEngine
+
+    cls = OffloadEngine if spec in ("virtual", "batch") else spec
+    if not (isinstance(cls, type) and issubclass(cls, OffloadEngine)):
+        raise OffloadError(
+            f"unknown engine {spec!r}; pass 'virtual' or an OffloadEngine "
+            "subclass"
+        )
+    return cls(machine=machine, **_checked_options(cls, options))

@@ -27,7 +27,7 @@ at finalize, whichever devices committed them), so the simulated timeline
 and the real numeric result come from the same chunk stream; what a
 discrete device's copies would cost is priced by the link model alone.
 
-This module is the **virtual-time backend** of the shared execution core
+This module is the **engine** of the shared execution core
 (:mod:`repro.engine.core`): the chunk lifecycle — fault draws, bounded
 retries, orphan reassignment, quarantine, trace buckets, observability
 spans, coverage/reduction accounting — lives in
@@ -75,13 +75,6 @@ _XFER_IN, _COMPUTE, _XFER_OUT = (
 @dataclass
 class OffloadEngine(EngineBase):
     """Runs one kernel offload under one scheduling algorithm."""
-
-    #: Table name of this backend (virtual-time discrete-event).
-    backend_name = "virtual"
-    clock = "virtual"
-    #: A stream's batches pipeline: each run takes the previous run's
-    #: :meth:`carry_out` as ``carry_in``.
-    pipelined = True
 
     #: Without the paper's `parallel target` composite (§III.4), offloading
     #: to the target devices is serialised: one host thread stages every
@@ -142,7 +135,7 @@ class OffloadEngine(EngineBase):
         return self._run_ctx.carry_out() if self._run_ctx else {}
 
     def _event_loop(self, core: RunContext) -> OffloadResult:
-        """Virtual-time event scheduling: the backend-specific part."""
+        """Virtual-time event scheduling: when each stage happens."""
         kernel = core.kernel
         scheduler = core.scheduler
         states = core.states

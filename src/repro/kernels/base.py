@@ -128,8 +128,8 @@ class LoopKernel(ABC):
     #: GPUs) set this > 1.
     device_mem_factor: float = 1.0
     #: Rows ``[a, c)`` in one ``execute_chunk`` call are byte-equal to
-    #: ``[a, b)`` and ``[b, c)`` in either order, so a virtual-time backend
-    #: may merge contiguous chunks.  BLAS kernels (blocking changes bytes)
+    #: ``[a, b)`` and ``[b, c)`` in either order, so the engine may merge
+    #: contiguous chunks.  BLAS kernels (blocking changes bytes)
     #: and reductions (partials combine per chunk) leave it False.
     span_exact: bool = False
     #: The inputs' pool key + every parameter ``reference()`` reads, if pooled.

@@ -29,8 +29,7 @@ device's copy of those rows; a halo exchange re-validates boundary rows on
 the neighbour.  All row arithmetic is clamped to the array's registered
 extent.
 
-Everything here is deterministic and free of wall-clock state, so ledger
-decisions are identical across the virtual and threaded backends.
+Everything here is deterministic and free of wall-clock state.
 """
 
 from __future__ import annotations
@@ -203,8 +202,8 @@ class ResidencyLedger:
     so nested regions compose like real target-data regions: the inner
     region's entry of an already-mapped range moves nothing, and only the
     release that drops a range to zero references unmaps it (making it the
-    copy-out candidate).  Thread-safe: the wall-clock backend charges
-    chunks from concurrent proxy threads.
+    copy-out candidate).  Thread-safe: one re-entrant lock guards every
+    mutation.
     """
 
     def __init__(self) -> None:

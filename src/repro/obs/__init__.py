@@ -7,8 +7,8 @@ after-the-fact table into a first-class runtime layer:
 
 * :class:`~repro.obs.tracer.Tracer` collects typed
   :class:`~repro.obs.span.Span` records (offload → device → chunk →
-  sched/xfer_in/compute/xfer_out/retry/fault) in virtual time from the
-  simulator and wall time from the threaded engine;
+  sched/xfer_in/compute/xfer_out/retry/fault) in the engine's virtual
+  time;
 * :class:`~repro.obs.metrics.MetricsRegistry` accumulates deterministic
   counters, gauges and fixed-bucket histograms (chunks, iterations,
   retries, quarantines, cache hits, scheduler decision latencies);

@@ -11,7 +11,7 @@ directly in Perfetto or ``chrome://tracing``:
 * fault and retry spans are colour-tagged (``cname``) so a faulted run
   shows its retry storms and losses at a glance.
 
-Timestamps are microseconds (virtual or wall, per the tracer's clock).
+Timestamps are microseconds of virtual time.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def to_chrome_trace(tracer: Tracer) -> dict[str, Any]:
     return {
         "traceEvents": chrome_trace_events(tracer),
         "displayTimeUnit": "ms",
-        "otherData": {"clock": tracer.clock, **tracer.meta},
+        "otherData": {"clock": "virtual", **tracer.meta},
     }
 
 

@@ -15,11 +15,11 @@ A registry is safe to share across threads: the get-or-create lookups and
 the mutation shorthands (:meth:`MetricsRegistry.inc`,
 :meth:`~MetricsRegistry.set_gauge`, :meth:`~MetricsRegistry.observe`), as
 well as :meth:`~MetricsRegistry.merge` and
-:meth:`~MetricsRegistry.snapshot`, hold one registry-wide lock — pooled
-threaded engines and the offload service can feed one aggregate registry
-without lost increments.  Mutating a :class:`Counter`/:class:`Gauge`/
-:class:`Histogram` object *returned* by the registry is not synchronised;
-concurrent writers must go through the registry shorthands.
+:meth:`~MetricsRegistry.snapshot`, hold one registry-wide lock — concurrent
+threads can feed one aggregate registry without lost increments.
+Mutating a :class:`Counter`/:class:`Gauge`/:class:`Histogram` object
+*returned* by the registry is not synchronised; concurrent writers must
+go through the registry shorthands.
 """
 
 from __future__ import annotations

@@ -2,10 +2,8 @@
 
 A :class:`Span` is one named, categorised interval on one device's
 timeline — a scheduler decision, a pipeline stage, a retry storm, a
-barrier wait, or the whole offload.  Spans carry *virtual* time when
-emitted by :class:`~repro.engine.simulator.OffloadEngine` and wall time
-when emitted by :class:`~repro.engine.threaded.ThreadedEngine`; which one
-a tracer recorded is stamped in ``Tracer.clock``.
+barrier wait, or the whole offload.  Spans carry the *virtual* time of
+:class:`~repro.engine.simulator.OffloadEngine`.
 
 An *instant* is a zero-duration span (``t0 == t1``): fault occurrences,
 per-chunk completion marks, device-finish marks.

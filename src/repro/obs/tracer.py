@@ -50,7 +50,6 @@ class NullTracer:
     __slots__ = ()
 
     enabled = False
-    clock = "none"
     metrics: MetricsRegistry | None = None
 
     def span(self, *args: Any, **kwargs: Any) -> None:
@@ -71,22 +70,12 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """In-memory span collector with an attached metrics registry.
 
-    ``clock`` documents the time base of the recorded spans:
-    ``"virtual"`` (the simulator's deterministic clock) or ``"wall"``
-    (the threaded engine's ``perf_counter`` offsets).
+    Span times are the engine's virtual seconds.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        *,
-        clock: str = "virtual",
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        if clock not in ("virtual", "wall"):
-            raise ValueError(f"clock must be 'virtual' or 'wall', got {clock!r}")
-        self.clock = clock
+    def __init__(self, *, metrics: MetricsRegistry | None = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans: list[Span] = []
         #: Run-level context (kernel, algorithm, machine), set by engines.

@@ -111,7 +111,7 @@ class _Bound:
     once per cell, a stream once per batch."""
 
     ids: list[int]
-    engine: object  # bound to exactly the selected submachine
+    engine: OffloadEngine  # bound to exactly the selected submachine
     lease: object  # context manager to hold around the run(s)
     # What each pass's OffloadInfo records beside its CUTOFF ratio.
     serialize_offload: bool
@@ -175,22 +175,17 @@ class HompRuntime:
         return ids
 
     @staticmethod
-    def _lease_engine(engine, executor, submachine: MachineSpec, run_options: dict):
+    def _lease_engine(engine, submachine: MachineSpec, run_options: dict):
         """Configuration lease on a caller-provided (pooled) engine.
 
-        Validates exclusivity with ``executor`` and the machine binding,
-        then returns the ``configured`` context manager that applies this
-        run's options for the duration of the run and restores the
-        engine's base configuration afterwards.
+        Validates the engine's type and machine binding, then returns the
+        ``configured`` context manager that applies this run's options for
+        the duration of the run and restores the engine's base
+        configuration afterwards.
         """
-        if executor is not None:
+        if not isinstance(engine, OffloadEngine):
             raise OffloadError(
-                "pass either executor= (a backend to build) or engine= "
-                "(an already-built instance), not both"
-            )
-        if not hasattr(engine, "configured") or not hasattr(engine, "run"):
-            raise OffloadError(
-                f"engine= expects an execution backend instance, got "
+                f"engine= expects an OffloadEngine instance, got "
                 f"{type(engine).__name__}"
             )
         if engine.machine != submachine:
@@ -245,7 +240,6 @@ class HompRuntime:
         self,
         devices=None,
         *,
-        executor=None,
         engine=None,
         residency=None,
         record_events=False,
@@ -259,11 +253,11 @@ class HompRuntime:
         ``select_devices -> subset -> build-or-lease engine``.
 
         The binding's ``lease`` is the context manager to hold around the
-        run(s): a no-op for an engine built here from ``executor``, the
-        ``configured`` lease applying this call's options for a
-        caller-provided ``engine``.  An option left None is not passed on,
-        so a pooled engine keeps its own; a keyword that is not an option
-        comes back in the binding's ``sched_kwargs``.
+        run(s): a no-op for an engine built here, the ``configured`` lease
+        applying this call's options for a caller-provided ``engine``.  An
+        option left None is not passed on, so a pooled engine keeps its
+        own; a keyword that is not an option comes back in the binding's
+        ``sched_kwargs``.
         """
         ids = self.select_devices(devices)
         submachine = self.machine.subset(ids)
@@ -281,14 +275,10 @@ class HompRuntime:
         if residency is not None:
             run_options["residency"] = RegionResidency(residency, tuple(ids))
         if engine is None:
-            engine = make_backend(
-                executor if executor is not None else OffloadEngine,
-                submachine,
-                **run_options,
-            )
+            engine = make_backend(OffloadEngine, submachine, **run_options)
             lease = nullcontext(engine)
         else:
-            lease = self._lease_engine(engine, executor, submachine, run_options)
+            lease = self._lease_engine(engine, submachine, run_options)
         return _Bound(
             ids, engine, lease,
             serialize_offload, fault_plan, residency, record_events, sched_kwargs,
@@ -378,8 +368,7 @@ class HompRuntime:
         fault_plan: FaultPlan | None = None,
         resilience: ResiliencePolicy | None = None,
         tracer=None,
-        executor: "str | type | None" = None,
-        engine=None,
+        engine: OffloadEngine | None = None,
         **sched_kwargs,
     ) -> OffloadResult:
         """Offload one parallel loop across the selected devices.
@@ -399,18 +388,12 @@ class HompRuntime:
         policy for those faults (defaults apply when None).  ``tracer`` —
         a :class:`repro.obs.Tracer` receiving the offload's span stream
         (None = no tracing; ``REPRO_OBS=off`` force-disables any tracer).
-        ``executor`` — which execution backend runs the offload: a name
-        (``"virtual"`` — deterministic discrete-event simulation, the
-        default; ``"threaded"`` — one real host thread per device on a
-        wall clock) or a backend class.  Options a backend cannot honour
-        (e.g. ``serialize_offload`` on the threaded backend) raise
-        :class:`~repro.errors.OffloadError` when set.  ``engine`` — an
-        already-built backend *instance* to run on (a pooled engine from
-        :mod:`repro.service`); it must be bound to exactly the selected
-        submachine, per-run options are applied through its ``configured``
-        lease hook, and results are byte-identical to the engine this call
-        would otherwise construct.  ``engine`` and ``executor`` are
-        mutually exclusive.  ``sched_kwargs`` — constructor keywords of
+        ``engine`` — an already-built :class:`OffloadEngine` to run on (a
+        pooled engine from :mod:`repro.service`); it must be bound to
+        exactly the selected submachine, per-run options are applied
+        through its ``configured`` lease hook, and results are
+        byte-identical to the engine this call would otherwise construct
+        (None = build one).  ``sched_kwargs`` — constructor keywords of
         the algorithm ``schedule`` names (``chunk_pct=`` ...); one nobody
         consumes raises :class:`~repro.errors.SchedulingError`.
         """
@@ -424,7 +407,6 @@ class HompRuntime:
             fault_plan=fault_plan,
             resilience=resilience,
             tracer=tracer,
-            executor=executor,
             engine=engine,
             **sched_kwargs,
         )
@@ -433,7 +415,7 @@ class HompRuntime:
     def _validate_specs(specs) -> "list[OffloadSpec]":
         """Fail fast on malformed batch input, naming the offending index.
 
-        ``parallel_for_many`` hands the whole batch to a backend; without
+        ``parallel_for_many`` hands the whole batch to the engine; without
         this check a bad cell surfaces as an opaque attribute error deep
         inside the scheduler or the event loop.  Returns the
         normalized list so generator inputs are consumed exactly once.
@@ -475,40 +457,28 @@ class HompRuntime:
         *,
         devices=None,
         serialize_offload: bool = False,
-        executor: "str | type | None" = None,
-        engine=None,
+        engine: OffloadEngine | None = None,
     ) -> list[OffloadResult]:
-        """Offload a batch of independent loops through one backend.
+        """Offload a batch of independent loops through one engine.
 
         The batch form of :meth:`parallel_for`: every cell runs on the
         same device selection with the same engine configuration, and the
-        whole list is handed to the virtual engine's ``run_many`` in one
-        call (a backend without ``run_many`` is refused).  Results are
-        positionally aligned with ``specs``, byte-identical to
+        whole list is handed to the engine's ``run_many`` in one call.
+        Results are positionally aligned with ``specs``, byte-identical to
         :meth:`parallel_for`'s, and carry the same ``meta``.
 
-        ``engine`` accepts an already-built backend instance (a pooled
-        engine), exactly as in :meth:`parallel_for`; the batch's options
-        are applied through its ``configured`` lease for the duration of
-        the call.  The spec list is validated before anything runs: an
-        empty list or a malformed spec raises
-        :class:`~repro.errors.SchedulingError` naming the offending index
-        instead of failing deep in the backend.
+        ``engine`` accepts an already-built engine (a pooled one), exactly
+        as in :meth:`parallel_for`; the batch's options are applied
+        through its ``configured`` lease for the duration of the call.
+        The spec list is validated before anything runs: an empty list or
+        a malformed spec raises :class:`~repro.errors.SchedulingError`
+        naming the offending index instead of failing deep in the engine.
         """
         specs = self._validate_specs(specs)
         bound = self._prepare(
-            devices,
-            executor=executor,
-            engine=engine,
-            serialize_offload=serialize_offload,
+            devices, engine=engine, serialize_offload=serialize_offload
         )
         engine = bound.engine
-        if not isinstance(engine, OffloadEngine):
-            raise OffloadError(
-                f"parallel_for_many runs on the virtual engine, not on a "
-                f"{type(engine).__name__}; leave executor= unset or lease "
-                "a virtual engine"
-            )
         requests: list[BatchRequest] = []
         infos: list[OffloadInfo] = []
         for i, spec in enumerate(specs):
@@ -662,10 +632,15 @@ class HompRuntime:
         to a literal :meth:`parallel_for`.  Returns a
         :class:`~repro.runtime.stream.StreamResult`.
         """
-        if batches < 1:
-            raise SchedulingError(f"stream needs batches >= 1, got {batches}")
-        if window < 0:
-            raise SchedulingError(f"stream window must be >= 0, got {window}")
+        for name, value, least in (("batches", batches, 1), ("window", window, 0)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SchedulingError(
+                    f"stream {name} must be an integer, got {value!r}"
+                )
+            if value < least:
+                raise SchedulingError(
+                    f"stream needs {name} >= {least}, got {value}"
+                )
         program = from_directive(
             OffloadDirective(directives=("parallel", "target")),
             kernel,
@@ -696,7 +671,7 @@ class HompRuntime:
         :class:`~repro.ir.ops.StreamOp` contributes one
         :class:`~repro.runtime.stream.StreamResult` covering all its
         batches).  ``kwargs`` are forwarded to every
-        :meth:`parallel_for` call (tracer, executor, cutoff_ratio, ...),
+        :meth:`parallel_for` call (tracer, engine, cutoff_ratio, ...),
         except ``devices=`` and ``schedule=``: those belong to each op's
         ``device(...)`` / ``dist_schedule(...)`` clause and are refused
         with an :class:`~repro.errors.OffloadError`.

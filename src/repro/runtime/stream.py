@@ -14,12 +14,11 @@ The runner behind :class:`~repro.ir.ops.StreamOp` (the
 * **One binding, one lease, cross-batch double buffering.**  Devices,
   engine and scheduler are bound once and the engine's lease is entered
   once around all batches; each batch is one pass through the runtime's
-  back half.  On a backend that declares ``pipelined`` the runner hands
-  each run the previous one's ``carry_out()`` as ``carry_in=``, so batch
-  k+1's copy-ins queue behind (and overlap with) batch k's
-  still-draining compute and copy-out stages.  All times are cumulative
-  stream time; spans are stamped ``batch=<k>`` through
-  :meth:`Tracer.bind <repro.obs.tracer.Tracer.bind>`.
+  back half.  The runner hands each run the previous one's
+  ``carry_out()`` as ``carry_in=``, so batch k+1's copy-ins queue behind
+  (and overlap with) batch k's still-draining compute and copy-out
+  stages.  All times are cumulative stream time; spans are stamped
+  ``batch=<k>`` through :meth:`Tracer.bind <repro.obs.tracer.Tracer.bind>`.
 * **One scheduler instance.**  A stateful scheduler (STREAM_REBALANCE)
   keeps its observed-rate history and its lost-device set across
   ``start`` calls, re-deriving the split between batches; stateless
@@ -35,7 +34,7 @@ every inbound map (a ring buffer where new data lands at the front).
 Degenerate contract: a 1-batch stream is executed as a literal
 :meth:`~repro.runtime.runtime.HompRuntime.parallel_for` — no region, no
 carry — so its single result is byte-identical (pickle-equal) to the
-one-shot path on every backend.
+one-shot path.
 """
 
 from __future__ import annotations
@@ -134,7 +133,7 @@ def run_stream(
     """Execute a :class:`~repro.ir.ops.StreamOp` on ``runtime``.
 
     ``kwargs`` are :meth:`HompRuntime.parallel_for`'s (cutoff_ratio,
-    fault_plan, resilience, tracer, executor, engine, record_events,
+    fault_plan, resilience, tracer, engine, record_events,
     scheduler keywords, ...), bound once for the whole stream; the
     fault plan's virtual-time windows apply over the *cumulative* stream
     timeline, so a slowdown window hits whichever batches run inside it
@@ -145,7 +144,7 @@ def run_stream(
 
     if op.batches == 1:
         # Degenerate stream: literally the one-shot path (no region, no
-        # carry) — byte-identical to parallel_for on every backend.
+        # carry) — byte-identical to parallel_for.
         result = runtime.parallel_for(
             kernel,
             schedule=op.template.schedule,
@@ -177,10 +176,10 @@ def run_stream(
     bytes_moved = bytes_elided = 0.0
     ir = (op.template, decls)
     untraced = nullcontext()
-    run_args = {}  # a pipelined backend is handed the previous batch's carry
+    carry = None  # each batch after the first starts where the last one left
     with region:
         bound = region._prepare(**kwargs)
-        engine, pipelined = bound.engine, bound.engine.pipelined
+        engine = bound.engine
         scheduler = runtime._resolve_scheduler(
             op.template.schedule, kernel, engine.machine, bound.sched_kwargs
         )
@@ -193,7 +192,8 @@ def run_stream(
                     if tracer.enabled else untraced
                 ):
                     result = region._run_bound(
-                        bound, kernel, scheduler, cutoff_ratio, ir, **run_args
+                        bound, kernel, scheduler, cutoff_ratio, ir,
+                        carry_in=carry,
                     )
                 result.meta["stream"] = {
                     "batch": k,
@@ -205,8 +205,7 @@ def run_stream(
                     bytes_moved += res["bytes_moved"]
                     bytes_elided += res["bytes_elided"]
                 results.append(result)
-                if pipelined:
-                    run_args["carry_in"] = engine.carry_out()
+                carry = engine.carry_out()
 
     return StreamResult(
         kernel_name=kernel.name,
@@ -219,6 +218,6 @@ def run_stream(
         meta={
             "device_ids": list(bound.ids),
             "region_time_s": region.total_time_s,
-            "pipelined": pipelined,
+            "pipelined": True,
         },
     )

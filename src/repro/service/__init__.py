@@ -13,8 +13,8 @@ factory, a policy, a tenant identity) and ``await`` typed
   hint (the load generator is open-loop and counts rejections; when to
   resubmit is the caller's policy),
 * dequeues fairly across tenants (stride-based weighted fair queueing),
-* multiplexes admitted jobs over a small pool of *reusable* execution
-  backends (:class:`EnginePool`), every group run on the event loop,
+* multiplexes admitted jobs over a small pool of *reusable* engines
+  (:class:`EnginePool`), every group run on the event loop,
   honouring the engines' exclusive-run contract (:class:`~repro.errors.EngineBusyError`
   can never fire through the pool),
 * coalesces compatible queued jobs — same workload fingerprint, a

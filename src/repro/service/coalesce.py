@@ -7,10 +7,6 @@ them back to back on one leased engine and — because the group shares one
 workload — builds the (expensive) kernel inputs once and runs the numeric
 execution once instead of once per job.
 
-Only a service on the virtual backend coalesces (the predicate that gates
-the sweep cache, :func:`repro.bench.cache.cell_key`): only the virtual
-engine has ``run_many``.
-
 A job is *coalescible* when batching cannot change its bytes or lose a
 side channel it asked for:
 
@@ -39,7 +35,7 @@ by ``tests/service/test_determinism.py``).
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.runtime.runtime import OffloadSpec, _shared_kernel_specs
 from repro.sched.registry import make_scheduler

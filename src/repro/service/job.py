@@ -10,7 +10,7 @@ accepts (CUTOFF, device selection, fault plan, tracing).
 A :class:`JobResult` is the typed completion record: the
 :class:`~repro.engine.trace.OffloadResult` (byte-identical to a direct
 ``parallel_for`` call), how the job was served (coalesced batch size,
-cache hit, backend), wall-clock latency stamps, and the job's isolated
+cache hit), wall-clock latency stamps, and the job's isolated
 per-job :class:`~repro.obs.metrics.MetricsRegistry` (plus its
 :class:`~repro.obs.Tracer` when tracing was requested — exportable
 through the :mod:`repro.obs.export` writers).
@@ -163,7 +163,6 @@ class JobResult:
     state: JobState
     result: OffloadResult | None = None
     error: BaseException | None = None
-    backend: str = "virtual"
     coalesced: bool = False
     batch_size: int = 1
     cache_hit: bool = False

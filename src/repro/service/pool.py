@@ -1,8 +1,8 @@
 """Reusable engine pool for the offload service.
 
-Execution backends are sequentially reusable but never concurrently
-shareable: :class:`~repro.engine.core.EngineBase` guards ``run()`` with a
-run gate that raises :class:`~repro.errors.EngineBusyError` on overlap.
+Engines are sequentially reusable but never concurrently shareable:
+:class:`~repro.engine.core.EngineBase` guards ``run()`` with a run gate
+that raises :class:`~repro.errors.EngineBusyError` on overlap.
 The pool turns that contract into reuse: up to ``size`` leases are held
 at once, each on an engine held *exclusively* for the duration of the
 lease, and engines are returned to a free list instead of being rebuilt
@@ -10,8 +10,8 @@ per job (engine construction is cheap, but reuse keeps the pool's
 concurrency accounting honest, the way a real device queue would be
 held open).
 
-Free engines are keyed by ``(backend, device-selection)`` because an
-engine is bound to one submachine: the pool builds each engine over
+Free engines are keyed by device selection because an engine is bound
+to one submachine: the pool builds each engine over
 ``machine.subset(ids)`` — the *same* path ``parallel_for`` uses — so a
 pooled run's machine (and therefore its result bytes) is identical to a
 direct run's.  Per-run options (seed, numeric execution, fault plans,
@@ -24,26 +24,36 @@ the engine then runs on the event loop like everything else.
 
 from __future__ import annotations
 
-from typing import Any
-
 import asyncio
 
-from repro.engine.core import make_backend, resolve_backend
+from repro.engine.core import make_backend
+from repro.engine.simulator import OffloadEngine
 from repro.machine.spec import MachineSpec
 
 __all__ = ["EnginePool"]
 
 
 class EnginePool:
-    """At most ``size`` concurrently leased engines over one machine."""
+    """At most ``size`` concurrently leased engines over one machine.
 
-    def __init__(self, machine: MachineSpec, *, size: int = 4):
+    ``backend`` is the :class:`~repro.engine.simulator.OffloadEngine`
+    subclass every engine of the pool is built from.
+    """
+
+    def __init__(
+        self,
+        machine: MachineSpec,
+        *,
+        size: int = 4,
+        backend: "type[OffloadEngine]" = OffloadEngine,
+    ):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.machine = machine
         self.size = size
+        self.backend = backend
         self._sem = asyncio.Semaphore(size)
-        self._free: dict[tuple[type, tuple[int, ...]], list[Any]] = {}
+        self._free: dict[tuple[int, ...], list[OffloadEngine]] = {}
         #: Engines ever constructed / leases ever granted / current and
         #: high-water concurrent leases (for tests and pool metrics).
         self.created = 0
@@ -51,26 +61,22 @@ class EnginePool:
         self.active = 0
         self.max_active = 0
 
-    @staticmethod
-    def _key(backend: "str | type", ids: "tuple[int, ...]") -> tuple[type, tuple[int, ...]]:
-        return (resolve_backend(backend), tuple(ids))
-
-    async def acquire(self, backend: "str | type", ids: "tuple[int, ...]") -> Any:
-        """Lease an engine for ``(backend, ids)``; blocks on pool pressure.
+    async def acquire(self, ids: "tuple[int, ...]") -> OffloadEngine:
+        """Lease an engine over devices ``ids``; blocks on pool pressure.
 
         The returned engine is exclusively the caller's until it is
         handed back through :meth:`release` — the pool itself is what
-        makes :class:`~repro.errors.EngineBusyError` unreachable.  A
-        backend that cannot be constructed raises here and holds no slot.
+        makes :class:`~repro.errors.EngineBusyError` unreachable.  An
+        engine that cannot be constructed raises here and holds no slot.
         """
         await self._sem.acquire()
-        free = self._free.get(self._key(backend, ids))
+        free = self._free.get(tuple(ids))
         if free:
             engine = free.pop()
         else:
             try:
                 engine = make_backend(
-                    backend, self.machine.subset(list(ids))
+                    self.backend, self.machine.subset(list(ids))
                 )
             except BaseException:
                 self._sem.release()
@@ -81,10 +87,9 @@ class EnginePool:
         self.max_active = max(self.max_active, self.active)
         return engine
 
-    def release(self, backend: "str | type", ids: "tuple[int, ...]",
-                engine: Any) -> None:
+    def release(self, ids: "tuple[int, ...]", engine: OffloadEngine) -> None:
         """Return a leased engine to the free list and free its slot."""
-        self._free.setdefault(self._key(backend, ids), []).append(engine)
+        self._free.setdefault(tuple(ids), []).append(engine)
         self.active -= 1
         self._sem.release()
 

@@ -28,20 +28,18 @@ are the only nondeterministic fields, and they live outside the result.
 Cache interop: a job's sweep-cache key is :func:`repro.bench.cache.
 cell_key`'s — the rule ``run_cell`` and ``run_grid`` ask — so a grid
 sweep warms the cache for the service and vice versa.  Traced jobs
-bypass cache reads (a hit has no spans to give) but still populate.  On
-a backend other than the virtual engine (``threaded``) the service
-neither caches nor coalesces: every job runs where it was asked.
+bypass cache reads (a hit has no spans to give) but still populate.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable
+from typing import Callable
 
 from repro.bench.cache import SweepCache, cell_key, get_cache
 from repro.bench.runner import verify_batch, verify_result
-from repro.engine.core import resolve_backend
+from repro.engine.simulator import OffloadEngine
 from repro.engine.trace import OffloadResult
 from repro.errors import (
     JobCancelled,
@@ -93,11 +91,11 @@ class OffloadService:
             handle = await svc.submit(OffloadJob(factory, policy="BLOCK"))
             result = (await handle).unwrap()
 
-    ``backend`` names the execution backend (``"virtual"`` by default; an
-    unknown name raises :class:`~repro.errors.OffloadError`).  On the
-    virtual backend coalescible jobs share one ``run_many`` call on a
-    pooled engine; any other backend runs every job itself, uncached.
-    ``coalesce=False`` disables batching entirely; ``max_batch`` caps how
+    ``backend`` is the :class:`~repro.engine.simulator.OffloadEngine`
+    subclass the pool builds its engines from (anything else raises
+    :class:`TypeError`).  Coalescible jobs share one ``run_many`` call on
+    a pooled engine; ``coalesce=False`` disables batching entirely;
+    ``max_batch`` caps how
     many queued mates one batch may absorb.  ``cache`` is a
     :class:`~repro.bench.cache.SweepCache` (None = the process-wide one;
     ``use_cache=False`` bypasses caching regardless).  ``clock`` is the
@@ -109,7 +107,7 @@ class OffloadService:
         self,
         machine: MachineSpec,
         *,
-        backend: "str | type" = "virtual",
+        backend: "type[OffloadEngine]" = OffloadEngine,
         pool_size: int = 4,
         coalesce: bool = True,
         max_batch: int = 16,
@@ -122,12 +120,14 @@ class OffloadService:
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        if not (isinstance(backend, type) and issubclass(backend, OffloadEngine)):
+            raise TypeError(
+                f"backend= takes an OffloadEngine subclass, got {backend!r}"
+            )
         self.machine = machine
         self.backend = backend
-        self._backend_name = resolve_backend(backend).backend_name
         self.pool_size = pool_size
-        # Only the virtual engine has ``run_many``.
-        self.coalesce = coalesce and self._backend_name == "virtual"
+        self.coalesce = coalesce
         self.max_batch = max_batch
         self._clock = clock
         self._cache = cache if cache is not None else get_cache()
@@ -158,7 +158,9 @@ class OffloadService:
     async def start(self) -> "OffloadService":
         if self._running:
             raise ServiceError("service is already running")
-        self._pool = EnginePool(self.machine, size=self.pool_size)
+        self._pool = EnginePool(
+            self.machine, size=self.pool_size, backend=self.backend
+        )
         self._wake = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -260,7 +262,6 @@ class OffloadService:
             self._cache, self.machine, job.factory, job.policy,
             cutoff_ratio=job.cutoff_ratio, seed=job.seed, verify=job.verify,
             fault_plan=job.fault_plan, resilience=job.resilience,
-            executor=self.backend,
         )
 
     # -- dispatch --------------------------------------------------------------
@@ -286,7 +287,7 @@ class OffloadService:
                 )
                 raise
             except Exception as exc:
-                # A raise before the group task (say, a backend that cannot
+                # A raise before the group task (say, an engine that cannot
                 # be built) fails that job; the queue behind it is served.
                 self._fail(group, exc)
 
@@ -303,7 +304,7 @@ class OffloadService:
             if hit is not None:
                 self._complete(rec, JobState.DONE, hit, cache_hit=True)
                 return
-        engine = await self._pool.acquire(self.backend, rec.ids)
+        engine = await self._pool.acquire(rec.ids)
         if rec.group_key is not None and self.max_batch > 1:
             # Mates are collected *after* the (possibly long) wait for
             # a pool slot, so a saturated service naturally forms
@@ -322,16 +323,15 @@ class OffloadService:
         self._inflight_tasks.add(task)
         task.add_done_callback(self._inflight_tasks.discard)
 
-    async def _run_group(self, group: list[_Pending], engine: Any) -> None:
+    async def _run_group(
+        self, group: list[_Pending], engine: OffloadEngine
+    ) -> None:
         assert self._pool is not None
         started = self._clock()
         for rec in group:
             rec.started_at = started
         if len(group) == 1 and group[0].effective_trace:
-            group[0].tracer = Tracer(
-                clock=resolve_backend(self.backend).clock,
-                metrics=group[0].registry,
-            )
+            group[0].tracer = Tracer(metrics=group[0].registry)
         run = self._execute_solo if len(group) == 1 else self._execute_group
         try:
             await asyncio.sleep(0)  # one turn for clients between groups
@@ -355,12 +355,12 @@ class OffloadService:
         except BaseException as exc:
             self._fail(group, exc)
         finally:
-            self._pool.release(self.backend, group[0].ids, engine)
+            self._pool.release(group[0].ids, engine)
 
     # -- engine execution (one group per loop turn) ---------------------------
 
     def _execute_solo(self, group: list[_Pending],
-                      engine: Any) -> list[OffloadResult]:
+                      engine: OffloadEngine) -> list[OffloadResult]:
         """Run one job on its leased engine."""
         (rec,) = group
         job = rec.job
@@ -383,7 +383,7 @@ class OffloadService:
         return [result]
 
     def _execute_group(self, group: list[_Pending],
-                       engine: Any) -> list[OffloadResult]:
+                       engine: OffloadEngine) -> list[OffloadResult]:
         """Run one coalesced batch on a leased engine."""
         jobs = [rec.job for rec in group]
         specs = plan_group(jobs)
@@ -437,7 +437,6 @@ class OffloadService:
             state=state,
             result=outcome if ok else None,
             error=None if ok else outcome,
-            backend=self._backend_name,
             coalesced=coalesced,
             batch_size=batch_size,
             cache_hit=cache_hit,

@@ -277,7 +277,6 @@ def test_cell_key_is_result_key_for_a_keyed_cell():
     m, f = gpu4_node(), WorkloadFactory("axpy", seed=3)
     assert cell_key(
         get_cache(), m, f, "BLOCK", cutoff_ratio=0.15, seed=2, verify=False,
-        executor="batch",
     ) == result_key(
         m, f.fingerprint(), "BLOCK", cutoff_ratio=0.15, seed=2, verify=False
     )
@@ -286,12 +285,11 @@ def test_cell_key_is_result_key_for_a_keyed_cell():
 @pytest.mark.parametrize(
     "change",
     [
-        {"executor": "threaded"},
         {"cutoff_ratio": "auto"},
         {"policy": object()},
         {"factory": lambda: None},
     ],
-    ids=["threaded", "auto-cutoff", "policy-object", "lambda"],
+    ids=["auto-cutoff", "policy-object", "lambda"],
 )
 def test_cell_key_leaves_a_cell_unkeyed(change):
     from repro.bench.cache import cell_key

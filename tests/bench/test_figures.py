@@ -90,22 +90,3 @@ def test_cli_runs_single_target(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "Table IV" in out
     assert (tmp_path / "table4.txt").exists()
-
-
-def test_cli_rejects_unknown_executor_with_registry_listing(capsys):
-    from repro.bench.__main__ import main
-
-    with pytest.raises(SystemExit) as exc:
-        main(["table4", "--executor", "warpdrive"])
-    assert exc.value.code == 2  # argparse usage error, not a traceback
-    err = capsys.readouterr().err
-    assert "warpdrive" in err
-    assert "valid: virtual, threaded, batch" in err
-
-
-def test_cli_accepts_backend_alias(capsys):
-    from repro.bench.__main__ import main
-
-    rc = main(["table4", "--executor", "batch"])
-    assert rc == 0
-    assert "Table IV" in capsys.readouterr().out

@@ -1,5 +1,5 @@
-"""One way to run a grid: a fault-free, untraced virtual grid runs its
-misses as one ``run_many`` batch, every other grid per cell — and both
+"""One way to run a grid: a fault-free, untraced grid runs its misses as
+one ``run_many`` batch, every other grid per cell — and both
 are bit-identical to a per-cell ``run_cell`` loop, in the same order."""
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from repro.bench.cache import CACHE_ENV, SweepCache, reset_cache
 from repro.bench.runner import run_cell, run_grid
 from repro.bench.workloads import BENCH_SCALE_ENV, WorkloadFactory
 from repro.engine.simulator import OffloadEngine
-from repro.engine.threaded import ThreadedEngine
 from repro.engine.trace import OffloadResult
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import gpu4_node
@@ -123,8 +122,8 @@ def test_lambda_factories_fall_back_to_serial():
 
 @pytest.fixture()
 def engine_calls(monkeypatch):
-    """Count ``run`` on both engines and ``run_many`` on the virtual one."""
-    calls = {"run": 0, "run_many": 0, "threaded_run": 0}
+    """Count the engine's ``run`` and ``run_many`` calls."""
+    calls = {"run": 0, "run_many": 0}
 
     def counting(cls, name, key):
         original = getattr(cls, name)
@@ -137,7 +136,6 @@ def engine_calls(monkeypatch):
 
     counting(OffloadEngine, "run", "run")
     counting(OffloadEngine, "run_many", "run_many")
-    counting(ThreadedEngine, "run", "threaded_run")
     return calls
 
 
@@ -150,26 +148,23 @@ def _grid(**kw):
     return 2 * len(POLICIES), caught
 
 
-@pytest.mark.parametrize("executor", [None, "virtual", "batch"])
-def test_fault_free_virtual_grid_is_one_run_many(engine_calls, executor):
-    _, caught = _grid(executor=executor)
-    assert engine_calls == {"run": 0, "run_many": 1, "threaded_run": 0}
+def test_fault_free_grid_is_one_run_many(engine_calls):
+    _, caught = _grid()
+    assert engine_calls == {"run": 0, "run_many": 1}
     assert caught == []
 
 
-def test_faulted_and_threaded_grids_run_per_cell(engine_calls):
+def test_faulted_grid_runs_per_cell(engine_calls):
     from repro.faults.plan import FaultPlan, Slowdown
 
     ncells, _ = _grid(fault_plan=FaultPlan.of(Slowdown(devid=1, factor=2.0)))
-    assert engine_calls == {"run": ncells, "run_many": 0, "threaded_run": 0}
-    _grid(executor="threaded")
-    assert engine_calls == {"run": ncells, "run_many": 0, "threaded_run": ncells}
+    assert engine_calls == {"run": ncells, "run_many": 0}
 
 
 # ---------------------------------------- one miss path, one store loop
 
 MISS_PATHS = {
-    "batch": dict(executor="batch"),
+    "batch": {},
     "traced": dict(trace_dir="traces"),
 }
 

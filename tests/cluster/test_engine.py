@@ -13,7 +13,7 @@ from repro.cluster import (
     run_cluster,
 )
 from repro.dist import Block, Cyclic
-from repro.engine import make_backend, resolve_backend
+from repro.engine import make_backend
 from repro.errors import OffloadError
 from repro.kernels import make_kernel
 from repro.machine.interconnect import ETHERNET_10GBE, INFINIBAND_EDR
@@ -35,10 +35,10 @@ def one_node(machine):
 
 class TestRegistry:
     def test_alias(self):
-        """A cluster is not a backend, under either name it had."""
+        """A cluster is not an engine, under either name it had."""
         for name in ("cluster", "multinode"):
-            with pytest.raises(OffloadError, match="unknown execution backend"):
-                resolve_backend(name)
+            with pytest.raises(OffloadError, match="unknown engine"):
+                make_backend(name, gpu4_node())
 
     def test_bad_placement_rejected(self):
         with pytest.raises(OffloadError, match="placement"):
@@ -47,7 +47,7 @@ class TestRegistry:
 
 class TestSingleNodeBitIdentity:
     """The pin: an intra-node-only cluster run is byte-identical to the
-    ``virtual`` backend on the same machine."""
+    engine on the same machine."""
 
     @pytest.mark.parametrize("policy", ["BLOCK", "SCHED_DYNAMIC", "MODEL_1_AUTO"])
     @pytest.mark.parametrize("machine", [gpu4_node, full_node])
@@ -116,7 +116,7 @@ class TestMultiNode:
     def test_chunk_log_uses_global_device_ids(self):
         """Every chunk mark carries a cluster-global device id, and the
         marks of all nodes together cover the loop exactly once."""
-        tracer = Tracer(clock="virtual")
+        tracer = Tracer()
         run(gpu_cluster(2, 2), make_kernel("axpy", 40_000), tracer=tracer)
         marks = [s for s in tracer.spans if s.name == MARK_CHUNK]
         by_node = {}
@@ -180,7 +180,7 @@ class TestMultiNode:
     def test_shared_fabric_serialises_staging(self):
         """Staging serialises on the head uplink: each non-head node's
         inputs start crossing only once the previous node's have."""
-        tracer = Tracer(clock="virtual")
+        tracer = Tracer()
         c = gpu_cluster(3, 2, fabric=ETHERNET_10GBE)
         res = run(c, make_kernel("axpy", 120_000), tracer=tracer)
         stage = res.meta["cluster"]["stage_in_s"]
@@ -199,7 +199,7 @@ class TestMultiNode:
         ) >= fabric_in[2].t1
 
     def test_node_spans_carry_node_ids(self):
-        tracer = Tracer(clock="virtual")
+        tracer = Tracer()
         c = gpu_cluster(2, 2, fabric=INFINIBAND_EDR)
         run(c, make_kernel("axpy", 60_000), tracer=tracer)
         nodes = {
@@ -263,7 +263,7 @@ class TestNodeSchedulers:
         assert compute[0] > 0.0
         assert compute == [compute[0]] * 3
 
-        tracer = Tracer(clock="virtual")
+        tracer = Tracer()
         res = run(
             c, make_kernel("axpy", 300_000), "MODEL_1_AUTO",
             cutoff_ratio=0.15, tracer=tracer,

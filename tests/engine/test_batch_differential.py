@@ -5,7 +5,7 @@
 for it.  That is pinned here three ways: the entry point x (scheduler,
 kernel) invariant grid from ``test_differential.py``, whole fig5/fig9
 grids through ``run_grid`` (one batch) against a per-cell ``run_cell``
-loop, and the faulted/traced cells, which run per cell under either name.
+loop, and faulted/traced cells through both entry points.
 """
 
 import pickle
@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench.cache import reset_cache
 from repro.bench.cache import SweepCache
-from repro.bench.runner import ALL_POLICIES, run_cell, run_grid, run_one
+from repro.bench.runner import ALL_POLICIES, run_cell, run_grid
 from repro.bench.workloads import WorkloadFactory
 from repro.engine.batch import BatchRequest
 from repro.engine.core import make_backend
@@ -108,9 +108,8 @@ def test_full_figure_grid_bit_identical(machine_factory, tiny_grid_env):
 
 
 def test_batch_grid_warms_the_shared_cache(monkeypatch):
-    # "batch" names the virtual engine, so the two names share
-    # sweep-cache keys: a batch sweep serves a later virtual sweep
-    # entirely from memory.
+    # A grid's batch and a per-cell loop share sweep-cache keys: the
+    # batched sweep serves the later per-cell runs entirely from memory.
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
     monkeypatch.setenv("REPRO_BENCH_CACHE", "mem")
     reset_cache()
@@ -119,11 +118,11 @@ def test_batch_grid_warms_the_shared_cache(monkeypatch):
 
         machine = gpu4_node()
         ks = {"axpy": WorkloadFactory("axpy", seed=0)}
-        run_grid(machine, ks, policies=("BLOCK", "MODEL_2_AUTO"),
-                 executor="batch")
+        run_grid(machine, ks, policies=("BLOCK", "MODEL_2_AUTO"))
         before = get_cache().stats.puts
         assert before == 2
-        run_grid(machine, ks, policies=("BLOCK", "MODEL_2_AUTO"))
+        for policy in ("BLOCK", "MODEL_2_AUTO"):
+            run_cell(machine, ks["axpy"], policy)
         assert get_cache().stats.mem_hits == 2
         assert get_cache().stats.puts == before
     finally:
@@ -134,35 +133,31 @@ def test_batch_grid_warms_the_shared_cache(monkeypatch):
 
 
 def test_faulted_cell_matches_virtual():
-    # A faulted cell runs through ``run`` under either name and comes
-    # back byte-for-byte equal.
+    # A faulted cell comes back byte-for-byte equal through either entry
+    # point.
     plan = FaultPlan.of(
         Slowdown(0, 2.0), TransferError(1, 0.3, seed=11),
     )
     res = ResiliencePolicy(retry=RetryPolicy(max_retries=3, backoff_s=1e-5))
     results = {}
     for backend in BACKENDS:
-        r = run_one(
-            gpu4_node(), make_kernel("sum", N, seed=3), "SCHED_DYNAMIC",
-            fault_plan=plan, resilience=res, executor=backend,
+        _, results[backend], _ = run(
+            backend, "SCHED_DYNAMIC", "sum", fault_plan=plan, resilience=res,
         )
-        results[backend] = r
     assert pickle.dumps(results["virtual"]) == pickle.dumps(results["batch"])
     assert "faults" in results["batch"].meta
 
 
 def test_traced_cell_matches_virtual_and_emits_spans():
-    # A traced cell runs through ``run`` under either name — results
-    # identical, spans present on both.
+    # A traced cell through either entry point — results identical, the
+    # same spans on both.
     spans = {}
     results = {}
     for backend in BACKENDS:
         tracer = Tracer()
-        r = run_one(
-            gpu4_node(), make_kernel("axpy", N, seed=3), "MODEL_2_AUTO",
-            tracer=tracer, executor=backend,
+        _, results[backend], _ = run(
+            backend, "MODEL_2_AUTO", "axpy", tracer=tracer,
         )
-        results[backend] = r
         spans[backend] = tracer.spans
     assert pickle.dumps(results["virtual"]) == pickle.dumps(results["batch"])
-    assert len(spans["batch"]) == len(spans["virtual"]) > 0
+    assert spans["batch"] == spans["virtual"] != []

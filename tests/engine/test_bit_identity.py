@@ -55,7 +55,7 @@ def test_traced_run_is_pickle_identical_to_untraced(monkeypatch):
     kernel = paper_workload("axpy", scale=0.05, seed=0)
     traced = rt.parallel_for(
         kernel, schedule="SCHED_DYNAMIC", cutoff_ratio=0.0,
-        tracer=Tracer(clock="virtual"),
+        tracer=Tracer(),
     )
     assert checksum(traced) == plain
 
@@ -132,12 +132,14 @@ class _ViaRunMany(BatchEngine):
         return self.run_many([BatchRequest(kernel, scheduler, cutoff_ratio)])[0]
 
 
-@pytest.mark.parametrize("executor", ["virtual", "batch", _ViaRunMany])
-def test_span_stream_and_timeline_match_pinned_digests(executor):
+@pytest.mark.parametrize("via", [None, _ViaRunMany], ids=["virtual", "_ViaRunMany"])
+def test_span_stream_and_timeline_match_pinned_digests(via):
     from repro.memory.space import MapDirection
     from repro.runtime.data_env import TargetDataRegion
 
     rt = HompRuntime(gpu4_node())
+    # None: the engine parallel_for builds; else a leased engine.
+    engine = None if via is None else via(machine=rt.machine.subset([0, 1, 2, 3]))
     kernel = make_kernel("axpy", 40_000)
     region = TargetDataRegion(
         runtime=rt,
@@ -149,7 +151,7 @@ def test_span_stream_and_timeline_match_pinned_digests(executor):
         result = region.parallel_for(
             kernel,
             schedule="SCHED_PROFILE_AUTO",
-            executor=executor,
+            engine=engine,
             fault_plan=FaultPlan.of(
                 Slowdown(1, 3.0),
                 TransferError(2, 0.5, seed=3),

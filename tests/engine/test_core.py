@@ -1,5 +1,5 @@
-"""Tests for the shared execution core: lifecycle state machine, backend
-name table, engine reuse and the re-entrancy guard."""
+"""Tests for the shared execution core: lifecycle state machine, engine
+names and options, engine reuse and the re-entrancy guard."""
 
 import threading
 
@@ -10,10 +10,8 @@ from repro.engine.core import (
     LIFECYCLE,
     StageTiming,
     make_backend,
-    resolve_backend,
 )
 from repro.engine.simulator import OffloadEngine
-from repro.engine.threaded import ThreadedEngine
 from repro.errors import EngineBusyError, OffloadError
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import gpu4_node
@@ -80,20 +78,22 @@ class TestLifecycle:
 
 
 class TestRegistry:
-    """The closed name -> class table: no aliases, no registration."""
+    """make_backend's closed name table: "virtual" and "batch" name
+    OffloadEngine, and nothing else is a name."""
 
     def test_both_backends_registered(self):
-        assert resolve_backend("virtual") is OffloadEngine
-        assert resolve_backend("threaded") is ThreadedEngine
+        assert type(make_backend("virtual", gpu4_node())) is OffloadEngine
+        with pytest.raises(OffloadError, match="unknown engine"):
+            make_backend("threaded", gpu4_node())
 
     def test_batch_backend_registered_without_aliases(self):
         # "batch" names the virtual engine, not a backend of its own:
         # run_many is one of OffloadEngine's two entry points.
-        assert resolve_backend("batch") is OffloadEngine
+        assert type(make_backend("batch", gpu4_node())) is OffloadEngine
         assert callable(OffloadEngine.run_many)
         for gone in ("vectorized", "vec"):
-            with pytest.raises(OffloadError, match="unknown execution backend"):
-                resolve_backend(gone)
+            with pytest.raises(OffloadError, match="unknown engine"):
+                make_backend(gone, gpu4_node())
 
     @pytest.mark.parametrize("name", [
         "sim", "simulated", "simulator", "wall", "threads", "cluster",
@@ -101,20 +101,23 @@ class TestRegistry:
     ])
     def test_removed_names_rejected(self, name):
         with pytest.raises(OffloadError) as exc:
-            resolve_backend(name)
-        assert "valid: virtual, threaded, batch" in str(exc.value)
+            make_backend(name, gpu4_node())
+        assert "pass 'virtual' or an OffloadEngine subclass" in str(exc.value)
 
     def test_class_resolves_to_itself(self):
-        assert resolve_backend(OffloadEngine) is OffloadEngine
-        assert resolve_backend(ThreadedEngine) is ThreadedEngine
+        class Sub(OffloadEngine):
+            pass
+
+        assert type(make_backend(OffloadEngine, gpu4_node())) is OffloadEngine
+        assert type(make_backend(Sub, gpu4_node())) is Sub
 
     def test_engine_instance_is_not_a_name(self):
-        with pytest.raises(OffloadError, match="unknown execution backend"):
-            resolve_backend(ThreadedEngine(machine=gpu4_node()))
+        with pytest.raises(OffloadError, match="unknown engine"):
+            make_backend(OffloadEngine(machine=gpu4_node()), gpu4_node())
 
     def test_unknown_name_lists_registered(self):
         with pytest.raises(OffloadError, match="virtual"):
-            resolve_backend("gpu-direct")
+            make_backend("gpu-direct", gpu4_node())
 
 
 class TestMakeBackend:
@@ -126,23 +129,28 @@ class TestMakeBackend:
         assert eng.seed == 3
         assert eng.serialize_offload is True
 
-    def test_falsy_unsupported_options_are_dropped(self):
-        eng = make_backend("threaded", gpu4_node(), serialize_offload=False)
-        assert isinstance(eng, ThreadedEngine)
-
-    def test_truthy_unsupported_option_raises(self):
-        with pytest.raises(OffloadError, match="serialize_offload"):
-            make_backend("threaded", gpu4_node(), serialize_offload=True)
+    @pytest.mark.parametrize("value", [0, False, None, "", 1, True])
+    def test_unknown_option_raises_whatever_its_value(self, value):
+        with pytest.raises(OffloadError, match="no option bogus"):
+            make_backend("virtual", gpu4_node(), bogus=value)
 
     def test_truthy_unsupported_names_the_backend(self):
-        with pytest.raises(OffloadError, match="threaded"):
-            make_backend("threaded", gpu4_node(), double_buffer=True)
+        with pytest.raises(OffloadError, match="OffloadEngine"):
+            make_backend("virtual", gpu4_node(), double_buffering=True)
+
+    @pytest.mark.parametrize("value", [0, None, 1])
+    def test_configured_refuses_an_unknown_option(self, value):
+        eng = make_backend("virtual", gpu4_node(), seed=5)
+        with pytest.raises(OffloadError, match="no option bogus"):
+            with eng.configured(seed=9, bogus=value):
+                pass  # pragma: no cover - the lease is refused
+        assert eng.seed == 5  # nothing was applied
 
 
 # ------------------------------------------------- reuse & re-entrancy
 
 
-@pytest.mark.parametrize("backend", ["virtual", "threaded"])
+@pytest.mark.parametrize("backend", ["virtual"])
 def test_engine_instance_is_reusable_sequentially(backend):
     eng = make_backend(backend, gpu4_node(), seed=0, collect_chunks=True)
     k1 = make_kernel("sum", 40_000, seed=1)
@@ -199,7 +207,7 @@ def test_reentrant_run_raises_engine_busy():
     eng.run(make_kernel("sum", 1_000, seed=0), Reenter())
 
 
-@pytest.mark.parametrize("backend", ["virtual", "threaded"])
+@pytest.mark.parametrize("backend", ["virtual"])
 def test_refused_run_does_not_touch_its_scheduler(backend):
     """The gate is taken before the run context (whose constructor calls
     ``scheduler.start``) is built: re-entering ``run`` with the *same*
@@ -331,9 +339,9 @@ def test_failed_run_leaves_engine_usable():
     assert sum(t.iters for t in r.traces) == 1_000
 
 
-@pytest.mark.parametrize("backend", [OffloadEngine, ThreadedEngine])
+@pytest.mark.parametrize("backend", [OffloadEngine])
 def test_finished_run_is_freed_without_cyclic_gc(backend):
-    """The backend hooks close over the run context; finalize drops them,
+    """The engine hooks close over the run context; finalize drops them,
     so the context (and through it the kernel's arrays) dies with the
     engine instead of piling up until a full collection — which is what
     ``peak_rss_mb`` on the verified-grid benchmark workload measures."""

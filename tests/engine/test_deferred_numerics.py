@@ -1,13 +1,11 @@
-"""Numerics by span: what a virtual-time run of a span-exact kernel computes,
-and when.
+"""Numerics by span: what a run of a span-exact kernel computes, and when.
 
 Such a run records each committed chunk and calls ``execute_chunk`` at
 ``finalize``, once per merged run of contiguous rows with a bounded
 footprint, whichever devices committed them.  These tests pin the counts
 that make it cheap and the contracts that keep it exact: merged runs cross
 memory kinds but never the cap and equal per-chunk execution, a faulted run
-still executes every row exactly once, the wall-clock backend still
-computes chunk by chunk, reductions are untouched, and every
+still executes every row exactly once, reductions are untouched, and every
 ``MappingError`` still fires.
 """
 
@@ -177,25 +175,6 @@ def test_a_run_that_raises_computes_nothing():
         eng.run(kernel, make_scheduler("SCHED_DYNAMIC"))
     assert kernel.stats.chunks == 0
     np.testing.assert_array_equal(kernel.arrays["y"], before)
-
-
-# ------------------------------------------------------ the wall-clock side
-
-
-def test_threaded_still_computes_per_chunk_and_equals_virtual():
-    out = {}
-    for backend in ("virtual", "threaded"):
-        kernel = make_kernel("axpy", 60_000, seed=2)
-        result = make_backend(backend, gpu4_node()).run(
-            kernel, make_scheduler("SCHED_DYNAMIC")
-        )
-        out[backend] = (kernel, sum(t.chunks for t in result.traces))
-    threaded, chunks = out["threaded"]
-    assert threaded.stats.chunks == chunks > 1
-    assert out["virtual"][0].stats.chunks < chunks
-    assert (
-        threaded.arrays["y"].tobytes() == out["virtual"][0].arrays["y"].tobytes()
-    )
 
 
 # ------------------------------------------------------------- reductions

@@ -6,9 +6,7 @@ that a *single-offload* program produce a result byte-identical (pickle
 equality) to the historical direct interpretation of the directive.  The
 legacy interpreter no longer exists in the runtime, so it is replicated
 verbatim here (from the pre-IR ``offload``) and both paths run over the
-differential grid on the deterministic virtual backend; the threaded
-backend's wall-clock times are nondeterministic, so there agreement is
-numeric only.
+differential grid.
 """
 
 import pickle
@@ -129,19 +127,3 @@ def test_device_clause_byte_identical_on_heterogeneous_node():
         schedule="SCHED_DYNAMIC",
     )
     assert pickle.dumps(r_ir) == pickle.dumps(r_legacy)
-
-
-@pytest.mark.parametrize(
-    "policy,kname", [("BLOCK", "axpy"), ("SCHED_DYNAMIC", "sum")]
-)
-def test_ir_path_agrees_numerically_on_threaded_backend(policy, kname):
-    k_ir, r_ir, k_legacy, r_legacy = run_pair(
-        policy, kname, executor="threaded"
-    )
-    if k_ir.is_reduction:
-        assert np.isclose(r_ir.reduction, r_legacy.reduction, rtol=1e-9)
-    else:
-        ref = k_ir.reference()
-        for name, expected in ref.items():
-            assert np.allclose(k_ir.arrays[name], expected)
-            assert np.allclose(k_legacy.arrays[name], expected)

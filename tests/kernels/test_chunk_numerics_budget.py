@@ -3,9 +3,8 @@
 Host-independent budgets for ``LoopKernel.execute_chunk`` (Python-level
 calls per warm chunk, builtins included) and the contracts the bound chunk
 plan must keep: the memo is filled lazily and dropped by ``set_partition``,
-host arrays are read per chunk, every ``MappingError`` still fires with its
-message, and the threaded backend, whose proxies compute on views of the
-same host arrays concurrently, stays bit-equal to the virtual one.
+host arrays are read per chunk, and every ``MappingError`` still fires
+with its message.
 """
 
 import sys
@@ -16,9 +15,7 @@ import pytest
 from repro.errors import MappingError
 from repro.kernels.axpy import AxpyKernel
 from repro.kernels.registry import make_kernel
-from repro.machine.presets import full_node
 from repro.memory.buffer import DeviceBuffer
-from repro.runtime.runtime import HompRuntime
 from repro.util.ranges import IterRange
 
 # ------------------------------------------------- (i) call budget
@@ -191,26 +188,3 @@ def test_every_buffer_mapping_error_keeps_its_message(build, message):
     with pytest.raises(MappingError) as err:
         build()
     assert str(err.value) == message
-
-
-@pytest.mark.parametrize(
-    "name, n",
-    [("axpy", 20_000), ("matvec", 256), ("matmul", 48), ("stencil", 64), ("bm", 48)],
-)
-def test_threaded_dynamic_is_bit_equal_to_virtual(name, n):
-    """Host and discrete proxies compute concurrently on views of the same
-    host arrays, preempting each other mid-chunk, and still write the
-    virtual backend's bytes."""
-    outputs = {}
-    for executor in ("virtual", "threaded"):
-        k = make_kernel(name, n, seed=4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            HompRuntime(full_node()).parallel_for(
-                k, schedule="SCHED_DYNAMIC", executor=executor
-            )
-        finally:
-            sys.setswitchinterval(interval)
-        outputs[executor] = {a: v.tobytes() for a, v in k.arrays.items()}
-    assert outputs["threaded"] == outputs["virtual"]

@@ -67,18 +67,6 @@ def test_traced_results_identical_and_cached(tmp_path):
     assert cache.stats.puts == 4
 
 
-@pytest.mark.parametrize(
-    "executor, clock",
-    [(None, "virtual"), ("batch", "virtual"), ("threaded", "wall")],
-)
-def test_trace_is_stamped_with_the_backends_own_clock(tmp_path, executor, clock):
-    """batch is a virtual-time backend; its traces used to be labelled
-    ``wall`` because the label compared the name to "virtual"."""
-    small_grid(trace_dir=tmp_path, executor=executor)
-    doc = json.loads((tmp_path / "axpy.BLOCK.trace.json").read_text())
-    assert doc["otherData"]["clock"] == clock
-
-
 def test_kill_switch_ignores_trace_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(OBS_ENV, "off")
     cache = SweepCache()

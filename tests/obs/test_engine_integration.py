@@ -1,15 +1,14 @@
 """Engine-level guarantees: tracing is a pure side channel, the kill
-switch restores the untraced fast path bit for bit, and both engines
-emit coherent streams."""
+switch restores the untraced fast path bit for bit, and the engine emits
+a coherent stream."""
 
 import pickle
 
 import pytest
 
 from repro.engine.simulator import OffloadEngine
-from repro.engine.threaded import ThreadedEngine
 from repro.kernels.registry import make_kernel
-from repro.machine.presets import cpu_spec, gpu4_node, homogeneous_node
+from repro.machine.presets import gpu4_node
 from repro.obs.span import MARK_CHUNK, MARK_FINISH, SPAN_OFFLOAD
 from repro.obs.tracer import OBS_ENV, Tracer
 from repro.sched.dynamic import DynamicScheduler
@@ -62,36 +61,3 @@ class TestSimulatorStream:
         assert envelope[0].duration == pytest.approx(result.total_time_s)
         assert envelope[0].arg("kernel") == "axpy"
         assert tracer.meta["machine"] == gpu4_node().name
-
-
-class TestThreadedStream:
-    def test_wall_clock_stream(self):
-        tracer = Tracer(clock="wall")
-        engine = ThreadedEngine(
-            homogeneous_node(2, cpu_spec()), tracer=tracer
-        )
-        result = engine.run(
-            make_kernel("axpy", 20_000, seed=6), DynamicScheduler(0.1)
-        )
-        marked = sum(
-            s.arg("iters") for s in tracer.spans if s.name == MARK_CHUNK
-        )
-        assert marked == 20_000
-        envelope = [s for s in tracer.spans if s.name == SPAN_OFFLOAD]
-        assert len(envelope) == 1
-        assert envelope[0].duration == pytest.approx(result.total_time_s)
-        assert tracer.meta["executor"] == "threaded"
-        # Every next() call is a decision, including the terminal Nones, so
-        # there are at least as many decisions as chunks.
-        decisions = sum(
-            c.value
-            for c in tracer.metrics.counters()
-            if c.name == "sched_decisions"
-        )
-        chunks = sum(
-            c.value
-            for c in tracer.metrics.counters()
-            if c.name == "chunks_issued"
-        )
-        assert chunks == sum(t.chunks for t in result.participating)
-        assert decisions >= chunks

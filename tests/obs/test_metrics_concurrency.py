@@ -1,10 +1,9 @@
 """MetricsRegistry under concurrent hammering: exact totals, no deadlock.
 
-The service increments shared counters from the event-loop thread while
-executor workers observe histograms and per-job registries merge back —
-so every shorthand (`inc`/`set_gauge`/`observe`) and `merge` must be
-thread-safe.  The assertions are exact: lost updates, not just crashes,
-fail the test.
+A registry may be fed from several threads at once while per-job
+registries merge back — so every shorthand (`inc`/`set_gauge`/`observe`)
+and `merge` must be thread-safe.  The assertions are exact: lost
+updates, not just crashes, fail the test.
 """
 
 from __future__ import annotations

@@ -36,10 +36,6 @@ class TestTracer:
         t.span("offload", "offload", -1, "", 0.0, 1.0)
         assert t.device_names() == {}
 
-    def test_clock_validation(self):
-        with pytest.raises(ValueError):
-            Tracer(clock="atomic")
-
     def test_clear(self):
         t = Tracer()
         t.span("compute", CAT_STAGE, 0, "cpu-0", 0.0, 1.0)

@@ -227,8 +227,7 @@ def test_duplicate_devices_rejected_before_anything_is_retained():
     assert rt.ledger.empty
 
 
-@pytest.mark.parametrize("executor", ["virtual", "threaded"])
-def test_array_info_resident_follows_the_ledger(executor):
+def test_array_info_resident_follows_the_ledger():
     rt = HompRuntime(gpu4_node())
     k = make_kernel("axpy", 1000)
     region = TargetDataRegion(
@@ -237,10 +236,8 @@ def test_array_info_resident_follows_the_ledger(executor):
         partitioned=frozenset({"x"}),
     )
     with region:
-        inside = region.parallel_for(k, schedule="BLOCK", executor=executor)
-    outside = rt.parallel_for(
-        make_kernel("axpy", 1000), schedule="BLOCK", executor=executor
-    )
+        inside = region.parallel_for(k, schedule="BLOCK")
+    outside = rt.parallel_for(make_kernel("axpy", 1000), schedule="BLOCK")
     flags = {a.name: a.resident for a in inside.meta["offload_info"].arrays}
     assert flags == {"x": True, "y": False}
     assert not any(a.resident for a in outside.meta["offload_info"].arrays)

@@ -1,6 +1,6 @@
 """parallel_for_many up-front batch validation, message for message.
 
-A malformed cell must be named by index before any backend work starts —
+A malformed cell must be named by index before any engine work starts —
 these tests pin the exact error text the service and sweep runner rely
 on when they surface batch failures to tenants.
 """
@@ -112,22 +112,29 @@ def test_generator_specs_are_accepted(rt):
     assert len(results) == 2
 
 
-def test_parallel_for_many_needs_the_batch_backend(gpu4):
-    """The batch form has one run loop, `OffloadEngine.run_many`: the
-    default executor is the virtual engine, a leased virtual engine and
-    the "batch" alias work, and a backend without `run_many` is refused
-    before anything runs."""
+def test_parallel_for_many_runs_on_a_built_or_leased_engine(gpu4):
+    """The batch form has one run loop, `OffloadEngine.run_many`, on the
+    engine it builds or on a leased one, byte-identical to a solo run;
+    anything but an OffloadEngine is refused before anything runs."""
     rt = HompRuntime(gpu4)
     selected = gpu4.subset(range(len(gpu4)))
     (default,) = rt.parallel_for_many([spec()])
     (leased,) = rt.parallel_for_many(
-        [spec()], engine=make_backend("virtual", selected)
+        [spec()], engine=make_backend("batch", selected)
     )
-    (alias,) = rt.parallel_for_many([spec()], executor="batch")
     solo = rt.parallel_for(make_kernel("axpy", 256, seed=0), schedule="BLOCK")
-    assert (pickle.dumps(default) == pickle.dumps(leased)
-            == pickle.dumps(alias) == pickle.dumps(solo))
-    for refused in ({"executor": "threaded"},
-                    {"engine": make_backend("threaded", selected)}):
-        with pytest.raises(OffloadError, match="runs on the virtual engine"):
-            rt.parallel_for_many([spec()], **refused)
+    assert pickle.dumps(default) == pickle.dumps(leased) == pickle.dumps(solo)
+
+    class DuckEngine:
+        machine = selected
+
+        def configured(self, **options):
+            raise AssertionError("a refused engine is never configured")
+
+        def run_many(self, requests):
+            raise AssertionError("a refused engine never runs")
+
+    kernel = make_kernel("axpy", 256, seed=0)
+    with pytest.raises(OffloadError, match="expects an OffloadEngine"):
+        rt.parallel_for_many([spec(kernel=kernel)], engine=DuckEngine())
+    assert kernel.stats.chunks == 0

@@ -128,21 +128,6 @@ def test_traced_jobs_bypass_reads_but_populate(gpu4, memcache):
     assert pickle.dumps(third[0].result) == pickle.dumps(first[0].result)
 
 
-@pytest.mark.parametrize(
-    "backend, clock, cached",
-    [("virtual", "virtual", 1), ("threaded", "wall", 0)],
-)
-def test_traced_job_clock_is_the_backends_cacheability_is_not(
-    gpu4, memcache, backend, clock, cached
-):
-    """The trace label comes from the backend class; which backends may
-    touch the sweep cache is a separate rule (virtual/batch only)."""
-    job = OffloadJob(TMPL, policy="BLOCK", seed=1, trace=True)
-    results, _ = serve(gpu4, [job], memcache, backend=backend)
-    assert results[0].ok and results[0].tracer.clock == clock
-    assert memcache.stats.puts == cached
-
-
 def test_use_cache_false_bypasses_everything(gpu4, memcache):
     jobs = [OffloadJob(TMPL, policy="BLOCK", seed=1) for _ in range(2)]
     results, _ = serve(gpu4, jobs, memcache, use_cache=False)

@@ -1,18 +1,11 @@
-"""The service asks the grid runner's cell rule — and only moves jobs onto
-``batch`` from a backend that produces the virtual engine's results.
-
-:func:`repro.bench.cache.cell_key` decides which job has a sweep-cache key;
-its virtual-equivalent predicate also decides whether the service may
-coalesce.  A ``threaded`` service therefore runs every job on
-the backend its operator asked for: never cached, never rerouted.
+"""The service asks the grid runner's cell rule:
+:func:`repro.bench.cache.cell_key` decides which job has a sweep-cache key.
 """
 
 from __future__ import annotations
 
 import asyncio
 import pickle
-
-import pytest
 
 from repro.bench.cache import CACHE_ENV, SweepCache
 from repro.service import (
@@ -34,24 +27,6 @@ def serve(machine, jobs, **svc_kwargs):
             return await asyncio.gather(*(h.wait() for h in handles))
 
     return asyncio.run(main())
-
-
-@pytest.mark.parametrize("backend", ["threaded"])
-def test_non_virtual_service_never_reroutes_to_batch(gpu4, monkeypatch, backend):
-    """Fingerprinted static-policy jobs used to run on ``batch`` whatever
-    the service's backend: a virtual-time answer to a wall-clock question."""
-    monkeypatch.setenv(CACHE_ENV, "mem")
-    cache = SweepCache()
-    jobs = [
-        OffloadJob(TMPL, policy=p, seed=1, tag=p)
-        for p in ("BLOCK", "MODEL_1_AUTO", "BLOCK")
-    ]
-    results = serve(gpu4, jobs, backend=backend, pool_size=1, cache=cache)
-    assert all(r.ok for r in results)
-    assert {r.backend for r in results} == {backend}
-    assert not any(r.coalesced or r.cache_hit for r in results)
-    assert [r.batch_size for r in results] == [1, 1, 1]
-    assert cache.stats.puts == 0 and cache.stats.hits == 0
 
 
 def test_auto_cutoff_job_is_unkeyed_and_runs(gpu4, monkeypatch):
@@ -82,4 +57,4 @@ def test_cache_off_service_never_fingerprints(gpu4):
         gpu4, [OffloadJob(Loud("axpy", 1024, seed=1), policy="BLOCK", seed=1)],
         use_cache=False, coalesce=False,
     )
-    assert res.ok and res.backend == "virtual"
+    assert res.ok

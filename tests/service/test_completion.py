@@ -3,7 +3,7 @@
 Every admitted job ends in exactly one of five terminal outcomes; each
 must fill the same :class:`~repro.service.job.JobResult` envelope, count
 itself once and release the tenant's admission slot once — whichever way
-the job ended.  A failure *before* the engine runs (a backend that
+the job ended.  A failure *before* the engine runs (an engine that
 cannot be constructed) is that job's failure, not the dispatcher's.
 """
 
@@ -15,11 +15,7 @@ import pytest
 
 from repro.bench.cache import CACHE_ENV, SweepCache
 from repro.engine.simulator import OffloadEngine
-from repro.errors import (
-    JobCancelled,
-    JobExpired,
-    OffloadError,
-)
+from repro.errors import JobCancelled, JobExpired
 from repro.service import (
     JobState,
     OffloadJob,
@@ -47,33 +43,33 @@ def _exploding():
     raise Boom("kernel factory failed")
 
 
-#: outcome -> (job, expected state, error type, counter, backend, coalesced,
+#: outcome -> (job, expected state, error type, counter, coalesced,
 #: batch_size, cache_hit)
 OUTCOMES = {
     "done": (
         OffloadJob(TMPL, policy="SCHED_DYNAMIC", seed=1),
-        JobState.DONE, None, "service_jobs_completed", "virtual", False, 1, False,
+        JobState.DONE, None, "service_jobs_completed", False, 1, False,
     ),
     "done-coalesced": (
         OffloadJob(TMPL, policy="BLOCK", seed=1),
-        JobState.DONE, None, "service_jobs_completed", "virtual", True, 2, False,
+        JobState.DONE, None, "service_jobs_completed", True, 2, False,
     ),
     "done-from-cache": (
         OffloadJob(TMPL, policy="SCHED_DYNAMIC", seed=2),
-        JobState.DONE, None, "service_jobs_completed", "virtual", False, 1, True,
+        JobState.DONE, None, "service_jobs_completed", False, 1, True,
     ),
     "failed": (
         OffloadJob(_exploding, policy="BLOCK"),
-        JobState.FAILED, Boom, "service_jobs_failed", "virtual", False, 1, False,
+        JobState.FAILED, Boom, "service_jobs_failed", False, 1, False,
     ),
     "cancelled": (
         OffloadJob(TMPL, policy="BLOCK", seed=1),
-        JobState.CANCELLED, JobCancelled, "service_jobs_cancelled", "virtual",
+        JobState.CANCELLED, JobCancelled, "service_jobs_cancelled",
         False, 1, False,
     ),
     "expired": (
         OffloadJob(TMPL, policy="BLOCK", seed=1, deadline_s=1.0),
-        JobState.EXPIRED, JobExpired, "service_jobs_expired", "virtual",
+        JobState.EXPIRED, JobExpired, "service_jobs_expired",
         False, 1, False,
     ),
 }
@@ -81,7 +77,7 @@ OUTCOMES = {
 
 @pytest.mark.parametrize("outcome", OUTCOMES)
 def test_every_terminal_outcome_fills_one_envelope(gpu4, monkeypatch, outcome):
-    job, state, error, counter, backend, coalesced, batch_size, cache_hit = (
+    job, state, error, counter, coalesced, batch_size, cache_hit = (
         OUTCOMES[outcome]
     )
     monkeypatch.setenv(CACHE_ENV, "mem")
@@ -126,8 +122,8 @@ def test_every_terminal_outcome_fills_one_envelope(gpu4, monkeypatch, outcome):
     assert res.job is job and res.state is state
     assert (res.result is not None) == (state is JobState.DONE)
     assert res.error is None if error is None else isinstance(res.error, error)
-    assert (res.backend, res.coalesced, res.batch_size, res.cache_hit) == (
-        backend, coalesced, batch_size, cache_hit,
+    assert (res.coalesced, res.batch_size, res.cache_hit) == (
+        coalesced, batch_size, cache_hit,
     )
     assert res.submitted_at == submitted
     # queue-only outcomes never started; the clock moved 5 s before the rest
@@ -150,15 +146,16 @@ def test_every_terminal_outcome_fills_one_envelope(gpu4, monkeypatch, outcome):
 
 
 def test_unknown_backend_is_refused_at_construction(gpu4):
-    with pytest.raises(OffloadError, match="unknown execution backend"):
-        OffloadService(gpu4, backend="no-such-backend")
+    """backend= takes an OffloadEngine subclass, never a name."""
+    for backend in ("virtual", "no-such-backend", object):
+        with pytest.raises(TypeError, match="OffloadEngine subclass"):
+            OffloadService(gpu4, backend=backend)
 
 
 def test_dispatcher_survives_a_backend_that_cannot_be_built(gpu4):
     class Flaky(OffloadEngine):
-        """A backend whose first construction raises."""
+        """An engine whose first construction raises."""
 
-        backend_name = "flaky"
         built = 0
 
         def __init__(self, **options):
@@ -181,8 +178,7 @@ def test_dispatcher_survives_a_backend_that_cannot_be_built(gpu4):
 
     r1, stats, in_flight, r2, running = asyncio.run(main())
     assert r1.state is JobState.FAILED and isinstance(r1.error, Boom)
-    assert r1.backend == "flaky"
     assert stats["active"] == 0 and stats["created"] == 0
     assert in_flight == 0
-    assert r2.ok and r2.backend == "flaky"
+    assert r2.ok and Flaky.built == 2
     assert not running

@@ -2,7 +2,7 @@
 
 The engines are pure Python under the GIL, so the service hands no job to
 a worker thread: kernel factories — called as a solo job or a coalesced
-group starts — run on the thread that runs the loop, on every backend.
+group starts — run on the thread that runs the loop.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ class RecordingFactory:
         return self.template()
 
 
-def serve(machine, backend, policies):
+def serve(machine, policies):
     factory = RecordingFactory()
 
     async def main():
         async with OffloadService(
-            machine, backend=backend, pool_size=1, use_cache=False,
+            machine, pool_size=1, use_cache=False,
         ) as svc:
             handles = [await svc.submit(OffloadJob(factory, policy=policy))
                        for policy in policies]
@@ -49,13 +49,12 @@ def serve(machine, backend, policies):
     return loop_ident, factory.idents, results, names
 
 
-@pytest.mark.parametrize("backend, policies, batch_size", [
-    ("virtual", ["SCHED_DYNAMIC"], 1),
-    ("virtual", ["BLOCK", "MODEL_1_AUTO"], 2),
-    ("threaded", ["BLOCK"], 1),
-])
-def test_jobs_run_on_the_loop_thread(gpu4, backend, policies, batch_size):
-    loop_ident, idents, results, names = serve(gpu4, backend, policies)
+@pytest.mark.parametrize("policies, batch_size", [
+    (["SCHED_DYNAMIC"], 1),
+    (["BLOCK", "MODEL_1_AUTO"], 2),
+], ids=["solo", "coalesced"])
+def test_jobs_run_on_the_loop_thread(gpu4, policies, batch_size):
+    loop_ident, idents, results, names = serve(gpu4, policies)
     assert idents and set(idents) == {loop_ident}
     assert [r.batch_size for r in results] == [batch_size] * len(policies)
     assert not [n for n in names if n.startswith("repro-service")], names

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.engine.core import make_backend
+from repro.engine.simulator import OffloadEngine
 from repro.errors import EngineBusyError, OffloadError
 from repro.kernels.registry import make_kernel
 from repro.machine.spec import MachineSpec
@@ -129,12 +130,22 @@ def test_lease_engine_compares_machines_by_value(gpu4):
                         engine=pooled)
 
 
-def test_engine_and_executor_are_mutually_exclusive(gpu4):
+def test_lease_engine_rejects_a_non_engine(gpu4):
+    """engine= takes an OffloadEngine: a look-alike is refused up front."""
+
+    class LookAlike:
+        machine = gpu4.subset(range(len(gpu4)))
+
+        def configured(self, **options):
+            raise AssertionError("a refused engine is never configured")
+
+        def run(self, *args, **kwargs):
+            raise AssertionError("a refused engine never runs")
+
     rt = HompRuntime(gpu4)
-    engine = make_backend("virtual", gpu4)
-    with pytest.raises(OffloadError, match="not both"):
+    with pytest.raises(OffloadError, match="expects an OffloadEngine"):
         rt.parallel_for(make_kernel("axpy", 512, seed=0), schedule="BLOCK",
-                        engine=engine, executor="virtual")
+                        engine=LookAlike())
 
 
 # -- pool mechanics -----------------------------------------------------------
@@ -143,18 +154,18 @@ def test_pool_bounds_concurrency_and_reuses_engines(gpu4):
     async def main():
         pool = EnginePool(gpu4, size=2)
         ids = tuple(range(len(gpu4)))
-        a = await pool.acquire("virtual", ids)
-        b = await pool.acquire("virtual", ids)
+        a = await pool.acquire(ids)
+        b = await pool.acquire(ids)
         assert pool.active == 2 and pool.created == 2
         # third acquire must block until a release
-        third = asyncio.ensure_future(pool.acquire("virtual", ids))
+        third = asyncio.ensure_future(pool.acquire(ids))
         await asyncio.sleep(0)
         assert not third.done()
-        pool.release("virtual", ids, a)
+        pool.release(ids, a)
         c = await third
         assert c is a  # the freed engine is reused, not rebuilt
-        pool.release("virtual", ids, b)
-        pool.release("virtual", ids, c)
+        pool.release(ids, b)
+        pool.release(ids, c)
         assert pool.created == 2
         assert pool.max_active == 2
         assert pool.leases == 3
@@ -163,27 +174,27 @@ def test_pool_bounds_concurrency_and_reuses_engines(gpu4):
 
 
 def test_pool_keys_engines_by_backend_and_devices(gpu4):
+    class Sub(OffloadEngine):
+        pass
+
     async def main():
-        pool = EnginePool(gpu4, size=4)
+        pool = EnginePool(gpu4, size=4, backend=Sub)
         all_ids = tuple(range(len(gpu4)))
-        v = await pool.acquire("virtual", all_ids)
-        t = await pool.acquire("threaded", all_ids)
-        sub = await pool.acquire("virtual", (0, 1))
-        assert type(v).backend_name == "virtual"
-        assert type(t).backend_name == "threaded"
+        v = await pool.acquire(all_ids)
+        w = await pool.acquire(all_ids)
+        sub = await pool.acquire((0, 1))
+        assert type(v) is type(w) is type(sub) is Sub
         assert len(sub.machine) == 2
         # the submachine is built through MachineSpec.subset — the exact
         # path parallel_for takes, so pooled results match direct ones
         assert sub.machine.to_dict() == gpu4.subset([0, 1]).to_dict()
-        for backend, ids, eng in (
-            ("virtual", all_ids, v), ("threaded", all_ids, t),
-            ("virtual", (0, 1), sub),
-        ):
-            pool.release(backend, ids, eng)
+        for ids, eng in ((all_ids, v), (all_ids, w), ((0, 1), sub)):
+            pool.release(ids, eng)
         assert pool.created == 3
-        # a key is the resolved class: "batch" names the virtual engine,
-        # so it leases the freed virtual engine instead of building one
-        assert await pool.acquire("batch", all_ids) is v
+        # a key is the device selection: the freed engines are leased
+        # again instead of built
+        assert await pool.acquire(list(all_ids)) in (v, w)
+        assert await pool.acquire((0, 1)) is sub
         assert pool.created == 3
 
     asyncio.run(main())

@@ -14,7 +14,6 @@ import sys
 import pytest
 
 from repro.apps import OnlineSumKernel
-from repro.engine.batch import BatchEngine
 from repro.engine.core import EngineBase, make_backend
 from repro.engine.simulator import OffloadEngine
 from repro.faults.plan import DeviceDropout, FaultPlan
@@ -96,7 +95,7 @@ def test_pooled_engine_is_restored_and_reusable_after_a_stream(kernel_cls):
     before = {name: getattr(pooled, name) for name in LEASED}
     options = dict(
         batches=4, window=16, schedule="STREAM_REBALANCE", engine=pooled,
-        tracer=Tracer(clock="virtual"), record_events=True,
+        tracer=Tracer(), record_events=True,
         fault_plan=FaultPlan.of(DeviceDropout(devid=1, t=1.0)),
     )
     if kernel_cls is _FailingAdvance:
@@ -112,23 +111,6 @@ def test_pooled_engine_is_restored_and_reusable_after_a_stream(kernel_cls):
     leased = rt.parallel_for(make_kernel("axpy", 4096, seed=2), engine=pooled)
     fresh = rt.parallel_for(make_kernel("axpy", 4096, seed=2))
     assert pickle.dumps(leased) == pickle.dumps(fresh)
-
-
-# ------------------------------------------------- which backends pipeline
-
-
-def test_backends_declare_whether_their_batches_pipeline():
-    rt = HompRuntime(gpu4_node())
-
-    def pipelined(executor):
-        return rt.stream(
-            make_kernel("axpy", 1024), batches=2, schedule="BLOCK",
-            executor=executor,
-        ).meta["pipelined"]
-
-    assert OffloadEngine.pipelined and BatchEngine.pipelined
-    assert pipelined("virtual") is True and pipelined("batch") is True
-    assert pipelined("threaded") is False
 
 
 # ------------------------------------------------- identity pins
@@ -149,16 +131,19 @@ def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-@pytest.mark.parametrize("executor", ["virtual", "batch"])
-def test_faulted_traced_stream_is_byte_identical_to_the_pinned_one(executor):
+@pytest.mark.parametrize("leased", [False, True], ids=["virtual", "leased"])
+def test_faulted_traced_stream_is_byte_identical_to_the_pinned_one(leased):
     def stream(**kw):
-        return HompRuntime(gpu4_node()).stream(
+        rt = HompRuntime(gpu4_node())
+        if leased:
+            kw["engine"] = OffloadEngine(machine=rt.machine.subset([0, 1, 2, 3]))
+        return rt.stream(
             OnlineSumKernel(2000, seed=1), batches=3, window=16,
-            schedule="STREAM_REBALANCE", executor=executor, **kw,
+            schedule="STREAM_REBALANCE", **kw,
         )
 
     t0, t1 = (r.total_time_s for r in stream().results[:2])
-    tracer = Tracer(clock="virtual")
+    tracer = Tracer()
     sr = stream(
         fault_plan=FaultPlan.of(DeviceDropout(devid=0, t=(t0 + t1) / 2)),
         tracer=tracer, record_events=True,

@@ -7,8 +7,7 @@ Four families of invariants over arbitrary stream shapes:
   ``n_iters``, and the stream yields exactly ``batches`` results with
   strictly increasing cumulative finish times.
 * **Degenerate equality** — a 1-batch stream *is* the one-shot path:
-  byte-identical (pickle-equal) results on both the ``virtual`` and
-  ``batch`` backends, and equal checksums.
+  byte-identical (pickle-equal) results and equal checksums.
 * **Rebalance exact cover** — whatever rate history STREAM_REBALANCE
   has accumulated, its per-batch split is a contiguous, gap-free,
   overlap-free partition of the iteration space.
@@ -83,16 +82,15 @@ def test_conservation_holds_on_any_device_subset(batches, devices):
 @given(
     name=st.sampled_from(["axpy", "sum", "stencil"]),
     schedule=st.sampled_from(["BLOCK", "MODEL_1_AUTO"]),
-    executor=st.sampled_from(["virtual", "batch"]),
 )
-def test_degenerate_stream_pickles_identically(name, schedule, executor):
+def test_degenerate_stream_pickles_identically(name, schedule):
     n = 64 if name == "stencil" else 512
     sr = HompRuntime(machine=full_node()).stream(
         make_kernel(name, n, seed=7),
-        batches=1, window=32, schedule=schedule, executor=executor,
+        batches=1, window=32, schedule=schedule,
     )
     one_shot = HompRuntime(machine=full_node()).parallel_for(
-        make_kernel(name, n, seed=7), schedule=schedule, executor=executor,
+        make_kernel(name, n, seed=7), schedule=schedule,
     )
     assert sr.meta == {"degenerate": True}
     assert pickle.dumps(sr.results[0]) == pickle.dumps(one_shot)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.apps import OnlineSumKernel, SlidingStencilKernel
-from repro.errors import OffloadError, SchedulingError
+from repro.engine.core import make_backend
+from repro.errors import SchedulingError
 from repro.faults.plan import DeviceDropout, FaultPlan
 from repro.ir.lower import from_directive
 from repro.kernels.registry import make_kernel
@@ -31,15 +32,15 @@ class TestValidation:
         with pytest.raises(SchedulingError, match="window"):
             stream(OnlineSumKernel(100), window=-1)
 
-    def test_engine_and_executor_conflict(self):
-        from repro.engine.simulator import OffloadEngine
-
-        with pytest.raises(OffloadError, match="not both"):
-            stream(
-                OnlineSumKernel(100),
-                engine=OffloadEngine(machine=gpu4_node()),
-                executor="virtual",
-            )
+    @pytest.mark.parametrize("bad", [
+        {"batches": True}, {"batches": 2.5}, {"batches": 2.0}, {"batches": "2"},
+        {"window": True}, {"window": 1.5}, {"window": False},
+    ])
+    def test_batches_and_window_must_be_integers(self, bad):
+        kernel = OnlineSumKernel(100)
+        with pytest.raises(SchedulingError, match="must be an integer"):
+            stream(kernel, **bad)
+        assert kernel.stats.chunks == 0
 
 
 class TestResultShape:
@@ -107,23 +108,29 @@ class TestNumerics:
         assert sr.reductions[-1] == float(shadow.arrays["x"].sum())
 
     def test_outputs_identical_across_backends(self):
-        def run(executor):
+        # A stream on a leased engine writes the same outputs as one on
+        # the engine the stream builds for itself.
+        def run(engine):
             k = SlidingStencilKernel(48, seed=5)
             HompRuntime(machine=full_node()).stream(
-                k, batches=3, window=8,
-                schedule="BLOCK", executor=executor,
+                k, batches=3, window=8, schedule="BLOCK", engine=engine,
             )
             return k.arrays["u_out"].copy()
 
-        assert np.array_equal(run("virtual"), run("batch"))
+        machine = full_node()
+        leased = make_backend("virtual", machine.subset(range(len(machine))))
+        assert np.array_equal(run(None), run(leased))
 
     def test_multi_batch_stream_on_batch_pipelines_and_equals_virtual(self):
-        # `batch` is the virtual engine, carry_in included: a stream on it
-        # is pipelined across batches and equals virtual byte for byte.
-        def run(executor):
-            return stream(
+        # `batch` names the virtual engine, carry_in included: a stream on
+        # a leased `batch` engine is pipelined across batches and equals
+        # one on a leased `virtual` engine byte for byte.
+        def run(spec):
+            machine = full_node()
+            engine = make_backend(spec, machine.subset(range(len(machine))))
+            return HompRuntime(machine=machine).stream(
                 SlidingStencilKernel(64, seed=5), batches=5, window=8,
-                schedule="STREAM_REBALANCE", executor=executor,
+                schedule="STREAM_REBALANCE", engine=engine,
             )
 
         sr_v, sr_b = run("virtual"), run("batch")

@@ -43,7 +43,7 @@ from typing import Any, Callable
 
 from repro.engine.events import ChunkEvent, Timeline
 from repro.engine.trace import DeviceTrace, OffloadResult
-from repro.errors import EngineBusyError, FaultError, OffloadError
+from repro.errors import EngineBusyError, FaultError, FaultPlanError, OffloadError
 from repro.faults.events import ChunkFault, FaultKind
 from repro.faults.plan import FaultPlan, faults_enabled
 from repro.faults.policy import HealthTracker, ResiliencePolicy
@@ -264,6 +264,16 @@ class RunContext:
         residency=None,
         carry_in: "dict[int, DeviceCarry] | None" = None,
     ):
+        if fault_plan is not None:
+            # Plan ids index the selected devices; a stray id would inject
+            # nothing, so refuse it whatever REPRO_FAULTS says.
+            ndev = len(machine.devices)
+            stray = sorted({f.devid for f in fault_plan.faults if f.devid >= ndev})
+            if stray:
+                raise FaultPlanError(
+                    f"fault plan names device id(s) {stray}, but only "
+                    f"{ndev} device(s) are selected (ids 0..{ndev - 1})"
+                )
         self.machine = machine
         self.kernel = kernel
         self.scheduler = scheduler
@@ -550,13 +560,6 @@ class RunContext:
             device=dn, algorithm=self.scheduler.notation,
         )
         self.met.inc("sched_decisions", 1.0, device=dn)
-
-    def note_decision(self, st: DeviceState, t0: float, t1: float) -> None:
-        """Record a scheduling decision that yielded no chunk (barrier or
-        drain); chunk-bearing decisions are charged in :meth:`account_chunk`.
-        """
-        if self.traced:
-            self._emit_decision(st, t0, t1, t1 - t0)
 
     def _record_event(
         self, st: DeviceState, tm: StageTiming, clip_t: float | None = None

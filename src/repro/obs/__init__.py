@@ -13,25 +13,20 @@ after-the-fact table into a first-class runtime layer:
   counters, gauges and fixed-bucket histograms (chunks, iterations,
   retries, quarantines, cache hits, scheduler decision latencies);
 * :mod:`~repro.obs.export` renders Chrome trace-event JSON (Perfetto /
-  ``chrome://tracing``), JSONL span streams and Prometheus text;
-* :mod:`~repro.obs.analyze` recomputes ``imbalance_pct`` /
-  ``breakdown_pct`` from spans, pinned to the legacy ``DeviceTrace``
-  path by an equivalence test.
+  ``chrome://tracing``), JSONL span streams and Prometheus text.
+
+Fig. 6 itself is computed once, by
+:meth:`~repro.engine.trace.OffloadResult.breakdown_pct` and
+:meth:`~repro.engine.trace.OffloadResult.imbalance_pct` over
+:class:`~repro.engine.trace.DeviceTrace` buckets; the span stream carries
+enough to rebuild those buckets to 1e-9, which
+``tests/obs/test_equivalence.py`` pins.
 
 Disabled (the default — no tracer attached, or ``REPRO_OBS=off``), the
 engines pay one attribute check per offload and results are bit-identical
 to a build without the subsystem.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.analyze import (
-    breakdown_pct_from_spans,
-    device_buckets,
-    finish_times_from_spans,
-    imbalance_pct_from_spans,
-    iterations_from_spans,
-    participating_devices,
-    total_time_from_spans,
-)
 from repro.obs.export import (
     metrics_to_prom,
     to_chrome_trace,
@@ -77,12 +72,4 @@ __all__ = [
     "write_jsonl",
     "metrics_to_prom",
     "write_prom",
-    # analyses
-    "device_buckets",
-    "participating_devices",
-    "total_time_from_spans",
-    "finish_times_from_spans",
-    "imbalance_pct_from_spans",
-    "breakdown_pct_from_spans",
-    "iterations_from_spans",
 ]

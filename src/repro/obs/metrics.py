@@ -11,12 +11,11 @@ Histogram bucket boundaries are fixed at first registration of a metric
 name (never derived from observed data), so two runs that observe the
 same values always land them in the same buckets.
 
-A registry is safe to share across threads: the get-or-create lookups and
+A registry is safe to share across threads: the get-or-create lookups,
 the mutation shorthands (:meth:`MetricsRegistry.inc`,
-:meth:`~MetricsRegistry.set_gauge`, :meth:`~MetricsRegistry.observe`), as
-well as :meth:`~MetricsRegistry.merge` and
-:meth:`~MetricsRegistry.snapshot`, hold one registry-wide lock — concurrent
-threads can feed one aggregate registry without lost increments.
+:meth:`~MetricsRegistry.set_gauge`, :meth:`~MetricsRegistry.observe`) and
+:meth:`~MetricsRegistry.snapshot` hold one registry-wide lock — concurrent
+threads can feed one shared registry without lost increments.
 Mutating a :class:`Counter`/:class:`Gauge`/:class:`Histogram` object
 *returned* by the registry is not synchronised; concurrent writers must
 go through the registry shorthands.
@@ -79,9 +78,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
 
 @dataclass
 class Histogram:
@@ -136,7 +132,7 @@ class MetricsRegistry:
         self._gauges: dict[tuple[str, _LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, _LabelKey], Histogram] = {}
         self._hist_buckets: dict[str, tuple[float, ...]] = {}
-        # Reentrant: merge() mutates through histogram() under the lock.
+        # Reentrant: the shorthands get-or-create under the lock they hold.
         self._lock = threading.RLock()
 
     # -- get-or-create --------------------------------------------------------
@@ -239,37 +235,6 @@ class MetricsRegistry:
                     for h in self.histograms()
                 },
             }
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's totals into this one (grid aggregation)."""
-        # Lock both registries in a global (id) order so two concurrent
-        # opposite-direction merges cannot deadlock.
-        first, second = (
-            (self._lock, other._lock)
-            if id(self) <= id(other)
-            else (other._lock, self._lock)
-        )
-        with first, second:
-            for c in other.counters():
-                self._counters.setdefault(
-                    (c.name, c.labels), Counter(name=c.name, labels=c.labels)
-                ).value += c.value
-            for g in other.gauges():
-                self.gauge(g.name, **dict(g.labels)).set(g.value)
-            for h in other.histograms():
-                mine = self.histogram(
-                    h.name, buckets=h.buckets, **dict(h.labels)
-                )
-                if mine.buckets != h.buckets:
-                    raise ValueError(
-                        f"histogram {h.name}: bucket boundaries differ across "
-                        "registries"
-                    )
-                for i, c in enumerate(h.counts):
-                    mine.counts[i] += c
-                mine.overflow += h.overflow
-                mine.total += h.total
-                mine.count += h.count
 
 
 def _flat_name(name: str, labels: _LabelKey) -> str:

@@ -15,7 +15,7 @@ so exporters and analyses can dispatch without string guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 __all__ = [
     "Span",
@@ -93,9 +93,6 @@ class Span:
             if k == key:
                 return v
         return default
-
-    def iter_args(self) -> Iterator[tuple[str, Any]]:
-        return iter(self.args)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready mapping (the JSONL exporter's row)."""

@@ -118,9 +118,6 @@ class Tracer:
 
     # -- queries ---------------------------------------------------------------
 
-    def for_device(self, devid: int) -> list[Span]:
-        return [s for s in self.spans if s.devid == devid]
-
     def by_name(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
 
@@ -131,10 +128,6 @@ class Tracer:
             if s.devid >= 0 and s.devid not in out:
                 out[s.devid] = s.device
         return out
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.meta.clear()
 
     # -- scoped views ----------------------------------------------------------
 

@@ -134,6 +134,11 @@ class HompRuntime:
     #: the delta between what a chunk touches and what is resident.
     ledger: ResidencyLedger = field(default_factory=ResidencyLedger)
 
+    def __post_init__(self) -> None:
+        # A bool seed would be stamped into every result's meta as-is.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise TypeError(f"seed must be an int, got {self.seed!r}")
+
     @classmethod
     def from_file(cls, path, **kwargs) -> "HompRuntime":
         """Initialise from a machine description file (paper §V)."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import SchedulingError
@@ -182,6 +183,20 @@ class LoopScheduler(ABC):
 
     def __init__(self) -> None:
         self._ctx: SchedContext | None = None
+
+    @staticmethod
+    def _fraction(name: str, value) -> float:
+        """``value`` checked as a fraction in ``(0, 1]``; a bool is not one."""
+        if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value <= 1.0:
+            raise SchedulingError(f"{name} must be a fraction in (0, 1], got {value!r}")
+        return value
+
+    @staticmethod
+    def _count(name: str, value) -> int:
+        """``value`` checked as an integer count ``>= 1``; a bool is not one."""
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            raise SchedulingError(f"{name} must be an integer >= 1, got {value!r}")
+        return value
 
     @property
     def ctx(self) -> SchedContext:

@@ -10,7 +10,6 @@ chunks.  The chunk size is the critical knob: the paper's evaluation uses
 
 from __future__ import annotations
 
-from repro.errors import SchedulingError
 from repro.sched.base import Decision, LoopScheduler, SchedContext
 from repro.util.ranges import IterRange
 
@@ -26,9 +25,7 @@ class DynamicScheduler(LoopScheduler):
 
     def __init__(self, chunk_pct: float = DEFAULT_CHUNK_PCT):
         super().__init__()
-        if not 0.0 < chunk_pct <= 1.0:
-            raise SchedulingError(f"chunk_pct must be in (0, 1], got {chunk_pct}")
-        self.chunk_pct = chunk_pct
+        self.chunk_pct = self._fraction("chunk_pct", chunk_pct)
 
     def start(self, ctx: SchedContext) -> None:
         super().start(ctx)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import SchedulingError
 from repro.sched.base import Decision, LoopScheduler, SchedContext
 from repro.util.ranges import IterRange
 
@@ -39,12 +38,10 @@ class GuidedScheduler(LoopScheduler):
 
     def __init__(self, first_pct: float = DEFAULT_FIRST_PCT, min_chunk: int | None = None):
         super().__init__()
-        if not 0.0 < first_pct <= 1.0:
-            raise SchedulingError(f"first_pct must be in (0, 1], got {first_pct}")
-        if min_chunk is not None and min_chunk < 1:
-            raise SchedulingError(f"min_chunk must be >= 1, got {min_chunk}")
-        self.first_pct = first_pct
-        self._min_chunk_arg = min_chunk
+        self.first_pct = self._fraction("first_pct", first_pct)
+        self._min_chunk_arg = (
+            None if min_chunk is None else self._count("min_chunk", min_chunk)
+        )
 
     def start(self, ctx: SchedContext) -> None:
         super().start(ctx)

@@ -42,9 +42,7 @@ class StreamRebalanceScheduler(PlannedScheduler):
 
     def __init__(self, *, alpha: float = 0.3):
         super().__init__()
-        if not 0.0 < alpha <= 1.0:
-            raise SchedulingError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
+        self.alpha = self._fraction("alpha", alpha)
         #: devid -> EWMA of measured iters/s, persistent across batches.
         self._rates: dict[int, float] = {}
         #: devids lost mid-stream; they never rejoin this stream.

@@ -20,7 +20,6 @@ number of chunks.
 
 from __future__ import annotations
 
-from repro.errors import SchedulingError
 from repro.sched.base import Decision, LoopScheduler, SchedContext
 from repro.util.ranges import IterRange, split_block
 
@@ -34,12 +33,8 @@ class WorkStealingScheduler(LoopScheduler):
 
     def __init__(self, chunk_pct: float = 0.02, min_steal: int = 1):
         super().__init__()
-        if not 0.0 < chunk_pct <= 1.0:
-            raise SchedulingError(f"chunk_pct must be in (0, 1], got {chunk_pct}")
-        if min_steal < 1:
-            raise SchedulingError(f"min_steal must be >= 1, got {min_steal}")
-        self.chunk_pct = chunk_pct
-        self.min_steal = min_steal
+        self.chunk_pct = self._fraction("chunk_pct", chunk_pct)
+        self.min_steal = self._count("min_steal", min_steal)
         self.steals = 0
 
     def start(self, ctx: SchedContext) -> None:

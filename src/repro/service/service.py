@@ -118,8 +118,9 @@ class OffloadService:
         use_cache: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        for name, value in (("pool_size", pool_size), ("max_batch", max_batch)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not (isinstance(backend, type) and issubclass(backend, OffloadEngine)):
             raise TypeError(
                 f"backend= takes an OffloadEngine subclass, got {backend!r}"

@@ -1,5 +1,7 @@
 """Every example script runs to completion and prints what it promises."""
 
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +69,17 @@ def test_timeline():
     assert "timeline:" in out
     # the Gantt rows actually render activity
     assert "ccc" in out or " c" in out
+    # each run's trace, span stream and metrics text land in one directory
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("traces written to ")]
+    out_dir = Path(line.split()[3])
+    try:
+        for schedule in ("BLOCK", "SCHED_DYNAMIC"):
+            for suffix in (".trace.json", ".spans.jsonl", ".prom"):
+                assert (out_dir / f"{schedule}{suffix}").stat().st_size > 0
+        trace = json.loads((out_dir / "SCHED_DYNAMIC.trace.json").read_text())
+        assert any(ev["ph"] == "X" for ev in trace["traceEvents"])
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
 
 
 def test_history_tuning():

@@ -101,15 +101,3 @@ class TestMetrics:
         a = build([("z", {"d": "1"}), ("a", {}), ("z", {"d": "0"})])
         b = build([("a", {}), ("z", {"d": "0"}), ("z", {"d": "1"})])
         assert a == b
-
-    def test_merge_folds_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("chunks", 3)
-        b.inc("chunks", 4)
-        a.observe("lat", 0.5, buckets=(1.0,))
-        b.observe("lat", 2.0, buckets=(1.0,))
-        a.merge(b)
-        assert a.counter_value("chunks") == 7
-        h = next(a.histograms())
-        assert h.count == 2
-        assert h.overflow == 1

@@ -27,7 +27,6 @@ class TestTracer:
         t.span("compute", CAT_STAGE, 0, "cpu-0", 0.0, 1.0)
         t.span("compute", CAT_STAGE, 1, "k40-1", 0.0, 2.0)
         t.span("xfer_in", CAT_STAGE, 1, "k40-1", 2.0, 3.0)
-        assert len(t.for_device(1)) == 2
         assert len(t.by_name("compute")) == 2
         assert t.device_names() == {0: "cpu-0", 1: "k40-1"}
 
@@ -35,14 +34,6 @@ class TestTracer:
         t = Tracer()
         t.span("offload", "offload", -1, "", 0.0, 1.0)
         assert t.device_names() == {}
-
-    def test_clear(self):
-        t = Tracer()
-        t.span("compute", CAT_STAGE, 0, "cpu-0", 0.0, 1.0)
-        t.meta["kernel"] = "axpy"
-        t.clear()
-        assert t.spans == []
-        assert t.meta == {}
 
 
 class TestNullTracer:

@@ -21,6 +21,13 @@ def rt():
     return HompRuntime(full_node())
 
 
+@pytest.mark.parametrize("seed", [True, False, 1.0, "1", None])
+def test_seed_must_be_an_int(seed):
+    # A bool seed would be stamped into meta["seed"] and change the pickle.
+    with pytest.raises(TypeError, match="seed"):
+        HompRuntime(gpu4_node(), seed=seed)
+
+
 class TestDeviceSelection:
     def test_none_selects_all(self, rt):
         assert rt.select_devices(None) == list(range(8))
@@ -98,6 +105,23 @@ class TestScheduleResolution:
             make_kernel("axpy", 1000), schedule="SCHED_DYNAMIC", chunk_pct=0.25
         )
         assert r.algorithm == "SCHED_DYNAMIC,25%"
+
+    @pytest.mark.parametrize("schedule,kwargs", [
+        ("SCHED_DYNAMIC", {"chunk_pct": True}),
+        ("WORK_STEALING", {"chunk_pct": True}),
+        ("SCHED_GUIDED", {"first_pct": True}),
+        ("STREAM_REBALANCE", {"alpha": True}),
+        ("SCHED_GUIDED", {"min_chunk": 2.5}),
+        ("SCHED_GUIDED", {"min_chunk": True}),
+        ("WORK_STEALING", {"min_steal": 2.5}),
+        ("WORK_STEALING", {"min_steal": True}),
+    ])
+    def test_scheduler_keyword_type_checked(self, rt, schedule, kwargs):
+        # A bool is not a fraction or a count, and a count is an integer.
+        kernel = make_kernel("axpy", 1000)
+        with pytest.raises(SchedulingError, match=next(iter(kwargs))):
+            rt.parallel_for(kernel, schedule=schedule, **kwargs)
+        assert kernel.stats.chunks == 0
 
     def test_bad_schedule(self, rt):
         with pytest.raises(SchedulingError):

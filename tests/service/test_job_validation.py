@@ -89,6 +89,16 @@ def test_jobspecerror_is_a_homp_value_error():
     assert issubclass(JobSpecError, ValueError)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"pool_size": 0}, {"pool_size": True}, {"pool_size": 2.5},
+    {"max_batch": True}, {"max_batch": 2.0},
+])
+def test_service_sizes_checked_at_construction(gpu4, kwargs):
+    # Refused before start(): a bool is not a size, and neither is 0.
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        OffloadService(gpu4, use_cache=False, **kwargs)
+
+
 def test_submit_before_start_and_after_close(gpu4):
     async def main():
         svc = OffloadService(gpu4, use_cache=False)

@@ -2,7 +2,7 @@
 
 The full Fig. 5 grid (6 kernels x 7 policies on the 4-GPU node) is swept
 twice — once as a per-cell ``run_cell`` loop, once through ``run_grid``,
-which runs a fault-free virtual grid's misses as one ``parallel_for_many``
+which runs a fault-free virtual grid's cells as one ``parallel_for_many``
 batch — and the measured cells/sec are printed.  Nothing is written: a
 wall-clock figure is a property of the host, not of the code.
 
@@ -27,7 +27,6 @@ import time
 
 import pytest
 
-from repro.bench.cache import SweepCache
 from repro.bench.runner import ALL_POLICIES, run_cell, run_grid
 from repro.bench.workloads import BENCH_SCALE_ENV, WorkloadFactory
 from repro.machine.presets import gpu4_node
@@ -40,11 +39,10 @@ def _factories():
 
 
 def _per_cell(machine, ks):
-    """Every cell through ``run_cell`` on a fresh cache, in grid order."""
-    cache = SweepCache()  # fresh and memory-only under REPRO_BENCH_CACHE=off
+    """Every cell through ``run_cell``, in grid order."""
     return {
         kname: {
-            policy: run_cell(machine, factory, policy, cache=cache)
+            policy: run_cell(machine, factory, policy)
             for policy in ALL_POLICIES
         }
         for kname, factory in ks.items()
@@ -52,7 +50,7 @@ def _per_cell(machine, ks):
 
 
 def _batch(machine, ks):
-    return run_grid(machine, ks, policies=ALL_POLICIES, cache=SweepCache()).results
+    return run_grid(machine, ks, policies=ALL_POLICIES).results
 
 
 def _seconds(sweep, machine, ks):
@@ -63,8 +61,7 @@ def _seconds(sweep, machine, ks):
 
 @pytest.fixture()
 def throughput_env(monkeypatch):
-    """Uncached measurements at a recorded scale."""
-    monkeypatch.setenv("REPRO_BENCH_CACHE", "off")
+    """Measurements at a recorded scale."""
     if not os.environ.get(BENCH_SCALE_ENV, "").strip():
         monkeypatch.setenv(BENCH_SCALE_ENV, "0.05")
     yield

@@ -94,7 +94,7 @@ def test_resilience_sweep(bench_once, results_dir):
 
 
 def test_resilience_smoke(results_dir):
-    """Cheap one-cell variant for the cached-benchmark CI job: one policy,
+    """Cheap one-cell variant for the CI smokes job: one policy,
     one dropout, default bench scale."""
     from repro.bench.workloads import WorkloadFactory
 

@@ -68,7 +68,6 @@ def _served_report(machine, plan, *, coalesce):
             machine,
             pool_size=POOL_SIZE,
             coalesce=coalesce,
-            use_cache=False,
             queue_capacity=len(plan) + 1,
             default_quota=TenantQuota(max_in_flight=len(plan)),
         ) as svc:
@@ -81,7 +80,7 @@ def _spot_check(machine, plan, stride):
     """Every stride-th job must byte-match its direct parallel_for run."""
     async def main():
         async with OffloadService(
-            machine, pool_size=POOL_SIZE, use_cache=False,
+            machine, pool_size=POOL_SIZE,
             default_quota=TenantQuota(max_in_flight=len(plan)),
         ) as svc:
             sample = plan[::stride]

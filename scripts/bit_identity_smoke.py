@@ -19,12 +19,9 @@ only be regenerated when a behaviour change is intended and documented.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import sys
 from pathlib import Path
-
-os.environ["REPRO_BENCH_CACHE"] = "off"
 
 from repro.kernels.registry import paper_workload
 from repro.machine.presets import gpu4_node

@@ -11,7 +11,7 @@ the entries start, child processes included, and each process writes the
 code objects it saw when it exits.  The entry set is fixed:
 
 * every ``examples/*.py``;
-* ``pytest benchmarks --ignore=benchmarks/perf``;
+* ``pytest benchmarks --ignore=benchmarks/perf --benchmark-disable``;
 * ``benchmarks/perf/run.py --selfcheck``;
 * ``python -m repro.bench fig5 fig6 fig7 fig8 fig9 table5``.
 
@@ -84,7 +84,11 @@ def entry_points(tree: Path) -> list[list[str]]:
     examples = sorted(glob.glob("examples/*.py", root_dir=tree))
     return [
         *([py, example] for example in examples),
-        [py, "-m", "pytest", "benchmarks", "--ignore=benchmarks/perf", "-q"],
+        # pytest-benchmark's instrumentation pause clears sys.setprofile
+        # around every timed call; with it disabled the call runs once,
+        # recorded.
+        [py, "-m", "pytest", "benchmarks", "--ignore=benchmarks/perf",
+         "--benchmark-disable", "-q"],
         [py, "benchmarks/perf/run.py", "--selfcheck"],
         [py, "-m", "repro.bench", "fig5", "fig6", "fig7", "fig8", "fig9", "table5"],
     ]
@@ -109,7 +113,6 @@ def record(tree: Path, scratch: Path) -> tuple[set[tuple[str, int]], list[str]]:
         PYTHONPATH=os.pathsep.join([str(recorder), str(tree / "src")]),
         PYTHONDONTWRITEBYTECODE="1",
         REACH_OUT=str(out),
-        REPRO_BENCH_CACHE_DIR=str(scratch / "bench_cache"),
     )
     failed = []
     for cmd in entry_points(tree):

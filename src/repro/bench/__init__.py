@@ -8,20 +8,9 @@ from repro.bench.workloads import (
     WorkloadFactory,
     WORKLOAD_NAMES,
 )
-from repro.bench.cache import (
-    CACHE_DIR_ENV,
-    CACHE_ENV,
-    CacheStats,
-    SweepCache,
-    cache_mode,
-    get_cache,
-    reset_cache,
-    result_key,
-)
 from repro.bench.runner import (
     ALL_POLICIES,
     PolicyGrid,
-    engine_run_count,
     run_cell,
     run_grid,
     run_one,
@@ -39,17 +28,8 @@ from repro.bench.figures import (
 __all__ = [
     "ALL_POLICIES",
     "BENCH_SCALE_ENV",
-    "CACHE_DIR_ENV",
-    "CACHE_ENV",
-    "CacheStats",
-    "SweepCache",
     "WorkloadFactory",
     "bench_scale",
-    "cache_mode",
-    "engine_run_count",
-    "get_cache",
-    "reset_cache",
-    "result_key",
     "workload",
     "WORKLOAD_NAMES",
     "PolicyGrid",

@@ -36,7 +36,7 @@ _FIG_KERNELS = ("axpy", "matvec", "matmul", "stencil", "sum", "bm")
 
 
 def _factories(seed: int = 0) -> dict[str, WorkloadFactory]:
-    """Picklable, cache-fingerprintable factories for the figure kernels."""
+    """Picklable, fingerprintable factories for the figure kernels."""
     return {name: WorkloadFactory(name, seed=seed) for name in _FIG_KERNELS}
 
 

@@ -4,11 +4,10 @@ Every run verifies the numeric output against the kernel's serial
 reference — a benchmark that silently computes the wrong answer is worse
 than a failing one.
 
-A grid's cells are served from the sweep cache (:mod:`repro.bench.cache`)
-where they can be; the misses of a fault-free, untraced grid run as
-one ``parallel_for_many`` batch, every other miss runs per cell.  Either
-way each result is bit-identical to the uncached per-cell sweep's, in
-the same deterministic order.
+Every cell of a grid is computed: a fault-free, untraced grid runs as
+one ``parallel_for_many`` batch, every other grid runs per cell.  Either
+way each result is bit-identical to the per-cell sweep's, in the same
+deterministic order.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from repro.bench.cache import SweepCache, cell_key, get_cache
 from repro.engine.trace import OffloadResult
 from repro.errors import OffloadError
 from repro.faults.plan import FaultPlan
@@ -40,7 +38,6 @@ __all__ = [
     "runner_metrics",
     "verify_result",
     "verify_batch",
-    "engine_run_count",
 ]
 
 #: The seven Table II algorithms in the order the figures list them.
@@ -114,15 +111,6 @@ def verify_batch(cells) -> None:
         verify_result(spec.kernel, result, ref=ref)
 
 
-#: Offloads actually executed by this process (cache hits don't count).
-_ENGINE_RUNS = 0
-
-
-def engine_run_count() -> int:
-    """How many offloads this process has really executed (not cache hits)."""
-    return _ENGINE_RUNS
-
-
 #: Process-wide counters for the grid runner (batch routing); exported so
 #: sweeps can assert they took the path they meant.
 _METRICS = MetricsRegistry()
@@ -153,8 +141,6 @@ def run_one(
     receives the run's span stream (:mod:`repro.obs`); tracing is a pure
     side channel — the returned result is identical with or without it.
     """
-    global _ENGINE_RUNS
-    _ENGINE_RUNS += 1
     rt = HompRuntime(machine, seed=seed)
     result = rt.parallel_for(
         kernel, schedule=policy, cutoff_ratio=cutoff_ratio,
@@ -169,35 +155,10 @@ def run_cell(
     machine: MachineSpec,
     factory: Callable[[], LoopKernel],
     policy: str,
-    *,
-    cutoff_ratio: float = 0.0,
-    seed: int = 0,
-    verify: bool = True,
-    cache: SweepCache | None = None,
-    fault_plan: FaultPlan | None = None,
-    resilience: ResiliencePolicy | None = None,
+    **options,
 ) -> OffloadResult:
-    """One grid cell through the sweep cache.
-
-    Consults the cache before building the kernel at all — a hit skips
-    input generation, execution and verification entirely.  Misses run
-    exactly like ``run_one`` and populate the cache; a cell
-    :func:`~repro.bench.cache.cell_key` leaves unkeyed always runs.
-    """
-    cache = get_cache() if cache is None else cache
-    options = dict(
-        cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
-        fault_plan=fault_plan, resilience=resilience,
-    )
-    key = cell_key(cache, machine, factory, policy, **options)
-    if key is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    result = run_one(machine, factory(), policy, **options)
-    if key is not None:
-        cache.put(key, result)
-    return result
+    """One grid cell: ``run_one`` on a fresh kernel from ``factory``."""
+    return run_one(machine, factory(), policy, **options)
 
 
 @dataclass
@@ -231,7 +192,6 @@ def run_grid(
     cutoff_ratio: float = 0.0,
     seed: int = 0,
     verify: bool = True,
-    cache: SweepCache | None = None,
     fault_plan: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
     trace_dir: str | Path | None = None,
@@ -241,99 +201,79 @@ def run_grid(
     ``kernels`` maps display name -> zero-arg factory returning a *fresh*
     kernel (runs mutate output arrays, so each cell needs its own).
 
-    Cells :func:`~repro.bench.cache.cell_key` keys are served from /
-    stored into the sweep cache.  The grid picks how its misses run from
-    its own inputs: untraced and without a fault plan or resilience
-    policy, they run as one ``parallel_for_many``
-    batch; otherwise each runs through ``run_one``.  Results are
-    assembled in the declared kernel/policy order and every cell is
-    bit-identical to what ``run_cell`` produces for it.
+    The grid picks how its cells run from its own inputs: untraced and
+    without a fault plan or resilience policy, they run as one
+    ``parallel_for_many`` batch; otherwise each runs through ``run_one``.
+    Results are assembled in the declared kernel/policy order and every
+    cell is bit-identical to what ``run_cell`` produces for it.
 
     ``trace_dir`` enables observability (:mod:`repro.obs`): every cell
-    runs freshly traced (cache reads are bypassed — a cache hit has no
-    spans to give — but results still populate the cache, since traced
-    results are bit-identical to untraced ones) and the directory receives
+    runs traced and the directory receives
     ``<kernel>.<policy>.trace.json`` (Chrome trace-event format, one pid
     per device), ``<kernel>.<policy>.jsonl`` (raw span stream) and one
     grid-wide ``metrics.prom``.  Under ``REPRO_OBS=off`` the flag is
-    ignored entirely: nothing is written and caching behaves as if
-    ``trace_dir`` had not been passed, so cache keys and results are
-    unchanged.
+    ignored entirely: nothing is written and the grid runs as if
+    ``trace_dir`` had not been passed.  Tracing never changes a result.
     """
-    cache = get_cache() if cache is None else cache
     grid = PolicyGrid(machine_name=machine.name, policies=tuple(policies))
     tracing = trace_dir is not None and obs_enabled()
     options = dict(
         cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
         fault_plan=fault_plan, resilience=resilience,
     )
+    grid.results = {kname: {} for kname in kernels}
+    cells = [
+        (kname, factory, policy)
+        for kname, factory in kernels.items() for policy in grid.policies
+    ]
 
-    # Resolve cache hits up front; only misses run.
-    pending: list[tuple[str, Callable[[], LoopKernel], str, str | None]] = []
-    for kname, factory in kernels.items():
-        row = grid.results[kname] = dict.fromkeys(grid.policies)
-        for policy in row:
-            key = cell_key(cache, machine, factory, policy, **options)
-            if key is not None and not tracing:
-                row[policy] = cache.get(key)
-            if row[policy] is None:
-                pending.append((kname, factory, policy, key))
-
-    # Pick how the misses run — each way yields results in ``pending``
-    # order — then store them in one loop, as they arrive.
+    # Pick how the cells run; each way yields results in ``cells`` order.
     if tracing:
         registry = MetricsRegistry()
-        fresh = _traced_cells(
-            machine, pending, Path(trace_dir), registry, **options
+        results = _traced_cells(
+            machine, cells, Path(trace_dir), registry, **options
         )
-    elif pending and fault_plan is None and resilience is None:
-        fresh = _batch_cells(
-            machine, pending, cutoff_ratio=cutoff_ratio, seed=seed,
+    elif cells and fault_plan is None and resilience is None:
+        results = _batch_cells(
+            machine, cells, cutoff_ratio=cutoff_ratio, seed=seed,
             verify=verify,
         )
     else:
-        fresh = (
+        results = (
             run_one(machine, factory(), policy, **options)
-            for _, factory, policy, _ in pending
+            for _, factory, policy in cells
         )
-    for (kname, _, policy, key), result in zip(pending, fresh):
-        if key is not None:
-            cache.put(key, result)
+    for (kname, _, policy), result in zip(cells, results):
         grid.results[kname][policy] = result
     if tracing:
-        # Last, so the grid-wide metrics carry the sweep's final cache stats.
-        for stat_name, value in cache.stats.to_dict().items():
-            registry.set_gauge(f"bench_cache_{stat_name}", value)
         write_prom(registry, Path(trace_dir) / "metrics.prom")
     return grid
 
 
 def _batch_cells(
     machine: MachineSpec,
-    pending: list,
+    cells: list,
     *,
     cutoff_ratio: float,
     seed: int,
     verify: bool,
 ) -> list[OffloadResult]:
-    """Run pending grid cells as one batch on one engine.
+    """Run grid cells as one batch on one engine.
 
-    The whole pending list becomes one ``parallel_for_many`` call: one
+    The whole cell list becomes one ``parallel_for_many`` call: one
     engine, one run of the event loop per cell, back to back.  Cells of
     the same factory share one kernel instance: the simulated timeline
     depends only on chunk sizes, so the (expensive) numeric execution and
     reference verification run once per workload, not once per cell
     (the sharing rule is ``_shared_kernel_specs``'s).
     """
-    global _ENGINE_RUNS
-    _METRICS.inc("run_grid_batch_cells", float(len(pending)))
-    shares = [id(factory) for _, factory, _, _ in pending]
+    _METRICS.inc("run_grid_batch_cells", float(len(cells)))
+    shares = [id(factory) for _, factory, _ in cells]
     specs = _shared_kernel_specs(
         (share, factory, policy, cutoff_ratio)
-        for share, (_, factory, policy, _) in zip(shares, pending)
+        for share, (_, factory, policy) in zip(shares, cells)
     )
     batch = HompRuntime(machine, seed=seed).parallel_for_many(specs)
-    _ENGINE_RUNS += len(batch)
     if verify:
         verify_batch(zip(shares, specs, batch))
     return batch
@@ -341,7 +281,7 @@ def _batch_cells(
 
 def _traced_cells(
     machine: MachineSpec,
-    pending: list,
+    cells: list,
     trace_dir: Path,
     registry: MetricsRegistry,
     **options,
@@ -351,7 +291,7 @@ def _traced_cells(
     One metrics registry spans the whole grid; each cell gets its own
     span stream.
     """
-    for kname, factory, policy, _ in pending:
+    for kname, factory, policy in cells:
         tracer = Tracer(metrics=registry)
         result = run_one(machine, factory(), policy, tracer=tracer, **options)
         stem = f"{kname}.{policy}".replace("/", "_").replace(" ", "_")

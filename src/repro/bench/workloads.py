@@ -68,9 +68,9 @@ def workload(name: str, *, seed: int = 0) -> LoopKernel:
 class WorkloadFactory:
     """Zero-arg factory for a named paper workload.
 
-    Unlike a lambda closure this is picklable (so ``run_grid`` can ship it
-    to process-pool workers) and fingerprintable (so the sweep cache can
-    key the cell it produces).  Calling it is exactly
+    Unlike a lambda closure this is picklable and fingerprintable (so the
+    offload service can coalesce the jobs that build the same kernel).
+    Calling it is exactly
     ``workload(name, seed=seed)``.
     """
 
@@ -81,10 +81,10 @@ class WorkloadFactory:
         return workload(self.name, seed=self.seed)
 
     def fingerprint(self) -> dict[str, Any]:
-        """Identity of the kernel this factory builds, for cache keys.
+        """Identity of the kernel this factory builds.
 
         The bench scale is resolved at fingerprint time, so changing
-        ``REPRO_BENCH_SCALE`` changes the key.
+        ``REPRO_BENCH_SCALE`` changes the identity.
         """
         return {
             "workload": self.name,

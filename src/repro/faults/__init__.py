@@ -6,7 +6,7 @@ exercised against the conditions that justify their existence: stragglers,
 flaky PCIe links, and devices that die mid-offload.  Everything is
 declarative and seed-deterministic — a :class:`FaultPlan` plus the engine
 seed fully determines every fault occurrence, so faulted runs are as
-reproducible (and cacheable) as fault-free ones.
+reproducible as fault-free ones.
 
 See ``docs/RESILIENCE.md`` for the plan schema, the retry/quarantine
 semantics and the determinism guarantees.

@@ -155,8 +155,7 @@ class FaultPlan:
 
     The plan is pure data: the engine consults it at each pipeline stage;
     the plan itself holds no mutable state and draws no global randomness,
-    so one plan instance can be shared across runs, processes and cache
-    fingerprints.
+    so one plan instance can be shared across runs and processes.
     """
 
     faults: tuple[Slowdown | TransferError | DeviceDropout, ...] = ()
@@ -218,10 +217,10 @@ class FaultPlan:
         """Earliest dropout time for ``devid``, or None if it never dies."""
         return self._dropouts.get(devid)
 
-    # -- serialisation (cache fingerprints, artifacts) -----------------------
+    # -- serialisation (artifacts) ------------------------------------------
 
     def to_dict(self) -> dict:
-        """Stable JSON-able identity of the plan (cache-fingerprint safe).
+        """Stable JSON-able identity of the plan.
 
         Faults are emitted in a canonical sort order, so two plans listing
         the same faults in different order fingerprint identically.

@@ -65,7 +65,7 @@ class ResiliencePolicy:
             )
 
     def to_dict(self) -> dict:
-        """Stable JSON-able identity (for cache fingerprints)."""
+        """Stable JSON-able identity (for sweep artifacts)."""
         return {
             "max_retries": self.retry.max_retries,
             "backoff_s": self.retry.backoff_s,

@@ -11,7 +11,7 @@ after-the-fact table into a first-class runtime layer:
   time;
 * :class:`~repro.obs.metrics.MetricsRegistry` accumulates deterministic
   counters, gauges and fixed-bucket histograms (chunks, iterations,
-  retries, quarantines, cache hits, scheduler decision latencies);
+  retries, quarantines, scheduler decision latencies);
 * :mod:`~repro.obs.export` renders Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``), JSONL span streams and Prometheus text.
 

@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` accumulates whatever the instrumented code
 feeds it — chunk counts, per-device iteration totals, retries,
-quarantines, cache hits, scheduler decision latencies.  The registry
+quarantines, scheduler decision latencies.  The registry
 itself never consults the wall clock or any RNG: identical runs produce
 identical snapshots, byte for byte, which is what lets traced benchmark
 runs stay reproducible.

@@ -14,7 +14,7 @@ Two implementations share one duck type:
 ``REPRO_OBS=off`` (or ``0``/``false``/``no``) is the global kill switch:
 :func:`resolve_tracer` collapses *any* tracer to :data:`NULL_TRACER`, so
 an instrumented sweep can be A/B'd against a clean one without touching
-code.  The switch mirrors ``REPRO_FAULTS`` / ``REPRO_BENCH_CACHE``.
+code.  The switch mirrors ``REPRO_FAULTS``.
 """
 
 from __future__ import annotations

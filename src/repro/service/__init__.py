@@ -19,14 +19,12 @@ factory, a policy, a tenant identity) and ``await`` typed
   can never fire through the pool),
 * coalesces compatible queued jobs — same workload fingerprint, a
   timing-oblivious policy, no faults or tracing — into single
-  :meth:`~repro.engine.simulator.OffloadEngine.run_many` batches, and
-* serves repeat cells from / populates the sweep cache with exactly the
-  keys :func:`repro.bench.runner.run_cell` uses.
+  :meth:`~repro.engine.simulator.OffloadEngine.run_many` batches.
 
 The determinism contract carries over unchanged: every job's
 :class:`~repro.engine.trace.OffloadResult` pickles byte-identically to
 the result of calling ``parallel_for`` directly with the same arguments,
-regardless of concurrency, pooling, coalescing or cache state (pinned by
+regardless of concurrency, pooling or coalescing (pinned by
 ``tests/service/test_determinism.py``).  See ``docs/SERVICE.md``.
 """
 

@@ -30,11 +30,19 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
+from numbers import Real
 from typing import Any, Callable, Iterable
 
 from repro.errors import AdmissionError
 
 __all__ = ["TenantQuota", "AdmissionController", "WeightedFairQueue"]
+
+
+def check_count(name: str, value: Any) -> None:
+    """Refuse a bool, a non-integer or a value below 1 where a count is
+    meant (a bool would otherwise pass as 1, and 2.5 as a size)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,16 +63,15 @@ class TenantQuota:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.max_in_flight < 1:
-            raise ValueError(
-                f"quota max_in_flight must be >= 1, got {self.max_in_flight}"
-            )
-        if not self.rate > 0:
-            raise ValueError(f"quota rate must be > 0, got {self.rate}")
-        if self.burst < 1:
-            raise ValueError(f"quota burst must be >= 1, got {self.burst}")
-        if not self.weight > 0:
-            raise ValueError(f"quota weight must be > 0, got {self.weight}")
+        check_count("quota max_in_flight", self.max_in_flight)
+        check_count("quota burst", self.burst)
+        for name in ("rate", "weight"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not value > 0):
+                raise ValueError(
+                    f"quota {name} must be a number > 0, got {value!r}"
+                )
 
 
 class _TokenBucket:
@@ -98,7 +105,7 @@ class AdmissionController:
     ``admit(tenant)`` either records one more in-flight job for the
     tenant or raises :class:`~repro.errors.AdmissionError`; every
     admitted job must eventually be paired with one ``release(tenant)``
-    (the service does this on completion, failure, or cache hit).
+    (the service does this on completion, failure, cancellation or expiry).
     ``queue_capacity`` bounds the *total* number of admitted-but-
     unfinished jobs across all tenants.
     """
@@ -117,10 +124,7 @@ class AdmissionController:
         clock: Callable[[], float] = time.monotonic,
         retry_hint_s: float = DEFAULT_RETRY_HINT_S,
     ):
-        if queue_capacity < 1:
-            raise ValueError(
-                f"queue_capacity must be >= 1, got {queue_capacity}"
-            )
+        check_count("queue_capacity", queue_capacity)
         self.queue_capacity = queue_capacity
         self.clock = clock
         self.retry_hint_s = float(retry_hint_s)
@@ -186,7 +190,7 @@ class AdmissionController:
         self._in_flight[tenant] = held + 1
 
     def release(self, tenant: str) -> None:
-        """Return one in-flight slot (job finished, failed, or cached)."""
+        """Return one in-flight slot (job finished, failed, cancelled or expired)."""
         held = self._in_flight.get(tenant, 0)
         if held <= 0:
             raise ValueError(

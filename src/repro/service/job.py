@@ -9,8 +9,8 @@ accepts (CUTOFF, device selection, fault plan, tracing).
 
 A :class:`JobResult` is the typed completion record: the
 :class:`~repro.engine.trace.OffloadResult` (byte-identical to a direct
-``parallel_for`` call), how the job was served (coalesced batch size,
-cache hit), wall-clock latency stamps, and the job's isolated
+``parallel_for`` call), how the job was served (coalesced batch size),
+wall-clock latency stamps, and the job's isolated
 per-job :class:`~repro.obs.metrics.MetricsRegistry` (plus its
 :class:`~repro.obs.Tracer` when tracing was requested — exportable
 through the :mod:`repro.obs.export` writers).
@@ -52,8 +52,8 @@ class OffloadJob:
     ``factory`` must build a *fresh* kernel on every call (runs mutate
     output arrays).  Factories that expose a ``fingerprint()`` identity
     (:class:`~repro.bench.workloads.WorkloadFactory`,
-    :class:`~repro.service.loadgen.WorkloadTemplate`) unlock the sweep
-    cache and batch coalescing; anonymous lambdas always run alone.
+    :class:`~repro.service.loadgen.WorkloadTemplate`) unlock batch
+    coalescing; anonymous lambdas always run alone.
 
     ``policy`` is a paper Table II notation string, ``"AUTO"``, or a
     scheduler/Policy instance — exactly ``parallel_for``'s ``schedule``.
@@ -154,7 +154,7 @@ class JobResult:
     the number of jobs the serving batch carried (1 for a solo run);
     ``coalesced`` is True when the job shared a
     :meth:`~repro.engine.simulator.OffloadEngine.run_many` call with others.
-    ``metrics`` is the job's own isolated registry (cache/coalesce
+    ``metrics`` is the job's own isolated registry (batch/coalesce
     markers, plus the full engine span-derived metrics when the job was
     traced); ``tracer`` carries the span stream for traced jobs.
     """
@@ -165,7 +165,6 @@ class JobResult:
     error: BaseException | None = None
     coalesced: bool = False
     batch_size: int = 1
-    cache_hit: bool = False
     submitted_at: float = 0.0
     started_at: float = 0.0
     finished_at: float = 0.0

@@ -11,8 +11,8 @@ workload against direct ``parallel_for`` calls.
 :func:`run_load` replays a plan against a running
 :class:`~repro.service.service.OffloadService` (optionally honouring the
 planned arrival times) and folds the outcome into a :class:`LoadReport`:
-throughput, p50/p99 latency, admission rejections, coalescing and cache
-counters, and a lost/duplicate check over the jobs' correlation tags.
+throughput, p50/p99 latency, admission rejections, coalescing counters,
+and a lost/duplicate check over the jobs' correlation tags.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ class WorkloadTemplate:
     The loadgen sibling of :class:`~repro.bench.workloads.WorkloadFactory`:
     where that one names a *paper* workload at bench scale, this one pins
     an exact iteration count, so service benchmarks can use kernels small
-    enough to run tens of thousands of jobs.  The fingerprint keys the
-    size directly (``n`` rather than ``scale``), so the two factories can
-    never collide in the sweep cache.
+    enough to run tens of thousands of jobs.  The fingerprint names the
+    size directly (``n`` rather than ``scale``), so the two factories'
+    identities never collide.
     """
 
     kernel: str = "axpy"
@@ -148,7 +148,6 @@ class LoadReport:
     coalesced_jobs: int = 0
     batches: int = 0
     coalesce_ratio: float = 0.0
-    cache_hits: int = 0
     per_tenant_completed: dict[str, int] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
 
@@ -167,7 +166,6 @@ class LoadReport:
             "coalesced_jobs": self.coalesced_jobs,
             "batches": self.batches,
             "coalesce_ratio": self.coalesce_ratio,
-            "cache_hits": self.cache_hits,
             "per_tenant_completed": dict(
                 sorted(self.per_tenant_completed.items())
             ),
@@ -232,8 +230,6 @@ async def run_load(service, arrivals: list[Arrival], *,
             latencies.append(res.latency_s)
             if res.coalesced:
                 report.coalesced_jobs += 1
-            if res.cache_hit:
-                report.cache_hits += 1
         else:
             report.failed += 1
             if len(report.errors) < 10:

@@ -29,6 +29,7 @@ import asyncio
 from repro.engine.core import make_backend
 from repro.engine.simulator import OffloadEngine
 from repro.machine.spec import MachineSpec
+from repro.service.admission import check_count
 
 __all__ = ["EnginePool"]
 
@@ -47,8 +48,7 @@ class EnginePool:
         size: int = 4,
         backend: "type[OffloadEngine]" = OffloadEngine,
     ):
-        if size < 1:
-            raise ValueError(f"pool size must be >= 1, got {size}")
+        check_count("pool size", size)
         self.machine = machine
         self.size = size
         self.backend = backend

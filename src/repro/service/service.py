@@ -4,12 +4,11 @@ One :class:`OffloadService` is bound to one machine description and runs
 one dispatcher coroutine.  Submissions flow::
 
     submit(job) --admission--> weighted-fair queue --dispatcher-->
-        sweep-cache fast path
-        | engine-pool lease --group task--> parallel_for(engine=...)
+        engine-pool lease --group task--> parallel_for(engine=...)
         | batch coalescing  --group task--> parallel_for_many(engine=...)
 
 Threading model: one thread, the event loop's, runs everything — queue,
-admission, metrics, sweep cache and the engine call.  The engines are
+admission, metrics and the engine call.  The engines are
 pure Python under the GIL, so a worker thread would add a hand-off but
 no parallelism.  A group's task yields once, then runs to completion on
 an engine it holds exclusively through the pool lease, so the run gate
@@ -20,15 +19,10 @@ Determinism: a job served by the service yields an
 :class:`~repro.engine.trace.OffloadResult` that pickles byte-identically
 to the same arguments passed to
 :meth:`~repro.runtime.runtime.HompRuntime.parallel_for` directly —
-whether the job ran solo on a pooled engine, coalesced into a
-``run_many`` batch, or was served from the sweep cache.  Wall-clock
-*latency* stamps on the :class:`~repro.service.job.JobResult` envelope
-are the only nondeterministic fields, and they live outside the result.
-
-Cache interop: a job's sweep-cache key is :func:`repro.bench.cache.
-cell_key`'s — the rule ``run_cell`` and ``run_grid`` ask — so a grid
-sweep warms the cache for the service and vice versa.  Traced jobs
-bypass cache reads (a hit has no spans to give) but still populate.
+whether the job ran solo on a pooled engine or coalesced into a
+``run_many`` batch.  Wall-clock *latency* stamps on the
+:class:`~repro.service.job.JobResult` envelope are the only
+nondeterministic fields, and they live outside the result.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ import asyncio
 import time
 from typing import Callable
 
-from repro.bench.cache import SweepCache, cell_key, get_cache
 from repro.bench.runner import verify_batch, verify_result
 from repro.engine.simulator import OffloadEngine
 from repro.engine.trace import OffloadResult
@@ -51,7 +44,12 @@ from repro.machine.spec import MachineSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, obs_enabled
 from repro.runtime.runtime import HompRuntime
-from repro.service.admission import AdmissionController, TenantQuota, WeightedFairQueue
+from repro.service.admission import (
+    AdmissionController,
+    TenantQuota,
+    WeightedFairQueue,
+    check_count,
+)
 from repro.service.coalesce import group_key, plan_group
 from repro.service.job import JobHandle, JobResult, JobState, OffloadJob
 from repro.service.pool import EnginePool
@@ -63,17 +61,16 @@ class _Pending:
     """Internal per-job record threaded from submit to completion."""
 
     __slots__ = (
-        "job", "handle", "ids", "cache_key", "group_key", "submitted_at",
+        "job", "handle", "ids", "group_key", "submitted_at",
         "started_at", "registry", "effective_trace", "tracer",
     )
 
     def __init__(self, job: OffloadJob, handle: JobHandle,
-                 ids: tuple[int, ...], cache_key: "str | None",
-                 gkey: "tuple | None", submitted_at: float):
+                 ids: tuple[int, ...], gkey: "tuple | None",
+                 submitted_at: float):
         self.job = job
         self.handle = handle
         self.ids = ids
-        self.cache_key = cache_key
         self.group_key = gkey
         self.submitted_at = submitted_at
         self.started_at = submitted_at
@@ -96,11 +93,10 @@ class OffloadService:
     :class:`TypeError`).  Coalescible jobs share one ``run_many`` call on
     a pooled engine; ``coalesce=False`` disables batching entirely;
     ``max_batch`` caps how
-    many queued mates one batch may absorb.  ``cache`` is a
-    :class:`~repro.bench.cache.SweepCache` (None = the process-wide one;
-    ``use_cache=False`` bypasses caching regardless).  ``clock`` is the
-    monotonic time source for admission token buckets and latency stamps
-    (injectable for deterministic tests).
+    many queued mates one batch may absorb.  ``clock`` is the monotonic
+    time source for admission token buckets and latency stamps
+    (injectable for deterministic tests).  Every job is computed: there
+    is no result cache, and ``use_cache`` accepts only ``False``.
     """
 
     def __init__(
@@ -114,13 +110,18 @@ class OffloadService:
         queue_capacity: int = 1024,
         quotas: "dict[str, TenantQuota] | None" = None,
         default_quota: TenantQuota | None = None,
-        cache: SweepCache | None = None,
-        use_cache: bool = True,
+        use_cache: bool = False,
         clock: Callable[[], float] = time.monotonic,
     ):
-        for name, value in (("pool_size", pool_size), ("max_batch", max_batch)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        # ``use_cache=False`` is still accepted because the perf harness
+        # passes it; the keyword goes when the harness drops it, together
+        # with the "batch" engine alias (ROADMAP item 1(d)).
+        if use_cache:
+            raise TypeError(
+                f"OffloadService has no result cache; use_cache={use_cache!r}"
+            )
+        check_count("pool_size", pool_size)
+        check_count("max_batch", max_batch)
         if not (isinstance(backend, type) and issubclass(backend, OffloadEngine)):
             raise TypeError(
                 f"backend= takes an OffloadEngine subclass, got {backend!r}"
@@ -131,8 +132,6 @@ class OffloadService:
         self.coalesce = coalesce
         self.max_batch = max_batch
         self._clock = clock
-        self._cache = cache if cache is not None else get_cache()
-        self._use_cache = use_cache
         self._admission = AdmissionController(
             quotas=quotas,
             default_quota=default_quota,
@@ -237,7 +236,6 @@ class OffloadService:
         handle = JobHandle(job, loop.create_future(), submitted_at=now)
         rec = _Pending(
             job, handle, ids,
-            cache_key=self._cache_key(job),
             gkey=group_key(job, ids) if self.coalesce else None,
             submitted_at=now,
         )
@@ -250,20 +248,6 @@ class OffloadService:
         self.metrics.set_gauge("service_queue_depth", float(len(self._wfq)))
         self._wake.set()
         return handle
-
-    def _cache_key(self, job: OffloadJob) -> "str | None":
-        """The job's sweep-cache key: ``run_cell``'s for the same cell,
-        unless the job sets an option a cell cannot express (a device
-        subset, event recording, a serialized offload)."""
-        if not self._use_cache:
-            return None
-        if job.devices is not None or job.record_events or job.serialize_offload:
-            return None
-        return cell_key(
-            self._cache, self.machine, job.factory, job.policy,
-            cutoff_ratio=job.cutoff_ratio, seed=job.seed, verify=job.verify,
-            fault_plan=job.fault_plan, resilience=job.resilience,
-        )
 
     # -- dispatch --------------------------------------------------------------
 
@@ -293,18 +277,12 @@ class OffloadService:
                 self._fail(group, exc)
 
     async def _dispatch(self, group: "list[_Pending]") -> None:
-        """Serve the popped ``group[0]``: expire it, answer it from the
-        cache, or lease an engine, gather its mates into ``group`` and
-        start the group's task."""
+        """Serve the popped ``group[0]``: expire it, or lease an engine,
+        gather its mates into ``group`` and start the group's task."""
         assert self._pool is not None
         rec = group[0]
         if self._expired(rec):
             return
-        if rec.cache_key is not None and not rec.effective_trace:
-            hit = self._cache.get(rec.cache_key)
-            if hit is not None:
-                self._complete(rec, JobState.DONE, hit, cache_hit=True)
-                return
         engine = await self._pool.acquire(rec.ids)
         if rec.group_key is not None and self.max_batch > 1:
             # Mates are collected *after* the (possibly long) wait for
@@ -345,8 +323,6 @@ class OffloadService:
                     buckets=(1, 2, 4, 8, 16, 32, 64),
                 )
             for rec, result in zip(group, results):
-                if rec.cache_key is not None:
-                    self._cache.put(rec.cache_key, result)
                 self._complete(
                     rec, JobState.DONE, result, batch_size=len(group)
                 )
@@ -403,7 +379,7 @@ class OffloadService:
 
     def _complete(self, rec: _Pending, state: JobState,
                   outcome: "OffloadResult | BaseException", *,
-                  batch_size: int = 1, cache_hit: bool = False) -> None:
+                  batch_size: int = 1) -> None:
         """The one completion path: resolve ``rec`` in terminal ``state``
         with its ``outcome`` (the result for ``DONE``, else the error).
 
@@ -418,9 +394,6 @@ class OffloadService:
         coalesced = batch_size > 1
         if ok:
             rec.registry.set_gauge("job_batch_size", float(batch_size))
-            if cache_hit:
-                rec.registry.inc("job_cache_hit")
-                self.metrics.inc("service_cache_hits")
             if coalesced:
                 rec.registry.inc("job_coalesced")
                 self.metrics.inc("service_coalesced_jobs")
@@ -440,7 +413,6 @@ class OffloadService:
             error=None if ok else outcome,
             coalesced=coalesced,
             batch_size=batch_size,
-            cache_hit=cache_hit,
             submitted_at=rec.submitted_at,
             started_at=rec.started_at,
             finished_at=self._clock(),

@@ -5,7 +5,7 @@ Host-independent budgets for the three things a ``run_cell`` used to redo
 per cell: the bytes a second kernel of one key allocates (pure inputs are
 the pool's own read-only arrays, a written array is copied once, not
 twice), the serial reference (once per input set, not once per cell) and
-the factory fingerprint (never, with the sweep cache off).
+the factory fingerprint (never: a cell is computed, not looked up).
 """
 
 import gc
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.bench.cache import CACHE_ENV
 from repro.bench.runner import ALL_POLICIES, run_cell
 from repro.kernels.pool import clear_pool, pool_stats
 from repro.kernels.registry import KERNELS, make_kernel
@@ -55,13 +54,12 @@ def test_second_kernel_of_a_key_copies_only_what_it_writes(name, n, budget_mb):
 @dataclass(frozen=True)
 class _Loud(WorkloadTemplate):
     def fingerprint(self):
-        raise AssertionError("fingerprint() called with the sweep cache off")
+        raise AssertionError("run_cell asked a factory for its fingerprint")
 
 
 def test_grid_computes_one_reference_per_input_set(monkeypatch):
     """2 sweeps x 7 policies x 6 kernels = 84 verified cells, 6 references
     (14 per kernel at 01da0b3)."""
-    monkeypatch.setenv(CACHE_ENV, "off")
     calls = dict.fromkeys(KERNELS, 0)
 
     def counting(name, original):

@@ -2,6 +2,8 @@
 unit-tested without benchmark-scale cost.  The full-size qualitative
 assertions live in benchmarks/."""
 
+import pickle
+
 import pytest
 
 from repro.bench.figures import (
@@ -75,6 +77,46 @@ def test_table5_smoke():
     }
     for names in result.extra["survivors"].values():
         assert names  # never empty
+
+
+def test_fig6_breaks_down_fig5s_grid():
+    from repro.bench.figures import fig5_gpu4
+
+    fig5, fig6 = fig5_gpu4().grid, fig6_breakdown().grid
+    assert list(fig6.results) == list(fig5.results)
+    for kname, row in fig5.results.items():
+        assert list(fig6.results[kname]) == list(row)
+        for policy, result in row.items():
+            assert pickle.dumps(fig6.results[kname][policy]) == pickle.dumps(
+                result
+            ), f"{kname}/{policy}"
+
+
+def test_table5_cells_equal_fig9s(monkeypatch):
+    """Table V's plain and CUTOFF cells are Fig. 9's grid and CUTOFF cells."""
+    import repro.bench.figures as figures
+
+    cutoff_cells: dict = {}
+    run_cell = figures.run_cell
+
+    def recording(machine, factory, policy, **options):
+        result = run_cell(machine, factory, policy, **options)
+        key = (factory.name, policy, options.get("cutoff_ratio", 0.0))
+        cutoff_cells.setdefault(key, []).append(pickle.dumps(result))
+        return result
+
+    monkeypatch.setattr(figures, "run_cell", recording)
+    fig9 = figures.fig9_full_node()
+    fig9_cutoff = dict(cutoff_cells)
+    cutoff_cells.clear()
+    figures.table5_cutoff()
+    assert {k for k in cutoff_cells if k[2]} == set(fig9_cutoff)
+    for (kname, policy, cutoff), runs in cutoff_cells.items():
+        want = (
+            fig9_cutoff[kname, policy, cutoff][0] if cutoff
+            else pickle.dumps(fig9.grid.results[kname][policy])
+        )
+        assert runs == [want], f"{kname}/{policy}/{cutoff}"
 
 
 def test_summarise_devices():

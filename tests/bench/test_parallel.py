@@ -1,4 +1,4 @@
-"""One way to run a grid: a fault-free, untraced grid runs its misses as
+"""One way to run a grid: a fault-free, untraced grid runs its cells as
 one ``run_many`` batch, every other grid per cell — and both
 are bit-identical to a per-cell ``run_cell`` loop, in the same order."""
 
@@ -9,8 +9,7 @@ import warnings
 
 import pytest
 
-from repro.bench.cache import CACHE_ENV, SweepCache, reset_cache
-from repro.bench.runner import run_cell, run_grid
+from repro.bench.runner import run_cell, run_grid, runner_metrics
 from repro.bench.workloads import BENCH_SCALE_ENV, WorkloadFactory
 from repro.engine.simulator import OffloadEngine
 from repro.engine.trace import OffloadResult
@@ -21,20 +20,15 @@ POLICIES = ("BLOCK", "SCHED_DYNAMIC", "MODEL_1_AUTO")
 
 
 @pytest.fixture(autouse=True)
-def tiny_uncached(monkeypatch):
+def tiny(monkeypatch):
     monkeypatch.setenv(BENCH_SCALE_ENV, "0.004")
-    monkeypatch.setenv(CACHE_ENV, "off")
-    reset_cache()
-    yield
-    reset_cache()
 
 
 def _per_cell(machine, ks, policies=POLICIES, **options):
-    """The reference: every cell through ``run_cell`` on a fresh cache."""
-    cache = SweepCache()
+    """The reference: every cell through ``run_cell``."""
     return {
         kname: {
-            policy: run_cell(machine, factory, policy, cache=cache, **options)
+            policy: run_cell(machine, factory, policy, **options)
             for policy in policies
         }
         for kname, factory in ks.items()
@@ -88,27 +82,21 @@ def test_faulted_grid_matches_serial_cell_for_cell():
             assert a.meta["faults"] == b.meta["faults"]
 
 
-def test_parallel_grid_populates_cache(monkeypatch):
-    from repro.bench.runner import engine_run_count
-
-    monkeypatch.setenv(CACHE_ENV, "mem")
-    reset_cache()
+def test_one_batch_runs_every_cell():
     machine = gpu4_node()
     ks = {"axpy": WorkloadFactory("axpy")}
-    before = engine_run_count()
-    grid = run_grid(machine, ks, policies=POLICIES)
-    # one batch ran every cell...
-    assert engine_run_count() == before + len(POLICIES)
-    # ...and stored each one, so the per-cell loop is free and equal
-    for policy in POLICIES:
-        hit = run_cell(machine, ks["axpy"], policy)
-        assert pickle.dumps(hit) == pickle.dumps(grid.results["axpy"][policy])
-    assert engine_run_count() == before + len(POLICIES)
+    before = runner_metrics().counter_value("run_grid_batch_cells")
+    run_grid(machine, ks, policies=POLICIES)
+    run_grid(machine, ks, policies=POLICIES)
+    # every sweep computes every cell, in one batch each time
+    assert runner_metrics().counter_value("run_grid_batch_cells") == (
+        before + 2 * len(POLICIES)
+    )
 
 
 def test_lambda_factories_fall_back_to_serial():
-    """An anonymous factory is never cached, but still batches: its cells
-    share one kernel and equal the per-cell loop's."""
+    """An anonymous factory still batches: its cells share one kernel and
+    equal the per-cell loop's."""
     machine = gpu4_node()
     ks = {"axpy": lambda: make_kernel("axpy", 400)}
     ref = _per_cell(machine, ks, ("BLOCK", "MODEL_1_AUTO"))
@@ -161,31 +149,29 @@ def test_faulted_grid_runs_per_cell(engine_calls):
     assert engine_calls == {"run": ncells, "run_many": 0}
 
 
-# ---------------------------------------- one miss path, one store loop
+# ---------------------------------------------- every path, one grid
 
-MISS_PATHS = {
+PATHS = {
     "batch": {},
     "traced": dict(trace_dir="traces"),
 }
 
 
-@pytest.mark.parametrize("how", MISS_PATHS)
-def test_every_miss_path_fills_the_same_grid_and_cache(how, monkeypatch, tmp_path):
-    """Batched and traced sweeps run their misses differently and store
-    them through one loop: every cell pickles identically to the per-cell
-    loop's, cold and warm, and the cache sees the same puts."""
-    monkeypatch.setenv(CACHE_ENV, "mem")
+@pytest.mark.parametrize("how", PATHS)
+def test_every_path_fills_the_same_grid(how, monkeypatch, tmp_path):
+    """Batched and traced sweeps run their cells differently and fill the
+    grid through one loop: every cell pickles identically to the per-cell
+    loop's, on the first sweep and on a repeat."""
     monkeypatch.chdir(tmp_path)
     machine = gpu4_node()
-    # one anonymous factory: its cells run but are never stored
     ks = {
         "axpy": WorkloadFactory("axpy"),
         "sum": WorkloadFactory("sum"),
         "anon": lambda: make_kernel("axpy", 2048, seed=3),
     }
 
-    def sweep(cache, **kw):
-        grid = run_grid(machine, ks, policies=POLICIES, cache=cache, **kw)
+    def sweep():
+        grid = run_grid(machine, ks, policies=POLICIES, **PATHS[how])
         assert list(grid.results) == list(ks)
         return [
             (kname, policy, pickle.dumps(result))
@@ -193,25 +179,32 @@ def test_every_miss_path_fills_the_same_grid_and_cache(how, monkeypatch, tmp_pat
             for policy, result in row.items()
         ]
 
-    ref_cache = SweepCache()
     ref = [
-        (kname, policy, pickle.dumps(
-            run_cell(machine, factory, policy, cache=ref_cache)
-        ))
+        (kname, policy, pickle.dumps(run_cell(machine, factory, policy)))
         for kname, factory in ks.items()
         for policy in POLICIES
     ]
-    cache = SweepCache()
-    assert sweep(cache, **MISS_PATHS[how]) == ref                  # cold
-    assert cache.stats.puts == ref_cache.stats.puts == 2 * len(POLICIES)
-    puts, hits = cache.stats.puts, cache.stats.hits
-    assert sweep(cache, **MISS_PATHS[how]) == ref                  # warm
-    if how == "traced":
-        # traced sweeps bypass reads (a hit has no spans) but still store,
-        # and the grid-wide metrics are written after the last store
-        assert (cache.stats.puts, cache.stats.hits) == (2 * puts, hits)
-        prom = (tmp_path / "traces" / "metrics.prom").read_text()
-        assert f"bench_cache_puts {2 * puts}" in prom.replace(".0", "")
+    assert sweep() == ref
+    assert sweep() == ref
+
+
+@pytest.mark.parametrize("entry", ["run_cell", "run_grid"])
+def test_auto_cutoff_and_lambda_cells_run(entry):
+    """``cutoff_ratio="auto"`` resolves against the devices at run time,
+    and a lambda names no workload: both cells run, and equal each other."""
+    m = gpu4_node()
+    factories = (
+        WorkloadFactory("axpy", seed=1),
+        lambda: WorkloadFactory("axpy", seed=1)(),
+    )
+    kw = dict(cutoff_ratio="auto", seed=1)
+    if entry == "run_cell":
+        named, anon = (run_cell(m, f, "MODEL_1_AUTO", **kw) for f in factories)
     else:
-        assert cache.stats.puts == puts
-        assert cache.stats.hits == hits + puts
+        named, anon = (
+            run_grid(m, {"axpy": f}, policies=("MODEL_1_AUTO",), **kw)
+            .results["axpy"]["MODEL_1_AUTO"]
+            for f in factories
+        )
+    assert named.total_time_s > 0
+    assert pickle.dumps(named) == pickle.dumps(anon)

@@ -12,8 +12,6 @@ import pickle
 
 import pytest
 
-from repro.bench.cache import reset_cache
-from repro.bench.cache import SweepCache
 from repro.bench.runner import ALL_POLICIES, run_cell, run_grid
 from repro.bench.workloads import WorkloadFactory
 from repro.engine.batch import BatchRequest
@@ -76,12 +74,8 @@ def test_batch_bit_identical_to_virtual(policy, kname):
 
 @pytest.fixture()
 def tiny_grid_env(monkeypatch):
-    """Small workloads, no cache: every cell really runs on both paths."""
+    """Small workloads: every cell runs on both paths."""
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
-    monkeypatch.setenv("REPRO_BENCH_CACHE", "off")
-    reset_cache()
-    yield
-    reset_cache()
 
 
 #: The figure kernels (fig5/fig9 sweep all six over the seven policies).
@@ -94,9 +88,8 @@ FIG_KERNELS = ("axpy", "matvec", "matmul", "stencil", "sum", "bm")
 def test_full_figure_grid_bit_identical(machine_factory, tiny_grid_env):
     machine = machine_factory()
     ks = {name: WorkloadFactory(name, seed=0) for name in FIG_KERNELS}
-    cache = SweepCache()
     per_cell = {
-        (kname, policy): run_cell(machine, factory, policy, cache=cache)
+        (kname, policy): run_cell(machine, factory, policy)
         for kname, factory in ks.items() for policy in ALL_POLICIES
     }
     g_b = run_grid(machine, ks, policies=ALL_POLICIES)
@@ -105,28 +98,6 @@ def test_full_figure_grid_bit_identical(machine_factory, tiny_grid_env):
             assert pickle.dumps(per_cell[kname, policy]) == pickle.dumps(
                 g_b.results[kname][policy]
             ), f"{machine.name}/{kname}/{policy} diverged"
-
-
-def test_batch_grid_warms_the_shared_cache(monkeypatch):
-    # A grid's batch and a per-cell loop share sweep-cache keys: the
-    # batched sweep serves the later per-cell runs entirely from memory.
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
-    monkeypatch.setenv("REPRO_BENCH_CACHE", "mem")
-    reset_cache()
-    try:
-        from repro.bench.cache import get_cache
-
-        machine = gpu4_node()
-        ks = {"axpy": WorkloadFactory("axpy", seed=0)}
-        run_grid(machine, ks, policies=("BLOCK", "MODEL_2_AUTO"))
-        before = get_cache().stats.puts
-        assert before == 2
-        for policy in ("BLOCK", "MODEL_2_AUTO"):
-            run_cell(machine, ks["axpy"], policy)
-        assert get_cache().stats.mem_hits == 2
-        assert get_cache().stats.puts == before
-    finally:
-        reset_cache()
 
 
 # ------------------------------------------------- per-cell pins

@@ -42,14 +42,12 @@ def fig5_cell() -> str:
     return checksum(result)
 
 
-def test_fig5_cell_matches_prerefactor_fixture(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_CACHE", "off")
+def test_fig5_cell_matches_prerefactor_fixture():
     assert FIXTURE.exists(), "run scripts/bit_identity_smoke.py --update"
     assert fig5_cell() == FIXTURE.read_text().strip()
 
 
-def test_traced_run_is_pickle_identical_to_untraced(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_CACHE", "off")
+def test_traced_run_is_pickle_identical_to_untraced():
     plain = fig5_cell()
     rt = HompRuntime(gpu4_node(), seed=0)
     kernel = paper_workload("axpy", scale=0.05, seed=0)
@@ -62,8 +60,8 @@ def test_traced_run_is_pickle_identical_to_untraced(monkeypatch):
 
 def test_faulted_run_is_deterministic():
     # Two identical engines under the same non-empty plan produce pickle-
-    # identical results, faults included (the determinism the sweep cache
-    # and the bit-identity contract both rely on).
+    # identical results, faults included (the determinism the bit-identity
+    # contract relies on).
     plan = FaultPlan.of(
         Slowdown(0, 3.0),
         TransferError(1, 0.2, seed=9),
@@ -91,11 +89,10 @@ def test_virtual_runs_reproduce_across_engine_instances(machine_fn):
     assert one() == one()
 
 
-def test_region_lifecycle_leaves_no_region_runs_untouched(monkeypatch):
+def test_region_lifecycle_leaves_no_region_runs_untouched():
     """Open, use, and drain a target-data region first: a subsequent
     offload with no open region (and no ALIGN reuse) must still match the
     pre-ledger fixture bit for bit — residency state must not leak."""
-    monkeypatch.setenv("REPRO_BENCH_CACHE", "off")
     from repro.memory.space import MapDirection
     from repro.runtime.data_env import TargetDataRegion
 

@@ -33,8 +33,7 @@ SEED = 11
 
 
 @pytest.fixture(autouse=True)
-def fresh_pool(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_CACHE", "off")
+def fresh_pool():
     clear_pool()
     yield
     clear_pool()

@@ -1,31 +1,29 @@
-"""run_grid(trace_dir=...) artifacts, cache interplay, and the CLI flag."""
+"""run_grid(trace_dir=...) artifacts, traced-vs-plain identity, and the CLI
+flag."""
 
 import json
+import pickle
 
-import pytest
-
-from repro.bench.cache import SweepCache
 from repro.bench.runner import run_grid
 from repro.bench.workloads import WorkloadFactory
 from repro.machine.presets import gpu4_node
 from repro.obs.tracer import OBS_ENV
 
 
-@pytest.fixture(autouse=True)
-def mem_cache(monkeypatch):
-    # Keep the sweep cache off disk so tests never touch .bench_cache/.
-    monkeypatch.setenv("REPRO_BENCH_CACHE", "mem")
+POLICIES = ("BLOCK", "SCHED_DYNAMIC")
 
 
-def small_grid(trace_dir=None, cache=None, **kwargs):
+def small_grid(trace_dir=None):
     return run_grid(
         gpu4_node(),
         {"axpy": WorkloadFactory("axpy", seed=0)},
-        policies=("BLOCK", "SCHED_DYNAMIC"),
+        policies=POLICIES,
         trace_dir=trace_dir,
-        cache=cache if cache is not None else SweepCache(),
-        **kwargs,
     )
+
+
+def cell_bytes(grid):
+    return [pickle.dumps(grid.results["axpy"][p]) for p in POLICIES]
 
 
 def test_trace_dir_receives_all_artifacts(tmp_path):
@@ -48,35 +46,22 @@ def test_trace_dir_receives_all_artifacts(tmp_path):
     assert device_pids == {1, 2, 3, 4}  # one pid per K40
     prom = (out / "metrics.prom").read_text()
     assert "# TYPE chunks_issued counter" in prom
-    assert "bench_cache_puts" in prom
     assert grid.time_ms("axpy", "BLOCK") > 0
 
 
-def test_traced_results_identical_and_cached(tmp_path):
-    cache = SweepCache()
-    plain = small_grid(cache=cache)
-    assert cache.stats.puts == 2
-    traced = small_grid(trace_dir=tmp_path / "t", cache=cache)
-    for policy in ("BLOCK", "SCHED_DYNAMIC"):
-        assert (
-            traced.results["axpy"][policy].total_time_s
-            == plain.results["axpy"][policy].total_time_s
-        )
-    # Tracing bypassed the cache reads (a hit has no spans to give) but
-    # still re-stored the bit-identical results.
-    assert cache.stats.puts == 4
+def test_traced_results_identical(tmp_path):
+    # Tracing is a side channel: every traced cell pickles like the plain one.
+    assert cell_bytes(small_grid(trace_dir=tmp_path / "t")) == cell_bytes(
+        small_grid()
+    )
 
 
 def test_kill_switch_ignores_trace_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(OBS_ENV, "off")
-    cache = SweepCache()
-    small_grid(cache=cache)
     out = tmp_path / "never"
-    grid = small_grid(trace_dir=out, cache=cache)
+    grid = small_grid(trace_dir=out)
     assert not out.exists()  # nothing written at all
-    # With obs off, trace_dir doesn't even bypass the cache.
-    assert cache.stats.hits == 2
-    assert grid.time_ms("axpy", "BLOCK") > 0
+    assert cell_bytes(grid) == cell_bytes(small_grid())
 
 
 def test_cli_trace_flag_dispatches_to_traceable_targets(tmp_path, monkeypatch):

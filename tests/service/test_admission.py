@@ -103,12 +103,14 @@ def test_release_without_admit_is_an_error():
 
 
 def test_quota_validation():
-    with pytest.raises(ValueError):
-        TenantQuota(max_in_flight=0)
-    with pytest.raises(ValueError):
-        TenantQuota(rate=0.0)
-    with pytest.raises(ValueError):
-        TenantQuota(weight=-1.0)
+    # A bool is not a count or a rate, and a count is an integer.
+    for kwargs in (
+        {"max_in_flight": 0}, {"max_in_flight": True}, {"max_in_flight": 2.5},
+        {"burst": True}, {"burst": 2.5}, {"rate": 0.0}, {"rate": True},
+        {"weight": -1.0}, {"weight": True}, {"weight": "2"},
+    ):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            TenantQuota(**kwargs)
 
 
 # -- weighted-fair queue ------------------------------------------------------
@@ -171,7 +173,6 @@ def test_over_quota_tenant_is_rejected_while_others_complete(gpu4):
         async with OffloadService(
             gpu4,
             pool_size=1,
-            use_cache=False,
             quotas={"hog": TenantQuota(max_in_flight=3)},
         ) as svc:
             handles, rejections = [], []
@@ -212,7 +213,6 @@ def test_weighted_fair_dequeue_under_saturation(gpu4):
             gpu4,
             pool_size=1,
             coalesce=False,  # coalescing would merge the probe jobs
-            use_cache=False,
             quotas={
                 "heavy": TenantQuota(weight=2.0, max_in_flight=64),
                 "light": TenantQuota(weight=1.0, max_in_flight=64),

@@ -33,7 +33,7 @@ def job(**kw) -> OffloadJob:
 
 def test_cancel_queued_resolves_with_cancelled_result(gpu4):
     async def main():
-        async with OffloadService(gpu4, use_cache=False) as svc:
+        async with OffloadService(gpu4) as svc:
             h = await svc.submit(job(tag="victim"))
             assert h.cancel() is True
             res = await h  # resolves immediately, never raises
@@ -64,7 +64,7 @@ def test_cancel_queued_resolves_with_cancelled_result(gpu4):
 
 def test_cancel_after_completion_returns_false(gpu4):
     async def main():
-        async with OffloadService(gpu4, use_cache=False) as svc:
+        async with OffloadService(gpu4) as svc:
             h = await svc.submit(job())
             res = await h
             return res, h.cancel()
@@ -76,7 +76,7 @@ def test_cancel_after_completion_returns_false(gpu4):
 
 def test_double_cancel_returns_false(gpu4):
     async def main():
-        async with OffloadService(gpu4, use_cache=False) as svc:
+        async with OffloadService(gpu4) as svc:
             h = await svc.submit(job())
             first = h.cancel()
             second = h.cancel()
@@ -101,7 +101,6 @@ def test_cancel_releases_tenant_in_flight_slot(gpu4):
     async def main():
         async with OffloadService(
             gpu4,
-            use_cache=False,
             default_quota=TenantQuota(max_in_flight=1),
         ) as svc:
             h1 = await svc.submit(job(tag="a"))
@@ -123,7 +122,7 @@ def test_cancel_releases_tenant_in_flight_slot(gpu4):
 def test_dispatched_job_cannot_be_cancelled(gpu4):
     async def main():
         async with OffloadService(
-            gpu4, pool_size=1, coalesce=False, use_cache=False
+            gpu4, pool_size=1, coalesce=False
         ) as svc:
             h = await svc.submit(job())
             await asyncio.sleep(0)  # let the dispatcher claim the job

@@ -1,5 +1,5 @@
-"""The service asks the grid runner's cell rule:
-:func:`repro.bench.cache.cell_key` decides which job has a sweep-cache key.
+"""Jobs no identity could name still run: an ``"auto"`` cutoff resolves
+against the devices at run time, and a lambda factory names no workload.
 """
 
 from __future__ import annotations
@@ -7,7 +7,6 @@ from __future__ import annotations
 import asyncio
 import pickle
 
-from repro.bench.cache import CACHE_ENV, SweepCache
 from repro.service import (
     OffloadJob,
     OffloadService,
@@ -29,11 +28,9 @@ def serve(machine, jobs, **svc_kwargs):
     return asyncio.run(main())
 
 
-def test_auto_cutoff_job_is_unkeyed_and_runs(gpu4, monkeypatch):
-    """The service's half of the rule ``run_cell``/``run_grid`` now share:
-    ``"auto"`` has no key, so the job runs and nothing is stored."""
-    monkeypatch.setenv(CACHE_ENV, "mem")
-    cache = SweepCache()
+def test_auto_cutoff_job_is_unkeyed_and_runs(gpu4):
+    """A named and an anonymous factory with ``"auto"`` both run, and
+    their results pickle identically."""
     named, anon = serve(
         gpu4,
         [
@@ -41,20 +38,19 @@ def test_auto_cutoff_job_is_unkeyed_and_runs(gpu4, monkeypatch):
             OffloadJob(lambda: TMPL(), policy="MODEL_1_AUTO",
                        cutoff_ratio="auto", seed=1),
         ],
-        cache=cache,
     )
-    assert named.ok and anon.ok and not named.cache_hit
+    assert named.ok and anon.ok
     assert pickle.dumps(named.result) == pickle.dumps(anon.result)
-    assert cache.stats.puts == 0
 
 
 def test_cache_off_service_never_fingerprints(gpu4):
     class Loud(WorkloadTemplate):
         def fingerprint(self):
-            raise AssertionError("fingerprint() called with caching off")
+            raise AssertionError("fingerprint() called without coalescing")
 
+    # Only coalescing asks a factory for its identity.
     (res,) = serve(
         gpu4, [OffloadJob(Loud("axpy", 1024, seed=1), policy="BLOCK", seed=1)],
-        use_cache=False, coalesce=False,
+        coalesce=False,
     )
     assert res.ok

@@ -99,7 +99,7 @@ def test_plan_group_reduction_kernels_execute_every_cell():
 def test_service_batches_compatible_jobs(gpu4):
     async def main():
         async with OffloadService(
-            gpu4, pool_size=1, use_cache=False,
+            gpu4, pool_size=1,
             default_quota=TenantQuota(max_in_flight=64),
         ) as svc:
             # saturate the single slot so the queue builds a batch
@@ -129,7 +129,7 @@ def test_service_batches_compatible_jobs(gpu4):
 def test_incompatible_jobs_never_share_a_batch(gpu4):
     async def main():
         async with OffloadService(
-            gpu4, pool_size=1, use_cache=False,
+            gpu4, pool_size=1,
             default_quota=TenantQuota(max_in_flight=64),
         ) as svc:
             mixed = [
@@ -158,7 +158,7 @@ def test_incompatible_jobs_never_share_a_batch(gpu4):
 def test_max_batch_caps_group_size(gpu4):
     async def main():
         async with OffloadService(
-            gpu4, pool_size=1, max_batch=2, use_cache=False,
+            gpu4, pool_size=1, max_batch=2,
             default_quota=TenantQuota(max_in_flight=64),
         ) as svc:
             handles = [
@@ -175,7 +175,7 @@ def test_max_batch_caps_group_size(gpu4):
 def test_coalesce_false_disables_batching(gpu4):
     async def main():
         async with OffloadService(
-            gpu4, pool_size=1, coalesce=False, use_cache=False,
+            gpu4, pool_size=1, coalesce=False,
             default_quota=TenantQuota(max_in_flight=64),
         ) as svc:
             handles = [

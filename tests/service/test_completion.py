@@ -13,7 +13,6 @@ import asyncio
 
 import pytest
 
-from repro.bench.cache import CACHE_ENV, SweepCache
 from repro.engine.simulator import OffloadEngine
 from repro.errors import JobCancelled, JobExpired
 from repro.service import (
@@ -44,49 +43,39 @@ def _exploding():
 
 
 #: outcome -> (job, expected state, error type, counter, coalesced,
-#: batch_size, cache_hit)
+#: batch_size)
 OUTCOMES = {
     "done": (
         OffloadJob(TMPL, policy="SCHED_DYNAMIC", seed=1),
-        JobState.DONE, None, "service_jobs_completed", False, 1, False,
+        JobState.DONE, None, "service_jobs_completed", False, 1,
     ),
     "done-coalesced": (
         OffloadJob(TMPL, policy="BLOCK", seed=1),
-        JobState.DONE, None, "service_jobs_completed", True, 2, False,
-    ),
-    "done-from-cache": (
-        OffloadJob(TMPL, policy="SCHED_DYNAMIC", seed=2),
-        JobState.DONE, None, "service_jobs_completed", False, 1, True,
+        JobState.DONE, None, "service_jobs_completed", True, 2,
     ),
     "failed": (
         OffloadJob(_exploding, policy="BLOCK"),
-        JobState.FAILED, Boom, "service_jobs_failed", False, 1, False,
+        JobState.FAILED, Boom, "service_jobs_failed", False, 1,
     ),
     "cancelled": (
         OffloadJob(TMPL, policy="BLOCK", seed=1),
-        JobState.CANCELLED, JobCancelled, "service_jobs_cancelled",
-        False, 1, False,
+        JobState.CANCELLED, JobCancelled, "service_jobs_cancelled", False, 1,
     ),
     "expired": (
         OffloadJob(TMPL, policy="BLOCK", seed=1, deadline_s=1.0),
-        JobState.EXPIRED, JobExpired, "service_jobs_expired",
-        False, 1, False,
+        JobState.EXPIRED, JobExpired, "service_jobs_expired", False, 1,
     ),
 }
 
 
 @pytest.mark.parametrize("outcome", OUTCOMES)
 def test_every_terminal_outcome_fills_one_envelope(gpu4, monkeypatch, outcome):
-    job, state, error, counter, coalesced, batch_size, cache_hit = (
-        OUTCOMES[outcome]
-    )
-    monkeypatch.setenv(CACHE_ENV, "mem")
+    job, state, error, counter, coalesced, batch_size = OUTCOMES[outcome]
     clock = FakeClock()
-    cache = SweepCache()
 
     async def main():
         svc = OffloadService(
-            gpu4, cache=cache, clock=clock,
+            gpu4, clock=clock,
             default_quota=TenantQuota(max_in_flight=8),
         )
         releases = []
@@ -96,9 +85,6 @@ def test_every_terminal_outcome_fills_one_envelope(gpu4, monkeypatch, outcome):
             lambda tenant: (releases.append(tenant), release(tenant))[1],
         )
         async with svc:
-            if outcome == "done-from-cache":
-                assert (await (await svc.submit(job))).ok  # warm the cache
-                releases.clear()
             submitted = clock.t
             handle = await svc.submit(job)
             mate = None
@@ -122,12 +108,10 @@ def test_every_terminal_outcome_fills_one_envelope(gpu4, monkeypatch, outcome):
     assert res.job is job and res.state is state
     assert (res.result is not None) == (state is JobState.DONE)
     assert res.error is None if error is None else isinstance(res.error, error)
-    assert (res.coalesced, res.batch_size, res.cache_hit) == (
-        coalesced, batch_size, cache_hit,
-    )
+    assert (res.coalesced, res.batch_size) == (coalesced, batch_size)
     assert res.submitted_at == submitted
     # queue-only outcomes never started; the clock moved 5 s before the rest
-    ran = state in (JobState.DONE, JobState.FAILED) and not cache_hit
+    ran = state in (JobState.DONE, JobState.FAILED)
     assert res.started_at == (submitted + 5.0 if ran else submitted)
     assert res.finished_at == (
         submitted if state is JobState.CANCELLED else submitted + 5.0
@@ -137,11 +121,10 @@ def test_every_terminal_outcome_fills_one_envelope(gpu4, monkeypatch, outcome):
     assert gauges.get("job_batch_size") == (
         float(batch_size) if state is JobState.DONE else None
     )
-    assert res.metrics.counter_value("job_cache_hit") == float(cache_hit)
     assert res.metrics.counter_value("job_coalesced") == float(coalesced)
     # exactly one release per admitted job, and nothing left in flight
     assert releases == ["default"] * (2 if outcome == "done-coalesced" else 1)
-    assert counted == (2.0 if outcome in ("done-coalesced", "done-from-cache") else 1.0)
+    assert counted == (2.0 if outcome == "done-coalesced" else 1.0)
     assert in_flight == 0
 
 
@@ -165,7 +148,7 @@ def test_dispatcher_survives_a_backend_that_cannot_be_built(gpu4):
             super().__init__(**options)
 
     async def main():
-        svc = OffloadService(gpu4, backend=Flaky, pool_size=1, use_cache=False)
+        svc = OffloadService(gpu4, backend=Flaky, pool_size=1)
         await svc.start()
         first = await svc.submit(OffloadJob(TMPL, policy="BLOCK", seed=1, tag="a"))
         r1 = await asyncio.wait_for(first.wait(), timeout=10)

@@ -70,7 +70,6 @@ def test_served_results_byte_equal_direct(gpu4, pool_size, coalesce):
             gpu4,
             pool_size=pool_size,
             coalesce=coalesce,
-            use_cache=False,
             default_quota=TenantQuota(max_in_flight=SPEC.jobs),
         ) as svc:
             handles = [
@@ -95,7 +94,7 @@ def test_coalesced_and_solo_results_identical(gpu4):
     """The same plan served with and without coalescing: same bytes."""
     async def serve(coalesce):
         async with OffloadService(
-            gpu4, pool_size=2, coalesce=coalesce, use_cache=False,
+            gpu4, pool_size=2, coalesce=coalesce,
             default_quota=TenantQuota(max_in_flight=SPEC.jobs),
         ) as svc:
             report = await run_load(svc, plan_traffic(SPEC))
@@ -121,7 +120,7 @@ def test_cutoff_auto_matches_direct(gpu4):
     job = OffloadJob(tmpl, policy="MODEL_1_AUTO", cutoff_ratio="auto", seed=3)
 
     async def main():
-        async with OffloadService(gpu4, use_cache=False) as svc:
+        async with OffloadService(gpu4) as svc:
             return await (await svc.submit(job))
 
     res = asyncio.run(main())
@@ -134,7 +133,7 @@ def test_device_subset_matches_direct(gpu4):
     job = OffloadJob(tmpl, policy="BLOCK", devices=[0, 2], seed=4)
 
     async def main():
-        async with OffloadService(gpu4, use_cache=False) as svc:
+        async with OffloadService(gpu4) as svc:
             return await (await svc.submit(job))
 
     res = asyncio.run(main())

@@ -157,7 +157,7 @@ def serve(seed: int):
 
     async def main():
         svc = OffloadService(
-            MACHINE, backend=backend, pool_size=pool_size, use_cache=False,
+            MACHINE, backend=backend, pool_size=pool_size,
             clock=clock, default_quota=TenantQuota(max_in_flight=64),
         )
         handles = {}
@@ -249,7 +249,7 @@ def test_a_cancel_after_the_job_was_taken_as_a_mate_returns_false():
 
     async def main():
         async with OffloadService(
-            MACHINE, backend=backend, pool_size=1, use_cache=False,
+            MACHINE, backend=backend, pool_size=1,
             clock=clock,
         ) as svc:
             for policy in ("BLOCK", "MODEL_1_AUTO"):

@@ -57,7 +57,7 @@ def test_cutoff_interval_is_the_runtimes_on_both_entry_points(gpu4):
         rt.parallel_for(TMPL(), schedule="MODEL_1_AUTO", cutoff_ratio=1.0)
 
     async def main():
-        async with OffloadService(gpu4, use_cache=False) as svc:
+        async with OffloadService(gpu4) as svc:
             with pytest.raises(JobSpecError, match=r"\[0, 1\)"):
                 await svc.submit(
                     OffloadJob(TMPL, policy="MODEL_1_AUTO", cutoff_ratio=1.0)
@@ -92,16 +92,24 @@ def test_jobspecerror_is_a_homp_value_error():
 @pytest.mark.parametrize("kwargs", [
     {"pool_size": 0}, {"pool_size": True}, {"pool_size": 2.5},
     {"max_batch": True}, {"max_batch": 2.0},
+    {"queue_capacity": True}, {"queue_capacity": 2.5},
 ])
 def test_service_sizes_checked_at_construction(gpu4, kwargs):
     # Refused before start(): a bool is not a size, and neither is 0.
     with pytest.raises(ValueError, match=next(iter(kwargs))):
-        OffloadService(gpu4, use_cache=False, **kwargs)
+        OffloadService(gpu4, **kwargs)
+
+
+def test_use_cache_true_is_refused(gpu4):
+    # There is no result cache: every job is computed.
+    with pytest.raises(TypeError, match="no result cache"):
+        OffloadService(gpu4, use_cache=True)
+    assert OffloadService(gpu4, use_cache=False).pool_size == 4
 
 
 def test_submit_before_start_and_after_close(gpu4):
     async def main():
-        svc = OffloadService(gpu4, use_cache=False)
+        svc = OffloadService(gpu4)
         with pytest.raises(ServiceClosedError):
             await svc.submit(OffloadJob(TMPL, policy="BLOCK"))
         async with svc:
@@ -117,7 +125,7 @@ def test_submit_before_start_and_after_close(gpu4):
 
 def test_submit_rejects_malformed_job_before_admission(gpu4):
     async def main():
-        async with OffloadService(gpu4, use_cache=False) as svc:
+        async with OffloadService(gpu4) as svc:
             with pytest.raises(JobSpecError):
                 await svc.submit(OffloadJob(factory=None))
             # a rejected job must not leak an admission slot
@@ -128,7 +136,7 @@ def test_submit_rejects_malformed_job_before_admission(gpu4):
 
 def test_double_start_is_an_error(gpu4):
     async def main():
-        async with OffloadService(gpu4, use_cache=False) as svc:
+        async with OffloadService(gpu4) as svc:
             with pytest.raises(ServiceError):
                 await svc.start()
 
@@ -140,7 +148,7 @@ def test_failed_job_yields_result_with_error(gpu4):
         raise RuntimeError("factory exploded")
 
     async def main():
-        async with OffloadService(gpu4, use_cache=False) as svc:
+        async with OffloadService(gpu4) as svc:
             handle = await svc.submit(OffloadJob(broken, policy="BLOCK"))
             res = await handle
         assert not res.ok
@@ -153,7 +161,7 @@ def test_failed_job_yields_result_with_error(gpu4):
 
 def test_close_without_drain_fails_queued_jobs(gpu4):
     async def main():
-        svc = OffloadService(gpu4, pool_size=1, use_cache=False)
+        svc = OffloadService(gpu4, pool_size=1)
         await svc.start()
         handles = [
             await svc.submit(

@@ -92,7 +92,6 @@ def test_loadgen_smoke_no_loss_no_dup_coalesces(gpu4):
         async with OffloadService(
             gpu4,
             pool_size=2,
-            use_cache=False,
             default_quota=TenantQuota(max_in_flight=spec.jobs),
         ) as svc:
             return await run_load(svc, plan_traffic(spec))
@@ -123,7 +122,7 @@ def test_run_load_counts_rejections_without_retry(gpu4):
 
     async def main():
         async with OffloadService(
-            gpu4, pool_size=1, use_cache=False,
+            gpu4, pool_size=1,
             default_quota=TenantQuota(max_in_flight=4),
         ) as svc:
             return await run_load(svc, plan_traffic(spec))
@@ -144,7 +143,7 @@ def test_run_load_reports_failures(gpu4):
     ))
 
     async def main():
-        async with OffloadService(gpu4, use_cache=False) as svc:
+        async with OffloadService(gpu4) as svc:
             from repro.service.loadgen import Arrival
             plan = [Arrival(0.0, boom)] + good
             return await run_load(svc, plan)

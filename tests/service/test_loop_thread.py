@@ -36,7 +36,7 @@ def serve(machine, policies):
 
     async def main():
         async with OffloadService(
-            machine, pool_size=1, use_cache=False,
+            machine, pool_size=1,
         ) as svc:
             handles = [await svc.submit(OffloadJob(factory, policy=policy))
                        for policy in policies]

@@ -201,8 +201,9 @@ def test_pool_keys_engines_by_backend_and_devices(gpu4):
 
 
 def test_pool_size_validation(gpu4):
-    with pytest.raises(ValueError):
-        EnginePool(gpu4, size=0)
+    for size in (0, True, 2.5):
+        with pytest.raises(ValueError, match="pool size"):
+            EnginePool(gpu4, size=size)
 
 
 # -- the stress guarantee -----------------------------------------------------
@@ -220,7 +221,6 @@ def test_pool_never_trips_engine_busy_under_load(gpu4):
             gpu4,
             pool_size=3,
             coalesce=False,  # solo jobs only: maximum engine churn
-            use_cache=False,
             default_quota=TenantQuota(max_in_flight=200),
         ) as svc:
             handles = []
@@ -262,7 +262,7 @@ def test_pooled_engines_isolated_across_asyncio_tasks(gpu4):
 
     async def main():
         async with OffloadService(
-            gpu4, pool_size=2, coalesce=False, use_cache=False,
+            gpu4, pool_size=2, coalesce=False,
         ) as svc:
             return await asyncio.gather(*(
                 one(svc, seed, policy)

@@ -130,7 +130,7 @@ def test_deadline_elapsed_in_queue_expires_job(gpu4):
 
     async def main():
         async with OffloadService(
-            gpu4, use_cache=False, clock=clock
+            gpu4, clock=clock
         ) as svc:
             h = await svc.submit(job(deadline_s=1.0, tag="late"))
             clock.advance(5.0)  # deadline passes before the dispatcher pops
@@ -156,7 +156,7 @@ def test_deadline_not_elapsed_runs_normally(gpu4):
     clock = FakeClock()
 
     async def main():
-        async with OffloadService(gpu4, use_cache=False, clock=clock) as svc:
+        async with OffloadService(gpu4, clock=clock) as svc:
             h = await svc.submit(job(deadline_s=60.0))
             return await h
 
@@ -171,7 +171,6 @@ def test_expiry_releases_tenant_in_flight_slot(gpu4):
     async def main():
         async with OffloadService(
             gpu4,
-            use_cache=False,
             clock=clock,
             default_quota=TenantQuota(max_in_flight=1),
         ) as svc:
@@ -193,7 +192,7 @@ def test_dispatched_job_is_never_expired(gpu4):
 
     async def main():
         async with OffloadService(
-            gpu4, pool_size=1, coalesce=False, use_cache=False, clock=clock
+            gpu4, pool_size=1, coalesce=False, clock=clock
         ) as svc:
             h = await svc.submit(job(deadline_s=1.0))
             await asyncio.sleep(0)  # dispatcher claims the job
@@ -210,7 +209,7 @@ def test_priority_job_served_end_to_end(gpu4):
     """A priority/deadline job runs through the full service path."""
 
     async def main():
-        async with OffloadService(gpu4, use_cache=False) as svc:
+        async with OffloadService(gpu4) as svc:
             h = await svc.submit(job(priority=8.0, deadline_s=300.0))
             return await h
 

@@ -37,7 +37,7 @@ def test_per_tenant_served_counts_are_exact(gpu4):
 
     async def main():
         async with OffloadService(
-            gpu4, pool_size=2, use_cache=False,
+            gpu4, pool_size=2,
             default_quota=TenantQuota(max_in_flight=64),
         ) as svc:
             handles = [await svc.submit(j) for j in plan]
@@ -58,7 +58,7 @@ def test_per_tenant_served_counts_are_exact(gpu4):
 def test_queue_depth_gauge_returns_to_zero(gpu4):
     async def main():
         async with OffloadService(
-            gpu4, pool_size=1, use_cache=False,
+            gpu4, pool_size=1,
             default_quota=TenantQuota(max_in_flight=64),
         ) as svc:
             handles = [await svc.submit(job(tag=f"j{i}")) for i in range(8)]
@@ -82,7 +82,7 @@ def test_admission_rejections_are_counted_per_tenant(gpu4):
 
     async def main():
         async with OffloadService(
-            gpu4, pool_size=1, use_cache=False,
+            gpu4, pool_size=1,
             quotas={"greedy": TenantQuota(max_in_flight=2)},
             default_quota=TenantQuota(max_in_flight=64),
         ) as svc:
@@ -107,7 +107,7 @@ def test_admission_rejections_are_counted_per_tenant(gpu4):
 def test_coalesce_ratio_and_batch_histogram(gpu4):
     async def main():
         async with OffloadService(
-            gpu4, pool_size=1, use_cache=False,
+            gpu4, pool_size=1,
             default_quota=TenantQuota(max_in_flight=64),
         ) as svc:
             handles = [
@@ -132,7 +132,7 @@ def test_per_job_registry_is_isolated(gpu4):
     """Each JobResult carries its own registry — markers never bleed."""
     async def main():
         async with OffloadService(
-            gpu4, pool_size=1, use_cache=False,
+            gpu4, pool_size=1,
             default_quota=TenantQuota(max_in_flight=64),
         ) as svc:
             handles = [
@@ -159,7 +159,7 @@ def test_submitted_equals_completed_plus_failed(gpu4):
 
     async def main():
         async with OffloadService(
-            gpu4, use_cache=False,
+            gpu4,
             default_quota=TenantQuota(max_in_flight=64),
         ) as svc:
             handles = [await svc.submit(j)

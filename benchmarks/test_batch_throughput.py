@@ -6,6 +6,11 @@ which runs a fault-free virtual grid's cells as one ``parallel_for_many``
 batch — and the measured cells/sec are printed.  Nothing is written: a
 wall-clock figure is a property of the host, not of the code.
 
+What is asserted is the work each side does, counted exactly: the Python
+calls a sweep makes, under ``sys.setprofile``.  The batch must make at
+most a fixed fraction of the per-cell loop's calls, so the check fails
+whenever batching stops sharing work, however noisy the host.
+
 The batch path's advantage is structural, not numerical: it is the same
 event loop per cell (``run_many`` is the virtual engine's second entry
 point), but one ``parallel_for_many`` call shares a kernel between the
@@ -23,15 +28,23 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 
 import pytest
 
-from repro.bench.runner import ALL_POLICIES, run_cell, run_grid
+from repro.bench.runner import ALL_POLICIES, run_cell, run_grid, runner_metrics
 from repro.bench.workloads import BENCH_SCALE_ENV, WorkloadFactory
 from repro.machine.presets import gpu4_node
 
 FIG5_KERNELS = ("axpy", "matvec", "matmul", "stencil", "sum", "bm")
+
+#: Most Python calls the batched Fig. 5 grid may make, as a fraction of the
+#: per-cell loop's.  Measured 0.658 at scale 0.05 (0.675 at 0.01 and 0.2).
+GRID_CALL_FRACTION = 0.70
+#: The same for the two-kernel subgrid of the smoke test.  Measured 0.731
+#: at scale 0.05 (0.780 at 0.01, 0.731 at 0.2).
+SUBGRID_CALL_FRACTION = 0.80
 
 
 def _factories():
@@ -59,6 +72,27 @@ def _seconds(sweep, machine, ks):
     return time.perf_counter() - t0, results
 
 
+def _python_calls(sweep, machine, ks):
+    """Python function calls one sweep makes (deterministic for a tree).
+
+    A profiler already installed (a coverage or call recorder) is put
+    back afterwards, so counting never switches it off for later tests.
+    """
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    installed = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        sweep(machine, ks)
+    finally:
+        sys.setprofile(installed)
+    return calls
+
+
 @pytest.fixture()
 def throughput_env(monkeypatch):
     """Measurements at a recorded scale."""
@@ -74,9 +108,14 @@ def test_batch_throughput(throughput_env):
     for factory in ks.values():
         factory()
 
-    serial_s, serial = _seconds(_per_cell, machine, ks)
-    batch_s, batch = _seconds(_batch, machine, ks)
     ncells = len(FIG5_KERNELS) * len(ALL_POLICIES)
+    serial_s, serial = _seconds(_per_cell, machine, ks)
+    batched_before = runner_metrics().counter_value("run_grid_batch_cells")
+    batch_s, batch = _seconds(_batch, machine, ks)
+    # Every cell of the grid took the batch path.
+    assert runner_metrics().counter_value("run_grid_batch_cells") == (
+        batched_before + ncells
+    )
 
     # The batch must agree with the per-cell loop cell by cell.
     for kname in serial:
@@ -100,24 +139,29 @@ def test_batch_throughput(throughput_env):
     }
     print("\n" + json.dumps(report, indent=2))
 
-    # CI floor: the batch path must never lose to the per-cell one.
-    assert batch_s < serial_s, report
+    # The floor: batching shares work, so it makes far fewer calls.
+    serial_calls = _python_calls(_per_cell, machine, ks)
+    batch_calls = _python_calls(_batch, machine, ks)
+    print(f"python calls: per_cell {serial_calls}, batch {batch_calls}")
+    assert batch_calls <= GRID_CALL_FRACTION * serial_calls, (
+        serial_calls, batch_calls,
+    )
 
 
 def test_batch_floor_smoke(throughput_env):
-    """Cheap floor for CI: batch beats per-cell on a two-kernel subgrid.
-
-    Each side is the best of 3 alternating repetitions: a single-shot
-    wall-clock comparison read between 0.93 and 1.29 serial/batch on an
-    unchanged tree, so one host stall could decide it.
-    """
+    """Cheap floor for CI: the batch does less work than the per-cell
+    loop on a two-kernel subgrid.  The wall times are printed only."""
     machine = gpu4_node()
     ks = {name: WorkloadFactory(name, seed=0) for name in ("axpy", "sum")}
     for factory in ks.values():
         factory()
 
-    serial_s = batch_s = float("inf")
-    for _ in range(3):
-        serial_s = min(serial_s, _seconds(_per_cell, machine, ks)[0])
-        batch_s = min(batch_s, _seconds(_batch, machine, ks)[0])
-    assert batch_s < serial_s, (serial_s, batch_s)
+    serial_s = _seconds(_per_cell, machine, ks)[0]
+    batch_s = _seconds(_batch, machine, ks)[0]
+    serial_calls = _python_calls(_per_cell, machine, ks)
+    batch_calls = _python_calls(_batch, machine, ks)
+    print(f"\nseconds: per_cell {serial_s:.4f}, batch {batch_s:.4f}; "
+          f"python calls: per_cell {serial_calls}, batch {batch_calls}")
+    assert batch_calls <= SUBGRID_CALL_FRACTION * serial_calls, (
+        serial_calls, batch_calls,
+    )

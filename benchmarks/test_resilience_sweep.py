@@ -15,6 +15,13 @@ Shape asserted on 4 identical K40s with the paper-size axpy (10M):
 * **dropout** (one device lost at 50% of BLOCK's fault-free makespan,
   the same instant for every policy): everyone completes, with BLOCK
   degrading worst — it can only re-split the lost block after the fact;
+* **flaky transfers** (5% of the victim's copy attempts fail): failed
+  attempts are retried with backoff and every run completes on all four
+  devices;
+* **dead link** (90% of the victim's copy attempts fail): retries run
+  out, the abandoned chunks are re-served to the other devices, and the
+  chunked policies quarantine the victim after three failed chunks in a
+  row (BLOCK gives it only one chunk, so it is never quarantined);
 * every faulted run's output is **bit-identical** to its fault-free run
   (axpy is elementwise, so chunking does not perturb the answer).
 
@@ -27,7 +34,9 @@ from functools import partial
 
 from repro.bench.resilience import (
     block_reference_makespan,
+    dead_link_plan,
     dropout_plan,
+    flaky_transfer_plan,
     resilience_sweep,
     straggler_plan,
 )
@@ -48,6 +57,8 @@ def _sweep():
     plans = [
         straggler_plan(VICTIM, 4.0),
         dropout_plan(VICTIM, 0.5 * base_s),
+        flaky_transfer_plan(VICTIM),
+        dead_link_plan(VICTIM, p_fail=0.9),
     ]
     return resilience_sweep(
         machine, AXPY_FULL, policies=POLICIES, plans=plans,
@@ -59,7 +70,7 @@ def test_resilience_sweep(bench_once, results_dir):
     print("\n" + result.text)
     deg = result.extra["degradation"]
     checks = result.extra["checksums_match"]
-    straggler, dropout = deg  # insertion order: straggler first
+    straggler, dropout, flaky, dead_link = deg  # in the order of the plans
 
     # Output identity: resilience never buys time with a wrong answer.
     for plan, by_policy in checks.items():
@@ -83,10 +94,24 @@ def test_resilience_sweep(bench_once, results_dir):
     assert deg[dropout]["BLOCK"] > deg[dropout]["SCHED_PROFILE_AUTO"] + 0.02
 
     # Every faulted cell really saw its fault (dropout cells lost k40-1).
-    for cell in result.extra["payload"]["cells"]:
+    cells = result.extra["payload"]["cells"]
+    for cell in cells:
         if cell["plan"] == dropout:
             assert cell["lost"] == ["k40-1"]
             assert cell["fault_events"] >= 1
+
+    # Flaky transfers: retried, and every run keeps all four devices.
+    flaky_cells = [c for c in cells if c["plan"] == flaky]
+    assert sum(c["retries"] for c in flaky_cells) >= 1
+    for cell in flaky_cells:
+        assert cell["lost"] == cell["quarantined"] == [], cell
+
+    # Dead link: retries run out, and the chunked policies quarantine it.
+    for cell in cells:
+        if cell["plan"] == dead_link:
+            assert cell["retries"] >= 1, cell
+            if cell["policy"] != "BLOCK":
+                assert cell["quarantined"] == ["k40-1"], cell
 
     (results_dir / "resilience.json").write_text(
         json.dumps(result.extra["payload"], indent=2, sort_keys=True) + "\n"

@@ -111,9 +111,9 @@ def test_service_throughput(results_dir):
     again = _served_report(machine, plan, coalesce=True)
 
     for name, report in (("pooled", pooled), ("coalesced", coalesced)):
-        assert report.completed == JOBS, (name, report.to_dict())
-        assert report.failed == report.rejected == 0, (name, report.to_dict())
-        assert report.lost == report.duplicated == 0, (name, report.to_dict())
+        assert report.completed == JOBS, (name, report)
+        assert report.failed == report.rejected == 0, (name, report)
+        assert report.lost == report.duplicated == 0, (name, report)
     assert pooled.coalesce_ratio == 0.0
     assert coalesced.coalesce_ratio > 0.0
     # The plan alone decides how jobs batch.

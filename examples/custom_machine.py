@@ -5,9 +5,11 @@ Shows the workflow for adapting HOMP to a new machine, as paper §V
 describes ("the HOMP runtime reads from a given machine description file
 the specification of host CPU and accelerators"):
 
-1. author a machine description and write it to JSON,
-2. microbenchmark the links to recover Hockney (alpha, beta) constants
-   (how the paper obtains its model's machine factors),
+1. author a machine description, write it to JSON and start the runtime
+   from that file (``HompRuntime.from_file``),
+2. microbenchmark the links to recover Hockney (alpha, beta) constants,
+   and a device's compute rate (how the paper obtains its model's machine
+   factors),
 3. let the selector heuristics (paper §VI.D) pick an algorithm per kernel.
 
 Run:  python examples/custom_machine.py
@@ -26,7 +28,7 @@ from repro import (
     make_kernel,
     select_algorithm,
 )
-from repro.bench.microbench import probe_link
+from repro.bench.microbench import probe_device_rate, probe_link
 from repro.util.tables import render_table
 
 
@@ -58,7 +60,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "machine.json"
         machine.to_file(path)
-        machine = MachineSpec.from_file(path)  # round-trip, as the runtime does
+        runtime = HompRuntime.from_file(path)  # paper section V's start-up
+    machine = runtime.machine
     print(machine.describe())
     print()
 
@@ -69,9 +72,14 @@ def main() -> None:
         f"(spec: {machine[1].link.latency_s * 1e6:.1f} us, "
         f"{machine[1].link.bandwidth_gbs:.1f} GB/s)"
     )
+    for flops in (1e6, 1e12):
+        print(
+            f"microbenchmarked gpu-0 rate over {flops:.0e} FLOPs: "
+            f"{probe_device_rate(machine[1], flops=flops):.1f} GFLOP/s "
+            f"(spec: {machine[1].sustained_gflops:.1f})"
+        )
     print()
 
-    runtime = HompRuntime(machine)
     rows = []
     for name, n in [("axpy", 2_000_000), ("sum", 4_000_000), ("matvec", 3000),
                     ("matmul", 768), ("stencil", 256), ("bm", 256)]:

@@ -11,12 +11,15 @@ SCHED_DYNAMIC's Fig. 5 wins.
 
 Each run is also traced: its Chrome trace (open it in Perfetto or
 ``chrome://tracing``), JSONL span stream and Prometheus metrics text are
-written to a fresh temporary directory, whose path is printed last.
+written to a fresh temporary directory, whose path is printed last.  A
+short three-batch stream is traced last: every span it emits carries
+the ``batch`` it belongs to.
 
 Run:  python examples/timeline.py
 """
 
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from repro import HompRuntime, gpu4_node, make_kernel
@@ -45,6 +48,17 @@ def main() -> None:
         write_chrome_trace(tracer, out / f"{schedule}.trace.json")
         write_jsonl(tracer, out / f"{schedule}.spans.jsonl")
         write_prom(tracer.metrics, out / f"{schedule}.prom")
+
+    tracer = Tracer()
+    streamed = runtime.stream(
+        make_kernel("stencil", 256), batches=3, schedule="BLOCK", tracer=tracer
+    )
+    per_batch = Counter(s.arg("batch") for s in tracer.spans)
+    print(f"== stream: {len(streamed.results)} batches in "
+          f"{streamed.total_time_s * 1e3:.3f} ms")
+    for k, dt in enumerate(streamed.batch_times_s):
+        print(f"  batch {k}: {dt * 1e3:.3f} ms, {per_batch[k]} spans")
+    write_chrome_trace(tracer, out / "stream.trace.json")
 
     print(f"traces written to {out} (load *.trace.json in ui.perfetto.dev)")
 

@@ -88,7 +88,7 @@ from repro.sched import (
     make_scheduler,
     select_algorithm,
 )
-from repro.dist import Align, Auto, Block, Cyclic, Full, parse_policy
+from repro.dist import Align, Auto, Block, Full, parse_policy
 from repro.lang import parse_device_clause, parse_directive
 from repro.obs import MetricsRegistry, Span, Tracer, write_chrome_trace
 
@@ -165,7 +165,6 @@ __all__ = [
     # policies & language
     "Full",
     "Block",
-    "Cyclic",
     "Align",
     "Auto",
     "parse_policy",

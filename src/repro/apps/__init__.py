@@ -1,7 +1,7 @@
 """Higher-level applications built on the HOMP runtime (paper Fig. 3)."""
 
 from repro.apps.jacobi import JacobiSolver, JacobiResult, JacobiCopyKernel, JacobiSweepKernel
-from repro.apps.blas_chain import BlasChain, BlasChainResult, PowerIteration, PowerIterationResult
+from repro.apps.blas_chain import PowerIteration, PowerIterationResult
 from repro.apps.streaming import (
     OnlineSumKernel,
     SlidingStencilKernel,
@@ -16,8 +16,6 @@ __all__ = [
     "JacobiResult",
     "JacobiCopyKernel",
     "JacobiSweepKernel",
-    "BlasChain",
-    "BlasChainResult",
     "PowerIteration",
     "PowerIterationResult",
 ]

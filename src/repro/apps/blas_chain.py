@@ -1,22 +1,16 @@
-"""A BLAS-style multi-offload workflow (the paper's §V.C "BLAS examples").
+"""BLAS-style multi-offload workflows (the paper's §V.C "BLAS examples").
 
-A realistic pattern the single-loop benchmarks do not cover: several
-dependent loops over the same arrays inside one target-data region —
-
-    1. y  = A @ x            (matvec: BLAS-2)
-    2. y += alpha * x        (axpy:   BLAS-1)
-    3. s  = sum(y)           (reduction)
-
-The region maps ``A``/``x``/``y`` once; each loop runs distributed with
-its own algorithm (the selector's choice by default).  Because the
-intermediate ``y`` stays resident, the chain pays the PCIe bus once
-instead of per loop — the measurable benefit of the paper's
-``target data`` construct, asserted by the tests.
+Patterns the single-loop benchmarks do not cover: several dependent loops
+over the same arrays.  :func:`two_kernel_chain` is a matvec followed by an
+axpy that the IR fuses into one data environment; :class:`PowerIteration`
+runs three loops per sweep over one matrix inside a target-data region, so
+the matrix pays the PCIe bus once instead of per sweep — the measurable
+benefit of the paper's ``target data`` construct, asserted by the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +23,6 @@ from repro.runtime.runtime import HompRuntime
 from repro.util.ranges import IterRange
 
 __all__ = [
-    "BlasChain",
-    "BlasChainResult",
     "PowerIteration",
     "PowerIterationResult",
     "two_kernel_chain",
@@ -96,34 +88,6 @@ class _ChainAxpy(LoopKernel):
         return {"y": self._initial["y"] + self.alpha * self._initial["x"]}
 
 
-class _ChainSum(LoopKernel):
-    name = "chain-sum"
-    label = "loop"
-    device_mem_factor = 4.0
-
-    def __init__(self, y):
-        super().__init__(n_iters=len(y), arrays={"y": y})
-
-    def maps(self):
-        return (MapSpec("y", MapDirection.TO, (Align(self.label),)),)
-
-    @property
-    def is_reduction(self):
-        return True
-
-    def flops_per_iter(self):
-        return 1.0
-
-    def mem_accesses_per_iter(self):
-        return 1.0
-
-    def compute(self, buffers, rows):
-        return float(buffers["y"].local_view(rows).sum())
-
-    def reference(self):
-        return float(self._initial["y"].sum())
-
-
 def two_kernel_chain(
     n: int, *, alpha: float = 0.5, seed: int = 0
 ) -> tuple[list[tuple[str, LoopKernel]], dict[str, np.ndarray]]:
@@ -153,78 +117,6 @@ def two_kernel_chain(
     ]
     reference = {"y": a @ x + float(alpha) * x}
     return pairs, reference
-
-
-@dataclass
-class BlasChainResult:
-    """Outcome of the three-loop chain."""
-
-    s: float
-    y: np.ndarray
-    sim_time_s: float
-    per_loop: list = field(default_factory=list)
-
-
-class BlasChain:
-    """``s = sum(A @ x + alpha * x)`` as three distributed offloads."""
-
-    def __init__(self, n: int, *, alpha: float = 0.5, seed: int = 0):
-        if n < 1:
-            raise ValueError("n must be positive")
-        rng = np.random.default_rng(seed)
-        self.n = n
-        self.alpha = float(alpha)
-        self.a = rng.standard_normal((n, n))
-        self.x = rng.standard_normal(n)
-        self.y = np.zeros(n)
-
-    def run(
-        self,
-        runtime: HompRuntime,
-        *,
-        devices=None,
-        schedule="AUTO",
-        use_data_region: bool = True,
-    ) -> BlasChainResult:
-        """Execute the chain; with ``use_data_region=False`` every loop
-        re-transfers its arrays (the anti-pattern, for comparison)."""
-        loops = [
-            _ChainMatVec(self.a, self.x, self.y),
-            _ChainAxpy(self.x, self.y, self.alpha),
-            _ChainSum(self.y),
-        ]
-        per_loop = []
-        if use_data_region:
-            region = TargetDataRegion(
-                runtime=runtime,
-                maps={
-                    "A": (self.a, MapDirection.TO),
-                    "x": (self.x, MapDirection.TO),
-                    "y": (self.y, MapDirection.FROM),
-                },
-                devices=devices,
-                partitioned=frozenset({"A", "y"}),
-            )
-            with region:
-                for kernel in loops:
-                    per_loop.append(region.parallel_for(kernel, schedule=schedule))
-            total = region.total_time_s
-        else:
-            total = 0.0
-            for kernel in loops:
-                r = runtime.parallel_for(kernel, schedule=schedule, devices=devices)
-                per_loop.append(r)
-                total += r.total_time_s
-        return BlasChainResult(
-            s=float(per_loop[-1].reduction),
-            y=self.y,
-            sim_time_s=total,
-            per_loop=per_loop,
-        )
-
-    def reference(self) -> tuple[float, np.ndarray]:
-        y = self.a @ self.x + self.alpha * self.x
-        return float(y.sum()), y
 
 
 class _ChainSquareSum(LoopKernel):

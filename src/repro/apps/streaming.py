@@ -71,9 +71,6 @@ class SlidingStencilKernel(Stencil2DKernel):
         self.arrays["u_in"][:rows, :] = rng.standard_normal((rows, self.n))
         return {"u_in": IterRange(0, rows)}
 
-    def checksum(self) -> float:
-        return float(self.arrays["u_out"].sum())
-
 
 class OnlineSumKernel(SumKernel):
     """Running sum over a ring buffer of integer-valued samples.
@@ -119,6 +116,3 @@ class StreamingBlockMatchingKernel(BlockMatchingKernel):
         rng = _batch_rng(self._stream_seed, batch, 7_368_787)
         self.arrays["frame2"][:rows, :] = rng.random((rows, self.n))
         return {"frame2": IterRange(0, rows)}
-
-    def checksum(self) -> float:
-        return float(self.arrays["sad"].sum())

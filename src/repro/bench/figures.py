@@ -49,9 +49,6 @@ class FigureResult:
     text: str
     extra: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        return self.text
-
 
 def _grid_figure(
     name: str,

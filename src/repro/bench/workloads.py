@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any
 
 from repro.kernels.base import LoopKernel
 from repro.kernels.registry import PAPER_SIZES, paper_workload
@@ -68,9 +67,7 @@ def workload(name: str, *, seed: int = 0) -> LoopKernel:
 class WorkloadFactory:
     """Zero-arg factory for a named paper workload.
 
-    Unlike a lambda closure this is picklable and fingerprintable (so the
-    offload service can coalesce the jobs that build the same kernel).
-    Calling it is exactly
+    Unlike a lambda closure this is picklable.  Calling it is exactly
     ``workload(name, seed=seed)``.
     """
 
@@ -79,18 +76,6 @@ class WorkloadFactory:
 
     def __call__(self) -> LoopKernel:
         return workload(self.name, seed=self.seed)
-
-    def fingerprint(self) -> dict[str, Any]:
-        """Identity of the kernel this factory builds.
-
-        The bench scale is resolved at fingerprint time, so changing
-        ``REPRO_BENCH_SCALE`` changes the identity.
-        """
-        return {
-            "workload": self.name,
-            "scale": bench_scale(self.name),
-            "seed": self.seed,
-        }
 
 
 def workload_label(name: str) -> str:

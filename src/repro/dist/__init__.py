@@ -4,7 +4,6 @@ from repro.dist.policy import (
     Policy,
     Full,
     Block,
-    Cyclic,
     Align,
     Auto,
     parse_policy,
@@ -16,7 +15,6 @@ __all__ = [
     "Policy",
     "Full",
     "Block",
-    "Cyclic",
     "Align",
     "Auto",
     "parse_policy",

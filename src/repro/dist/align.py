@@ -44,9 +44,6 @@ class AlignmentGraph:
             raise AlignmentError(f"{name!r} cannot align with itself")
         self._edges[name] = policy
 
-    def known(self, name: str) -> bool:
-        return name in self._concrete or name in self._edges
-
     def root_of(self, name: str) -> tuple[str, float]:
         """Follow ALIGN edges to the root alignee.
 

@@ -1,9 +1,8 @@
 """Concrete distributions: per-device ranges of one loop or array dim.
 
 A :class:`DimDistribution` is the *result* of applying a policy to one
-region: for each device, the (possibly several, for CYCLIC) half-open
-ranges it owns.  The runtime places every mapped array by its dim-0
-distribution.
+region: for each device, the half-open ranges it owns.  The runtime
+places every mapped array by its dim-0 distribution.
 
 Invariants (pinned by property tests): per-device ranges of a partitioning
 policy are disjoint and cover the region exactly; FULL replicates the whole
@@ -13,8 +12,6 @@ region on every device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 from repro.errors import DistributionError
 from repro.dist.policy import Full, Policy
 from repro.util.ranges import IterRange
@@ -51,16 +48,6 @@ class DimDistribution:
     def device_size(self, devid: int) -> int:
         return sum(len(r) for r in self.parts[devid])
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(self.device_size(d) for d in range(self.ndev))
-
-    def owner_of(self, index: int) -> int:
-        """Device owning a global index (first owner if replicated)."""
-        for dev, ranges in enumerate(self.parts):
-            if any(index in r for r in ranges):
-                return dev
-        raise DistributionError(f"index {index} outside distributed region")
-
     def scaled(
         self, ratio: float, policy: Policy, extent: IterRange | None = None
     ) -> "DimDistribution":
@@ -92,7 +79,7 @@ class DimDistribution:
     def from_policy(
         cls, policy: Policy, region: IterRange, ndev: int
     ) -> "DimDistribution":
-        """Apply a static policy (FULL/BLOCK/CYCLIC) to a region."""
+        """Apply a static policy (FULL/BLOCK) to a region."""
         if policy.needs_runtime:
             raise DistributionError(
                 f"policy {policy} needs runtime resolution, not a static split"
@@ -103,15 +90,4 @@ class DimDistribution:
             parts=parts,
             policy=policy,
             replicated=isinstance(policy, Full),
-        )
-
-    @classmethod
-    def from_chunks(
-        cls, region: IterRange, chunks: Sequence[IterRange], policy: Policy
-    ) -> "DimDistribution":
-        """Build from explicit per-device contiguous chunks (scheduler output)."""
-        return cls(
-            region=region,
-            parts=tuple((c,) if len(c) else () for c in chunks),
-            policy=policy,
         )

@@ -1,13 +1,10 @@
-"""Distribution policies (paper Table I, plus a CYCLIC extension).
+"""Distribution policies (paper Table I).
 
 ========  ===================================================================
 FULL      the full range of this dimension goes to every device (default)
 BLOCK     divide the indices evenly into contiguous blocks
 ALIGN     copy another distribution's ranges (optionally scaled by a ratio)
 AUTO      loop distribution only: left to the runtime scheduler
-CYCLIC    extension: round-robin blocks of a given chunk, as in UPC/HPF —
-          mentioned by the paper's related-work discussion and useful for
-          irregular loops
 ========  ===================================================================
 
 Policies are small frozen value objects; applying one to a region yields the
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 from repro.errors import DirectiveSyntaxError, DistributionError
 from repro.util.ranges import IterRange, split_block
 
-__all__ = ["Policy", "Full", "Block", "Cyclic", "Align", "Auto", "parse_policy"]
+__all__ = ["Policy", "Full", "Block", "Align", "Auto", "parse_policy"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,11 +29,7 @@ class Policy:
     """Base class for distribution policies."""
 
     def split(self, region: IterRange, ndev: int) -> list[list[IterRange]]:
-        """Per-device ranges: a list of ``ndev`` lists of disjoint ranges.
-
-        Most policies give each device one contiguous range; CYCLIC gives
-        several, hence the list-of-lists shape.
-        """
+        """Per-device ranges: a list of ``ndev`` lists of disjoint ranges."""
         raise NotImplementedError
 
     @property
@@ -69,30 +62,6 @@ class Block(Policy):
 
     def __str__(self) -> str:
         return "BLOCK"
-
-
-@dataclass(frozen=True, slots=True)
-class Cyclic(Policy):
-    """Round-robin blocks of ``chunk`` indices (extension; UPC-style)."""
-
-    chunk: int = 1
-
-    def __post_init__(self) -> None:
-        if self.chunk <= 0:
-            raise DistributionError(f"cyclic chunk must be positive, got {self.chunk}")
-
-    def split(self, region: IterRange, ndev: int) -> list[list[IterRange]]:
-        if ndev <= 0:
-            raise DistributionError(f"ndev must be positive, got {ndev}")
-        out: list[list[IterRange]] = [[] for _ in range(ndev)]
-        dev = 0
-        for start in range(region.start, region.stop, self.chunk):
-            out[dev].append(IterRange(start, min(start + self.chunk, region.stop)))
-            dev = (dev + 1) % ndev
-        return out
-
-    def __str__(self) -> str:
-        return f"CYCLIC({self.chunk})" if self.chunk != 1 else "CYCLIC"
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,14 +115,13 @@ class Auto(Policy):
 _ALIGN_RE = re.compile(
     r"^ALIGN\(\s*([A-Za-z_]\w*)\s*(?:,\s*([0-9.eE+-]+)\s*)?\)$", re.IGNORECASE
 )
-_CYCLIC_RE = re.compile(r"^CYCLIC(?:\(\s*(\d+)\s*\))?$", re.IGNORECASE)
 
 
 def parse_policy(text: str) -> Policy:
     """Parse one policy token as written in HOMP directives.
 
-    Accepts ``FULL``, ``BLOCK``, ``AUTO``, ``ALIGN(name)``,
-    ``ALIGN(name, ratio)``, ``CYCLIC`` and ``CYCLIC(k)``.
+    Accepts ``FULL``, ``BLOCK``, ``AUTO``, ``ALIGN(name)`` and
+    ``ALIGN(name, ratio)``.
     """
     t = text.strip()
     upper = t.upper()
@@ -163,9 +131,6 @@ def parse_policy(text: str) -> Policy:
         return Block()
     if upper == "AUTO":
         return Auto()
-    m = _CYCLIC_RE.match(t)
-    if m:
-        return Cyclic(int(m.group(1))) if m.group(1) else Cyclic()
     m = _ALIGN_RE.match(t)
     if m:
         try:

@@ -41,20 +41,12 @@ class ChunkEvent:
     retries: int = 0       # transfer retries survived by this chunk
 
     @property
-    def completed(self) -> bool:
-        return self.status == "ok"
-
-    @property
     def spans(self) -> dict[str, tuple[float, float]]:
         return {
             "in": (self.in_start, self.in_end),
             "comp": (self.comp_start, self.comp_end),
             "out": (self.out_start, self.out_end),
         }
-
-    def overlaps_compute_of(self, other: "ChunkEvent") -> bool:
-        """Does this chunk's copy-in overlap the other's compute span?"""
-        return self.in_start < other.comp_end and other.comp_start < self.in_end
 
 
 @dataclass

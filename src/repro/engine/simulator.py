@@ -44,7 +44,7 @@ matches the fault-free one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
@@ -71,6 +71,10 @@ _XFER_IN, _COMPUTE, _XFER_OUT = (
     ChunkPhase.XFER_IN, ChunkPhase.COMPUTE, ChunkPhase.XFER_OUT
 )
 
+#: Cost model for devices with UNIFIED memory (paper §V.C): shared
+#: semantics, but pages migrate over the bus at driver speed.
+_UNIFIED = UnifiedMemoryModel()
+
 
 @dataclass
 class OffloadEngine(EngineBase):
@@ -84,9 +88,6 @@ class OffloadEngine(EngineBase):
     #: its next chunk after the current one fully drains (copy-out done),
     #: removing all transfer/compute overlap within a device.
     double_buffer: bool = True
-    #: Cost model for devices with UNIFIED memory (paper §V.C): shared
-    #: semantics, but pages migrate over the bus at driver speed.
-    unified_model: UnifiedMemoryModel = field(default_factory=UnifiedMemoryModel)
 
     def run(
         self,
@@ -141,7 +142,6 @@ class OffloadEngine(EngineBase):
         states = core.states
         plan = core.plan
         plan_active = core.plan_active
-        unified_model = self.unified_model
         serialize_offload = self.serialize_offload
         double_buffer = self.double_buffer
 
@@ -176,7 +176,7 @@ class OffloadEngine(EngineBase):
         lanes = [
             (st, spec.sched_overhead_s, spec.setup_overhead_s, spec.pcie_group,
              spec.link.transfer_time if spec.memory is MemoryKind.DISCRETE
-             else partial(unified_model.migration_time, spec.link)
+             else partial(_UNIFIED.migration_time, spec.link)
              if spec.memory is MemoryKind.UNIFIED else None,
              st.device.compute_time)
             for st in states for spec in (st.device.spec,)

@@ -38,28 +38,3 @@ class ChunkFault:
     chunk: IterRange | None = None
     stage: str = ""   # "in" / "out" for transfer faults, else ""
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        """JSON-ready record (the obs JSONL exporter's fault row)."""
-        return {
-            "kind": self.kind.value,
-            "devid": self.devid,
-            "device": self.device_name,
-            "t": self.t,
-            "chunk": (
-                [self.chunk.start, self.chunk.stop]
-                if self.chunk is not None
-                else None
-            ),
-            "stage": self.stage,
-            "detail": self.detail,
-        }
-
-    def describe(self) -> str:
-        where = f" [{self.chunk.start}:{self.chunk.stop})" if self.chunk else ""
-        stage = f" ({self.stage})" if self.stage else ""
-        extra = f": {self.detail}" if self.detail else ""
-        return (
-            f"{self.t * 1e3:.3f} ms {self.device_name} "
-            f"{self.kind.value}{stage}{where}{extra}"
-        )

@@ -188,9 +188,6 @@ class FaultPlan:
     def empty(self) -> bool:
         return not self.faults
 
-    def for_device(self, devid: int) -> tuple:
-        return tuple(f for f in self.faults if f.devid == devid)
-
     # -- engine queries ------------------------------------------------------
 
     def slowdown_factor(self, devid: int, t: float) -> float:
@@ -242,28 +239,6 @@ class FaultPlan:
                 entries.append({"kind": "dropout", "devid": f.devid, "t": f.t})
         entries.sort(key=lambda e: sorted(e.items()).__repr__())
         return {"name": self.name, "faults": entries}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        faults: list = []
-        for e in data.get("faults", ()):
-            kind = e.get("kind")
-            if kind == "slowdown":
-                t_end = e.get("t_end")
-                faults.append(Slowdown(
-                    devid=e["devid"], factor=e["factor"],
-                    t_start=e.get("t_start", 0.0),
-                    t_end=math.inf if t_end is None else t_end,
-                ))
-            elif kind == "transfer-error":
-                faults.append(TransferError(
-                    devid=e["devid"], p_fail=e["p_fail"], seed=e.get("seed", 0),
-                ))
-            elif kind == "dropout":
-                faults.append(DeviceDropout(devid=e["devid"], t=e["t"]))
-            else:
-                raise FaultPlanError(f"unknown fault kind {kind!r}")
-        return cls(faults=tuple(faults), name=data.get("name", ""))
 
     def describe(self) -> str:
         if self.empty:

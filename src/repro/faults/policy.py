@@ -106,6 +106,3 @@ class HealthTracker:
 
     def consecutive_faults(self, devid: int) -> int:
         return self._streak.get(devid, 0)
-
-    def is_quarantined(self, devid: int) -> bool:
-        return devid in self.quarantined

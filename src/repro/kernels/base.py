@@ -63,7 +63,7 @@ class MapSpec:
     @property
     def partitioned(self) -> bool:
         """True when dim 0 is split across devices (ALIGN'd to the loop, or
-        statically BLOCK/CYCLIC partitioned)."""
+        statically BLOCK partitioned)."""
         return not isinstance(self.policies[0], Full)
 
     @property

@@ -9,7 +9,7 @@ where each item is
     name[lo:extent][[lo:extent]...] [partition([policy][, policy]...)] [halo(lo[,hi])]
 
 ``partition`` takes one policy per array dimension (FULL, BLOCK, AUTO,
-ALIGN(target[, ratio]), CYCLIC[(k)]); scalars have no sections and no
+ALIGN(target[, ratio])); scalars have no sections and no
 partition.  ``halo(1,)`` follows the paper's Jacobi example (Fig. 3): a
 lower halo of 1 and an elided upper width meaning "same as lower".
 """

@@ -33,22 +33,17 @@ class Device:
 
     def __post_init__(self) -> None:
         # What the per-chunk cost model asks of the (frozen) spec, answered
-        # once: ``compute_time`` and ``transfer_time`` run once per chunk.
+        # once: ``compute_time`` runs once per chunk.
         spec = self.spec
         self.shares_host_memory = spec.memory is not MemoryKind.DISCRETE
         self._flops_per_s = gflops_to_flops(spec.sustained_gflops)
         self._mem_bytes_per_s = gbs_to_bytes_per_s(spec.mem_bandwidth_gbs)
-        self._link = None if spec.memory is MemoryKind.SHARED else spec.link
 
     # -- identity ----------------------------------------------------------
 
     @property
     def name(self) -> str:
         return self.spec.name
-
-    @property
-    def is_host(self) -> bool:
-        return self.spec.is_host
 
     # -- cost model ---------------------------------------------------------
 
@@ -71,25 +66,3 @@ class Device:
                 )
             t *= float(rng.lognormal(mean=0.0, sigma=self.spec.noise))
         return t
-
-    def transfer_time(self, nbytes: float) -> float:
-        """Hockney cost of moving ``nbytes`` between host and this device."""
-        if self._link is None:  # the host's own memory: nothing moves
-            return 0.0
-        return self._link.transfer_time(nbytes)
-
-    def throughput_iters_per_s(
-        self, flops_per_iter: float, mem_bytes_per_iter: float
-    ) -> float:
-        """Steady-state iterations/second for a uniform loop (no launch cost).
-
-        This is the paper's ``f_i`` (Eq. 2) for data-parallel loops: the
-        per-iteration cost is constant, so throughput is its reciprocal.
-        """
-        per_iter = max(
-            flops_per_iter / self._flops_per_s,
-            mem_bytes_per_iter / self._mem_bytes_per_s,
-        )
-        if per_iter <= 0.0:
-            return float("inf")
-        return 1.0 / per_iter

@@ -45,9 +45,8 @@ class Link:
     Empty-transfer contract: ``transfer_time(0) == 0.0`` on *every* link.
     Hockney's formula gives ``T(0) = alpha``, but this model treats a
     zero-byte message as "no launch happened" — nothing crosses the wire,
-    so nothing pays the latency.  Consequently ``effective_bandwidth(0)``
-    is ``inf`` (zero bytes in zero seconds).  The first nonzero byte pays
-    the full alpha: ``transfer_time(n) >= latency_s`` for ``n > 0``.
+    so nothing pays the latency.  The first nonzero byte pays the full
+    alpha: ``transfer_time(n) >= latency_s`` for ``n > 0``.
     """
 
     latency_s: float
@@ -86,17 +85,6 @@ class Link:
         if nbytes == 0 or self.bandwidth_gbs == inf:
             return 0.0
         return self.latency_s + nbytes / self._bytes_per_s
-
-    def effective_bandwidth(self, nbytes: float) -> float:
-        """Achieved bytes/s for an ``nbytes`` message (latency included).
-
-        ``inf`` for zero-byte messages (free by contract) and on shared
-        links (no wire to cross).
-        """
-        t = self.transfer_time(nbytes)
-        if t == 0.0:
-            return float("inf")
-        return nbytes / t
 
 
 #: Link for devices sharing the host memory space (zero-cost "transfers").

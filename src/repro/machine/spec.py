@@ -228,13 +228,6 @@ class MachineSpec:
     def __getitem__(self, devid: int) -> DeviceSpec:
         return self.devices[devid]
 
-    @property
-    def host_ids(self) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.devices) if d.is_host)
-
-    def ids_of_type(self, dev_type: DeviceType) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.devices) if d.dev_type is dev_type)
-
     def subset(self, ids: Iterable[int], *, name: str | None = None) -> "MachineSpec":
         """A machine restricted to the given device ids (order preserved)."""
         ids = list(ids)

@@ -13,7 +13,7 @@ explicit subsystem:
   eligible for copy-out) only when its refcount drops to zero.
 * :class:`DataPlacementPlan` — one :class:`~repro.dist.DimDistribution`
   per array, which a region derives from its :mod:`repro.dist` policies
-  through the ALIGN resolver: FULL replicates, BLOCK and CYCLIC split,
+  through the ALIGN resolver: FULL replicates, BLOCK splits,
   ALIGN follows its root alignee (scaled by the composed ratio), AUTO
   follows the loop distribution's shape (BLOCK at plan time).
 * :class:`RegionResidency` — a view binding the runtime's ledger to one
@@ -227,9 +227,6 @@ class ResidencyLedger:
         """Is ``name`` currently mapped (by any open region)?"""
         return name in self._rows
 
-    def arrays(self) -> tuple[str, ...]:
-        return tuple(sorted(self._rows))
-
     def rows_of(self, name: str) -> int:
         return self._rows[name]
 
@@ -339,10 +336,6 @@ class ResidencyLedger:
         with self._lock:
             return sum(_count(by_dev.pop(dev, ())) for by_dev in self._valid.values())
 
-    def valid_rows(self, dev: int, name: str) -> list[IterRange]:
-        with self._lock:
-            return _ranges(self._valid.get(name, {}).get(dev, []))
-
     def missing_everywhere(
         self, devs: Iterable[int], name: str, ranges: Iterable[IterRange]
     ) -> int:
@@ -384,28 +377,6 @@ class ResidencyLedger:
             _add(by_dev, dev, want)
             return missing
 
-    def describe(self) -> dict:
-        """Deterministic snapshot (debugging / tests)."""
-        with self._lock:
-            def flat(table: dict) -> dict:
-                return {
-                    f"{d}:{n}": list(entries)
-                    for d, n, entries in sorted(
-                        (d, n, entries)
-                        for n, by_dev in table.items()
-                        for d, entries in by_dev.items()
-                    )
-                }
-
-            return {
-                "arrays": {
-                    n: {"rows": self._rows[n], "row_bytes": self._row_bytes[n]}
-                    for n in sorted(self._rows)
-                },
-                "refs": flat(self._refs),
-                "valid": flat(self._valid),
-            }
-
 
 # ---------------------------------------------------------------------------
 # Placement plans
@@ -418,7 +389,7 @@ class DataPlacementPlan:
     Derived once at region entry from the region's :mod:`repro.dist`
     policies (paper Table I) through the one ALIGN resolver,
     :class:`~repro.dist.align.AlignmentGraph`: FULL replicates the whole
-    extent on every device, BLOCK/CYCLIC split it, and ALIGN takes its
+    extent on every device, BLOCK splits it, and ALIGN takes its
     *root* alignee's placement scaled by the composed chain ratio and
     clamped to the array's own extent.  Three cases have no static
     answer and take the BLOCK shape the runtime's schedulers converge to:
@@ -429,9 +400,6 @@ class DataPlacementPlan:
     ndev: int
     placements: Mapping[str, DimDistribution]
 
-    def arrays(self) -> tuple[str, ...]:
-        return tuple(sorted(self.placements))
-
     def ranges(self, name: str, dev: int) -> tuple[IterRange, ...]:
         """Owner ranges of ``name`` on local device index ``dev``."""
         return tuple(
@@ -440,15 +408,6 @@ class DataPlacementPlan:
 
     def placed_rows(self, name: str, dev: int) -> int:
         return self.placements[name].device_size(dev)
-
-    def describe(self) -> dict:
-        return {
-            name: [
-                [(r.start, r.stop) for r in self.ranges(name, dev)]
-                for dev in range(self.ndev)
-            ]
-            for name in self.arrays()
-        }
 
     @classmethod
     def derive(
@@ -816,6 +775,3 @@ class ClusterResidency:
                 if m.direction.copies_out:
                     led.note_write(node, name, shard)
         return bytes_in, bytes_out, elided_in, elided_out
-
-    def describe(self) -> dict:
-        return {"n_nodes": self.n_nodes, "ledger": self.ledger.describe()}

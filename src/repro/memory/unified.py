@@ -54,10 +54,3 @@ class UnifiedMemoryModel:
             bandwidth_gbs=link.bandwidth_gbs * self.bandwidth_fraction,
         )
         return self.per_buffer_overhead_s + slow_link.transfer_time(nbytes)
-
-    def slowdown_vs_explicit(self, link: Link, nbytes: float) -> float:
-        """Ratio migrated/explicit for one buffer (inf-safe)."""
-        explicit = link.transfer_time(nbytes)
-        if explicit == 0.0:
-            return 1.0
-        return self.migration_time(link, nbytes) / explicit

@@ -1,10 +1,11 @@
 """Hockney "alpha-beta" communication model (paper ref [11]).
 
-``T(n) = alpha + n / beta`` for an ``n``-byte transfer.  Besides the
-forward model (used by :class:`repro.machine.Link`), this module provides a
-least-squares *fit* of (alpha, beta) from measured (size, time) pairs —
-the paper obtains its machine constants "through microbenchmark profiling",
-and :func:`repro.bench.microbench.probe_link` uses this fit the same way.
+``T(n) = alpha + n / beta`` for an ``n``-byte transfer.  The forward model
+is :meth:`repro.machine.interconnect.Link.transfer_time`; this module
+provides the least-squares *fit* of (alpha, beta) from measured
+(size, time) pairs — the paper obtains its machine constants "through
+microbenchmark profiling", and :func:`repro.bench.microbench.probe_link`
+uses this fit the same way.
 """
 
 from __future__ import annotations
@@ -13,18 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["hockney_time", "fit_hockney"]
-
-
-def hockney_time(nbytes: float, alpha: float, beta_bytes_per_s: float) -> float:
-    """Transfer time in seconds for ``nbytes`` given latency and bandwidth."""
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-    if alpha < 0 or beta_bytes_per_s <= 0:
-        raise ValueError("alpha must be >= 0 and beta > 0")
-    if nbytes == 0:
-        return 0.0
-    return alpha + nbytes / beta_bytes_per_s
+__all__ = ["fit_hockney"]
 
 
 def fit_hockney(

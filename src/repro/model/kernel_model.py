@@ -47,19 +47,6 @@ class KernelCosts:
         fn = self.ops_of or self.flops_of
         return fn(n)
 
-    def flops_per_iter(self, n_total: int) -> float:
-        """Average FLOPs per iteration at problem size ``n_total``."""
-        n = max(1, n_total)
-        return self.flops_of(n) / n
-
-    def mem_bytes_per_iter(self, n_total: int) -> float:
-        n = max(1, n_total)
-        return self.mem_bytes_of(n) / n
-
-    def xfer_bytes_per_iter(self, n_total: int) -> float:
-        n = max(1, n_total)
-        return self.xfer_bytes_of(n) / n
-
     def mem_comp(self, n_total: int) -> float:
         """Table IV MemComp: memory accesses per element operation."""
         ops = self._ops(n_total)

@@ -39,12 +39,6 @@ class PartitionSolution:
     t0: float
     active: tuple[int, ...]
 
-    def fractions(self) -> tuple[float, ...]:
-        total = sum(self.shares)
-        if total <= 0:
-            return tuple(0.0 for _ in self.shares)
-        return tuple(s / total for s in self.shares)
-
 
 def solve_equal_time_partition(
     per_iter_times: Sequence[float],

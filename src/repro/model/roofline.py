@@ -9,19 +9,9 @@ a kernel's MemComp/DataComp ratios into that three-way classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from repro.machine.spec import DeviceSpec
-from repro.util.units import gbs_to_bytes_per_s, gflops_to_flops
-
-__all__ = [
-    "RooflinePoint",
-    "arithmetic_intensity",
-    "attainable_gflops",
-    "classify_intensity",
-    "IntensityClass",
-]
+__all__ = ["classify_intensity", "IntensityClass"]
 
 
 class IntensityClass(Enum):
@@ -30,41 +20,6 @@ class IntensityClass(Enum):
     DATA_INTENSIVE = "data-intensive"
     BALANCED = "compute-data balanced"
     COMPUTE_INTENSIVE = "compute-intensive"
-
-
-@dataclass(frozen=True, slots=True)
-class RooflinePoint:
-    """A kernel placed on a device's roofline."""
-
-    intensity_flops_per_byte: float
-    attainable_gflops: float
-    ridge_point: float  # intensity where the device turns compute-bound
-    memory_bound: bool
-
-
-def arithmetic_intensity(flops: float, mem_bytes: float) -> float:
-    """FLOPs per byte of memory traffic; inf for traffic-free kernels."""
-    if flops < 0 or mem_bytes < 0:
-        raise ValueError("flops and mem_bytes must be >= 0")
-    if mem_bytes == 0:
-        return float("inf")
-    return flops / mem_bytes
-
-
-def attainable_gflops(spec: DeviceSpec, intensity: float) -> RooflinePoint:
-    """Classic roofline: min(peak, intensity * bandwidth) for one device."""
-    if intensity < 0:
-        raise ValueError("intensity must be >= 0")
-    peak = spec.sustained_gflops
-    bw_gbs = spec.mem_bandwidth_gbs
-    ridge = gflops_to_flops(peak) / gbs_to_bytes_per_s(bw_gbs)
-    attained = min(peak, intensity * bw_gbs)
-    return RooflinePoint(
-        intensity_flops_per_byte=intensity,
-        attainable_gflops=attained,
-        ridge_point=ridge,
-        memory_bound=intensity < ridge,
-    )
 
 
 # Thresholds on DataComp (bus traffic per unit of computation, Table IV).

@@ -6,7 +6,7 @@ devices across several offloads — the Jacobi pattern: map ``f``, ``u``,
 (copy back ``tofrom`` data) at exit.
 
 Entry derives a :class:`~repro.memory.residency.DataPlacementPlan` from
-the region's dim-0 policies (FULL replicates, BLOCK/CYCLIC split, ALIGN
+the region's dim-0 policies (FULL replicates, BLOCK splits, ALIGN
 follows its root alignee scaled by the composed ratio, AUTO takes the
 BLOCK shape the schedulers converge to) and retains each device's owner
 ranges in the runtime's

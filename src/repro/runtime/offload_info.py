@@ -8,8 +8,8 @@ loop distribution policies, etc."
 :class:`OffloadInfo` is that object: a fully-resolved, immutable snapshot
 of one offload request, assembled before execution.  Proxy behaviour in
 this reproduction is driven directly by the kernel/scheduler objects, so
-OffloadInfo's role is introspection — examples print it, tests assert on
-it, and it round-trips to a plain dict for logging.
+OffloadInfo's role is introspection: every offload result carries it as
+``meta["offload_info"]``, where callers and tests read its fields.
 """
 
 from __future__ import annotations
@@ -165,44 +165,3 @@ class OffloadInfo:
             ),
             cutoff_ratio, serialize_offload, fault_plan, residency,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel_name,
-            "loop": f"{self.loop_label}[{self.iter_space.start}:{self.iter_space.stop}]",
-            "algorithm": self.algorithm,
-            "cutoff_ratio": self.cutoff_ratio,
-            "devices": list(self.device_names),
-            "reduction": self.is_reduction,
-            "serialize_offload": self.serialize_offload,
-            "fault_plan": self.fault_plan,
-            "arrays": [
-                {
-                    "name": a.name,
-                    "shape": list(a.shape),
-                    "dtype": a.dtype,
-                    "map": a.direction.value,
-                    "partition": list(a.policies),
-                    "halo": list(a.halo),
-                    "resident": a.resident,
-                }
-                for a in self.arrays
-            ],
-        }
-
-    def describe(self) -> str:
-        lines = [
-            f"offload {self.kernel_name}: loop {self.loop_label}"
-            f"[{self.iter_space.start}:{self.iter_space.stop}) via "
-            f"{self.algorithm}"
-            + (f", cutoff {self.cutoff_ratio:.0%}" if self.cutoff_ratio else "")
-        ]
-        lines.append(f"  devices: {', '.join(self.device_names)}")
-        for a in self.arrays:
-            extra = " (resident)" if a.resident else ""
-            halo = f" halo{a.halo}" if a.halo != (0, 0) else ""
-            lines.append(
-                f"  map({a.direction.value}: {a.name}{list(a.shape)} "
-                f"partition[{', '.join(a.policies)}]{halo}){extra}"
-            )
-        return "\n".join(lines)

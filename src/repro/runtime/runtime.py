@@ -144,10 +144,6 @@ class HompRuntime:
         """Initialise from a machine description file (paper §V)."""
         return cls(machine=MachineSpec.from_file(path), **kwargs)
 
-    @property
-    def num_devices(self) -> int:
-        return len(self.machine)
-
     def effective_device_count(self, ids: list[int] | None = None) -> int:
         """Device count for the CUTOFF default, counting all host CPUs as
         one device (the paper's "considering 2 CPUs as one host device")."""
@@ -224,7 +220,7 @@ class HompRuntime:
             return AlignedScheduler(schedule.target, schedule.ratio)
         if isinstance(schedule, Policy):
             # Any other Table I policy is a loop schedule when its notation
-            # names an algorithm (AUTO, BLOCK); FULL and CYCLIC name none.
+            # names an algorithm (AUTO, BLOCK); FULL names none.
             if str(schedule) not in ("AUTO", *SCHEDULERS):
                 raise SchedulingError(f"policy {schedule} is not a loop schedule")
             schedule = str(schedule)

@@ -54,9 +54,6 @@ __all__ = ["BARRIER", "Decision", "SchedContext", "LoopScheduler", "PlannedSched
 class _Barrier:
     """Sentinel: the device must wait for all active devices."""
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "BARRIER"
-
 
 BARRIER = _Barrier()
 
@@ -115,15 +112,6 @@ class SchedContext:
         t_flops = fpi / (dev.spec.modeled_gflops * 1e9)
         t_mem = self.kernel.mem_accesses_per_iter() * ELEM / mem_bps
         return max(t_flops, t_mem)
-
-    def true_per_iter_compute_s(self, devid: int) -> float:
-        """Actual roofline ExeT per iteration (the engine's ground truth)."""
-        dev = self.devices[devid]
-        rate = dev.throughput_iters_per_s(
-            self.kernel.flops_per_iter(),
-            self.kernel.mem_accesses_per_iter() * ELEM * self.kernel.device_mem_factor,
-        )
-        return 1.0 / rate
 
     def per_iter_xfer_s(self, devid: int) -> float:
         """DataT per iteration: aligned bytes over the device link.
@@ -264,8 +252,7 @@ class PlannedScheduler(LoopScheduler):
 
     def start(self, ctx: SchedContext) -> None:
         super().start(ctx)
-        # Plain lists: a queue holds one range (ALIGN over CYCLIC: one per
-        # block), and a batch keeps thousands of schedulers alive at once.
+        # Plain lists: a batch keeps thousands of schedulers alive at once.
         self._queues: list[list[IterRange]] = [[] for _ in ctx.devices]
         self._hand(self.plan(ctx))
 

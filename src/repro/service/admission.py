@@ -31,7 +31,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from numbers import Real
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.errors import AdmissionError
 
@@ -137,9 +137,6 @@ class AdmissionController:
     def quota(self, tenant: str) -> TenantQuota:
         return self._quotas.get(tenant, self._default)
 
-    def in_flight(self, tenant: str) -> int:
-        return self._in_flight.get(tenant, 0)
-
     def total_in_flight(self) -> int:
         return sum(self._in_flight.values())
 
@@ -230,13 +227,6 @@ class WeightedFairQueue:
 
     def __len__(self) -> int:
         return sum(len(q) for q in self._queues.values())
-
-    def depth(self, tenant: str) -> int:
-        q = self._queues.get(tenant)
-        return len(q) if q is not None else 0
-
-    def tenants(self) -> Iterable[str]:
-        return sorted(t for t, q in self._queues.items() if q)
 
     def push(self, tenant: str, item: Any) -> None:
         q = self._queues.get(tenant)

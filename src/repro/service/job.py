@@ -51,9 +51,9 @@ class OffloadJob:
 
     ``factory`` must build a *fresh* kernel on every call (runs mutate
     output arrays).  Factories that expose a ``fingerprint()`` identity
-    (:class:`~repro.bench.workloads.WorkloadFactory`,
-    :class:`~repro.service.loadgen.WorkloadTemplate`) unlock batch
-    coalescing; anonymous lambdas always run alone.
+    (:class:`~repro.service.loadgen.WorkloadTemplate`) unlock batch
+    coalescing; any other factory, a lambda or
+    :class:`~repro.bench.workloads.WorkloadFactory` included, runs alone.
 
     ``policy`` is a paper Table II notation string, ``"AUTO"``, or a
     scheduler/Policy instance — exactly ``parallel_for``'s ``schedule``.

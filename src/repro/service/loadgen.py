@@ -39,12 +39,10 @@ __all__ = [
 class WorkloadTemplate:
     """Picklable, fingerprintable kernel factory at an explicit size.
 
-    The loadgen sibling of :class:`~repro.bench.workloads.WorkloadFactory`:
-    where that one names a *paper* workload at bench scale, this one pins
-    an exact iteration count, so service benchmarks can use kernels small
-    enough to run tens of thousands of jobs.  The fingerprint names the
-    size directly (``n`` rather than ``scale``), so the two factories'
-    identities never collide.
+    It pins an exact iteration count, so service benchmarks can use
+    kernels small enough to run tens of thousands of jobs, and its
+    ``fingerprint()`` identity lets the service coalesce the jobs that
+    build the same kernel.
     """
 
     kernel: str = "axpy"
@@ -150,26 +148,6 @@ class LoadReport:
     coalesce_ratio: float = 0.0
     per_tenant_completed: dict[str, int] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "jobs": self.jobs,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "lost": self.lost,
-            "duplicated": self.duplicated,
-            "duration_s": self.duration_s,
-            "jobs_per_s": self.jobs_per_s,
-            "p50_latency_s": self.p50_latency_s,
-            "p99_latency_s": self.p99_latency_s,
-            "coalesced_jobs": self.coalesced_jobs,
-            "batches": self.batches,
-            "coalesce_ratio": self.coalesce_ratio,
-            "per_tenant_completed": dict(
-                sorted(self.per_tenant_completed.items())
-            ),
-        }
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:

@@ -92,12 +92,3 @@ class EnginePool:
         self._free.setdefault(tuple(ids), []).append(engine)
         self.active -= 1
         self._sem.release()
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "size": self.size,
-            "created": self.created,
-            "leases": self.leases,
-            "active": self.active,
-            "max_active": self.max_active,
-        }

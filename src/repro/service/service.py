@@ -460,25 +460,3 @@ class OffloadService:
             "was cancelled while queued"
         ))
         return True
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def queue_depth(self) -> int:
-        return len(self._wfq)
-
-    def coalesce_ratio(self) -> float:
-        """Fraction of completed jobs that rode a coalesced batch."""
-        done = sum(
-            c.value for c in self.metrics.counters()
-            if c.name == "service_jobs_completed"
-        )
-        if not done:
-            return 0.0
-        return self.metrics.counter_value("service_coalesced_jobs") / done
-
-    def pool_stats(self) -> dict[str, int]:
-        return self._pool.stats() if self._pool is not None else {}

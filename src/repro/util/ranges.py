@@ -11,9 +11,9 @@ scheduler relies on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-__all__ = ["IterRange", "split_block", "split_by_weights", "chunk_starts"]
+__all__ = ["IterRange", "split_block", "split_by_weights"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,21 +33,9 @@ class IterRange:
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.start, self.stop))
-
-    def __contains__(self, i: object) -> bool:
-        return isinstance(i, int) and self.start <= i < self.stop
-
     @property
     def empty(self) -> bool:
         return self.stop == self.start
-
-    def as_slice(self) -> slice:
-        return slice(self.start, self.stop)
-
-    def shift(self, offset: int) -> "IterRange":
-        return IterRange(self.start + offset, self.stop + offset)
 
     def intersect(self, other: "IterRange") -> "IterRange":
         lo = max(self.start, other.start)
@@ -55,9 +43,6 @@ class IterRange:
         if hi < lo:
             return IterRange(lo, lo)
         return IterRange(lo, hi)
-
-    def contains_range(self, other: "IterRange") -> bool:
-        return self.start <= other.start and other.stop <= self.stop
 
     def expand(self, lo: int, hi: int, *, clamp: "IterRange | None" = None) -> "IterRange":
         """Grow by ``lo`` downward and ``hi`` upward (halo construction),
@@ -139,13 +124,3 @@ def split_by_weights(rng: IterRange, weights: Sequence[float]) -> list[IterRange
         out.append(IterRange(pos, pos + size))
         pos += size
     return out
-
-
-def chunk_starts(rng: IterRange, chunk: int) -> list[IterRange]:
-    """Tile ``rng`` into fixed-size chunks (last one may be short)."""
-    if chunk <= 0:
-        raise ValueError(f"chunk must be positive, got {chunk}")
-    return [
-        IterRange(s, min(s + chunk, rng.stop))
-        for s in range(rng.start, rng.stop, chunk)
-    ] or [IterRange(rng.start, rng.start)]

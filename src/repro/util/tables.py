@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["render_table", "render_series"]
+__all__ = ["render_table"]
 
 
 def _cell(value: object) -> str:
@@ -55,16 +55,3 @@ def render_table(
     lines.append("  ".join("-" * w for w in widths))
     lines.extend(fmt_row(r) for r in cells)
     return "\n".join(lines)
-
-
-def render_series(
-    name: str,
-    xs: Sequence[object],
-    ys: Sequence[float],
-    *,
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render one figure series as a two-column table (figure-as-text)."""
-    rows = list(zip(xs, ys))
-    return render_table([x_label, y_label], rows, title=name)

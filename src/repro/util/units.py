@@ -9,21 +9,13 @@ from __future__ import annotations
 
 __all__ = [
     "GIGA",
-    "KIB",
-    "MIB",
-    "GIB",
     "gflops_to_flops",
     "gbs_to_bytes_per_s",
     "seconds_to_ms",
-    "ms_to_seconds",
     "fmt_ms",
-    "fmt_bytes",
 ]
 
 GIGA = 1e9
-KIB = 1024
-MIB = 1024**2
-GIB = 1024**3
 
 
 def gflops_to_flops(gflops: float) -> float:
@@ -40,10 +32,6 @@ def seconds_to_ms(t: float) -> float:
     return t * 1e3
 
 
-def ms_to_seconds(t: float) -> float:
-    return t * 1e-3
-
-
 def fmt_ms(t_seconds: float) -> str:
     """Format a duration in seconds as milliseconds for reports."""
     ms = seconds_to_ms(t_seconds)
@@ -52,14 +40,3 @@ def fmt_ms(t_seconds: float) -> str:
     if ms >= 1:
         return f"{ms:.2f} ms"
     return f"{ms:.4f} ms"
-
-
-def fmt_bytes(n: float) -> str:
-    """Human-readable byte count (binary units)."""
-    if n >= GIB:
-        return f"{n / GIB:.2f} GiB"
-    if n >= MIB:
-        return f"{n / MIB:.2f} MiB"
-    if n >= KIB:
-        return f"{n / KIB:.2f} KiB"
-    return f"{int(n)} B"

@@ -1,65 +1,10 @@
-"""Multi-offload BLAS chain over a persistent data region."""
+"""Power iteration: a multi-offload chain over a persistent data region."""
 
 import numpy as np
 import pytest
 
-from repro.apps.blas_chain import BlasChain
-from repro.machine.presets import cpu_mic_node, full_node, gpu4_node
+from repro.machine.presets import gpu4_node
 from repro.runtime.runtime import HompRuntime
-
-
-@pytest.mark.parametrize(
-    "machine", [gpu4_node(), cpu_mic_node(), full_node()],
-    ids=["gpu4", "cpu+mic", "full"],
-)
-def test_chain_matches_reference(machine):
-    chain = BlasChain(96, seed=17)
-    result = chain.run(HompRuntime(machine))
-    s_ref, y_ref = BlasChain(96, seed=17).reference()
-    assert np.allclose(result.y, y_ref)
-    assert result.s == pytest.approx(s_ref)
-    assert len(result.per_loop) == 3
-
-
-def test_chain_without_region_also_correct():
-    chain = BlasChain(64, seed=18)
-    result = chain.run(HompRuntime(gpu4_node()), use_data_region=False)
-    s_ref, y_ref = BlasChain(64, seed=18).reference()
-    assert np.allclose(result.y, y_ref)
-    assert result.s == pytest.approx(s_ref)
-
-
-def test_data_region_saves_bus_traffic():
-    """The point of `target data`: the chained loops pay the PCIe bus once."""
-    n = 1024
-    with_region = BlasChain(n, seed=19).run(HompRuntime(gpu4_node()))
-    without = BlasChain(n, seed=19).run(
-        HompRuntime(gpu4_node()), use_data_region=False
-    )
-    assert with_region.sim_time_s < without.sim_time_s
-    # per-loop transfers vanish inside the region
-    for r in with_region.per_loop:
-        for t in r.participating:
-            assert t.xfer_in_s == 0.0 and t.xfer_out_s == 0.0
-
-
-def test_host_only_devices():
-    chain = BlasChain(64, seed=20)
-    result = chain.run(HompRuntime(full_node()), devices=[0, 1])
-    s_ref, _ = BlasChain(64, seed=20).reference()
-    assert result.s == pytest.approx(s_ref)
-
-
-def test_explicit_schedule():
-    chain = BlasChain(64, seed=21)
-    result = chain.run(HompRuntime(gpu4_node()), schedule="SCHED_DYNAMIC")
-    s_ref, y_ref = BlasChain(64, seed=21).reference()
-    assert np.allclose(result.y, y_ref)
-
-
-def test_invalid_size():
-    with pytest.raises(ValueError):
-        BlasChain(0)
 
 
 class TestPowerIteration:

@@ -134,6 +134,12 @@ class TestMakeBackend:
         with pytest.raises(OffloadError, match="no option bogus"):
             make_backend("virtual", gpu4_node(), bogus=value)
 
+    def test_unified_memory_model_is_not_an_option(self):
+        eng = make_backend("virtual", gpu4_node())
+        with pytest.raises(OffloadError, match="no option unified_model"):
+            with eng.configured(unified_model=None):
+                pass  # pragma: no cover - the lease is refused
+
     def test_truthy_unsupported_names_the_backend(self):
         with pytest.raises(OffloadError, match="OffloadEngine"):
             make_backend("virtual", gpu4_node(), double_buffering=True)

@@ -9,7 +9,7 @@ fault-free run.
 import numpy as np
 import pytest
 
-from repro.dist.policy import Block, Cyclic
+from repro.dist.policy import Block
 from repro.engine.core import make_backend
 from repro.faults.plan import DeviceDropout, FaultPlan
 from repro.kernels.registry import make_kernel
@@ -95,15 +95,12 @@ def test_trace_buckets_populated(backend):
 
 def every_scheduler():
     """One case per registered scheduler — ``(notation, constructor
-    kwargs as a factory, dim-0 partitions it needs)`` — ALIGN twice, since
-    a CYCLIC-partitioned target gives each device many ranges, not one."""
+    kwargs as a factory, dim-0 partitions it needs)``."""
     for name in SCHEDULERS:
         if name == "ALIGN":
-            for policy in (Block(), Cyclic(1_000)):
-                yield pytest.param(
-                    name, lambda: {"target": "x"}, {"x": policy},
-                    id=f"ALIGN-{type(policy).__name__}",
-                )
+            yield pytest.param(
+                name, lambda: {"target": "x"}, {"x": Block()}, id="ALIGN-Block"
+            )
         elif name == "HISTORY_AUTO":
             yield pytest.param(name, lambda: {"db": HistoryDB()}, None, id=name)
         else:

@@ -53,7 +53,7 @@ def test_dynamic_overlaps_transfers_with_compute():
         evs = tl.for_device(devid)
         assert len(evs) > 2
         overlapped = any(
-            later.overlaps_compute_of(earlier)
+            later.in_start < earlier.comp_end and earlier.comp_start < later.in_end
             for earlier, later in zip(evs, evs[1:])
         )
         assert overlapped, f"device {devid} never overlapped"

@@ -119,19 +119,6 @@ class TestSerialisation:
             name="mixed",
         )
 
-    def test_round_trip(self):
-        plan = self._plan()
-        again = FaultPlan.from_dict(plan.to_dict())
-        assert again.to_dict() == plan.to_dict()
-        assert again.name == "mixed"
-        assert again.dropout_t(0) == 0.5
-        assert again.slowdown_factor(1, 0.15) == 4.0
-
-    def test_open_ended_slowdown_round_trips(self):
-        plan = FaultPlan.of(Slowdown(devid=0, factor=2.0))
-        again = FaultPlan.from_dict(plan.to_dict())
-        assert again.slowdown_factor(0, 1e9) == 2.0
-
     def test_to_dict_is_order_canonical(self):
         a = FaultPlan.of(
             DeviceDropout(devid=0, t=0.5), TransferError(devid=2, p_fail=0.05)
@@ -140,10 +127,6 @@ class TestSerialisation:
             TransferError(devid=2, p_fail=0.05), DeviceDropout(devid=0, t=0.5)
         )
         assert a.to_dict() == b.to_dict()
-
-    def test_from_dict_rejects_unknown_kind(self):
-        with pytest.raises(FaultPlanError):
-            FaultPlan.from_dict({"faults": [{"kind": "gremlin", "devid": 0}]})
 
     def test_describe_names_plan(self):
         assert self._plan().describe() == "mixed(3 faults)"

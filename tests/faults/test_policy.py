@@ -58,7 +58,6 @@ class TestHealthTracker:
         assert not h.record_failure(0)
         assert not h.record_failure(0)
         assert h.record_failure(0)  # third consecutive -> quarantine
-        assert h.is_quarantined(0)
         assert h.quarantined == {0}
 
     def test_success_resets_streak(self):
@@ -66,14 +65,14 @@ class TestHealthTracker:
         h.record_failure(0)
         h.record_success(0)
         assert not h.record_failure(0)  # streak restarted
-        assert not h.is_quarantined(0)
+        assert 0 not in h.quarantined
         assert h.consecutive_faults(0) == 1
 
     def test_devices_tracked_independently(self):
         h = HealthTracker(quarantine_after=2)
         h.record_failure(0)
         h.record_failure(1)
-        assert not h.is_quarantined(0) and not h.is_quarantined(1)
+        assert 0 not in h.quarantined and 1 not in h.quarantined
         assert h.record_failure(1)
         assert h.quarantined == {1}
 

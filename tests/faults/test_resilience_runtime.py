@@ -31,7 +31,6 @@ def test_offload_info_carries_plan_label():
     )
     info = result.meta["offload_info"]
     assert info.fault_plan == "straggler(1 faults)"
-    assert info.to_dict()["fault_plan"] == "straggler(1 faults)"
 
     clean = rt.parallel_for(make_kernel("axpy", 10_000), schedule="BLOCK")
     assert clean.meta["offload_info"].fault_plan is None

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.dist.policy import Align, Auto, Block, Full
-from repro.errors import DeviceError, IRVerifyError, MappingError, SchedulingError
+from repro.errors import (
+    DeviceError,
+    DirectiveSyntaxError,
+    IRVerifyError,
+    MappingError,
+    SchedulingError,
+)
 from repro.ir.lower import data_region, decl_for, from_directive, from_directives
 from repro.ir.ops import ReduceOp
 from repro.kernels.registry import make_kernel
@@ -107,7 +113,7 @@ def test_unsectioned_scalars_still_pass():
     assert program.ops[0].partition_overrides == (("x", Block()),)
 
 
-@pytest.mark.parametrize("dim1", ["BLOCK", "CYCLIC"])
+@pytest.mark.parametrize("dim1", ["BLOCK"])
 def test_dim1_policy_other_than_the_kernels_is_refused(dim1):
     """Only dim 0 of a directive's partition is placed: ``[BLOCK],[X]``
     used to run identically for every X."""
@@ -117,6 +123,15 @@ def test_dim1_policy_other_than_the_kernels_is_refused(dim1):
         from_directive(directive, kernel)
     with pytest.raises(MappingError, match="'A' sets dim 1"):
         HompRuntime(gpu4_node()).offload(directive, kernel)
+
+
+def test_cyclic_partition_is_refused():
+    """CYCLIC is not one of the paper's Table I policies."""
+    kernel = make_kernel("axpy", 100, seed=0)
+    with pytest.raises(DirectiveSyntaxError):
+        from_directive(
+            "omp parallel target map(to: x[0:n] partition([CYCLIC]), a, n)", kernel
+        )
 
 
 def test_dim1_policy_equal_to_the_kernels_runs():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.dist.policy import Align, Block, Cyclic, Full
+from repro.dist.policy import Align, Block, Full
 from repro.errors import IRVerifyError
 from repro.ir.lower import from_directive, from_directives
 from repro.ir.ops import FusedOffloadOp, MapOp, Program
@@ -63,7 +63,7 @@ def test_normalize_widens_full_over_partitioned():
 def test_normalize_conflicting_partitions_rejected():
     program = region_program(
         mk("x", MapDirection.TO, Block()),
-        mk("x", MapDirection.TO, Cyclic()),
+        mk("x", MapDirection.TO, Align("loop")),
     )
     with pytest.raises(IRVerifyError, match="conflicting partition"):
         normalize_maps(program)
@@ -170,7 +170,7 @@ def test_fusion_never_raises_on_irreconcilable_maps():
     k1 = make_kernel("axpy", 100, seed=0)
     k2 = make_kernel("axpy", 100, seed=0)
     k2.arrays.update(k1.arrays)  # share host arrays
-    k2.set_partition("y", Cyclic())
+    k2.set_partition("y", Full())
     program = from_directives(
         [("omp parallel target", k1), ("omp parallel target", k2)]
     )

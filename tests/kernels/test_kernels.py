@@ -8,9 +8,17 @@ from hypothesis import given, settings, strategies as st
 from repro.kernels.pool import INPUT_POOL_ENV
 from repro.kernels.registry import KERNELS, PAPER_SIZES, make_kernel, paper_workload
 from repro.model.roofline import IntensityClass
-from repro.util.ranges import IterRange, chunk_starts, split_block
+from repro.util.ranges import IterRange, split_block
 
 SIZES = {"axpy": 500, "sum": 700, "matvec": 48, "matmul": 40, "stencil": 40, "bm": 40}
+
+
+def tiles(space, size):
+    """``space`` in consecutive chunks of ``size`` rows (the last may be short)."""
+    return [
+        IterRange(s, min(s + size, space.stop))
+        for s in range(space.start, space.stop, size)
+    ]
 
 
 def run_chunked(kernel, chunks):
@@ -56,14 +64,14 @@ def test_block_partitioned_execution_matches_reference(name, nparts):
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_small_chunk_streaming_matches_reference(name):
     k = make_kernel(name, SIZES[name], seed=13)
-    red = run_chunked(k, chunk_starts(k.iter_space, 7))
+    red = run_chunked(k, tiles(k.iter_space, 7))
     check(k, red)
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_out_of_order_chunks_match_reference(name):
     k = make_kernel(name, SIZES[name], seed=14)
-    chunks = chunk_starts(k.iter_space, 9)
+    chunks = tiles(k.iter_space, 9)
     red = run_chunked(k, list(reversed(chunks)))
     check(k, red)
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dist.policy import Align, Block, Cyclic, Full, Auto
+from repro.dist.policy import Align, Block, Full, Auto
 from repro.lang.dist_schedule import ParsedDistSchedule
 from repro.lang.map_clause import ArraySection, ParsedMap
 from repro.lang.pragma import OffloadDirective, parse_directive
@@ -42,7 +42,7 @@ def test_round_trip_of_paper_fig3_sweep():
 
 
 _names = st.sampled_from(["x", "y", "u", "uold", "f", "data1"])
-_policies_1d = st.sampled_from([Full(), Block(), Cyclic(), Cyclic(4), Align("loop"), Align("loop1", 2.0)])
+_policies_1d = st.sampled_from([Full(), Block(), Align("loop"), Align("loop1", 2.0)])
 
 
 @st.composite

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine.device import Device
-from repro.machine.presets import cpu_spec, k40_spec
+from repro.machine.presets import k40_spec
 from repro.machine.spec import DeviceSpec, DeviceType, MemoryKind
 from repro.machine.interconnect import Link
 
@@ -38,18 +38,6 @@ def test_negative_inputs_rejected():
         gpu().compute_time(-1, 0)
     with pytest.raises(ValueError):
         gpu().compute_time(0, -1)
-
-
-def test_transfer_time_uses_link():
-    d = gpu()
-    assert d.transfer_time(11e9) == pytest.approx(
-        d.spec.link.latency_s + 1.0
-    )
-
-
-def test_host_transfer_is_free():
-    d = Device(0, cpu_spec())
-    assert d.transfer_time(1e9) == 0.0
 
 
 def test_unified_memory_device_shares_host_memory():
@@ -107,14 +95,3 @@ def test_zero_noise_is_deterministic_exactly():
     d = gpu(noise=0.0)
     assert d.compute_time(1e9, 0) == d.compute_time(1e9, 0)
 
-
-def test_throughput_matches_per_iter_cost():
-    d = gpu()
-    rate = d.throughput_iters_per_s(2.0, 24.0)
-    per_iter = max(2.0 / 1100e9, 24.0 / 210e9)
-    assert rate == pytest.approx(1.0 / per_iter)
-
-
-def test_throughput_of_free_loop_is_infinite():
-    d = gpu()
-    assert d.throughput_iters_per_s(0.0, 0.0) == float("inf")

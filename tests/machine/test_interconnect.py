@@ -43,18 +43,6 @@ def test_nonpositive_bandwidth_rejected():
         Link(0.0, 0.0)
 
 
-def test_effective_bandwidth_approaches_beta_for_large_messages():
-    link = Link(latency_s=10e-6, bandwidth_gbs=10.0)
-    eff_small = link.effective_bandwidth(1024)
-    eff_large = link.effective_bandwidth(1e9)
-    assert eff_small < eff_large
-    assert eff_large == pytest.approx(10e9, rel=0.01)
-
-
-def test_effective_bandwidth_of_shared_link_is_infinite():
-    assert SHARED_LINK.effective_bandwidth(100) == float("inf")
-
-
 @given(
     alpha=st.floats(0, 1e-3, allow_nan=False),
     beta=st.floats(0.1, 100, allow_nan=False),
@@ -108,9 +96,6 @@ class TestZeroByteContract:
     def test_one_byte_pays_at_least_latency(self):
         link = Link(latency_s=50e-6, bandwidth_gbs=1.25)
         assert link.transfer_time(1) >= 50e-6
-
-    def test_effective_bandwidth_of_zero_bytes_is_infinite(self):
-        assert Link(50e-6, 1.25).effective_bandwidth(0) == float("inf")
 
     @given(nbytes=st.floats(min_value=1e-9, max_value=1e12))
     def test_property_nonzero_transfers_dominate_latency(self, nbytes):

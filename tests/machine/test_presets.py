@@ -38,9 +38,10 @@ def test_cpu_mic_composition():
 
 def test_full_node_matches_paper_machine():
     m = full_node()
-    assert len(m.host_ids) == 2
-    assert len(m.ids_of_type(DeviceType.NVGPU)) == 4
-    assert len(m.ids_of_type(DeviceType.MIC)) == 2
+    types = [d.dev_type for d in m.devices]
+    assert sum(d.is_host for d in m.devices) == 2
+    assert types.count(DeviceType.NVGPU) == 4
+    assert types.count(DeviceType.MIC) == 2
 
 
 def test_hosts_share_memory_accelerators_do_not():

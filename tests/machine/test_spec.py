@@ -82,14 +82,6 @@ class TestMachineSpec:
         assert len(m) == 8
         assert m[0].is_host
 
-    def test_host_ids(self):
-        assert full_node().host_ids == (0, 1)
-
-    def test_ids_of_type(self):
-        m = full_node()
-        assert m.ids_of_type(DeviceType.NVGPU) == (2, 3, 4, 5)
-        assert m.ids_of_type(DeviceType.MIC) == (6, 7)
-
     def test_subset_preserves_order(self):
         m = full_node()
         s = m.subset([5, 0])

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import MappingError
 from repro.memory.residency import ResidencyLedger, _add, _gaps, _remove
 from repro.util.ranges import IterRange
+from tests.memory.ledger_state import snapshot, valid_rows
 
 DEVS = (0, 1, 2)
 ARRAYS = {"a": (24, 8), "b": (16, 24)}  # name -> (rows, row_bytes)
@@ -186,11 +187,11 @@ def test_ledger_matches_per_row_model(registered, ops):
     led, m = ResidencyLedger(), Model()
     for op in [("register", n) for n in sorted(registered)] + ops:
         _step(led, m, op)
-        assert led.describe() == m.describe(), op
+        assert snapshot(led) == m.describe(), op
         assert led.empty == (not m.known)
         for d in DEVS:
             for n in ARRAYS:
-                assert led.valid_rows(d, n) == [
+                assert valid_rows(led, d, n) == [
                     IterRange(s, e) for s, e in _runs(m.valid[d, n])
                 ]
                 assert led.retained(d, n) == [
@@ -238,7 +239,7 @@ def _placed() -> ResidencyLedger:
 ])
 def test_in_place_edits_do_not_alias_what_callers_hold(edit):
     led = _placed()
-    held = (led.valid_rows(0, "a"), led.retained(0, "a"), led.describe())
+    held = (valid_rows(led, 0, "a"), led.retained(0, "a"), snapshot(led))
     copies = ([*held[0]], [*held[1]], {
         k: {kk: list(vv) if isinstance(vv, list) else dict(vv)
             for kk, vv in v.items()}
@@ -248,17 +249,17 @@ def test_in_place_edits_do_not_alias_what_callers_hold(edit):
     assert held[0] == copies[0]
     assert held[1] == copies[1]
     assert held[2] == copies[2]
-    assert led.describe() != copies[2]  # the edit itself did land
+    assert snapshot(led) != copies[2]  # the edit itself did land
 
 
 def test_invalidate_that_empties_a_list_drops_the_key():
     led = _placed()
     led.invalidate(0, "a", [IterRange(0, 12)])
-    assert "0:a" not in led.describe()["valid"]
-    assert led.valid_rows(0, "a") == []
+    assert "0:a" not in snapshot(led)["valid"]
+    assert valid_rows(led, 0, "a") == []
     led.note_write(0, "a", IterRange(12, 24))  # stales all of device 1's copy
-    assert sorted(led.describe()["valid"]) == ["0:a"]
+    assert sorted(snapshot(led)["valid"]) == ["0:a"]
     for dev, rows in ((0, IterRange(0, 12)), (1, IterRange(12, 24))):
         led.release(dev, "a", [rows])
     assert led.empty
-    assert led.describe() == {"arrays": {}, "refs": {}, "valid": {}}
+    assert snapshot(led) == {"arrays": {}, "refs": {}, "valid": {}}

@@ -6,10 +6,11 @@ import threading
 import pytest
 
 from repro.dist import AlignmentGraph, DimDistribution
-from repro.dist.policy import Align, Auto, Block, Cyclic, Full
+from repro.dist.policy import Align, Auto, Block, Full
 from repro.errors import MappingError
 from repro.memory.residency import DataPlacementPlan, ResidencyLedger
 from repro.util.ranges import IterRange
+from tests.memory.ledger_state import snapshot, valid_rows
 
 
 def r(a, b):
@@ -36,7 +37,7 @@ class TestLedgerRefcounts:
         unmapped, n_valid = led.release(0, "a", [r(20, 60)])
         assert unmapped == []  # outer ref still holds the rows
         assert n_valid == 0
-        assert led.valid_rows(0, "a") == [r(0, 100)]  # validity untouched
+        assert valid_rows(led, 0, "a") == [r(0, 100)]  # validity untouched
         unmapped, n_valid = led.release(0, "a", [r(0, 100)])
         assert unmapped == [r(0, 100)]
         assert n_valid == 100
@@ -78,8 +79,8 @@ class TestValidity:
             led.retain(d, "a", [r(0, 100)])
             led.mark_valid(d, "a", [r(0, 100)])
         led.note_write(0, "a", r(40, 60))
-        assert led.valid_rows(0, "a") == [r(0, 100)]
-        assert led.valid_rows(1, "a") == [r(0, 40), r(60, 100)]
+        assert valid_rows(led, 0, "a") == [r(0, 100)]
+        assert valid_rows(led, 1, "a") == [r(0, 40), r(60, 100)]
         assert led.missing_everywhere((1,), "a", [r(0, 100)]) == 20
         assert led.missing_everywhere([0, 1], "a", [r(0, 100)]) == 0
 
@@ -92,7 +93,7 @@ class TestValidity:
         led.retain(0, "b", [r(0, 30)])
         led.mark_valid(0, "b", [r(10, 30)])
         assert led.invalidate_device(0) == 70
-        assert led.valid_rows(0, "a") == []
+        assert valid_rows(led, 0, "a") == []
         assert led.retained(0, "a") == [r(0, 50)]  # mapping survives
         assert led.invalidate_device(0) == 0
 
@@ -115,10 +116,10 @@ class TestValidity:
         led = ResidencyLedger()
         led.register("a", 100, 8)
         assert led.stage(0, "a", [r(10, 40)], (0,)) == 30
-        assert led.valid_rows(0, "a") == [r(10, 40)]
+        assert valid_rows(led, 0, "a") == [r(10, 40)]
         assert led.stage(0, "a", [r(10, 40)], (0,)) == 0  # idempotent
         assert led.stage(0, "a", [r(0, 50)], (0,)) == 20  # only the delta
-        assert led.valid_rows(0, "a") == [r(0, 50)]
+        assert valid_rows(led, 0, "a") == [r(0, 50)]
 
     def test_stage_holders_decide_what_is_free(self):
         led = ResidencyLedger()
@@ -126,25 +127,25 @@ class TestValidity:
         led.mark_valid(1, "a", [r(50, 100)])
         # device 0 alone holds none of it; the whole region holds half
         assert led.stage(0, "a", [r(0, 100)], (0, 1)) == 50
-        assert led.valid_rows(0, "a") == [r(0, 100)]  # marked either way
+        assert valid_rows(led, 0, "a") == [r(0, 100)]  # marked either way
         led.invalidate_device(0)
         assert led.stage(0, "a", [r(0, 100)], (0,)) == 100
         # holders are only read: the sibling's validity is untouched
-        assert led.valid_rows(1, "a") == [r(50, 100)]
+        assert valid_rows(led, 1, "a") == [r(50, 100)]
 
     def test_stage_clamps_rows_to_the_extent(self):
         led = ResidencyLedger()
         led.register("a", 10, 8)
         assert led.stage(0, "a", [r(-3, 25)], (0,)) == 10
-        assert led.valid_rows(0, "a") == [r(0, 10)]
+        assert valid_rows(led, 0, "a") == [r(0, 10)]
         assert led.stage(0, "a", [r(10, 25)], (0,)) == 0
         assert led.stage(1, "a", [r(4, 4)], (1,)) == 0
-        assert led.valid_rows(1, "a") == []
+        assert valid_rows(led, 1, "a") == []
 
     def test_stage_of_an_unmapped_array_is_a_noop(self):
         led = ResidencyLedger()
         assert led.stage(0, "ghost", [r(0, 10)], (0,)) == 0
-        assert led.describe()["valid"] == {}
+        assert snapshot(led)["valid"] == {}
 
     def test_stage_charges_each_row_once_under_contention(self):
         """Count-then-mark is one critical section: with the whole region
@@ -174,7 +175,7 @@ class TestValidity:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert sum(charged) == 4000
-        assert all(led.valid_rows(d, "a") == [r(0, 4000)] for d in devs)
+        assert all(valid_rows(led, d, "a") == [r(0, 4000)] for d in devs)
 
     def test_release_counts_only_valid_unmapped_rows(self):
         led = ResidencyLedger()
@@ -195,14 +196,7 @@ class TestPlacementPlans:
         plan = DataPlacementPlan.derive({"a": (10, Block())}, 3)
         assert [plan.placed_rows("a", d) for d in range(3)] == [4, 3, 3]
         covered = sorted(
-            i for d in range(3) for rg in plan.ranges("a", d) for i in rg
-        )
-        assert covered == list(range(10))
-
-    def test_cyclic_tiles_whole_extent(self):
-        plan = DataPlacementPlan.derive({"a": (10, Cyclic(2))}, 2)
-        covered = sorted(
-            i for d in range(2) for rg in plan.ranges("a", d) for i in rg
+            i for d in range(3) for rg in plan.ranges("a", d) for i in range(rg.start, rg.stop)
         )
         assert covered == list(range(10))
 
@@ -234,7 +228,7 @@ class TestPlacementPlans:
         graph.add_align("c", Align("b", ratio=3))
         for d in range(2):
             assert plan.ranges("c", d) == graph.resolve("c").device_ranges(d)
-        assert plan.describe()["c"] == [[(0, 8)], [(8, 14)]]
+        assert [plan.ranges("c", d) for d in range(2)] == [(r(0, 8),), (r(8, 14),)]
 
     def test_align_overshoot_is_clamped_to_the_aligners_extent(self):
         plan = DataPlacementPlan.derive(

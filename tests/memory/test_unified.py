@@ -20,7 +20,7 @@ def test_default_slowdown_in_paper_band_for_blas_buffers():
     m = UnifiedMemoryModel()
     link = k40_spec().link
     for nbytes in (8 * 10**6, 80 * 10**6, 800 * 10**6):
-        slow = m.slowdown_vs_explicit(link, nbytes)
+        slow = m.migration_time(link, nbytes) / link.transfer_time(nbytes)
         assert 8.0 <= slow <= 20.0, (nbytes, slow)
 
 
@@ -32,7 +32,6 @@ def test_zero_bytes_free():
 def test_shared_link_migration_free():
     m = UnifiedMemoryModel()
     assert m.migration_time(SHARED_LINK, 1e9) == 0.0
-    assert m.slowdown_vs_explicit(SHARED_LINK, 1e9) == 1.0
 
 
 def test_negative_bytes_rejected():

@@ -15,13 +15,6 @@ def axpy_costs():
     )
 
 
-def test_per_iter_quantities():
-    c = axpy_costs()
-    assert c.flops_per_iter(1000) == 2.0
-    assert c.mem_bytes_per_iter(1000) == 24.0
-    assert c.xfer_bytes_per_iter(1000) == 24.0
-
-
 def test_table4_axpy_ratios():
     c = axpy_costs()
     assert c.mem_comp(10**6) == pytest.approx(1.5)
@@ -52,8 +45,3 @@ def test_zero_ops_gives_zero_ratios():
     )
     assert c.mem_comp(100) == 0.0
     assert c.data_comp(100) == 0.0
-
-
-def test_per_iter_guard_for_zero_n():
-    c = axpy_costs()
-    assert c.flops_per_iter(0) == 2.0  # clamps to n=1

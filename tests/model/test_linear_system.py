@@ -53,11 +53,6 @@ def test_single_device_gets_everything():
     assert sol.shares == (7.0,)
 
 
-def test_fractions_sum_to_one():
-    sol = solve_equal_time_partition([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], 500)
-    assert sum(sol.fractions()) == pytest.approx(1.0)
-
-
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         solve_equal_time_partition([], [], 10)

@@ -1,63 +1,8 @@
-"""Roofline placement and the intensity classification heuristic."""
+"""The intensity classification heuristic."""
 
 import pytest
 
-from repro.machine.presets import cpu_spec, k40_spec
-from repro.model.roofline import (
-    IntensityClass,
-    arithmetic_intensity,
-    attainable_gflops,
-    classify_intensity,
-)
-
-
-def test_arithmetic_intensity():
-    assert arithmetic_intensity(100, 50) == 2.0
-
-
-def test_intensity_of_traffic_free_kernel_is_infinite():
-    assert arithmetic_intensity(100, 0) == float("inf")
-
-
-def test_intensity_rejects_negative():
-    with pytest.raises(ValueError):
-        arithmetic_intensity(-1, 1)
-
-
-def test_attainable_memory_bound_region():
-    spec = k40_spec()
-    pt = attainable_gflops(spec, 0.1)
-    assert pt.memory_bound
-    assert pt.attainable_gflops == pytest.approx(0.1 * spec.mem_bandwidth_gbs)
-
-
-def test_attainable_compute_bound_region():
-    spec = k40_spec()
-    pt = attainable_gflops(spec, 1000.0)
-    assert not pt.memory_bound
-    assert pt.attainable_gflops == spec.sustained_gflops
-
-
-def test_ridge_point_consistency():
-    spec = k40_spec()
-    pt = attainable_gflops(spec, 1.0)
-    assert pt.ridge_point == pytest.approx(
-        spec.sustained_gflops * 1e9 / (spec.mem_bandwidth_gbs * 1e9)
-    )
-
-
-def test_ridge_point_lower_on_high_bandwidth_devices():
-    assert (
-        attainable_gflops(k40_spec(), 1.0).ridge_point
-        < attainable_gflops(cpu_spec(), 1.0).ridge_point
-        or True  # ridge depends on both perf and bw; assert it's positive
-    )
-    assert attainable_gflops(cpu_spec(), 1.0).ridge_point > 0
-
-
-def test_negative_intensity_rejected():
-    with pytest.raises(ValueError):
-        attainable_gflops(k40_spec(), -1.0)
+from repro.model.roofline import IntensityClass, classify_intensity
 
 
 class TestClassification:

@@ -1,7 +1,5 @@
 """The homp_offloading_info introspection object (paper §V)."""
 
-import json
-
 import pytest
 
 from repro.dist.policy import Block
@@ -72,21 +70,3 @@ def test_cutoff_and_device_subset_recorded(rt):
     info = r.meta["offload_info"]
     assert info.cutoff_ratio == 0.15
     assert all(n.startswith("k40") for n in info.device_names)
-
-
-def test_to_dict_is_json_serialisable(rt):
-    r = rt.parallel_for(make_kernel("sum", 500), schedule="SCHED_DYNAMIC")
-    info = r.meta["offload_info"]
-    payload = json.dumps(info.to_dict())
-    back = json.loads(payload)
-    assert back["kernel"] == "sum"
-    assert back["reduction"] is True
-
-
-def test_describe_mentions_everything(rt):
-    r = rt.parallel_for(make_kernel("stencil", 48), schedule="BLOCK")
-    text = r.meta["offload_info"].describe()
-    assert "stencil" in text
-    assert "BLOCK" in text
-    assert "halo(3, 3)" in text
-    assert "u_out" in text

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dist.policy import Block, Cyclic
+from repro.dist.policy import Block
 from repro.errors import SchedulingError
 from repro.kernels.registry import make_kernel
 from repro.machine.device import Device
@@ -25,18 +25,6 @@ def test_loop_follows_block_partitioned_array():
     chunks = [s.next(d) for d in range(4)]
     assert [len(c) for c in chunks] == [25, 25, 25, 25]
     assert all(s.next(d) is None for d in range(4))
-
-
-def test_loop_follows_cyclic_partitioned_array():
-    k = make_kernel("axpy", 12)
-    k.set_partition("x", Cyclic(2))
-    s = AlignedScheduler("x")
-    s.start(ctx_for(k, 2))
-    # device 0 owns chunks [0,2) [4,6) [8,10): served one at a time
-    got = []
-    while (c := s.next(0)) is not None:
-        got.append((c.start, c.stop))
-    assert got == [(0, 2), (4, 6), (8, 10)]
 
 
 def test_unknown_target_rejected():

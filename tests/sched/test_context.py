@@ -52,13 +52,9 @@ class TestExeT:
         expected = 24.0 / (160.0 * 1e9)
         assert c.per_iter_compute_s(0) == pytest.approx(expected)
 
-    def test_true_rate_includes_device_mem_factor(self):
+    def test_model_rate_ignores_device_mem_factor(self):
         k = make_kernel("sum", 1000)  # device_mem_factor = 4
         c = ctx_for(k, k40_spec())
-        assert c.true_per_iter_compute_s(0) == pytest.approx(
-            4 * 8.0 / (210.0 * 1e9)
-        )
-        # ...but the *model* does not know about it
         assert c.per_iter_compute_s(0) == pytest.approx(8.0 / (210.0 * 1e9))
 
 

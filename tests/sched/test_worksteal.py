@@ -74,7 +74,7 @@ def test_property_exact_coverage(n, ndev, pct):
     engine.run(k, WorkStealingScheduler(pct))
     seen = set()
     for _, chunk in engine.chunk_log:
-        for i in chunk:
+        for i in range(chunk.start, chunk.stop):
             assert i not in seen
             seen.add(i)
     assert seen == set(range(n))

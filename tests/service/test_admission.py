@@ -77,7 +77,7 @@ def test_in_flight_quota_and_release():
     assert exc.value.retry_after_s > 0
     ctl.release("t")
     ctl.admit("t")  # slot freed
-    assert ctl.in_flight("t") == 2
+    assert ctl._in_flight["t"] == 2
     # other tenants are unaffected by t's quota pressure
     ctl.admit("other")
 

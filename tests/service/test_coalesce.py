@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro.bench.workloads import WorkloadFactory
 from repro.faults.plan import FaultPlan
 from repro.service import (
     OffloadJob,
@@ -50,6 +51,11 @@ def test_auto_policy_does_not_coalesce():
 
 def test_anonymous_factory_does_not_coalesce():
     assert not coalescible(job(factory=lambda: TMPL()))
+
+
+def test_figure_workload_factory_runs_solo():
+    # WorkloadFactory has no fingerprint(): its jobs never share a batch.
+    assert group_key(job(factory=WorkloadFactory("axpy", seed=1)), IDS) is None
 
 
 def test_side_channels_block_coalescing():
@@ -112,10 +118,14 @@ def test_service_batches_compatible_jobs(gpu4):
             ]
             results = await asyncio.gather(*(h.wait() for h in handles))
             metrics = svc.metrics.snapshot()
-            ratio = svc.coalesce_ratio()
-        return results, metrics, ratio
+        return results, metrics
 
-    results, metrics, ratio = asyncio.run(main())
+    results, metrics = asyncio.run(main())
+    completed = sum(
+        v for k, v in metrics["counters"].items()
+        if k.startswith("service_jobs_completed")
+    )
+    ratio = metrics["counters"]["service_coalesced_jobs"] / completed
     assert all(r.ok for r in results)
     # results map positionally back to their jobs
     assert [r.job.tag for r in results] == [f"j{i}" for i in range(12)]
@@ -183,7 +193,7 @@ def test_coalesce_false_disables_batching(gpu4):
             ]
             results = await asyncio.gather(*(h.wait() for h in handles))
             assert svc.metrics.counter_value("service_batches") == 0.0
-            assert svc.coalesce_ratio() == 0.0
+            assert svc.metrics.counter_value("service_coalesced_jobs") == 0.0
         return results
 
     results = asyncio.run(main())

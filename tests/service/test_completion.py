@@ -152,12 +152,12 @@ def test_dispatcher_survives_a_backend_that_cannot_be_built(gpu4):
         await svc.start()
         first = await svc.submit(OffloadJob(TMPL, policy="BLOCK", seed=1, tag="a"))
         r1 = await asyncio.wait_for(first.wait(), timeout=10)
-        stats = svc.pool_stats()
+        stats = {"active": svc._pool.active, "created": svc._pool.created}
         in_flight = svc._admission.total_in_flight()
         second = await svc.submit(OffloadJob(TMPL, policy="BLOCK", seed=1, tag="b"))
         r2 = await asyncio.wait_for(second.wait(), timeout=10)
         await asyncio.wait_for(svc.close(), timeout=10)
-        return r1, stats, in_flight, r2, svc.running
+        return r1, stats, in_flight, r2, svc._running
 
     r1, stats, in_flight, r2, running = asyncio.run(main())
     assert r1.state is JobState.FAILED and isinstance(r1.error, Boom)

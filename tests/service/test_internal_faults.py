@@ -181,9 +181,9 @@ def serve(seed: int):
     assert sorted(resolutions) == sorted(results) and set(
         resolutions.values()) == {1}, (where, resolutions)
     assert svc._admission.total_in_flight() == 0, where
-    assert svc.pool_stats()["active"] == 0, where
+    assert svc._pool.active == 0, where
     assert svc._unfinished == 0, where
-    assert not svc.running, where
+    assert not svc._running, where
 
     ran = 0
     for job, fate in plan:

@@ -109,10 +109,6 @@ def test_loadgen_smoke_no_loss_no_dup_coalesces(gpu4):
     assert report.p99_latency_s >= report.p50_latency_s >= 0.0
     assert sum(report.per_tenant_completed.values()) == SMOKE_JOBS
     assert set(report.per_tenant_completed) == {"a", "b", "c"}
-    # to_dict round-trips every headline number
-    d = report.to_dict()
-    assert d["completed"] == SMOKE_JOBS and d["lost"] == 0
-    assert d["coalesce_ratio"] == report.coalesce_ratio
 
 
 def test_run_load_counts_rejections_without_retry(gpu4):

@@ -235,18 +235,18 @@ def test_pool_never_trips_engine_busy_under_load(gpu4):
                 if i % 7 == 0:
                     await asyncio.sleep(0)  # interleave with the dispatcher
             results = await asyncio.gather(*(h.wait() for h in handles))
-            stats = svc.pool_stats()
-        return results, stats
+            pool = svc._pool
+        return results, pool
 
-    results, stats = asyncio.run(main())
+    results, pool = asyncio.run(main())
     assert len(results) == 120
     for res in results:
         assert res.ok, f"{res.job.tag} failed: {res.error!r}"
         assert not isinstance(res.error, EngineBusyError)
     # the pool held its bound and actually reused engines
-    assert stats["max_active"] <= 3
-    assert stats["leases"] == 120
-    assert stats["created"] <= 3
+    assert pool.max_active <= 3
+    assert pool.leases == 120
+    assert pool.created <= 3
 
 
 def test_pooled_engines_isolated_across_asyncio_tasks(gpu4):

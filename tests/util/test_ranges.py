@@ -4,41 +4,22 @@ every distribution policy inherits."""
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.ranges import IterRange, chunk_starts, split_block, split_by_weights
+from repro.util.ranges import IterRange, split_block, split_by_weights
 
 
 class TestIterRange:
-    def test_len_and_iteration(self):
+    def test_len(self):
         r = IterRange(3, 7)
         assert len(r) == 4
-        assert list(r) == [3, 4, 5, 6]
 
     def test_empty_range(self):
         r = IterRange(5, 5)
         assert r.empty
         assert len(r) == 0
-        assert list(r) == []
 
     def test_negative_extent_rejected(self):
         with pytest.raises(ValueError):
             IterRange(4, 2)
-
-    def test_contains_is_half_open(self):
-        r = IterRange(2, 5)
-        assert 2 in r
-        assert 4 in r
-        assert 5 not in r
-        assert 1 not in r
-
-    def test_contains_rejects_non_int(self):
-        assert 2.5 not in IterRange(0, 10)
-
-    def test_as_slice(self):
-        assert IterRange(1, 4).as_slice() == slice(1, 4)
-
-    def test_shift(self):
-        assert IterRange(2, 5).shift(10) == IterRange(12, 15)
-        assert IterRange(2, 5).shift(-2) == IterRange(0, 3)
 
     def test_intersect_overlapping(self):
         assert IterRange(0, 10).intersect(IterRange(5, 15)) == IterRange(5, 10)
@@ -46,10 +27,6 @@ class TestIterRange:
     def test_intersect_disjoint_is_empty(self):
         out = IterRange(0, 4).intersect(IterRange(8, 12))
         assert out.empty
-
-    def test_contains_range(self):
-        assert IterRange(0, 10).contains_range(IterRange(2, 8))
-        assert not IterRange(0, 10).contains_range(IterRange(2, 12))
 
     def test_expand_symmetric(self):
         assert IterRange(5, 8).expand(2, 3) == IterRange(3, 11)
@@ -204,22 +181,3 @@ class TestSplitByWeights:
         parts = split_by_weights(IterRange(0, n), [1.0, ratio])
         exact = n * ratio / (1 + ratio)
         assert abs(len(parts[1]) - exact) <= 1.0
-
-
-class TestChunkStarts:
-    def test_exact_tiling(self):
-        chunks = chunk_starts(IterRange(0, 10), 3)
-        assert [(c.start, c.stop) for c in chunks] == [(0, 3), (3, 6), (6, 9), (9, 10)]
-
-    def test_chunk_larger_than_range(self):
-        chunks = chunk_starts(IterRange(5, 8), 100)
-        assert chunks == [IterRange(5, 8)]
-
-    def test_empty_range_yields_single_empty_chunk(self):
-        chunks = chunk_starts(IterRange(3, 3), 4)
-        assert len(chunks) == 1
-        assert chunks[0].empty
-
-    def test_zero_chunk_rejected(self):
-        with pytest.raises(ValueError):
-            chunk_starts(IterRange(0, 10), 0)

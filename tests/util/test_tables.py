@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import render_series, render_table
+from repro.util.tables import render_table
 
 
 def test_basic_alignment():
@@ -42,10 +42,3 @@ def test_zero_renders_as_zero():
 def test_empty_rows_renders_header_only():
     out = render_table(["a", "b"], [])
     assert len(out.splitlines()) == 2
-
-
-def test_render_series():
-    out = render_series("S", [1, 2], [0.5, 0.25], x_label="n", y_label="t")
-    assert "S" in out
-    assert "n" in out and "t" in out
-    assert "0.50" in out and "0.25" in out

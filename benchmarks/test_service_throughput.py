@@ -14,13 +14,19 @@ numeric execution once per (workload, seed) group where the pooled path
 pays them once per job, and one loop turn serves the whole group.
 Results stay byte-identical to direct ``parallel_for`` calls (pinned
 exhaustively by ``tests/service/test_determinism.py``; spot checked
-here), so the CI floor asserts coalesced > pooled jobs/sec with nothing
-traded away.
+here), so nothing is traded away.
+
+What is asserted is the work each mode does, counted exactly: the Python
+calls the service makes serving a fixed prefix of the plan, under
+``sys.setprofile``.  The coalesced service must make at most a fixed
+fraction of the pooled service's calls, so the check fails whenever
+coalescing stops sharing work, however noisy the host.
 
 ``benchmarks/results/service_throughput.json`` records only what the plan
 determines — completions, lost/duplicated counts, coalesce ratio and
 batch count — so it regenerates byte-equal on any host.  The measured
-jobs/sec are printed, not written.
+jobs/sec are printed, not written: a wall-clock figure is a property of
+the host, not of the code.
 
 ``REPRO_SERVICE_BENCH_JOBS`` overrides the plan size (the acceptance
 artifact uses the default 10000; CI smoke may shrink it).
@@ -32,6 +38,7 @@ import asyncio
 import json
 import os
 import pickle
+import sys
 
 from repro.machine.presets import gpu4_node
 from repro.runtime.runtime import HompRuntime
@@ -46,6 +53,12 @@ from repro.service import (
 
 JOBS = int(os.environ.get("REPRO_SERVICE_BENCH_JOBS", "10000"))
 POOL_SIZE = 2
+#: The plan prefix whose Python calls are counted in each mode.
+CALL_JOBS = 500
+#: Most Python calls the coalesced service may make on that prefix, as a
+#: fraction of the pooled service's.  Measured 0.785 (296,292 vs 377,651
+#: calls on a 2-CPU Xeon, CPython 3.11).
+CALL_FRACTION = 0.85
 
 SPEC = TrafficSpec(
     jobs=JOBS,
@@ -74,6 +87,28 @@ def _served_report(machine, plan, *, coalesce):
             return await run_load(svc, plan)
 
     return asyncio.run(main())
+
+
+def _python_calls(machine, plan, *, coalesce):
+    """Python function calls serving ``plan`` makes (nearly deterministic:
+    two runs differ by a few dozen in 300k).
+
+    A profiler already installed (a coverage or call recorder) is put
+    back afterwards, so counting never switches it off for later tests.
+    """
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    installed = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        _served_report(machine, plan, coalesce=coalesce)
+    finally:
+        sys.setprofile(installed)
+    return calls
 
 
 def _spot_check(machine, plan, stride):
@@ -150,6 +185,12 @@ def test_service_throughput(results_dir):
     print(f"jobs/s: pooled {pooled.jobs_per_s:.1f}, "
           f"coalesced {coalesced.jobs_per_s:.1f}")
 
-    # CI floor: batching compatible jobs must beat serving them one by one.
-    assert coalesced.jobs_per_s > pooled.jobs_per_s, (
-        pooled.jobs_per_s, coalesced.jobs_per_s)
+    # The floor: batching compatible jobs shares work, so serving them
+    # coalesced makes far fewer calls than serving them one by one.
+    prefix = plan[:CALL_JOBS]
+    pooled_calls = _python_calls(machine, prefix, coalesce=False)
+    coalesced_calls = _python_calls(machine, prefix, coalesce=True)
+    print(f"python calls ({len(prefix)} jobs): pooled {pooled_calls}, "
+          f"coalesced {coalesced_calls}")
+    assert coalesced_calls <= CALL_FRACTION * pooled_calls, (
+        pooled_calls, coalesced_calls)

@@ -11,6 +11,8 @@ the entries start, child processes included, and each process writes the
 code objects it saw when it exits.  The entry set is fixed:
 
 * every ``examples/*.py``;
+* ``scripts/bit_identity_smoke.py`` and ``scripts/ci_smoke.py``, which CI
+  runs;
 * ``pytest benchmarks --ignore=benchmarks/perf --benchmark-disable``;
 * ``benchmarks/perf/run.py --selfcheck``;
 * ``python -m repro.bench fig5 fig6 fig7 fig8 fig9 table5``.
@@ -84,6 +86,8 @@ def entry_points(tree: Path) -> list[list[str]]:
     examples = sorted(glob.glob("examples/*.py", root_dir=tree))
     return [
         *([py, example] for example in examples),
+        [py, "scripts/bit_identity_smoke.py"],
+        [py, "scripts/ci_smoke.py"],
         # pytest-benchmark's instrumentation pause clears sys.setprofile
         # around every timed call; with it disabled the call runs once,
         # recorded.

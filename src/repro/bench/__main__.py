@@ -10,8 +10,7 @@ Usage::
 Writes each rendered table to stdout and, with ``--out DIR``, to files.
 ``--trace DIR`` additionally exports observability artifacts (Chrome
 trace-event JSON per grid cell, JSONL span streams, Prometheus metrics —
-see docs/OBSERVABILITY.md) for the grid-based figures; ``REPRO_OBS=off``
-disables it.
+see docs/OBSERVABILITY.md) for the grid-based figures.
 """
 
 from __future__ import annotations

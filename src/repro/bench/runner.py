@@ -26,7 +26,7 @@ from repro.kernels.base import LoopKernel
 from repro.machine.spec import MachineSpec
 from repro.obs.export import write_chrome_trace, write_jsonl, write_prom
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, obs_enabled
+from repro.obs.tracer import Tracer
 from repro.runtime.runtime import HompRuntime, _shared_kernel_specs
 
 __all__ = [
@@ -211,12 +211,10 @@ def run_grid(
     runs traced and the directory receives
     ``<kernel>.<policy>.trace.json`` (Chrome trace-event format, one pid
     per device), ``<kernel>.<policy>.jsonl`` (raw span stream) and one
-    grid-wide ``metrics.prom``.  Under ``REPRO_OBS=off`` the flag is
-    ignored entirely: nothing is written and the grid runs as if
-    ``trace_dir`` had not been passed.  Tracing never changes a result.
+    grid-wide ``metrics.prom``.  Tracing never changes a result.
     """
     grid = PolicyGrid(machine_name=machine.name, policies=tuple(policies))
-    tracing = trace_dir is not None and obs_enabled()
+    tracing = trace_dir is not None
     options = dict(
         cutoff_ratio=cutoff_ratio, seed=seed, verify=verify,
         fault_plan=fault_plan, resilience=resilience,

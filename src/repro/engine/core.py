@@ -45,7 +45,7 @@ from repro.engine.events import ChunkEvent, Timeline
 from repro.engine.trace import DeviceTrace, OffloadResult
 from repro.errors import EngineBusyError, FaultError, FaultPlanError, OffloadError
 from repro.faults.events import ChunkFault, FaultKind
-from repro.faults.plan import FaultPlan, faults_enabled
+from repro.faults.plan import FaultPlan
 from repro.faults.policy import HealthTracker, ResiliencePolicy
 from repro.kernels.base import LoopKernel
 from repro.machine.device import Device
@@ -256,7 +256,6 @@ class RunContext:
         cutoff_ratio: float = 0.0,
         seed: int = 0,
         execute_numerically: bool = True,
-        collect_chunks: bool = False,
         record_events: bool = False,
         fault_plan: FaultPlan | None = None,
         resilience: ResiliencePolicy | None = None,
@@ -266,7 +265,7 @@ class RunContext:
     ):
         if fault_plan is not None:
             # Plan ids index the selected devices; a stray id would inject
-            # nothing, so refuse it whatever REPRO_FAULTS says.
+            # nothing, so refuse it.
             ndev = len(machine.devices)
             stray = sorted({f.devid for f in fault_plan.faults if f.devid >= ndev})
             if stray:
@@ -279,7 +278,6 @@ class RunContext:
         self.scheduler = scheduler
         self.seed = seed
         self.execute_numerically = execute_numerically
-        self.collect_chunks = collect_chunks
         self.record_events = record_events
 
         self.devices = [
@@ -303,9 +301,7 @@ class RunContext:
         scheduler.start(self.sched_ctx)
 
         self.plan = fault_plan
-        self.plan_active = (
-            fault_plan is not None and not fault_plan.empty and faults_enabled()
-        )
+        self.plan_active = fault_plan is not None and not fault_plan.empty
         resilience = ResiliencePolicy() if resilience is None else resilience
         self.retry = resilience.retry
         self.health = HealthTracker(resilience.quarantine_after)
@@ -327,7 +323,6 @@ class RunContext:
         exact = execute_numerically and kernel.span_exact and not self.reduces
         self.spans: list[tuple[int, int]] | None = [] if exact else None
         self.covered = 0
-        self.chunk_log: list[tuple[int, IterRange]] = []
         self.events: list[ChunkEvent] = []
         self.faults: list[ChunkFault] = []
 
@@ -734,8 +729,6 @@ class RunContext:
         iters = chunk.stop - chunk.start
         devid = st.device.devid
         self.covered += iters
-        if self.collect_chunks:
-            self.chunk_log.append((devid, chunk))
         tr = st.trace
         tr.xfer_in_s += tm.t_in
         tr.xfer_out_s += tm.t_out
@@ -940,18 +933,15 @@ class EngineBase:
     machine: MachineSpec
     seed: int = 0
     execute_numerically: bool = True
-    collect_chunks: bool = False
     record_events: bool = False
-    #: Faults to inject (None or an empty plan = fault-free run; the
-    #: REPRO_FAULTS env switch can disable any plan globally).  Times are
-    #: virtual seconds.
+    #: Faults to inject (None or an empty plan = fault-free run).  Times
+    #: are virtual seconds.
     fault_plan: FaultPlan | None = None
     #: Retry/quarantine behaviour under the fault plan.
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
     #: Observability sink (:mod:`repro.obs`).  The default null tracer is
     #: permanently disabled; the hot loop reads its ``enabled`` flag once
-    #: per run, so untraced offloads pay no per-chunk cost.  ``REPRO_OBS``
-    #: can kill even an attached tracer (see ``resolve_tracer``).
+    #: per run, so untraced offloads pay no per-chunk cost.
     tracer: Tracer | NullTracer = NULL_TRACER
     #: Residency view of an enclosing target-data region (None outside one).
     #: When set, per-chunk transfer bytes are the *delta* between what the
@@ -1051,25 +1041,16 @@ class EngineBase:
             lock.release()
 
     @property
-    def chunk_log(self) -> list[tuple[int, IterRange]]:
-        """(devid, chunk) assignments of the last run (collect_chunks=True)."""
-        return list(self._run_ctx.chunk_log) if self._run_ctx else []
-
-    @property
     def timeline(self) -> Timeline:
         """Chunk-event timeline of the last run (record_events=True)."""
         if self._run_ctx is None:
             return Timeline(events=[], faults=[])
         return self._run_ctx.timeline
 
-    @property
-    def faults(self) -> list[ChunkFault]:
-        """Fault occurrences of the last run (empty for fault-free runs)."""
-        return list(self._run_ctx.faults) if self._run_ctx else []
-
 
 def _checked_options(cls: type, options: dict[str, Any]) -> dict[str, Any]:
-    """``options``, once every key is a field of engine class ``cls``."""
+    """``options``, once every key is a field of engine class ``cls`` and
+    a ``seed`` among them is an int."""
     names = {f.name for f in dataclass_fields(cls)}
     unknown = sorted(set(options) - names)
     if unknown:
@@ -1077,6 +1058,9 @@ def _checked_options(cls: type, options: dict[str, Any]) -> dict[str, Any]:
             f"{cls.__name__} has no option {', '.join(unknown)}; "
             f"valid: {', '.join(sorted(names - {'machine'}))}"
         )
+    seed = options.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise OffloadError(f"seed must be an int, got {seed!r}")
     return options
 
 

@@ -112,8 +112,8 @@ class OffloadEngine(EngineBase):
         Each cell goes through the event loop ``run`` uses, so its result
         is byte-identical to ``run``'s.  The run gate is held for the whole
         batch, so a concurrent ``run``/``run_many``/``configured`` is
-        refused until the last cell finished.  Afterwards
-        ``chunk_log``/``timeline``/``faults`` describe the last request.
+        refused until the last cell finished.  Afterwards ``timeline``
+        describes the last request.
         """
         with self._run_slot():
             results = []

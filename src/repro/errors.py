@@ -92,8 +92,7 @@ class EngineBusyError(OffloadError):
     """``run()`` was entered on an engine whose previous run is still in
     flight.  Engine objects are reusable sequentially, never concurrently:
     per-run state lives in the run's own context, but the last-run
-    introspection slot (``chunk_log``/``timeline``/``faults``) is one per
-    engine."""
+    introspection slot (``timeline``) is one per engine."""
 
 
 class FaultPlanError(HompError, ValueError):

@@ -14,12 +14,10 @@ semantics and the determinism guarantees.
 
 from repro.faults.events import ChunkFault, FaultKind
 from repro.faults.plan import (
-    FAULTS_ENV,
     DeviceDropout,
     FaultPlan,
     Slowdown,
     TransferError,
-    faults_enabled,
 )
 from repro.faults.policy import (
     DEFAULT_RESILIENCE,
@@ -29,8 +27,6 @@ from repro.faults.policy import (
 )
 
 __all__ = [
-    "FAULTS_ENV",
-    "faults_enabled",
     "Slowdown",
     "TransferError",
     "DeviceDropout",

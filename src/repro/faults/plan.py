@@ -19,37 +19,23 @@ seed, device id, attempt counter and transfer direction), never from
 global RNG state or the wall clock: the same plan, seed and engine
 configuration produce bit-identical fault sequences in every run, in every
 process, and under any ``run_grid`` worker count.
-
-``REPRO_FAULTS=off`` disables injection globally (the engine ignores any
-plan it was given), which is the quickest A/B switch for a faulted sweep.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 from repro.errors import FaultPlanError
 
 __all__ = [
-    "FAULTS_ENV",
-    "faults_enabled",
     "Slowdown",
     "TransferError",
     "DeviceDropout",
     "FaultPlan",
 ]
-
-FAULTS_ENV = "REPRO_FAULTS"
-
-
-def faults_enabled() -> bool:
-    """Global kill switch: ``REPRO_FAULTS=off`` ignores every fault plan."""
-    v = os.environ.get(FAULTS_ENV, "on").strip().lower()
-    return v not in ("off", "0", "false", "no")
 
 
 def _unit_draw(*parts: object) -> float:
@@ -64,6 +50,15 @@ def _unit_draw(*parts: object) -> float:
     )
     (x,) = struct.unpack(">Q", h.digest())
     return x / 2**64
+
+
+def _check_devid(fault: Slowdown | TransferError | DeviceDropout) -> None:
+    """A fault targets a device index: an int >= 0, never a bool."""
+    devid = fault.devid
+    if isinstance(devid, bool) or not isinstance(devid, int) or devid < 0:
+        raise FaultPlanError(
+            f"{type(fault).__name__} devid must be an int >= 0, got {devid!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,8 +76,7 @@ class Slowdown:
     t_end: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.devid < 0:
-            raise FaultPlanError(f"Slowdown devid must be >= 0, got {self.devid}")
+        _check_devid(self)
         if not self.factor > 0.0 or not math.isfinite(self.factor):
             raise FaultPlanError(
                 f"Slowdown factor must be positive and finite, got {self.factor}"
@@ -111,8 +105,7 @@ class TransferError:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.devid < 0:
-            raise FaultPlanError(f"TransferError devid must be >= 0, got {self.devid}")
+        _check_devid(self)
         if not 0.0 <= self.p_fail < 1.0:
             raise FaultPlanError(
                 f"TransferError p_fail must be in [0, 1), got {self.p_fail}"
@@ -138,8 +131,7 @@ class DeviceDropout:
     t: float
 
     def __post_init__(self) -> None:
-        if self.devid < 0:
-            raise FaultPlanError(f"DeviceDropout devid must be >= 0, got {self.devid}")
+        _check_devid(self)
         if self.t < 0.0 or not math.isfinite(self.t):
             raise FaultPlanError(
                 f"DeviceDropout time must be finite and >= 0, got {self.t}"

@@ -37,8 +37,9 @@ class RetryPolicy:
     backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise FaultPlanError(f"max_retries must be >= 0, got {self.max_retries}")
+        n = self.max_retries
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise FaultPlanError(f"max_retries must be an int >= 0, got {n!r}")
         if self.backoff_s < 0.0:
             raise FaultPlanError(f"backoff_s must be >= 0, got {self.backoff_s}")
         if self.backoff_factor < 1.0:
@@ -59,10 +60,9 @@ class ResiliencePolicy:
     quarantine_after: int = 3
 
     def __post_init__(self) -> None:
-        if self.quarantine_after < 1:
-            raise FaultPlanError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
-            )
+        q = self.quarantine_after
+        if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+            raise FaultPlanError(f"quarantine_after must be an int >= 1, got {q!r}")
 
     def to_dict(self) -> dict:
         """Stable JSON-able identity (for sweep artifacts)."""

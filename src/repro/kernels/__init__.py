@@ -13,19 +13,11 @@ from repro.kernels.matvec import MatVecKernel
 from repro.kernels.matmul import MatMulKernel
 from repro.kernels.stencil import Stencil2DKernel
 from repro.kernels.block_matching import BlockMatchingKernel
-from repro.kernels.pool import (
-    INPUT_POOL_ENV,
-    clear_pool,
-    pool_enabled,
-    pool_stats,
-    pooled_inputs,
-)
+from repro.kernels.pool import clear_pool, pool_stats, pooled_inputs
 from repro.kernels.registry import KERNELS, make_kernel
 
 __all__ = [
-    "INPUT_POOL_ENV",
     "clear_pool",
-    "pool_enabled",
     "pool_stats",
     "pooled_inputs",
     "LoopKernel",

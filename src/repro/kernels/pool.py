@@ -12,13 +12,11 @@ corrupting later instances.
 The serial reference of a pooled input set rides the same pool
 (``_pooled_reference``: the inputs' key plus the parameters the reference
 reads, same LRU bound), computed once by the kernel's own ``reference()``
-from arrays nothing can write.  ``REPRO_INPUT_POOL=off`` bypasses both:
-every call then runs its generator and gets private writable arrays.
+from arrays nothing can write.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Callable, Hashable
@@ -26,14 +24,10 @@ from typing import Callable, Hashable
 import numpy as np
 
 __all__ = [
-    "INPUT_POOL_ENV",
-    "pool_enabled",
     "pooled_inputs",
     "pool_stats",
     "clear_pool",
 ]
-
-INPUT_POOL_ENV = "REPRO_INPUT_POOL"
 
 #: Each cache is LRU-evicted beyond this many entries.
 _MAX_ENTRIES = 32
@@ -46,16 +40,6 @@ _MISSES = 0
 #: Callers on several threads may build kernels concurrently; the lock
 #: keeps the LRU bookkeeping coherent and each entry made once per key.
 _LOCK = threading.Lock()
-
-
-def pool_enabled() -> bool:
-    """True unless ``REPRO_INPUT_POOL`` is set to ``off``/``0``/``false``."""
-    return os.environ.get(INPUT_POOL_ENV, "").strip().lower() not in (
-        "off",
-        "0",
-        "false",
-        "no",
-    )
 
 
 def _shared(cache: OrderedDict, key: Hashable, make: Callable):
@@ -85,8 +69,6 @@ def pooled_inputs(
     whoever needs to write one copies it first (``LoopKernel.__init__``).
     """
     global _HITS, _MISSES
-    if not pool_enabled():
-        return make()
     with _LOCK:
         base, hit = _shared(_BASE, key, make)
         _HITS += hit
@@ -96,8 +78,6 @@ def pooled_inputs(
 
 def _pooled_reference(key: Hashable, compute: Callable[[], "dict | float"]):
     """``compute()`` once per ``key`` (see ``LoopKernel._reference``)."""
-    if not pool_enabled():
-        return compute()
     with _LOCK:
         return _shared(_REFS, key, compute)[0]
 

@@ -22,6 +22,7 @@ numbers matter for reproducing who-wins/crossover shapes.
 
 from __future__ import annotations
 
+from repro.errors import MachineSpecError
 from repro.machine.interconnect import Link, SHARED_LINK
 from repro.machine.spec import DeviceSpec, DeviceType, MachineSpec, MemoryKind
 
@@ -181,6 +182,8 @@ def full_node(*, noise: float = 0.0) -> MachineSpec:
 
 def homogeneous_node(n: int, base: DeviceSpec | None = None) -> MachineSpec:
     """``n`` identical devices — used widely in unit and property tests."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise MachineSpecError(f"device count must be an int, got {n!r}")
     base = base or k40_spec()
     devices = tuple(
         DeviceSpec(

@@ -22,7 +22,7 @@ Fig. 6 itself is computed once, by
 enough to rebuild those buckets to 1e-9, which
 ``tests/obs/test_equivalence.py`` pins.
 
-Disabled (the default — no tracer attached, or ``REPRO_OBS=off``), the
+Disabled (the default — no tracer attached), the
 engines pay one attribute check per offload and results are bit-identical
 to a build without the subsystem.  See ``docs/OBSERVABILITY.md``.
 """
@@ -44,10 +44,8 @@ from repro.obs.metrics import (
 from repro.obs.span import Span
 from repro.obs.tracer import (
     NULL_TRACER,
-    OBS_ENV,
     NullTracer,
     Tracer,
-    obs_enabled,
     resolve_tracer,
 )
 
@@ -57,8 +55,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "OBS_ENV",
-    "obs_enabled",
     "resolve_tracer",
     # metrics
     "Counter",

@@ -10,16 +10,10 @@ Two implementations share one duck type:
   (``tracer.enabled``) into a local bool and skip every emission when it
   is False, so a run without observability pays a single attribute check
   per offload, not per chunk.
-
-``REPRO_OBS=off`` (or ``0``/``false``/``no``) is the global kill switch:
-:func:`resolve_tracer` collapses *any* tracer to :data:`NULL_TRACER`, so
-an instrumented sweep can be A/B'd against a clean one without touching
-code.  The switch mirrors ``REPRO_FAULTS``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any
 
@@ -27,21 +21,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Span, freeze_args
 
 __all__ = [
-    "OBS_ENV",
-    "obs_enabled",
     "NullTracer",
     "NULL_TRACER",
     "Tracer",
     "resolve_tracer",
 ]
-
-OBS_ENV = "REPRO_OBS"
-
-
-def obs_enabled() -> bool:
-    """Global kill switch: ``REPRO_OBS=off`` disables every tracer."""
-    v = os.environ.get(OBS_ENV, "on").strip().lower()
-    return v not in ("off", "0", "false", "no")
 
 
 class NullTracer:
@@ -191,9 +175,8 @@ class _BoundTracer:
 def resolve_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
     """The tracer an engine should actually emit to.
 
-    ``None`` or a disabled tracer resolves to :data:`NULL_TRACER`; so does
-    anything when the ``REPRO_OBS`` kill switch is off.
+    ``None`` or a disabled tracer resolves to :data:`NULL_TRACER`.
     """
-    if tracer is None or not tracer.enabled or not obs_enabled():
+    if tracer is None or not tracer.enabled:
         return NULL_TRACER
     return tracer

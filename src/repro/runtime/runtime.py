@@ -388,7 +388,7 @@ class HompRuntime:
         devices, in selection order); ``resilience`` — retry/quarantine
         policy for those faults (defaults apply when None).  ``tracer`` —
         a :class:`repro.obs.Tracer` receiving the offload's span stream
-        (None = no tracing; ``REPRO_OBS=off`` force-disables any tracer).
+        (None = no tracing).
         ``engine`` — an already-built :class:`OffloadEngine` to run on (a
         pooled engine from :mod:`repro.service`); it must be bound to
         exactly the selected submachine, per-run options are applied

@@ -42,7 +42,7 @@ from repro.errors import (
 )
 from repro.machine.spec import MachineSpec
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, obs_enabled
+from repro.obs.tracer import Tracer
 from repro.runtime.runtime import HompRuntime
 from repro.service.admission import (
     AdmissionController,
@@ -62,7 +62,7 @@ class _Pending:
 
     __slots__ = (
         "job", "handle", "ids", "group_key", "submitted_at",
-        "started_at", "registry", "effective_trace", "tracer",
+        "started_at", "registry", "tracer",
     )
 
     def __init__(self, job: OffloadJob, handle: JobHandle,
@@ -75,7 +75,6 @@ class _Pending:
         self.submitted_at = submitted_at
         self.started_at = submitted_at
         self.registry = MetricsRegistry()
-        self.effective_trace = job.trace and obs_enabled()
         self.tracer: "Tracer | None" = None
 
 
@@ -309,7 +308,7 @@ class OffloadService:
         started = self._clock()
         for rec in group:
             rec.started_at = started
-        if len(group) == 1 and group[0].effective_trace:
+        if len(group) == 1 and group[0].job.trace:
             group[0].tracer = Tracer(metrics=group[0].registry)
         run = self._execute_solo if len(group) == 1 else self._execute_group
         try:

@@ -64,11 +64,11 @@ class TestSingleCell:
     def test_chunk_log_matches_virtual(self):
         m = gpu4_node()
         kern = make_kernel("axpy", N, seed=1)
-        e_v = OffloadEngine(machine=m, seed=0, collect_chunks=True)
-        e_b = BatchEngine(machine=m, seed=0, collect_chunks=True)
+        e_v = OffloadEngine(machine=m, seed=0, record_events=True)
+        e_b = BatchEngine(machine=m, seed=0, record_events=True)
         e_v.run(kern, make_scheduler("MODEL_2_AUTO"))
         e_b.run(kern, make_scheduler("MODEL_2_AUTO"))
-        assert e_b.chunk_log == e_v.chunk_log
+        assert e_b.timeline.events == e_v.timeline.events
 
     def test_record_events_matches_virtual(self):
         kw = dict(machine=gpu4_node(), seed=0, record_events=True)
@@ -198,10 +198,10 @@ class TestFallbackTriggers:
         assert pickle.dumps(r_v) == pickle.dumps(r_b)
 
     def test_fallback_engine_exposes_chunk_log(self):
-        eng = BatchEngine(machine=gpu4_node(), seed=0, collect_chunks=True)
+        eng = BatchEngine(machine=gpu4_node(), seed=0, record_events=True)
         eng.run(make_kernel("axpy", N, seed=1),
                 make_scheduler("SCHED_DYNAMIC"))
-        assert len(eng.chunk_log) > 0
+        assert len(eng.timeline.events) > 0
 
 
 class TestRunGate:
@@ -260,7 +260,7 @@ class TestRunGate:
 
 
 class TestLastRunIntrospection:
-    """After a batch, chunk_log/timeline/faults describe the last request."""
+    """After a batch, the timeline describes the last request."""
 
     @pytest.mark.parametrize(
         "order",
@@ -269,8 +269,8 @@ class TestLastRunIntrospection:
     )
     def test_mixed_batch_exposes_last_request(self, order):
         plan = FaultPlan.of(TransferError(devid=0, p_fail=0.9, seed=3))
-        kw = dict(machine=gpu4_node(), seed=0,
-                  collect_chunks=True, record_events=True, fault_plan=plan)
+        kw = dict(machine=gpu4_node(), seed=0, record_events=True,
+                  fault_plan=plan)
         e_b = BatchEngine(**kw)
         e_b.run_many([
             BatchRequest(make_kernel("axpy", N, seed=1), make_scheduler(p))
@@ -278,15 +278,14 @@ class TestLastRunIntrospection:
         ])
         e_v = OffloadEngine(**kw)
         e_v.run(make_kernel("axpy", N, seed=1), make_scheduler(order[-1]))
-        assert e_b.chunk_log == e_v.chunk_log
         assert e_b.timeline.events == e_v.timeline.events
-        assert e_b.faults == e_v.faults
-        assert len(e_b.faults) > 0
+        assert e_b.timeline.faults == e_v.timeline.faults
+        assert len(e_b.timeline.faults) > 0
 
     def test_block_then_dynamic_chunk_log_is_the_dynamic_cells(self):
         # Fault-free, static first: introspection is positional — the
         # last request's, whatever kind of scheduler ran before it.
-        kw = dict(machine=gpu4_node(), seed=0, collect_chunks=True)
+        kw = dict(machine=gpu4_node(), seed=0, record_events=True)
         e_b = BatchEngine(**kw)
         e_b.run_many([
             BatchRequest(make_kernel("axpy", N, seed=1), make_scheduler(p))
@@ -294,8 +293,9 @@ class TestLastRunIntrospection:
         ])
         e_v = OffloadEngine(**kw)
         e_v.run(make_kernel("axpy", N, seed=1), make_scheduler("SCHED_DYNAMIC"))
-        assert len(e_b.chunk_log) > 4  # not the BLOCK cell's one-per-device
-        assert e_b.chunk_log == e_v.chunk_log
+        # not the BLOCK cell's one-per-device
+        assert len(e_b.timeline.events) > 4
+        assert e_b.timeline.events == e_v.timeline.events
 
 
 @pytest.mark.parametrize("policy", ["BLOCK", "MODEL_2_AUTO"])

@@ -45,7 +45,7 @@ def run(backend, policy, kname, *, machine=None, **opts):
     ``run_many`` for ``"batch"``."""
     machine = gpu4_node() if machine is None else machine
     n = SIZES.get(kname, N)
-    eng = make_backend(backend, machine, seed=0, collect_chunks=True, **opts)
+    eng = make_backend(backend, machine, seed=0, record_events=True, **opts)
     kernel = make_kernel(kname, n, seed=7)
     if backend == "batch":
         (result,) = eng.run_many([BatchRequest(kernel, make_scheduler(policy))])
@@ -66,7 +66,7 @@ def test_batch_bit_identical_to_virtual(policy, kname):
     _, r_v, e_v = run("virtual", policy, kname)
     _, r_b, e_b = run("batch", policy, kname)
     assert pickle.dumps(r_v) == pickle.dumps(r_b)
-    assert e_b.chunk_log == e_v.chunk_log
+    assert e_b.timeline.events == e_v.timeline.events
 
 
 # ------------------------------------------------- whole-figure grids

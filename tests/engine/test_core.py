@@ -134,6 +134,16 @@ class TestMakeBackend:
         with pytest.raises(OffloadError, match="no option bogus"):
             make_backend("virtual", gpu4_node(), bogus=value)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, "1"])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(OffloadError, match="seed must be an int"):
+            make_backend("virtual", gpu4_node(), seed=seed)
+        eng = make_backend("virtual", gpu4_node(), seed=5)
+        with pytest.raises(OffloadError, match="seed must be an int"):
+            with eng.configured(seed=seed):
+                pass  # pragma: no cover - the lease is refused
+        assert eng.seed == 5
+
     def test_unified_memory_model_is_not_an_option(self):
         eng = make_backend("virtual", gpu4_node())
         with pytest.raises(OffloadError, match="no option unified_model"):
@@ -158,19 +168,19 @@ class TestMakeBackend:
 
 @pytest.mark.parametrize("backend", ["virtual"])
 def test_engine_instance_is_reusable_sequentially(backend):
-    eng = make_backend(backend, gpu4_node(), seed=0, collect_chunks=True)
+    eng = make_backend(backend, gpu4_node(), seed=0, record_events=True)
     k1 = make_kernel("sum", 40_000, seed=1)
     r1 = eng.run(k1, make_scheduler("SCHED_DYNAMIC"))
-    log1 = eng.chunk_log
+    log1 = eng.timeline.events
     k2 = make_kernel("sum", 40_000, seed=1)
     r2 = eng.run(k2, make_scheduler("BLOCK"))
     # Per-run state lives in the run context: the second run does not
     # accumulate into the first's accounting.
     assert sum(t.iters for t in r1.traces) == 40_000
     assert sum(t.iters for t in r2.traces) == 40_000
-    assert log1  # collect_chunks captured the first run
+    assert log1  # record_events captured the first run
     # The introspection slot now shows the second run, fully covered.
-    assert sum(len(c) for _, c in eng.chunk_log) == 40_000
+    assert sum(len(e.chunk) for e in eng.timeline.events) == 40_000
 
 
 def test_reentrant_run_raises_engine_busy():

@@ -85,12 +85,15 @@ def test_runs_cross_memory_kinds_but_never_the_cap_on_a_mixed_node():
     machine = full_node()
     shared_of = [d.memory is not MemoryKind.DISCRETE for d in machine.devices]
     assert len(set(shared_of)) == 2  # host memory and discrete devices
-    eng = make_backend("virtual", machine, collect_chunks=True)
+    eng = make_backend("virtual", machine, record_events=True)
     kernel = make_kernel("axpy", 200_000, seed=1)
     calls = _recording(kernel)
     eng.run(kernel, make_scheduler("SCHED_DYNAMIC", chunk_pct=0.002))
 
-    chunks = sorted((c.start, c.stop, shared_of[d]) for d, c in eng.chunk_log)
+    chunks = sorted(
+        (e.chunk.start, e.chunk.stop, shared_of[e.devid])
+        for e in eng.timeline.events
+    )
     row_bytes = sum(kernel.row_nbytes(name) for name in ("x", "y"))
     assert len(calls) < len(chunks) / 4
     _assert_calls_tile_on_chunk_bounds(chunks, calls)
@@ -118,16 +121,17 @@ _CALLS_BEFORE_CROSS_KIND = {
 @pytest.mark.parametrize("name, n", [("axpy", 16_000), ("stencil", 128)])
 @pytest.mark.parametrize("policy", ["BLOCK", "SCHED_DYNAMIC"])
 def test_cross_kind_runs_equal_per_chunk_execution(name, n, policy):
-    eng = make_backend("virtual", full_node(), collect_chunks=True)
+    eng = make_backend("virtual", full_node(), record_events=True)
     kernel = make_kernel(name, n, seed=6)
     calls = _recording(kernel)
     eng.run(kernel, make_scheduler(policy))
     assert len(calls) <= _CALLS_BEFORE_CROSS_KIND[name, policy]
 
     per_chunk = make_kernel(name, n, seed=6)
-    for _, chunk in eng.chunk_log:  # commit order, one call each
-        per_chunk.execute_chunk(chunk)
-    assert per_chunk.stats.chunks == len(eng.chunk_log) > len(calls)
+    events = eng.timeline.events
+    for e in events:  # commit order, one call each
+        per_chunk.execute_chunk(e.chunk)
+    assert per_chunk.stats.chunks == len(events) > len(calls)
     for array, value in kernel.arrays.items():
         assert value.tobytes() == per_chunk.arrays[array].tobytes(), array
 
@@ -159,7 +163,7 @@ def test_dropout_and_retries_give_the_fault_free_bytes_and_each_row_once():
         DeviceDropout(1, base.total_time_s / 2), TransferError(2, 0.3, seed=5)
     )
     kernel, result, eng = run(plan)
-    kinds = {f.kind.value for f in eng.faults}
+    kinds = {f.kind.value for f in eng.timeline.faults}
     assert {"dropout", "retry"} <= kinds
     assert result.traces[1].lost
     assert kernel.stats.iterations == kernel.n_iters

@@ -39,7 +39,7 @@ def run(
     machine = gpu4_node() if machine is None else machine
     n = SIZES.get(kname, N) if n is None else n
     eng = make_backend(
-        backend, machine, seed=0, collect_chunks=True, **opts
+        backend, machine, seed=0, record_events=True, **opts
     )
     kernel = make_kernel(kname, n, seed=seed)
     for name, dim0_policy in (partition or {}).items():
@@ -52,7 +52,8 @@ def check_invariants(kernel, result, eng, *, n=None):
     n = kernel.n_iters if n is None else n
     # (a) full coverage, no double counting
     assert sum(t.iters for t in result.traces) == n
-    chunks = sorted((c.start, c.stop) for _, c in eng.chunk_log)
+    log = [(e.devid, e.chunk) for e in eng.timeline.events if e.status == "ok"]
+    chunks = sorted((c.start, c.stop) for _, c in log)
     covered = 0
     prev_stop = 0
     for start, stop in chunks:
@@ -60,11 +61,11 @@ def check_invariants(kernel, result, eng, *, n=None):
         prev_stop = stop
         covered += stop - start
     assert covered == n and prev_stop == n
-    # (b) chunk_log and traces agree per device
+    # (b) the committed chunks and traces agree per device
     per_dev_iters = {t.devid: t.iters for t in result.traces}
     per_dev_chunks = {t.devid: t.chunks for t in result.traces}
     for devid, trace_iters in per_dev_iters.items():
-        logged = [c for d, c in eng.chunk_log if d == devid]
+        logged = [c for d, c in log if d == devid]
         assert sum(len(c) for c in logged) == trace_iters
         assert len(logged) == per_dev_chunks[devid]
     # (c) timings exist and are internally consistent

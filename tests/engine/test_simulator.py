@@ -209,9 +209,9 @@ class TestResultShape:
             ) or t.barrier_s >= result.total_time_s - t.finish_s
 
     def test_chunk_log_collection(self):
-        e = OffloadEngine(machine=gpu4_node(), collect_chunks=True)
+        e = OffloadEngine(machine=gpu4_node(), record_events=True)
         e.run(make_kernel("axpy", 1000), DynamicScheduler(0.1))
-        log = e.chunk_log
+        log = [(ev.devid, ev.chunk) for ev in e.timeline.events]
         assert sum(len(c) for _, c in log) == 1000
         assert len(log) == 10
 

@@ -9,7 +9,6 @@ from repro.engine.simulator import OffloadEngine
 from repro.errors import FaultError
 from repro.faults.events import FaultKind
 from repro.faults.plan import (
-    FAULTS_ENV,
     DeviceDropout,
     FaultPlan,
     Slowdown,
@@ -85,7 +84,7 @@ class TestTransferRetries:
         assert meta["events"] >= meta["retries"]
         victim = result.traces[1]
         assert victim.retries == sum(
-            1 for f in engine.faults
+            1 for f in engine.timeline.faults
             if f.kind is FaultKind.RETRY and f.devid == 1
         )
         assert victim.retry_s > 0.0
@@ -156,7 +155,7 @@ class TestQuarantine:
         lost_at = result.traces[1].lost_at
         assert lost_at is not None
         quarantine_events = [
-            f for f in engine.faults if f.kind is FaultKind.QUARANTINE
+            f for f in engine.timeline.faults if f.kind is FaultKind.QUARANTINE
         ]
         assert len(quarantine_events) == 1
         assert quarantine_events[0].t == lost_at
@@ -172,7 +171,7 @@ class TestGuarantees:
         k2, r2, e2 = run(DynamicScheduler(0.1), plan)
         assert r1.total_time_s == r2.total_time_s
         assert [t.iters for t in r1.traces] == [t.iters for t in r2.traces]
-        assert e1.faults == e2.faults
+        assert e1.timeline.faults == e2.timeline.faults
         np.testing.assert_array_equal(k1.arrays["y"], k2.arrays["y"])
 
     def test_empty_plan_is_bitwise_fault_free(self):
@@ -180,15 +179,6 @@ class TestGuarantees:
         _, empty, _ = run(DynamicScheduler(0.1), FaultPlan())
         assert empty.total_time_s == base.total_time_s
         assert "faults" not in empty.meta
-
-    def test_env_off_disables_injection(self, monkeypatch):
-        _, base, _ = run(BlockScheduler())
-        monkeypatch.setenv(FAULTS_ENV, "off")
-        _, disabled, _ = run(
-            BlockScheduler(), FaultPlan.of(Slowdown(devid=1, factor=4.0))
-        )
-        assert disabled.total_time_s == base.total_time_s
-        assert "faults" not in disabled.meta
 
     def test_faulted_output_matches_fault_free_bitwise(self):
         k_base, base, _ = run(DynamicScheduler(0.1))

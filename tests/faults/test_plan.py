@@ -6,12 +6,10 @@ import pytest
 
 from repro.errors import FaultPlanError
 from repro.faults.plan import (
-    FAULTS_ENV,
     DeviceDropout,
     FaultPlan,
     Slowdown,
     TransferError,
-    faults_enabled,
 )
 
 
@@ -47,6 +45,16 @@ class TestValidation:
             TransferError(devid=-1, p_fail=0.5)
         with pytest.raises(FaultPlanError):
             DeviceDropout(devid=-1, t=0.0)
+
+    @pytest.mark.parametrize("devid", [True, 1.0, "1"])
+    def test_non_int_devid_rejected_everywhere(self, devid):
+        # True would otherwise target device 1.
+        with pytest.raises(FaultPlanError, match="devid must be an int"):
+            Slowdown(devid=devid, factor=2.0)
+        with pytest.raises(FaultPlanError, match="devid must be an int"):
+            TransferError(devid=devid, p_fail=0.5)
+        with pytest.raises(FaultPlanError, match="devid must be an int"):
+            DeviceDropout(devid=devid, t=0.0)
 
     def test_plan_rejects_foreign_objects(self):
         with pytest.raises(FaultPlanError):
@@ -130,18 +138,3 @@ class TestSerialisation:
 
     def test_describe_names_plan(self):
         assert self._plan().describe() == "mixed(3 faults)"
-
-
-class TestEnvSwitch:
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
-        assert faults_enabled()
-
-    @pytest.mark.parametrize("value", ["off", "0", "false", "no", "OFF"])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(FAULTS_ENV, value)
-        assert not faults_enabled()
-
-    def test_other_values_enabled(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "on")
-        assert faults_enabled()

@@ -29,6 +29,11 @@ class TestRetryPolicy:
         with pytest.raises(FaultPlanError):
             RetryPolicy(backoff_factor=0.5)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_max_retries_must_be_an_int(self, value):
+        with pytest.raises(FaultPlanError, match="max_retries must be an int"):
+            RetryPolicy(max_retries=value)
+
 
 class TestResiliencePolicy:
     def test_defaults(self):
@@ -38,6 +43,11 @@ class TestResiliencePolicy:
     def test_validation(self):
         with pytest.raises(FaultPlanError):
             ResiliencePolicy(quarantine_after=0)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_quarantine_after_must_be_an_int(self, value):
+        with pytest.raises(FaultPlanError, match="quarantine_after must be an int"):
+            ResiliencePolicy(quarantine_after=value)
 
     def test_to_dict_is_flat_and_stable(self):
         d = ResiliencePolicy(

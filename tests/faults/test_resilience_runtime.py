@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FaultPlanError
-from repro.faults.plan import FAULTS_ENV, DeviceDropout, FaultPlan, Slowdown
+from repro.faults.plan import DeviceDropout, FaultPlan, Slowdown
 from repro.faults.policy import ResiliencePolicy, RetryPolicy
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import gpu4_node
@@ -53,12 +53,9 @@ def test_plan_devids_index_selected_devices():
 
 
 @pytest.mark.parametrize("devid", [2, 3, 99])
-@pytest.mark.parametrize("faults_env", [None, "off"])
-def test_plan_naming_an_unselected_device_is_refused(monkeypatch, devid, faults_env):
+def test_plan_naming_an_unselected_device_is_refused(devid):
     # Two devices are selected, so plan ids 0 and 1 are the only ones that
-    # can inject anything; a stray id is refused even with injection off.
-    if faults_env is not None:
-        monkeypatch.setenv(FAULTS_ENV, faults_env)
+    # can inject anything.
     kernel = make_kernel("axpy", 10_000)
     plan = FaultPlan(faults=(DeviceDropout(devid=devid, t=0.0),))
     with pytest.raises(FaultPlanError, match=rf"\[{devid}\].*2 device"):

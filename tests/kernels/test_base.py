@@ -8,11 +8,11 @@ from repro.engine.core import make_backend
 from repro.errors import MappingError
 from repro.kernels.axpy import AxpyKernel
 from repro.kernels.matvec import MatVecKernel
-from repro.kernels.pool import INPUT_POOL_ENV
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import full_node, gpu4_node
 from repro.runtime.runtime import HompRuntime
 from repro.util.ranges import IterRange
+from tests.kernels.private_inputs import private_inputs
 
 
 def test_chunk_cost_scales_linearly():
@@ -110,17 +110,17 @@ class _WritesItsInput(AxpyKernel):
 @pytest.mark.parametrize("executor", ["virtual"])
 @pytest.mark.parametrize("pool", ["on", "off"])
 @pytest.mark.parametrize("machine", [gpu4_node, full_node])
-def test_writing_a_to_map_raises_on_every_device_kind(
-    machine, pool, executor, monkeypatch
-):
+def test_writing_a_to_map_raises_on_every_device_kind(machine, pool, executor):
     """Discrete devices, host devices, pooled read-only inputs and private
     writable ones all refuse the write with numpy's read-only error, on a
     leased engine as on the one ``parallel_for`` builds."""
-    monkeypatch.setenv(INPUT_POOL_ENV, pool)
     rt = HompRuntime(machine())
     leased = make_backend(executor, rt.machine.subset(range(len(rt.machine))))
     for engine in (None, leased):
         k = _WritesItsInput(4_000, seed=3)
+        if pool == "off":
+            k = private_inputs(k)
+        assert k.arrays["x"].flags.writeable is (pool == "off")
         x = k.arrays["x"].copy()
         with pytest.raises(ValueError, match="read-only"):
             rt.parallel_for(k, schedule="SCHED_DYNAMIC", engine=engine)

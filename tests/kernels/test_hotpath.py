@@ -9,13 +9,7 @@ import pytest
 from repro.dist.policy import Block, Full
 from repro.kernels.axpy import AxpyKernel
 from repro.kernels.matvec import MatVecKernel
-from repro.kernels.pool import (
-    INPUT_POOL_ENV,
-    clear_pool,
-    pool_enabled,
-    pool_stats,
-    pooled_inputs,
-)
+from repro.kernels.pool import clear_pool, pool_stats, pooled_inputs
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import cpu_spec, gpu4_node, homogeneous_node
 from repro.runtime.runtime import HompRuntime
@@ -131,13 +125,6 @@ def fresh_pool():
     clear_pool()
 
 
-def test_pool_enabled_by_default(monkeypatch):
-    monkeypatch.delenv(INPUT_POOL_ENV, raising=False)
-    assert pool_enabled()
-    monkeypatch.setenv(INPUT_POOL_ENV, "off")
-    assert not pool_enabled()
-
-
 def test_pooled_kernels_share_one_generation():
     make_kernel("matvec", 64, seed=7)
     stats = pool_stats()
@@ -167,35 +154,15 @@ def test_pooled_copies_are_independent():
         k1._initial["y"][0] = 0.0
 
 
-def test_pooled_inputs_match_direct_generation(monkeypatch):
-    """Pool on/off must produce the same RNG streams, bit for bit; the pool
-    hands out its read-only bases, the bypass private writable arrays."""
-    pooled = make_kernel("bm", 48, seed=9)
+def test_pooled_inputs_match_direct_generation():
+    """The pool hands out exactly what its generator made, bit for bit, as
+    read-only bases shared by every caller of the key."""
     base = pooled_inputs(
         ("probe", 1), lambda: {"z": np.random.default_rng(0).random(4)}
     )
     again = pooled_inputs(("probe", 1), dict)
     assert again["z"] is base["z"] and not base["z"].flags.writeable
     np.testing.assert_array_equal(base["z"], np.random.default_rng(0).random(4))
-
-    monkeypatch.setenv(INPUT_POOL_ENV, "off")
-    direct = make_kernel("bm", 48, seed=9)
-    other = make_kernel("bm", 48, seed=9)
-    for name, arr in direct.arrays.items():
-        assert arr.tobytes() == pooled.arrays[name].tobytes()
-        assert arr.flags.writeable  # every array private and writable
-        assert not np.shares_memory(arr, other.arrays[name])
-        assert not np.shares_memory(arr, pooled.arrays[name])
-    assert pooled_inputs(("probe", 1), lambda: {"z": np.zeros(1)})["z"].flags.writeable
-
-
-def test_pool_disabled_still_correct(monkeypatch):
-    monkeypatch.setenv(INPUT_POOL_ENV, "off")
-    clear_pool()
-    k1 = make_kernel("sum", 300, seed=2)
-    k2 = make_kernel("sum", 300, seed=2)
-    np.testing.assert_array_equal(k1.arrays["x"], k2.arrays["x"])
-    assert pool_stats()["hits"] == 0
 
 
 def test_pool_key_includes_size_and_seed():

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels.pool import INPUT_POOL_ENV
 from repro.kernels.registry import KERNELS, PAPER_SIZES, make_kernel, paper_workload
 from repro.model.roofline import IntensityClass
 from repro.util.ranges import IterRange, split_block
+from tests.kernels.private_inputs import private_inputs
 
 SIZES = {"axpy": 500, "sum": 700, "matvec": 48, "matmul": 40, "stencil": 40, "bm": 40}
 
@@ -44,10 +44,11 @@ def check(kernel, reduction):
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 @pytest.mark.parametrize("pooled", [True, False])
-def test_single_chunk_matches_reference(name, pooled, monkeypatch):
+def test_single_chunk_matches_reference(name, pooled):
     """Read-only pooled inputs and private writable ones compute alike."""
-    monkeypatch.setenv(INPUT_POOL_ENV, "on" if pooled else "off")
     k = make_kernel(name, SIZES[name], seed=11)
+    if not pooled:
+        k = private_inputs(k)
     assert all(v.flags.writeable for v in k.arrays.values()) is not pooled
     red = run_chunked(k, [k.iter_space])
     check(k, red)

@@ -4,7 +4,8 @@ Pooled kernels share their read-only base arrays and one serial reference
 per input set.  Nothing may write a base: not a stream that rewrites its
 inputs in place between batches, not concurrent builders, not a run.  And
 nothing observable may change: every Fig. 5 cell is pickle- and
-byte-identical with the pool on, with it off, and to digests taken at
+byte-identical with pooled inputs, with private writable ones (the pool
+"off", as a user's own kernel passes them), and to digests taken at
 ``01da0b3`` — the last commit whose pool handed out private copies.
 """
 
@@ -24,10 +25,11 @@ from repro.apps.streaming import (
 from repro.bench.runner import ALL_POLICIES, run_cell, run_one, verify_result
 from repro.errors import OffloadError
 from repro.kernels import pool
-from repro.kernels.pool import INPUT_POOL_ENV, clear_pool, pool_stats
+from repro.kernels.pool import clear_pool, pool_stats
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import full_node, gpu4_node
 from repro.runtime.runtime import HompRuntime
+from tests.kernels.private_inputs import private_inputs
 
 SEED = 11
 
@@ -161,16 +163,19 @@ PINS = {
 class _Keep:
     """A factory that remembers the kernel it built last."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, private: bool):
         self.name = name
+        self.private = private
 
     def __call__(self):
         self.last = make_kernel(self.name, SIZES[self.name], seed=SEED)
+        if self.private:
+            private_inputs(self.last)
         return self.last
 
 
-def _cells_digest(name: str) -> str:
-    factory = _Keep(name)
+def _cells_digest(name: str, *, private: bool = False) -> str:
+    factory = _Keep(name, private)
     chunks = []
     for policy in ALL_POLICIES:
         result = run_cell(gpu4_node(), factory, policy, verify=True)
@@ -183,14 +188,12 @@ def _cells_digest(name: str) -> str:
 
 
 @pytest.mark.parametrize("name", SIZES)
-def test_cells_are_byte_identical_pool_on_off_and_to_the_parent(name, monkeypatch):
+def test_cells_are_byte_identical_pool_on_off_and_to_the_parent(name):
     assert _cells_digest(name) == PINS[name]
     assert pool_stats()["hits"] == len(ALL_POLICIES) - 1
-    monkeypatch.setenv(INPUT_POOL_ENV, "off")
     clear_pool()
-    assert _cells_digest(name) == PINS[name]
-    assert pool_stats() == {"hits": 0, "misses": 0, "entries": 0}
-    assert not pool._REFS
+    assert _cells_digest(name, private=True) == PINS[name]
+    assert not pool._REFS  # a kernel owning its inputs computes its own
 
 
 @pytest.mark.parametrize("exact_leg", [True, False], ids=["equal-first", "allclose"])

@@ -3,6 +3,9 @@ machine description files."""
 
 from pathlib import Path
 
+import pytest
+
+from repro.errors import MachineSpecError
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import (
     cpu_mic_node,
@@ -77,6 +80,13 @@ def test_homogeneous_node_copies_base_spec():
     assert all(d.dev_type is DeviceType.MIC for d in m.devices)
     assert all(d.model_gflops == mic_spec().model_gflops for d in m.devices)
     assert len({d.name for d in m.devices}) == 3
+
+
+@pytest.mark.parametrize("n", [True, 2.5])
+def test_homogeneous_node_count_must_be_an_int(n):
+    # True would otherwise build a one-device node.
+    with pytest.raises(MachineSpecError, match="device count must be an int"):
+        homogeneous_node(n)
 
 
 def test_noise_parameter_propagates():

@@ -113,11 +113,12 @@ def test_aligned_loop_iterates_exactly_the_placed_rows(n, ndev):
             "virtual",
             rt.machine.subset(region._ids),
             execute_numerically=False,
-            collect_chunks=True,
         )
-        result = region.parallel_for(kernel, schedule=Align("x"), engine=engine)
+        result = region.parallel_for(
+            kernel, schedule=Align("x"), engine=engine, record_events=True
+        )
         for dev in range(ndev):
-            iterated = tuple(c for d, c in engine.chunk_log if d == dev)
+            iterated = tuple(e.chunk for e in engine.timeline.for_device(dev))
             assert iterated == region.plan.ranges("x", dev)
     assert result.meta["residency"]["bytes_moved"] == 0
     assert result.meta["residency"]["bytes_elided"] > 0

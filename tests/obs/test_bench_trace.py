@@ -7,7 +7,6 @@ import pickle
 from repro.bench.runner import run_grid
 from repro.bench.workloads import WorkloadFactory
 from repro.machine.presets import gpu4_node
-from repro.obs.tracer import OBS_ENV
 
 
 POLICIES = ("BLOCK", "SCHED_DYNAMIC")
@@ -54,14 +53,6 @@ def test_traced_results_identical(tmp_path):
     assert cell_bytes(small_grid(trace_dir=tmp_path / "t")) == cell_bytes(
         small_grid()
     )
-
-
-def test_kill_switch_ignores_trace_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv(OBS_ENV, "off")
-    out = tmp_path / "never"
-    grid = small_grid(trace_dir=out)
-    assert not out.exists()  # nothing written at all
-    assert cell_bytes(grid) == cell_bytes(small_grid())
 
 
 def test_cli_trace_flag_dispatches_to_traceable_targets(tmp_path, monkeypatch):

@@ -110,8 +110,7 @@ def test_span_metrics_match_legacy_on_heterogeneous_node(policy):
     assert_equivalent(tracer.spans, result)
 
 
-def test_span_metrics_match_legacy_under_faults(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+def test_span_metrics_match_legacy_under_faults():
     plan = FaultPlan(
         faults=(
             Slowdown(devid=1, factor=3.0, t_start=0.0),

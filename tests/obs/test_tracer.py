@@ -1,14 +1,10 @@
-"""Tracer plumbing: recording, queries, the kill switch, the null tracer."""
-
-import pytest
+"""Tracer plumbing: recording, queries, resolution, the null tracer."""
 
 from repro.obs.span import CAT_MARK, CAT_STAGE
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
-    OBS_ENV,
     Tracer,
-    obs_enabled,
     resolve_tracer,
 )
 
@@ -50,26 +46,9 @@ class TestNullTracer:
         assert not hasattr(NULL_TRACER, "__dict__")
 
 
-class TestKillSwitch:
-    def test_default_on(self):
-        assert obs_enabled()
-
-    @pytest.mark.parametrize("value", ["off", "0", "false", "no", " OFF "])
-    def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv(OBS_ENV, value)
-        assert not obs_enabled()
-
-    @pytest.mark.parametrize("value", ["on", "1", "true", "yes", ""])
-    def test_on_values(self, monkeypatch, value):
-        monkeypatch.setenv(OBS_ENV, value)
-        assert obs_enabled()
-
+class TestResolveTracer:
     def test_resolve_tracer(self):
         t = Tracer()
         assert resolve_tracer(t) is t
         assert resolve_tracer(None) is NULL_TRACER
         assert resolve_tracer(NULL_TRACER) is NULL_TRACER
-
-    def test_resolve_collapses_under_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(OBS_ENV, "off")
-        assert resolve_tracer(Tracer()) is NULL_TRACER

@@ -70,10 +70,11 @@ def test_property_exact_coverage(n, ndev, pct):
     machine = homogeneous_node(ndev)
     k = make_kernel("axpy", n, seed=1)
     engine = OffloadEngine(machine=machine, execute_numerically=False,
-                           collect_chunks=True)
+                           record_events=True)
     engine.run(k, WorkStealingScheduler(pct))
     seen = set()
-    for _, chunk in engine.chunk_log:
+    for e in engine.timeline.events:
+        chunk = e.chunk
         for i in range(chunk.start, chunk.stop):
             assert i not in seen
             seen.add(i)

@@ -192,27 +192,8 @@ class StageTiming:
 
 
 @dataclass
-class DeviceState:
-    """Mutable per-device execution state of one run."""
-
-    device: Device
-    trace: DeviceTrace
-    copy_in_free: float = 0.0
-    comp_free: float = 0.0
-    copy_out_free: float = 0.0
-    finish: float = 0.0
-    first_chunk: bool = True
-    done: bool = False
-    at_barrier: float | None = None
-    lost: bool = False  # permanently dead (dropout or quarantine)
-    #: Virtual time at which the device drained (would have requested its
-    #: next chunk); the cross-batch carry's per-device ready time.
-    drain_t: float = 0.0
-
-
-@dataclass(frozen=True)
 class DeviceCarry:
-    """Per-device pipeline state threaded from one stream batch to the next.
+    """Where one device's pipeline stands between two batches of a stream.
 
     A stream batch does not start from a cold pipeline: batch ``k+1``'s
     copy-in may begin while batch ``k``'s compute is still running on the
@@ -222,7 +203,8 @@ class DeviceCarry:
     request it would have made had more work existed), whether it has
     already paid its one-time setup overhead (``first_chunk``), and
     whether it is permanently gone (``lost``: dropout/quarantine persists
-    for the rest of the stream).
+    for the rest of the stream).  A :class:`DeviceState` is its device's
+    carry.
     """
 
     copy_in_free: float = 0.0
@@ -231,12 +213,45 @@ class DeviceCarry:
     finish: float = 0.0
     ready: float = 0.0
     first_chunk: bool = True
-    lost: bool = False
+    lost: bool = False  # permanently dead (dropout or quarantine)
+
+
+#: What a run seeds from a carry that is not its own states.
+_CARRIED = tuple(f.name for f in dataclass_fields(DeviceCarry))
+
+
+@dataclass(kw_only=True)
+class DeviceState(DeviceCarry):
+    """Mutable per-device execution state of one run: the carried clocks
+    plus what every run starts afresh (``ready`` is set at the drain)."""
+
+    device: Device
+    trace: DeviceTrace
+    done: bool = False
+    at_barrier: float | None = None
 
 
 # ---------------------------------------------------------------------------
 # The shared run context
 # ---------------------------------------------------------------------------
+
+class _Skeleton(dict):
+    """What the batches of one stream share, built at batch 0: the devices,
+    their states (this mapping, devid -> state), the scheduler context and
+    the event loop's lanes.  It is a run's carry: a run handed it over the
+    same ``key`` (machine, kernel, scheduler, options but the tracer)
+    adopts it; any other carry seeds a new skeleton's states."""
+
+    def __init__(self, key: tuple, devices: list[Device]) -> None:
+        super().__init__(
+            (d.devid, DeviceState(device=d, trace=None)) for d in devices
+        )
+        self.key = key
+        self.devices = devices
+        self.states = list(self.values())
+        self.sched_ctx: SchedContext | None = None
+        self.lanes: list | None = None  # built by the first event loop
+
 
 class RunContext:
     """All mutable state of one offload run, plus the transition helpers.
@@ -244,7 +259,9 @@ class RunContext:
     One instance is created per ``run()`` call and discarded with it, so a
     mid-run exception cannot leak state into the next run and two engines
     (or two runs racing on one engine — rejected anyway, see
-    :class:`EngineBase`) never share accounting.
+    :class:`EngineBase`) never share accounting.  Only a stream's
+    skeleton (:class:`_Skeleton`) outlives a run: its next batch adopts
+    it through ``carry_in`` and builds everything a result holds afresh.
     """
 
     def __init__(
@@ -280,9 +297,30 @@ class RunContext:
         self.execute_numerically = execute_numerically
         self.record_events = record_events
 
-        self.devices = [
-            Device(i, spec, seed) for i, spec in enumerate(machine.devices)
-        ]
+        key = (
+            machine, kernel, scheduler, seed, execute_numerically,
+            record_events, fault_plan, resilience, residency,
+        )
+        skel = carry_in
+        if type(skel) is not _Skeleton or skel.key != key:
+            skel = _Skeleton(key, [
+                Device(i, spec, seed) for i, spec in enumerate(machine.devices)
+            ])
+            for devid, carry in (carry_in or {}).items():
+                st = skel[devid]
+                for name in _CARRIED:
+                    setattr(st, name, getattr(carry, name))
+        #: This run's skeleton: the carry it hands the next batch.
+        self.carry = skel
+        self.devices = skel.devices
+        self.states = skel.states
+        for st in self.states:
+            dev = st.device
+            dev._rng = None  # noise draws restart with every run
+            st.trace = DeviceTrace(dev.devid, dev.spec.name)
+            st.done = st.lost
+            st.at_barrier = None
+
         self.obs = resolve_tracer(tracer)
         #: one attribute check; hot paths branch on this local-able flag
         self.traced = self.obs.enabled
@@ -294,11 +332,13 @@ class RunContext:
         self.residency = residency
         self.bytes_moved = 0.0
         self.bytes_elided = 0.0
-        self.sched_ctx = SchedContext(
-            kernel=kernel, devices=self.devices, cutoff_ratio=cutoff_ratio,
-            metrics=self.met, residency=residency,
-        )
-        scheduler.start(self.sched_ctx)
+        ctx = skel.sched_ctx
+        if ctx is None or (ctx.metrics, ctx.cutoff_ratio) != (self.met, cutoff_ratio):
+            ctx = skel.sched_ctx = SchedContext(
+                kernel=kernel, devices=self.devices, cutoff_ratio=cutoff_ratio,
+                metrics=self.met, residency=residency,
+            )
+        scheduler.start(ctx)
 
         self.plan = fault_plan
         self.plan_active = fault_plan is not None and not fault_plan.empty
@@ -307,15 +347,7 @@ class RunContext:
         self.health = HealthTracker(resilience.quarantine_after)
         self.xfer_attempts: dict[int, int] = {}  # per-device monotonic counters
         self.orphans: deque[IterRange] = deque()
-
-        self.states = [
-            DeviceState(device=d, trace=DeviceTrace(devid=d.devid, name=d.name))
-            for d in self.devices
-        ]
         self.parked = 0  # states parked at a barrier (see park)
-        #: Cross-batch pipeline carry (streams only; None = cold start,
-        #: which leaves every code path bit-identical to the one-shot run).
-        self.carry_in = carry_in
         self.reduction = kernel.identity()
         self.reduces = kernel.is_reduction  # read once, asked per chunk
         #: A span-exact kernel's committed ``(start, stop)`` rows, run by
@@ -331,20 +363,8 @@ class RunContext:
         #: an orphan appeared, or it was parked at a barrier that released).
         self.wake: Callable[[DeviceState, float], None] = lambda st, t: None
 
-        if carry_in:
-            for devid, carry in carry_in.items():
-                st = self.states[devid]
-                st.copy_in_free = carry.copy_in_free
-                st.comp_free = carry.comp_free
-                st.copy_out_free = carry.copy_out_free
-                st.finish = carry.finish
-                st.first_chunk = carry.first_chunk
-                if carry.lost:
-                    st.lost = True
-                    st.done = True
-            for devid, carry in carry_in.items():
-                if not carry.lost:
-                    continue
+        for devid, carry in (carry_in or {}).items():
+            if carry.lost:
                 # The device died in an earlier batch; surrender whatever
                 # share this batch's scheduler reserved for it.
                 for reserved in scheduler.device_lost(devid):
@@ -787,8 +807,8 @@ class RunContext:
         if self.spans:
             self._execute_spans()
 
-        participating = [s for s in states if s.trace.participated]
-        total = max((s.finish for s in participating), default=0.0)
+        participating = [s for s in states if s.trace.chunks > 0]
+        total = max([s.finish for s in participating], default=0.0)
         for s in participating:
             # Closing barrier: everyone alive waits for the slowest device
             # (lost devices never rejoin).
@@ -881,27 +901,6 @@ class RunContext:
             kernel.execute_chunk(IterRange(a, b))
             a, b = start, stop
         kernel.execute_chunk(IterRange(a, b))
-
-    def carry_out(self) -> "dict[int, DeviceCarry]":
-        """Per-device pipeline state to seed the next stream batch with.
-
-        Meaningful after :meth:`finalize`: each device's engine-free
-        times, its natural next-request time (``drain_t``, recorded by
-        the engine when the device drained) and its lost flag, all in
-        cumulative stream time.
-        """
-        return {
-            st.device.devid: DeviceCarry(
-                copy_in_free=st.copy_in_free,
-                comp_free=st.comp_free,
-                copy_out_free=st.copy_out_free,
-                finish=st.finish,
-                ready=st.drain_t,
-                first_chunk=st.first_chunk,
-                lost=st.lost,
-            )
-            for st in self.states
-        }
 
     @property
     def timeline(self) -> Timeline:
@@ -1015,11 +1014,11 @@ class EngineBase:
             for key, value in saved.items():
                 setattr(self, key, value)
 
-    @contextmanager
-    def _run_slot(self):
-        """The run gate, held for the whole of one ``run``/``run_many``.
+    def _run_slot(self) -> threading.Lock:
+        """Take the run gate for the whole of one ``run``/``run_many`` and
+        return it, held: the caller releases it in a ``finally``.
 
-        Every entry point enters it *before* it builds a
+        Every entry point takes it *before* it builds a
         :class:`RunContext` (whose constructor restarts the scheduler), so
         a refused run has touched nothing.  The last run's context is
         forgotten on entry; :meth:`_run_context` installs the new one.
@@ -1034,11 +1033,8 @@ class EngineBase:
                 "offload; engines are reusable sequentially, not "
                 "concurrently — create one engine per in-flight run"
             )
-        try:
-            self._run_ctx = None
-            yield
-        finally:
-            lock.release()
+        self._run_ctx = None
+        return lock
 
     @property
     def timeline(self) -> Timeline:

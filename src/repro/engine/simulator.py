@@ -100,11 +100,15 @@ class OffloadEngine(EngineBase):
         """``carry_in`` — cross-batch pipeline carry of a stream (devid ->
         :class:`~repro.engine.core.DeviceCarry`, the previous batch's
         :meth:`carry_out`), so this batch's copy-in can overlap that
-        batch's still-running compute.  None = cold start."""
-        with self._run_slot():
+        batch's still-running compute; the last run's own carry lends
+        this run its skeleton.  None = cold start."""
+        gate = self._run_slot()
+        try:
             return self._event_loop(
                 self._run_context(kernel, scheduler, cutoff_ratio, carry_in=carry_in)
             )
+        finally:
+            gate.release()
 
     def run_many(self, requests: "list[BatchRequest]") -> list[OffloadResult]:
         """Execute a batch of cells; results are positionally aligned.
@@ -115,7 +119,8 @@ class OffloadEngine(EngineBase):
         refused until the last cell finished.  Afterwards ``timeline``
         describes the last request.
         """
-        with self._run_slot():
+        gate = self._run_slot()
+        try:
             results = []
             for req in requests:
                 execute = req.execute_numerically
@@ -129,11 +134,15 @@ class OffloadEngine(EngineBase):
                 )
                 results.append(self._event_loop(core))
             return results
+        finally:
+            gate.release()
 
     def carry_out(self) -> dict:
-        """Where the last run left each device's pipeline — the next
-        stream batch's ``carry_in`` (empty before the first run)."""
-        return self._run_ctx.carry_out() if self._run_ctx else {}
+        """Where the last run left each device's pipeline (devid -> its
+        live :class:`~repro.engine.core.DeviceState`, a ``DeviceCarry``;
+        copy it to edit it): the next stream batch's ``carry_in``, which
+        adopts the last run's skeleton.  Empty before the first run."""
+        return self._run_ctx.carry if self._run_ctx else {}
 
     def _event_loop(self, core: RunContext) -> OffloadResult:
         """Virtual-time event scheduling: when each stage happens."""
@@ -151,15 +160,10 @@ class OffloadEngine(EngineBase):
 
         # Pending chunk requests, ``(request_time, devid)``.  A cold start
         # has every device ask at 0.0; in a stream batch with a warm
-        # pipeline each surviving device asks at its carried next-request
-        # time instead, so this batch's copy-ins queue behind (and overlap
-        # with) the previous batch's still-draining stages.
-        carry = core.carry_in or {}
-        requests = [
-            (carry[s.device.devid].ready if s.device.devid in carry else 0.0,
-             s.device.devid)
-            for s in states if not s.done
-        ]
+        # pipeline each surviving device asks at its carried ``ready`` time
+        # instead, so this batch's copy-ins queue behind (and overlap with)
+        # the previous batch's still-draining stages.
+        requests = [(s.ready, s.device.devid) for s in states if not s.done]
         heapify(requests)
 
         # A woken device asks again no earlier than it finished; one parked
@@ -168,19 +172,21 @@ class OffloadEngine(EngineBase):
             requests, (max(t, st.finish), st.device.devid)
         )
 
-        # What the loop asks of each device, read once: specs are frozen and
-        # the cost-model methods stay bound for the whole run.  Transfers
+        # What the loop asks of each device, read once per skeleton: specs
+        # are frozen and the cost-model methods stay bound.  Transfers
         # cost a DISCRETE link's Hockney time; UNIFIED memory has no explicit
         # copies, but its pages still cross the bus at driver-migration
         # speed (the 10-18x of paper section V.C); host memory moves nothing.
-        lanes = [
-            (st, spec.sched_overhead_s, spec.setup_overhead_s, spec.pcie_group,
-             spec.link.transfer_time if spec.memory is MemoryKind.DISCRETE
-             else partial(_UNIFIED.migration_time, spec.link)
-             if spec.memory is MemoryKind.UNIFIED else None,
-             st.device.compute_time)
-            for st in states for spec in (st.device.spec,)
-        ]
+        lanes = core.carry.lanes
+        if lanes is None:
+            lanes = core.carry.lanes = [
+                (st, spec.sched_overhead_s, spec.setup_overhead_s, spec.pcie_group,
+                 spec.link.transfer_time if spec.memory is MemoryKind.DISCRETE
+                 else partial(_UNIFIED.migration_time, spec.link)
+                 if spec.memory is MemoryKind.UNIFIED else None,
+                 st.device.compute_time)
+                for st in states for spec in (st.device.spec,)
+            ]
 
         while requests:
             t, devid = heappop(requests)
@@ -201,7 +207,7 @@ class OffloadEngine(EngineBase):
 
             if decision is None:
                 st.done = True
-                st.drain_t = t  # when the next batch may first request
+                st.ready = t  # when the next batch may first request
                 # If everyone else is parked at the barrier, release them.
                 core.maybe_release_barrier()
                 continue

@@ -77,7 +77,7 @@ class Slowdown:
 
     def __post_init__(self) -> None:
         _check_devid(self)
-        if not self.factor > 0.0 or not math.isfinite(self.factor):
+        if isinstance(self.factor, bool) or not 0.0 < self.factor < math.inf:
             raise FaultPlanError(
                 f"Slowdown factor must be positive and finite, got {self.factor}"
             )
@@ -106,9 +106,13 @@ class TransferError:
 
     def __post_init__(self) -> None:
         _check_devid(self)
-        if not 0.0 <= self.p_fail < 1.0:
+        if isinstance(self.p_fail, bool) or not 0.0 <= self.p_fail < 1.0:
             raise FaultPlanError(
                 f"TransferError p_fail must be in [0, 1), got {self.p_fail}"
+            )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise FaultPlanError(
+                f"TransferError seed must be an int, got {self.seed!r}"
             )
 
     def fails(self, attempt: int, direction: str) -> bool:
@@ -132,7 +136,7 @@ class DeviceDropout:
 
     def __post_init__(self) -> None:
         _check_devid(self)
-        if self.t < 0.0 or not math.isfinite(self.t):
+        if isinstance(self.t, bool) or self.t < 0.0 or not math.isfinite(self.t):
             raise FaultPlanError(
                 f"DeviceDropout time must be finite and >= 0, got {self.t}"
             )

@@ -40,9 +40,9 @@ class RetryPolicy:
         n = self.max_retries
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise FaultPlanError(f"max_retries must be an int >= 0, got {n!r}")
-        if self.backoff_s < 0.0:
+        if isinstance(self.backoff_s, bool) or self.backoff_s < 0.0:
             raise FaultPlanError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.backoff_factor < 1.0:
+        if isinstance(self.backoff_factor, bool) or self.backoff_factor < 1.0:
             raise FaultPlanError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )
@@ -81,7 +81,7 @@ class HealthTracker:
     """Consecutive-fault counter with a quarantine threshold per device."""
 
     def __init__(self, quarantine_after: int):
-        if quarantine_after < 1:
+        if isinstance(quarantine_after, bool) or quarantine_after < 1:
             raise FaultPlanError(
                 f"quarantine_after must be >= 1, got {quarantine_after}"
             )

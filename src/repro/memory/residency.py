@@ -104,11 +104,14 @@ def _add(by_dev: _Index, dev: int, spans: list[_Span]) -> None:
 
 
 def _remove(by_dev: _Index, devs: Iterable[int], spans: list[_Span]) -> None:
-    """Cut ``spans`` out of the lists of ``devs`` in place; a list that
-    empties drops its key."""
+    """Cut ``spans`` out of the lists of ``devs`` in place (a list outside
+    their hull is not walked); a list that empties drops its key."""
+    if not spans:
+        return
+    lo, hi = spans[0][0], spans[-1][1]
     for dev in devs:
         valid = by_dev.get(dev)
-        if valid:
+        if valid and valid[0][0] < hi and valid[-1][1] > lo:
             for s, e in spans:
                 i = j = _first(valid, s)
                 while j < len(valid) and valid[j][0] < e:
@@ -126,7 +129,7 @@ def _gaps(by_dev: _Index, devs: Iterable[int], want: list[_Span]) -> list[_Span]
         if not want:
             break
         valid = by_dev.get(dev)
-        if valid:
+        if valid and valid[0][0] < want[-1][1] and valid[-1][1] > want[0][0]:
             rest: list[_Span] = []
             for s, e in want:
                 i = _first(valid, s)
@@ -139,6 +142,14 @@ def _gaps(by_dev: _Index, devs: Iterable[int], want: list[_Span]) -> list[_Span]
                     rest.append((s, e))
             want = rest
     return want
+
+
+def _holds(valid: list[_Span] | None, s: int, e: int) -> bool:
+    """Whether one span of ``valid`` (or None) covers all of ``[s, e)``."""
+    if not valid:
+        return False
+    i = bisect_left(valid, (s + 1,))  # the spans starting at or before s
+    return i > 0 and valid[i - 1][1] >= e
 
 
 def _count(spans: list[_Span]) -> int:
@@ -313,21 +324,25 @@ class ResidencyLedger:
             if spans:
                 _add(self._valid[name], dev, spans)
 
-    def invalidate(self, dev: int, name: str, ranges: Iterable[IterRange]) -> None:
-        """The device's copy of ``ranges`` is stale (or never arrived)."""
+    def invalidate(
+        self, devs: Iterable[int], name: str, ranges: Iterable[IterRange]
+    ) -> None:
+        """The copies of ``ranges`` on ``devs`` are stale (or never arrived)."""
         with self._lock:
             if name in self._rows:
-                _remove(self._valid[name], (dev,), self._clamped(name, ranges))
+                _remove(self._valid[name], devs, self._clamped(name, ranges))
 
     def note_write(self, dev: int, name: str, rows: IterRange) -> None:
         """``dev`` wrote ``rows``: its copy becomes the valid one and every
-        other device's copy of those rows goes stale."""
+        other device's copy of those rows goes stale.  A writer that
+        already holds the rows is not re-marked."""
         with self._lock:
-            spans = self._clamped(name, (rows,))
-            if spans:
+            s, e = max(rows.start, 0), min(rows.stop, self._rows[name])
+            if s < e:
                 by_dev = self._valid[name]
-                _add(by_dev, dev, spans)
-                _remove(by_dev, by_dev.keys() - {dev}, spans)
+                if not _holds(by_dev.get(dev), s, e):
+                    _add(by_dev, dev, [(s, e)])
+                _remove(by_dev, [d for d in by_dev if d != dev], [(s, e)])
 
     def invalidate_device(self, dev: int) -> int:
         """Drop all validity on ``dev`` (dropout: contents are lost; the
@@ -471,9 +486,10 @@ class RegionResidency:
 
     def _footprint(self, kernel: "LoopKernel") -> tuple:
         """``kernel``'s maps as :meth:`charge_chunk` reads them, resolved once
-        per view (it serves one offload; neither the maps nor what is mapped
-        change under it).  ``extent`` is the dim-0 range a partitioned map's
-        halo is clamped to, or a FULL map's whole range."""
+        per view (it serves one offload or stream; neither the maps nor
+        what is mapped change under it).  ``extent`` is the dim-0 range a
+        partitioned map's halo is clamped to, or a FULL map's whole range;
+        ``rows`` the ledger's extent."""
         if self._resolved is None or self._resolved[0] is not kernel:
             led = self.ledger
             self._resolved = (kernel, tuple(
@@ -486,6 +502,7 @@ class RegionResidency:
                         led.rows_of(m.name) if known and not m.partitioned
                         else len(kernel.arrays[m.name])
                     )),
+                    led.rows_of(m.name) if known else 0,
                 )
                 for m in kernel.effective_maps()
                 for known in (led.known(m.name),)
@@ -510,7 +527,8 @@ class RegionResidency:
         chunk pays only for rows that were never staged (reading an
         ALLOC/FROM array before any write) or whose only valid copy died
         with a dropout; read rows are then recorded as the reader's valid
-        copy so a retry or re-adoption stays free.  Outbound rows stay on
+        copy so a retry or re-adoption stays free; rows already valid on
+        the chunk's own device cost one bisection.  Outbound rows stay on
         the device until the region drains: elided, and recorded as the
         writer's exclusive copy (``note_write`` stales the siblings, which
         is what halo planning measures).  Arrays the ledger does not know
@@ -521,13 +539,13 @@ class RegionResidency:
         led = self.ledger
         ids = self.ids
         dev = ids[local_dev]
-        n = len(chunk)
+        n = chunk.stop - chunk.start
         bytes_in = bytes_out = 0.0
         elided_in = elided_out = 0.0
         with led._lock:
             for (
                 name, known, partitioned, copies_in, copies_out,
-                row_b, halo, extent,
+                row_b, halo, extent, rows,
             ) in self._footprint(kernel):
                 if partitioned:
                     if not known:
@@ -537,10 +555,20 @@ class RegionResidency:
                             bytes_out += row_b * n
                         continue
                     if copies_in:
-                        region0 = chunk.expand(*halo, clamp=extent)
-                        miss = led.stage(dev, name, (region0,), ids)
+                        # ``chunk.expand(*halo, clamp=extent)``, unbuilt, then
+                        # staged as ``stage`` would: clamped to the ledger's
+                        # rows, asking the chunk's own device first.
+                        s, e = chunk.start - halo[0], chunk.stop + halo[1]
+                        s, e = (s if s > 0 else 0), min(e, extent.stop)
+                        read = e - s if e > s else 0
+                        e = min(e, rows)
+                        valid = led._valid[name]
+                        miss = 0
+                        if e > s and not _holds(valid.get(dev), s, e):
+                            miss = _count(_gaps(valid, ids, [(s, e)]))
+                            _add(valid, dev, [(s, e)])
                         bytes_in += row_b * miss
-                        elided_in += row_b * (len(region0) - miss)
+                        elided_in += row_b * (read - miss)
                     if copies_out:
                         elided_out += row_b * n
                         led.note_write(dev, name, chunk)
@@ -566,7 +594,7 @@ class RegionResidency:
         for m in kernel.effective_maps():
             if m.partitioned and led.known(m.name):
                 region0 = kernel.input_region(m, chunk)[0]
-                led.invalidate(dev, m.name, [region0])
+                led.invalidate((dev,), m.name, [region0])
 
     def device_lost(self, local_dev: int) -> int:
         """Dropout: everything the device held is gone; reassigned chunks

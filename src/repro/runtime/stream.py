@@ -15,7 +15,8 @@ The runner behind :class:`~repro.ir.ops.StreamOp` (the
   engine and scheduler are bound once and the engine's lease is entered
   once around all batches; each batch is one pass through the runtime's
   back half.  The runner hands each run the previous one's
-  ``carry_out()`` as ``carry_in=``, so batch k+1's copy-ins queue behind
+  ``carry_out()`` — its skeleton of devices and states, built once at
+  batch 0 — as ``carry_in=``, so batch k+1's copy-ins queue behind
   (and overlap with) batch k's still-draining compute and copy-out
   stages.  All times are cumulative stream time; spans are stamped
   ``batch=<k>`` through :meth:`Tracer.bind <repro.obs.tracer.Tracer.bind>`.
@@ -118,10 +119,8 @@ def _advance_stream(runtime, region, region_maps, op: StreamOp, batch: int) -> N
         if isinstance(ranges, IterRange):
             ranges = [ranges]
         ranges = [r for r in ranges if not r.empty]
-        if not ranges:
-            continue
-        for gid in region._ids:
-            ledger.invalidate(gid, name, ranges)
+        if ranges:
+            ledger.invalidate(region._ids, name, ranges)
 
 
 def run_stream(

@@ -259,8 +259,11 @@ class PlannedScheduler(LoopScheduler):
     def _hand(self, parts: Sequence[IterRange | Sequence[IterRange]]) -> None:
         """Append ``parts[d]`` (empty ranges dropped) to device ``d``'s queue."""
         for queue, part in zip(self._queues, parts, strict=True):
-            ranges = (part,) if isinstance(part, IterRange) else part
-            queue.extend(r for r in ranges if not r.empty)
+            if isinstance(part, IterRange):
+                if part.start != part.stop:
+                    queue.append(part)
+            else:
+                queue.extend(r for r in part if not r.empty)
 
     def next(self, devid: int) -> Decision:
         queue = self._queues[devid]

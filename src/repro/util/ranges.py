@@ -23,12 +23,13 @@ class IterRange:
     start: int
     stop: int
 
-    # Hand-written (dataclass keeps it): no __post_init__ call per range.
+    # Hand-written (dataclass keeps it): no __post_init__ call per range,
+    # and the slots are set through their descriptors (defined below).
     def __init__(self, start: int, stop: int) -> None:
         if stop < start:
             raise ValueError(f"range stop {stop} < start {start}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "stop", stop)
+        _set_start(self, start)
+        _set_stop(self, stop)
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -72,6 +73,10 @@ class IterRange:
         return IterRange(self.start, mid), IterRange(mid, self.stop)
 
 
+_set_start = IterRange.__dict__["start"].__set__
+_set_stop = IterRange.__dict__["stop"].__set__
+
+
 def split_block(rng: IterRange, parts: int) -> list[IterRange]:
     """Divide ``rng`` into ``parts`` contiguous blocks as evenly as possible.
 
@@ -103,7 +108,7 @@ def split_by_weights(rng: IterRange, weights: Sequence[float]) -> list[IterRange
     """
     if not weights:
         raise ValueError("weights must be non-empty")
-    w = [max(0.0, float(x)) for x in weights]
+    w = [x if x > 0.0 else 0.0 for x in map(float, weights)]  # max(0.0, x)
     total = sum(w)
     n = len(rng)
     if total <= 0.0:
@@ -115,7 +120,8 @@ def split_by_weights(rng: IterRange, weights: Sequence[float]) -> list[IterRange
         sizes = [int(e) for e in exact]
         shortfall = n - sum(sizes)
         # Largest fractional remainders get the leftover iterations.
-        order = sorted(range(len(w)), key=lambda i: exact[i] - sizes[i], reverse=True)
+        rem = [e - s for e, s in zip(exact, sizes)]
+        order = sorted(range(len(w)), key=rem.__getitem__, reverse=True)
         for i in order[:shortfall]:
             sizes[i] += 1
     out: list[IterRange] = []

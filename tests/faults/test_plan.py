@@ -56,6 +56,18 @@ class TestValidation:
         with pytest.raises(FaultPlanError, match="devid must be an int"):
             DeviceDropout(devid=devid, t=0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Slowdown(0, factor=True),
+        lambda: TransferError(0, p_fail=False),
+        lambda: TransferError(0, p_fail=0.5, seed=True),
+        lambda: DeviceDropout(0, t=True),
+    ], ids=["slowdown-factor", "transfer-p_fail", "transfer-seed", "dropout-t"])
+    def test_bool_values_rejected(self, make):
+        # True and False are ints to Python; as a factor, a probability, a
+        # seed or a time they are a mistake, not 1 or 0.
+        with pytest.raises(FaultPlanError):
+            make()
+
     def test_plan_rejects_foreign_objects(self):
         with pytest.raises(FaultPlanError):
             FaultPlan(faults=("not a fault",))  # type: ignore[arg-type]

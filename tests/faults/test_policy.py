@@ -29,6 +29,11 @@ class TestRetryPolicy:
         with pytest.raises(FaultPlanError):
             RetryPolicy(backoff_factor=0.5)
 
+    @pytest.mark.parametrize("field", ["backoff_s", "backoff_factor"])
+    def test_bool_backoff_rejected(self, field):
+        with pytest.raises(FaultPlanError):
+            RetryPolicy(**{field: True})
+
     @pytest.mark.parametrize("value", [2.5, True])
     def test_max_retries_must_be_an_int(self, value):
         with pytest.raises(FaultPlanError, match="max_retries must be an int"):
@@ -94,3 +99,7 @@ class TestHealthTracker:
     def test_validation(self):
         with pytest.raises(FaultPlanError):
             HealthTracker(quarantine_after=0)
+
+    def test_bool_threshold_rejected(self):
+        with pytest.raises(FaultPlanError):
+            HealthTracker(True)

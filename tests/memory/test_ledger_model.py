@@ -1,5 +1,6 @@
-"""The ledger against a brute-force per-row model, and the aliasing contract
-of its in-place validity lists.
+"""The ledger against a brute-force per-row model, the aliasing contract
+of its in-place validity lists, and a chunk's charge against the general
+primitives.
 
 The model keeps one ``set`` of valid rows and one row -> refcount dict per
 (device, array); every ledger call is replayed on it and, after every step,
@@ -9,11 +10,20 @@ value must agree.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MappingError
-from repro.memory.residency import ResidencyLedger, _add, _gaps, _remove
+from repro.kernels.registry import make_kernel
+from repro.memory.residency import (
+    RegionResidency,
+    ResidencyLedger,
+    _add,
+    _gaps,
+    _remove,
+)
 from repro.util.ranges import IterRange
 from tests.memory.ledger_state import snapshot, valid_rows
 
@@ -89,7 +99,7 @@ op_st = st.one_of(
     st.tuples(st.just("retain"), dev_st, name_st, ranges_st),
     st.tuples(st.just("release"), dev_st, name_st, ranges_st),
     st.tuples(st.just("mark_valid"), dev_st, name_st, ranges_st),
-    st.tuples(st.just("invalidate"), dev_st, name_st, ranges_st),
+    st.tuples(st.just("invalidate"), holders_st, name_st, ranges_st),
     st.tuples(st.just("stage"), dev_st, name_st, ranges_st, holders_st),
     st.tuples(st.just("missing"), holders_st, name_st, ranges_st),
     st.tuples(st.just("note_write"), dev_st, name_st, range_st),
@@ -127,10 +137,11 @@ def _step(led: ResidencyLedger, m: Model, op) -> None:
         assert led.stage(dev, name, ranges, holders) == len(missing)
         m.valid[dev, name] |= rows
     elif kind == "invalidate":
-        dev, name, ranges = args
-        led.invalidate(dev, name, ranges)
+        devs, name, ranges = args
+        led.invalidate(devs, name, ranges)
         if name in m.known:
-            m.valid[dev, name] -= m.rows(name, ranges)
+            for d in devs:
+                m.valid[d, name] -= m.rows(name, ranges)
     elif kind != "release" and args[1] not in m.known:
         dev, name, what = args  # these three need the geometry
         with pytest.raises(KeyError):
@@ -233,7 +244,7 @@ def _placed() -> ResidencyLedger:
 
 @pytest.mark.parametrize("edit", [
     lambda led: led.note_write(1, "a", IterRange(4, 8)),
-    lambda led: led.invalidate(0, "a", [IterRange(2, 5)]),
+    lambda led: led.invalidate((0,), "a", [IterRange(2, 5)]),
     lambda led: led.release(0, "a", [IterRange(0, 12)]),
     lambda led: led.stage(0, "a", [IterRange(10, 20)], (0, 1)),
 ])
@@ -254,7 +265,7 @@ def test_in_place_edits_do_not_alias_what_callers_hold(edit):
 
 def test_invalidate_that_empties_a_list_drops_the_key():
     led = _placed()
-    led.invalidate(0, "a", [IterRange(0, 12)])
+    led.invalidate((0,), "a", [IterRange(0, 12)])
     assert "0:a" not in snapshot(led)["valid"]
     assert valid_rows(led, 0, "a") == []
     led.note_write(0, "a", IterRange(12, 24))  # stales all of device 1's copy
@@ -263,3 +274,88 @@ def test_invalidate_that_empties_a_list_drops_the_key():
         led.release(dev, "a", [rows])
     assert led.empty
     assert snapshot(led) == {"arrays": {}, "refs": {}, "valid": {}}
+
+
+# ------------------------------------------------------------- charging
+
+
+def _general_charge(view, local_dev, kernel, chunk) -> tuple:
+    """What ``charge_chunk`` charges a partitioned-map kernel, spelled with
+    the general primitives: ``stage`` the halo-expanded read; the written
+    rows go stale on every other device and valid on the writer."""
+    led, ids = view.ledger, view.ids
+    dev = ids[local_dev]
+    bytes_in = elided_in = elided_out = 0.0
+    for m in kernel.effective_maps():
+        row_b = led.row_bytes(m.name)
+        if m.direction.copies_in:
+            extent = IterRange(0, len(kernel.arrays[m.name]))
+            read = chunk.expand(*m.halo, clamp=extent)
+            miss = led.stage(dev, m.name, (read,), ids)
+            bytes_in += row_b * miss
+            elided_in += row_b * (len(read) - miss)
+        if m.direction.copies_out:
+            elided_out += row_b * len(chunk)
+            led.invalidate([d for d in DEVS if d != dev], m.name, [chunk])
+            led.mark_valid(dev, m.name, [chunk])
+    return bytes_in, 0.0, elided_in, elided_out
+
+
+STENCIL_ROWS = 24  # u_in is read with a 3-row halo, u_out is written
+
+
+def _charge_ops(rnd: random.Random, n: int) -> list[tuple]:
+    """``n`` ops, mostly charges, drawn uniformly from a seeded generator:
+    the cases that matter (a charge just overhanging what its device
+    holds, a writer whose rows a sibling also holds) need uniform draws,
+    which hypothesis' shrink-friendly integers are not."""
+    def span() -> IterRange:
+        start = rnd.randrange(-2, STENCIL_ROWS)
+        return IterRange(start, start + rnd.randrange(10))
+
+    ops: list[tuple] = []
+    for _ in range(n):
+        kind = rnd.choice(("charge",) * 4 + (
+            "mark_valid", "invalidate", "note_write", "invalidate_device",
+        ))
+        dev, name = rnd.choice(DEVS), rnd.choice(("u_in", "u_out"))
+        if kind == "charge":
+            start = rnd.randrange(STENCIL_ROWS)
+            stop = min(start + rnd.randint(1, 9), STENCIL_ROWS)
+            ops.append((kind, dev, IterRange(start, stop)))
+        elif kind == "invalidate_device":
+            ops.append((kind, dev))
+        elif kind == "invalidate":
+            devs = tuple(rnd.sample(DEVS, rnd.randint(0, len(DEVS))))
+            ops.append((kind, devs, name, [span()]))
+        elif kind == "note_write":
+            ops.append((kind, dev, name, span()))
+        else:
+            ops.append((kind, dev, name, [span()]))
+    return ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_charge_chunk_matches_the_general_primitives(seed):
+    """The charge's own-device shortcut and its one-span staging charge and
+    leave behind exactly what ``stage``/``note_write`` would."""
+    rnd = random.Random(seed)
+    kernel = make_kernel("stencil", STENCIL_ROWS)
+    fast, general = ResidencyLedger(), ResidencyLedger()
+    for led in (fast, general):
+        for m in kernel.effective_maps():
+            led.register(m.name, STENCIL_ROWS, kernel.row_nbytes(m.name))
+    view_fast = RegionResidency(fast, DEVS)
+    view_general = RegionResidency(general, DEVS)
+    for op in _charge_ops(rnd, 30):
+        kind, *args = op
+        if kind == "charge":
+            dev, chunk = args
+            assert view_fast.charge_chunk(
+                dev, kernel, chunk, first_chunk=False
+            ) == _general_charge(view_general, dev, kernel, chunk), op
+        else:
+            for led in (fast, general):
+                getattr(led, kind)(*args)
+        assert snapshot(fast) == snapshot(general), op

@@ -13,19 +13,25 @@ import sys
 
 import pytest
 
-from repro.apps import OnlineSumKernel
+from repro.apps import OnlineSumKernel, SlidingStencilKernel
 from repro.engine.core import EngineBase, make_backend
 from repro.engine.simulator import OffloadEngine
 from repro.faults.plan import DeviceDropout, FaultPlan
 from repro.faults.policy import ResiliencePolicy
 from repro.kernels.registry import make_kernel
-from repro.machine.presets import gpu4_node
+from repro.machine.presets import full_node, gpu4_node
 from repro.machine.spec import MachineSpec
 from repro.obs.export import to_jsonl
 from repro.obs.tracer import Tracer
 from repro.runtime import HompRuntime
 
 # ------------------------------------------------- front-door budget
+
+#: Python-level calls per batch: each budget is the count measured when a
+#: stream's batches began to share one run skeleton, plus under 3 %.
+BUDGET_AXPY = 253  # 246.1 measured
+BUDGET_SUM = 280  # 271.9 measured
+BUDGET_STENCIL = 386  # 375.0 measured
 
 
 def _counting(monkeypatch, owner, name) -> list:
@@ -55,9 +61,7 @@ def test_a_stream_enters_its_front_door_once(monkeypatch):
     assert [len(c) for c in counts] == [1, 1, 1]  # 21 / 21 / 20 before
 
 
-def test_stream_batch_python_call_budget():
-    rt = HompRuntime(gpu4_node(), execute_numerically=False)
-    kernel = make_kernel("axpy", 20_000)
+def _calls_per_batch(rt, kernel, **stream) -> float:
     calls = 0
 
     def count(frame, event, arg):
@@ -66,10 +70,31 @@ def test_stream_batch_python_call_budget():
 
     sys.setprofile(count)
     try:
-        sr = rt.stream(kernel, batches=20, window=16, schedule="BLOCK")
+        sr = rt.stream(kernel, **stream)
     finally:
         sys.setprofile(None)
-    assert calls / len(sr.results) <= 530  # 587.6 before
+    return calls / len(sr.results)
+
+
+def test_stream_batch_python_call_budget():
+    rt = HompRuntime(gpu4_node(), execute_numerically=False)
+    per_batch = _calls_per_batch(
+        rt, make_kernel("axpy", 20_000), batches=20, window=16, schedule="BLOCK"
+    )
+    assert per_batch <= BUDGET_AXPY  # 587.6, then 469.95 before
+
+
+#: The two shapes of the ``stream_steady`` benchmark workload (numerics on).
+@pytest.mark.parametrize("make, schedule, budget", [
+    (lambda: OnlineSumKernel(2000), "STREAM_REBALANCE", BUDGET_SUM),  # 486.4 before
+    (lambda: SlidingStencilKernel(96), "BLOCK", BUDGET_STENCIL),  # 705.2 before
+], ids=["online-sum", "sliding-stencil"])
+def test_stream_steady_python_call_budget(make, schedule, budget):
+    per_batch = _calls_per_batch(
+        HompRuntime(full_node()), make(), batches=200, window=64,
+        schedule=schedule,
+    )
+    assert per_batch <= budget
 
 
 # ------------------------------------------------- a pooled engine's lease
@@ -158,3 +183,25 @@ def test_faulted_traced_stream_is_byte_identical_to_the_pinned_one(leased):
     spans = to_jsonl(tracer)
     assert all(f'"batch": {k}' in spans for k in range(3))
     assert _digest(spans.encode()) == PINNED_SPANS
+
+
+#: The same digests of a noisy stream (``gpu4_node(noise=0.05)``), generated
+#: at b2d3c0b, where every batch built its devices afresh: each batch's
+#: noise draws restart from the run seed, whoever keeps the devices.
+PINNED_NOISY_BATCHES = [
+    "4f0f7f399baedae281df6a8b5534106a",
+    "bf1f6168b08e9151babf9408f8f995fb",
+    "ccb6733361b9ef2529e22bd1ee74479e",
+]
+PINNED_NOISY_STREAM = "530793b56b8f132380d1e4e2f1ceef3e"
+
+
+def test_noisy_stream_restarts_its_noise_draws_every_batch():
+    sr = HompRuntime(gpu4_node(noise=0.05)).stream(
+        OnlineSumKernel(2000, seed=1), batches=3, window=16,
+        schedule="SCHED_DYNAMIC",
+    )
+    assert [
+        _digest(pickle.dumps(r, protocol=4)) for r in sr.results
+    ] == PINNED_NOISY_BATCHES
+    assert _digest(pickle.dumps(sr, protocol=4)) == PINNED_NOISY_STREAM

@@ -84,6 +84,8 @@ def homogeneous_cluster(
 ) -> ClusterSpec:
     """``n_nodes`` copies of ``node`` with device names namespaced
     ``n<k>/<device>`` so the flattened machine stays collision-free."""
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, int):
+        raise MachineSpecError(f"node count must be an int, got {n_nodes!r}")
     if n_nodes <= 0:
         raise MachineSpecError(f"cluster needs >= 1 node, got {n_nodes}")
     nodes = tuple(

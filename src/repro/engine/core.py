@@ -324,6 +324,8 @@ class RunContext:
         self.obs = resolve_tracer(tracer)
         #: one attribute check; hot paths branch on this local-able flag
         self.traced = self.obs.enabled
+        #: Whether each committed chunk goes through :meth:`account_chunk`.
+        self.loud = self.traced or record_events
         self.met = self.obs.metrics if self.traced else None
         #: RegionResidency view of the enclosing target-data region, or
         #: None.  With None the transfer arithmetic below is bit-identical
@@ -339,6 +341,10 @@ class RunContext:
                 metrics=self.met, residency=residency,
             )
         scheduler.start(ctx)
+        #: Whether the scheduler's class overrides the no-op ``observe``.
+        self.observes = (
+            getattr(type(scheduler), "observe", None) is not LoopScheduler.observe
+        )
 
         self.plan = fault_plan
         self.plan_active = fault_plan is not None and not fault_plan.empty
@@ -354,7 +360,6 @@ class RunContext:
         #: :meth:`finalize` (None: numerics run per chunk, at commit).
         exact = execute_numerically and kernel.span_exact and not self.reduces
         self.spans: list[tuple[int, int]] | None = [] if exact else None
-        self.covered = 0
         self.events: list[ChunkEvent] = []
         self.faults: list[ChunkFault] = []
 
@@ -616,10 +621,10 @@ class RunContext:
     def account_chunk(self, st: DeviceState, tm: StageTiming) -> None:
         """Charge the overhead buckets and emit this chunk's stage spans.
 
-        Runs for every chunk that finished its pipeline (successfully or
-        with exhausted retries) — the bucket/ span structure mirrors
-        exactly what the pre-core engine charged, which the obs
-        equivalence tests pin against the legacy traces.
+        Runs for a chunk whose retries were exhausted and, in a traced or
+        recorded run, from :meth:`commit_chunk` — the bucket/ span
+        structure mirrors exactly what the pre-core engine charged, which
+        the obs equivalence tests pin against the legacy traces.
         """
         tr = st.trace
         tr.setup_s += tm.t_setup
@@ -735,30 +740,45 @@ class RunContext:
         self,
         st: DeviceState,
         tm: StageTiming,
-        observe_elapsed: float,
+        t_in: float,
+        t_comp: float,
+        t_out: float,
     ) -> None:
-        """``xfer_out -> observe -> done``: the chunk completed.
+        """``xfer_out -> observe -> done``: the chunk completed, its three
+        stages taking ``t_in``, ``t_comp`` and ``t_out`` seconds.
 
-        Charges the stage buckets, counts coverage, executes the kernel
+        Charges the overhead and stage buckets (through
+        :meth:`account_chunk` in a traced or recorded run, which also
+        emits the chunk's spans), counts coverage, executes the kernel
         numerically (exactly once per covered chunk; a span-exact kernel's
-        rows are only recorded, for :meth:`finalize`) and feeds the
-        scheduler's ``observe`` hook with ``observe_elapsed``.
+        rows are only recorded, for :meth:`finalize`) and feeds a
+        scheduler that overrides ``observe`` with the chunk's elapsed time.
         """
         tm.advance(_OBSERVE, _DONE)
+        tr = st.trace
+        if self.loud:
+            self.account_chunk(st, tm)
+        else:  # account_chunk's buckets, less the adds of a known 0.0
+            if tm.t_setup:
+                tr.setup_s += tm.t_setup
+            tr.sched_s += tm.t_sched
+            if self.plan_active:
+                tr.retry_s += tm.pad_in + tm.pad_out
+                tr.retries += tm.retries_in + tm.retries_out
+            if self.residency is not None:
+                self.bytes_moved += tm.bytes_in + tm.bytes_out
+                self.bytes_elided += tm.elided_in + tm.elided_out
         chunk = tm.chunk
         iters = chunk.stop - chunk.start
-        devid = st.device.devid
-        self.covered += iters
-        tr = st.trace
-        tr.xfer_in_s += tm.t_in
-        tr.xfer_out_s += tm.t_out
-        tr.compute_s += tm.t_comp
+        tr.xfer_in_s += t_in
+        tr.xfer_out_s += t_out
+        tr.compute_s += t_comp
         tr.chunks += 1
         tr.iters += iters
         if self.traced:
             dn = st.device.name
             self.obs.instant(
-                _sp.MARK_CHUNK, _sp.CAT_MARK, devid, dn, tm.out_end,
+                _sp.MARK_CHUNK, _sp.CAT_MARK, st.device.devid, dn, tm.out_end,
                 iters=iters, chunk=(chunk.start, chunk.stop),
                 retries=tm.retried,
             )
@@ -769,17 +789,17 @@ class RunContext:
                 buckets=_CHUNK_SIZE_BUCKETS,
             )
         if self.plan_active:
-            self.health.record_success(devid)
+            self.health.record_success(st.device.devid)
 
-        partial = None
         if self.spans is not None:
             self.spans.append((chunk.start, chunk.stop))
         elif self.execute_numerically:
             partial = self.kernel.execute_chunk(chunk)
-        if self.reduces and partial is not None:
-            self.reduction = self.kernel.combine(self.reduction, partial)
+            if self.reduces and partial is not None:
+                self.reduction = self.kernel.combine(self.reduction, partial)
 
-        self.scheduler.observe(devid, chunk, observe_elapsed)
+        if self.observes:
+            self.scheduler.observe(st.device.devid, chunk, t_in + t_comp + t_out)
 
     # -- finalisation ---------------------------------------------------------
 
@@ -791,17 +811,18 @@ class RunContext:
         kernel = self.kernel
         scheduler = self.scheduler
         states = self.states
-        if self.covered != kernel.n_iters:
+        covered = sum(s.trace.iters for s in states)
+        if covered != kernel.n_iters:
             lost = [s.device.name for s in states if s.lost]
             if self.plan_active and lost:
                 raise FaultError(
-                    f"{scheduler.notation} covered {self.covered} of "
+                    f"{scheduler.notation} covered {covered} of "
                     f"{kernel.n_iters} iterations; devices lost: "
                     f"{', '.join(lost)}; {len(self.orphans)} orphaned chunks "
                     "were never adopted"
                 )
             raise OffloadError(
-                f"{scheduler.notation} covered {self.covered} of "
+                f"{scheduler.notation} covered {covered} of "
                 f"{kernel.n_iters} iterations"
             )
         if self.spans:

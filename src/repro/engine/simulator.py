@@ -184,21 +184,36 @@ class OffloadEngine(EngineBase):
                  spec.link.transfer_time if spec.memory is MemoryKind.DISCRETE
                  else partial(_UNIFIED.migration_time, spec.link)
                  if spec.memory is MemoryKind.UNIFIED else None,
-                 st.device.compute_time)
+                 st.device.compute_time, st.device.shares_host_memory)
                 for st in states for spec in (st.device.spec,)
             ]
 
+        # Outside a region, a lane whose device draws no noise prices every
+        # chunk after its first from the chunk's length alone: its table,
+        # length -> (bytes_in, bytes_out, t_in, t_out, t_comp), is built
+        # afresh each run (a kernel's maps may change between runs).
+        pure = core.residency is None
+        lanes = [
+            (*lane, {} if pure and not lane[0].device.spec.noise else None)
+            for lane in lanes
+        ]
+        # Only a traced or recorded run or a fault plan reads the stamps.
+        stamps = plan_active or core.traced or core.record_events
+        begin_chunk, commit_chunk = core.begin_chunk, core.commit_chunk
+
         while requests:
             t, devid = heappop(requests)
-            st, sched_s, setup_s, group, transfer_time, compute_time = lanes[devid]
+            (st, sched_s, setup_s, group, transfer_time, compute_time,
+             serial, table) = lanes[devid]
             if st.done:
                 continue
-            drop_t = plan.dropout_t(devid) if plan_active else None
-            if drop_t is not None and t >= drop_t:
-                core.mark_lost(
-                    st, drop_t, FaultKind.DROPOUT, detail="lost while idle"
-                )
-                continue
+            if plan_active:
+                drop_t = plan.dropout_t(devid)
+                if drop_t is not None and t >= drop_t:
+                    core.mark_lost(
+                        st, drop_t, FaultKind.DROPOUT, detail="lost while idle"
+                    )
+                    continue
             decision = scheduler.next(devid)
 
             if decision is None and core.orphans:
@@ -216,22 +231,28 @@ class OffloadEngine(EngineBase):
                 core.park(st, st.finish if st.finish > t else t)
                 continue
 
-            tm = core.begin_chunk(devid, decision, t)
+            tm = begin_chunk(devid, decision, t)
             chunk = tm.chunk
-
-            cost = kernel.chunk_cost(chunk)
-            core.chunk_bytes(st, tm, cost)
-            tm.t_setup = setup_s if st.first_chunk else 0.0
-            st.first_chunk = False
+            first = st.first_chunk
+            n = chunk.stop - chunk.start
+            price = table.get(n) if table is not None and not first else None
+            if price is None:
+                cost = kernel.chunk_cost(chunk)
+                core.chunk_bytes(st, tm, cost)
+                t_in = transfer_time(tm.bytes_in) if transfer_time else 0.0
+                t_out = transfer_time(tm.bytes_out) if transfer_time else 0.0
+                t_comp = compute_time(cost.flops, cost.mem_bytes)
+                if table is not None and not first:
+                    table[n] = tm.bytes_in, tm.bytes_out, t_in, t_out, t_comp
+            else:
+                tm.bytes_in, tm.bytes_out, t_in, t_out, t_comp = price
+            setup = 0.0
+            if first:
+                setup = tm.t_setup = setup_s
+                st.first_chunk = False
 
             tm.t_sched = sched_s
-            acquire_end = t + sched_s + tm.t_setup
-            if transfer_time is not None:
-                t_in = transfer_time(tm.bytes_in)
-                t_out = transfer_time(tm.bytes_out)
-            else:
-                t_in = t_out = 0.0
-            t_comp = compute_time(cost.flops, cost.mem_bytes)
+            acquire_end = t + sched_s + setup
 
             # ``max`` spelled out below: the same tie and NaN rule, no call.
             free = st.copy_in_free
@@ -241,21 +262,20 @@ class OffloadEngine(EngineBase):
             if group is not None:
                 free = group_free.get(group, 0.0)
                 in_start = free if free > in_start else in_start
-            if plan_active:  # else the timing keeps its fault-free defaults
+            if plan_active:  # else nothing slows, retries or fails a stage
                 t_in *= plan.slowdown_factor(devid, in_start)
                 tm.pad_in, tm.retries_in, tm.in_ok = core.transfer_attempts(
                     st, chunk, "in", t_in, in_start
                 )
-            in_end = (
-                in_start + tm.pad_in + t_in if tm.in_ok
-                else in_start + tm.pad_in
-            )
+                in_end = in_start + tm.pad_in + (t_in if tm.in_ok else 0.0)
+            else:
+                in_end = in_start + t_in
             if serialize_offload:
                 dispatch_free = in_end
             if group is not None and in_end > in_start:
                 group_free[group] = in_end
             comp_prev_end = st.comp_free
-            if tm.in_ok:
+            if not plan_active or tm.in_ok:
                 tm.advance(_XFER_IN, _COMPUTE, _XFER_OUT)
                 comp_start = comp_prev_end if comp_prev_end > in_end else in_end
                 if plan_active:
@@ -271,10 +291,9 @@ class OffloadEngine(EngineBase):
                     tm.pad_out, tm.retries_out, tm.out_ok = (
                         core.transfer_attempts(st, chunk, "out", t_out, out_start)
                     )
-                out_end = (
-                    out_start + tm.pad_out + t_out if tm.out_ok
-                    else out_start + tm.pad_out
-                )
+                    out_end = out_start + tm.pad_out + (t_out if tm.out_ok else 0.0)
+                else:
+                    out_end = out_start + t_out
                 if group is not None and out_end > out_start:
                     group_free[group] = out_end
             else:
@@ -283,15 +302,14 @@ class OffloadEngine(EngineBase):
                 comp_start = comp_end = in_end
                 out_start = out_end = in_end
 
-            tm.t_in, tm.t_comp, tm.t_out = t_in, t_comp, t_out
-            tm.in_start, tm.in_end = in_start, in_end
-            tm.comp_start, tm.comp_end = comp_start, comp_end
-            tm.out_start, tm.out_end = out_start, out_end
-            tm.dropped = (
-                drop_t is not None and out_end > drop_t
-            )  # the device dies before this chunk's outputs return
-
-            if tm.dropped:
+            if stamps:
+                tm.t_in, tm.t_comp, tm.t_out = t_in, t_comp, t_out
+                tm.in_start, tm.in_end = in_start, in_end
+                tm.comp_start, tm.comp_end = comp_start, comp_end
+                tm.out_start, tm.out_end = out_start, out_end
+            if plan_active and drop_t is not None and out_end > drop_t:
+                # The device dies before this chunk's outputs return.
+                tm.dropped = True
                 core.drop_chunk(st, tm, drop_t)
                 continue
 
@@ -301,20 +319,19 @@ class OffloadEngine(EngineBase):
             if out_end > st.finish:
                 st.finish = out_end
 
-            core.account_chunk(st, tm)
-
-            if not (tm.in_ok and tm.out_ok):
+            if plan_active and not (tm.in_ok and tm.out_ok):
                 # Transfer retries exhausted: the chunk is lost (its outputs
                 # never returned), the device stays alive unless its fault
                 # streak quarantines it; pipeline state is torn down, so a
                 # surviving device resumes serially.
+                core.account_chunk(st, tm)
                 if not core.fail_chunk(st, tm):
                     heappush(requests, (out_end, devid))
                 continue
 
-            core.commit_chunk(st, tm, t_in + t_comp + t_out)
+            commit_chunk(st, tm, t_in, t_comp, t_out)
 
-            if st.device.shares_host_memory:
+            if serial:
                 # The host proxy is the compute resource: strictly serial.
                 next_req = comp_end
             elif double_buffer:

@@ -17,8 +17,9 @@ DeviceSpec`, inter-node Ethernet/InfiniBand on the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, isfinite
 
+from repro.errors import MachineSpecError
 from repro.util.units import gbs_to_bytes_per_s
 
 __all__ = [
@@ -58,12 +59,16 @@ class Link:
         object.__setattr__(
             self, "_bytes_per_s", gbs_to_bytes_per_s(self.bandwidth_gbs)
         )
-        if self.latency_s < 0:
-            raise ValueError(f"link latency must be >= 0, got {self.latency_s}")
-        if self.bandwidth_gbs <= 0 and not self.is_shared:
-            raise ValueError(f"link bandwidth must be > 0, got {self.bandwidth_gbs}")
+        if not (isfinite(self.latency_s) and self.latency_s >= 0):
+            raise MachineSpecError(
+                f"link latency must be a finite number >= 0, got {self.latency_s}"
+            )
+        if not self.bandwidth_gbs > 0:  # NaN too; inf is the shared link
+            raise MachineSpecError(
+                f"link bandwidth must be > 0, got {self.bandwidth_gbs}"
+            )
         if self.is_shared and self.latency_s != 0.0:
-            raise ValueError(
+            raise MachineSpecError(
                 f"shared link cannot carry a latency (got {self.latency_s}s): "
                 "shared links never charge transfers, so the alpha would be "
                 "silently dropped — use a finite bandwidth to model a link "

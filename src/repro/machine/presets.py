@@ -116,6 +116,8 @@ def k40_unified_spec(name: str = "k40um", *, noise: float = 0.0) -> DeviceSpec:
 
 def gpu4_node(n_gpus: int = 4, *, noise: float = 0.0) -> MachineSpec:
     """The 4-identical-GPU configuration of paper Figs. 5-7."""
+    if isinstance(n_gpus, bool) or not isinstance(n_gpus, int):
+        raise MachineSpecError(f"GPU count must be an int, got {n_gpus!r}")
     return MachineSpec(
         name=f"gpu{n_gpus}",
         devices=tuple(k40_spec(f"k40-{i}", noise=noise) for i in range(n_gpus)),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 from enum import Enum
+from math import isfinite
 from pathlib import Path
 from typing import Iterable
 
@@ -117,26 +118,21 @@ class DeviceSpec:
     noise: float = 0.0  # lognormal sigma on per-chunk compute time
 
     def __post_init__(self) -> None:
-        if self.sustained_gflops <= 0:
-            raise MachineSpecError(
-                f"device {self.name!r}: sustained_gflops must be > 0"
-            )
-        if self.model_gflops is not None and self.model_gflops <= 0:
-            raise MachineSpecError(
-                f"device {self.name!r}: model_gflops must be > 0"
-            )
-        if self.mem_bandwidth_gbs <= 0:
-            raise MachineSpecError(
-                f"device {self.name!r}: mem_bandwidth_gbs must be > 0"
-            )
-        if (
-            self.launch_overhead_s < 0
-            or self.sched_overhead_s < 0
-            or self.setup_overhead_s < 0
+        # Finite first: a NaN passes every comparison-based bound, and the
+        # engine's spelled-out ``max`` then drops it from the makespan.
+        rates = ("sustained_gflops", "mem_bandwidth_gbs", "model_gflops")  # > 0
+        for what in rates + (
+            "launch_overhead_s", "sched_overhead_s", "setup_overhead_s", "noise",
         ):
-            raise MachineSpecError(f"device {self.name!r}: overheads must be >= 0")
-        if self.noise < 0:
-            raise MachineSpecError(f"device {self.name!r}: noise must be >= 0")
+            v = getattr(self, what)
+            if v is None and what == "model_gflops":
+                continue  # the models use sustained_gflops
+            rate = what in rates
+            if isinstance(v, bool) or not isfinite(v) or v < 0 or (rate and v == 0):
+                raise MachineSpecError(
+                    f"device {self.name!r}: {what} must be a finite number "
+                    f"{'>' if rate else '>='} 0, got {v!r}"
+                )
         if self.memory is MemoryKind.SHARED and not self.link.is_shared:
             raise MachineSpecError(
                 f"device {self.name!r}: shared-memory device must use SHARED_LINK"

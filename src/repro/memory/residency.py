@@ -8,9 +8,12 @@ explicit subsystem:
 
 * :class:`ResidencyLedger` — per-(device, array) reference-counted mapped
   row ranges (like the real runtime's refcounted target-data buffers)
-  plus the subset of rows whose device copy is currently *valid*.
-  Nested regions retain the same ranges again; a range is unmapped (and
-  eligible for copy-out) only when its refcount drops to zero.
+  plus, per array, a *holder map*: sorted breakpoints from row 0 to the
+  array's rows and, for each segment between two of them, the bitmask of
+  the devices whose copy of it is currently *valid* (bit ``d`` = device
+  ``d``; neighbouring segments never share a mask).  Nested regions
+  retain the same ranges again; a range is unmapped (and eligible for
+  copy-out) only when its refcount drops to zero.
 * :class:`DataPlacementPlan` — one :class:`~repro.dist.DimDistribution`
   per array, which a region derives from its :mod:`repro.dist` policies
   through the ALIGN resolver: FULL replicates, BLOCK splits,
@@ -35,8 +38,10 @@ Everything here is deterministic and free of wall-clock state.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import and_, ne, or_, sub
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.dist.align import AlignmentGraph
@@ -77,10 +82,8 @@ def _merge(spans: Iterable[_Span]) -> list[_Span]:
     return out
 
 
-# The three primitives on one array's validity index (device -> sorted,
-# disjoint, coalesced, never-empty span list), each over merged spans.  Every
-# span finds its window by bisection, so it costs O(log n) plus the spans it
-# touches — never a pass over, or a rebuild of, a whole list.
+# Per-node validity of :class:`ClusterResidency`: node -> sorted, disjoint,
+# coalesced, never-empty span list, edited over merged spans.
 _Index = dict[int, list[_Span]]
 
 
@@ -104,14 +107,11 @@ def _add(by_dev: _Index, dev: int, spans: list[_Span]) -> None:
 
 
 def _remove(by_dev: _Index, devs: Iterable[int], spans: list[_Span]) -> None:
-    """Cut ``spans`` out of the lists of ``devs`` in place (a list outside
-    their hull is not walked); a list that empties drops its key."""
-    if not spans:
-        return
-    lo, hi = spans[0][0], spans[-1][1]
+    """Cut ``spans`` out of the lists of ``devs`` in place; a list that
+    empties drops its key."""
     for dev in devs:
         valid = by_dev.get(dev)
-        if valid and valid[0][0] < hi and valid[-1][1] > lo:
+        if valid:
             for s, e in spans:
                 i = j = _first(valid, s)
                 while j < len(valid) and valid[j][0] < e:
@@ -126,10 +126,8 @@ def _remove(by_dev: _Index, devs: Iterable[int], spans: list[_Span]) -> None:
 def _gaps(by_dev: _Index, devs: Iterable[int], want: list[_Span]) -> list[_Span]:
     """The parts of ``want`` that are valid on none of ``devs``."""
     for dev in devs:
-        if not want:
-            break
         valid = by_dev.get(dev)
-        if valid and valid[0][0] < want[-1][1] and valid[-1][1] > want[0][0]:
+        if valid and want:
             rest: list[_Span] = []
             for s, e in want:
                 i = _first(valid, s)
@@ -144,12 +142,61 @@ def _gaps(by_dev: _Index, devs: Iterable[int], want: list[_Span]) -> list[_Span]
     return want
 
 
-def _holds(valid: list[_Span] | None, s: int, e: int) -> bool:
-    """Whether one span of ``valid`` (or None) covers all of ``[s, e)``."""
-    if not valid:
-        return False
-    i = bisect_left(valid, (s + 1,))  # the spans starting at or before s
-    return i > 0 and valid[i - 1][1] >= e
+# One array's holder map ``(at, masks)``: segment ``i`` is rows ``[at[i],
+# at[i + 1])``.  An edit or a gap count is one bisection plus the segments
+# it touches, whatever the number of devices.
+_Holders = tuple[list[int], list[int]]
+
+
+def _bits(devs: Iterable[int]) -> int:
+    return sum({1 << d for d in devs})
+
+
+def _missing(h: _Holders, holders: int, s: int, e: int) -> int:
+    """Rows of ``[s, e)`` that no device of the mask ``holders`` holds."""
+    at, masks = h
+    i = bisect_right(at, s) - 1
+    miss = 0
+    while at[i] < e:
+        if not masks[i] & holders:
+            a, b = at[i], at[i + 1]
+            miss += (b if b < e else e) - (a if a > s else s)
+        i += 1
+    return miss
+
+
+def _paint(h: _Holders, s: int, e: int, add: int, drop: int) -> None:
+    """Set the bits of ``add`` or clear those of ``drop`` over rows ``[s,
+    e)`` (within the extent); ``drop=-1`` makes ``add`` the sole holder."""
+    at, masks = h
+    i = bisect_left(at, s)
+    if at[i] != s:
+        at.insert(i, s)
+        masks.insert(i, masks[i - 1])
+    j = bisect_left(at, e, i)
+    if at[j] != e:
+        at.insert(j, e)
+        masks.insert(j, masks[j - 1])
+    if drop == -1:
+        masks[i:j] = [add]
+        del at[i + 1:j]
+        j = i + 1
+    elif j == i + 1:
+        masks[i] = masks[i] & ~drop | add
+    else:  # a wide edit (a release, a window refresh): each step in C
+        masks[i:j] = map(and_, masks[i:j], repeat(~drop)) if drop else map(
+            or_, masks[i:j], repeat(add)
+        )
+        lo, hi = (i or 1) - 1, min(j + 1, len(masks))
+        keep = [True, *map(ne, masks[lo + 1:hi], masks[lo:hi])]
+        masks[lo:hi] = compress(masks[lo:hi], keep)
+        at[lo:hi] = compress(at[lo:hi], keep)
+        return
+    k = j - (j == len(masks))
+    while k >= (i or 1):  # merge equal neighbours, right to left
+        if masks[k] == masks[k - 1]:
+            del at[k], masks[k]
+        k -= 1
 
 
 def _count(spans: list[_Span]) -> int:
@@ -221,11 +268,9 @@ class ResidencyLedger:
         self._lock = threading.RLock()
         self._rows: dict[str, int] = {}
         self._row_bytes: dict[str, int] = {}
-        # Both keyed array -> device, created by ``register`` and dropped
-        # with the array's geometry: the inner dict *is* the per-array holder
-        # index, so finding who holds an array scans no other array's keys.
+        # Both created by ``register``, dropped with the array's geometry.
         self._refs: dict[str, dict[int, list[_Seg]]] = {}
-        self._valid: dict[str, _Index] = {}
+        self._valid: dict[str, _Holders] = {}
 
     # -- geometry ------------------------------------------------------------
 
@@ -262,7 +307,7 @@ class ResidencyLedger:
             self._rows[name] = int(rows)
             self._row_bytes[name] = int(row_bytes)
             self._refs[name] = {}
-            self._valid[name] = {}
+            self._valid[name] = ([0, int(rows)], [0])
 
     def _clamped(self, name: str, ranges: Iterable[IterRange]) -> list[_Span]:
         rows = self._rows[name]
@@ -294,16 +339,17 @@ class ResidencyLedger:
         with self._lock:
             if name not in self._rows:
                 return [], 0
-            refs, by_dev = self._refs[name], self._valid[name]
+            refs, h, bit = self._refs[name], self._valid[name], 1 << dev
             spans = self._clamped(name, ranges)
             new, unmapped = _overlay(refs.get(dev, []), spans, -1)
-            n_valid = _count(unmapped) - _count(_gaps(by_dev, (dev,), unmapped))
+            n_valid = sum(e - s - _missing(h, bit, s, e) for s, e in unmapped)
             if new:
                 refs[dev] = new
-                _remove(by_dev, (dev,), unmapped)
-            else:
+                for s, e in unmapped:
+                    _paint(h, s, e, 0, bit)
+            else:  # the device's last reference: all its validity goes
                 refs.pop(dev, None)
-                by_dev.pop(dev, None)
+                self._forget(dev, name)
             if not refs:
                 for table in (self._rows, self._row_bytes, self._refs, self._valid):
                     del table[name]
@@ -320,9 +366,8 @@ class ResidencyLedger:
     def mark_valid(self, dev: int, name: str, ranges: Iterable[IterRange]) -> None:
         """The device's copy of ``ranges`` now holds the data."""
         with self._lock:
-            spans = self._clamped(name, ranges)
-            if spans:
-                _add(self._valid[name], dev, spans)
+            for s, e in self._clamped(name, ranges):
+                _paint(self._valid[name], s, e, 1 << dev, 0)
 
     def invalidate(
         self, devs: Iterable[int], name: str, ranges: Iterable[IterRange]
@@ -330,26 +375,31 @@ class ResidencyLedger:
         """The copies of ``ranges`` on ``devs`` are stale (or never arrived)."""
         with self._lock:
             if name in self._rows:
-                _remove(self._valid[name], devs, self._clamped(name, ranges))
+                drop = _bits(devs)
+                for s, e in self._clamped(name, ranges):
+                    _paint(self._valid[name], s, e, 0, drop)
 
     def note_write(self, dev: int, name: str, rows: IterRange) -> None:
         """``dev`` wrote ``rows``: its copy becomes the valid one and every
-        other device's copy of those rows goes stale.  A writer that
-        already holds the rows is not re-marked."""
+        other device's copy of those rows goes stale."""
         with self._lock:
             s, e = max(rows.start, 0), min(rows.stop, self._rows[name])
             if s < e:
-                by_dev = self._valid[name]
-                if not _holds(by_dev.get(dev), s, e):
-                    _add(by_dev, dev, [(s, e)])
-                _remove(by_dev, [d for d in by_dev if d != dev], [(s, e)])
+                _paint(self._valid[name], s, e, 1 << dev, -1)
+
+    def _forget(self, dev: int, name: str) -> int:
+        """Drop ``dev``'s copy of all of ``name``; return the rows it held."""
+        at, masks = h = self._valid[name]
+        held = sum(compress(map(sub, at[1:], at), map(and_, masks, repeat(1 << dev))))
+        _paint(h, 0, self._rows[name], 0, 1 << dev)
+        return held
 
     def invalidate_device(self, dev: int) -> int:
         """Drop all validity on ``dev`` (dropout: contents are lost; the
         mappings themselves survive until their regions release them).
         Returns the number of rows invalidated."""
         with self._lock:
-            return sum(_count(by_dev.pop(dev, ())) for by_dev in self._valid.values())
+            return sum(self._forget(dev, name) for name in self._rows)
 
     def missing_everywhere(
         self, devs: Iterable[int], name: str, ranges: Iterable[IterRange]
@@ -361,8 +411,11 @@ class ResidencyLedger:
         with self._lock:
             if name not in self._rows:
                 return 0
-            want = self._clamped(name, ranges)
-            return _count(_gaps(self._valid[name], devs, want))
+            holders = _bits(devs)
+            return sum(
+                _missing(self._valid[name], holders, s, e)
+                for s, e in self._clamped(name, ranges)
+            )
 
     def stage(
         self,
@@ -377,19 +430,16 @@ class ResidencyLedger:
         of ``holders`` (see :meth:`missing_everywhere`), then marks
         ``ranges`` valid on ``dev`` — atomically, under one acquisition of
         the ledger lock.  ``holders`` is the caller's notion of who can
-        supply the rows for free: ``(dev,)`` alone for region entry, halo
-        delivery and node shards, the whole region's devices for a chunk.
-        An unmapped ``name`` stages nothing and charges nothing.
+        supply the rows for free: ``(dev,)`` alone for region entry and
+        halo delivery, the whole region's devices for a chunk.  An
+        unmapped ``name`` stages nothing and charges nothing.
         """
         with self._lock:
             if name not in self._rows:
                 return 0
-            want = self._clamped(name, ranges)
-            if not want:
-                return 0
-            by_dev = self._valid[name]
-            missing = _count(_gaps(by_dev, holders, want))
-            _add(by_dev, dev, want)
+            ranges = tuple(ranges)  # read twice
+            missing = self.missing_everywhere(holders, name, ranges)
+            self.mark_valid(dev, name, ranges)
             return missing
 
 
@@ -475,11 +525,12 @@ class RegionResidency:
     * a device died — forget everything it held (:meth:`device_lost`).
     """
 
-    __slots__ = ("ledger", "ids", "_resolved")
+    __slots__ = ("ledger", "ids", "_mask", "_resolved")
 
     def __init__(self, ledger: ResidencyLedger, device_ids: Iterable[int]):
         self.ledger = ledger
         self.ids = tuple(device_ids)
+        self._mask = _bits(self.ids)  # the region's devices as holders
         self._resolved: tuple | None = None  # (kernel, its footprint rows)
 
     # -- engine-core charging ------------------------------------------------
@@ -539,14 +590,16 @@ class RegionResidency:
         led = self.ledger
         ids = self.ids
         dev = ids[local_dev]
+        bit = 1 << dev
         n = chunk.stop - chunk.start
         bytes_in = bytes_out = 0.0
         elided_in = elided_out = 0.0
+        res = self._resolved
         with led._lock:
             for (
                 name, known, partitioned, copies_in, copies_out,
                 row_b, halo, extent, rows,
-            ) in self._footprint(kernel):
+            ) in res[1] if res and res[0] is kernel else self._footprint(kernel):
                 if partitioned:
                     if not known:
                         if copies_in:
@@ -562,16 +615,20 @@ class RegionResidency:
                         s, e = (s if s > 0 else 0), min(e, extent.stop)
                         read = e - s if e > s else 0
                         e = min(e, rows)
-                        valid = led._valid[name]
                         miss = 0
-                        if e > s and not _holds(valid.get(dev), s, e):
-                            miss = _count(_gaps(valid, ids, [(s, e)]))
-                            _add(valid, dev, [(s, e)])
+                        if e > s:
+                            h = at, masks = led._valid[name]
+                            i = bisect_right(at, s) - 1
+                            while masks[i] & bit and at[i + 1] < e:
+                                i += 1
+                            if not masks[i] & bit:  # not all held already
+                                miss = _missing(h, self._mask, s, e)
+                                if not copies_out or s < chunk.start or e > chunk.stop:
+                                    _paint(h, s, e, bit, 0)  # else the write below
                         bytes_in += row_b * miss
                         elided_in += row_b * (read - miss)
                     if copies_out:
                         elided_out += row_b * n
-                        led.note_write(dev, name, chunk)
                 else:  # FULL map: inbound replica on first chunk only
                     if copies_in and first_chunk:
                         miss = (
@@ -580,8 +637,8 @@ class RegionResidency:
                         )
                         bytes_in += row_b * miss
                         elided_in += row_b * (len(extent) - miss)
-                    if known and copies_out:
-                        led.note_write(dev, name, chunk)
+                if known and copies_out:
+                    led.note_write(dev, name, chunk)
         return bytes_in, bytes_out, elided_in, elided_out
 
     def forget_chunk(
@@ -660,16 +717,12 @@ class RegionResidency:
 # ---------------------------------------------------------------------------
 
 class ClusterResidency:
-    """The PR 5 ledger at *node* granularity: which rows already live on
-    which node, and what a node's loop shard therefore costs in inter-node
-    fabric bytes.
-
-    The :class:`ResidencyLedger` keys devices by plain integers, so the
-    same machinery tracks node indices unchanged; only the charging unit
-    differs — one charge per node *shard* (the whole intra-node offload)
-    instead of per chunk, because intra-node transfers are priced by the
-    node's own engine run and only cross-node movement belongs to the
-    fabric.
+    """The ledger's staging at *node* granularity: which rows already live
+    on which node, and what a node's loop shard therefore costs in
+    inter-node fabric bytes.  The unit is one node *shard* (intra-node
+    transfers are priced by the node's own engine run), staged against its
+    own node only and never released before the offload ends: one span
+    list per node and array serves it, with no holder map, refcount or lock.
 
     Two placements, mirroring the paper's partition policies lifted one
     level up:
@@ -689,42 +742,43 @@ class ClusterResidency:
         if n_nodes <= 0:
             raise MappingError(f"cluster residency needs n_nodes > 0, got {n_nodes}")
         self.n_nodes = n_nodes
-        self.ledger = ResidencyLedger()
         self.nodes = tuple(range(n_nodes))
+        self._valid: dict[str, _Index] = {}
+        self._rows: dict[str, int] = {}
 
     # -- region setup ---------------------------------------------------------
 
     def register_kernel(self, kernel: "LoopKernel") -> None:
-        """Declare every mapped array's geometry with the ledger."""
+        """Declare every mapped array's dim-0 extent."""
         for m in kernel.effective_maps():
-            arr = kernel.arrays[m.name]
-            self.ledger.register(m.name, len(arr), kernel.row_nbytes(m.name))
+            self._rows[m.name] = len(kernel.arrays[m.name])
+            self._valid[m.name] = {}
+
+    def _stage(self, node: int, name: str, rows: IterRange, *, write=False) -> int:
+        """Mark ``rows`` (clamped to the extent) valid on ``node`` — its only
+        valid copy if ``write`` — and return how many were not valid there."""
+        valid = self._valid[name]
+        want = _merge([(max(rows.start, 0), min(rows.stop, self._rows[name]))])
+        if write:
+            _remove(valid, self.nodes, want)
+        missing = _count(_gaps(valid, (node,), want))
+        _add(valid, node, want)
+        return missing
 
     def place_aligned(
         self, kernel: "LoopKernel", shards: Iterable[IterRange]
     ) -> None:
         """Mark the aligned pre-distribution valid: each node owns its
         shard's rows of every partitioned array, FULL-mapped inputs are
-        replicated everywhere.  Mapping references are retained so the
-        ledger keeps the arrays alive for the offload's duration."""
+        replicated everywhere."""
         shards = list(shards)
-        whole = {
-            m.name: IterRange(0, self.ledger.rows_of(m.name))
-            for m in kernel.effective_maps()
-        }
         for m in kernel.effective_maps():
             if m.partitioned:
                 for node, shard in enumerate(shards):
-                    owned = kernel.input_region(m, shard)[0]
-                    self.ledger.retain(node, m.name, [owned])
-                    self.ledger.mark_valid(
-                        node, m.name, [shard.intersect(whole[m.name])]
-                    )
-            else:
+                    self._stage(node, m.name, shard)
+            elif m.direction.copies_in:
                 for node in self.nodes:
-                    self.ledger.retain(node, m.name, [whole[m.name]])
-                    if m.direction.copies_in:
-                        self.ledger.mark_valid(node, m.name, [whole[m.name]])
+                    self._stage(node, m.name, IterRange(0, self._rows[m.name]))
 
     def scatter_bytes(self, kernel: "LoopKernel", shards: Iterable[IterRange]) -> list[float]:
         """Per-node bytes the aligned pre-distribution itself moves: each
@@ -738,13 +792,12 @@ class ClusterResidency:
                 for m in kernel.effective_maps():
                     if not m.direction.copies_in:
                         continue
-                    row_b = self.ledger.row_bytes(m.name)
+                    row_b = kernel.row_nbytes(m.name)
+                    rows = self._rows[m.name]
                     if m.partitioned:
-                        rows = self.ledger.rows_of(m.name)
-                        owned = shard.intersect(IterRange(0, rows))
-                        total += row_b * len(owned)
+                        total += row_b * len(shard.intersect(IterRange(0, rows)))
                     else:
-                        total += row_b * self.ledger.rows_of(m.name)
+                        total += row_b * rows
             out.append(total)
         return out
 
@@ -762,44 +815,34 @@ class ClusterResidency:
 
         Returns ``(bytes_in, bytes_out, elided_in, elided_out)`` exactly
         like :meth:`RegionResidency.charge_chunk`, but against the *node*
-        ledger: inbound pays the halo-expanded shard rows not valid on
+        spans: inbound pays the halo-expanded shard rows not valid on
         this node (everything under head placement, only the cross-node
         halo under aligned), outbound pays the shard's written rows when
         ``collect_outputs`` (head placement returns results to the head
         node) and stays node-resident otherwise.  Node 0 — the head — is
         the host image and never pays the fabric.
         """
-        led = self.ledger
         bytes_in = bytes_out = 0.0
         elided_in = elided_out = 0.0
         is_head = node == 0
         for m in kernel.effective_maps():
             name = m.name
-            row_b = led.row_bytes(name)
-            if m.partitioned:
-                region0 = kernel.input_region(m, shard)[0]
-                if m.direction.copies_in:
-                    miss = led.stage(node, name, [region0], (node,))
-                    if is_head:
-                        elided_in += row_b * len(region0)
-                    else:
-                        bytes_in += row_b * miss
-                        elided_in += row_b * (len(region0) - miss)
-                if m.direction.copies_out:
-                    if collect_outputs and not is_head:
-                        bytes_out += row_b * len(shard)
-                    else:
-                        elided_out += row_b * len(shard)
-                    led.note_write(node, name, shard)
-            else:
-                if m.direction.copies_in:
-                    whole = IterRange(0, led.rows_of(name))
-                    miss = led.stage(node, name, [whole], (node,))
-                    if is_head:
-                        elided_in += row_b * len(whole)
-                    else:
-                        bytes_in += row_b * miss
-                        elided_in += row_b * (len(whole) - miss)
-                if m.direction.copies_out:
-                    led.note_write(node, name, shard)
+            row_b = kernel.row_nbytes(name)
+            if m.direction.copies_in:
+                read = (
+                    kernel.input_region(m, shard)[0] if m.partitioned
+                    else IterRange(0, self._rows[name])
+                )
+                miss = self._stage(node, name, read)
+                if is_head:
+                    elided_in += row_b * len(read)
+                else:
+                    bytes_in += row_b * miss
+                    elided_in += row_b * (len(read) - miss)
+            if m.direction.copies_out:
+                if m.partitioned and collect_outputs and not is_head:
+                    bytes_out += row_b * len(shard)
+                elif m.partitioned:
+                    elided_out += row_b * len(shard)
+                self._stage(node, name, shard, write=True)
         return bytes_in, bytes_out, elided_in, elided_out

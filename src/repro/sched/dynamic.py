@@ -45,10 +45,11 @@ class DynamicScheduler(LoopScheduler):
                 self._requeued[0] = rest
             if not head.empty:
                 return head
-        if self._cursor >= self._stop:
+        start, stop = self._cursor, self._stop
+        if start >= stop:
             return None
-        start = self._cursor
-        stop = min(start + self._chunk, self._stop)
+        if start + self._chunk < stop:
+            stop = start + self._chunk
         self._cursor = stop
         return IterRange(start, stop)
 

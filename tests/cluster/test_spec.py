@@ -80,3 +80,10 @@ class TestPresets:
             gpu_cluster(0, 4)
         with pytest.raises(MachineSpecError):
             gpu_cluster(2, 0)
+
+
+@pytest.mark.parametrize("n", [True, 2.5])
+def test_homogeneous_cluster_node_count_must_be_an_int(n):
+    # True would otherwise build a one-node cluster.
+    with pytest.raises(MachineSpecError, match="node count must be an int"):
+        homogeneous_cluster(n, gpu4_node())

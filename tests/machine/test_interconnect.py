@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import MachineSpecError
 from repro.machine.interconnect import (
     ETHERNET_10GBE,
     ETHERNET_100GBE,
@@ -41,6 +42,18 @@ def test_negative_latency_rejected():
 def test_nonpositive_bandwidth_rejected():
     with pytest.raises(ValueError):
         Link(0.0, 0.0)
+
+
+@pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+def test_non_finite_latency_rejected(latency):
+    with pytest.raises(MachineSpecError, match="latency"):
+        Link(latency, 10.0)
+
+
+def test_nan_bandwidth_rejected():
+    # An infinite bandwidth is the shared link; a NaN one is no link.
+    with pytest.raises(MachineSpecError, match="bandwidth"):
+        Link(0.0, float("nan"))
 
 
 @given(

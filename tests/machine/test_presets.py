@@ -89,6 +89,13 @@ def test_homogeneous_node_count_must_be_an_int(n):
         homogeneous_node(n)
 
 
+@pytest.mark.parametrize("n", [True, 2.5])
+def test_gpu4_node_count_must_be_an_int(n):
+    # True would otherwise build a one-GPU node.
+    with pytest.raises(MachineSpecError, match="GPU count must be an int"):
+        gpu4_node(n)
+
+
 def test_noise_parameter_propagates():
     m = gpu4_node(noise=0.05)
     assert all(d.noise == 0.05 for d in m.devices)

@@ -1,5 +1,8 @@
 """DeviceSpec / MachineSpec validation and the machine description file."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import MachineSpecError
@@ -53,6 +56,31 @@ class TestDeviceSpecValidation:
                 link=Link(1e-6, 10.0),
                 memory=MemoryKind.SHARED,
             )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", [
+        "sustained_gflops", "model_gflops", "mem_bandwidth_gbs",
+        "launch_overhead_s", "sched_overhead_s", "setup_overhead_s", "noise",
+    ])
+    def test_non_finite_numbers_rejected(self, field, value):
+        # A NaN passed every comparison-based bound; k40-1 at
+        # sustained_gflops=nan then ran 1,062 iterations in compute_s=nan,
+        # and the makespan's spelled-out max dropped it.
+        with pytest.raises(MachineSpecError, match=field):
+            replace(k40_spec(), **{field: value})
+
+    def test_bool_noise_rejected(self):
+        # noise=True ran as a lognormal sigma of 1.
+        with pytest.raises(MachineSpecError, match="noise"):
+            replace(k40_spec(), noise=True)
+
+    def test_non_finite_number_in_a_machine_file_rejected(self, tmp_path):
+        d = full_node().to_dict()
+        d["devices"][2]["sustained_gflops"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(d))  # json writes (and reads) NaN
+        with pytest.raises(MachineSpecError, match="sustained_gflops"):
+            MachineSpec.from_file(path)
 
     def test_modeled_gflops_defaults_to_sustained(self):
         d = DeviceSpec("d", DeviceType.NVGPU, 100.0, 10.0,
